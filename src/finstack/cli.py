@@ -76,6 +76,13 @@ def _digest(paths: list) -> str:
     return h.hexdigest()
 
 
+def nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
+    return value
+
+
 def _homology_lines(cx, degrees) -> list:
     return [str(homology(cx, n)) for n in degrees]
 
@@ -117,7 +124,7 @@ def _cmd_pi1(args) -> RunReport:
     report = RunReport("pi1", _digest([args.groupoid]))
     g = jsonio.groupoid_from_json(jsonio.load_json(args.groupoid))
     pres = pi1_presentation(nerve(g, 2), args.basepoint)
-    rep = pi1_iso_check(g, args.basepoint, budget=args.budget)
+    rep = pi1_iso_check(g, args.basepoint, budget=args.budget, pres=pres)
     report.add_output(f"generators: {len(pres.generators)}")
     report.add_output(f"relations: {len(pres.relations)}")
     rank, torsion = pres.abelianization()
@@ -307,13 +314,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("nerve", help="build the truncated nerve and count simplices", parents=[common])
     p.add_argument("--groupoid", required=True)
-    p.add_argument("--dim", type=int, required=True)
+    p.add_argument("--dim", type=nonnegative_int, required=True)
     p.set_defaults(run=_cmd_nerve)
 
     p = sub.add_parser("homology", help="integral homology of the nerve", parents=[common])
     p.add_argument("--groupoid", required=True)
-    p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--degree", type=int, default=None)
+    p.add_argument("--dim", type=nonnegative_int, required=True)
+    p.add_argument("--degree", type=nonnegative_int, default=None)
     p.set_defaults(run=_cmd_homology)
 
     p = sub.add_parser("pi1", help="edge-path group and isotropy comparison", parents=[common])
@@ -324,9 +331,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("milnor", help="truncated join model and its quotient", parents=[common])
     p.add_argument("--groupoid", required=True)
-    p.add_argument("--levels", type=int, required=True)
+    p.add_argument("--levels", type=nonnegative_int, required=True)
     p.add_argument("--space", choices=["E", "B"], required=True)
-    p.add_argument("--homology", type=int, default=None)
+    p.add_argument("--homology", type=nonnegative_int, default=None)
     p.add_argument("--compare-nerve", action="store_true", dest="compare_nerve")
     p.set_defaults(run=_cmd_milnor)
 
@@ -359,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("morita-check", help="weak equivalence and homology agreement", parents=[common])
     p.add_argument("--functor", required=True)
-    p.add_argument("--dim", type=int, default=3)
+    p.add_argument("--dim", type=nonnegative_int, default=3)
     p.set_defaults(run=_cmd_morita)
 
     return parser

@@ -182,15 +182,18 @@ class Pi1Report:
         return self.isomorphic is True
 
 
-def pi1_iso_check(g: FiniteGroupoid, x, budget: int = DEFAULT_COSET_BUDGET) -> Pi1Report:
+def pi1_iso_check(g: FiniteGroupoid, x, budget: int = DEFAULT_COSET_BUDGET,
+                  pres: GroupPresentation | None = None) -> Pi1Report:
     """Check the canonical map from the edge-path group onto the vertex group at x.
 
     Each 1-simplex maps to its tree-path conjugate loop; the check verifies all
     relators map to the identity arrow and the images generate, then certifies
     injectivity by coset enumeration (surjection between finite groups of
     equal order).  On budget exhaustion injectivity is reported untested.
+    ``pres`` is the presentation of the nerve of g at x, if already built.
     """
-    pres = pi1_presentation(nerve(g, 2), x)
+    if pres is None:
+        pres = pi1_presentation(nerve(g, 2), x)
     vgroup = vertex_group(g, x)
 
     def path_to(v):

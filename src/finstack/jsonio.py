@@ -38,6 +38,18 @@ def _require(doc: Mapping, key: str, kind: type):
     return value
 
 
+def _ids(value, what: str) -> list:
+    if not (isinstance(value, list) and all(isinstance(x, str) for x in value)):
+        raise SchemaError(f"{what} must be a list of string ids")
+    return value
+
+
+def _id_table(value, what: str) -> dict:
+    if not (isinstance(value, dict) and all(isinstance(x, str) for x in value.values())):
+        raise SchemaError(f"{what} must map string ids to string ids")
+    return value
+
+
 def load_json(path: str) -> dict:
     try:
         with open(path, "rb") as fh:
@@ -50,7 +62,7 @@ def load_json(path: str) -> dict:
 
 
 def groupoid_from_json(doc: Mapping) -> FiniteGroupoid:
-    objects = _require(doc, "objects", list)
+    objects = _ids(_require(doc, "objects", list), "objects")
     arrows_doc = _require(doc, "arrows", list)
     arrows, src, tgt = [], {}, {}
     for entry in arrows_doc:
@@ -63,11 +75,11 @@ def groupoid_from_json(doc: Mapping) -> FiniteGroupoid:
     comp_doc = _require(doc, "comp", list)
     comp = {}
     for entry in comp_doc:
-        if not (isinstance(entry, list) and len(entry) == 3):
+        if len(_ids(entry, "comp entries")) != 3:
             raise SchemaError("comp entries must be triples [a, b, ab]")
         comp[(entry[0], entry[1])] = entry[2]
-    ident = _require(doc, "id", dict)
-    inv = _require(doc, "inv", dict)
+    ident = _id_table(_require(doc, "id", dict), "id")
+    inv = _id_table(_require(doc, "inv", dict), "inv")
     return validate_groupoid(objects, arrows, src, tgt, comp, ident, inv)
 
 
@@ -94,9 +106,9 @@ def groupoid_functor_from_json(doc: Mapping) -> GroupoidFunctor:
 
 
 def cocycle_from_json(doc: Mapping, target: FiniteGroupoid) -> Cocycle:
-    points = _require(doc, "W", list)
+    points = _ids(_require(doc, "W", list), "W")
     cover_doc = _require(doc, "cover", dict)
-    cov = covered_space(points, {i: set(part) for i, part in cover_doc.items()})
+    cov = covered_space(points, {i: set(_ids(part, f"cover {i!r}")) for i, part in cover_doc.items()})
     a_doc = _require(doc, "a", dict)
     gamma_doc = _require(doc, "gamma", dict)
     gamma = {}
@@ -104,8 +116,9 @@ def cocycle_from_json(doc: Mapping, target: FiniteGroupoid) -> Cocycle:
         parts = key.split(",")
         if len(parts) != 2:
             raise SchemaError(f"gamma key {key!r} must look like 'i,j'")
-        gamma[(parts[0], parts[1])] = dict(table)
-    return validate_cocycle(cov, target, {i: dict(t) for i, t in a_doc.items()}, gamma)
+        gamma[(parts[0], parts[1])] = dict(_id_table(table, f"gamma {key!r}"))
+    a = {i: dict(_id_table(t, f"a {i!r}")) for i, t in a_doc.items()}
+    return validate_cocycle(cov, target, a, gamma)
 
 
 def cocycle_to_json(c: Cocycle) -> dict:
@@ -122,7 +135,7 @@ def cocycle_to_json(c: Cocycle) -> dict:
 
 
 def category_from_json(doc: Mapping) -> FiniteCategory:
-    objects = _require(doc, "objects", list)
+    objects = _ids(_require(doc, "objects", list), "objects")
     mor_doc = _require(doc, "morphisms", list)
     morphisms, src, tgt = [], {}, {}
     for entry in mor_doc:
@@ -132,10 +145,10 @@ def category_from_json(doc: Mapping) -> FiniteCategory:
         tgt[m] = _require(entry, "tgt", str)
     comp = {}
     for entry in _require(doc, "comp", list):
-        if not (isinstance(entry, list) and len(entry) == 3):
+        if len(_ids(entry, "comp entries")) != 3:
             raise SchemaError("comp entries must be triples [f, g, fg]")
         comp[(entry[0], entry[1])] = entry[2]
-    ident = _require(doc, "id", dict)
+    ident = _id_table(_require(doc, "id", dict), "id")
     return validate_category(objects, morphisms, src, tgt, comp, ident)
 
 
@@ -144,7 +157,7 @@ def cat_functor_from_json(doc: Mapping, source: FiniteCategory, target: FiniteCa
 
 
 def morphism_class_from_json(doc: Mapping, cat: FiniteCategory) -> MorphismClass:
-    members = set(_require(doc, "members", list))
+    members = set(_ids(_require(doc, "members", list), "members"))
     oracle = None
     if "pullbacks" in doc:
         oracle = {}

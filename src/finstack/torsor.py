@@ -6,10 +6,10 @@ compatibility conditions are pointwise equalities between arrows.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import (
+    AxiomViolation,
     BudgetExceeded,
     C1Violation,
     C2Violation,
@@ -26,9 +26,13 @@ DEFAULT_SEARCH_BUDGET = 200_000
 class CoveredSpace:
     points: tuple
     cover: dict  # index -> frozenset of points
+    _indices: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_indices", sorted_ids(self.cover))
 
     def indices(self) -> tuple:
-        return sorted_ids(self.cover)
+        return self._indices
 
     def overlap(self, *labels) -> tuple:
         pts = set(self.points)
@@ -67,24 +71,21 @@ class Cocycle:
 def validate_cocycle(cov: CoveredSpace, target: FiniteGroupoid, a: dict, gamma: dict) -> Cocycle:
     """Check the source/target condition and the multiplication law pointwise."""
     indices = cov.indices()
-    objects = set(target.objects)
+    objects, arrows = set(target.objects), set(target.arrows)
     for i in indices:
         table = a.get(i)
-        if table is None or set(table) != set(cov.cover[i]):
+        if table is None or set(table) != cov.cover[i]:
             raise DanglingId("a (domain mismatch)", i)
         for w, x in table.items():
             if x not in objects:
                 raise DanglingId("a", (i, w), x)
     for i in indices:
         for j in indices:
-            overlap = set(cov.overlap(i, j))
-            table = gamma.get((i, j))
-            if table is None:
-                table = {}
-            if set(table) != overlap:
+            table = gamma.get((i, j), {})
+            if set(table) != cov.cover[i] & cov.cover[j]:
                 raise DanglingId("gamma (domain mismatch)", (i, j))
             for w, arrow in table.items():
-                if arrow not in set(target.arrows):
+                if arrow not in arrows:
                     raise DanglingId("gamma", (i, j, w), arrow)
                 if target.src[arrow] != a[i][w] or target.tgt[arrow] != a[j][w]:
                     raise C1Violation(w, i, j)
@@ -92,8 +93,7 @@ def validate_cocycle(cov: CoveredSpace, target: FiniteGroupoid, a: dict, gamma: 
         for j in indices:
             for k in indices:
                 for w in cov.overlap(i, j, k):
-                    lhs = target.compose(gamma[(i, j)][w], gamma[(j, k)][w])
-                    if lhs != gamma[(i, k)][w]:
+                    if target.compose(gamma[(i, j)][w], gamma[(j, k)][w]) != gamma[(i, k)][w]:
                         raise C2Violation(w, i, j, k)
     return Cocycle(cov=cov, target=target,
                    a={i: dict(a[i]) for i in indices},
@@ -220,17 +220,21 @@ class CocycleMorphism:
     delta: dict  # (i, k) -> {w: arrow} on U_i of source and U'_k of target
 
 
-def cocycle_morphism_violations(c: Cocycle, c2: Cocycle, delta: dict) -> list:
-    """Witnesses of M1/M2 failures for candidate morphism data; empty means valid."""
+def _require_same_base(c: Cocycle, c2: Cocycle) -> None:
     if c.cov.points != c2.cov.points:
         raise MismatchedTarget("cocycles live over different base sets")
     if c.target != c2.target:
         raise MismatchedTarget("cocycles have different target groupoids")
+
+
+def cocycle_morphism_violations(c: Cocycle, c2: Cocycle, delta: dict) -> list:
+    """Witnesses of M1/M2 failures for candidate morphism data; empty means valid."""
+    _require_same_base(c, c2)
     g = c.target
     bad = []
     for i in c.cov.indices():
         for k in c2.cov.indices():
-            overlap = set(c.cov.cover[i]) & set(c2.cov.cover[k])
+            overlap = c.cov.cover[i] & c2.cov.cover[k]
             table = delta.get((i, k), {})
             if set(table) != overlap:
                 bad.append(("domain", i, k))
@@ -244,11 +248,11 @@ def cocycle_morphism_violations(c: Cocycle, c2: Cocycle, delta: dict) -> list:
     for i in c.cov.indices():
         for k in c2.cov.indices():
             for l in c2.cov.indices():
-                for w in set(c.cov.cover[i]) & set(c2.cov.cover[k]) & set(c2.cov.cover[l]):
+                for w in c.cov.cover[i] & c2.cov.cover[k] & c2.cov.cover[l]:
                     if g.compose(delta[(i, k)][w], c2.gamma[(k, l)][w]) != delta[(i, l)][w]:
                         bad.append(("M2-right", w, i, k, l))
             for j in c.cov.indices():
-                for w in set(c.cov.cover[i]) & set(c.cov.cover[j]) & set(c2.cov.cover[k]):
+                for w in c.cov.cover[i] & c.cov.cover[j] & c2.cov.cover[k]:
                     if g.compose(c.gamma[(i, j)][w], delta[(j, k)][w]) != delta[(i, k)][w]:
                         bad.append(("M2-left", w, i, j, k))
     return bad
@@ -258,32 +262,31 @@ def check_cocycle_morphism(c: Cocycle, c2: Cocycle, delta: dict) -> bool:
     return not cocycle_morphism_violations(c, c2, delta)
 
 
-def find_cocycle_morphism(c: Cocycle, c2: Cocycle,
-                          budget: int = DEFAULT_SEARCH_BUDGET) -> CocycleMorphism | None:
-    """Brute-force search for morphism data; None when no assignment satisfies M1/M2."""
+def find_cocycle_morphism(c: Cocycle, c2: Cocycle) -> CocycleMorphism | None:
+    """Morphism data built point by point; None when no morphism exists.
+
+    M2 forces delta_ik(w) = gamma_{i,i0}(w) . delta0 . gamma'_{k0,k}(w), with i0, k0
+    the first charts containing w and delta0 any arrow a_i0(w) -> a'_k0(w); by C2
+    every such choice satisfies M1/M2.  The result is checked before it is returned.
+    """
+    _require_same_base(c, c2)
     g = c.target
-    slots = []
-    for i in c.cov.indices():
-        for k in c2.cov.indices():
-            for w in sorted_ids(set(c.cov.cover[i]) & set(c2.cov.cover[k])):
-                options = g.hom(c.a[i][w], c2.a[k][w])
-                if not options:
-                    return None
-                slots.append(((i, k, w), options))
-    tried = 0
-    for choice in itertools.product(*[options for _, options in slots]):
-        tried += 1
-        if tried > budget:
-            raise BudgetExceeded(f"morphism search exceeded {budget} assignments")
-        delta: dict = {}
-        for ((i, k, w), _), arrow in zip(slots, choice):
-            delta.setdefault((i, k), {})[w] = arrow
-        for i in c.cov.indices():
-            for k in c2.cov.indices():
-                delta.setdefault((i, k), {})
-        if check_cocycle_morphism(c, c2, delta):
-            return CocycleMorphism(source=c, target_cocycle=c2, delta=delta)
-    return None
+    delta: dict = {(i, k): {} for i in c.cov.indices() for k in c2.cov.indices()}
+    for w in c.cov.points:
+        charts = [i for i in c.cov.indices() if w in c.cov.cover[i]]
+        charts2 = [k for k in c2.cov.indices() if w in c2.cov.cover[k]]
+        i0, k0 = charts[0], charts2[0]
+        options = g.hom(c.a[i0][w], c2.a[k0][w])
+        if not options:
+            return None
+        for i in charts:
+            head = g.compose(c.gamma[(i, i0)][w], options[0])
+            for k in charts2:
+                delta[(i, k)][w] = g.compose(head, c2.gamma[(k0, k)][w])
+    bad = cocycle_morphism_violations(c, c2, delta)
+    if bad:
+        raise AxiomViolation(bad[0][0], bad[0][1:])
+    return CocycleMorphism(source=c, target_cocycle=c2, delta=delta)
 
 
 def torsor_isomorphic(t1: Torsor, t2: Torsor, budget: int = DEFAULT_SEARCH_BUDGET) -> bool:

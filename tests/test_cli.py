@@ -7,7 +7,7 @@ import pytest
 import finstack as fs
 import finstack.jsonio as jio
 from finstack.cli import main
-from support import cocycle_zoo, pair2, point_inclusion, z2
+from support import cocycle_zoo, gauge_cocycle, pair2, point_inclusion, z2, z3
 
 
 @pytest.fixture()
@@ -93,6 +93,24 @@ def test_torsor_roundtrip(capsys, tmp_path, z2_file):
                                  "--cocycle", str(cpath)])
     assert code == 0
     assert "[PASS] roundtrip-morphism-to-input" in out
+
+
+def test_torsor_roundtrip_cyclic_cover_z3(capsys, tmp_path):
+    # four two-point charts around a 4-cycle: 3^16 assignments for a brute-force search
+    g = z3()
+    points = ["w0", "w1", "w2", "w3"]
+    cover = {str(n): {points[n], points[(n + 1) % 4]} for n in range(4)}
+    gauges = {(i, w): (7 * int(i) + int(w[1])) % 3 for i in cover for w in cover[i]}
+    c = gauge_cocycle(g, cover, {w: "*" for w in points}, gauges)
+    gpath = tmp_path / "z3.json"
+    cpath = tmp_path / "c.json"
+    gpath.write_text(json.dumps(jio.groupoid_to_json(g)))
+    cpath.write_text(json.dumps(jio.cocycle_to_json(c)))
+    code, out = run_cli(capsys, ["torsor", "roundtrip", "--groupoid", str(gpath),
+                                 "--cocycle", str(cpath)])
+    assert code == 0
+    assert "[PASS] roundtrip-morphism-to-input" in out
+    assert "[PASS] roundtrip-morphism-from-input" in out
 
 
 def test_torsor_compare(capsys, tmp_path, z2_file):
@@ -310,3 +328,40 @@ def test_schema_error_exit_2(tmp_path):
     notjson = tmp_path / "notjson.json"
     notjson.write_text("{oops")
     assert main(["validate", "--groupoid", str(notjson)]) == 2
+
+
+def assert_input_error(capsys, argv):
+    assert main(argv) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_list_object_id_exit_2(capsys, tmp_path):
+    doc = jio.groupoid_to_json(z2())
+    doc["objects"] = [["*"]]
+    path = tmp_path / "listid.json"
+    path.write_text(json.dumps(doc))
+    assert_input_error(capsys, ["validate", "--groupoid", str(path)])
+
+
+def test_negative_dim_exit_2(capsys, z2_file):
+    assert_input_error(capsys, ["nerve", "--groupoid", z2_file, "--dim", "-1"])
+
+
+def test_gamma_table_as_list_exit_2(capsys, tmp_path, z2_file):
+    doc = jio.cocycle_to_json(cocycle_zoo()[1][1])
+    doc["gamma"]["0,1"] = ["1", "0"]
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(doc))
+    assert_input_error(capsys, ["torsor", "validate", "--groupoid", z2_file, "--cocycle", str(path)])
+
+
+@pytest.mark.parametrize("objects, members", [([["0"]], ["i0"]), (["0"], [["i0"]])])
+def test_localize_list_id_exit_2(capsys, tmp_path, objects, members):
+    cat_doc = {"objects": objects, "morphisms": [{"id": "i0", "src": "0", "tgt": "0"}],
+               "comp": [["i0", "i0", "i0"]], "id": {"0": "i0"}}
+    cpath = tmp_path / "cat.json"
+    rpath = tmp_path / "cls.json"
+    cpath.write_text(json.dumps(cat_doc))
+    rpath.write_text(json.dumps({"members": members}))
+    assert_input_error(capsys, ["localize", "--cat", str(cpath), "--class", str(rpath),
+                                "--from", "0", "--to", "0"])

@@ -76,6 +76,12 @@ def test_pi1_iso_check_budget_degrades_gracefully():
     assert report.surjective
 
 
+def test_pi1_iso_check_reuses_given_presentation():
+    g = s3()
+    pres = fs.pi1_presentation(fs.nerve(g, 2), "*")
+    assert fs.pi1_iso_check(g, "*", pres=pres) == fs.pi1_iso_check(g, "*")
+
+
 def test_pi1_swap_action_trivial():
     report = fs.pi1_iso_check(swap_action(), 1)
     assert report.isomorphic is True

@@ -1,10 +1,22 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import finstack as fs
-from finstack.errors import C1Violation, C2Violation, DanglingId, TorsorViolation
-from support import cocycle_zoo, gauge_cocycle, pair2, pt, z2
+from descent_oracle import search_cocycle_morphism, search_space
+from finstack.errors import (
+    AxiomViolation,
+    C1Violation,
+    C2Violation,
+    DanglingId,
+    MismatchedTarget,
+    TorsorViolation,
+)
+from support import cocycle_zoo, gauge_cocycle, pair2, pt, s3, z2, z3
+
+GROUPS = [z2(), z3(), s3()]
 
 
 def one_chart_cocycle():
@@ -104,8 +116,10 @@ def test_roundtrip_reproduces_cocycle_on_the_nose():
 def test_roundtrip_admits_morphism_both_ways():
     for name, c in cocycle_zoo():
         c2 = fs.torsor_to_cocycle(fs.cocycle_to_torsor(c))
-        assert fs.find_cocycle_morphism(c, c2) is not None, name
-        assert fs.find_cocycle_morphism(c2, c) is not None, name
+        for source, target in ((c, c2), (c2, c)):
+            morphism = fs.find_cocycle_morphism(source, target)
+            assert morphism is not None, name
+            assert fs.check_cocycle_morphism(source, target, morphism.delta), name
 
 
 def test_identity_morphism_from_gamma():
@@ -145,11 +159,16 @@ def test_point_cocycles_over_group_are_all_equivalent():
     assert fs.torsor_isomorphic(fs.cocycle_to_torsor(c1), fs.cocycle_to_torsor(trivial))
 
 
-def test_component_obstruction_blocks_morphisms():
+def component_obstruction_pair():
     # disconnected target: descent data anchored in different components
     du = fs.disjoint_union(z2(), pt())
     c_left = gauge_cocycle(du, {"0": {"u"}}, {"u": (0, "*")}, {("0", "u"): (0, 0)})
     c_right = gauge_cocycle(du, {"0": {"u"}}, {"u": (1, "pt")}, {("0", "u"): (1, ("pt", "pt"))})
+    return c_left, c_right
+
+
+def test_component_obstruction_blocks_morphisms():
+    c_left, c_right = component_obstruction_pair()
     assert fs.find_cocycle_morphism(c_left, c_right) is None
     assert not fs.torsor_isomorphic(fs.cocycle_to_torsor(c_left), fs.cocycle_to_torsor(c_right))
 
@@ -171,3 +190,74 @@ def test_transition_data_export():
     data = c.transition_data()
     assert set(data) == {("0", "0"), ("0", "1"), ("1", "0"), ("1", "1")}
     assert data[("0", "1")] == {"w": 1}
+
+
+def test_constructed_data_failing_the_check_raises():
+    # C2 fails on this unvalidated cocycle, so the pointwise data breaks M2
+    g = z2()
+    cov = fs.covered_space(["w"], {"0": {"w"}, "1": {"w"}})
+    a = {"0": {"w": "*"}, "1": {"w": "*"}}
+    broken = fs.Cocycle(cov=cov, target=g, a=a,
+                        gamma={("0", "0"): {"w": 0}, ("0", "1"): {"w": 1},
+                               ("1", "0"): {"w": 0}, ("1", "1"): {"w": 0}})
+    trivial = fs.validate_cocycle(cov, g, a, {ij: {"w": 0} for ij in broken.gamma})
+    with pytest.raises(AxiomViolation):
+        fs.find_cocycle_morphism(broken, trivial)
+
+
+def assert_agrees_with_oracle(c, c2, name):
+    morphism = fs.find_cocycle_morphism(c, c2)
+    if morphism is not None:
+        assert fs.check_cocycle_morphism(c, c2, morphism.delta), name
+    assert (morphism is None) == (search_cocycle_morphism(c, c2) is None), name
+
+
+def test_constructor_agrees_with_search_oracle_on_zoo():
+    zoo = cocycle_zoo()
+    for name, c in zoo:
+        for name2, c2 in zoo:
+            if c.cov.points != c2.cov.points or c.target != c2.target:
+                with pytest.raises(MismatchedTarget):
+                    fs.find_cocycle_morphism(c, c2)
+            else:
+                assert_agrees_with_oracle(c, c2, (name, name2))
+    c_left, c_right = component_obstruction_pair()
+    assert_agrees_with_oracle(c_left, c_right, "component-obstruction")
+    assert_agrees_with_oracle(c_right, c_left, "component-obstruction-reversed")
+
+
+@st.composite
+def gauge_cocycles(draw, group, points):
+    """A valid cocycle over ``points`` with a random cover and random gauge arrows."""
+    cover = {str(i): set(draw(st.lists(st.sampled_from(points), min_size=1, unique=True)))
+             for i in range(draw(st.integers(1, 3)))}
+    for w in points:
+        if not any(w in part for part in cover.values()):
+            cover[draw(st.sampled_from(sorted(cover)))].add(w)
+    gauges = {(i, w): draw(st.sampled_from(group.arrows))
+              for i in sorted(cover) for w in sorted(cover[i])}
+    return gauge_cocycle(group, cover, {w: "*" for w in points}, gauges)
+
+
+@st.composite
+def cocycle_pairs(draw):
+    """Two cocycles over one base and one group: a random pair or a roundtrip pair."""
+    group = draw(st.sampled_from(GROUPS))
+    points = [f"w{n}" for n in range(draw(st.integers(1, 3)))]
+    c = draw(gauge_cocycles(group, points))
+    if draw(st.booleans()):
+        return c, fs.torsor_to_cocycle(fs.cocycle_to_torsor(c))
+    return c, draw(gauge_cocycles(group, points))
+
+
+@settings(max_examples=60, deadline=None)
+@given(cocycle_pairs())
+def test_pointwise_morphisms_on_random_gauge_cocycles(pair):
+    c, c2 = pair
+    for source, target in ((c, c2), (c2, c)):
+        # a group has one object, so every hom-set is nonempty and a morphism exists
+        morphism = fs.find_cocycle_morphism(source, target)
+        assert morphism is not None
+        assert fs.check_cocycle_morphism(source, target, morphism.delta)
+        if search_space(source, target) <= 4096:
+            assert search_cocycle_morphism(source, target) is not None
