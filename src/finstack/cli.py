@@ -18,18 +18,16 @@ from .kan import adjunction_check, diagram_special, groupoid_diagram, right_kan
 from .milnor import chain_complex_B, chain_complex_E, comparison_chain_map, milnor_B, milnor_E
 from .simplicial import nerve, simplicial_identity_violations
 from .spans import span_pi0, zigzag_check
-from .torsor import (
-    cocycle_to_torsor,
-    find_cocycle_morphism,
-    torsor_isomorphic,
-    torsor_to_cocycle,
-    validate_torsor,
-)
+from .torsor import cocycle_to_torsor, find_cocycle_morphism, torsor_isomorphic, torsor_to_cocycle
 
 
 @dataclass
 class RunReport:
-    """Deterministic run summary: identical inputs yield byte-identical text."""
+    """Deterministic run summary: identical inputs yield byte-identical text.
+
+    A verdict passes (True), fails (False) or is inconclusive (None): a check
+    that ran out of budget before it could decide.
+    """
 
     command: str
     inputs_digest: str
@@ -39,17 +37,17 @@ class RunReport:
     def add_output(self, line: str) -> None:
         self.outputs.append(line)
 
-    def add_verdict(self, name: str, passed: bool, witness: str = "") -> None:
-        self.verdicts.append((name, bool(passed), witness))
+    def add_verdict(self, name: str, passed: bool | None, witness: str = "") -> None:
+        self.verdicts.append((name, None if passed is None else bool(passed), witness))
 
     def all_pass(self) -> bool:
-        return all(passed for _, passed, _ in self.verdicts)
+        return all(passed is True for _, passed, _ in self.verdicts)
 
     def to_text(self) -> str:
         lines = [f"command: {self.command}", f"inputs: sha256:{self.inputs_digest}"]
         lines.extend(self.outputs)
         for name, passed, witness in self.verdicts:
-            mark = "PASS" if passed else "FAIL"
+            mark = {True: "PASS", False: "FAIL", None: "INCONCLUSIVE"}[passed]
             suffix = f": {witness}" if witness and not passed else ""
             lines.append(f"[{mark}] {name}{suffix}")
         return "\n".join(lines) + "\n"
@@ -64,7 +62,10 @@ class RunReport:
         return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
     def exit_code(self) -> int:
-        return 0 if self.all_pass() else 1
+        """0 all pass, 1 some verdict failed, 3 none failed but some inconclusive."""
+        if any(passed is False for _, passed, _ in self.verdicts):
+            return 1
+        return 0 if self.all_pass() else 3
 
 
 def _digest(paths: list) -> str:
@@ -135,10 +136,7 @@ def _cmd_pi1(args) -> RunReport:
     report.add_output(f"presented order: {order_text}")
     report.add_verdict("relations-map-to-identity", rep.relations_hold)
     report.add_verdict("surjective-onto-vertex-group", rep.surjective)
-    if rep.isomorphic is None:
-        report.add_verdict("isomorphism", False, rep.note)
-    else:
-        report.add_verdict("isomorphism", rep.isomorphic, rep.note if not rep.isomorphic else "")
+    report.add_verdict("isomorphism", rep.isomorphic, rep.note if not rep.isomorphic else "")
     return report
 
 
@@ -177,7 +175,7 @@ def _cmd_torsor(args) -> RunReport:
     report.add_verdict("cocycle-conditions", True)
     if args.mode == "validate":
         return report
-    t = validate_torsor(cocycle_to_torsor(c))
+    t = cocycle_to_torsor(c)
     fiber_sizes = ",".join(str(len(t.fiber(w))) for w in c.cov.points) or "-"
     report.add_output(f"torsor size: {len(t.elements)}")
     report.add_output(f"fiber sizes: {fiber_sizes}")
@@ -195,7 +193,7 @@ def _cmd_torsor(args) -> RunReport:
         if not args.cocycle2:
             raise FinstackError("compare needs --cocycle2")
         c2 = jsonio.cocycle_from_json(jsonio.load_json(args.cocycle2), g)
-        t2 = validate_torsor(cocycle_to_torsor(c2))
+        t2 = cocycle_to_torsor(c2)
         morphism = find_cocycle_morphism(c, c2)
         iso = torsor_isomorphic(t, t2)
         report.add_output(f"morphism-exists: {'yes' if morphism is not None else 'no'}")

@@ -1,13 +1,19 @@
-"""Exact integer chain complexes and Smith-normal-form homology.
+"""Exact integer chain complexes and their homology.
 
-Matrices are lists of rows of Python ints, so arithmetic is arbitrary
-precision.  A boundary matrix for degree n has one row per (n-1)-basis
-element and one column per n-basis element.
+A boundary d_n is stored as one sparse column per basis element of C_n: a
+dict from row index (a basis element of C_{n-1}) to a nonzero coefficient.
+Homology reads ranks and torsion off the invariant factors of these columns
+(``invariant_factors``), with no transform matrices.  Dense matrices, lists
+of rows of Python ints, serve the transform path only: ``smith_normal_form``
+with both transforms, kernel bases, exact solves and induced maps.
+Arithmetic is arbitrary precision throughout.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
+from math import gcd
 
 from .errors import InsufficientTruncation
 from .simplicial import TruncatedSimplicialSet
@@ -128,9 +134,121 @@ def smith_normal_form(m: Matrix) -> tuple[Matrix, Matrix, Matrix]:
     return u, s, v
 
 
-def snf_diagonal(m: Matrix) -> list:
-    _, s, _ = smith_normal_form(m)
-    return [s[i][i] for i in range(min(len(s), len(s[0]) if s else 0))]
+def _add_column(cols: dict, rows: dict, k, j, q: int) -> None:
+    """col_k += q * col_j, keeping the row index in step."""
+    ck = cols[k]
+    for r, a in cols[j].items():
+        b = ck.get(r, 0) + q * a
+        if b:
+            if r not in ck:
+                rows[r].add(k)
+            ck[r] = b
+        elif r in ck:
+            del ck[r]
+            rows[r].discard(k)
+    if not ck:
+        del cols[k]
+
+
+def _eliminate(cols: dict, rows: dict, i, j) -> int:
+    """Clear row i and column j around the pivot (i, j); return the final |pivot|.
+
+    Column operations reduce row i modulo the pivot, and row operations then
+    reduce column j; a nonzero remainder becomes the next, strictly smaller
+    pivot.  Once both are clear, the pivot's row and column are removed.
+    """
+    while True:
+        col = cols[j]
+        v = col[i]
+        for k in list(rows[i]):
+            q = cols[k][i] // v
+            if k != j and q:
+                _add_column(cols, rows, k, j, -q)
+        others = [k for k in rows[i] if k != j]
+        if others:
+            j = min(others, key=lambda k: abs(cols[k][i]))
+            continue
+        # row i now holds only the pivot, so row operations touch column j alone
+        for r in [r for r in col if r != i]:
+            col[r] %= v
+            if not col[r]:
+                del col[r]
+                rows[r].discard(j)
+        rest = [r for r in col if r != i]
+        if rest:
+            i = min(rest, key=lambda r: abs(col[r]))
+            continue
+        del cols[j]
+        del rows[i]
+        return abs(v)
+
+
+def _eliminate_units(cols: dict, rows: dict) -> int:
+    """Pivot on +-1 entries until none is left; return how many were used.
+
+    Each pass takes columns in order; a column with a unit pivots on the unit
+    whose row is sparsest, which keeps the Schur-complement fill small.
+    """
+    count = 0
+    progress = True
+    while progress:
+        progress = False
+        for j in list(cols):
+            col = cols.get(j)
+            units = [r for r, v in col.items() if v == 1 or v == -1] if col else ()
+            if units:
+                _eliminate(cols, rows, min(units, key=lambda r: len(rows[r])), j)
+                count += 1
+                progress = True
+    return count
+
+
+def invariant_factors(columns) -> list:
+    """The nonzero invariant factors of a sparse integer matrix, d1 | d2 | ...
+
+    ``columns`` is a sequence of dicts {row index: coefficient}.  Unit pivots
+    are eliminated sparsely first; the rest is reduced by least-|v| pivots
+    and the recorded diagonal is normalized with gcd/lcm.  The length of the
+    result is the rank.  Exact, and polynomial in the matrix size.
+    """
+    cols = {}
+    rows = defaultdict(set)
+    for j, c in enumerate(columns):
+        c = {r: v for r, v in c.items() if v}
+        if c:
+            cols[j] = c
+            for r in c:
+                rows[r].add(j)
+    ones = 0
+    diagonal = []
+    while True:
+        ones += _eliminate_units(cols, rows)
+        if not cols:
+            break
+        i, j = min(((r, j) for j, c in cols.items() for r in c),
+                   key=lambda rj: abs(cols[rj[1]][rj[0]]))
+        diagonal.append(_eliminate(cols, rows, i, j))
+    for a in range(len(diagonal)):
+        for b in range(a + 1, len(diagonal)):
+            x, y = diagonal[a], diagonal[b]
+            g = gcd(x, y)
+            diagonal[a], diagonal[b] = g, x // g * y
+    return [1] * ones + diagonal
+
+
+def sparse_columns(m: Matrix) -> list:
+    """The columns of a dense matrix as dicts {row index: nonzero entry}."""
+    ncols = len(m[0]) if m else 0
+    return [{i: row[j] for i, row in enumerate(m) if row[j]} for j in range(ncols)]
+
+
+def boundary_column(faces) -> dict:
+    """The sparse boundary column of alternating face rows; ``None`` rows are dropped."""
+    col: dict = {}
+    for i, row in enumerate(faces):
+        if row is not None:
+            col[row] = col.get(row, 0) + (-1 if i % 2 else 1)
+    return {r: v for r, v in col.items() if v}
 
 
 def kernel_basis(m: Matrix) -> Matrix:
@@ -195,11 +313,12 @@ class HomologyGroup:
 
 @dataclass(frozen=True)
 class ChainComplex:
-    """Integer boundary matrices with basis labels.
+    """Sparse integer boundaries with basis labels.
 
     ``basis[n]`` labels the free generators of C_n for 0 <= n <= top_degree;
-    ``boundary[n]`` maps C_n -> C_{n-1} for 1 <= n <= top_degree.  When
-    ``complete_above`` is set the complex is genuinely zero above
+    ``boundary[n]`` maps C_n -> C_{n-1} for 1 <= n <= top_degree, as one
+    sparse column {row index: nonzero coefficient} per basis element of C_n.
+    When ``complete_above`` is set the complex is genuinely zero above
     ``top_degree`` (a total space, not a truncation), so the boundary out of
     degree top_degree + 1 is the zero map rather than unknown.
     """
@@ -215,27 +334,41 @@ class ChainComplex:
     def dim(self, n: int) -> int:
         return len(self.basis.get(n, ()))
 
+    def boundary_columns(self, n: int) -> list:
+        """The sparse columns of d_n, with the zero maps at the ends."""
+        if 1 <= n <= self.top_degree:
+            return self.boundary[n]
+        if n == 0:
+            return [{} for _ in range(self.dim(0))]
+        if n < 0:
+            raise ValueError("negative degree")
+        if self.complete_above and n == self.top_degree + 1:
+            return []
+        raise InsufficientTruncation(n - 1, self.top_degree)
+
     def boundary_matrix(self, n: int) -> Matrix:
-        """The matrix of d_n, materializing zero maps at the ends.
+        """The dense matrix of d_n, for the transform path.
 
         d_0 is the zero map; it is returned with one row so the column count
         (and hence the kernel) is well-defined.
         """
-        if 1 <= n <= self.top_degree:
-            return self.boundary[n]
-        if n == 0:
-            return zero_matrix(1, self.dim(0))
-        if n < 0:
-            raise ValueError("negative degree")
-        if self.complete_above and n == self.top_degree + 1:
-            return zero_matrix(self.dim(self.top_degree), 0)
-        raise InsufficientTruncation(n - 1, self.top_degree)
+        columns = self.boundary_columns(n)
+        mat = zero_matrix(1 if n == 0 else self.dim(n - 1), len(columns))
+        for j, col in enumerate(columns):
+            for i, v in col.items():
+                mat[i][j] = v
+        return mat
 
     def check_dd_zero(self) -> bool:
         for n in range(2, self.top_degree + 1):
-            prod = mat_mul(self.boundary[n - 1], self.boundary[n])
-            if any(any(row) for row in prod):
-                return False
+            lower = self.boundary[n - 1]
+            for col in self.boundary[n]:
+                image: dict = {}
+                for r, c in col.items():
+                    for s, a in lower[r].items():
+                        image[s] = image.get(s, 0) + c * a
+                if any(image.values()):
+                    return False
         return True
 
 
@@ -249,14 +382,9 @@ def chain_complex(s: TruncatedSimplicialSet) -> ChainComplex:
         index[n] = {x: i for i, x in enumerate(gens)}
     boundary = {}
     for n in range(1, s.cap + 1):
-        mat = zero_matrix(len(basis[n - 1]), len(basis[n]))
-        for j, simplex in enumerate(basis[n]):
-            for i in range(n + 1):
-                face = s.face(n, i, simplex)
-                row = index[n - 1].get(face)
-                if row is not None:
-                    mat[row][j] += -1 if i % 2 else 1
-        boundary[n] = mat
+        rows = index[n - 1]
+        boundary[n] = [boundary_column([rows.get(s.face(n, i, x)) for i in range(n + 1)])
+                       for x in basis[n]]
     return ChainComplex(basis=basis, boundary=boundary)
 
 
@@ -271,18 +399,22 @@ def homology_presentation(cx: ChainComplex, n: int) -> tuple[Matrix, Matrix]:
 
 def cokernel_invariants(rank: int, relations: Matrix) -> tuple[int, tuple]:
     """Invariants of Z^rank / column-span(relations): (free rank, torsion)."""
-    diag = snf_diagonal(relations) if relations and relations[0] else []
-    nonzero = [d for d in diag if d]
-    torsion = tuple(d for d in nonzero if d > 1)
-    return rank - len(nonzero), torsion
+    factors = invariant_factors(sparse_columns(relations))
+    return rank - len(factors), tuple(d for d in factors if d > 1)
 
 
 def homology(cx: ChainComplex, n: int) -> HomologyGroup:
-    """H_n = ker d_n / im d_{n+1}, computed by Smith normal form."""
-    k, x = homology_presentation(cx, n)
-    k_rank = len(k[0]) if k else 0
-    free_rank, torsion = cokernel_invariants(k_rank, x)
-    return HomologyGroup(degree=n, free_rank=free_rank, torsion=torsion)
+    """H_n = ker d_n / im d_{n+1}, read off invariant factors.
+
+    The free rank is dim C_n - rank d_n - rank d_{n+1}; the torsion is the
+    invariant factors of d_{n+1} greater than 1.
+    """
+    if n < 0 or n > cx.top_degree:
+        raise InsufficientTruncation(n, cx.top_degree)
+    upper = invariant_factors(cx.boundary_columns(n + 1))
+    lower = invariant_factors(cx.boundary_columns(n))
+    return HomologyGroup(degree=n, free_rank=cx.dim(n) - len(lower) - len(upper),
+                         torsion=tuple(d for d in upper if d > 1))
 
 
 def homology_range(cx: ChainComplex, degrees) -> list[HomologyGroup]:
@@ -306,5 +438,5 @@ def induced_map_is_isomorphism(cx1: ChainComplex, cx2: ChainComplex,
     fk1 = mat_mul(chain_map[n], k1) if k1_rank else [[] for _ in range(cx2.dim(n))]
     y = solve_columns(k2, fk1)
     combined = [y[i] + x2[i] for i in range(k2_rank)]
-    diag = snf_diagonal(combined) if k2_rank else []
-    return sum(1 for d in diag if d) == k2_rank and all(d in (0, 1) for d in diag)
+    factors = invariant_factors(sparse_columns(combined))
+    return len(factors) == k2_rank and all(d == 1 for d in factors)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .errors import LevelInactive, NonFreeAction, NotSameOrbit
 from .groupoid import FiniteGroupoid, idkey
-from .homology import ChainComplex, zero_matrix
+from .homology import ChainComplex, boundary_column, zero_matrix
 
 
 def _delete(simplex: tuple, j: int) -> tuple:
@@ -144,13 +144,9 @@ def delta_chain_complex(simplices: dict, face) -> ChainComplex:
     top = max(simplices)
     basis = {k: tuple(simplices[k]) for k in range(top + 1)}
     index = {k: {x: i for i, x in enumerate(basis[k])} for k in range(top + 1)}
-    boundary = {}
-    for k in range(1, top + 1):
-        mat = zero_matrix(len(basis[k - 1]), len(basis[k]))
-        for col, simplex in enumerate(basis[k]):
-            for j in range(k + 1):
-                mat[index[k - 1][face(k, j, simplex)]][col] += -1 if j % 2 else 1
-        boundary[k] = mat
+    boundary = {k: [boundary_column([index[k - 1][face(k, j, x)] for j in range(k + 1)])
+                    for x in basis[k]]
+                for k in range(1, top + 1)}
     return ChainComplex(basis=basis, boundary=boundary, complete_above=True)
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .category import FiniteCategory
-from .errors import HypothesisFails, InvalidClass, OracleMissing
+from .errors import HypothesisFails, InvalidClass, OracleMissing, UnknownObject
 from .groupoid import idkey, sorted_ids
 
 
@@ -145,6 +145,9 @@ class SpanClasses:
 def span_pi0(rcls: MorphismClass, x, y) -> SpanClasses:
     """Localized hom-set from x to y as components of the span category."""
     cat = rcls.category
+    for obj in (x, y):
+        if obj not in cat.objects:
+            raise UnknownObject(obj)
     spans = all_spans(rcls, x, y)
     position = {s: i for i, s in enumerate(spans)}
     parent = list(range(len(spans)))

@@ -3,6 +3,8 @@
 Built straight from a multiplication table, with no simplicial machinery:
 degree-n generators are tuples of non-unit elements, and the boundary drops,
 multiplies neighbours, and drops, killing any tuple that acquires the unit.
+The boundaries are dense matrices, and H_n is read off the diagonals of the
+dense Smith normal form, apart from the sparse routine behind ``homology``.
 """
 
 from __future__ import annotations
@@ -10,10 +12,11 @@ from __future__ import annotations
 import itertools
 
 from finstack.groupoid import FiniteGroupoid
-from finstack.homology import ChainComplex, HomologyGroup, homology, zero_matrix
+from finstack.homology import HomologyGroup, smith_normal_form, zero_matrix
 
 
-def bar_chain_complex(group: FiniteGroupoid, top: int) -> ChainComplex:
+def bar_boundaries(group: FiniteGroupoid, top: int) -> tuple[dict, dict]:
+    """(basis, boundary): generators per degree and the dense d_n for 1 <= n <= top."""
     unit = group.ident[group.objects[0]]
     letters = [g for g in group.arrows if g != unit]
     basis = {0: ((),)}
@@ -34,8 +37,19 @@ def bar_chain_complex(group: FiniteGroupoid, top: int) -> ChainComplex:
                 if face is not None and face in index[n - 1]:
                     mat[index[n - 1][face]][col] += -1 if i % 2 else 1
         boundary[n] = mat
-    return ChainComplex(basis=basis, boundary=boundary)
+    return basis, boundary
+
+
+def snf_nonzero_diagonal(m: list) -> list:
+    """The nonzero diagonal entries of the dense Smith normal form of ``m``."""
+    _, s, _ = smith_normal_form(m)
+    return [s[i][i] for i in range(min(len(s), len(s[0]) if s else 0)) if s[i][i]]
 
 
 def bar_homology(group: FiniteGroupoid, degree: int) -> HomologyGroup:
-    return homology(bar_chain_complex(group, degree + 1), degree)
+    basis, boundary = bar_boundaries(group, degree + 1)
+    lower = snf_nonzero_diagonal(boundary[degree]) if degree else []
+    upper = snf_nonzero_diagonal(boundary[degree + 1])
+    return HomologyGroup(degree=degree,
+                         free_rank=len(basis[degree]) - len(lower) - len(upper),
+                         torsion=tuple(d for d in upper if d > 1))

@@ -97,7 +97,7 @@ def test_criterion_4_comparison_chain_map():
                 ok = ok and fs.milnor_to_nerve(g, simplex) == fs.milnor_to_nerve(g, rep)
         for k in range(1, levels + 1):
             ok = ok and mat_mul(ncx.boundary_matrix(k), cmap[k]) == \
-                mat_mul(cmap[k - 1], bcx.boundary[k])
+                mat_mul(cmap[k - 1], bcx.boundary_matrix(k))
         for n in range(levels - 1):
             ok = ok and fs.induced_map_is_isomorphism(bcx, ncx, cmap, n)
     report(4, "comparison map well-defined and quasi-iso", ok)

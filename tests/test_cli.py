@@ -7,7 +7,7 @@ import pytest
 import finstack as fs
 import finstack.jsonio as jio
 from finstack.cli import main
-from support import cocycle_zoo, gauge_cocycle, pair2, point_inclusion, z2, z3
+from support import cocycle_zoo, gauge_cocycle, pair2, point_inclusion, s3, z2, z3
 
 
 @pytest.fixture()
@@ -57,6 +57,14 @@ def test_homology_all_degrees(capsys, z2_file):
     assert "H_0 = Z" in out and "H_2 = 0" in out
 
 
+def test_homology_s3_degree_4(capsys, tmp_path):
+    path = tmp_path / "s3.json"
+    path.write_text(json.dumps(jio.groupoid_to_json(s3())))
+    code, out = run_cli(capsys, ["homology", "--groupoid", str(path), "--dim", "5", "--degree", "4"])
+    assert code == 0
+    assert "H_4 = 0" in out.splitlines()
+
+
 def test_nerve_counts(capsys, z2_file):
     code, out = run_cli(capsys, ["nerve", "--groupoid", z2_file, "--dim", "3"])
     assert code == 0
@@ -69,6 +77,31 @@ def test_pi1_report(capsys, z2_file):
     assert code == 0
     assert "[PASS] isomorphism" in out
     assert "presented order: 2" in out
+
+
+def test_pi1_budget_0_is_inconclusive(capsys, tmp_path):
+    path = tmp_path / "s3.json"
+    path.write_text(json.dumps(jio.groupoid_to_json(s3())))
+    out_json = tmp_path / "report.json"
+    code, out = run_cli(capsys, ["pi1", "--groupoid", str(path), "--basepoint", "*",
+                                 "--budget", "0", "--json-out", str(out_json)])
+    assert code == 3
+    assert "presented order: untested" in out
+    assert "[INCONCLUSIVE] isomorphism: surjective, injectivity untested" in out.splitlines()
+    assert "[FAIL]" not in out
+    verdicts = json.loads(out_json.read_text())["verdicts"]
+    assert {"name": "isomorphism", "passed": None,
+            "witness": "surjective, injectivity untested"} in verdicts
+
+
+def test_failed_verdict_outranks_inconclusive():
+    from finstack.cli import RunReport
+    report = RunReport("x", "0")
+    report.add_verdict("a", None, "untested")
+    assert report.exit_code() == 3
+    report.add_verdict("b", False, "broken")
+    assert report.exit_code() == 1
+    assert report.to_text().splitlines()[-2:] == ["[INCONCLUSIVE] a: untested", "[FAIL] b: broken"]
 
 
 def test_milnor_compare(capsys, z2_file):
@@ -157,6 +190,22 @@ def test_localize_and_zigzag(capsys, tmp_path):
     assert code == 0
     assert "localized classes: 1" in out
     assert "[PASS] zigzag-bijection" in out
+
+
+def test_localize_unknown_object_exit_2(capsys, tmp_path):
+    cat_doc = {"objects": ["0"], "morphisms": [{"id": "i0", "src": "0", "tgt": "0"}],
+               "comp": [["i0", "i0", "i0"]], "id": {"0": "i0"}}
+    cpath = tmp_path / "cat.json"
+    rpath = tmp_path / "cls.json"
+    cpath.write_text(json.dumps(cat_doc))
+    rpath.write_text(json.dumps({"members": ["i0"]}))
+    for source, target in [("0", "9"), ("9", "0")]:
+        code = main(["localize", "--cat", str(cpath), "--class", str(rpath),
+                     "--from", source, "--to", target])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "error: unknown object '9'" in captured.err
+        assert captured.out == ""
 
 
 def kan_files(tmp_path):

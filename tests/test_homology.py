@@ -1,19 +1,22 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import finstack as fs
 from finstack.errors import InsufficientTruncation
 from finstack.homology import (
     cokernel_invariants,
     homology_presentation,
+    invariant_factors,
     kernel_basis,
     mat_mul,
     smith_normal_form,
-    snf_diagonal,
     solve_columns,
+    sparse_columns,
 )
-from bar_oracle import bar_homology
+from bar_oracle import bar_homology, snf_nonzero_diagonal
 from support import groupoid_zoo, pair2, pt, s3, z2, z3
 
 
@@ -67,10 +70,38 @@ def test_snf_transforms_and_divisibility(m):
     assert diag == nonzero + [0] * (len(diag) - len(nonzero))
 
 
-def test_snf_hand_values():
-    assert snf_diagonal([[2, 0], [0, 3]]) == [1, 6]
-    assert snf_diagonal([[0, 0], [0, 0]]) == [0, 0]
-    assert snf_diagonal([[1, 0], [0, 1]]) == [1, 1]
+def test_invariant_factors_hand_values():
+    assert invariant_factors(sparse_columns([[2, 0], [0, 3]])) == [1, 6]
+    assert invariant_factors(sparse_columns([[1, 0], [0, 1]])) == [1, 1]
+    assert invariant_factors([{0: 4, 1: 6}, {0: 6, 1: 4}]) == [2, 10]
+
+
+def test_invariant_factors_empty_columns_and_zero_matrices():
+    assert invariant_factors([{}, {0: 2}, {}]) == [2]
+    assert invariant_factors([]) == []
+    for rows, cols in [(1, 1), (2, 2), (3, 2), (2, 5)]:
+        m = [[0] * cols for _ in range(rows)]
+        assert invariant_factors(sparse_columns(m)) == snf_nonzero_diagonal(m) == []
+
+
+ENTRIES = st.sampled_from([0, 0, 0, 0, 1, -1, 2, -2, 3, -3, 4, 6, -9, 12])
+
+
+@st.composite
+def sparse_matrices(draw):
+    rows = draw(st.integers(1, 7))
+    cols = draw(st.integers(1, 7))
+    m = [[draw(ENTRIES) for _ in range(cols)] for _ in range(rows)]
+    for j in draw(st.sets(st.integers(0, cols - 1))):
+        for row in m:
+            row[j] = 0
+    return m
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_matrices())
+def test_invariant_factors_match_dense_snf(m):
+    assert invariant_factors(sparse_columns(m)) == snf_nonzero_diagonal(m)
 
 
 def test_kernel_basis_spans_kernel():
@@ -171,3 +202,27 @@ def test_presentation_reconstructs_boundary():
         else:
             # zero kernel forces a zero boundary out of degree n+1
             assert all(not any(row) for row in cx.boundary_matrix(n + 1))
+
+
+def presentation_pair(cx, n):
+    """H_n through the transform path: kernel basis, exact solve, cokernel."""
+    k, x = homology_presentation(cx, n)
+    return cokernel_invariants(len(k[0]) if k else 0, x)
+
+
+@pytest.mark.parametrize("name,g", groupoid_zoo())
+def test_sparse_homology_matches_presentation_on_nerves(name, g):
+    cx = fs.chain_complex(fs.nerve(g, 4))
+    for n in range(4):
+        assert fs.homology(cx, n).pair() == presentation_pair(cx, n)
+
+
+@pytest.mark.parametrize("group", [z2, z3])
+@pytest.mark.parametrize("levels", [1, 2, 3, 4])
+def test_sparse_homology_matches_presentation_on_milnor(group, levels):
+    g = group()
+    for cx in (fs.chain_complex_E(fs.milnor_E(g, levels)),
+               fs.chain_complex_B(fs.milnor_B(g, levels))):
+        assert cx.check_dd_zero()
+        for n in range(levels + 1):
+            assert fs.homology(cx, n).pair() == presentation_pair(cx, n)

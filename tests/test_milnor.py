@@ -167,7 +167,7 @@ def test_comparison_map_is_chain_map(name, g):
     bcx = fs.chain_complex_B(b)
     cmap = fs.comparison_chain_map(b, ncx)
     for k in range(1, levels + 1):
-        assert mat_mul(ncx.boundary_matrix(k), cmap[k]) == mat_mul(cmap[k - 1], bcx.boundary[k])
+        assert mat_mul(ncx.boundary_matrix(k), cmap[k]) == mat_mul(cmap[k - 1], bcx.boundary_matrix(k))
 
 
 @pytest.mark.parametrize("name,g", groupoid_zoo())
