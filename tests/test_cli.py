@@ -24,6 +24,13 @@ def pair_file(tmp_path):
     return str(path)
 
 
+@pytest.fixture()
+def s3_file(tmp_path):
+    path = tmp_path / "s3.json"
+    path.write_text(json.dumps(jio.groupoid_to_json(s3())))
+    return str(path)
+
+
 def run_cli(capsys, argv):
     code = main(argv)
     out = capsys.readouterr().out
@@ -57,10 +64,8 @@ def test_homology_all_degrees(capsys, z2_file):
     assert "H_0 = Z" in out and "H_2 = 0" in out
 
 
-def test_homology_s3_degree_4(capsys, tmp_path):
-    path = tmp_path / "s3.json"
-    path.write_text(json.dumps(jio.groupoid_to_json(s3())))
-    code, out = run_cli(capsys, ["homology", "--groupoid", str(path), "--dim", "5", "--degree", "4"])
+def test_homology_s3_degree_4(capsys, s3_file):
+    code, out = run_cli(capsys, ["homology", "--groupoid", s3_file, "--dim", "5", "--degree", "4"])
     assert code == 0
     assert "H_4 = 0" in out.splitlines()
 
@@ -79,11 +84,9 @@ def test_pi1_report(capsys, z2_file):
     assert "presented order: 2" in out
 
 
-def test_pi1_budget_0_is_inconclusive(capsys, tmp_path):
-    path = tmp_path / "s3.json"
-    path.write_text(json.dumps(jio.groupoid_to_json(s3())))
+def test_pi1_budget_0_is_inconclusive(capsys, tmp_path, s3_file):
     out_json = tmp_path / "report.json"
-    code, out = run_cli(capsys, ["pi1", "--groupoid", str(path), "--basepoint", "*",
+    code, out = run_cli(capsys, ["pi1", "--groupoid", s3_file, "--basepoint", "*",
                                  "--budget", "0", "--json-out", str(out_json)])
     assert code == 3
     assert "presented order: untested" in out
