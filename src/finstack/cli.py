@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -299,7 +300,9 @@ def _cmd_morita(args) -> RunReport:
     return report
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser; built once per process and shared."""
     parser = argparse.ArgumentParser(prog="finstack",
                                      description="Finite-model engine for groupoid classifying spaces.")
     common = argparse.ArgumentParser(add_help=False)

@@ -30,6 +30,8 @@ from .torsor import Cocycle, covered_space, validate_cocycle
 
 
 def _require(doc: Mapping, key: str, kind: type):
+    if not isinstance(doc, dict):
+        raise SchemaError(f"expected an object with key {key!r}, got {type(doc).__name__}")
     if key not in doc:
         raise SchemaError(f"missing key {key!r}")
     value = doc[key]
@@ -102,7 +104,8 @@ def groupoid_to_json(g: FiniteGroupoid) -> dict:
 def groupoid_functor_from_json(doc: Mapping) -> GroupoidFunctor:
     source = groupoid_from_json(_require(doc, "source", dict))
     target = groupoid_from_json(_require(doc, "target", dict))
-    return functor(source, target, _require(doc, "objects", dict), _require(doc, "arrows", dict))
+    return functor(source, target, _id_table(_require(doc, "objects", dict), "objects"),
+                   _id_table(_require(doc, "arrows", dict), "arrows"))
 
 
 def cocycle_from_json(doc: Mapping, target: FiniteGroupoid) -> Cocycle:
@@ -153,7 +156,8 @@ def category_from_json(doc: Mapping) -> FiniteCategory:
 
 
 def cat_functor_from_json(doc: Mapping, source: FiniteCategory, target: FiniteCategory) -> CatFunctor:
-    return cat_functor(source, target, _require(doc, "objects", dict), _require(doc, "morphisms", dict))
+    return cat_functor(source, target, _id_table(_require(doc, "objects", dict), "objects"),
+                       _id_table(_require(doc, "morphisms", dict), "morphisms"))
 
 
 def morphism_class_from_json(doc: Mapping, cat: FiniteCategory) -> MorphismClass:
@@ -174,7 +178,14 @@ def morphism_class_from_json(doc: Mapping, cat: FiniteCategory) -> MorphismClass
 
 
 def fiber_from_json(doc: Mapping) -> FinSetFiber:
-    return make_fiber({name: list(elems) for name, elems in doc.items()})
+    if not isinstance(doc, dict):
+        raise SchemaError("a fiber must map set names to lists of elements")
+    for name, elems in doc.items():
+        if not isinstance(elems, list):
+            raise SchemaError(f"fiber set {name!r} must be a list")
+        if any(isinstance(x, (list, dict)) for x in elems):
+            raise SchemaError(f"fiber set {name!r} has an unhashable element")
+    return make_fiber(doc)
 
 
 def _pullback_from_json(doc: Mapping, source: FinSetFiber, target: FinSetFiber) -> PullbackFunctor:
@@ -184,9 +195,14 @@ def _pullback_from_json(doc: Mapping, source: FinSetFiber, target: FinSetFiber) 
     if kind == "constant":
         return constant_pullback(source, target, _require(doc, "at", str))
     if kind == "relabel":
-        return relabel_pullback(source, target,
-                                _require(doc, "objects", dict),
-                                {k: dict(v) for k, v in _require(doc, "carriers", dict).items()})
+        objects = _require(doc, "objects", dict)
+        carriers = {}
+        for name, table in _require(doc, "carriers", dict).items():
+            try:
+                carriers[name] = dict(table)
+            except (TypeError, ValueError):
+                raise SchemaError(f"carrier {name!r} must map elements to elements") from None
+        return relabel_pullback(objects, carriers)
     raise SchemaError(f"unknown pullback kind {kind!r}")
 
 

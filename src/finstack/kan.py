@@ -1,11 +1,14 @@
 """Strict indexed categories with finite-set fibers and relative right Kan extensions.
 
 A fiber over a base object is the category of a few named finite sets with
-all functions between them; pullback functors along base morphisms are
-explicit tables, strictly compatible with composition.  Limits in a fiber are
-computed concretely as cone sets, a limit is *global* when every pullback
-functor carries it to a limit again, and the right Kan extension of a lift is
-assembled pointwise from global limits over comma categories.
+all functions between them.  A pullback functor along a base morphism is
+conjugation by per-object carriers (identity carriers included) or constant
+at one object; it computes images on demand, is validated structurally
+without enumerating fiber morphisms, and pullbacks compose strictly.  Limits
+in a fiber are computed concretely as cone sets, a limit is *global* when
+every pullback functor carries it to a limit again, and the right Kan
+extension of a lift is assembled pointwise from global limits over comma
+categories.
 """
 
 from __future__ import annotations
@@ -70,8 +73,9 @@ class FinSetFiber:
         return fib_mor(name, name, {x: x for x in self.sets[name]})
 
     def compose(self, m1: FibMor, m2: FibMor) -> FibMor:
+        """m1 then m2; the result keeps m1's (sorted) element order."""
         d2 = m2.as_dict()
-        return fib_mor(m1.src, m2.tgt, {x: d2[y] for x, y in m1.mapping})
+        return FibMor(m1.src, m2.tgt, tuple((x, d2[y]) for x, y in m1.mapping))
 
     def morphisms_between(self, o1, o2) -> tuple:
         source = self.sets[o1]
@@ -83,11 +87,19 @@ class FinSetFiber:
             out.append(fib_mor(o1, o2, dict(zip(source, images))))
         return tuple(out)
 
-    def all_morphisms(self) -> tuple:
+    def probe_morphisms(self) -> tuple:
+        """The identities and the constant maps out of nonempty sets.
+
+        A pullback functor, or a composite of them, is fixed by its objects
+        and its images on these (see :func:`indexed_category`).
+        """
         out = []
         for o1 in self.names():
-            for o2 in self.names():
-                out.extend(self.morphisms_between(o1, o2))
+            out.append(self.identity(o1))
+            if self.sets[o1]:
+                for o2 in self.names():
+                    out.extend(fib_mor(o1, o2, dict.fromkeys(self.sets[o1], y))
+                               for y in self.sets[o2])
         return tuple(out)
 
 
@@ -95,71 +107,102 @@ def make_fiber(sets: Mapping) -> FinSetFiber:
     return FinSetFiber(sets={name: sorted_ids(elems) for name, elems in sets.items()})
 
 
+def _has(collection, value) -> bool:
+    """Membership that treats an unhashable value as absent."""
+    try:
+        return value in collection
+    except TypeError:
+        return False
+
+
+def _maps_into(table: Mapping, domain, codomain) -> bool:
+    """``table`` is defined on every element of ``domain`` and lands in ``codomain``."""
+    values = set(codomain)
+    return all(_has(table, x) and _has(values, table[x]) for x in domain)
+
+
 @dataclass(frozen=True)
 class PullbackFunctor:
-    obj_map: dict          # target-fiber object name -> source-fiber object name
-    mor_map: dict          # FibMor of the target fiber -> FibMor of the source fiber
+    """A functor between fibers, in one of the two forms fibers documents use.
+
+    Without ``constant`` it is conjugation by per-object carriers: a morphism
+    m: X -> Y goes to {carriers[X][x]: carriers[Y][m(x)]}, a morphism from
+    obj_map[X] to obj_map[Y]; ``carriers`` None stands for identity carriers.
+    With ``constant`` (an identity morphism) every morphism goes to it.
+    Images are computed on demand.
+    """
+
+    obj_map: dict                 # source-fiber object name -> target-fiber object name
+    carriers: dict | None = None  # source-fiber object name -> {element: element}
+    constant: FibMor | None = None
 
     def on_obj(self, name):
         return self.obj_map[name]
 
     def on_mor(self, m: FibMor) -> FibMor:
-        return self.mor_map[m]
+        if self.constant is not None:
+            return self.constant
+        if self.carriers is None:
+            return m
+        c_src, c_tgt = self.carriers[m.src], self.carriers[m.tgt]
+        return fib_mor(self.obj_map[m.src], self.obj_map[m.tgt],
+                       {c_src[x]: c_tgt[y] for x, y in m.mapping})
+
+    def validate(self, source: FinSetFiber, target: FinSetFiber) -> None:
+        """Check functoriality from ``source`` to ``target`` without enumerating morphisms.
+
+        This accepts exactly what checking identities and every composable
+        pair of morphisms accepts.  Objects must land in ``target``, carriers
+        must be total into the image sets, and the images of identities are
+        compared, which makes each carrier onto its image set.  Given that,
+        identity and constant functors compose strictly, and so does
+        conjugation when every carrier is injective (then a bijection).  It
+        also does when every image set has at most one element, since then
+        each hom-set between images has at most one map.  Otherwise some
+        carrier sends x != x' to one element k and some image set has
+        elements z != z' with preimages u, u'.  For g sending x to u and x'
+        to u', the constant maps at x and at x' followed by g have images
+        constant at z and at z'; but both constant maps have the image
+        constant at k, and the image of g sends k to a single element.
+        """
+        for name in source.names():
+            image = self.obj_map.get(name)
+            if not _has(target.sets, image):
+                raise DanglingId("pullback obj_map", name, image)
+            if self.carriers is not None:
+                carrier = self.carriers.get(name)
+                if carrier is None:
+                    raise DanglingId("pullback carriers", name)
+                if not _maps_into(carrier, source.elems(name), target.elems(image)):
+                    raise AxiomViolation("pullback-carrier", name)
+            if self.on_mor(source.identity(name)) != target.identity(image):
+                raise AxiomViolation("pullback-identity", name)
+        if self.carriers is None or all(
+                len(set(target.elems(self.obj_map[name]))) <= 1 for name in source.names()):
+            return
+        for name in source.names():
+            elems = set(source.elems(name))
+            if len({self.carriers[name][x] for x in elems}) < len(elems):
+                raise AxiomViolation("pullback-composition", name)
 
 
 def identity_pullback(fiber: FinSetFiber) -> PullbackFunctor:
-    return PullbackFunctor(
-        obj_map={name: name for name in fiber.names()},
-        mor_map={m: m for m in fiber.all_morphisms()},
-    )
+    return PullbackFunctor(obj_map={name: name for name in fiber.names()})
 
 
 def constant_pullback(source_fiber: FinSetFiber, target_fiber: FinSetFiber,
                       at) -> PullbackFunctor:
     """Constant functor at one object; breaks limits whenever ``at`` has the
     wrong cardinality for them (e.g. a doubleton never preserves products)."""
-    ident = target_fiber.identity(at)
-    return PullbackFunctor(
-        obj_map={name: at for name in source_fiber.names()},
-        mor_map={m: ident for m in source_fiber.all_morphisms()},
-    )
+    if not _has(target_fiber.sets, at):
+        raise DanglingId("pullback constant", "at", at)
+    return PullbackFunctor(obj_map={name: at for name in source_fiber.names()},
+                           constant=target_fiber.identity(at))
 
 
-def relabel_pullback(source_fiber: FinSetFiber, target_fiber: FinSetFiber,
-                     obj_map: Mapping, carriers: Mapping) -> PullbackFunctor:
-    """Functor induced by per-object element bijections ``carriers[name]``."""
-    mor_map = {}
-    for m in source_fiber.all_morphisms():
-        c_src = carriers[m.src]
-        c_tgt = carriers[m.tgt]
-        mor_map[m] = fib_mor(obj_map[m.src], obj_map[m.tgt],
-                             {c_src[x]: c_tgt[y] for x, y in m.mapping})
-    return PullbackFunctor(obj_map=dict(obj_map), mor_map=mor_map)
-
-
-def validate_pullback_functor(source: FinSetFiber, target: FinSetFiber,
-                              pf: PullbackFunctor) -> None:
-    """Totality and functoriality of one pullback table, checked exhaustively."""
-    for name in source.names():
-        if pf.obj_map.get(name) not in set(target.names()):
-            raise DanglingId("pullback obj_map", name, pf.obj_map.get(name))
-    for m in source.all_morphisms():
-        image = pf.mor_map.get(m)
-        if image is None:
-            raise DanglingId("pullback mor_map", m)
-        if image.src != pf.obj_map[m.src] or image.tgt != pf.obj_map[m.tgt]:
-            raise AxiomViolation("pullback-endpoints", m)
-    for name in source.names():
-        if pf.on_mor(source.identity(name)) != target.identity(pf.obj_map[name]):
-            raise AxiomViolation("pullback-identity", name)
-    for o1 in source.names():
-        for o2 in source.names():
-            for m1 in source.morphisms_between(o1, o2):
-                for o3 in source.names():
-                    for m2 in source.morphisms_between(o2, o3):
-                        if pf.on_mor(source.compose(m1, m2)) != \
-                                target.compose(pf.on_mor(m1), pf.on_mor(m2)):
-                            raise AxiomViolation("pullback-composition", (m1, m2))
+def relabel_pullback(obj_map: Mapping, carriers: Mapping) -> PullbackFunctor:
+    """Conjugation by the per-object element maps ``carriers[name]``."""
+    return PullbackFunctor(obj_map=dict(obj_map), carriers=dict(carriers))
 
 
 @dataclass(frozen=True)
@@ -178,21 +221,32 @@ class IndexedCategory:
 
 
 def indexed_category(base: FiniteCategory, fibers: Mapping, pulls: Mapping) -> IndexedCategory:
-    """Validate fibers, pullback functoriality, and strict composition compatibility."""
+    """Validate fibers, pullback functoriality, and strict composition compatibility.
+
+    The strict laws compare objects and the images of each fiber's probe
+    morphisms (identities and constant maps).  That is exhaustive: a valid
+    pullback functor, and so any composite of them, is a conjugation by
+    bijections, a constant functor, or has image sets of at most one
+    element.  Two such functors with the same objects that agree on the
+    constant maps X -> X agree everywhere: hom-sets between images of at
+    most one element have at most one map, a constant functor at a set of
+    two or more elements differs from a conjugation on those maps, and
+    there they determine each carrier.
+    """
     for b in base.objects:
         if b not in fibers:
             raise DanglingId("fibers", b)
     for m in base.morphisms:
         if m not in pulls:
             raise DanglingId("pulls", m)
-        validate_pullback_functor(fibers[base.tgt[m]], fibers[base.src[m]], pulls[m])
+        pulls[m].validate(fibers[base.tgt[m]], fibers[base.src[m]])
+    probes = {b: fibers[b].probe_morphisms() for b in base.objects}
     for b in base.objects:
         pf = pulls[base.ident[b]]
-        fiber = fibers[b]
-        for name in fiber.names():
+        for name in fibers[b].names():
             if pf.on_obj(name) != name:
                 raise AxiomViolation("strict-identity-pullback", (b, name))
-        for m in fiber.all_morphisms():
+        for m in probes[b]:
             if pf.on_mor(m) != m:
                 raise AxiomViolation("strict-identity-pullback", (b, m))
     for f in base.morphisms:
@@ -200,11 +254,11 @@ def indexed_category(base: FiniteCategory, fibers: Mapping, pulls: Mapping) -> I
             if base.tgt[f] != base.src[g]:
                 continue
             fg = base.comp[(f, g)]
-            far = fibers[base.tgt[g]]
-            for name in far.names():
+            far = base.tgt[g]
+            for name in fibers[far].names():
                 if pulls[fg].on_obj(name) != pulls[f].on_obj(pulls[g].on_obj(name)):
                     raise AxiomViolation("strict-composition", (f, g, name))
-            for m in far.all_morphisms():
+            for m in probes[far]:
                 if pulls[fg].on_mor(m) != pulls[f].on_mor(pulls[g].on_mor(m)):
                     raise AxiomViolation("strict-composition", (f, g, m))
     return IndexedCategory(base=base, fibers=dict(fibers), pulls=dict(pulls))
@@ -243,8 +297,7 @@ def lift(ic: IndexedCategory, shape: FiniteCategory, anchor: CatFunctor,
     if anchor.source != shape or anchor.target != ic.base:
         raise NotFunctorial("anchor must map the shape into the base")
     for d in shape.objects:
-        fiber = ic.fiber(anchor.obj_map[d])
-        if objects.get(d) not in set(fiber.names()):
+        if not _has(ic.fiber(anchor.obj_map[d]).sets, objects.get(d)):
             raise DanglingId("lift objects", d, objects.get(d))
     for f in shape.morphisms:
         a, b = shape.src[f], shape.tgt[f]
@@ -254,6 +307,10 @@ def lift(ic: IndexedCategory, shape: FiniteCategory, anchor: CatFunctor,
         expected_tgt = ic.pull(anchor.mor_map[f]).on_obj(objects[b])
         if m.src != objects[a] or m.tgt != expected_tgt:
             raise AxiomViolation("lift-endpoints", f)
+        fiber = ic.fiber(anchor.obj_map[a])
+        domain = set(fiber.elems(m.src))
+        if len(m.mapping) != len(domain) or not _maps_into(m.as_dict(), domain, fiber.elems(m.tgt)):
+            raise AxiomViolation("lift-total-function", f)
     for d in shape.objects:
         fiber = ic.fiber(anchor.obj_map[d])
         if morphisms[shape.ident[d]] != fiber.identity(objects[d]):
@@ -494,28 +551,30 @@ def counit(rf: RightKanResult, p_lift: Lift) -> dict:
 
 
 def lift_morphisms(l1: Lift, l2: Lift) -> tuple:
-    """All vertical natural transformations between two lifts of one anchor."""
+    """All vertical natural transformations between two lifts of one anchor.
+
+    Naturality at m: a -> b compares nu[a] then l2(m), which depends on
+    nu[a] alone, with l1(m) then the pullback of nu[b], which depends on
+    nu[b] alone; both sides are computed once per candidate component.
+    """
     ic = l1.ic
     shape = l1.shape
-    options = []
-    for d in shape.objects:
-        fiber = ic.fiber(l1.anchor.obj_map[d])
-        options.append(fiber.morphisms_between(l1.objects[d], l2.objects[d]))
-    found = []
     shape_objs = list(shape.objects)
-    for combo in itertools.product(*options):
-        nu = dict(zip(shape_objs, combo))
-        ok = True
-        for m in shape.morphisms:
-            a, b = shape.src[m], shape.tgt[m]
-            fiber = ic.fiber(l1.anchor.obj_map[a])
-            lhs = fiber.compose(nu[a], l2.morphisms[m])
-            rhs = fiber.compose(l1.morphisms[m], ic.pull(l1.anchor.mor_map[m]).on_mor(nu[b]))
-            if lhs != rhs:
-                ok = False
-                break
-        if ok:
-            found.append(nu)
+    position = {d: i for i, d in enumerate(shape_objs)}
+    options = [ic.fiber(l1.anchor.obj_map[d]).morphisms_between(l1.objects[d], l2.objects[d])
+               for d in shape_objs]
+    sides = []
+    for m in shape.morphisms:
+        a, b = shape.src[m], shape.tgt[m]
+        fiber = ic.fiber(l1.anchor.obj_map[a])
+        pf = ic.pull(l1.anchor.mor_map[m])
+        lhs = [fiber.compose(nu_a, l2.morphisms[m]) for nu_a in options[position[a]]]
+        rhs = [fiber.compose(l1.morphisms[m], pf.on_mor(nu_b)) for nu_b in options[position[b]]]
+        sides.append((position[a], position[b], lhs, rhs))
+    found = []
+    for combo in itertools.product(*(range(len(o)) for o in options)):
+        if all(lhs[combo[i]] == rhs[combo[j]] for i, j, lhs, rhs in sides):
+            found.append({d: options[k][combo[k]] for k, d in enumerate(shape_objs)})
     return tuple(found)
 
 

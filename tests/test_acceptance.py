@@ -198,8 +198,8 @@ def test_criterion_9_kan_adjunction():
     ic3 = fs.indexed_category(
         base, {0: fib0, 1: fib1},
         {(0, 0): identity_pullback(fib0), (1, 1): identity_pullback(fib1),
-         (0, 1): relabel_pullback(fib1, fib0, {"n1": "m1", "n2": "m2"},
-                                  {"n1": {"z": "a"}, "n2": {"u": "c", "v": "d"}})})
+         (0, 1): relabel_pullback({"n1": "m1", "n2": "m2"},
+                                                  {"n1": {"z": "a"}, "n2": {"u": "c", "v": "d"}})})
     d3 = chain_category(1)
     e3 = discrete_category(["e"])
     f3 = cat_functor(e3, d3, {"e": 1}, {("id", "e"): (1, 1)})

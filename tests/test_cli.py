@@ -211,65 +211,128 @@ def test_localize_unknown_object_exit_2(capsys, tmp_path):
         assert captured.out == ""
 
 
-def kan_files(tmp_path):
-    base_doc = {
-        "objects": ["*"],
-        "morphisms": [{"id": "i", "src": "*", "tgt": "*"}],
-        "comp": [["i", "i", "i"]],
-        "id": {"*": "i"},
+def category_doc(objects, morphisms, comp, ident):
+    """``morphisms`` maps id -> (src, tgt); ``comp`` lists triples [f, g, f then g]."""
+    return {"objects": objects,
+            "morphisms": [{"id": m, "src": s, "tgt": t} for m, (s, t) in morphisms.items()],
+            "comp": comp, "id": ident}
+
+
+def discrete_doc(objects):
+    return category_doc(objects, {f"i{x}": (x, x) for x in objects},
+                        [[f"i{x}"] * 3 for x in objects], {x: f"i{x}" for x in objects})
+
+
+def span_doc():
+    """u <- s -> v."""
+    return category_doc(
+        ["s", "u", "v"],
+        {"is": ("s", "s"), "iu": ("u", "u"), "iv": ("v", "v"), "mu": ("s", "u"), "mv": ("s", "v")},
+        [["is", "is", "is"], ["iu", "iu", "iu"], ["iv", "iv", "iv"],
+         ["is", "mu", "mu"], ["mu", "iu", "mu"], ["is", "mv", "mv"], ["mv", "iv", "mv"]],
+        {"s": "is", "u": "iu", "v": "iv"})
+
+
+def identity_entry(name, elems):
+    return {"src": name, "tgt": name, "map": {x: x for x in elems}}
+
+
+def kan_product_docs():
+    """The right Kan extension of (s2, r2) from E = {e1, e2} to u <- s -> v
+    over a one-object base: RF(s) is the product, of size 4."""
+    sets = {"s1": ["a"], "s2": ["x", "y"], "r2": ["p", "q"], "s4": ["0", "1", "2", "3"]}
+    return {
+        "base": discrete_doc(["*"]),
+        "fibers": {"fibers": {"*": sets}, "pulls": {"i*": {"kind": "identity"}}},
+        "along": {"E": discrete_doc(["e1", "e2"]), "D": span_doc(),
+                  "F": {"objects": {"e1": "u", "e2": "v"}, "morphisms": {"ie1": "iu", "ie2": "iv"}},
+                  "p": {"objects": {"s": "*", "u": "*", "v": "*"},
+                        "morphisms": {m: "i*" for m in ("is", "iu", "iv", "mu", "mv")}}},
+        "lift": {"objects": {"e1": "s2", "e2": "r2"},
+                 "morphisms": {"ie1": identity_entry("s2", sets["s2"]),
+                               "ie2": identity_entry("r2", sets["r2"])}},
     }
-    fibers_doc = {
-        "fibers": {"*": {"s1": ["a"], "s2": ["x", "y"], "r2": ["p", "q"], "s4": ["0", "1", "2", "3"]}},
-        "pulls": {"i": {"kind": "identity"}},
+
+
+def kan_relabel_docs():
+    """The product instance with s over b0 and u, v over b1 in the base
+    b0 -> b1, whose pullback along b0 -> b1 relabels every set."""
+    docs = kan_product_docs()
+    sets = docs["fibers"]["fibers"]["*"]
+    base = category_doc(["b0", "b1"], {"ib0": ("b0", "b0"), "ib1": ("b1", "b1"), "u": ("b0", "b1")},
+                        [["ib0", "ib0", "ib0"], ["ib1", "ib1", "ib1"],
+                         ["ib0", "u", "u"], ["u", "ib1", "u"]],
+                        {"b0": "ib0", "b1": "ib1"})
+    docs["base"] = base
+    docs["fibers"] = {
+        "fibers": {"b0": {f"m{n}": [f"m{x}" for x in xs] for n, xs in sets.items()}, "b1": sets},
+        "pulls": {"ib0": {"kind": "identity"}, "ib1": {"kind": "identity"},
+                  "u": {"kind": "relabel", "objects": {n: f"m{n}" for n in sets},
+                        "carriers": {n: {x: f"m{x}" for x in xs} for n, xs in sets.items()}}},
     }
-    d_doc = {
-        "objects": ["s", "u", "v"],
-        "morphisms": [{"id": "is", "src": "s", "tgt": "s"},
-                      {"id": "iu", "src": "u", "tgt": "u"},
-                      {"id": "iv", "src": "v", "tgt": "v"},
-                      {"id": "mu", "src": "s", "tgt": "u"},
-                      {"id": "mv", "src": "s", "tgt": "v"}],
-        "comp": [["is", "is", "is"], ["iu", "iu", "iu"], ["iv", "iv", "iv"],
-                 ["is", "mu", "mu"], ["mu", "iu", "mu"],
-                 ["is", "mv", "mv"], ["mv", "iv", "mv"]],
-        "id": {"s": "is", "u": "iu", "v": "iv"},
+    docs["along"]["p"] = {"objects": {"s": "b0", "u": "b1", "v": "b1"},
+                          "morphisms": {"is": "ib0", "iu": "ib1", "iv": "ib1", "mu": "u", "mv": "u"}}
+    return docs
+
+
+def kan_equalizer_docs():
+    """RF(s) is the equalizer of al, be: N -> K, which agree on N.0 and N.2."""
+    sets = {"N": ["N.0", "N.1", "N.2"], "K": ["K.0", "K.1"]}
+    e_doc = category_doc(["e0", "e1"], {"ie0": ("e0", "e0"), "ie1": ("e1", "e1"),
+                                        "al": ("e0", "e1"), "be": ("e0", "e1")},
+                         [["ie0", "ie0", "ie0"], ["ie1", "ie1", "ie1"], ["ie0", "al", "al"],
+                          ["al", "ie1", "al"], ["ie0", "be", "be"], ["be", "ie1", "be"]],
+                         {"e0": "ie0", "e1": "ie1"})
+    d_doc = category_doc(["s", "d0", "d1"],
+                         {"is": ("s", "s"), "id0": ("d0", "d0"), "id1": ("d1", "d1"),
+                          "x": ("s", "d0"), "y": ("s", "d1"), "dal": ("d0", "d1"), "dbe": ("d0", "d1")},
+                         [["is", "is", "is"], ["id0", "id0", "id0"], ["id1", "id1", "id1"],
+                          ["is", "x", "x"], ["x", "id0", "x"], ["is", "y", "y"], ["y", "id1", "y"],
+                          ["x", "dal", "y"], ["x", "dbe", "y"], ["id0", "dal", "dal"],
+                          ["dal", "id1", "dal"], ["id0", "dbe", "dbe"], ["dbe", "id1", "dbe"]],
+                         {"s": "is", "d0": "id0", "d1": "id1"})
+    return {
+        "base": discrete_doc(["*"]),
+        "fibers": {"fibers": {"*": sets}, "pulls": {"i*": {"kind": "identity"}}},
+        "along": {"E": e_doc, "D": d_doc,
+                  "F": {"objects": {"e0": "d0", "e1": "d1"},
+                        "morphisms": {"ie0": "id0", "ie1": "id1", "al": "dal", "be": "dbe"}},
+                  "p": {"objects": {"s": "*", "d0": "*", "d1": "*"},
+                        "morphisms": {m["id"]: "i*" for m in d_doc["morphisms"]}}},
+        "lift": {"objects": {"e0": "N", "e1": "K"},
+                 "morphisms": {"ie0": identity_entry("N", sets["N"]),
+                               "ie1": identity_entry("K", sets["K"]),
+                               "al": {"src": "N", "tgt": "K",
+                                      "map": {"N.0": "K.0", "N.1": "K.1", "N.2": "K.0"}},
+                               "be": {"src": "N", "tgt": "K",
+                                      "map": {"N.0": "K.0", "N.1": "K.0", "N.2": "K.0"}}}},
     }
-    e_doc = {
-        "objects": ["e1", "e2"],
-        "morphisms": [{"id": "ie1", "src": "e1", "tgt": "e1"},
-                      {"id": "ie2", "src": "e2", "tgt": "e2"}],
-        "comp": [["ie1", "ie1", "ie1"], ["ie2", "ie2", "ie2"]],
-        "id": {"e1": "ie1", "e2": "ie2"},
-    }
-    along_doc = {
-        "E": e_doc,
-        "D": d_doc,
-        "F": {"objects": {"e1": "u", "e2": "v"}, "morphisms": {"ie1": "iu", "ie2": "iv"}},
-        "p": {"objects": {"s": "*", "u": "*", "v": "*"},
-              "morphisms": {m["id"]: "i" for m in d_doc["morphisms"]}},
-    }
-    lift_doc = {
-        "objects": {"e1": "s2", "e2": "r2"},
-        "morphisms": {
-            "ie1": {"src": "s2", "tgt": "s2", "map": {"x": "x", "y": "y"}},
-            "ie2": {"src": "r2", "tgt": "r2", "map": {"p": "p", "q": "q"}},
-        },
-    }
-    paths = {}
-    for name, doc in [("base", base_doc), ("fibers", fibers_doc),
-                      ("along", along_doc), ("lift", lift_doc)]:
+
+
+def kan_argv(tmp_path, docs):
+    argv = ["kan"]
+    for name in ("base", "fibers", "along", "lift"):
         path = tmp_path / f"{name}.json"
-        path.write_text(json.dumps(doc))
-        paths[name] = str(path)
-    return paths
+        path.write_text(json.dumps(docs[name]))
+        argv += [f"--{name}", str(path)]
+    return argv
 
 
 def test_kan_cli(capsys, tmp_path):
-    paths = kan_files(tmp_path)
-    code, out = run_cli(capsys, ["kan", "--base", paths["base"], "--fibers", paths["fibers"],
-                                 "--along", paths["along"], "--lift", paths["lift"]])
+    code, out = run_cli(capsys, kan_argv(tmp_path, kan_product_docs()))
     assert code == 0
     assert "RF at s: s4" in out
+    assert "[PASS] adjunction-bijection" in out
+
+
+@pytest.mark.parametrize("docs, rf_lines", [
+    (kan_relabel_docs, ["RF at s: ms4", "RF at u: r2", "RF at v: r2"]),
+    (kan_equalizer_docs, ["RF at d0: N", "RF at d1: K", "RF at s: K"]),
+])
+def test_kan_cli_relabel_and_equalizer(capsys, tmp_path, docs, rf_lines):
+    code, out = run_cli(capsys, kan_argv(tmp_path, docs()))
+    assert code == 0
+    assert [line for line in out.splitlines() if line.startswith("RF at")] == rf_lines
     assert "[PASS] adjunction-bijection" in out
 
 
@@ -417,3 +480,64 @@ def test_localize_list_id_exit_2(capsys, tmp_path, objects, members):
     rpath.write_text(json.dumps({"members": members}))
     assert_input_error(capsys, ["localize", "--cat", str(cpath), "--class", str(rpath),
                                 "--from", "0", "--to", "0"])
+
+
+def test_parser_built_once():
+    from finstack.cli import build_parser
+    assert build_parser() is build_parser()
+
+
+def test_kan_constant_unknown_object_exit_2(capsys, tmp_path):
+    docs = kan_product_docs()
+    docs["fibers"]["pulls"]["i*"] = {"kind": "constant", "at": "s9"}
+    assert_input_error(capsys, kan_argv(tmp_path, docs))
+
+
+@pytest.mark.parametrize("table", ["objects", "carriers"])
+def test_kan_relabel_missing_entry_exit_2(capsys, tmp_path, table):
+    docs = kan_relabel_docs()
+    del docs["fibers"]["pulls"]["u"][table]["s2"]
+    assert_input_error(capsys, kan_argv(tmp_path, docs))
+
+
+@pytest.mark.parametrize("edit", [
+    lambda table: table.pop("N.1"),                  # partial
+    lambda table: table.update({"N.9": "K.0"}),      # extra key
+    lambda table: table.update({"N.1": "K.7"}),      # outside the target set
+    lambda table: table.update({"N.1": ["K.0"]}),    # unhashable image
+], ids=["partial", "extra-key", "outside-target", "unhashable"])
+def test_kan_lift_map_not_a_function_exit_2(capsys, tmp_path, edit):
+    docs = kan_equalizer_docs()
+    edit(docs["lift"]["morphisms"]["al"]["map"])
+    assert_input_error(capsys, kan_argv(tmp_path, docs))
+
+
+@pytest.mark.parametrize("value", [5, "K.0K.1", [["K.0"], "K.1"], ["K.0", {"K": 1}]],
+                         ids=["number", "string", "list-element", "object-element"])
+def test_kan_fiber_set_malformed_exit_2(capsys, tmp_path, value):
+    docs = kan_equalizer_docs()
+    docs["fibers"]["fibers"]["*"]["K"] = value
+    assert_input_error(capsys, kan_argv(tmp_path, docs))
+
+
+@pytest.mark.parametrize("entry", ["kindness", "identity"])
+def test_kan_pull_entry_not_an_object_exit_2(capsys, tmp_path, entry):
+    docs = kan_product_docs()
+    docs["fibers"]["pulls"]["i*"] = entry
+    assert main(kan_argv(tmp_path, docs)) == 2
+    assert "error: expected an object with key 'kind', got str" in capsys.readouterr().err
+
+
+def test_kan_functor_list_id_exit_2(capsys, tmp_path):
+    docs = kan_product_docs()
+    docs["along"]["F"]["objects"]["e1"] = ["u"]
+    assert_input_error(capsys, kan_argv(tmp_path, docs))
+
+
+def test_morita_functor_list_id_exit_2(capsys, tmp_path):
+    incl = point_inclusion(pair2(), 1)
+    doc = {"source": jio.groupoid_to_json(incl.source), "target": jio.groupoid_to_json(incl.target),
+           "objects": {"pt": ["1"]}, "arrows": {"('pt', 'pt')": "(1, 1)"}}
+    path = tmp_path / "functor.json"
+    path.write_text(json.dumps(doc))
+    assert_input_error(capsys, ["morita-check", "--functor", str(path)])

@@ -16,6 +16,7 @@ from finstack.kan import (
     lift_morphisms,
     relabel_pullback,
 )
+import kan_oracle
 from support import pair2, pt, z2
 
 
@@ -220,11 +221,12 @@ def test_right_kan_along_identity_is_isomorphic_to_input():
     assert rep.bijective
 
 
-def test_right_kan_with_relabel_pullback():
+def relabel_instance():
+    """E = {e} over 1 in the chain 0 -> 1, whose pullback relabels each set."""
     base = chain_category(1)
     fib0 = fs.make_fiber({"m1": ["a"], "m2": ["c", "d"]})
     fib1 = fs.make_fiber({"n1": ["z"], "n2": ["u", "v"]})
-    pull01 = relabel_pullback(fib1, fib0, {"n1": "m1", "n2": "m2"},
+    pull01 = relabel_pullback({"n1": "m1", "n2": "m2"},
                               {"n1": {"z": "a"}, "n2": {"u": "c", "v": "d"}})
     ic = fs.indexed_category(base, {0: fib0, 1: fib1},
                              {(0, 0): identity_pullback(fib0),
@@ -233,11 +235,15 @@ def test_right_kan_with_relabel_pullback():
     d_cat = chain_category(1)
     e_cat = discrete_category(["e"])
     f = cat_functor(e_cat, d_cat, {"e": 1}, {("id", "e"): (1, 1)})
-    p = fs.identity_cat_functor(d_cat)
     # base equals the shape here, so the anchor is the identity
     p_to_base = cat_functor(d_cat, base, {0: 0, 1: 1}, {m: m for m in d_cat.morphisms})
     q = f.then(p_to_base)
     p_lift = fs.lift(ic, e_cat, q, {"e": "n2"}, {("id", "e"): fib1.identity("n2")})
+    return ic, f, p_to_base, p_lift
+
+
+def test_right_kan_with_relabel_pullback():
+    ic, f, p_to_base, p_lift = relabel_instance()
     rf = fs.right_kan(ic, f, p_to_base, p_lift)
     assert rf.lift.objects[1] == "n2"
     assert rf.lift.objects[0] == "m2"
@@ -300,6 +306,25 @@ def test_lift_morphism_enumeration_counts():
     morphisms = lift_morphisms(p_lift, p_lift)
     # E discrete with fibers of sizes 2 and 2: 2^2 * 2^2 maps, no naturality cut
     assert len(morphisms) == 16
+
+
+def test_lift_morphisms_match_exhaustive_oracle():
+    ic, f, p, p_lift = product_instance()
+    rf = fs.right_kan(ic, f, p, p_lift)
+    fib = ic.fiber("*")
+    q_lift = fs.lift(ic, f.target, p, {"s": "s2", "u": "s1", "v": "r2"},
+                     {"is": fib.identity("s2"), "iu": fib.identity("s1"),
+                      "iv": fib.identity("r2"),
+                      "mu": fs.fib_mor("s2", "s1", {"x": "a", "y": "a"}),
+                      "mv": fs.fib_mor("s2", "r2", {"x": "p", "y": "q"})})
+    ric, rf_, rp, rp_lift = relabel_instance()
+    r_ext = fs.right_kan(ric, rf_, rp, rp_lift).lift
+    pairs = [(p_lift, p_lift), (q_lift, rf.lift), (rf.lift, q_lift), (q_lift, q_lift),
+             (r_ext, r_ext)]
+    for l1, l2 in pairs:
+        assert lift_morphisms(l1, l2) == kan_oracle.lift_morphisms(l1, l2)
+    # by the adjunction, as many as from F*(Q) = (s1, r2) to P = (s2, r2): 2 * 4
+    assert len(lift_morphisms(q_lift, rf.lift)) == 8
 
 
 def test_diagram_special_fiber_of_atlas():
