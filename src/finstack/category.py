@@ -1,129 +1,207 @@
-"""Finite categories given by explicit tables, and functors between them.
+"""The table core: finite categories, functors between them, and one union-find.
 
-Same diagrammatic composition convention as the groupoid module:
-``comp[(f, g)]`` is "f then g", defined exactly when ``tgt(f) == src(g)``.
+A finite groupoid (:mod:`finstack.groupoid`) is a finite category with an
+inverse table.  Composition is diagrammatic throughout the package:
+``compose(f, g)`` means "f then g" and is defined exactly when
+``tgt(f) == src(g)``, so that ``src(compose(f, g)) == src(f)`` and
+``tgt(compose(f, g)) == tgt(g)``.
+
+Tables that come from outside the program go through :func:`validate_category`
+or :func:`validate_groupoid`, which check every axiom.  Builders that only
+combine validated values construct the dataclasses directly: their output is
+correct by construction.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping
+from dataclasses import dataclass, field
+from typing import Callable, Iterable, Mapping
 
 from .errors import AxiomViolation, DanglingId, MismatchedTarget, NoFinalObject
-from .groupoid import sorted_ids
+
+
+def idkey(value: object) -> str:
+    """Deterministic sort key for ids of mixed type."""
+    return repr(value)
+
+
+def sorted_ids(values: Iterable) -> tuple:
+    return tuple(sorted(values, key=idkey))
+
+
+def partition(elements: Iterable, pairs: Iterable) -> list:
+    """Classes of ``elements`` under the equivalence relation generated by ``pairs``.
+
+    Each class lists its members in the order of ``elements``, and the classes
+    come in the order of their first members.
+    """
+    elements = list(elements)
+    index = {x: i for i, x in enumerate(elements)}
+    parent = list(range(len(elements)))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for x, y in pairs:
+        rx, ry = find(index[x]), find(index[y])
+        if rx != ry:
+            parent[max(rx, ry)] = min(rx, ry)
+    classes: dict = {}
+    for i, x in enumerate(elements):
+        classes.setdefault(find(i), []).append(x)
+    return list(classes.values())
 
 
 @dataclass(frozen=True)
 class FiniteCategory:
+    """A category given by finite source/target/composition/identity tables.
+
+    Construction sorts the ids and indexes the morphisms by their endpoints;
+    it checks no axiom (see :func:`validate_category`).  Values are treated as
+    immutable afterwards; all operations on them are pure.
+    """
+
     objects: tuple
     morphisms: tuple
     src: Mapping
     tgt: Mapping
     comp: Mapping
     ident: Mapping
+    _from: dict = field(init=False, repr=False, compare=False)
+    _into: dict = field(init=False, repr=False, compare=False)
+    _hom: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        objects, morphisms = sorted_ids(self.objects), sorted_ids(self.morphisms)
+        by_src: dict = {x: [] for x in objects}
+        by_tgt: dict = {x: [] for x in objects}
+        hom: dict = {}
+        for m in morphisms:
+            x, y = self.src[m], self.tgt[m]
+            by_src[x].append(m)
+            by_tgt[y].append(m)
+            hom.setdefault((x, y), []).append(m)
+        for name, value in (("objects", objects), ("morphisms", morphisms),
+                            ("_from", {x: tuple(v) for x, v in by_src.items()}),
+                            ("_into", {x: tuple(v) for x, v in by_tgt.items()}),
+                            ("_hom", {xy: tuple(v) for xy, v in hom.items()})):
+            object.__setattr__(self, name, value)
 
     def compose(self, f, g):
+        """Diagrammatic composite "f then g"."""
         return self.comp[(f, g)]
 
-    def identity(self, x):
-        return self.ident[x]
+    def compose_path(self, morphisms: Iterable):
+        """Composite of a composable list of morphisms; empty lists are rejected."""
+        morphisms = list(morphisms)
+        out = morphisms[0]
+        for m in morphisms[1:]:
+            out = self.comp[(out, m)]
+        return out
 
     def is_identity(self, f) -> bool:
         return self.ident[self.src[f]] == f
 
     def hom(self, x, y) -> tuple:
-        return tuple(m for m in self.morphisms if self.src[m] == x and self.tgt[m] == y)
+        return self._hom.get((x, y), ())
 
     def morphisms_from(self, x) -> tuple:
-        return tuple(m for m in self.morphisms if self.src[m] == x)
+        return self._from.get(x, ())
 
     def morphisms_into(self, x) -> tuple:
-        return tuple(m for m in self.morphisms if self.tgt[m] == x)
+        return self._into.get(x, ())
 
     def final_object(self):
+        """The first object with exactly one morphism from every object."""
         for t in self.objects:
-            if all(len(self.hom(x, t)) == 1 for x in self.objects):
+            into = self._into[t]
+            if len(into) == len(self.objects) == len({self.src[m] for m in into}):
                 return t
         raise NoFinalObject("category has no final object")
 
 
-def validate_category(objects, morphisms, src, tgt, comp, ident) -> FiniteCategory:
-    """Check the category axioms exhaustively and return the validated value."""
-    objects = sorted_ids(objects)
-    morphisms = sorted_ids(morphisms)
+def validated(build: Callable, objects, morphisms, src, tgt, comp, ident):
+    """Check the category axioms on raw tables and return ``build`` of them.
+
+    ``build(objects, morphisms, src, tgt, comp, ident)`` makes the value.
+    Raises :class:`DanglingId` when a table mentions an undeclared id and
+    :class:`AxiomViolation` with a witness when a law fails.  ``comp`` must be
+    defined on exactly the composable pairs.
+    """
+    objects, morphisms = tuple(objects), tuple(morphisms)
     obj_set, mor_set = set(objects), set(morphisms)
-    if len(obj_set) != len(objects) or len(mor_set) != len(morphisms):
-        raise AxiomViolation("distinct-ids", None)
+    if len(obj_set) != len(objects):
+        raise AxiomViolation("distinct-object-ids", sorted_ids(objects))
+    if len(mor_set) != len(morphisms):
+        raise AxiomViolation("distinct-morphism-ids", sorted_ids(morphisms))
     for m in morphisms:
         if src.get(m) not in obj_set:
             raise DanglingId("src", m, src.get(m))
         if tgt.get(m) not in obj_set:
             raise DanglingId("tgt", m, tgt.get(m))
-    for x in objects:
+    c = build(objects, morphisms, dict(src), dict(tgt), dict(comp), dict(ident))
+    src, tgt, comp, ident = c.src, c.tgt, c.comp, c.ident
+    for x in c.objects:
         e = ident.get(x)
         if e not in mor_set:
             raise DanglingId("id", x, e)
         if src[e] != x or tgt[e] != x:
             raise AxiomViolation("identity-endpoints", (x, e))
     for (f, g), h in comp.items():
-        if f not in mor_set or g not in mor_set or h not in mor_set:
+        if f not in mor_set or g not in mor_set:
             raise DanglingId("comp", (f, g))
+        if h not in mor_set:
+            raise DanglingId("comp", (f, g), h)
         if tgt[f] != src[g]:
             raise AxiomViolation("comp-domain", (f, g))
         if src[h] != src[f] or tgt[h] != tgt[g]:
             raise AxiomViolation("comp-endpoints", (f, g, h))
-    for f in morphisms:
-        for g in morphisms:
-            if tgt[f] == src[g] and (f, g) not in comp:
+    for f in c.morphisms:
+        for g in c.morphisms_from(tgt[f]):
+            if (f, g) not in comp:
                 raise DanglingId("comp (missing entry)", (f, g))
-    for f in morphisms:
-        if comp[(ident[src[f]], f)] != f or comp[(f, ident[tgt[f]])] != f:
-            raise AxiomViolation("unit", f)
-    for f in morphisms:
-        for g in morphisms:
-            if tgt[f] != src[g]:
-                continue
+    for f in c.morphisms:
+        if comp[(ident[src[f]], f)] != f:
+            raise AxiomViolation("left-unit", f)
+        if comp[(f, ident[tgt[f]])] != f:
+            raise AxiomViolation("right-unit", f)
+    for f in c.morphisms:
+        for g in c.morphisms_from(tgt[f]):
             fg = comp[(f, g)]
-            for h in morphisms:
-                if tgt[g] != src[h]:
-                    continue
+            for h in c.morphisms_from(tgt[g]):
                 if comp[(fg, h)] != comp[(f, comp[(g, h)])]:
                     raise AxiomViolation("associativity", (f, g, h))
-    return FiniteCategory(objects=objects, morphisms=morphisms,
-                          src=dict(src), tgt=dict(tgt), comp=dict(comp), ident=dict(ident))
+    return c
+
+
+def validate_category(objects, morphisms, src, tgt, comp, ident) -> FiniteCategory:
+    """Check the category axioms exhaustively and return the validated value."""
+    return validated(FiniteCategory, objects, morphisms, src, tgt, comp, ident)
 
 
 def discrete_category(objects) -> FiniteCategory:
-    objects = sorted_ids(objects)
-    return validate_category(
-        objects,
-        [("id", x) for x in objects],
-        {("id", x): x for x in objects},
-        {("id", x): x for x in objects},
-        {((("id", x)), (("id", x))): ("id", x) for x in objects},
-        {x: ("id", x) for x in objects},
-    )
+    ids = {x: ("id", x) for x in objects}
+    ends = {m: x for x, m in ids.items()}
+    return FiniteCategory(ids, ids.values(), ends, ends, {(m, m): m for m in ids.values()}, ids)
 
 
 def chain_category(n: int) -> FiniteCategory:
     """The poset category 0 -> 1 -> ... -> n, one morphism (i, j) per i <= j."""
-    objects = list(range(n + 1))
-    morphisms = [(i, j) for i in objects for j in objects if i <= j]
-    return validate_category(
-        objects,
-        morphisms,
-        {(i, j): i for i, j in morphisms},
-        {(i, j): j for i, j in morphisms},
-        {((i, j), (j2, k)): (i, k) for i, j in morphisms for j2, k in morphisms if j == j2},
-        {i: (i, i) for i in objects},
-    )
+    return _poset(range(n + 1), lambda i, j: i <= j)
 
 
 def poset_category(objects, relation) -> FiniteCategory:
     """Finite poset as a category; ``relation(x, y)`` decides x <= y."""
-    objects = sorted_ids(objects)
+    return _poset(objects, relation, validate_category)
+
+
+def _poset(objects, relation, build: Callable = FiniteCategory) -> FiniteCategory:
+    objects = list(objects)
     morphisms = [(x, y) for x in objects for y in objects if relation(x, y)]
-    return validate_category(
+    return build(
         objects,
         morphisms,
         {m: m[0] for m in morphisms},
@@ -135,6 +213,8 @@ def poset_category(objects, relation) -> FiniteCategory:
 
 @dataclass(frozen=True)
 class CatFunctor:
+    """A functor of finite categories or groupoids, stored as object and morphism tables."""
+
     source: FiniteCategory
     target: FiniteCategory
     obj_map: Mapping
@@ -147,22 +227,28 @@ class CatFunctor:
         return self.mor_map[m]
 
     def then(self, other: CatFunctor) -> CatFunctor:
-        if self.target != other.source:
+        """The composite "self then other"; a composite of functors needs no check."""
+        if self.target is not other.source and self.target != other.source:
             raise MismatchedTarget("functors not composable")
-        return cat_functor(
+        return CatFunctor(
             self.source, other.target,
             {x: other.obj_map[self.obj_map[x]] for x in self.source.objects},
             {m: other.mor_map[self.mor_map[m]] for m in self.source.morphisms},
         )
 
 
-def cat_functor(source: FiniteCategory, target: FiniteCategory, obj_map, mor_map) -> CatFunctor:
+def functor(source: FiniteCategory, target: FiniteCategory, obj_map, mor_map) -> CatFunctor:
+    """Validate that the tables commute with src/tgt/id/comp.
+
+    Between groupoids this also preserves inverses: F(a) . F(inv a) = F(id) = id.
+    """
+    objects, morphisms = set(target.objects), set(target.morphisms)
     for x in source.objects:
-        if obj_map.get(x) not in set(target.objects):
+        if obj_map.get(x) not in objects:
             raise DanglingId("obj_map", x, obj_map.get(x))
     for m in source.morphisms:
         fm = mor_map.get(m)
-        if fm not in set(target.morphisms):
+        if fm not in morphisms:
             raise DanglingId("mor_map", m, fm)
         if target.src[fm] != obj_map[source.src[m]] or target.tgt[fm] != obj_map[source.tgt[m]]:
             raise AxiomViolation("functor-endpoints", m)
@@ -175,8 +261,8 @@ def cat_functor(source: FiniteCategory, target: FiniteCategory, obj_map, mor_map
     return CatFunctor(source, target, dict(obj_map), dict(mor_map))
 
 
-def identity_cat_functor(c: FiniteCategory) -> CatFunctor:
-    return cat_functor(c, c, {x: x for x in c.objects}, {m: m for m in c.morphisms})
+def identity_functor(c: FiniteCategory) -> CatFunctor:
+    return CatFunctor(c, c, {x: x for x in c.objects}, {m: m for m in c.morphisms})
 
 
 def comma_category(d, f: CatFunctor) -> FiniteCategory:
@@ -190,28 +276,12 @@ def comma_category(d, f: CatFunctor) -> FiniteCategory:
     if d not in set(d_cat.objects):
         raise DanglingId("comma", d)
     objects = [(e, alpha) for e in e_cat.objects for alpha in d_cat.hom(d, f.obj_map[e])]
-    morphisms = [(alpha, gamma)
-                 for gamma in e_cat.morphisms
-                 for alpha in d_cat.hom(d, f.obj_map[e_cat.src[gamma]])]
-
-    def m_src(mm):
-        alpha, gamma = mm
-        return (e_cat.src[gamma], alpha)
-
-    def m_tgt(mm):
-        alpha, gamma = mm
-        return (e_cat.tgt[gamma], d_cat.compose(alpha, f.mor_map[gamma]))
-
-    comp = {}
-    for m1 in morphisms:
-        for m2 in morphisms:
-            if m_tgt(m1) == m_src(m2):
-                comp[(m1, m2)] = (m1[0], e_cat.compose(m1[1], m2[1]))
-    return validate_category(
-        objects,
-        morphisms,
-        {m: m_src(m) for m in morphisms},
-        {m: m_tgt(m) for m in morphisms},
-        comp,
-        {(e, alpha): (alpha, e_cat.ident[e]) for e, alpha in objects},
-    )
+    src, tgt = {}, {}
+    for gamma in e_cat.morphisms:
+        for alpha in d_cat.hom(d, f.obj_map[e_cat.src[gamma]]):
+            src[(alpha, gamma)] = (e_cat.src[gamma], alpha)
+            tgt[(alpha, gamma)] = (e_cat.tgt[gamma], d_cat.compose(alpha, f.mor_map[gamma]))
+    comp = {((alpha, gamma), (tgt[(alpha, gamma)][1], gamma2)): (alpha, e_cat.compose(gamma, gamma2))
+            for alpha, gamma in src for gamma2 in e_cat.morphisms_from(e_cat.tgt[gamma])}
+    return FiniteCategory(objects, src.keys(), src, tgt, comp,
+                          {(e, alpha): (alpha, e_cat.ident[e]) for e, alpha in objects})

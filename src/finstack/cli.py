@@ -10,9 +10,9 @@ import sys
 from dataclasses import dataclass, field
 
 from . import jsonio
-from .errors import FinstackError, UsageError
+from .category import functor as groupoid_functor
+from .errors import FinstackError, SchemaError, UsageError
 from .fundamental import DEFAULT_COSET_BUDGET, pi1_iso_check, pi1_presentation
-from .groupoid import functor as groupoid_functor
 from .groupoid import is_weak_equivalence, pi0
 from .homology import chain_complex, homology, induced_map_is_isomorphism
 from .kan import adjunction_check, diagram_special, groupoid_diagram, right_kan
@@ -93,7 +93,7 @@ def _cmd_validate(args) -> RunReport:
     report = RunReport("validate", _digest([args.groupoid]))
     g = jsonio.groupoid_from_json(jsonio.load_json(args.groupoid))
     report.add_output(f"objects: {len(g.objects)}")
-    report.add_output(f"arrows: {len(g.arrows)}")
+    report.add_output(f"arrows: {len(g.morphisms)}")
     report.add_output(f"components: {len(pi0(g))}")
     report.add_verdict("groupoid-axioms", True)
     return report
@@ -247,37 +247,35 @@ def _cmd_kan(args) -> RunReport:
 def _cmd_diagram_special(args) -> RunReport:
     report = RunReport("diagram-special", _digest([args.diagram, args.cover]))
     doc = jsonio.load_json(args.diagram)
-    if "shape" not in doc:
-        raise FinstackError("--diagram document needs key 'shape'")
-    shape = jsonio.category_from_json(doc["shape"])
-    nodes = {d: jsonio.groupoid_from_json(doc["nodes"][d]) for d in doc.get("nodes", {})}
+    shape = jsonio.category_from_json(jsonio._require(doc, "shape", dict))
+    nodes = {d: jsonio.groupoid_from_json(node)
+             for d, node in jsonio._require(doc, "nodes", dict).items()}
     missing = [x for x in shape.objects if x not in nodes]
     if missing:
         raise FinstackError(f"--diagram document lacks nodes for {missing!r}")
     arrows = {}
-    for m, entry in doc.get("arrows", {}).items():
+    for m, entry in jsonio._require(doc, "arrows", dict).items():
+        if m not in shape.src:
+            raise SchemaError(f"arrows key {m!r} is not a morphism of the shape")
         arrows[m] = groupoid_functor(nodes[shape.src[m]], nodes[shape.tgt[m]],
-                                     entry.get("objects", {}), entry.get("arrows", {}))
+                                     *jsonio.groupoid_functor_tables(entry))
     diagram = groupoid_diagram(shape, nodes, arrows)
     cover_doc = jsonio.load_json(args.cover)
-    for key in ("domain", "objects", "arrows"):
-        if key not in cover_doc:
-            raise FinstackError(f"--cover document needs key {key!r}")
-    domain = jsonio.groupoid_from_json(cover_doc["domain"])
+    domain = jsonio.groupoid_from_json(jsonio._require(cover_doc, "domain", dict))
     star = shape.final_object()
-    cover = groupoid_functor(domain, nodes[star], cover_doc["objects"], cover_doc["arrows"])
+    cover = groupoid_functor(domain, nodes[star], *jsonio.groupoid_functor_tables(cover_doc))
     sd = diagram_special(diagram, cover)
     for d in shape.objects:
         node = sd.pulled.nodes[d]
-        report.add_output(f"pulled node {d}: {len(node.objects)} objects, {len(node.arrows)} arrows")
+        report.add_output(f"pulled node {d}: {len(node.objects)} objects, {len(node.morphisms)} arrows")
     naturality = all(
         sd.to_base[shape.tgt[m]].obj_map[sd.pulled.arrows[m].obj_map[o]]
         == diagram.arrows[m].obj_map[sd.to_base[shape.src[m]].obj_map[o]]
         for m in shape.morphisms for o in sd.pulled.nodes[shape.src[m]].objects
     ) and all(
-        sd.to_base[shape.tgt[m]].arr_map[sd.pulled.arrows[m].arr_map[a]]
-        == diagram.arrows[m].arr_map[sd.to_base[shape.src[m]].arr_map[a]]
-        for m in shape.morphisms for a in sd.pulled.nodes[shape.src[m]].arrows
+        sd.to_base[shape.tgt[m]].mor_map[sd.pulled.arrows[m].mor_map[a]]
+        == diagram.arrows[m].mor_map[sd.to_base[shape.src[m]].mor_map[a]]
+        for m in shape.morphisms for a in sd.pulled.nodes[shape.src[m]].morphisms
     )
     report.add_verdict("pulled-diagram-functorial", True)
     report.add_verdict("transformation-natural", naturality)

@@ -5,7 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import EnumerationBudgetExceeded, InsufficientTruncation, UnknownBasepoint
-from .groupoid import FiniteGroupoid, idkey, vertex_group
+from .category import idkey
+from .groupoid import FiniteGroupoid, vertex_group
 from .homology import cokernel_invariants
 from .simplicial import TruncatedSimplicialSet, nerve
 
@@ -230,7 +231,7 @@ def pi1_iso_check(g: FiniteGroupoid, x, budget: int = DEFAULT_COSET_BUDGET,
     while frontier:
         generated |= frontier
         frontier = {g.compose(a, b) for a in generated for b in images} - generated
-    surjective = generated == set(vgroup.arrows)
+    surjective = generated == set(vgroup.morphisms)
 
     presented_order: int | None
     try:
@@ -242,12 +243,12 @@ def pi1_iso_check(g: FiniteGroupoid, x, budget: int = DEFAULT_COSET_BUDGET,
         isomorphic = None
         note = "surjective, injectivity untested" if surjective else "not surjective"
     else:
-        isomorphic = relations_hold and surjective and presented_order == len(vgroup.arrows)
+        isomorphic = relations_hold and surjective and presented_order == len(vgroup.morphisms)
         note = "isomorphism confirmed" if isomorphic else "mismatch"
     return Pi1Report(
         basepoint=x,
         generator_count=len(pres.generators),
-        vertex_group_order=len(vgroup.arrows),
+        vertex_group_order=len(vgroup.morphisms),
         relations_hold=relations_hold,
         surjective=surjective,
         presented_order=presented_order,

@@ -1,177 +1,50 @@
-"""Finite groupoids as explicit tables, functors between them, and fiber products.
+"""Finite groupoids: finite categories with an inverse table, and fiber products.
 
-Composition is diagrammatic throughout the package: ``compose(a, b)`` means
-"a then b" and is defined exactly when ``tgt(a) == src(b)``, so that
-``src(compose(a, b)) == src(a)`` and ``tgt(compose(a, b)) == tgt(b)``.
+The tables, the axiom checks and the functors are the category core of
+:mod:`finstack.category`; this module adds inverses and the groupoid
+builders.  Builders that only combine validated groupoids construct their
+result directly, without a second axiom pass.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping
+from dataclasses import dataclass
+from typing import Callable, Mapping
 
+from .category import CatFunctor, FiniteCategory, partition, sorted_ids, validated
 from .errors import AxiomViolation, DanglingId, MismatchedTarget, NotAnAction, UnknownObject
 
 
-def idkey(value: object) -> str:
-    """Deterministic sort key for ids of mixed type."""
-    return repr(value)
-
-
-def sorted_ids(values: Iterable) -> tuple:
-    return tuple(sorted(values, key=idkey))
-
-
 @dataclass(frozen=True)
-class FiniteGroupoid:
-    """A groupoid given by finite source/target/composition/identity/inverse tables.
+class FiniteGroupoid(FiniteCategory):
+    """A finite category whose every morphism has the inverse ``inv[a]``."""
 
-    Values are validated on construction via :func:`validate_groupoid` and are
-    treated as immutable afterwards; all operations on them are pure.
-    """
-
-    objects: tuple
-    arrows: tuple
-    src: Mapping
-    tgt: Mapping
-    comp: Mapping
-    ident: Mapping
     inv: Mapping
-    _arrows_from: dict = field(repr=False, compare=False, default_factory=dict)
-    _arrows_into: dict = field(repr=False, compare=False, default_factory=dict)
-
-    def __post_init__(self):
-        by_src: dict = {x: [] for x in self.objects}
-        by_tgt: dict = {x: [] for x in self.objects}
-        for a in self.arrows:
-            by_src[self.src[a]].append(a)
-            by_tgt[self.tgt[a]].append(a)
-        self._arrows_from.update({x: tuple(v) for x, v in by_src.items()})
-        self._arrows_into.update({x: tuple(v) for x, v in by_tgt.items()})
-
-    def compose(self, a, b):
-        """Diagrammatic composite "a then b"."""
-        return self.comp[(a, b)]
-
-    def compose_path(self, arrows: Iterable):
-        """Composite of a composable list of arrows; empty lists are rejected."""
-        arrows = list(arrows)
-        out = arrows[0]
-        for a in arrows[1:]:
-            out = self.comp[(out, a)]
-        return out
-
-    def identity(self, x):
-        return self.ident[x]
 
     def inverse(self, a):
         return self.inv[a]
 
-    def is_identity(self, a) -> bool:
-        return self.ident[self.src[a]] == a
-
-    def arrows_from(self, x) -> tuple:
-        return self._arrows_from[x]
-
-    def arrows_into(self, x) -> tuple:
-        return self._arrows_into[x]
-
-    def hom(self, x, y) -> tuple:
-        return tuple(a for a in self._arrows_from[x] if self.tgt[a] == y)
-
-    def composable(self, a, b) -> bool:
-        return self.tgt[a] == self.src[b]
-
     def __str__(self):
-        return f"FiniteGroupoid({len(self.objects)} objects, {len(self.arrows)} arrows)"
+        return f"FiniteGroupoid({len(self.objects)} objects, {len(self.morphisms)} arrows)"
 
 
-def validate_groupoid(objects, arrows, src, tgt, comp, ident, inv) -> FiniteGroupoid:
-    """Check every groupoid axiom on the raw tables and return the validated value.
-
-    Raises :class:`DanglingId` when a table mentions an undeclared id and
-    :class:`AxiomViolation` with a witness when a law fails.  ``comp`` must be
-    defined on exactly the diagrammatically composable pairs.
-    """
-    objects = sorted_ids(objects)
-    arrows = sorted_ids(arrows)
-    obj_set = set(objects)
-    arr_set = set(arrows)
-    if len(obj_set) != len(objects):
-        raise AxiomViolation("distinct-object-ids", objects)
-    if len(arr_set) != len(arrows):
-        raise AxiomViolation("distinct-arrow-ids", arrows)
-
-    for a in arrows:
-        if a not in src:
-            raise DanglingId("src", a)
-        if a not in tgt:
-            raise DanglingId("tgt", a)
-        if src[a] not in obj_set:
-            raise DanglingId("src", a, src[a])
-        if tgt[a] not in obj_set:
-            raise DanglingId("tgt", a, tgt[a])
-        if a not in inv:
-            raise DanglingId("inv", a)
-        if inv[a] not in arr_set:
-            raise DanglingId("inv", a, inv[a])
-    for x in objects:
-        if x not in ident:
-            raise DanglingId("id", x)
-        if ident[x] not in arr_set:
-            raise DanglingId("id", x, ident[x])
-        e = ident[x]
-        if src[e] != x or tgt[e] != x:
-            raise AxiomViolation("identity-endpoints", (x, e))
-
-    for (a, b), c in comp.items():
-        if a not in arr_set or b not in arr_set:
-            raise DanglingId("comp", (a, b))
-        if c not in arr_set:
-            raise DanglingId("comp", (a, b), c)
-        if tgt[a] != src[b]:
-            raise AxiomViolation("comp-domain", (a, b))
-        if src[c] != src[a] or tgt[c] != tgt[b]:
-            raise AxiomViolation("comp-endpoints", (a, b, c))
-    for a in arrows:
-        for b in arrows:
-            if tgt[a] == src[b] and (a, b) not in comp:
-                raise DanglingId("comp (missing entry)", (a, b))
-
-    for a in arrows:
-        if comp[(ident[src[a]], a)] != a:
-            raise AxiomViolation("left-unit", a)
-        if comp[(a, ident[tgt[a]])] != a:
-            raise AxiomViolation("right-unit", a)
-        ia = inv[a]
-        if src[ia] != tgt[a] or tgt[ia] != src[a]:
+def validate_groupoid(objects, morphisms, src, tgt, comp, ident, inv) -> FiniteGroupoid:
+    """Check the category axioms, then the inverse laws, and return the validated value."""
+    g = validated(lambda *tables: FiniteGroupoid(*tables, dict(inv)),
+                  objects, morphisms, src, tgt, comp, ident)
+    mor_set = set(g.morphisms)
+    for a in g.morphisms:
+        ia = g.inv.get(a)
+        if ia not in mor_set:
+            raise DanglingId("inv", a, ia)
+        if g.src[ia] != g.tgt[a] or g.tgt[ia] != g.src[a]:
             raise AxiomViolation("inverse-endpoints", a)
-        if comp[(a, ia)] != ident[src[a]]:
+        if g.comp[(a, ia)] != g.ident[g.src[a]]:
             raise AxiomViolation("right-inverse", a)
-        if comp[(ia, a)] != ident[tgt[a]]:
+        if g.comp[(ia, a)] != g.ident[g.tgt[a]]:
             raise AxiomViolation("left-inverse", a)
-
-    for a in arrows:
-        for b in arrows:
-            if tgt[a] != src[b]:
-                continue
-            ab = comp[(a, b)]
-            for c in arrows:
-                if tgt[b] != src[c]:
-                    continue
-                if comp[(ab, c)] != comp[(a, comp[(b, c)])]:
-                    raise AxiomViolation("associativity", (a, b, c))
-
-    return FiniteGroupoid(
-        objects=objects,
-        arrows=arrows,
-        src=dict(src),
-        tgt=dict(tgt),
-        comp=dict(comp),
-        ident=dict(ident),
-        inv=dict(inv),
-    )
+    return g
 
 
 def groupoid_from_group(elements, mult: Mapping, unit, name: object = "*") -> FiniteGroupoid:
@@ -187,7 +60,7 @@ def groupoid_from_group(elements, mult: Mapping, unit, name: object = "*") -> Fi
                 inv[g] = h
     return validate_groupoid(
         objects=[name],
-        arrows=elements,
+        morphisms=elements,
         src={g: name for g in elements},
         tgt={g: name for g in elements},
         comp=dict(mult),
@@ -216,16 +89,16 @@ def symmetric_groupoid(n: int, name: object = "*") -> FiniteGroupoid:
 
 def pair_groupoid(points) -> FiniteGroupoid:
     """The pair (indiscrete) groupoid: exactly one arrow (x, y) between any two points."""
-    points = sorted_ids(points)
+    points = list(points)
     arrows = [(x, y) for x in points for y in points]
-    return validate_groupoid(
-        objects=points,
-        arrows=arrows,
-        src={(x, y): x for x, y in arrows},
-        tgt={(x, y): y for x, y in arrows},
-        comp={((x, y), (y2, z)): (x, z) for x, y in arrows for y2, z in arrows if y == y2},
-        ident={x: (x, x) for x in points},
-        inv={(x, y): (y, x) for x, y in arrows},
+    return FiniteGroupoid(
+        points,
+        arrows,
+        {(x, y): x for x, y in arrows},
+        {(x, y): y for x, y in arrows},
+        {((x, y), (y, z)): (x, z) for x, y in arrows for z in points},
+        {x: (x, x) for x in points},
+        {(x, y): (y, x) for x, y in arrows},
     )
 
 
@@ -235,20 +108,15 @@ def point_groupoid(name: object = "pt") -> FiniteGroupoid:
 
 def disjoint_union(g1: FiniteGroupoid, g2: FiniteGroupoid) -> FiniteGroupoid:
     """Disjoint union with ids tagged 0/1 to keep them distinct."""
-    objects = [(0, x) for x in g1.objects] + [(1, x) for x in g2.objects]
-    arrows = [(0, a) for a in g1.arrows] + [(1, a) for a in g2.arrows]
-    comp = {}
-    for tag, g in ((0, g1), (1, g2)):
-        for (a, b), c in g.comp.items():
-            comp[((tag, a), (tag, b))] = (tag, c)
-    return validate_groupoid(
-        objects=objects,
-        arrows=arrows,
-        src={(t, a): (t, (g1 if t == 0 else g2).src[a]) for t, a in arrows},
-        tgt={(t, a): (t, (g1 if t == 0 else g2).tgt[a]) for t, a in arrows},
-        comp=comp,
-        ident={(t, x): (t, (g1 if t == 0 else g2).ident[x]) for t, x in objects},
-        inv={(t, a): (t, (g1 if t == 0 else g2).inv[a]) for t, a in arrows},
+    tagged = ((0, g1), (1, g2))
+    return FiniteGroupoid(
+        [(t, x) for t, g in tagged for x in g.objects],
+        [(t, a) for t, g in tagged for a in g.morphisms],
+        {(t, a): (t, g.src[a]) for t, g in tagged for a in g.morphisms},
+        {(t, a): (t, g.tgt[a]) for t, g in tagged for a in g.morphisms},
+        {((t, a), (t, b)): (t, c) for t, g in tagged for (a, b), c in g.comp.items()},
+        {(t, x): (t, g.ident[x]) for t, g in tagged for x in g.objects},
+        {(t, a): (t, g.inv[a]) for t, g in tagged for a in g.morphisms},
     )
 
 
@@ -260,123 +128,55 @@ def action_groupoid(points, group: FiniteGroupoid, act: Callable) -> FiniteGroup
     if len(group.objects) != 1:
         raise NotAnAction("acting groupoid must have one object")
     points = sorted_ids(points)
+    point_set = set(points)
     unit = group.ident[group.objects[0]]
     for x in points:
         if act(x, unit) != x:
             raise NotAnAction(("unit", x))
-        for g in group.arrows:
-            if act(x, g) not in set(points):
+        for g in group.morphisms:
+            if act(x, g) not in point_set:
                 raise NotAnAction(("image outside the set", x, g))
-            for h in group.arrows:
+            for h in group.morphisms:
                 if act(act(x, g), h) != act(x, group.compose(g, h)):
                     raise NotAnAction((x, g, h))
 
-    arrows = [(x, g) for x in points for g in group.arrows]
-    src = {(x, g): x for x, g in arrows}
+    arrows = [(x, g) for x in points for g in group.morphisms]
     tgt = {(x, g): act(x, g) for x, g in arrows}
-    comp = {}
-    for x, g in arrows:
-        y = act(x, g)
-        for g2 in group.arrows:
-            comp[((x, g), (y, g2))] = (x, group.compose(g, g2))
-    return validate_groupoid(
-        objects=points,
-        arrows=arrows,
-        src=src,
-        tgt=tgt,
-        comp=comp,
-        ident={x: (x, unit) for x in points},
-        inv={(x, g): (act(x, g), group.inv[g]) for x, g in arrows},
+    return FiniteGroupoid(
+        points,
+        arrows,
+        {(x, g): x for x, g in arrows},
+        tgt,
+        {((x, g), (tgt[(x, g)], g2)): (x, group.compose(g, g2))
+         for x, g in arrows for g2 in group.morphisms},
+        {x: (x, unit) for x in points},
+        {(x, g): (tgt[(x, g)], group.inv[g]) for x, g in arrows},
     )
 
 
-@dataclass(frozen=True)
-class GroupoidFunctor:
-    """A functor of finite groupoids, stored as object and arrow tables."""
-
-    source: FiniteGroupoid
-    target: FiniteGroupoid
-    obj_map: Mapping
-    arr_map: Mapping
-
-    def on_obj(self, x):
-        return self.obj_map[x]
-
-    def on_arr(self, a):
-        return self.arr_map[a]
-
-    def then(self, other: GroupoidFunctor) -> GroupoidFunctor:
-        if self.target is not other.source and self.target != other.source:
-            raise MismatchedTarget("functors not composable")
-        return functor(
-            self.source,
-            other.target,
-            {x: other.obj_map[self.obj_map[x]] for x in self.source.objects},
-            {a: other.arr_map[self.arr_map[a]] for a in self.source.arrows},
-        )
-
-
-def functor(source: FiniteGroupoid, target: FiniteGroupoid, obj_map, arr_map) -> GroupoidFunctor:
-    """Validate that the tables commute with src/tgt/id/comp/inv."""
-    for x in source.objects:
-        if x not in obj_map or obj_map[x] not in set(target.objects):
-            raise DanglingId("obj_map", x, obj_map.get(x))
-    for a in source.arrows:
-        if a not in arr_map or arr_map[a] not in set(target.arrows):
-            raise DanglingId("arr_map", a, arr_map.get(a))
-        fa = arr_map[a]
-        if target.src[fa] != obj_map[source.src[a]] or target.tgt[fa] != obj_map[source.tgt[a]]:
-            raise AxiomViolation("functor-endpoints", a)
-        if arr_map[source.inv[a]] != target.inv[fa]:
-            raise AxiomViolation("functor-inverse", a)
-    for x in source.objects:
-        if arr_map[source.ident[x]] != target.ident[obj_map[x]]:
-            raise AxiomViolation("functor-identity", x)
-    for (a, b), c in source.comp.items():
-        if target.comp[(arr_map[a], arr_map[b])] != arr_map[c]:
-            raise AxiomViolation("functor-composition", (a, b))
-    return GroupoidFunctor(source, target, dict(obj_map), dict(arr_map))
-
-
-def identity_functor(g: FiniteGroupoid) -> GroupoidFunctor:
-    return functor(g, g, {x: x for x in g.objects}, {a: a for a in g.arrows})
-
-
-def fiber_product_strict(f: GroupoidFunctor, h: GroupoidFunctor) -> FiniteGroupoid:
+def fiber_product_strict(f: CatFunctor, h: CatFunctor) -> FiniteGroupoid:
     """Strict fiber product: pairs whose images under the two functors agree exactly."""
     if f.target != h.target:
         raise MismatchedTarget("fiber product needs a common target")
-    objects = [(x, y) for x in f.source.objects for y in h.source.objects
-               if f.obj_map[x] == h.obj_map[y]]
-    arrows = [(a, b) for a in f.source.arrows for b in h.source.arrows
-              if f.arr_map[a] == h.arr_map[b]]
     g1, g2 = f.source, h.source
-    return validate_groupoid(
-        objects=objects,
-        arrows=arrows,
-        src={(a, b): (g1.src[a], g2.src[b]) for a, b in arrows},
-        tgt={(a, b): (g1.tgt[a], g2.tgt[b]) for a, b in arrows},
-        comp={((a, b), (c, d)): (g1.comp[(a, c)], g2.comp[(b, d)])
-              for a, b in arrows for c, d in arrows
-              if g1.tgt[a] == g1.src[c] and g2.tgt[b] == g2.src[d]},
-        ident={(x, y): (g1.ident[x], g2.ident[y]) for x, y in objects},
-        inv={(a, b): (g1.inv[a], g2.inv[b]) for a, b in arrows},
+    objects = [(x, y) for x in g1.objects for y in g2.objects if f.obj_map[x] == h.obj_map[y]]
+    arrows = [(a, b) for a in g1.morphisms for b in g2.morphisms
+              if f.mor_map[a] == h.mor_map[b]]
+    return FiniteGroupoid(
+        objects,
+        arrows,
+        {(a, b): (g1.src[a], g2.src[b]) for a, b in arrows},
+        {(a, b): (g1.tgt[a], g2.tgt[b]) for a, b in arrows},
+        {((a, b), (c, d)): (g1.comp[(a, c)], g2.comp[(b, d)])
+         for a, b in arrows
+         for c in g1.morphisms_from(g1.tgt[a]) for d in g2.morphisms_from(g2.tgt[b])
+         if f.mor_map[c] == h.mor_map[d]},
+        {(x, y): (g1.ident[x], g2.ident[y]) for x, y in objects},
+        {(a, b): (g1.inv[a], g2.inv[b]) for a, b in arrows},
     )
 
 
-def strict_projections(f: GroupoidFunctor, h: GroupoidFunctor):
-    """The two projection functors out of :func:`fiber_product_strict`."""
-    prod = fiber_product_strict(f, h)
-    p1 = functor(prod, f.source,
-                 {xy: xy[0] for xy in prod.objects},
-                 {ab: ab[0] for ab in prod.arrows})
-    p2 = functor(prod, h.source,
-                 {xy: xy[1] for xy in prod.objects},
-                 {ab: ab[1] for ab in prod.arrows})
-    return prod, p1, p2
-
-
-def fiber_product_2(f: GroupoidFunctor, h: GroupoidFunctor) -> FiniteGroupoid:
+def fiber_product_2(f: CatFunctor, h: CatFunctor) -> FiniteGroupoid:
     """Iso-comma fiber product: objects are triples (x, y, k) with k: f(x) -> h(y).
 
     An arrow (a, b, k) runs from (src a, src b, k) to
@@ -391,51 +191,39 @@ def fiber_product_2(f: GroupoidFunctor, h: GroupoidFunctor) -> FiniteGroupoid:
     objects = [(x, y, k)
                for x in g1.objects for y in g2.objects
                for k in k_grp.hom(f.obj_map[x], h.obj_map[y])]
-
-    def transport(a, b, k):
-        # k at the source of (a, b) carried to the target of (a, b)
-        return k_grp.compose_path([k_grp.inv[f.arr_map[a]], k, h.arr_map[b]])
-
-    arrows = [(a, b, k)
-              for a in g1.arrows for b in g2.arrows
-              for k in k_grp.hom(f.obj_map[g1.src[a]], h.obj_map[g2.src[b]])]
-    src = {(a, b, k): (g1.src[a], g2.src[b], k) for a, b, k in arrows}
-    tgt = {(a, b, k): (g1.tgt[a], g2.tgt[b], transport(a, b, k)) for a, b, k in arrows}
-    comp = {}
-    for a, b, k in arrows:
-        k2 = transport(a, b, k)
-        for c in g1.arrows_from(g1.tgt[a]):
-            for d in g2.arrows_from(g2.tgt[b]):
-                comp[((a, b, k), (c, d, k2))] = (g1.comp[(a, c)], g2.comp[(b, d)], k)
-    return validate_groupoid(
-        objects=objects,
-        arrows=arrows,
-        src=src,
-        tgt=tgt,
-        comp=comp,
-        ident={(x, y, k): (g1.ident[x], g2.ident[y], k) for x, y, k in objects},
-        inv={(a, b, k): (g1.inv[a], g2.inv[b], transport(a, b, k)) for a, b, k in arrows},
-    )
+    src, tgt, comp, inv = {}, {}, {}, {}
+    for a in g1.morphisms:
+        for b in g2.morphisms:
+            back = k_grp.inv[f.mor_map[a]]
+            for k in k_grp.hom(f.obj_map[g1.src[a]], h.obj_map[g2.src[b]]):
+                # k at the source of (a, b) carried to the target of (a, b)
+                k2 = k_grp.compose_path([back, k, h.mor_map[b]])
+                src[(a, b, k)] = (g1.src[a], g2.src[b], k)
+                tgt[(a, b, k)] = (g1.tgt[a], g2.tgt[b], k2)
+                inv[(a, b, k)] = (g1.inv[a], g2.inv[b], k2)
+                for c in g1.morphisms_from(g1.tgt[a]):
+                    for d in g2.morphisms_from(g2.tgt[b]):
+                        comp[((a, b, k), (c, d, k2))] = (g1.comp[(a, c)], g2.comp[(b, d)], k)
+    return FiniteGroupoid(objects, src.keys(), src, tgt, comp,
+                          {(x, y, k): (g1.ident[x], g2.ident[y], k) for x, y, k in objects}, inv)
 
 
-def fiber_product_2_projections(f: GroupoidFunctor, h: GroupoidFunctor):
+def fiber_product_2_projections(f: CatFunctor, h: CatFunctor):
     """The iso-comma square: the product groupoid with its two projections."""
     prod = fiber_product_2(f, h)
-    p1 = functor(prod, f.source,
-                 {o: o[0] for o in prod.objects},
-                 {m: m[0] for m in prod.arrows})
-    p2 = functor(prod, h.source,
-                 {o: o[1] for o in prod.objects},
-                 {m: m[1] for m in prod.arrows})
+    p1 = CatFunctor(prod, f.source, {o: o[0] for o in prod.objects},
+                    {m: m[0] for m in prod.morphisms})
+    p2 = CatFunctor(prod, h.source, {o: o[1] for o in prod.objects},
+                    {m: m[1] for m in prod.morphisms})
     return prod, p1, p2
 
 
-def is_weak_equivalence(f: GroupoidFunctor) -> bool:
+def is_weak_equivalence(f: CatFunctor) -> bool:
     """Fully faithful and essentially surjective, checked exhaustively."""
     g, h = f.source, f.target
     for x in g.objects:
         for y in g.objects:
-            images = [f.arr_map[a] for a in g.hom(x, y)]
+            images = [f.mor_map[a] for a in g.hom(x, y)]
             if len(set(images)) != len(images):
                 return False
             if set(images) != set(h.hom(f.obj_map[x], f.obj_map[y])):
@@ -449,35 +237,21 @@ def is_weak_equivalence(f: GroupoidFunctor) -> bool:
 
 def pi0(g: FiniteGroupoid) -> tuple:
     """Connected components of the objects, each a sorted tuple; deterministic order."""
-    parent = {x: x for x in g.objects}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a in g.arrows:
-        rx, ry = find(g.src[a]), find(g.tgt[a])
-        if rx != ry:
-            parent[max(rx, ry, key=idkey)] = min(rx, ry, key=idkey)
-    groups: dict = {}
-    for x in g.objects:
-        groups.setdefault(find(x), []).append(x)
-    return tuple(tuple(sorted_ids(v)) for _, v in sorted(groups.items(), key=lambda kv: idkey(kv[0])))
+    pairs = ((g.src[a], g.tgt[a]) for a in g.morphisms)
+    return tuple(tuple(sorted_ids(c)) for c in partition(g.objects, pairs))
 
 
 def vertex_group(g: FiniteGroupoid, x) -> FiniteGroupoid:
     """The one-object groupoid of loops at ``x``."""
     if x not in set(g.objects):
         raise UnknownObject(x)
-    loops = [a for a in g.arrows_from(x) if g.tgt[a] == x]
-    return validate_groupoid(
-        objects=[x],
-        arrows=loops,
-        src={a: x for a in loops},
-        tgt={a: x for a in loops},
-        comp={(a, b): g.comp[(a, b)] for a in loops for b in loops},
-        ident={x: g.ident[x]},
-        inv={a: g.inv[a] for a in loops},
+    loops = g.hom(x, x)
+    return FiniteGroupoid(
+        [x],
+        loops,
+        {a: x for a in loops},
+        {a: x for a in loops},
+        {(a, b): g.comp[(a, b)] for a in loops for b in loops},
+        {x: g.ident[x]},
+        {a: g.inv[a] for a in loops},
     )

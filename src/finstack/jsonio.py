@@ -9,9 +9,9 @@ from __future__ import annotations
 import json
 from typing import Mapping
 
-from .category import CatFunctor, FiniteCategory, cat_functor, validate_category
+from .category import CatFunctor, FiniteCategory, functor, validate_category
 from .errors import SchemaError
-from .groupoid import FiniteGroupoid, GroupoidFunctor, functor, validate_groupoid
+from .groupoid import FiniteGroupoid, validate_groupoid
 from .kan import (
     FinSetFiber,
     IndexedCategory,
@@ -87,25 +87,30 @@ def groupoid_from_json(doc: Mapping) -> FiniteGroupoid:
 
 def groupoid_to_json(g: FiniteGroupoid) -> dict:
     names = {x: str(x) for x in g.objects}
-    names.update({a: str(a) for a in g.arrows})
+    names.update({a: str(a) for a in g.morphisms})
     if len(set(names.values())) != len(names):
         raise SchemaError("ids do not stringify injectively")
     return {
         "objects": [names[x] for x in g.objects],
         "arrows": [{"id": names[a], "src": names[g.src[a]], "tgt": names[g.tgt[a]]}
-                   for a in g.arrows],
+                   for a in g.morphisms],
         "comp": [[names[a], names[b], names[c]] for (a, b), c in sorted(
             g.comp.items(), key=lambda kv: (str(kv[0][0]), str(kv[0][1])))],
         "id": {names[x]: names[g.ident[x]] for x in g.objects},
-        "inv": {names[a]: names[g.inv[a]] for a in g.arrows},
+        "inv": {names[a]: names[g.inv[a]] for a in g.morphisms},
     }
 
 
-def groupoid_functor_from_json(doc: Mapping) -> GroupoidFunctor:
+def groupoid_functor_tables(doc: Mapping) -> tuple:
+    """The object and arrow tables of a groupoid functor document."""
+    return (_id_table(_require(doc, "objects", dict), "objects"),
+            _id_table(_require(doc, "arrows", dict), "arrows"))
+
+
+def groupoid_functor_from_json(doc: Mapping) -> CatFunctor:
     source = groupoid_from_json(_require(doc, "source", dict))
     target = groupoid_from_json(_require(doc, "target", dict))
-    return functor(source, target, _id_table(_require(doc, "objects", dict), "objects"),
-                   _id_table(_require(doc, "arrows", dict), "arrows"))
+    return functor(source, target, *groupoid_functor_tables(doc))
 
 
 def cocycle_from_json(doc: Mapping, target: FiniteGroupoid) -> Cocycle:
@@ -156,8 +161,8 @@ def category_from_json(doc: Mapping) -> FiniteCategory:
 
 
 def cat_functor_from_json(doc: Mapping, source: FiniteCategory, target: FiniteCategory) -> CatFunctor:
-    return cat_functor(source, target, _id_table(_require(doc, "objects", dict), "objects"),
-                       _id_table(_require(doc, "morphisms", dict), "morphisms"))
+    return functor(source, target, _id_table(_require(doc, "objects", dict), "objects"),
+                   _id_table(_require(doc, "morphisms", dict), "morphisms"))
 
 
 def morphism_class_from_json(doc: Mapping, cat: FiniteCategory) -> MorphismClass:
@@ -185,6 +190,11 @@ def fiber_from_json(doc: Mapping) -> FinSetFiber:
             raise SchemaError(f"fiber set {name!r} must be a list")
         if any(isinstance(x, (list, dict)) for x in elems):
             raise SchemaError(f"fiber set {name!r} has an unhashable element")
+        seen: set = set()
+        for x in elems:
+            if x in seen:
+                raise SchemaError(f"fiber set {name!r} repeats the element {x!r}")
+            seen.add(x)
     return make_fiber(doc)
 
 

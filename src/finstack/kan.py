@@ -17,7 +17,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Mapping
 
-from .category import CatFunctor, FiniteCategory, comma_category
+from .category import CatFunctor, FiniteCategory, comma_category, idkey, sorted_ids
 from .errors import (
     AxiomViolation,
     DanglingId,
@@ -25,13 +25,7 @@ from .errors import (
     NotFComplete,
     NotFunctorial,
 )
-from .groupoid import (
-    GroupoidFunctor,
-    fiber_product_2_projections,
-    functor,
-    idkey,
-    sorted_ids,
-)
+from .groupoid import fiber_product_2_projections
 
 
 @dataclass(frozen=True)
@@ -622,7 +616,7 @@ class GroupoidDiagram:
 
     shape: FiniteCategory
     nodes: dict   # shape object -> FiniteGroupoid
-    arrows: dict  # shape morphism -> GroupoidFunctor
+    arrows: dict  # shape morphism -> CatFunctor
 
 
 def groupoid_diagram(shape: FiniteCategory, nodes: Mapping, arrows: Mapping) -> GroupoidDiagram:
@@ -638,11 +632,11 @@ def groupoid_diagram(shape: FiniteCategory, nodes: Mapping, arrows: Mapping) -> 
     for x in shape.objects:
         gid = arrows[shape.ident[x]]
         g = nodes[x]
-        if gid.obj_map != {o: o for o in g.objects} or gid.arr_map != {a: a for a in g.arrows}:
+        if gid.obj_map != {o: o for o in g.objects} or gid.mor_map != {a: a for a in g.morphisms}:
             raise NotFunctorial(("identity", x))
     for (m1, m2), m12 in shape.comp.items():
         composed = arrows[m1].then(arrows[m2])
-        if composed.obj_map != arrows[m12].obj_map or composed.arr_map != arrows[m12].arr_map:
+        if composed.obj_map != arrows[m12].obj_map or composed.mor_map != arrows[m12].mor_map:
             raise NotFunctorial(("composition", m1, m2))
     return GroupoidDiagram(shape=shape, nodes=dict(nodes), arrows=dict(arrows))
 
@@ -653,17 +647,18 @@ class SpecialDiagram:
 
     star: object
     pulled: GroupoidDiagram      # d -> X_d
-    to_base: dict                # d -> GroupoidFunctor X_d -> P(d)
-    to_cover: dict               # d -> GroupoidFunctor X_d -> X_star
+    to_base: dict                # d -> CatFunctor X_d -> P(d)
+    to_cover: dict               # d -> CatFunctor X_d -> X_star
 
 
-def diagram_special(diagram: GroupoidDiagram, cover: GroupoidFunctor) -> SpecialDiagram:
+def diagram_special(diagram: GroupoidDiagram, cover: CatFunctor) -> SpecialDiagram:
     """Base extend a cover of the final node along every structure map.
 
     Each X_d is the iso-comma fiber product of P(d) -> P(star) with the
     cover; shape morphisms act on the first coordinate only, so arrow-level
     properties of P that are stable under base change transfer to the pulled
-    diagram.
+    diagram.  The pulled functors and diagram are functorial by construction
+    when the input diagram is, so they are built without a second check.
     """
     shape = diagram.shape
     star = shape.final_object()
@@ -684,10 +679,10 @@ def diagram_special(diagram: GroupoidDiagram, cover: GroupoidFunctor) -> Special
     for m in shape.morphisms:
         a, b = shape.src[m], shape.tgt[m]
         pf = diagram.arrows[m]
-        arrows[m] = functor(
+        arrows[m] = CatFunctor(
             nodes[a], nodes[b],
             {(g, h, k): (pf.obj_map[g], h, k) for (g, h, k) in nodes[a].objects},
-            {(ar, br, k): (pf.arr_map[ar], br, k) for (ar, br, k) in nodes[a].arrows},
+            {(ar, br, k): (pf.mor_map[ar], br, k) for (ar, br, k) in nodes[a].morphisms},
         )
-    pulled = groupoid_diagram(shape, nodes, arrows)
+    pulled = GroupoidDiagram(shape=shape, nodes=nodes, arrows=arrows)
     return SpecialDiagram(star=star, pulled=pulled, to_base=to_base, to_cover=to_cover)

@@ -13,7 +13,8 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import LevelInactive, NonFreeAction, NotSameOrbit
-from .groupoid import FiniteGroupoid, idkey
+from .category import idkey
+from .groupoid import FiniteGroupoid
 from .homology import ChainComplex, boundary_column, zero_matrix
 
 
@@ -64,7 +65,7 @@ def milnor_E(g: FiniteGroupoid, levels: int) -> JoinComplex:
     for k in range(levels + 1):
         found = []
         for x in g.objects:
-            outgoing = g.arrows_from(x)
+            outgoing = g.morphisms_from(x)
             if not outgoing:
                 continue
             for level_choice in itertools.combinations(range(levels + 1), k + 1):
@@ -92,7 +93,7 @@ def milnor_B(g: FiniteGroupoid, levels: int) -> MilnorBComplex:
             if simplex in orbit_k:
                 continue
             x = total.common_source(simplex)
-            members = [translate(g, gamma, simplex) for gamma in g.arrows_into(x)]
+            members = [translate(g, gamma, simplex) for gamma in g.morphisms_into(x)]
             if len(set(members)) != len(members):
                 raise NonFreeAction(simplex)
             rep = min(members, key=idkey)

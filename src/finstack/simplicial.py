@@ -4,7 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .groupoid import FiniteGroupoid, idkey
+from .category import idkey
+from .groupoid import FiniteGroupoid
 
 
 @dataclass(frozen=True)
@@ -105,7 +106,7 @@ def nerve(g: FiniteGroupoid, cap: int) -> TruncatedSimplicialSet:
     for n in range(1, cap + 1):
         strings = []
         for prefix in simplices[n - 1] if n > 1 else [()]:
-            start_options = g.arrows_from(g.tgt[prefix[-1]]) if n > 1 else g.arrows
+            start_options = g.morphisms_from(g.tgt[prefix[-1]]) if n > 1 else g.morphisms
             for a in start_options:
                 strings.append(prefix + (a,))
         strings.sort(key=idkey)

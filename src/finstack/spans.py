@@ -11,9 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from .category import FiniteCategory
+from .category import FiniteCategory, idkey, partition, sorted_ids
 from .errors import HypothesisFails, InvalidClass, OracleMissing, UnknownObject
-from .groupoid import idkey, sorted_ids
 
 
 @dataclass(frozen=True)
@@ -149,27 +148,9 @@ def span_pi0(rcls: MorphismClass, x, y) -> SpanClasses:
         if obj not in cat.objects:
             raise UnknownObject(obj)
     spans = all_spans(rcls, x, y)
-    position = {s: i for i, s in enumerate(spans)}
-    parent = list(range(len(spans)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for s1 in spans:
-        for s2 in spans:
-            if s1 is s2:
-                continue
-            if span_morphisms(cat, s1, s2):
-                r1, r2 = find(position[s1]), find(position[s2])
-                if r1 != r2:
-                    parent[max(r1, r2)] = min(r1, r2)
-    buckets: dict = {}
-    for s in spans:
-        buckets.setdefault(find(position[s]), []).append(s)
-    classes = sorted((tuple(sorted(v, key=Span.key)) for v in buckets.values()),
+    linked = ((s1, s2) for s1 in spans for s2 in spans
+              if s1 is not s2 and span_morphisms(cat, s1, s2))
+    classes = sorted((tuple(sorted(c, key=Span.key)) for c in partition(spans, linked)),
                      key=lambda c: c[0].key())
     return SpanClasses(source=x, target=y, classes=tuple(classes))
 
@@ -212,25 +193,9 @@ def r_homotopy_classes(rcls: MorphismClass, x, y) -> tuple:
     """Hom(x, y) modulo the equivalence generated by one-step homotopies."""
     cat = rcls.category
     homs = cat.hom(x, y)
-    position = {m: i for i, m in enumerate(homs)}
-    parent = list(range(len(homs)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for f in homs:
-        for f2 in homs:
-            if idkey(f) < idkey(f2) and r_homotopic(rcls, f, f2):
-                r1, r2 = find(position[f]), find(position[f2])
-                if r1 != r2:
-                    parent[max(r1, r2)] = min(r1, r2)
-    buckets: dict = {}
-    for m in homs:
-        buckets.setdefault(find(position[m]), []).append(m)
-    return tuple(sorted((tuple(sorted(v, key=idkey)) for v in buckets.values()),
+    linked = ((f, f2) for f in homs for f2 in homs
+              if idkey(f) < idkey(f2) and r_homotopic(rcls, f, f2))
+    return tuple(sorted((tuple(sorted(c, key=idkey)) for c in partition(homs, linked)),
                         key=lambda c: idkey(c[0])))
 
 

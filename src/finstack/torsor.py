@@ -17,7 +17,8 @@ from .errors import (
     MismatchedTarget,
     TorsorViolation,
 )
-from .groupoid import FiniteGroupoid, idkey, sorted_ids
+from .category import idkey, partition, sorted_ids
+from .groupoid import FiniteGroupoid
 
 DEFAULT_SEARCH_BUDGET = 200_000
 
@@ -71,7 +72,7 @@ class Cocycle:
 def validate_cocycle(cov: CoveredSpace, target: FiniteGroupoid, a: dict, gamma: dict) -> Cocycle:
     """Check the source/target condition and the multiplication law pointwise."""
     indices = cov.indices()
-    objects, arrows = set(target.objects), set(target.arrows)
+    objects, arrows = set(target.objects), set(target.morphisms)
     for i in indices:
         table = a.get(i)
         if table is None or set(table) != cov.cover[i]:
@@ -140,7 +141,7 @@ def validate_torsor(t: Torsor) -> Torsor:
                 for w2 in fiber:
                     if g.compose(t.delta[(u, v)], t.delta[(v, w2)]) != t.delta[(u, w2)]:
                         raise TorsorViolation("pairing-composition", (u, v, w2))
-            for rho in g.arrows_from(t.f[u]):
+            for rho in g.morphisms_from(t.f[u]):
                 matches = [v for v in fiber if t.delta[(u, v)] == rho]
                 if len(matches) != 1:
                     raise TorsorViolation("cartesianness", (u, rho, matches))
@@ -159,34 +160,17 @@ def cocycle_to_torsor(c: Cocycle) -> Torsor:
     chart_points = [(i, w, alpha)
                     for i in indices
                     for w in sorted_ids(c.cov.cover[i])
-                    for alpha in g.arrows_from(c.a[i][w])]
-    parent = {pt: pt for pt in chart_points}
-
-    def find(pt):
-        while parent[pt] != pt:
-            parent[pt] = parent[parent[pt]]
-            pt = parent[pt]
-        return pt
-
-    def union(p1, p2):
-        r1, r2 = find(p1), find(p2)
-        if r1 != r2:
-            parent[max(r1, r2, key=idkey)] = min(r1, r2, key=idkey)
-
-    for i, w, alpha in chart_points:
-        for j in indices:
-            if w in c.cov.cover[j]:
-                beta = g.compose(g.inv[c.gamma[(i, j)][w]], alpha)
-                union((i, w, alpha), (j, w, beta))
-
-    members: dict = {}
-    for pt in chart_points:
-        members.setdefault(find(pt), []).append(pt)
-    elements = sorted_ids(members)
+                    for alpha in g.morphisms_from(c.a[i][w])]
+    glued = (((i, w, alpha), (j, w, g.compose(g.inv[c.gamma[(i, j)][w]], alpha)))
+             for i, w, alpha in chart_points for j in indices if w in c.cov.cover[j])
+    rep_of = {}
     chart_arrow = {}
-    for rep, pts in members.items():
+    for pts in partition(chart_points, glued):
+        rep = min(pts, key=idkey)
         for i, w, alpha in pts:
+            rep_of[(i, w, alpha)] = rep
             chart_arrow[(rep, i)] = alpha
+    elements = sorted_ids(set(rep_of.values()))
 
     p = {rep: rep[1] for rep in elements}
     f = {rep: g.tgt[chart_arrow[(rep, rep[0])]] for rep in elements}
@@ -197,7 +181,7 @@ def cocycle_to_torsor(c: Cocycle) -> Torsor:
             i = u[0]
             for v in fiber:
                 delta[(u, v)] = g.compose(g.inv[chart_arrow[(u, i)]], chart_arrow[(v, i)])
-    sections = {i: {w: find((i, w, g.ident[c.a[i][w]])) for w in c.cov.cover[i]}
+    sections = {i: {w: rep_of[(i, w, g.ident[c.a[i][w]])] for w in c.cov.cover[i]}
                 for i in indices}
     return validate_torsor(Torsor(cov=c.cov, target=g, elements=elements,
                                   p=p, f=f, delta=delta, sections=sections))

@@ -18,7 +18,7 @@ from finstack.homology import HomologyGroup, smith_normal_form, zero_matrix
 def bar_boundaries(group: FiniteGroupoid, top: int) -> tuple[dict, dict]:
     """(basis, boundary): generators per degree and the dense d_n for 1 <= n <= top."""
     unit = group.ident[group.objects[0]]
-    letters = [g for g in group.arrows if g != unit]
+    letters = [g for g in group.morphisms if g != unit]
     basis = {0: ((),)}
     for n in range(1, top + 1):
         basis[n] = tuple(itertools.product(letters, repeat=n))

@@ -11,7 +11,7 @@ import itertools
 import math
 
 from finstack.errors import BudgetExceeded
-from finstack.groupoid import sorted_ids
+from finstack.category import sorted_ids
 from finstack.torsor import (
     DEFAULT_SEARCH_BUDGET,
     Cocycle,

@@ -3,8 +3,7 @@
 from __future__ import annotations
 
 import finstack as fs
-from finstack.category import validate_category
-from finstack.groupoid import sorted_ids
+from finstack.category import sorted_ids, validate_category
 
 
 def z2():
@@ -36,7 +35,7 @@ def swap_action():
 def self_action(group=None):
     """A finite group acting on itself by right translation."""
     g = group or z2()
-    return fs.action_groupoid(list(g.arrows), g, lambda x, k: g.compose(x, k))
+    return fs.action_groupoid(list(g.morphisms), g, lambda x, k: g.compose(x, k))
 
 
 def groupoid_zoo():

@@ -179,14 +179,14 @@ def test_criterion_9_kan_adjunction():
     ok = ok and sorted(rf.cones["s"].cones) == [tuple(c) for c in brute]
 
     # instance 2: extension along the identity
-    from finstack.category import cat_functor, chain_category, discrete_category
+    from finstack.category import functor, chain_category, discrete_category
     d_cat = f.target
     q_lift = fs.lift(ic, d_cat, p, {"s": "s2", "u": "s1", "v": "r2"},
                      {"is": fib.identity("s2"), "iu": fib.identity("s1"),
                       "iv": fib.identity("r2"),
                       "mu": fs.fib_mor("s2", "s1", {"x": "a", "y": "a"}),
                       "mv": fs.fib_mor("s2", "r2", {"x": "p", "y": "q"})})
-    ident = fs.identity_cat_functor(d_cat)
+    ident = fs.identity_functor(d_cat)
     rf2 = fs.right_kan(ic, ident, p, q_lift)
     ok = ok and fs.adjunction_check(ic, ident, p, q_lift, q_lift, rf2).bijective
 
@@ -202,8 +202,8 @@ def test_criterion_9_kan_adjunction():
                                                   {"n1": {"z": "a"}, "n2": {"u": "c", "v": "d"}})})
     d3 = chain_category(1)
     e3 = discrete_category(["e"])
-    f3 = cat_functor(e3, d3, {"e": 1}, {("id", "e"): (1, 1)})
-    p3 = cat_functor(d3, base, {0: 0, 1: 1}, {m: m for m in d3.morphisms})
+    f3 = functor(e3, d3, {"e": 1}, {("id", "e"): (1, 1)})
+    p3 = functor(d3, base, {0: 0, 1: 1}, {m: m for m in d3.morphisms})
     lift3 = fs.lift(ic3, e3, f3.then(p3), {"e": "n2"}, {("id", "e"): fib1.identity("n2")})
     rf3 = fs.right_kan(ic3, f3, p3, lift3)
     ok = ok and fs.adjunction_check(ic3, f3, p3, lift3, rf3.lift, rf3).bijective
@@ -214,7 +214,7 @@ def test_criterion_9_kan_adjunction():
         {(0, 0): identity_pullback(fib1), (1, 1): identity_pullback(fib1),
          (0, 1): constant_pullback(fib1, fib1, "n2")})
     e4 = discrete_category(["e1", "e2"])
-    f4 = cat_functor(e4, d3, {"e1": 1, "e2": 1},
+    f4 = functor(e4, d3, {"e1": 1, "e2": 1},
                      {("id", "e1"): (1, 1), ("id", "e2"): (1, 1)})
     lift4 = fs.lift(ic4, e4, f4.then(p3), {"e1": "n1", "e2": "n1"},
                     {("id", "e1"): fib1.identity("n1"), ("id", "e2"): fib1.identity("n1")})

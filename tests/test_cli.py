@@ -336,9 +336,8 @@ def test_kan_cli_relabel_and_equalizer(capsys, tmp_path, docs, rf_lines):
     assert "[PASS] adjunction-bijection" in out
 
 
-def test_diagram_special_cli(capsys, tmp_path):
-    g = z2()
-    point = fs.point_groupoid()
+def diagram_special_docs():
+    """The arrow 0 -> 1 sent to pt -> Z/2, with the cover pt -> Z/2."""
     shape_doc = {
         "objects": ["0", "1"],
         "morphisms": [{"id": "i0", "src": "0", "tgt": "0"},
@@ -348,8 +347,8 @@ def test_diagram_special_cli(capsys, tmp_path):
                  ["i0", "f", "f"], ["f", "i1", "f"]],
         "id": {"0": "i0", "1": "i1"},
     }
-    pt_doc = jio.groupoid_to_json(point)
-    g_doc = jio.groupoid_to_json(g)
+    pt_doc = jio.groupoid_to_json(fs.point_groupoid())
+    g_doc = jio.groupoid_to_json(z2())
     diagram_doc = {
         "shape": shape_doc,
         "nodes": {"0": pt_doc, "1": g_doc},
@@ -364,15 +363,35 @@ def test_diagram_special_cli(capsys, tmp_path):
         "objects": {"pt": "*"},
         "arrows": {"('pt', 'pt')": "0"},
     }
-    dpath = tmp_path / "diagram.json"
-    cpath = tmp_path / "cover.json"
-    dpath.write_text(json.dumps(diagram_doc))
-    cpath.write_text(json.dumps(cover_doc))
-    code, out = run_cli(capsys, ["diagram-special", "--diagram", str(dpath),
-                                 "--cover", str(cpath)])
+    return {"diagram": diagram_doc, "cover": cover_doc}
+
+
+def diagram_special_argv(tmp_path, docs):
+    argv = ["diagram-special"]
+    for name in ("diagram", "cover"):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(docs[name]))
+        argv += [f"--{name}", str(path)]
+    return argv
+
+
+def test_diagram_special_cli(capsys, tmp_path):
+    code, out = run_cli(capsys, diagram_special_argv(tmp_path, diagram_special_docs()))
     assert code == 0
     assert "[PASS] transformation-natural" in out
     assert "pulled node 0: 2 objects" in out
+
+
+@pytest.mark.parametrize("edit", [
+    lambda doc: doc["arrows"].update({"g": doc["arrows"]["f"]}),  # not a shape morphism
+    lambda doc: doc.update({"arrows": "f"}),                        # arrows as a string
+    lambda doc: doc["arrows"].update({"f": "f"}),                   # entry as a string
+    lambda doc: doc.update({"nodes": ["0", "1"]}),                  # nodes as a list
+], ids=["unknown-morphism", "arrows-string", "entry-string", "nodes-list"])
+def test_diagram_special_malformed_diagram_exit_2(capsys, tmp_path, edit):
+    docs = diagram_special_docs()
+    edit(docs["diagram"])
+    assert_input_error(capsys, diagram_special_argv(tmp_path, docs))
 
 
 def test_morita_check_cli(capsys, tmp_path, pair_file):
@@ -541,3 +560,10 @@ def test_morita_functor_list_id_exit_2(capsys, tmp_path):
     path = tmp_path / "functor.json"
     path.write_text(json.dumps(doc))
     assert_input_error(capsys, ["morita-check", "--functor", str(path)])
+
+
+def test_kan_fiber_set_repeated_element_exit_2(capsys, tmp_path):
+    docs = kan_product_docs()
+    docs["fibers"]["fibers"]["*"]["s2"] = ["x", "x", "y"]
+    assert main(kan_argv(tmp_path, docs)) == 2
+    assert "error: fiber set 's2' repeats the element 'x'" in capsys.readouterr().err

@@ -16,7 +16,7 @@ def test_z2_valid():
         {("e", "e"): "e", ("e", "g"): "g", ("g", "e"): "g", ("g", "g"): "e"},
         {"*": "e"}, {"e": "e", "g": "g"},
     )
-    assert len(g.arrows) == 2
+    assert len(g.morphisms) == 2
     assert g.compose("g", "g") == "e"
 
 
@@ -40,7 +40,7 @@ def test_missing_comp_entry_rejected():
 
 def test_pair_groupoid_hom_sets_singletons():
     g = pair2()
-    assert len(g.objects) == 2 and len(g.arrows) == 4
+    assert len(g.objects) == 2 and len(g.morphisms) == 4
     for x in g.objects:
         for y in g.objects:
             assert len(g.hom(x, y)) == 1
@@ -48,10 +48,10 @@ def test_pair_groupoid_hom_sets_singletons():
 
 @pytest.mark.parametrize("name,g", groupoid_zoo())
 def test_associativity_exhaustive(name, g):
-    for a, b in itertools.product(g.arrows, repeat=2):
+    for a, b in itertools.product(g.morphisms, repeat=2):
         if g.tgt[a] != g.src[b]:
             continue
-        for c in g.arrows:
+        for c in g.morphisms:
             if g.tgt[b] != g.src[c]:
                 continue
             assert g.compose(g.compose(a, b), c) == g.compose(a, g.compose(b, c))
@@ -59,15 +59,15 @@ def test_associativity_exhaustive(name, g):
 
 def test_action_groupoid_trivial_base():
     g = fs.action_groupoid(["*"], z2(), lambda x, k: x)
-    assert len(g.objects) == 1 and len(g.arrows) == 2
+    assert len(g.objects) == 1 and len(g.morphisms) == 2
 
 
 def test_action_groupoid_swap():
     g = swap_action()
-    assert len(g.objects) == 2 and len(g.arrows) == 4
+    assert len(g.objects) == 2 and len(g.morphisms) == 4
     assert len(fs.pi0(g)) == 1
     for x in g.objects:
-        assert len(fs.vertex_group(g, x).arrows) == 1
+        assert len(fs.vertex_group(g, x).morphisms) == 1
 
 
 def test_action_groupoid_rejects_non_action():
@@ -80,13 +80,13 @@ def test_free_action_has_trivial_isotropy():
     g = self_action(z3())
     assert len(fs.pi0(g)) == 1
     for x in g.objects:
-        assert len(fs.vertex_group(g, x).arrows) == 1
+        assert len(fs.vertex_group(g, x).morphisms) == 1
 
 
 def test_fiber_product_strict_diagonal():
     g = z2()
     d = fs.fiber_product_strict(fs.identity_functor(g), fs.identity_functor(g))
-    assert len(d.objects) == 1 and len(d.arrows) == 2
+    assert len(d.objects) == 1 and len(d.morphisms) == 2
 
 
 def test_fiber_product_strict_point():
@@ -99,7 +99,7 @@ def test_fiber_product_strict_point():
 def test_fiber_product_strict_disjoint_inclusions_empty():
     g = pair2()
     d = fs.fiber_product_strict(point_inclusion(g, 1), point_inclusion(g, 2))
-    assert d.objects == () and d.arrows == ()
+    assert d.objects == () and d.morphisms == ()
 
 
 def test_fiber_product_strict_mismatched_target():
@@ -112,7 +112,7 @@ def test_fiber_product_2_point_over_group():
     incl = point_inclusion(g, "*")
     d = fs.fiber_product_2(incl, incl)
     assert len(d.objects) == 2
-    assert all(d.is_identity(a) for a in d.arrows)
+    assert all(d.is_identity(a) for a in d.morphisms)
 
 
 def test_fiber_product_2_identity_legs_equivalent_to_base():
@@ -162,8 +162,8 @@ def test_pi0_examples():
 
 def test_vertex_group_examples():
     g = pair2()
-    assert len(fs.vertex_group(g, 1).arrows) == 1
-    assert len(fs.vertex_group(z3(), "*").arrows) == 3
+    assert len(fs.vertex_group(g, 1).morphisms) == 1
+    assert len(fs.vertex_group(z3(), "*").morphisms) == 3
     with pytest.raises(UnknownObject):
         fs.vertex_group(g, 99)
 

@@ -5,7 +5,7 @@ import itertools
 import pytest
 
 import finstack as fs
-from finstack.category import cat_functor, chain_category, discrete_category, validate_category
+from finstack.category import functor, chain_category, discrete_category, validate_category
 from finstack.errors import NoFinalObject, NotALimit, NotFComplete, NotFunctorial
 from finstack.kan import (
     LimitCandidate,
@@ -41,12 +41,12 @@ def product_instance():
     """Discrete E into a span: the extension at the apex is a binary product."""
     d_cat = span_category()
     e_cat = discrete_category(["e1", "e2"])
-    f = cat_functor(e_cat, d_cat, {"e1": "u", "e2": "v"},
+    f = functor(e_cat, d_cat, {"e1": "u", "e2": "v"},
                     {("id", "e1"): "iu", ("id", "e2"): "iv"})
     base = point_base()
     ic = fs.trivial_indexed_category(base, {"s1": ["a"], "s2": ["x", "y"],
                                             "r2": ["p", "q"], "s4": [0, 1, 2, 3]})
-    p = cat_functor(d_cat, base, {d: "*" for d in d_cat.objects},
+    p = functor(d_cat, base, {d: "*" for d in d_cat.objects},
                     {m: ("id", "*") for m in d_cat.morphisms})
     q = f.then(p)
     fib = ic.fiber("*")
@@ -58,7 +58,7 @@ def product_instance():
 def test_comma_discrete_e_is_discrete():
     d_cat = span_category()
     e_cat = discrete_category(["e1", "e2"])
-    f = cat_functor(e_cat, d_cat, {"e1": "u", "e2": "v"},
+    f = functor(e_cat, d_cat, {"e1": "u", "e2": "v"},
                     {("id", "e1"): "iu", ("id", "e2"): "iv"})
     comma = fs.comma_category("s", f)
     assert len(comma.objects) == 2
@@ -68,7 +68,7 @@ def test_comma_discrete_e_is_discrete():
 def test_comma_chain_example():
     d_cat = chain_category(1)
     e_cat = discrete_category(["e"])
-    f = cat_functor(e_cat, d_cat, {"e": 1}, {("id", "e"): (1, 1)})
+    f = functor(e_cat, d_cat, {"e": 1}, {("id", "e"): (1, 1)})
     comma = fs.comma_category(0, f)
     assert comma.objects == (("e", (0, 1)),)
 
@@ -76,7 +76,7 @@ def test_comma_chain_example():
 def test_comma_empty_e():
     d_cat = chain_category(1)
     e_cat = discrete_category([])
-    f = cat_functor(e_cat, d_cat, {}, {})
+    f = functor(e_cat, d_cat, {}, {})
     assert fs.comma_category(0, f).objects == ()
 
 
@@ -213,7 +213,7 @@ def test_right_kan_along_identity_is_isomorphic_to_input():
                       "iv": fib.identity("r2"),
                       "mu": fs.fib_mor("s2", "s1", {"x": "a", "y": "a"}),
                       "mv": fs.fib_mor("s2", "r2", {"x": "p", "y": "q"})})
-    ident = fs.identity_cat_functor(d_cat)
+    ident = fs.identity_functor(d_cat)
     rf = fs.right_kan(ic, ident, p, q_lift)
     for d in d_cat.objects:
         assert len(fib.elems(rf.lift.objects[d])) == len(fib.elems(q_lift.objects[d]))
@@ -234,9 +234,9 @@ def relabel_instance():
                               (0, 1): pull01})
     d_cat = chain_category(1)
     e_cat = discrete_category(["e"])
-    f = cat_functor(e_cat, d_cat, {"e": 1}, {("id", "e"): (1, 1)})
+    f = functor(e_cat, d_cat, {"e": 1}, {("id", "e"): (1, 1)})
     # base equals the shape here, so the anchor is the identity
-    p_to_base = cat_functor(d_cat, base, {0: 0, 1: 1}, {m: m for m in d_cat.morphisms})
+    p_to_base = functor(d_cat, base, {0: 0, 1: 1}, {m: m for m in d_cat.morphisms})
     q = f.then(p_to_base)
     p_lift = fs.lift(ic, e_cat, q, {"e": "n2"}, {("id", "e"): fib1.identity("n2")})
     return ic, f, p_to_base, p_lift
@@ -260,9 +260,9 @@ def test_right_kan_not_complete_raises():
                              {(0, 0): ident, (1, 1): ident, (0, 1): const2})
     d_cat = chain_category(1)
     e_cat = discrete_category(["e1", "e2"])
-    f = cat_functor(e_cat, d_cat, {"e1": 1, "e2": 1},
+    f = functor(e_cat, d_cat, {"e1": 1, "e2": 1},
                     {("id", "e1"): (1, 1), ("id", "e2"): (1, 1)})
-    p_to_base = cat_functor(d_cat, base, {0: 0, 1: 1}, {m: m for m in d_cat.morphisms})
+    p_to_base = functor(d_cat, base, {0: 0, 1: 1}, {m: m for m in d_cat.morphisms})
     q = f.then(p_to_base)
     p_lift = fs.lift(ic, e_cat, q, {"e1": "two", "e2": "two"},
                      {("id", "e1"): fib.identity("two"), ("id", "e2"): fib.identity("two")})
@@ -336,20 +336,20 @@ def test_diagram_special_fiber_of_atlas():
         shape, {0: point, 1: g},
         {(0, 0): fs.identity_functor(point), (1, 1): fs.identity_functor(g), (0, 1): incl})
     atlas = fs.action_groupoid([0, 1], g, lambda x, k: (x + k) % 2)
-    cover = fs.functor(atlas, g, {0: "*", 1: "*"}, {a: a[1] for a in atlas.arrows})
+    cover = fs.functor(atlas, g, {0: "*", 1: "*"}, {a: a[1] for a in atlas.morphisms})
     sd = fs.diagram_special(diagram, cover)
     fiber = sd.pulled.nodes[0]
     assert len(fs.pi0(fiber)) == 2
-    assert all(len(fs.vertex_group(fiber, x).arrows) == 1 for x in fiber.objects)
+    assert all(len(fs.vertex_group(fiber, x).morphisms) == 1 for x in fiber.objects)
     # transformation naturality on objects and arrows
     for m in shape.morphisms:
         a, b = shape.src[m], shape.tgt[m]
         for o in sd.pulled.nodes[a].objects:
             assert sd.to_base[b].obj_map[sd.pulled.arrows[m].obj_map[o]] == \
                 diagram.arrows[m].obj_map[sd.to_base[a].obj_map[o]]
-        for arr in sd.pulled.nodes[a].arrows:
-            assert sd.to_base[b].arr_map[sd.pulled.arrows[m].arr_map[arr]] == \
-                diagram.arrows[m].arr_map[sd.to_base[a].arr_map[arr]]
+        for arr in sd.pulled.nodes[a].morphisms:
+            assert sd.to_base[b].mor_map[sd.pulled.arrows[m].mor_map[arr]] == \
+                diagram.arrows[m].mor_map[sd.to_base[a].mor_map[arr]]
 
 
 def test_diagram_special_point_cover_discrete_fiber():
@@ -363,7 +363,7 @@ def test_diagram_special_point_cover_discrete_fiber():
     sd = fs.diagram_special(diagram, incl)
     fiber = sd.pulled.nodes[0]
     assert len(fiber.objects) == 2
-    assert all(fiber.is_identity(a) for a in fiber.arrows)
+    assert all(fiber.is_identity(a) for a in fiber.morphisms)
 
 
 def test_diagram_special_weak_equivalence_cover_pulls_back():
@@ -395,7 +395,7 @@ def test_diagram_special_injective_on_objects_label_stable():
         return len(set(values)) == len(values)
 
     atlas = fs.action_groupoid([0, 1], g, lambda x, k: (x + k) % 2)
-    cover = fs.functor(atlas, g, {0: "*", 1: "*"}, {a: a[1] for a in atlas.arrows})
+    cover = fs.functor(atlas, g, {0: "*", 1: "*"}, {a: a[1] for a in atlas.morphisms})
     sd = fs.diagram_special(diagram, cover)
     for m in shape.morphisms:
         if injective_on_objects(diagram.arrows[m]):
@@ -429,7 +429,7 @@ def test_completeness_survives_base_change():
     ic, f, p, p_lift = product_instance()
     old_base = ic.base
     new_base = chain_category(1)
-    to_old = cat_functor(new_base, old_base, {0: "*", 1: "*"},
+    to_old = functor(new_base, old_base, {0: "*", 1: "*"},
                          {m: ("id", "*") for m in new_base.morphisms})
     pulled_ic = fs.indexed_category(
         new_base,
@@ -437,7 +437,7 @@ def test_completeness_survives_base_change():
         {m: ic.pulls[to_old.mor_map[m]] for m in new_base.morphisms},
     )
     d_cat = f.target
-    p_prime = cat_functor(d_cat, new_base, {d: 1 for d in d_cat.objects},
+    p_prime = functor(d_cat, new_base, {d: 1 for d in d_cat.objects},
                           {m: (1, 1) for m in d_cat.morphisms})
     q_prime = f.then(p_prime)
     lift_prime = fs.lift(pulled_ic, f.source, q_prime, dict(p_lift.objects),

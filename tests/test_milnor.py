@@ -71,9 +71,9 @@ def test_orbits_are_free():
     for k, orbit_map in b.orbit.items():
         for simplex, rep in orbit_map.items():
             members = {translate(g, gamma, simplex)
-                       for gamma in g.arrows_into(b.total.common_source(simplex))}
+                       for gamma in g.morphisms_into(b.total.common_source(simplex))}
             assert rep in members
-            assert len(members) == len(g.arrows_into(b.total.common_source(simplex)))
+            assert len(members) == len(g.morphisms_into(b.total.common_source(simplex)))
 
 
 def test_section_normalizes_requested_level():

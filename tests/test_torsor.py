@@ -234,7 +234,7 @@ def gauge_cocycles(draw, group, points):
     for w in points:
         if not any(w in part for part in cover.values()):
             cover[draw(st.sampled_from(sorted(cover)))].add(w)
-    gauges = {(i, w): draw(st.sampled_from(group.arrows))
+    gauges = {(i, w): draw(st.sampled_from(group.morphisms))
               for i in sorted(cover) for w in sorted(cover[i])}
     return gauge_cocycle(group, cover, {w: "*" for w in points}, gauges)
 
