@@ -61,12 +61,6 @@ class EnumerationBudgetExceeded(FinstackError):
         super().__init__(f"coset enumeration exceeded budget of {budget} cosets")
 
 
-class NonFreeAction(FinstackError):
-    def __init__(self, witness: object):
-        self.witness = witness
-        super().__init__(f"diagonal action not free at {witness!r}")
-
-
 class LevelInactive(FinstackError):
     def __init__(self, level: int, simplex: object):
         self.level = level

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from .errors import EnumerationBudgetExceeded, InsufficientTruncation, UnknownBasepoint
 from .category import idkey
 from .groupoid import FiniteGroupoid, vertex_group
-from .homology import cokernel_invariants
+from .homology import invariant_factors
 from .simplicial import TruncatedSimplicialSet, nerve
 
 DEFAULT_COSET_BUDGET = 10_000
@@ -25,16 +25,14 @@ class GroupPresentation:
 
     def abelianization(self) -> tuple[int, tuple]:
         """(free rank, torsion) of the abelianized presented group."""
-        cols = []
+        columns = []
         for word in self.relations:
-            col = [0] * len(self.generators)
+            col: dict = {}
             for gen, sign in word:
-                col[gen] += sign
-            cols.append(col)
-        relations = [[col[i] for col in cols] for i in range(len(self.generators))]
-        if not cols:
-            relations = [[] for _ in range(len(self.generators))]
-        return cokernel_invariants(len(self.generators), relations)
+                col[gen] = col.get(gen, 0) + sign
+            columns.append(col)
+        factors = invariant_factors(columns)
+        return len(self.generators) - len(factors), tuple(d for d in factors if d > 1)
 
 
 def pi1_presentation(s: TruncatedSimplicialSet, basepoint) -> GroupPresentation:

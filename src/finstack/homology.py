@@ -3,10 +3,10 @@
 A boundary d_n is stored as one sparse column per basis element of C_n: a
 dict from row index (a basis element of C_{n-1}) to a nonzero coefficient.
 Homology reads ranks and torsion off the invariant factors of these columns
-(``invariant_factors``), with no transform matrices.  Dense matrices, lists
-of rows of Python ints, serve the transform path only: ``smith_normal_form``
-with both transforms, kernel bases, exact solves and induced maps.
-Arithmetic is arbitrary precision throughout.
+(``invariant_factors``).  Induced maps are tested on a Z-basis of the cycles
+from a sparse unimodular column reduction (``kernel_columns``).  No dense
+matrix and no transform Smith normal form is built.  Arithmetic is arbitrary
+precision throughout.
 """
 
 from __future__ import annotations
@@ -17,122 +17,6 @@ from math import gcd
 
 from .errors import InsufficientTruncation
 from .simplicial import TruncatedSimplicialSet
-
-Matrix = list
-
-
-def identity_matrix(n: int) -> Matrix:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def zero_matrix(rows: int, cols: int) -> Matrix:
-    return [[0] * cols for _ in range(rows)]
-
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    rows, inner = len(a), len(b)
-    cols = len(b[0]) if b else 0
-    out = zero_matrix(rows, cols)
-    for i in range(rows):
-        ai, oi = a[i], out[i]
-        for k in range(inner):
-            v = ai[k]
-            if v:
-                bk = b[k]
-                for j in range(cols):
-                    oi[j] += v * bk[j]
-    return out
-
-
-def smith_normal_form(m: Matrix) -> tuple[Matrix, Matrix, Matrix]:
-    """Return unimodular (U, V) and diagonal S with U*M*V = S and d1 | d2 | ...
-
-    Pivots are chosen by least absolute value over the remaining submatrix,
-    which keeps coefficient growth in check; diagonal entries come out
-    nonnegative in divisibility order.
-    """
-    s = [list(row) for row in m]
-    nrows = len(s)
-    ncols = len(s[0]) if nrows else 0
-    u = identity_matrix(nrows)
-    v = identity_matrix(ncols)
-
-    def swap_rows(i, j):
-        if i != j:
-            s[i], s[j] = s[j], s[i]
-            u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        if i != j:
-            for row in s:
-                row[i], row[j] = row[j], row[i]
-            for row in v:
-                row[i], row[j] = row[j], row[i]
-
-    def add_row(i, j, q):
-        # row_i += q * row_j
-        si, sj = s[i], s[j]
-        for c in range(ncols):
-            si[c] += q * sj[c]
-        ui, uj = u[i], u[j]
-        for c in range(nrows):
-            ui[c] += q * uj[c]
-
-    def add_col(i, j, q):
-        # col_i += q * col_j
-        for row in s:
-            row[i] += q * row[j]
-        for row in v:
-            row[i] += q * row[j]
-
-    def negate_row(i):
-        s[i] = [-x for x in s[i]]
-        u[i] = [-x for x in u[i]]
-
-    k = 0
-    limit = min(nrows, ncols)
-    while k < limit:
-        pivot = None
-        best = None
-        for i in range(k, nrows):
-            for j in range(k, ncols):
-                val = s[i][j]
-                if val and (best is None or abs(val) < best):
-                    pivot, best = (i, j), abs(val)
-        if pivot is None:
-            break
-        swap_rows(k, pivot[0])
-        swap_cols(k, pivot[1])
-
-        while True:
-            for i in range(k + 1, nrows):
-                if s[i][k]:
-                    add_row(i, k, -(s[i][k] // s[k][k]))
-            rest = [i for i in range(k + 1, nrows) if s[i][k]]
-            if rest:
-                swap_rows(k, min(rest, key=lambda i: abs(s[i][k])))
-                continue
-            for j in range(k + 1, ncols):
-                if s[k][j]:
-                    add_col(j, k, -(s[k][j] // s[k][k]))
-            rest = [j for j in range(k + 1, ncols) if s[k][j]]
-            if rest:
-                swap_cols(k, min(rest, key=lambda j: abs(s[k][j])))
-                continue
-
-            d = s[k][k]
-            offender = next((i for i in range(k + 1, nrows)
-                             for j in range(k + 1, ncols) if s[i][j] % d), None)
-            if offender is None:
-                break
-            add_row(k, offender, 1)
-
-        if s[k][k] < 0:
-            negate_row(k)
-        k += 1
-
-    return u, s, v
-
 
 def _add_column(cols: dict, rows: dict, k, j, q: int) -> None:
     """col_k += q * col_j, keeping the row index in step."""
@@ -236,12 +120,6 @@ def invariant_factors(columns) -> list:
     return [1] * ones + diagonal
 
 
-def sparse_columns(m: Matrix) -> list:
-    """The columns of a dense matrix as dicts {row index: nonzero entry}."""
-    ncols = len(m[0]) if m else 0
-    return [{i: row[j] for i, row in enumerate(m) if row[j]} for j in range(ncols)]
-
-
 def boundary_column(faces) -> dict:
     """The sparse boundary column of alternating face rows; ``None`` rows are dropped."""
     col: dict = {}
@@ -251,42 +129,62 @@ def boundary_column(faces) -> dict:
     return {r: v for r, v in col.items() if v}
 
 
-def kernel_basis(m: Matrix) -> Matrix:
-    """Columns forming a Z-basis of the integer kernel of ``m``."""
-    nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
-    if ncols == 0:
-        return [[] for _ in range(0)]
-    _, s, v = smith_normal_form(m)
-    free = [j for j in range(ncols) if j >= nrows or s[j][j] == 0]
-    return [[v[i][j] for j in free] for i in range(ncols)]
+def _combine(p: int, x: dict, q: int, y: dict) -> dict:
+    """The sparse vector p*x + q*y."""
+    out = {r: p * v for r, v in x.items()} if p else {}
+    if q:
+        for r, v in y.items():
+            w = out.get(r, 0) + q * v
+            if w:
+                out[r] = w
+            else:
+                del out[r]
+    return out
 
 
-def solve_columns(k: Matrix, b: Matrix) -> Matrix:
-    """Solve k * x = b exactly over the integers, column by column.
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, s, t) with g = gcd(a, b) = s*a + t*b and g > 0."""
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while b:
+        q, a, b = a // b, b, a % b
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    return (a, s0, t0) if a > 0 else (-a, -s0, -t0)
 
-    ``k`` must have linearly independent columns containing the columns of
-    ``b`` in their span; raises ValueError otherwise.
+
+def kernel_columns(columns) -> list:
+    """A Z-basis of the integer kernel of a sparse matrix, as sparse columns.
+
+    Columns are reduced left to right, each by the earlier column that owns
+    its lowest nonzero row, and the unimodular transform V is tracked as
+    sparse columns.  When the owner's entry a does not divide the entry b,
+    an extended-gcd pair replaces the two columns by s*owner + t*col (entry
+    gcd(a, b)) and (a/g)*col - (b/g)*owner (entry 0), a determinant-1 step.
+    Owned columns have distinct lowest rows, so they are independent; the V
+    columns of the columns that reduce to zero are therefore a Z-basis of
+    the kernel.
     """
-    ncols_k = len(k[0]) if k else 0
-    ncols_b = len(b[0]) if b else 0
-    if ncols_k == 0:
-        if any(any(row) for row in b):
-            raise ValueError("no solution: zero basis cannot reach nonzero column")
-        return [[0] * ncols_b for _ in range(0)]
-    u, s, v = smith_normal_form(k)
-    ub = mat_mul(u, b)
-    y = zero_matrix(ncols_k, ncols_b)
-    for i in range(len(ub)):
-        d = s[i][i] if i < ncols_k else 0
-        for j in range(ncols_b):
-            if i < ncols_k and d:
-                if ub[i][j] % d:
-                    raise ValueError("no integral solution")
-                y[i][j] = ub[i][j] // d
-            elif ub[i][j]:
-                raise ValueError("no solution")
-    return mat_mul(v, y)
+    owner: dict = {}  # lowest row -> (reduced column, its transform column)
+    kernel = []
+    for j, col in enumerate(columns):
+        col = {r: x for r, x in col.items() if x}
+        v = {j: 1}
+        while col:
+            r = max(col)
+            if r not in owner:
+                owner[r] = (col, v)
+                break
+            pcol, pv = owner[r]
+            a, b = pcol[r], col[r]
+            if b % a:
+                g, s, t = _xgcd(a, b)
+                owner[r] = (_combine(s, pcol, t, col), _combine(s, pv, t, v))
+                col, v = _combine(a // g, col, -(b // g), pcol), _combine(a // g, v, -(b // g), pv)
+            else:
+                col, v = _combine(1, col, -(b // a), pcol), _combine(1, v, -(b // a), pv)
+        else:
+            kernel.append(v)
+    return kernel
 
 
 @dataclass(frozen=True)
@@ -346,19 +244,6 @@ class ChainComplex:
             return []
         raise InsufficientTruncation(n - 1, self.top_degree)
 
-    def boundary_matrix(self, n: int) -> Matrix:
-        """The dense matrix of d_n, for the transform path.
-
-        d_0 is the zero map; it is returned with one row so the column count
-        (and hence the kernel) is well-defined.
-        """
-        columns = self.boundary_columns(n)
-        mat = zero_matrix(1 if n == 0 else self.dim(n - 1), len(columns))
-        for j, col in enumerate(columns):
-            for i, v in col.items():
-                mat[i][j] = v
-        return mat
-
     def check_dd_zero(self) -> bool:
         for n in range(2, self.top_degree + 1):
             lower = self.boundary[n - 1]
@@ -388,19 +273,15 @@ def chain_complex(s: TruncatedSimplicialSet) -> ChainComplex:
     return ChainComplex(basis=basis, boundary=boundary)
 
 
-def homology_presentation(cx: ChainComplex, n: int) -> tuple[Matrix, Matrix]:
-    """Return (K, X): kernel basis columns of d_n and relations with K*X = d_{n+1}."""
+def _homology(cx: ChainComplex, n: int) -> tuple[HomologyGroup, int]:
+    """H_n and the rank of the cycles Z_n = ker d_n."""
     if n < 0 or n > cx.top_degree:
         raise InsufficientTruncation(n, cx.top_degree)
-    k = kernel_basis(cx.boundary_matrix(n))
-    x = solve_columns(k, cx.boundary_matrix(n + 1))
-    return k, x
-
-
-def cokernel_invariants(rank: int, relations: Matrix) -> tuple[int, tuple]:
-    """Invariants of Z^rank / column-span(relations): (free rank, torsion)."""
-    factors = invariant_factors(sparse_columns(relations))
-    return rank - len(factors), tuple(d for d in factors if d > 1)
+    upper = invariant_factors(cx.boundary_columns(n + 1))
+    cycles = cx.dim(n) - len(invariant_factors(cx.boundary_columns(n)))
+    group = HomologyGroup(degree=n, free_rank=cycles - len(upper),
+                          torsion=tuple(d for d in upper if d > 1))
+    return group, cycles
 
 
 def homology(cx: ChainComplex, n: int) -> HomologyGroup:
@@ -409,12 +290,7 @@ def homology(cx: ChainComplex, n: int) -> HomologyGroup:
     The free rank is dim C_n - rank d_n - rank d_{n+1}; the torsion is the
     invariant factors of d_{n+1} greater than 1.
     """
-    if n < 0 or n > cx.top_degree:
-        raise InsufficientTruncation(n, cx.top_degree)
-    upper = invariant_factors(cx.boundary_columns(n + 1))
-    lower = invariant_factors(cx.boundary_columns(n))
-    return HomologyGroup(degree=n, free_rank=cx.dim(n) - len(lower) - len(upper),
-                         torsion=tuple(d for d in upper if d > 1))
+    return _homology(cx, n)[0]
 
 
 def homology_range(cx: ChainComplex, degrees) -> list[HomologyGroup]:
@@ -423,20 +299,26 @@ def homology_range(cx: ChainComplex, degrees) -> list[HomologyGroup]:
 
 def induced_map_is_isomorphism(cx1: ChainComplex, cx2: ChainComplex,
                                chain_map: dict, n: int) -> bool:
-    """Whether a chain map induces an isomorphism H_n(cx1) -> H_n(cx2).
+    """Whether a chain map f induces an isomorphism H_n(cx1) -> H_n(cx2).
 
-    ``chain_map[n]`` is the degree-n matrix (rows over cx2 basis, columns over
-    cx1 basis).  Uses that a surjection between isomorphic finitely generated
-    abelian groups is an isomorphism.
+    ``chain_map[n]`` holds one sparse column {cx2 row: coefficient} per basis
+    element of cx1 in degree n.  S = f(Z_n cx1) + B_n cx2 lies in Z_n cx2,
+    which is pure in the chains of cx2, so S = Z_n cx2 (H_n(f) is onto)
+    exactly when the columns [d_{n+1} | f(kernel basis)] have only unit
+    invariant factors and rank Z_n cx2 of them.  An onto map between
+    isomorphic finitely generated abelian groups is an isomorphism.
     """
-    k1, x1 = homology_presentation(cx1, n)
-    k2, x2 = homology_presentation(cx2, n)
-    k1_rank = len(k1[0]) if k1 else 0
-    k2_rank = len(k2[0]) if k2 else 0
-    if cokernel_invariants(k1_rank, x1) != cokernel_invariants(k2_rank, x2):
+    h1, _ = _homology(cx1, n)
+    h2, cycles = _homology(cx2, n)
+    if h1.pair() != h2.pair():
         return False
-    fk1 = mat_mul(chain_map[n], k1) if k1_rank else [[] for _ in range(cx2.dim(n))]
-    y = solve_columns(k2, fk1)
-    combined = [y[i] + x2[i] for i in range(k2_rank)]
-    factors = invariant_factors(sparse_columns(combined))
-    return len(factors) == k2_rank and all(d == 1 for d in factors)
+    f = chain_map[n]
+    images = []
+    for z in kernel_columns(cx1.boundary_columns(n)):
+        image: dict = {}
+        for i, c in z.items():
+            for r, a in f[i].items():
+                image[r] = image.get(r, 0) + c * a
+        images.append(image)
+    factors = invariant_factors(cx2.boundary_columns(n + 1) + images)
+    return len(factors) == cycles and all(d == 1 for d in factors)

@@ -4,7 +4,9 @@ The level-capped model keeps levels 0..N.  A k-simplex of the total complex
 is a sequence ((i_0, a_0), ..., (i_k, a_k)) with strictly increasing levels
 and all arrows sharing one source; continuous join coordinates are replaced
 by which levels are active.  The quotient complex divides by the free
-diagonal translation g . (i, a) = (i, compose(g, a)).
+diagonal translation g . (i, a) = (i, compose(g, a)).  It is built directly
+in section normal form: each orbit has exactly one member whose first arrow
+is an identity, so B never enumerates the total complex.
 """
 
 from __future__ import annotations
@@ -12,10 +14,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .errors import LevelInactive, NonFreeAction, NotSameOrbit
+from .errors import LevelInactive, NotSameOrbit
 from .category import idkey
 from .groupoid import FiniteGroupoid
-from .homology import ChainComplex, boundary_column, zero_matrix
+from .homology import ChainComplex, boundary_column
 
 
 def _delete(simplex: tuple, j: int) -> tuple:
@@ -42,16 +44,22 @@ class JoinComplex:
 
 @dataclass(frozen=True)
 class MilnorBComplex:
-    """Orbits of the total complex under diagonal translation, faces induced."""
+    """Orbits of the total complex under diagonal translation, faces induced.
+
+    Each orbit is stored as its section normal form: the member whose arrow
+    at the first active level is an identity.
+    """
 
     groupoid: FiniteGroupoid
     levels: int
     simplices: dict
-    orbit: dict
-    total: JoinComplex
 
     def face(self, k: int, j: int, rep: tuple) -> tuple:
-        return self.orbit[k - 1][_delete(rep, j)]
+        """Delete entry j; deleting entry 0 is renormalised by the new first arrow."""
+        if j:
+            return _delete(rep, j)
+        rest = rep[1:]
+        return translate(self.groupoid, self.groupoid.inv[rest[0][1]], rest)
 
     def count(self, k: int) -> int:
         return len(self.simplices.get(k, ()))
@@ -82,28 +90,25 @@ def translate(g: FiniteGroupoid, gamma, simplex: tuple) -> tuple:
 
 
 def milnor_B(g: FiniteGroupoid, levels: int) -> MilnorBComplex:
-    """Quotient by the diagonal action, with lexicographically least representatives."""
-    total = milnor_E(g, levels)
+    """Quotient by the diagonal action, one section normal form per orbit.
+
+    Translating a simplex by the inverse of its first arrow is the only way
+    to make that arrow an identity, so the k-simplices of B are a level
+    choice, an object y whose identity sits at the first level, and k
+    arrows out of y at the remaining levels.
+    """
+    if levels < 0:
+        raise ValueError("levels must be nonnegative")
     simplices: dict = {}
-    orbit: dict = {}
     for k in range(levels + 1):
-        orbit_k: dict = {}
-        reps = []
-        for simplex in total.simplices[k]:
-            if simplex in orbit_k:
-                continue
-            x = total.common_source(simplex)
-            members = [translate(g, gamma, simplex) for gamma in g.morphisms_into(x)]
-            if len(set(members)) != len(members):
-                raise NonFreeAction(simplex)
-            rep = min(members, key=idkey)
-            for member in members:
-                orbit_k[member] = rep
-            reps.append(rep)
-        reps.sort(key=idkey)
-        simplices[k] = tuple(reps)
-        orbit[k] = orbit_k
-    return MilnorBComplex(groupoid=g, levels=levels, simplices=simplices, orbit=orbit, total=total)
+        found = []
+        for y in g.objects:
+            first = (g.ident[y],)
+            tails = list(itertools.product(g.morphisms_from(y), repeat=k))
+            for level_choice in itertools.combinations(range(levels + 1), k + 1):
+                found.extend(tuple(zip(level_choice, first + tail)) for tail in tails)
+        simplices[k] = tuple(found)
+    return MilnorBComplex(groupoid=g, levels=levels, simplices=simplices)
 
 
 def milnor_section(b: MilnorBComplex, rep: tuple, level: int) -> tuple:
@@ -160,21 +165,16 @@ def chain_complex_B(b: MilnorBComplex) -> ChainComplex:
 
 
 def comparison_chain_map(b: MilnorBComplex, nerve_cx: ChainComplex) -> dict:
-    """Degreewise matrices of the orbit-to-nerve map into normalized nerve chains.
+    """The orbit-to-nerve map into normalized nerve chains, degree by degree.
 
-    Images that are degenerate nerve simplices are sent to zero.  Defined in
+    Degree k holds one sparse column {nerve row: 1} per simplex of B; images
+    that are degenerate nerve simplices give the zero column {}.  Defined in
     degrees 0..min(levels, nerve cap).
     """
     g = b.groupoid
-    top = min(b.levels, nerve_cx.top_degree)
     maps = {}
-    for k in range(top + 1):
+    for k in range(min(b.levels, nerve_cx.top_degree) + 1):
         rows = {x: i for i, x in enumerate(nerve_cx.basis[k])}
-        mat = zero_matrix(len(nerve_cx.basis[k]), len(b.simplices[k]))
-        for col, rep in enumerate(b.simplices[k]):
-            image = milnor_to_nerve(g, rep)
-            row = rows.get(image)
-            if row is not None:
-                mat[row][col] = 1
-        maps[k] = mat
+        images = (rows.get(milnor_to_nerve(g, rep)) for rep in b.simplices[k])
+        maps[k] = [{} if row is None else {row: 1} for row in images]
     return maps

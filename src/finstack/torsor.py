@@ -153,7 +153,8 @@ def cocycle_to_torsor(c: Cocycle) -> Torsor:
 
     Chart points (i, w, alpha) with src(alpha) = a_i(w) are identified when
     alpha = gamma_ij(w) . beta; the pairing of two classes compares their
-    arrows inside any common chart.
+    arrows inside any common chart.  The result satisfies every torsor law by
+    construction from a valid cocycle, so it is not validated again.
     """
     g = c.target
     indices = c.cov.indices()
@@ -183,18 +184,22 @@ def cocycle_to_torsor(c: Cocycle) -> Torsor:
                 delta[(u, v)] = g.compose(g.inv[chart_arrow[(u, i)]], chart_arrow[(v, i)])
     sections = {i: {w: rep_of[(i, w, g.ident[c.a[i][w]])] for w in c.cov.cover[i]}
                 for i in indices}
-    return validate_torsor(Torsor(cov=c.cov, target=g, elements=elements,
-                                  p=p, f=f, delta=delta, sections=sections))
+    return Torsor(cov=c.cov, target=g, elements=elements,
+                  p=p, f=f, delta=delta, sections=sections)
 
 
 def torsor_to_cocycle(t: Torsor) -> Cocycle:
-    """Read the descent data off the section witnesses."""
+    """Read the descent data off the section witnesses.
+
+    The pairing laws of a valid torsor give C1 and C2 directly, so the
+    cocycle is built without validating it again.
+    """
     indices = t.cov.indices()
     a = {i: {w: t.f[t.sections[i][w]] for w in t.cov.cover[i]} for i in indices}
     gamma = {(i, j): {w: t.delta[(t.sections[i][w], t.sections[j][w])]
                       for w in t.cov.overlap(i, j)}
              for i in indices for j in indices}
-    return validate_cocycle(t.cov, t.target, a, gamma)
+    return Cocycle(cov=t.cov, target=t.target, a=a, gamma=gamma)
 
 
 @dataclass(frozen=True)

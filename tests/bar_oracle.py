@@ -12,7 +12,8 @@ from __future__ import annotations
 import itertools
 
 from finstack.groupoid import FiniteGroupoid
-from finstack.homology import HomologyGroup, smith_normal_form, zero_matrix
+from finstack.homology import HomologyGroup
+from snf_oracle import smith_normal_form, zero_matrix
 
 
 def bar_boundaries(group: FiniteGroupoid, top: int) -> tuple[dict, dict]:

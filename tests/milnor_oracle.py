@@ -1,0 +1,56 @@
+"""Orbit-quotient oracle for the Milnor quotient B.
+
+Builds the whole total complex E, groups its simplices into orbits of the
+diagonal translation, and keeps the lexicographically least member of each
+orbit as its representative; faces are read through the orbit map.  The
+runtime builds B directly in section normal form instead.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+from finstack.category import idkey
+from finstack.groupoid import FiniteGroupoid
+from finstack.milnor import JoinComplex, milnor_E, translate
+
+
+@dataclass(frozen=True)
+class OrbitQuotient:
+    """Orbits of the total complex under diagonal translation, faces induced."""
+
+    groupoid: FiniteGroupoid
+    levels: int
+    simplices: dict
+    orbit: dict   # degree -> {simplex of E: its orbit's representative}
+    total: JoinComplex
+
+    def face(self, k: int, j: int, rep: tuple) -> tuple:
+        return self.orbit[k - 1][rep[:j] + rep[j + 1:]]
+
+    def count(self, k: int) -> int:
+        return len(self.simplices.get(k, ()))
+
+
+def orbit_quotient(g: FiniteGroupoid, levels: int) -> OrbitQuotient:
+    """Quotient by the diagonal action, with lexicographically least representatives."""
+    total = milnor_E(g, levels)
+    simplices: dict = {}
+    orbit: dict = {}
+    for k in range(levels + 1):
+        orbit_k: dict = {}
+        reps = []
+        for simplex in total.simplices[k]:
+            if simplex in orbit_k:
+                continue
+            x = total.common_source(simplex)
+            members = [translate(g, gamma, simplex) for gamma in g.morphisms_into(x)]
+            assert len(set(members)) == len(members), f"action not free at {simplex!r}"
+            rep = min(members, key=idkey)
+            for member in members:
+                orbit_k[member] = rep
+            reps.append(rep)
+        reps.sort(key=idkey)
+        simplices[k] = tuple(reps)
+        orbit[k] = orbit_k
+    return OrbitQuotient(groupoid=g, levels=levels, simplices=simplices, orbit=orbit, total=total)

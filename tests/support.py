@@ -38,6 +38,22 @@ def self_action(group=None):
     return fs.action_groupoid(list(g.morphisms), g, lambda x, k: g.compose(x, k))
 
 
+def apply_columns(columns, vector: dict) -> dict:
+    """The sparse vector sum_i vector[i] * columns[i], zeros dropped."""
+    out: dict = {}
+    for i, c in vector.items():
+        for r, a in columns[i].items():
+            out[r] = out.get(r, 0) + c * a
+    return {r: v for r, v in out.items() if v}
+
+
+def is_sparse_chain_map(source, target, chain_map, top: int) -> bool:
+    """Whether d(f(x)) = f(d(x)) for every basis element x in degrees 1..top."""
+    return all(apply_columns(target.boundary[k], chain_map[k][x])
+               == apply_columns(chain_map[k - 1], source.boundary[k][x])
+               for k in range(1, top + 1) for x in range(source.dim(k)))
+
+
 def groupoid_zoo():
     return [
         ("Z2", z2()),

@@ -13,12 +13,13 @@ import finstack as fs
 import finstack.jsonio as jio
 from finstack.cli import main
 from finstack.errors import NotFComplete
-from finstack.homology import mat_mul
 from bar_oracle import bar_homology
+from milnor_oracle import orbit_quotient
 from support import (
     all_morphisms_class,
     cocycle_zoo,
     cylinder_category,
+    is_sparse_chain_map,
     pair2,
     s3,
     subset_poset,
@@ -92,12 +93,10 @@ def test_criterion_4_comparison_chain_map():
         ncx = fs.chain_complex(fs.nerve(g, levels))
         bcx = fs.chain_complex_B(b)
         cmap = fs.comparison_chain_map(b, ncx)
-        for k, orbit_map in b.orbit.items():
+        for k, orbit_map in orbit_quotient(g, levels).orbit.items():
             for simplex, rep in orbit_map.items():
                 ok = ok and fs.milnor_to_nerve(g, simplex) == fs.milnor_to_nerve(g, rep)
-        for k in range(1, levels + 1):
-            ok = ok and mat_mul(ncx.boundary_matrix(k), cmap[k]) == \
-                mat_mul(cmap[k - 1], bcx.boundary_matrix(k))
+        ok = ok and is_sparse_chain_map(bcx, ncx, cmap, levels)
         for n in range(levels - 1):
             ok = ok and fs.induced_map_is_isomorphism(bcx, ncx, cmap, n)
     report(4, "comparison map well-defined and quasi-iso", ok)

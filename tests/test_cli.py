@@ -116,6 +116,16 @@ def test_milnor_compare(capsys, z2_file):
     assert "[PASS] homology-agreement-degree-1" in out
 
 
+@pytest.mark.parametrize("doc,levels", [("z2_file", 6), ("s3_file", 4)])
+def test_milnor_compare_reaches_larger_models(capsys, request, doc, levels):
+    code, out = run_cli(capsys, ["milnor", "--groupoid", request.getfixturevalue(doc),
+                                 "--levels", str(levels), "--space", "B", "--compare-nerve"])
+    assert code == 0
+    verdicts = [line for line in out.splitlines() if line.startswith("[")]
+    assert len(verdicts) == levels
+    assert all(line.startswith("[PASS]") for line in verdicts)
+
+
 def test_milnor_compare_requires_b(z2_file):
     assert main(["milnor", "--groupoid", z2_file, "--levels", "2",
                  "--space", "E", "--compare-nerve"]) == 2

@@ -4,9 +4,9 @@ import pytest
 
 import finstack as fs
 from finstack.errors import LevelInactive, NotSameOrbit
-from finstack.homology import mat_mul
-from finstack.milnor import translate
-from support import groupoid_zoo, pair2, pt, z2, z3
+from finstack.milnor import delta_chain_complex, translate
+from milnor_oracle import orbit_quotient
+from support import groupoid_zoo, is_sparse_chain_map, pair2, pt, z2, z3
 
 
 def test_join_counts_octahedron():
@@ -67,7 +67,7 @@ def test_quotient_of_contractible_groupoid():
 
 def test_orbits_are_free():
     g = z2()
-    b = fs.milnor_B(g, 2)
+    b = orbit_quotient(g, 2)
     for k, orbit_map in b.orbit.items():
         for simplex, rep in orbit_map.items():
             members = {translate(g, gamma, simplex)
@@ -79,7 +79,7 @@ def test_orbits_are_free():
 def test_section_normalizes_requested_level():
     g = z2()
     b = fs.milnor_B(g, 2)
-    rep = b.orbit[0][((0, 1),)]
+    rep = orbit_quotient(g, 2).orbit[0][((0, 1),)]
     section = fs.milnor_section(b, rep, 0)
     assert section == ((0, 0),)
     # already normalized stays put
@@ -91,13 +91,18 @@ def test_section_normalizes_requested_level():
 def test_section_is_unique_identity_representative():
     g = z3()
     b = fs.milnor_B(g, 2)
-    for rep in b.simplices[1]:
+    quotient = orbit_quotient(g, 2)
+    for rep in quotient.simplices[1]:
         levels = [i for i, _ in rep]
         for level in levels:
             section = fs.milnor_section(b, rep, level)
             arrow = dict(section)[level]
             assert g.is_identity(arrow)
-            assert b.orbit[1][section] == b.orbit[1][rep]
+            assert quotient.orbit[1][section] == quotient.orbit[1][rep]
+    # the direct model stores each orbit as its section at the first level
+    for simplices in b.simplices.values():
+        for rep in simplices:
+            assert fs.milnor_section(b, rep, rep[0][0]) == rep
 
 
 def test_pairing_values_and_laws():
@@ -111,7 +116,7 @@ def test_pairing_values_and_laws():
 def test_pairing_composition_law_exhaustive():
     g = z3()
     e = fs.milnor_E(g, 1)
-    b = fs.milnor_B(g, 1)
+    b = orbit_quotient(g, 1)
     for k, simplices in e.simplices.items():
         orbits: dict = {}
         for s in simplices:
@@ -139,7 +144,7 @@ def test_projection_to_nerve_values():
 @pytest.mark.parametrize("name,g", groupoid_zoo())
 def test_projection_representative_independent(name, g):
     levels = 2
-    b = fs.milnor_B(g, levels)
+    b = orbit_quotient(g, levels)
     for k, orbit_map in b.orbit.items():
         for simplex, rep in orbit_map.items():
             assert fs.milnor_to_nerve(g, simplex) == fs.milnor_to_nerve(g, rep)
@@ -166,8 +171,8 @@ def test_comparison_map_is_chain_map(name, g):
     ncx = fs.chain_complex(fs.nerve(g, levels))
     bcx = fs.chain_complex_B(b)
     cmap = fs.comparison_chain_map(b, ncx)
-    for k in range(1, levels + 1):
-        assert mat_mul(ncx.boundary_matrix(k), cmap[k]) == mat_mul(cmap[k - 1], bcx.boundary_matrix(k))
+    assert [len(cmap[k]) for k in range(levels + 1)] == [b.count(k) for k in range(levels + 1)]
+    assert is_sparse_chain_map(bcx, ncx, cmap, levels)
 
 
 @pytest.mark.parametrize("name,g", groupoid_zoo())
@@ -179,3 +184,23 @@ def test_comparison_induces_homology_isomorphisms(name, g):
     cmap = fs.comparison_chain_map(b, ncx)
     for n in range(levels - 1):
         assert fs.induced_map_is_isomorphism(bcx, ncx, cmap, n)
+
+
+@pytest.mark.parametrize("name,g", groupoid_zoo() + [("z2+pt", fs.disjoint_union(z2(), pt()))])
+@pytest.mark.parametrize("levels", [1, 2, 3, 4])
+def test_direct_quotient_matches_orbit_oracle(name, g, levels):
+    b = fs.milnor_B(g, levels)
+    quotient = orbit_quotient(g, levels)
+    assert [b.count(k) for k in range(levels + 1)] == \
+        [quotient.count(k) for k in range(levels + 1)]
+    for k in range(levels + 1):
+        assert {quotient.orbit[k][rep] for rep in b.simplices[k]} == set(quotient.simplices[k])
+    for k in range(1, levels + 1):
+        for rep in b.simplices[k]:
+            for j in range(k + 1):
+                assert quotient.orbit[k - 1][b.face(k, j, rep)] == \
+                    quotient.face(k, j, quotient.orbit[k][rep])
+    bcx = fs.chain_complex_B(b)
+    ocx = delta_chain_complex(quotient.simplices, quotient.face)
+    for n in range(levels + 1):
+        assert fs.homology(bcx, n) == fs.homology(ocx, n)

@@ -128,9 +128,18 @@ def test_identity_morphism_from_gamma():
         assert fs.check_cocycle_morphism(c, c, delta), name
 
 
+def assert_constructions_validate(c):
+    """Oracle: gluing a torsor and reading its cocycle back, both built without
+    validation, pass the exhaustive validators unchanged."""
+    t = fs.cocycle_to_torsor(c)
+    assert fs.validate_torsor(t) is t
+    back = fs.torsor_to_cocycle(t)
+    assert fs.validate_cocycle(back.cov, back.target, back.a, back.gamma) == back
+
+
 def test_torsor_invariants_exhaustive():
     for name, c in cocycle_zoo():
-        fs.validate_torsor(fs.cocycle_to_torsor(c))
+        assert_constructions_validate(c)
 
 
 def test_corrupted_pairing_caught():
@@ -261,3 +270,15 @@ def test_pointwise_morphisms_on_random_gauge_cocycles(pair):
         assert fs.check_cocycle_morphism(source, target, morphism.delta)
         if search_space(source, target) <= 4096:
             assert search_cocycle_morphism(source, target) is not None
+
+
+@st.composite
+def random_gauge_cocycles(draw):
+    group = draw(st.sampled_from(GROUPS))
+    return draw(gauge_cocycles(group, [f"w{n}" for n in range(draw(st.integers(1, 3)))]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_gauge_cocycles())
+def test_constructions_validate_on_random_gauge_cocycles(c):
+    assert_constructions_validate(c)
