@@ -16,7 +16,7 @@ from .fundamental import DEFAULT_COSET_BUDGET, pi1_iso_check, pi1_presentation
 from .groupoid import is_weak_equivalence, pi0
 from .homology import chain_complex, homology, induced_map_is_isomorphism
 from .kan import adjunction_check, diagram_special, groupoid_diagram, right_kan
-from .milnor import chain_complex_B, chain_complex_E, comparison_chain_map, milnor_B, milnor_E
+from .milnor import comparison_chain_map, milnor_B, milnor_E
 from .simplicial import nerve, simplicial_identity_violations
 from .spans import span_pi0, zigzag_check
 from .torsor import cocycle_to_torsor, find_cocycle_morphism, torsor_isomorphic, torsor_to_cocycle
@@ -144,12 +144,8 @@ def _cmd_pi1(args) -> RunReport:
 def _cmd_milnor(args) -> RunReport:
     report = RunReport("milnor", _digest([args.groupoid]))
     g = jsonio.groupoid_from_json(jsonio.load_json(args.groupoid))
-    if args.space == "E":
-        complex_ = milnor_E(g, args.levels)
-        cx = chain_complex_E(complex_)
-    else:
-        complex_ = milnor_B(g, args.levels)
-        cx = chain_complex_B(complex_)
+    complex_ = (milnor_E if args.space == "E" else milnor_B)(g, args.levels)
+    cx = chain_complex(complex_)
     for k in range(args.levels + 1):
         report.add_output(f"degree {k}: {complex_.count(k)} simplices")
     if args.homology is not None:

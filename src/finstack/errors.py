@@ -91,10 +91,6 @@ class TorsorViolation(FinstackError):
         super().__init__(f"torsor law {law} fails at {witness!r}")
 
 
-class BudgetExceeded(FinstackError):
-    pass
-
-
 class InvalidClass(FinstackError):
     """The designated morphism class is not closed under the required operations."""
 

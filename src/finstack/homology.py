@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from math import gcd
 
 from .errors import InsufficientTruncation
-from .simplicial import TruncatedSimplicialSet
 
 def _add_column(cols: dict, rows: dict, k, j, q: int) -> None:
     """col_k += q * col_j, keeping the row index in step."""
@@ -257,20 +256,27 @@ class ChainComplex:
         return True
 
 
-def chain_complex(s: TruncatedSimplicialSet) -> ChainComplex:
-    """Normalized chains: free on nondegenerate simplices, degenerate faces dropped."""
+def chain_complex(s) -> ChainComplex:
+    """Normalized chains: free on nondegenerate simplices, degenerate faces dropped.
+
+    ``s`` is any simplicial set or semi-simplicial complex with ``simplices``
+    (degree -> tuple, degrees 0..top), ``face(n, i, x)``, ``is_degenerate(n, x)``
+    and ``complete_above``: whether s is zero above its top degree (a Milnor
+    model) rather than truncated there (a nerve).  See May, *Simplicial
+    Objects in Algebraic Topology*, section 22.
+    """
     basis = {}
     index = {}
-    for n in range(s.cap + 1):
+    for n in range(max(s.simplices) + 1):
         gens = tuple(x for x in s.simplices[n] if not s.is_degenerate(n, x))
         basis[n] = gens
         index[n] = {x: i for i, x in enumerate(gens)}
     boundary = {}
-    for n in range(1, s.cap + 1):
+    for n in range(1, len(basis)):
         rows = index[n - 1]
         boundary[n] = [boundary_column([rows.get(s.face(n, i, x)) for i in range(n + 1)])
                        for x in basis[n]]
-    return ChainComplex(basis=basis, boundary=boundary)
+    return ChainComplex(basis=basis, boundary=boundary, complete_above=s.complete_above)
 
 
 def _homology(cx: ChainComplex, n: int) -> tuple[HomologyGroup, int]:

@@ -56,7 +56,7 @@ def load_json(path: str) -> dict:
     try:
         with open(path, "rb") as fh:
             doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:  # ValueError covers bad UTF-8
         raise SchemaError(f"cannot read {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise SchemaError(f"{path}: top level must be an object")
@@ -171,7 +171,7 @@ def morphism_class_from_json(doc: Mapping, cat: FiniteCategory) -> MorphismClass
     if "pullbacks" in doc:
         oracle = {}
         for entry in _require(doc, "pullbacks", list):
-            cospan = _require(entry, "cospan", list)
+            cospan = _ids(_require(entry, "cospan", list), "cospan")
             if len(cospan) != 2:
                 raise SchemaError("cospan must have two morphisms")
             oracle[(cospan[0], cospan[1])] = (

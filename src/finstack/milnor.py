@@ -17,15 +17,27 @@ from dataclasses import dataclass
 from .errors import LevelInactive, NotSameOrbit
 from .category import idkey
 from .groupoid import FiniteGroupoid
-from .homology import ChainComplex, boundary_column
 
 
 def _delete(simplex: tuple, j: int) -> tuple:
     return simplex[:j] + simplex[j + 1:]
 
 
+class _WholeComplex:
+    """A semi-simplicial complex built in full: no degenerate simplices, and
+    its chains are zero above the top degree."""
+
+    complete_above = True
+
+    def is_degenerate(self, k: int, simplex: tuple) -> bool:
+        return False
+
+    def count(self, k: int) -> int:
+        return len(self.simplices.get(k, ()))
+
+
 @dataclass(frozen=True)
-class JoinComplex:
+class JoinComplex(_WholeComplex):
     """Semi-simplicial total space: faces delete entries, no degeneracies."""
 
     groupoid: FiniteGroupoid
@@ -38,12 +50,9 @@ class JoinComplex:
     def common_source(self, simplex: tuple):
         return self.groupoid.src[simplex[0][1]]
 
-    def count(self, k: int) -> int:
-        return len(self.simplices.get(k, ()))
-
 
 @dataclass(frozen=True)
-class MilnorBComplex:
+class MilnorBComplex(_WholeComplex):
     """Orbits of the total complex under diagonal translation, faces induced.
 
     Each orbit is stored as its section normal form: the member whose arrow
@@ -60,9 +69,6 @@ class MilnorBComplex:
             return _delete(rep, j)
         rest = rep[1:]
         return translate(self.groupoid, self.groupoid.inv[rest[0][1]], rest)
-
-    def count(self, k: int) -> int:
-        return len(self.simplices.get(k, ()))
 
 
 def milnor_E(g: FiniteGroupoid, levels: int) -> JoinComplex:
@@ -143,25 +149,6 @@ def milnor_to_nerve(g: FiniteGroupoid, simplex: tuple):
         return g.tgt[simplex[0][1]]
     return tuple(g.compose(g.inv[simplex[j - 1][1]], simplex[j][1])
                  for j in range(1, len(simplex)))
-
-
-def delta_chain_complex(simplices: dict, face) -> ChainComplex:
-    """Chains of a semi-simplicial complex; the top degree is genuine, not a cut."""
-    top = max(simplices)
-    basis = {k: tuple(simplices[k]) for k in range(top + 1)}
-    index = {k: {x: i for i, x in enumerate(basis[k])} for k in range(top + 1)}
-    boundary = {k: [boundary_column([index[k - 1][face(k, j, x)] for j in range(k + 1)])
-                    for x in basis[k]]
-                for k in range(1, top + 1)}
-    return ChainComplex(basis=basis, boundary=boundary, complete_above=True)
-
-
-def chain_complex_E(e: JoinComplex) -> ChainComplex:
-    return delta_chain_complex(e.simplices, e.face)
-
-
-def chain_complex_B(b: MilnorBComplex) -> ChainComplex:
-    return delta_chain_complex(b.simplices, b.face)
 
 
 def comparison_chain_map(b: MilnorBComplex, nerve_cx: ChainComplex) -> dict:

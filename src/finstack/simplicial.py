@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from .category import idkey
 from .groupoid import FiniteGroupoid
@@ -10,50 +11,27 @@ from .groupoid import FiniteGroupoid
 
 @dataclass(frozen=True)
 class TruncatedSimplicialSet:
-    """Simplices in degrees <= cap with face and degeneracy tables.
+    """Simplices in degrees <= cap with their face and degeneracy maps.
 
-    ``faces[(n, i)]`` sends an n-simplex to its i-th face (1 <= n <= cap);
-    ``degeneracies[(n, i)]`` sends an n-simplex to an (n+1)-simplex (n < cap).
-    ``degenerate[n]`` flags the simplices lying in the image of a degeneracy.
+    ``face(n, i, x)`` is the i-th face of an n-simplex (1 <= n <= cap),
+    ``degeneracy(n, i, x)`` the i-th degeneracy of an n-simplex (n < cap) and
+    ``is_degenerate(n, x)`` whether x lies in the image of a degeneracy.  All
+    three are functions, so nothing is tabulated.  The set is a truncation:
+    its chains above ``cap`` are unknown, not zero.
     """
 
     cap: int
     simplices: dict
-    faces: dict
-    degeneracies: dict
-    degenerate: dict
-
-    def face(self, n: int, i: int, simplex):
-        return self.faces[(n, i)][simplex]
-
-    def degeneracy(self, n: int, i: int, simplex):
-        return self.degeneracies[(n, i)][simplex]
-
-    def is_degenerate(self, n: int, simplex) -> bool:
-        return simplex in self.degenerate[n]
+    face: Callable
+    degeneracy: Callable
+    is_degenerate: Callable
+    complete_above = False
 
     def count(self, n: int) -> int:
         return len(self.simplices.get(n, ()))
 
     def count_nondegenerate(self, n: int) -> int:
-        return self.count(n) - len(self.degenerate.get(n, frozenset()))
-
-
-def make_simplicial_set(cap: int, simplices: dict, faces: dict, degeneracies: dict) -> TruncatedSimplicialSet:
-    """Assemble a truncated simplicial set, computing the degenerate flags."""
-    degenerate = {0: frozenset()}
-    for n in range(1, cap + 1):
-        image = set()
-        for i in range(n):
-            image.update(degeneracies[(n - 1, i)].values())
-        degenerate[n] = frozenset(image)
-    return TruncatedSimplicialSet(
-        cap=cap,
-        simplices={n: tuple(simplices[n]) for n in range(cap + 1)},
-        faces=dict(faces),
-        degeneracies=dict(degeneracies),
-        degenerate=degenerate,
-    )
+        return sum(1 for x in self.simplices.get(n, ()) if not self.is_degenerate(n, x))
 
 
 def simplicial_identity_violations(s: TruncatedSimplicialSet) -> list:
@@ -98,7 +76,9 @@ def nerve(g: FiniteGroupoid, cap: int) -> TruncatedSimplicialSet:
 
     d_0 drops the first arrow, d_n the last, and inner faces compose
     neighbouring arrows; degeneracies insert identities.  0-simplices are the
-    objects themselves.
+    objects themselves.  Only the strings are built; faces and degeneracies
+    are computed when asked for.  A string is degenerate exactly when it holds
+    an identity arrow.
     """
     if cap < 0:
         raise ValueError("cap must be nonnegative")
@@ -111,33 +91,28 @@ def nerve(g: FiniteGroupoid, cap: int) -> TruncatedSimplicialSet:
                 strings.append(prefix + (a,))
         strings.sort(key=idkey)
         simplices[n] = tuple(strings)
+    src, tgt, comp, ident = g.src, g.tgt, g.comp, g.ident
+    identities = frozenset(ident.values())
 
-    faces: dict = {}
-    degeneracies: dict = {}
-    for n in range(1, cap + 1):
-        for i in range(n + 1):
-            table = {}
-            for x in simplices[n]:
-                if n == 1:
-                    table[x] = g.tgt[x[0]] if i == 0 else g.src[x[0]]
-                elif i == 0:
-                    table[x] = x[1:]
-                elif i == n:
-                    table[x] = x[:-1]
-                else:
-                    table[x] = x[:i - 1] + (g.compose(x[i - 1], x[i]),) + x[i + 1:]
-            faces[(n, i)] = table
-    for n in range(0, cap):
-        for i in range(n + 1):
-            table = {}
-            for x in simplices[n]:
-                if n == 0:
-                    table[x] = (g.ident[x],)
-                else:
-                    vertex = g.src[x[0]] if i == 0 else g.tgt[x[i - 1]]
-                    table[x] = x[:i] + (g.ident[vertex],) + x[i:]
-            degeneracies[(n, i)] = table
-    return make_simplicial_set(cap, simplices, faces, degeneracies)
+    def face(n: int, i: int, x):
+        if n == 1:
+            return tgt[x[0]] if i == 0 else src[x[0]]
+        if i == 0:
+            return x[1:]
+        if i == n:
+            return x[:-1]
+        return x[:i - 1] + (comp[(x[i - 1], x[i])],) + x[i + 1:]
+
+    def degeneracy(n: int, i: int, x):
+        if n == 0:
+            return (ident[x],)
+        vertex = src[x[0]] if i == 0 else tgt[x[i - 1]]
+        return x[:i] + (ident[vertex],) + x[i:]
+
+    def is_degenerate(n: int, x) -> bool:
+        return n > 0 and not identities.isdisjoint(x)
+
+    return TruncatedSimplicialSet(cap, simplices, face, degeneracy, is_degenerate)
 
 
 def graph_simplicial_set(vertices, edges: dict) -> TruncatedSimplicialSet:
@@ -175,15 +150,19 @@ def graph_simplicial_set(vertices, edges: dict) -> TruncatedSimplicialSet:
     for v in vertices:
         for i in range(3):
             faces2[(2, i)][("ss", v)] = ("s0", v)
-    return make_simplicial_set(
-        2,
-        {0: vertices, 1: one, 2: two},
-        {(1, 0): d0, (1, 1): d1, **faces2},
-        {
-            (0, 0): {v: ("s0", v) for v in vertices},
-            (1, 0): {e: s_of(0, e) for e in one},
-            (1, 1): {e: s_of(1, e) for e in one},
-        },
+    faces = {(1, 0): d0, (1, 1): d1, **faces2}
+    degeneracies = {
+        (0, 0): {v: ("s0", v) for v in vertices},
+        (1, 0): {e: s_of(0, e) for e in one},
+        (1, 1): {e: s_of(1, e) for e in one},
+    }
+    degenerate = {0: frozenset(), 1: frozenset(degeneracies[(0, 0)].values()), 2: frozenset(two)}
+    return TruncatedSimplicialSet(
+        cap=2,
+        simplices={0: vertices, 1: one, 2: two},
+        face=lambda n, i, x: faces[(n, i)][x],
+        degeneracy=lambda n, i, x: degeneracies[(n, i)][x],
+        is_degenerate=lambda n, x: x in degenerate[n],
     )
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .category import FiniteCategory, idkey, partition, sorted_ids
-from .errors import HypothesisFails, InvalidClass, OracleMissing, UnknownObject
+from .errors import DanglingId, HypothesisFails, InvalidClass, OracleMissing, UnknownObject
 
 
 @dataclass(frozen=True)
@@ -87,6 +87,11 @@ def morphism_class(cat: FiniteCategory, members, oracle: Mapping | None = None) 
     members = close_composition(cat, members)
     if oracle is not None:
         for (f, g), (apex, pf, pg) in oracle.items():
+            for m in (f, g, pf, pg):
+                if m not in cat.src:
+                    raise DanglingId("pullbacks", (f, g), m)
+            if apex not in cat.ident:
+                raise DanglingId("pullbacks", (f, g), apex)
             if cat.tgt[f] != cat.tgt[g]:
                 raise InvalidClass("oracle key is not a cospan", (f, g))
             _check_pullback_square(cat, f, g, apex, pf, pg)

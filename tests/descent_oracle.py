@@ -1,8 +1,10 @@
-"""Independent cocycle-morphism oracle: brute-force search over every hom-set slot.
+"""Independent descent oracles: brute-force searches run under a budget.
 
-Each candidate assigns one arrow of hom(a_i(w), a'_k(w)) to every chart pair
-(i, k) and every point w of their overlap, and is kept only if it passes the
-M1/M2 check.  Exponential in the number of slots, so it runs under a budget.
+``search_cocycle_morphism`` assigns one arrow of hom(a_i(w), a'_k(w)) to every
+chart pair (i, k) and every point w of their overlap, and keeps a candidate
+only if it passes the M1/M2 check; it is exponential in the number of slots.
+``search_torsor_isomorphism`` tries every image of the first element of each
+fiber and checks the induced bijection against f and the pairing.
 """
 
 from __future__ import annotations
@@ -10,14 +12,15 @@ from __future__ import annotations
 import itertools
 import math
 
-from finstack.errors import BudgetExceeded
 from finstack.category import sorted_ids
-from finstack.torsor import (
-    DEFAULT_SEARCH_BUDGET,
-    Cocycle,
-    CocycleMorphism,
-    check_cocycle_morphism,
-)
+from finstack.errors import MismatchedTarget
+from finstack.torsor import Cocycle, CocycleMorphism, Torsor, check_cocycle_morphism
+
+SEARCH_BUDGET = 200_000
+
+
+class SearchBudgetExceeded(Exception):
+    """An oracle search tried more candidates than its budget allows."""
 
 
 def search_space(c: Cocycle, c2: Cocycle) -> int:
@@ -29,7 +32,7 @@ def search_space(c: Cocycle, c2: Cocycle) -> int:
 
 
 def search_cocycle_morphism(c: Cocycle, c2: Cocycle,
-                            budget: int = DEFAULT_SEARCH_BUDGET) -> CocycleMorphism | None:
+                            budget: int = SEARCH_BUDGET) -> CocycleMorphism | None:
     """Brute-force search for morphism data; None when no assignment satisfies M1/M2."""
     g = c.target
     slots = []
@@ -44,7 +47,7 @@ def search_cocycle_morphism(c: Cocycle, c2: Cocycle,
     for choice in itertools.product(*[options for _, options in slots]):
         tried += 1
         if tried > budget:
-            raise BudgetExceeded(f"morphism search exceeded {budget} assignments")
+            raise SearchBudgetExceeded(f"morphism search exceeded {budget} assignments")
         delta: dict = {}
         for ((i, k, w), _), arrow in zip(slots, choice):
             delta.setdefault((i, k), {})[w] = arrow
@@ -54,3 +57,44 @@ def search_cocycle_morphism(c: Cocycle, c2: Cocycle,
         if check_cocycle_morphism(c, c2, delta):
             return CocycleMorphism(source=c, target_cocycle=c2, delta=delta)
     return None
+
+
+def search_torsor_isomorphism(t1: Torsor, t2: Torsor, budget: int = SEARCH_BUDGET) -> bool:
+    """Whether a fiberwise bijection over W commutes with both f and the pairing."""
+    if t1.cov.points != t2.cov.points:
+        raise MismatchedTarget("torsors live over different base sets")
+    if t1.target != t2.target:
+        raise MismatchedTarget("torsors have different target groupoids")
+    tried = 0
+    for w in t1.cov.points:
+        fiber1 = t1.fiber(w)
+        fiber2 = t2.fiber(w)
+        if len(fiber1) != len(fiber2):
+            return False
+        if not fiber1:
+            continue
+        u0 = fiber1[0]
+        found = False
+        for v0 in fiber2:
+            tried += 1
+            if tried > budget:
+                raise SearchBudgetExceeded(f"isomorphism search exceeded {budget} attempts")
+            if t2.f[v0] != t1.f[u0]:
+                continue
+            image = {}
+            ok = True
+            for u in fiber1:
+                rho = t1.delta[(u0, u)]
+                matches = [v for v in fiber2 if t2.delta[(v0, v)] == rho]
+                if len(matches) != 1 or t2.f[matches[0]] != t1.f[u]:
+                    ok = False
+                    break
+                image[u] = matches[0]
+            if ok and len(set(image.values())) == len(fiber2):
+                if all(t2.delta[(image[u], image[v])] == t1.delta[(u, v)]
+                       for u in fiber1 for v in fiber1):
+                    found = True
+                    break
+        if not found:
+            return False
+    return True

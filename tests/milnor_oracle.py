@@ -24,9 +24,13 @@ class OrbitQuotient:
     simplices: dict
     orbit: dict   # degree -> {simplex of E: its orbit's representative}
     total: JoinComplex
+    complete_above = True
 
     def face(self, k: int, j: int, rep: tuple) -> tuple:
         return self.orbit[k - 1][rep[:j] + rep[j + 1:]]
+
+    def is_degenerate(self, k: int, rep: tuple) -> bool:
+        return False
 
     def count(self, k: int) -> int:
         return len(self.simplices.get(k, ()))

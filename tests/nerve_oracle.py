@@ -1,0 +1,105 @@
+"""Tabulating nerve oracle: every face and degeneracy map stored as a table.
+
+Builds the composable strings of a groupoid together with all (d+1)^2 face
+tables and d(d+1)/2 degeneracy tables, and flags as degenerate exactly the
+simplices in the union of the degeneracy images.  The runtime nerve computes
+faces and degeneracies on demand and tests for identity arrows instead.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+from finstack.category import idkey
+from finstack.groupoid import FiniteGroupoid
+
+
+@dataclass(frozen=True)
+class TabulatedSimplicialSet:
+    """Simplices in degrees <= cap with face and degeneracy tables.
+
+    ``faces[(n, i)]`` sends an n-simplex to its i-th face (1 <= n <= cap);
+    ``degeneracies[(n, i)]`` sends an n-simplex to an (n+1)-simplex (n < cap).
+    ``degenerate[n]`` flags the simplices lying in the image of a degeneracy.
+    """
+
+    cap: int
+    simplices: dict
+    faces: dict
+    degeneracies: dict
+    degenerate: dict
+    complete_above = False
+
+    def face(self, n: int, i: int, simplex):
+        return self.faces[(n, i)][simplex]
+
+    def degeneracy(self, n: int, i: int, simplex):
+        return self.degeneracies[(n, i)][simplex]
+
+    def is_degenerate(self, n: int, simplex) -> bool:
+        return simplex in self.degenerate[n]
+
+    def count(self, n: int) -> int:
+        return len(self.simplices.get(n, ()))
+
+    def count_nondegenerate(self, n: int) -> int:
+        return self.count(n) - len(self.degenerate.get(n, frozenset()))
+
+
+def make_simplicial_set(cap: int, simplices: dict, faces: dict, degeneracies: dict) -> TabulatedSimplicialSet:
+    """Assemble a tabulated simplicial set, computing the degenerate flags."""
+    degenerate = {0: frozenset()}
+    for n in range(1, cap + 1):
+        image = set()
+        for i in range(n):
+            image.update(degeneracies[(n - 1, i)].values())
+        degenerate[n] = frozenset(image)
+    return TabulatedSimplicialSet(
+        cap=cap,
+        simplices={n: tuple(simplices[n]) for n in range(cap + 1)},
+        faces=dict(faces),
+        degeneracies=dict(degeneracies),
+        degenerate=degenerate,
+    )
+
+
+def tabulated_nerve(g: FiniteGroupoid, cap: int) -> TabulatedSimplicialSet:
+    """The nerve with every face and degeneracy map tabulated."""
+    if cap < 0:
+        raise ValueError("cap must be nonnegative")
+    simplices: dict = {0: tuple(g.objects)}
+    for n in range(1, cap + 1):
+        strings = []
+        for prefix in simplices[n - 1] if n > 1 else [()]:
+            start_options = g.morphisms_from(g.tgt[prefix[-1]]) if n > 1 else g.morphisms
+            for a in start_options:
+                strings.append(prefix + (a,))
+        strings.sort(key=idkey)
+        simplices[n] = tuple(strings)
+
+    faces: dict = {}
+    degeneracies: dict = {}
+    for n in range(1, cap + 1):
+        for i in range(n + 1):
+            table = {}
+            for x in simplices[n]:
+                if n == 1:
+                    table[x] = g.tgt[x[0]] if i == 0 else g.src[x[0]]
+                elif i == 0:
+                    table[x] = x[1:]
+                elif i == n:
+                    table[x] = x[:-1]
+                else:
+                    table[x] = x[:i - 1] + (g.compose(x[i - 1], x[i]),) + x[i + 1:]
+            faces[(n, i)] = table
+    for n in range(0, cap):
+        for i in range(n + 1):
+            table = {}
+            for x in simplices[n]:
+                if n == 0:
+                    table[x] = (g.ident[x],)
+                else:
+                    vertex = g.src[x[0]] if i == 0 else g.tgt[x[i - 1]]
+                    table[x] = x[:i] + (g.ident[vertex],) + x[i:]
+            degeneracies[(n, i)] = table
+    return make_simplicial_set(cap, simplices, faces, degeneracies)

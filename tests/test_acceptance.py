@@ -64,7 +64,7 @@ def test_criterion_2_projective_spaces():
     }
     ok = True
     for levels, values in expected.items():
-        bcx = fs.chain_complex_B(fs.milnor_B(z2(), levels))
+        bcx = fs.chain_complex(fs.milnor_B(z2(), levels))
         for k, pair in enumerate(values):
             ok = ok and fs.homology(bcx, k).pair() == pair
         ncx = fs.chain_complex(fs.nerve(z2(), levels))
@@ -76,7 +76,7 @@ def test_criterion_2_projective_spaces():
 def test_criterion_3_total_space_contractibility_window():
     ok = True
     for levels in (2, 3):
-        cx = fs.chain_complex_E(fs.milnor_E(z2(), levels))
+        cx = fs.chain_complex(fs.milnor_E(z2(), levels))
         for k in range(1, levels):
             ok = ok and fs.homology(cx, k).pair() == (0, ())
         ok = ok and fs.homology(cx, levels).pair() == (1, ())
@@ -91,7 +91,7 @@ def test_criterion_4_comparison_chain_map():
     for name, g in zoo:
         b = fs.milnor_B(g, levels)
         ncx = fs.chain_complex(fs.nerve(g, levels))
-        bcx = fs.chain_complex_B(b)
+        bcx = fs.chain_complex(b)
         cmap = fs.comparison_chain_map(b, ncx)
         for k, orbit_map in orbit_quotient(g, levels).orbit.items():
             for simplex, rep in orbit_map.items():

@@ -1,8 +1,14 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import finstack as fs
 import finstack.jsonio as jio
@@ -577,3 +583,47 @@ def test_kan_fiber_set_repeated_element_exit_2(capsys, tmp_path):
     docs["fibers"]["fibers"]["*"]["s2"] = ["x", "x", "y"]
     assert main(kan_argv(tmp_path, docs)) == 2
     assert "error: fiber set 's2' repeats the element 'x'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("raw", [b"\xff\xff{}", b"\x80abc"])
+def test_groupoid_file_not_utf8_exit_2(capsys, tmp_path, raw):
+    path = tmp_path / "bytes.json"
+    path.write_bytes(raw)
+    assert_input_error(capsys, ["validate", "--groupoid", str(path)])
+
+
+def test_groupoid_file_nested_too_deep_exit_2(capsys, tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    assert_input_error(capsys, ["validate", "--groupoid", str(path)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.binary())
+def test_groupoid_file_of_arbitrary_bytes_never_raises(raw):
+    fd, path = tempfile.mkstemp(suffix=".json")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(raw)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert main(["validate", "--groupoid", path]) in {0, 1, 2, 3}
+    finally:
+        os.unlink(path)
+
+
+@pytest.mark.parametrize("pullback", [
+    {"cospan": [["i0"], "i0"], "apex": "0", "proj1": "i0", "proj2": "i0"},
+    {"cospan": ["zz", "i0"], "apex": "0", "proj1": "i0", "proj2": "i0"},
+    {"cospan": ["i0", "i0"], "apex": "0", "proj1": "zz", "proj2": "i0"},
+    {"cospan": ["i0", "i0"], "apex": "0", "proj1": "i0", "proj2": "zz"},
+    {"cospan": ["i0", "i0"], "apex": "9", "proj1": "i0", "proj2": "i0"},
+])
+def test_localize_malformed_pullback_exit_2(capsys, tmp_path, pullback):
+    cat_doc = {"objects": ["0"], "morphisms": [{"id": "i0", "src": "0", "tgt": "0"}],
+               "comp": [["i0", "i0", "i0"]], "id": {"0": "i0"}}
+    cpath = tmp_path / "cat.json"
+    rpath = tmp_path / "cls.json"
+    cpath.write_text(json.dumps(cat_doc))
+    rpath.write_text(json.dumps({"members": ["i0"], "pullbacks": [pullback]}))
+    assert_input_error(capsys, ["localize", "--cat", str(cpath), "--class", str(rpath),
+                                "--from", "0", "--to", "0"])

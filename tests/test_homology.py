@@ -248,8 +248,8 @@ def test_sparse_homology_matches_presentation_on_nerves(name, g):
 @pytest.mark.parametrize("levels", [1, 2, 3, 4])
 def test_sparse_homology_matches_presentation_on_milnor(group, levels):
     g = group()
-    for cx in (fs.chain_complex_E(fs.milnor_E(g, levels)),
-               fs.chain_complex_B(fs.milnor_B(g, levels))):
+    for cx in (fs.chain_complex(fs.milnor_E(g, levels)),
+               fs.chain_complex(fs.milnor_B(g, levels))):
         assert cx.check_dd_zero()
         for n in range(levels + 1):
             assert fs.homology(cx, n).pair() == presentation_pair(cx, n)
@@ -264,7 +264,7 @@ INDUCED_ZOO = {"z2": z2, "z3": z3, "pair2": pair2, "swap-action": swap_action,
 def test_sparse_induced_map_matches_transform_oracle(name, levels):
     g = INDUCED_ZOO[name]()
     b = fs.milnor_B(g, levels)
-    bcx = fs.chain_complex_B(b)
+    bcx = fs.chain_complex(b)
     ncx = fs.chain_complex(fs.nerve(g, levels))
     cmap = fs.comparison_chain_map(b, ncx)
     for scale in (1, 2, 3, -1, 0):

@@ -4,7 +4,7 @@ import pytest
 
 import finstack as fs
 from finstack.errors import LevelInactive, NotSameOrbit
-from finstack.milnor import delta_chain_complex, translate
+from finstack.milnor import translate
 from milnor_oracle import orbit_quotient
 from support import groupoid_zoo, is_sparse_chain_map, pair2, pt, z2, z3
 
@@ -16,7 +16,7 @@ def test_join_counts_octahedron():
 
 def test_join_point_interval():
     e = fs.milnor_E(pt(), 1)
-    cx = fs.chain_complex_E(e)
+    cx = fs.chain_complex(e)
     assert fs.homology(cx, 0).pair() == (1, ())
     assert fs.homology(cx, 1).pair() == (0, ())
 
@@ -33,7 +33,7 @@ def test_join_pair_groupoid_level_zero():
 
 def test_total_space_sphere_homology():
     for levels in (2, 3):
-        cx = fs.chain_complex_E(fs.milnor_E(z2(), levels))
+        cx = fs.chain_complex(fs.milnor_E(z2(), levels))
         assert fs.homology(cx, 0).pair() == (1, ())
         for k in range(1, levels):
             assert fs.homology(cx, k).pair() == (0, ())
@@ -41,7 +41,7 @@ def test_total_space_sphere_homology():
 
 
 def test_total_space_connectivity_window_z3():
-    cx = fs.chain_complex_E(fs.milnor_E(z3(), 3))
+    cx = fs.chain_complex(fs.milnor_E(z3(), 3))
     assert fs.homology(cx, 0).pair() == (1, ())
     for k in range(1, 3):
         assert fs.homology(cx, k).pair() == (0, ())
@@ -54,13 +54,13 @@ def test_quotient_projective_spaces():
         4: [(1, ()), (0, (2,)), (0, ()), (0, (2,)), (0, ())],
     }
     for levels, values in expected.items():
-        cx = fs.chain_complex_B(fs.milnor_B(z2(), levels))
+        cx = fs.chain_complex(fs.milnor_B(z2(), levels))
         for k, pair in enumerate(values):
             assert fs.homology(cx, k).pair() == pair
 
 
 def test_quotient_of_contractible_groupoid():
-    cx = fs.chain_complex_B(fs.milnor_B(pair2(), 2))
+    cx = fs.chain_complex(fs.milnor_B(pair2(), 2))
     assert fs.homology(cx, 0).pair() == (1, ())
     assert fs.homology(cx, 1).pair() == (0, ())
 
@@ -169,7 +169,7 @@ def test_comparison_map_is_chain_map(name, g):
     levels = 3
     b = fs.milnor_B(g, levels)
     ncx = fs.chain_complex(fs.nerve(g, levels))
-    bcx = fs.chain_complex_B(b)
+    bcx = fs.chain_complex(b)
     cmap = fs.comparison_chain_map(b, ncx)
     assert [len(cmap[k]) for k in range(levels + 1)] == [b.count(k) for k in range(levels + 1)]
     assert is_sparse_chain_map(bcx, ncx, cmap, levels)
@@ -180,7 +180,7 @@ def test_comparison_induces_homology_isomorphisms(name, g):
     levels = 3
     b = fs.milnor_B(g, levels)
     ncx = fs.chain_complex(fs.nerve(g, levels))
-    bcx = fs.chain_complex_B(b)
+    bcx = fs.chain_complex(b)
     cmap = fs.comparison_chain_map(b, ncx)
     for n in range(levels - 1):
         assert fs.induced_map_is_isomorphism(bcx, ncx, cmap, n)
@@ -200,7 +200,7 @@ def test_direct_quotient_matches_orbit_oracle(name, g, levels):
             for j in range(k + 1):
                 assert quotient.orbit[k - 1][b.face(k, j, rep)] == \
                     quotient.face(k, j, quotient.orbit[k][rep])
-    bcx = fs.chain_complex_B(b)
-    ocx = delta_chain_complex(quotient.simplices, quotient.face)
+    bcx = fs.chain_complex(b)
+    ocx = fs.chain_complex(quotient)
     for n in range(levels + 1):
         assert fs.homology(bcx, n) == fs.homology(ocx, n)

@@ -4,7 +4,8 @@ import pytest
 
 import finstack as fs
 from finstack.simplicial import simplicial_identity_violations
-from support import groupoid_zoo, pair2, pt, z2
+from nerve_oracle import tabulated_nerve
+from support import groupoid_zoo, pair2, pt, s3, z2
 
 
 def test_nerve_of_point():
@@ -64,3 +65,47 @@ def test_degenerate_flags_match_identity_strings():
     for sigma in s.simplices[2]:
         has_identity = any(g.is_identity(a) for a in sigma)
         assert s.is_degenerate(2, sigma) == has_identity
+
+
+def degeneracy_images(s, n) -> set:
+    """The union of the images of the degeneracies into degree n."""
+    return {s.degeneracy(n - 1, i, y) for y in s.simplices[n - 1] for i in range(n)}
+
+
+def assert_nerve_matches_oracle(g, cap):
+    s, oracle = fs.nerve(g, cap), tabulated_nerve(g, cap)
+    assert s.simplices == oracle.simplices
+    for n in range(1, cap + 1):
+        for x in s.simplices[n]:
+            assert [s.face(n, i, x) for i in range(n + 1)] == \
+                [oracle.face(n, i, x) for i in range(n + 1)]
+    for n in range(cap):
+        for x in s.simplices[n]:
+            assert [s.degeneracy(n, i, x) for i in range(n + 1)] == \
+                [oracle.degeneracy(n, i, x) for i in range(n + 1)]
+    for n in range(cap + 1):
+        images = degeneracy_images(oracle, n) if n else set()
+        assert [s.is_degenerate(n, x) for x in s.simplices[n]] == \
+            [x in images for x in s.simplices[n]]
+        assert s.count_nondegenerate(n) == oracle.count_nondegenerate(n)
+    cx, ocx = fs.chain_complex(s), fs.chain_complex(oracle)
+    assert cx.basis == ocx.basis
+    assert cx.boundary == ocx.boundary
+    assert cx.complete_above is ocx.complete_above is False
+
+
+@pytest.mark.parametrize("name,g", groupoid_zoo())
+def test_nerve_matches_tabulating_oracle(name, g):
+    assert_nerve_matches_oracle(g, 4)
+
+
+def test_nerve_matches_tabulating_oracle_s3_dim5():
+    assert_nerve_matches_oracle(s3(), 5)
+
+
+def test_graph_complex_degenerate_flags_are_degeneracy_images():
+    s = fs.simplicial_circle()
+    for n in (1, 2):
+        images = degeneracy_images(s, n)
+        assert [s.is_degenerate(n, x) for x in s.simplices[n]] == \
+            [x in images for x in s.simplices[n]]

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import finstack as fs
-from descent_oracle import search_cocycle_morphism, search_space
+from descent_oracle import search_cocycle_morphism, search_space, search_torsor_isomorphism
 from finstack.errors import (
     AxiomViolation,
     C1Violation,
@@ -282,3 +282,48 @@ def random_gauge_cocycles(draw):
 @given(random_gauge_cocycles())
 def test_constructions_validate_on_random_gauge_cocycles(c):
     assert_constructions_validate(c)
+
+
+DISCONNECTED = [fs.disjoint_union(z2(), pt()), fs.disjoint_union(pair2(), z2()),
+                fs.disjoint_union(z3(), pair2())]
+
+
+@st.composite
+def anchored_cocycles(draw, target, points):
+    """A valid cocycle with random anchors, so points may land in different components."""
+    cover = {str(i): set(draw(st.lists(st.sampled_from(points), min_size=1, unique=True)))
+             for i in range(draw(st.integers(1, 3)))}
+    for w in points:
+        if not any(w in part for part in cover.values()):
+            cover[draw(st.sampled_from(sorted(cover)))].add(w)
+    anchor = {w: draw(st.sampled_from(target.objects)) for w in points}
+    gauges = {(i, w): draw(st.sampled_from(target.morphisms_from(anchor[w])))
+              for i in sorted(cover) for w in sorted(cover[i])}
+    return gauge_cocycle(target, cover, anchor, gauges)
+
+
+@st.composite
+def disconnected_torsor_pairs(draw):
+    target = draw(st.sampled_from(DISCONNECTED))
+    points = [f"w{n}" for n in range(draw(st.integers(1, 3)))]
+    return tuple(fs.cocycle_to_torsor(draw(anchored_cocycles(target, points))) for _ in "12")
+
+
+@settings(max_examples=150, deadline=None)
+@given(disconnected_torsor_pairs())
+def test_direct_torsor_isomorphism_matches_search_oracle(pair):
+    t1, t2 = pair
+    assert fs.torsor_isomorphic(t1, t2) == search_torsor_isomorphism(t1, t2)
+
+
+def test_direct_torsor_isomorphism_matches_search_oracle_on_zoo():
+    zoo = cocycle_zoo() + list(zip(("left", "right"), component_obstruction_pair()))
+    answers = set()
+    for name, c in zoo:
+        for name2, c2 in zoo:
+            if c.cov.points == c2.cov.points and c.target == c2.target:
+                t1, t2 = fs.cocycle_to_torsor(c), fs.cocycle_to_torsor(c2)
+                answer = fs.torsor_isomorphic(t1, t2)
+                assert answer == search_torsor_isomorphism(t1, t2), (name, name2)
+                answers.add(answer)
+    assert answers == {True, False}
