@@ -18,7 +18,6 @@ from .kan import (
     Lift,
     PullbackFunctor,
     constant_pullback,
-    fib_mor,
     identity_pullback,
     indexed_category,
     lift,
@@ -206,13 +205,11 @@ def _pullback_from_json(doc: Mapping, source: FinSetFiber, target: FinSetFiber) 
         return constant_pullback(source, target, _require(doc, "at", str))
     if kind == "relabel":
         objects = _require(doc, "objects", dict)
-        carriers = {}
-        for name, table in _require(doc, "carriers", dict).items():
-            try:
-                carriers[name] = dict(table)
-            except (TypeError, ValueError):
-                raise SchemaError(f"carrier {name!r} must map elements to elements") from None
-        return relabel_pullback(objects, carriers)
+        carriers = _require(doc, "carriers", dict)
+        for name, table in carriers.items():
+            if not isinstance(table, dict):
+                raise SchemaError(f"carrier {name!r} must map elements to elements")
+        return relabel_pullback(source, target, objects, carriers)
     raise SchemaError(f"unknown pullback kind {kind!r}")
 
 
@@ -233,9 +230,13 @@ def indexed_category_from_json(doc: Mapping, base: FiniteCategory) -> IndexedCat
 
 def lift_from_json(doc: Mapping, ic: IndexedCategory, shape: FiniteCategory,
                    anchor: CatFunctor) -> Lift:
+    """Lift maps become fiber morphisms in the fiber over the anchor of their
+    source, which checks that each is a total function between its sets."""
     objects = _require(doc, "objects", dict)
     morphisms = {}
     for m, entry in _require(doc, "morphisms", dict).items():
-        morphisms[m] = fib_mor(_require(entry, "src", str), _require(entry, "tgt", str),
-                               dict(_require(entry, "map", dict)))
+        src, tgt = _require(entry, "src", str), _require(entry, "tgt", str)
+        table = _require(entry, "map", dict)
+        if m in shape.src:
+            morphisms[m] = ic.fiber(anchor.obj_map[shape.src[m]]).mor(src, tgt, table)
     return lift(ic, shape, anchor, objects, morphisms)

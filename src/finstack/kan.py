@@ -30,25 +30,25 @@ from .groupoid import fiber_product_2_projections
 
 @dataclass(frozen=True)
 class FibMor:
-    """A function between two named finite sets of one fiber."""
+    """A function between two named finite sets of one fiber.
+
+    ``images[i]`` is the position, in ``tgt``'s elements, of the image of
+    ``src``'s i-th element.
+    """
 
     src: object
     tgt: object
-    mapping: tuple  # sorted tuple of (element, image) pairs
-
-    def apply(self, x):
-        for k, v in self.mapping:
-            if k == x:
-                return v
-        raise KeyError(x)
-
-    def as_dict(self) -> dict:
-        return dict(self.mapping)
+    images: tuple
 
 
-def fib_mor(src, tgt, mapping: Mapping) -> FibMor:
-    return FibMor(src=src, tgt=tgt,
-                  mapping=tuple(sorted(mapping.items(), key=lambda kv: idkey(kv[0]))))
+def _positions(table: Mapping, domain, codomain) -> tuple | None:
+    """Positions in ``codomain`` of ``table``'s values on ``domain``; None unless
+    ``table`` is defined on every element of ``domain`` and lands in ``codomain``."""
+    where = {y: j for j, y in enumerate(codomain)}
+    try:
+        return tuple(where[table[x]] for x in domain)
+    except (KeyError, TypeError):  # TypeError: an unhashable value
+        return None
 
 
 @dataclass(frozen=True)
@@ -64,22 +64,26 @@ class FinSetFiber:
         return self.sets[name]
 
     def identity(self, name) -> FibMor:
-        return fib_mor(name, name, {x: x for x in self.sets[name]})
+        return FibMor(name, name, tuple(range(len(self.sets[name]))))
+
+    def mor(self, src, tgt, table: Mapping) -> FibMor:
+        """The function ``table`` from set ``src`` to set ``tgt``, which must be
+        defined on exactly the elements of ``src`` and land in ``tgt``."""
+        for name in (src, tgt):
+            if not _has(self.sets, name):
+                raise DanglingId("fiber sets", name)
+        images = _positions(table, self.sets[src], self.sets[tgt])
+        if images is None or len(table) != len(images):
+            raise AxiomViolation("total-function", (src, tgt))
+        return FibMor(src, tgt, images)
 
     def compose(self, m1: FibMor, m2: FibMor) -> FibMor:
-        """m1 then m2; the result keeps m1's (sorted) element order."""
-        d2 = m2.as_dict()
-        return FibMor(m1.src, m2.tgt, tuple((x, d2[y]) for x, y in m1.mapping))
+        """m1 then m2."""
+        return FibMor(m1.src, m2.tgt, tuple(m2.images[j] for j in m1.images))
 
     def morphisms_between(self, o1, o2) -> tuple:
-        source = self.sets[o1]
-        values = self.sets[o2]
-        if not source:
-            return (fib_mor(o1, o2, {}),)
-        out = []
-        for images in itertools.product(values, repeat=len(source)):
-            out.append(fib_mor(o1, o2, dict(zip(source, images))))
-        return tuple(out)
+        return tuple(FibMor(o1, o2, images) for images in itertools.product(
+            range(len(self.sets[o2])), repeat=len(self.sets[o1])))
 
     def probe_morphisms(self) -> tuple:
         """The identities and the constant maps out of nonempty sets.
@@ -92,8 +96,8 @@ class FinSetFiber:
             out.append(self.identity(o1))
             if self.sets[o1]:
                 for o2 in self.names():
-                    out.extend(fib_mor(o1, o2, dict.fromkeys(self.sets[o1], y))
-                               for y in self.sets[o2])
+                    out.extend(FibMor(o1, o2, (j,) * len(self.sets[o1]))
+                               for j in range(len(self.sets[o2])))
         return tuple(out)
 
 
@@ -109,25 +113,22 @@ def _has(collection, value) -> bool:
         return False
 
 
-def _maps_into(table: Mapping, domain, codomain) -> bool:
-    """``table`` is defined on every element of ``domain`` and lands in ``codomain``."""
-    values = set(codomain)
-    return all(_has(table, x) and _has(values, table[x]) for x in domain)
-
-
 @dataclass(frozen=True)
 class PullbackFunctor:
     """A functor between fibers, in one of the two forms fibers documents use.
 
     Without ``constant`` it is conjugation by per-object carriers: a morphism
-    m: X -> Y goes to {carriers[X][x]: carriers[Y][m(x)]}, a morphism from
-    obj_map[X] to obj_map[Y]; ``carriers`` None stands for identity carriers.
-    With ``constant`` (an identity morphism) every morphism goes to it.
-    Images are computed on demand.
+    m: X -> Y goes to the morphism from obj_map[X] to obj_map[Y] that sends
+    carrier_X(x) to carrier_Y(m(x)); ``carriers`` None stands for identity
+    carriers.  ``carriers[X]`` holds the positions of carrier_X(x) in
+    obj_map[X], and ``sections[X]`` one preimage position for each element
+    of obj_map[X].  With ``constant`` (an identity morphism) every morphism
+    goes to it.  Images are computed on demand.
     """
 
     obj_map: dict                 # source-fiber object name -> target-fiber object name
-    carriers: dict | None = None  # source-fiber object name -> {element: element}
+    carriers: dict | None = None  # source-fiber object name -> positions in its image set
+    sections: dict | None = None  # source-fiber object name -> positions in its set
     constant: FibMor | None = None
 
     def on_obj(self, name):
@@ -138,22 +139,23 @@ class PullbackFunctor:
             return self.constant
         if self.carriers is None:
             return m
-        c_src, c_tgt = self.carriers[m.src], self.carriers[m.tgt]
-        return fib_mor(self.obj_map[m.src], self.obj_map[m.tgt],
-                       {c_src[x]: c_tgt[y] for x, y in m.mapping})
+        to_tgt = self.carriers[m.tgt]
+        return FibMor(self.obj_map[m.src], self.obj_map[m.tgt],
+                      tuple(to_tgt[m.images[i]] for i in self.sections[m.src]))
 
     def validate(self, source: FinSetFiber, target: FinSetFiber) -> None:
         """Check functoriality from ``source`` to ``target`` without enumerating morphisms.
 
         This accepts exactly what checking identities and every composable
-        pair of morphisms accepts.  Objects must land in ``target``, carriers
-        must be total into the image sets, and the images of identities are
-        compared, which makes each carrier onto its image set.  Given that,
-        identity and constant functors compose strictly, and so does
-        conjugation when every carrier is injective (then a bijection).  It
-        also does when every image set has at most one element, since then
-        each hom-set between images has at most one map.  Otherwise some
-        carrier sends x != x' to one element k and some image set has
+        pair of morphisms accepts.  Objects must land in ``target``.  The
+        identity kind preserves identities when each set equals its image
+        set, the constant kind always, and conjugation when every carrier is
+        total and onto its image set (checked by :func:`relabel_pullback`).
+        Given that, identity and constant functors compose strictly, and so
+        does conjugation when every carrier is injective (then a bijection).
+        It also does when every image set has at most one element, since
+        then each hom-set between images has at most one map.  Otherwise
+        some carrier sends x != x' to one element k and some image set has
         elements z != z' with preimages u, u'.  For g sending x to u and x'
         to u', the constant maps at x and at x' followed by g have images
         constant at z and at z'; but both constant maps have the image
@@ -163,20 +165,15 @@ class PullbackFunctor:
             image = self.obj_map.get(name)
             if not _has(target.sets, image):
                 raise DanglingId("pullback obj_map", name, image)
-            if self.carriers is not None:
-                carrier = self.carriers.get(name)
-                if carrier is None:
-                    raise DanglingId("pullback carriers", name)
-                if not _maps_into(carrier, source.elems(name), target.elems(image)):
-                    raise AxiomViolation("pullback-carrier", name)
-            if self.on_mor(source.identity(name)) != target.identity(image):
+            if self.carriers is None and self.constant is None and \
+                    source.elems(name) != target.elems(image):
                 raise AxiomViolation("pullback-identity", name)
         if self.carriers is None or all(
-                len(set(target.elems(self.obj_map[name]))) <= 1 for name in source.names()):
+                len(target.elems(self.obj_map[name])) <= 1 for name in source.names()):
             return
         for name in source.names():
-            elems = set(source.elems(name))
-            if len({self.carriers[name][x] for x in elems}) < len(elems):
+            positions = self.carriers[name]
+            if len(set(positions)) < len(positions):
                 raise AxiomViolation("pullback-composition", name)
 
 
@@ -194,9 +191,26 @@ def constant_pullback(source_fiber: FinSetFiber, target_fiber: FinSetFiber,
                            constant=target_fiber.identity(at))
 
 
-def relabel_pullback(obj_map: Mapping, carriers: Mapping) -> PullbackFunctor:
-    """Conjugation by the per-object element maps ``carriers[name]``."""
-    return PullbackFunctor(obj_map=dict(obj_map), carriers=dict(carriers))
+def relabel_pullback(source: FinSetFiber, target: FinSetFiber, obj_map: Mapping,
+                     carriers: Mapping) -> PullbackFunctor:
+    """Conjugation by the per-object element maps ``carriers[name]``, each of
+    which must be total on its set and onto its image set; entries outside
+    the set are ignored."""
+    positions, sections = {}, {}
+    for name in source.names():
+        image = obj_map.get(name)
+        if not _has(target.sets, image):
+            raise DanglingId("pullback obj_map", name, image)
+        if name not in carriers:
+            raise DanglingId("pullback carriers", name)
+        positions[name] = _positions(carriers[name], source.elems(name), target.elems(image))
+        if positions[name] is None:
+            raise AxiomViolation("pullback-carrier", name)
+        preimage = {j: i for i, j in enumerate(positions[name])}
+        if len(preimage) != len(target.elems(image)):
+            raise AxiomViolation("pullback-identity", name)
+        sections[name] = tuple(preimage[j] for j in range(len(preimage)))
+    return PullbackFunctor(obj_map=dict(obj_map), carriers=positions, sections=sections)
 
 
 @dataclass(frozen=True)
@@ -287,7 +301,11 @@ class Lift:
 
 def lift(ic: IndexedCategory, shape: FiniteCategory, anchor: CatFunctor,
          objects: Mapping, morphisms: Mapping) -> Lift:
-    """Validate endpoints and strict functoriality of lift data."""
+    """Validate endpoints and strict functoriality of lift data.
+
+    ``morphisms[f]`` lives in the fiber over anchor(src f); a map given as an
+    element table becomes one through that fiber's :meth:`FinSetFiber.mor`.
+    """
     if anchor.source != shape or anchor.target != ic.base:
         raise NotFunctorial("anchor must map the shape into the base")
     for d in shape.objects:
@@ -301,10 +319,6 @@ def lift(ic: IndexedCategory, shape: FiniteCategory, anchor: CatFunctor,
         expected_tgt = ic.pull(anchor.mor_map[f]).on_obj(objects[b])
         if m.src != objects[a] or m.tgt != expected_tgt:
             raise AxiomViolation("lift-endpoints", f)
-        fiber = ic.fiber(anchor.obj_map[a])
-        domain = set(fiber.elems(m.src))
-        if len(m.mapping) != len(domain) or not _maps_into(m.as_dict(), domain, fiber.elems(m.tgt)):
-            raise AxiomViolation("lift-total-function", f)
     for d in shape.objects:
         fiber = ic.fiber(anchor.obj_map[d])
         if morphisms[shape.ident[d]] != fiber.identity(objects[d]):
@@ -358,33 +372,30 @@ def fiber_diagram(fiber: FinSetFiber, shape: FiniteCategory,
 
 @dataclass(frozen=True)
 class LimitCone:
-    """All cones over a finite-set diagram, as tuples aligned with shape_objects."""
+    """All cones over a finite-set diagram, as tuples aligned with shape_objects:
+    ``cones`` holds the elements, in id order, and ``positions`` the same
+    cones as the positions of those elements in their sets."""
 
     shape_objects: tuple
     cones: tuple
-
-    def component(self, cone: tuple, shape_obj):
-        return cone[self.shape_objects.index(shape_obj)]
+    positions: tuple
 
 
 def finset_limit(fiber: FinSetFiber, diagram: FiberDiagram) -> LimitCone:
     """Enumerate all compatible families; the empty diagram has one empty cone."""
-    shape_objects = tuple(diagram.shape.objects)
-    pools = [fiber.elems(diagram.on_obj[x]) for x in shape_objects]
+    shape = diagram.shape
+    shape_objects = tuple(shape.objects)
     position = {x: i for i, x in enumerate(shape_objects)}
-    cones = []
-    for candidate in itertools.product(*pools):
-        ok = True
-        for m in diagram.shape.morphisms:
-            fm = diagram.on_mor[m]
-            if fm.apply(candidate[position[diagram.shape.src[m]]]) != \
-                    candidate[position[diagram.shape.tgt[m]]]:
-                ok = False
-                break
-        if ok:
-            cones.append(candidate)
-    cones.sort(key=idkey)
-    return LimitCone(shape_objects=shape_objects, cones=tuple(cones))
+    pools = [fiber.elems(diagram.on_obj[x]) for x in shape_objects]
+    arrows = [(position[shape.src[m]], position[shape.tgt[m]], diagram.on_mor[m].images)
+              for m in shape.morphisms]
+    found = sorted(
+        ((tuple(pool[k] for pool, k in zip(pools, cone)), cone)
+         for cone in itertools.product(*(range(len(pool)) for pool in pools))
+         if all(images[cone[i]] == cone[j] for i, j, images in arrows)),
+        key=lambda pair: idkey(pair[0]))
+    return LimitCone(shape_objects=shape_objects, cones=tuple(c for c, _ in found),
+                     positions=tuple(p for _, p in found))
 
 
 @dataclass(frozen=True)
@@ -399,13 +410,10 @@ def is_limit_cone(fiber: FinSetFiber, diagram: FiberDiagram,
                   candidate: LimitCandidate) -> bool:
     """The canonical comparison into the cone set must be a bijection."""
     cone_set = finset_limit(fiber, diagram)
-    seen = set()
-    for x in fiber.elems(candidate.obj):
-        image = tuple(candidate.projections[s].apply(x) for s in cone_set.shape_objects)
-        if image not in set(cone_set.cones):
-            return False
-        seen.add(image)
-    return len(seen) == len(fiber.elems(candidate.obj)) == len(cone_set.cones)
+    projections = [candidate.projections[s].images for s in cone_set.shape_objects]
+    size = len(fiber.elems(candidate.obj))
+    images = {tuple(images[i] for images in projections) for i in range(size)}
+    return len(images) == size and images == set(cone_set.positions)
 
 
 def pull_diagram(ic: IndexedCategory, base_morphism, diagram: FiberDiagram) -> FiberDiagram:
@@ -447,7 +455,6 @@ class RightKanResult:
     commas: dict        # d -> comma category (d down E)
     diagrams: dict      # d -> FiberDiagram over the fiber at anchor(d)
     cones: dict         # d -> LimitCone
-    element_of_cone: dict  # d -> {cone tuple: element of RF(d)}
     projections: dict   # d -> {comma object: FibMor RF(d) -> diagram value}
 
 
@@ -478,8 +485,6 @@ def right_kan(ic: IndexedCategory, f: CatFunctor, p: CatFunctor, p_lift: Lift) -
     diagrams: dict = {}
     cones: dict = {}
     objects: dict = {}
-    element_of_cone: dict = {}
-    cone_of_element: dict = {}
     projections: dict = {}
 
     for d in d_cat.objects:
@@ -490,13 +495,10 @@ def right_kan(ic: IndexedCategory, f: CatFunctor, p: CatFunctor, p_lift: Lift) -
         chosen = next((name for name in fiber.names() if len(fiber.elems(name)) == size), None)
         if chosen is None:
             raise NotFComplete(d, f"no fiber object of size {size}")
-        elems = fiber.elems(chosen)
-        to_cone = dict(zip(elems, cone_set.cones))
-        of_cone = dict(zip(cone_set.cones, elems))
-        projs = {}
-        for i, comma_obj in enumerate(cone_set.shape_objects):
-            projs[comma_obj] = fib_mor(chosen, diagram.on_obj[comma_obj],
-                                       {x: to_cone[x][i] for x in elems})
+        # the i-th element of ``chosen`` stands for the i-th cone
+        projs = {obj: FibMor(chosen, diagram.on_obj[obj],
+                             tuple(cone[k] for cone in cone_set.positions))
+                 for k, obj in enumerate(cone_set.shape_objects)}
         candidate = LimitCandidate(obj=chosen, projections=projs)
         if not is_global_limit(ic, p.obj_map[d], diagram, candidate):
             raise NotFComplete(d, "fiber limit is not global")
@@ -504,8 +506,6 @@ def right_kan(ic: IndexedCategory, f: CatFunctor, p: CatFunctor, p_lift: Lift) -
         diagrams[d] = diagram
         cones[d] = cone_set
         objects[d] = chosen
-        element_of_cone[d] = of_cone
-        cone_of_element[d] = to_cone
         projections[d] = projs
 
     morphisms: dict = {}
@@ -513,27 +513,21 @@ def right_kan(ic: IndexedCategory, f: CatFunctor, p: CatFunctor, p_lift: Lift) -
         a, b = d_cat.src[m], d_cat.tgt[m]
         pf = ic.pull(p.mor_map[m])
         target_name = pf.on_obj(objects[b])
-        target_elems = ic.fiber(p.obj_map[a]).elems(target_name)
-        comma_b_objects = cones[b].shape_objects
+        # The limit at b is global, so pf carries it to a limit over p(a), and
+        # every cone over a restricts to a cone over that pulled diagram: each
+        # element of RF(a) goes to the one element whose pulled cone that is.
+        pulled = [pf.on_mor(projections[b][obj]).images for obj in cones[b].shape_objects]
+        element_of = {tuple(images[y] for images in pulled): y
+                      for y in range(len(ic.fiber(p.obj_map[a]).elems(target_name)))}
         comma_a_index = {obj: i for i, obj in enumerate(cones[a].shape_objects)}
-        mapping = {}
-        for x in ic.fiber(p.obj_map[a]).elems(objects[a]):
-            cone_x = cone_of_element[a][x]
-            matches = []
-            for y in target_elems:
-                if all(pf.on_mor(projections[b][(e, beta)]).apply(y)
-                       == cone_x[comma_a_index[(e, d_cat.compose(m, beta))]]
-                       for (e, beta) in comma_b_objects):
-                    matches.append(y)
-            if len(matches) != 1:
-                raise NotFComplete(a, f"universal factorization failed along {m!r}")
-            mapping[x] = matches[0]
-        morphisms[m] = fib_mor(objects[a], target_name, mapping)
+        restrict = [comma_a_index[(e, d_cat.compose(m, beta))]
+                    for e, beta in cones[b].shape_objects]
+        morphisms[m] = FibMor(objects[a], target_name, tuple(
+            element_of[tuple(cone[i] for i in restrict)] for cone in cones[a].positions))
 
     extended = lift(ic, d_cat, p, objects, morphisms)
     return RightKanResult(lift=extended, along=f, commas=commas, diagrams=diagrams,
-                          cones=cones, element_of_cone=element_of_cone,
-                          projections=projections)
+                          cones=cones, projections=projections)
 
 
 def counit(rf: RightKanResult, p_lift: Lift) -> dict:
@@ -549,7 +543,8 @@ def lift_morphisms(l1: Lift, l2: Lift) -> tuple:
 
     Naturality at m: a -> b compares nu[a] then l2(m), which depends on
     nu[a] alone, with l1(m) then the pullback of nu[b], which depends on
-    nu[b] alone; both sides are computed once per candidate component.
+    nu[b] alone; both sides are computed once per candidate component, and
+    compared by their images, since their endpoints are fixed.
     """
     ic = l1.ic
     shape = l1.shape
@@ -562,8 +557,9 @@ def lift_morphisms(l1: Lift, l2: Lift) -> tuple:
         a, b = shape.src[m], shape.tgt[m]
         fiber = ic.fiber(l1.anchor.obj_map[a])
         pf = ic.pull(l1.anchor.mor_map[m])
-        lhs = [fiber.compose(nu_a, l2.morphisms[m]) for nu_a in options[position[a]]]
-        rhs = [fiber.compose(l1.morphisms[m], pf.on_mor(nu_b)) for nu_b in options[position[b]]]
+        lhs = [fiber.compose(nu_a, l2.morphisms[m]).images for nu_a in options[position[a]]]
+        rhs = [fiber.compose(l1.morphisms[m], pf.on_mor(nu_b)).images
+               for nu_b in options[position[b]]]
         sides.append((position[a], position[b], lhs, rhs))
     found = []
     for combo in itertools.product(*(range(len(o)) for o in options)):
@@ -594,14 +590,10 @@ def adjunction_check(ic: IndexedCategory, f: CatFunctor, p: CatFunctor,
     left = lift_morphisms(q_lift, rf.lift)
     right = lift_morphisms(restricted_q, p_lift)
 
-    right_set = {tuple(sorted(nu.items(), key=lambda kv: idkey(kv[0]))) for nu in right}
-    images = set()
-    for nu in left:
-        sigma = {}
-        for e in f.source.objects:
-            fiber = ic.fiber(restricted_q.anchor.obj_map[e])
-            sigma[e] = fiber.compose(nu[f.obj_map[e]], eps[e])
-        images.add(tuple(sorted(sigma.items(), key=lambda kv: idkey(kv[0]))))
+    e_objects = f.source.objects
+    right_set = {tuple(nu[e] for e in e_objects) for nu in right}
+    images = {tuple(ic.fiber(restricted_q.anchor.obj_map[e]).compose(nu[f.obj_map[e]], eps[e])
+                    for e in e_objects) for nu in left}
 
     if len(images) != len(left):
         return AdjunctionReport(len(left), len(right), False, "transport not injective")

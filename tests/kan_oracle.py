@@ -1,10 +1,15 @@
-"""Exhaustive oracle for pullback functors and strict indexed categories.
+"""Element-level oracles for pullback functors, lift morphisms and the
+universal factorizations of right Kan extensions.
 
-Each pullback functor is materialised as a table over every fiber morphism,
-all Σ|Y|^|X| functions between the fiber's sets, and checked on every
-identity and every composable pair.  ``finstack.kan`` validates the same
-functors structurally; the tests compare the two on small fibers.  The
-naturality search over lift morphisms is kept in its first form as well.
+Functions here are their own type, sorted (element, image) pairs, as fiber
+morphisms were before they became positional image tuples; ``to_elements``
+and ``to_positions`` convert between the two.  Each pullback functor is
+materialised as a table over every function, all Σ|Y|^|X| between the
+fiber's sets, and checked on every identity and every composable pair.
+``finstack.kan`` validates the same functors structurally; the tests compare
+the two on small fibers.  The naturality search over lift morphisms and the
+scan for each universal factorization of ``right_kan`` are kept in their
+first forms as well.
 """
 
 from __future__ import annotations
@@ -12,25 +17,64 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from finstack.errors import AxiomViolation, DanglingId
-from finstack.kan import FinSetFiber, fib_mor
+from finstack.category import idkey
+from finstack.errors import AxiomViolation, DanglingId, NotFComplete
+from finstack.kan import FibMor, FinSetFiber
+
+
+@dataclass(frozen=True)
+class ElemMor:
+    """A function between two named finite sets, as its (element, image) pairs."""
+
+    src: object
+    tgt: object
+    pairs: tuple  # sorted tuple of (element, image) pairs
+
+    def apply(self, x):
+        return dict(self.pairs)[x]
+
+
+def elem_mor(src, tgt, table: dict) -> ElemMor:
+    return ElemMor(src, tgt, tuple(sorted(table.items(), key=lambda kv: idkey(kv[0]))))
+
+
+def identity(fiber: FinSetFiber, name) -> ElemMor:
+    return elem_mor(name, name, {x: x for x in fiber.elems(name)})
+
+
+def compose(m1: ElemMor, m2: ElemMor) -> ElemMor:
+    """m1 then m2."""
+    d2 = dict(m2.pairs)
+    return elem_mor(m1.src, m2.tgt, {x: d2[y] for x, y in m1.pairs})
+
+
+def morphisms_between(fiber: FinSetFiber, o1, o2) -> tuple:
+    source = fiber.elems(o1)
+    if not source:
+        return (elem_mor(o1, o2, {}),)
+    return tuple(elem_mor(o1, o2, dict(zip(source, images)))
+                 for images in itertools.product(fiber.elems(o2), repeat=len(source)))
 
 
 def all_morphisms(fiber: FinSetFiber) -> tuple:
     return tuple(m for o1 in fiber.names() for o2 in fiber.names()
-                 for m in fiber.morphisms_between(o1, o2))
+                 for m in morphisms_between(fiber, o1, o2))
 
 
-def compose(m1, m2):
-    """m1 then m2, re-sorted through ``fib_mor``."""
-    d2 = m2.as_dict()
-    return fib_mor(m1.src, m2.tgt, {x: d2[y] for x, y in m1.mapping})
+def to_elements(fiber: FinSetFiber, m: FibMor) -> ElemMor:
+    values = fiber.elems(m.tgt)
+    return elem_mor(m.src, m.tgt, {x: values[j] for x, j in zip(fiber.elems(m.src), m.images)})
+
+
+def to_positions(fiber: FinSetFiber, m: ElemMor) -> FibMor:
+    values = fiber.elems(m.tgt)
+    return FibMor(m.src, m.tgt, tuple(values.index(y) for _, y in m.pairs))
 
 
 @dataclass(frozen=True)
 class TablePullback:
     obj_map: dict  # source-fiber object name -> target-fiber object name
-    mor_map: dict  # FibMor of the source fiber -> FibMor of the target fiber
+    mor_map: dict  # ElemMor of the source fiber -> ElemMor of the target fiber
 
     def on_obj(self, name):
         return self.obj_map[name]
@@ -46,7 +90,7 @@ def table_pullback(doc: dict, source: FinSetFiber, target: FinSetFiber) -> Table
         return TablePullback({name: name for name in source.names()},
                              {m: m for m in all_morphisms(source)})
     if doc["kind"] == "constant":
-        ident = target.identity(doc["at"])
+        ident = identity(target, doc["at"])
         return TablePullback({name: doc["at"] for name in source.names()},
                              {m: ident for m in all_morphisms(source)})
     obj_map = doc["objects"]
@@ -54,8 +98,8 @@ def table_pullback(doc: dict, source: FinSetFiber, target: FinSetFiber) -> Table
     mor_map = {}
     for m in all_morphisms(source):
         c_src, c_tgt = carriers[m.src], carriers[m.tgt]
-        mor_map[m] = fib_mor(obj_map[m.src], obj_map[m.tgt],
-                             {c_src[x]: c_tgt[y] for x, y in m.mapping})
+        mor_map[m] = elem_mor(obj_map[m.src], obj_map[m.tgt],
+                              {c_src[x]: c_tgt[y] for x, y in m.pairs})
     return TablePullback(dict(obj_map), mor_map)
 
 
@@ -71,13 +115,13 @@ def validate_table(source: FinSetFiber, target: FinSetFiber, pf: TablePullback) 
         if image.src != pf.obj_map[m.src] or image.tgt != pf.obj_map[m.tgt]:
             raise AxiomViolation("pullback-endpoints", m)
     for name in source.names():
-        if pf.on_mor(source.identity(name)) != target.identity(pf.obj_map[name]):
+        if pf.on_mor(identity(source, name)) != identity(target, pf.obj_map[name]):
             raise AxiomViolation("pullback-identity", name)
     for o1 in source.names():
         for o2 in source.names():
-            for m1 in source.morphisms_between(o1, o2):
+            for m1 in morphisms_between(source, o1, o2):
                 for o3 in source.names():
-                    for m2 in source.morphisms_between(o2, o3):
+                    for m2 in morphisms_between(source, o2, o3):
                         if pf.on_mor(compose(m1, m2)) != compose(pf.on_mor(m1), pf.on_mor(m2)):
                             raise AxiomViolation("pullback-composition", (m1, m2))
 
@@ -110,16 +154,56 @@ def check_indexed_category(base, fibers: dict, tables: dict) -> None:
 
 
 def lift_morphisms(l1, l2) -> tuple:
-    """Every family of fiber morphisms, checked for naturality one by one."""
+    """Every family of functions, checked for naturality one by one; the
+    families are dicts of element-level functions."""
     ic = l1.ic
     shape = l1.shape
-    options = [ic.fiber(l1.anchor.obj_map[d]).morphisms_between(l1.objects[d], l2.objects[d])
-               for d in shape.objects]
+    fibers = {d: ic.fiber(l1.anchor.obj_map[d]) for d in shape.objects}
+    options = [morphisms_between(fibers[d], l1.objects[d], l2.objects[d]) for d in shape.objects]
+    maps1 = {m: to_elements(fibers[shape.src[m]], l1.morphisms[m]) for m in shape.morphisms}
+    maps2 = {m: to_elements(fibers[shape.src[m]], l2.morphisms[m]) for m in shape.morphisms}
+    pulled: dict = {}  # (m, nu_b) -> the pullback of nu_b along anchor(m)
+
+    def pull(m, nu_b):
+        if (m, nu_b) not in pulled:
+            image = ic.pull(l1.anchor.mor_map[m]).on_mor(to_positions(fibers[shape.tgt[m]], nu_b))
+            pulled[(m, nu_b)] = to_elements(fibers[shape.src[m]], image)
+        return pulled[(m, nu_b)]
+
     found = []
     for combo in itertools.product(*options):
         nu = dict(zip(shape.objects, combo))
-        if all(compose(nu[shape.src[m]], l2.morphisms[m])
-               == compose(l1.morphisms[m], ic.pull(l1.anchor.mor_map[m]).on_mor(nu[shape.tgt[m]]))
+        if all(compose(nu[shape.src[m]], maps2[m]) == compose(maps1[m], pull(m, nu[shape.tgt[m]]))
                for m in shape.morphisms):
             found.append(nu)
     return tuple(found)
+
+
+def factorizations(ic, p, rf) -> dict:
+    """RF's value on each shape morphism m: a -> b, as element-level functions.
+
+    Each element x of RF(a) goes to the one element y of pull(p(m))(RF(b))
+    whose pulled projections agree with x's cone, found by scanning every y.
+    """
+    d_cat = rf.along.target
+    objects = rf.lift.objects
+    out = {}
+    for m in d_cat.morphisms:
+        a, b = d_cat.src[m], d_cat.tgt[m]
+        fiber = ic.fiber(p.obj_map[a])
+        pf = ic.pull(p.mor_map[m])
+        target_name = pf.on_obj(objects[b])
+        comma_a_index = {obj: i for i, obj in enumerate(rf.cones[a].shape_objects)}
+        pulled = {obj: to_elements(fiber, pf.on_mor(rf.projections[b][obj]))
+                  for obj in rf.cones[b].shape_objects}
+        mapping = {}
+        for x, cone_x in zip(fiber.elems(objects[a]), rf.cones[a].cones):
+            matches = [y for y in fiber.elems(target_name)
+                       if all(pulled[(e, beta)].apply(y)
+                              == cone_x[comma_a_index[(e, d_cat.compose(m, beta))]]
+                              for (e, beta) in rf.cones[b].shape_objects)]
+            if len(matches) != 1:
+                raise NotFComplete(a, f"universal factorization failed along {m!r}")
+            mapping[x] = matches[0]
+        out[m] = elem_mor(objects[a], target_name, mapping)
+    return out

@@ -183,8 +183,8 @@ def test_criterion_9_kan_adjunction():
     q_lift = fs.lift(ic, d_cat, p, {"s": "s2", "u": "s1", "v": "r2"},
                      {"is": fib.identity("s2"), "iu": fib.identity("s1"),
                       "iv": fib.identity("r2"),
-                      "mu": fs.fib_mor("s2", "s1", {"x": "a", "y": "a"}),
-                      "mv": fs.fib_mor("s2", "r2", {"x": "p", "y": "q"})})
+                      "mu": fib.mor("s2", "s1", {"x": "a", "y": "a"}),
+                      "mv": fib.mor("s2", "r2", {"x": "p", "y": "q"})})
     ident = fs.identity_functor(d_cat)
     rf2 = fs.right_kan(ic, ident, p, q_lift)
     ok = ok and fs.adjunction_check(ic, ident, p, q_lift, q_lift, rf2).bijective
@@ -197,7 +197,7 @@ def test_criterion_9_kan_adjunction():
     ic3 = fs.indexed_category(
         base, {0: fib0, 1: fib1},
         {(0, 0): identity_pullback(fib0), (1, 1): identity_pullback(fib1),
-         (0, 1): relabel_pullback({"n1": "m1", "n2": "m2"},
+         (0, 1): relabel_pullback(fib1, fib0, {"n1": "m1", "n2": "m2"},
                                                   {"n1": {"z": "a"}, "n2": {"u": "c", "v": "d"}})})
     d3 = chain_category(1)
     e3 = discrete_category(["e"])

@@ -535,6 +535,18 @@ def test_kan_relabel_missing_entry_exit_2(capsys, tmp_path, table):
     assert_input_error(capsys, kan_argv(tmp_path, docs))
 
 
+@pytest.mark.parametrize("fiber_set, carrier", [
+    (["ma"], [["a", "ma"]]),  # an array of pairs
+    (["p"], ["ap"]),          # an array of two-character strings
+], ids=["pairs", "strings"])
+def test_kan_relabel_carrier_array_exit_2(capsys, tmp_path, fiber_set, carrier):
+    """A carrier must be an object, even where an array would read as a table."""
+    docs = kan_relabel_docs()
+    docs["fibers"]["fibers"]["b0"]["ms1"] = fiber_set
+    docs["fibers"]["pulls"]["u"]["carriers"]["s1"] = carrier
+    assert_input_error(capsys, kan_argv(tmp_path, docs))
+
+
 @pytest.mark.parametrize("edit", [
     lambda table: table.pop("N.1"),                  # partial
     lambda table: table.update({"N.9": "K.0"}),      # extra key

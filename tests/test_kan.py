@@ -1,12 +1,15 @@
 from __future__ import annotations
 
 import itertools
+import math
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import finstack as fs
 from finstack.category import functor, chain_category, discrete_category, validate_category
-from finstack.errors import NoFinalObject, NotALimit, NotFComplete, NotFunctorial
+from finstack.errors import FinstackError, NoFinalObject, NotALimit, NotFComplete, NotFunctorial
 from finstack.kan import (
     LimitCandidate,
     constant_pullback,
@@ -55,6 +58,56 @@ def product_instance():
     return ic, f, p, p_lift
 
 
+def span_lift(ic, p):
+    """A lift over the span u <- s -> v of the product instance, with a
+    constant map to u."""
+    fib = ic.fiber("*")
+    return fs.lift(ic, p.source, p, {"s": "s2", "u": "s1", "v": "r2"},
+                   {"is": fib.identity("s2"), "iu": fib.identity("s1"),
+                    "iv": fib.identity("r2"),
+                    "mu": fib.mor("s2", "s1", {"x": "a", "y": "a"}),
+                    "mv": fib.mor("s2", "r2", {"x": "p", "y": "q"})})
+
+
+def parallel_pair(x="x", y="y", f="f", g="g"):
+    """Two parallel morphisms f, g: x -> y plus identities."""
+    ix, iy = ("id", x), ("id", y)
+    return validate_category(
+        [x, y], [ix, iy, f, g],
+        {ix: x, iy: y, f: x, g: x}, {ix: x, iy: y, f: y, g: y},
+        {(ix, ix): ix, (iy, iy): iy, (ix, f): f, (f, iy): f, (ix, g): g, (g, iy): g},
+        {x: ix, y: iy},
+    )
+
+
+def equalizer_instance():
+    """RF(s) is the equalizer of al, be: N -> K, which agree on N.0 and N.2;
+    D is s -> d0 => d1 with both composites equal."""
+    e_cat = parallel_pair("e0", "e1", "al", "be")
+    ids = {x: ("id", x) for x in ("s", "d0", "d1")}
+    src = {"x": "s", "y": "s", "dal": "d0", "dbe": "d0"}
+    tgt = {"x": "d0", "y": "d1", "dal": "d1", "dbe": "d1"}
+    comp = {("x", "dal"): "y", ("x", "dbe"): "y"}
+    for m in src:
+        comp.update({(ids[src[m]], m): m, (m, ids[tgt[m]]): m})
+    comp.update({(i, i): i for i in ids.values()})
+    d_cat = validate_category(list(ids), list(ids.values()) + list(src),
+                              {**{i: x for x, i in ids.items()}, **src},
+                              {**{i: x for x, i in ids.items()}, **tgt}, comp, ids)
+    f = functor(e_cat, d_cat, {"e0": "d0", "e1": "d1"},
+                {("id", "e0"): ids["d0"], ("id", "e1"): ids["d1"], "al": "dal", "be": "dbe"})
+    base = point_base()
+    ic = fs.trivial_indexed_category(base, {"N": ["N.0", "N.1", "N.2"], "K": ["K.0", "K.1"]})
+    p = functor(d_cat, base, {d: "*" for d in d_cat.objects},
+                {m: ("id", "*") for m in d_cat.morphisms})
+    fib = ic.fiber("*")
+    p_lift = fs.lift(ic, e_cat, f.then(p), {"e0": "N", "e1": "K"},
+                     {("id", "e0"): fib.identity("N"), ("id", "e1"): fib.identity("K"),
+                      "al": fib.mor("N", "K", {"N.0": "K.0", "N.1": "K.1", "N.2": "K.0"}),
+                      "be": fib.mor("N", "K", {"N.0": "K.0", "N.1": "K.0", "N.2": "K.0"})})
+    return ic, f, p, p_lift
+
+
 def test_comma_discrete_e_is_discrete():
     d_cat = span_category()
     e_cat = discrete_category(["e1", "e2"])
@@ -91,21 +144,13 @@ def test_finset_limit_product():
 
 def test_finset_limit_equalizer():
     fib = fs.make_fiber({"three": [1, 2, 3], "two": ["a", "b"]})
-    shape = validate_category(
-        ["x", "y"], [("id", "x"), ("id", "y"), "f", "g"],
-        {("id", "x"): "x", ("id", "y"): "y", "f": "x", "g": "x"},
-        {("id", "x"): "x", ("id", "y"): "y", "f": "y", "g": "y"},
-        {(("id", "x"), ("id", "x")): ("id", "x"), (("id", "y"), ("id", "y")): ("id", "y"),
-         (("id", "x"), "f"): "f", ("f", ("id", "y")): "f",
-         (("id", "x"), "g"): "g", ("g", ("id", "y")): "g"},
-        {"x": ("id", "x"), "y": ("id", "y")},
-    )
+    shape = parallel_pair()
     maps_equal_at = {1: "a", 2: "b", 3: "a"}
     other = {1: "a", 2: "b", 3: "b"}
     diag = fiber_diagram(fib, shape, {"x": "three", "y": "two"},
                          {("id", "x"): fib.identity("three"), ("id", "y"): fib.identity("two"),
-                          "f": fs.fib_mor("three", "two", maps_equal_at),
-                          "g": fs.fib_mor("three", "two", other)})
+                          "f": fib.mor("three", "two", maps_equal_at),
+                          "g": fib.mor("three", "two", other)})
     cone = fs.finset_limit(fib, diag)
     # cones = elements where the two maps agree, paired with the common value
     assert len(cone.cones) == 2
@@ -128,8 +173,8 @@ def test_global_limit_identity_pulls():
     diag = fiber_diagram(fib, shape, {"g1": "two", "g2": "two"},
                          {("id", "g1"): fib.identity("two"), ("id", "g2"): fib.identity("two")})
     cand = LimitCandidate(obj="four", projections={
-        "g1": fs.fib_mor("four", "two", {0: "p", 1: "p", 2: "q", 3: "q"}),
-        "g2": fs.fib_mor("four", "two", {0: "p", 1: "q", 2: "p", 3: "q"}),
+        "g1": fib.mor("four", "two", {0: "p", 1: "p", 2: "q", 3: "q"}),
+        "g2": fib.mor("four", "two", {0: "p", 1: "q", 2: "p", 3: "q"}),
     })
     assert fs.is_global_limit(ic, 1, diag, cand)
 
@@ -145,8 +190,8 @@ def test_global_limit_fails_under_constant_pullback():
     diag = fiber_diagram(fib, shape, {"g1": "two", "g2": "two"},
                          {("id", "g1"): fib.identity("two"), ("id", "g2"): fib.identity("two")})
     cand = LimitCandidate(obj="four", projections={
-        "g1": fs.fib_mor("four", "two", {0: "p", 1: "p", 2: "q", 3: "q"}),
-        "g2": fs.fib_mor("four", "two", {0: "p", 1: "q", 2: "p", 3: "q"}),
+        "g1": fib.mor("four", "two", {0: "p", 1: "p", 2: "q", 3: "q"}),
+        "g2": fib.mor("four", "two", {0: "p", 1: "q", 2: "p", 3: "q"}),
     })
     assert not fs.is_global_limit(ic, 1, diag, cand)
     # the terminal object check: empty diagram pulled through the constant functor
@@ -161,7 +206,7 @@ def test_non_limit_candidate_rejected():
     fib = ic.fiber("*")
     shape = discrete_category(["g"])
     diag = fiber_diagram(fib, shape, {"g": "two"}, {("id", "g"): fib.identity("two")})
-    bad = LimitCandidate(obj="one", projections={"g": fs.fib_mor("one", "two", {"*": "p"})})
+    bad = LimitCandidate(obj="one", projections={"g": fib.mor("one", "two", {"*": "p"})})
     with pytest.raises(NotALimit):
         fs.is_global_limit(ic, "*", diag, bad)
 
@@ -194,26 +239,20 @@ def test_right_kan_adjunction_bijection():
     assert rep.bijective
     assert rep.left_size == rep.right_size == 16
 
-    fib = ic.fiber("*")
-    q_lift = fs.lift(ic, f.target, p, {"s": "s2", "u": "s1", "v": "r2"},
-                     {"is": fib.identity("s2"), "iu": fib.identity("s1"),
-                      "iv": fib.identity("r2"),
-                      "mu": fs.fib_mor("s2", "s1", {"x": "a", "y": "a"}),
-                      "mv": fs.fib_mor("s2", "r2", {"x": "p", "y": "q"})})
+    q_lift = span_lift(ic, p)
     rep2 = fs.adjunction_check(ic, f, p, p_lift, q_lift, rf)
     assert rep2.bijective
 
 
-def test_right_kan_along_identity_is_isomorphic_to_input():
+def along_identity_instance():
     ic, f, p, _ = product_instance()
-    d_cat = f.target
+    return ic, fs.identity_functor(f.target), p, span_lift(ic, p)
+
+
+def test_right_kan_along_identity_is_isomorphic_to_input():
+    ic, ident, p, q_lift = along_identity_instance()
+    d_cat = ident.target
     fib = ic.fiber("*")
-    q_lift = fs.lift(ic, d_cat, p, {"s": "s2", "u": "s1", "v": "r2"},
-                     {"is": fib.identity("s2"), "iu": fib.identity("s1"),
-                      "iv": fib.identity("r2"),
-                      "mu": fs.fib_mor("s2", "s1", {"x": "a", "y": "a"}),
-                      "mv": fs.fib_mor("s2", "r2", {"x": "p", "y": "q"})})
-    ident = fs.identity_functor(d_cat)
     rf = fs.right_kan(ic, ident, p, q_lift)
     for d in d_cat.objects:
         assert len(fib.elems(rf.lift.objects[d])) == len(fib.elems(q_lift.objects[d]))
@@ -221,24 +260,36 @@ def test_right_kan_along_identity_is_isomorphic_to_input():
     assert rep.bijective
 
 
-def relabel_instance():
-    """E = {e} over 1 in the chain 0 -> 1, whose pullback relabels each set."""
+def test_right_kan_equalizer():
+    ic, f, p, p_lift = equalizer_instance()
+    rf = fs.right_kan(ic, f, p, p_lift)
+    assert rf.lift.objects == {"s": "K", "d0": "N", "d1": "K"}
+    assert rf.cones["s"].cones == (("N.0", "K.0"), ("N.2", "K.0"))
+    assert fs.adjunction_check(ic, f, p, p_lift, rf.lift, rf).bijective
+
+
+def relabel_chain(sets):
+    """The chain 0 -> 1 as base and shape, with the identity anchor: fiber 1
+    is ``sets``, fiber 0 an m-prefixed copy, and the pullback relabels."""
     base = chain_category(1)
-    fib0 = fs.make_fiber({"m1": ["a"], "m2": ["c", "d"]})
-    fib1 = fs.make_fiber({"n1": ["z"], "n2": ["u", "v"]})
-    pull01 = relabel_pullback({"n1": "m1", "n2": "m2"},
-                              {"n1": {"z": "a"}, "n2": {"u": "c", "v": "d"}})
+    fib1 = fs.make_fiber(sets)
+    fib0 = fs.make_fiber({f"m{n}": [f"m{x}" for x in xs] for n, xs in sets.items()})
+    pull01 = relabel_pullback(fib1, fib0, {n: f"m{n}" for n in sets},
+                              {n: {x: f"m{x}" for x in xs} for n, xs in sets.items()})
     ic = fs.indexed_category(base, {0: fib0, 1: fib1},
                              {(0, 0): identity_pullback(fib0),
                               (1, 1): identity_pullback(fib1),
                               (0, 1): pull01})
-    d_cat = chain_category(1)
+    return ic, functor(base, base, {0: 0, 1: 1}, {m: m for m in base.morphisms})
+
+
+def relabel_instance():
+    """E = {e} over 1 in the chain 0 -> 1, whose pullback relabels each set."""
+    ic, p_to_base = relabel_chain({"n1": ["z"], "n2": ["u", "v"]})
     e_cat = discrete_category(["e"])
-    f = functor(e_cat, d_cat, {"e": 1}, {("id", "e"): (1, 1)})
-    # base equals the shape here, so the anchor is the identity
-    p_to_base = functor(d_cat, base, {0: 0, 1: 1}, {m: m for m in d_cat.morphisms})
-    q = f.then(p_to_base)
-    p_lift = fs.lift(ic, e_cat, q, {"e": "n2"}, {("id", "e"): fib1.identity("n2")})
+    f = functor(e_cat, p_to_base.source, {"e": 1}, {("id", "e"): (1, 1)})
+    p_lift = fs.lift(ic, e_cat, f.then(p_to_base), {"e": "n2"},
+                     {("id", "e"): ic.fiber(1).identity("n2")})
     return ic, f, p_to_base, p_lift
 
 
@@ -246,7 +297,7 @@ def test_right_kan_with_relabel_pullback():
     ic, f, p_to_base, p_lift = relabel_instance()
     rf = fs.right_kan(ic, f, p_to_base, p_lift)
     assert rf.lift.objects[1] == "n2"
-    assert rf.lift.objects[0] == "m2"
+    assert rf.lift.objects[0] == "mn2"
     rep = fs.adjunction_check(ic, f, p_to_base, p_lift, rf.lift, rf)
     assert rep.bijective
 
@@ -282,16 +333,15 @@ def test_corrupted_extension_breaks_bijection():
         {"is": fib.identity("s1"),
          "iu": fib.identity(rf.lift.objects["u"]),
          "iv": fib.identity(rf.lift.objects["v"]),
-         "mu": fs.fib_mor("s1", rf.lift.objects["u"],
+         "mu": fib.mor("s1", rf.lift.objects["u"],
                           {"a": fib.elems(rf.lift.objects["u"])[0]}),
-         "mv": fs.fib_mor("s1", rf.lift.objects["v"],
+         "mv": fib.mor("s1", rf.lift.objects["v"],
                           {"a": fib.elems(rf.lift.objects["v"])[0]})},
     )
     corrupted = fs.RightKanResult(lift=collapsed, along=rf.along, commas=rf.commas,
                                   diagrams=rf.diagrams, cones=rf.cones,
-                                  element_of_cone=rf.element_of_cone,
                                   projections={
-                                      "s": {obj: fs.fib_mor("s1", rf.diagrams["s"].on_obj[obj],
+                                      "s": {obj: fib.mor("s1", rf.diagrams["s"].on_obj[obj],
                                                             {"a": fib.elems(rf.diagrams["s"].on_obj[obj])[0]})
                                             for obj in rf.cones["s"].shape_objects},
                                       "u": rf.projections["u"],
@@ -308,21 +358,93 @@ def test_lift_morphism_enumeration_counts():
     assert len(morphisms) == 16
 
 
+def assert_lift_morphisms_match_oracle(l1, l2):
+    """The same families in the same order, compared as element-level functions."""
+    fibers = {d: l1.ic.fiber(l1.anchor.obj_map[d]) for d in l1.shape.objects}
+    got = tuple({d: kan_oracle.to_elements(fibers[d], nu[d]) for d in nu}
+                for nu in lift_morphisms(l1, l2))
+    assert got == kan_oracle.lift_morphisms(l1, l2)
+
+
+@st.composite
+def random_lift(draw, ic, shape, anchor):
+    """A lift with random objects and random maps on the non-identity morphisms."""
+    objects = {d: draw(st.sampled_from(ic.fiber(anchor.obj_map[d]).names())) for d in shape.objects}
+    morphisms = {}
+    for m in shape.morphisms:
+        a, b = shape.src[m], shape.tgt[m]
+        fiber = ic.fiber(anchor.obj_map[a])
+        if shape.is_identity(m):
+            morphisms[m] = fiber.identity(objects[a])
+            continue
+        tgt = ic.pull(anchor.mor_map[m]).on_obj(objects[b])
+        values = fiber.elems(tgt)
+        assume(values or not fiber.elems(objects[a]))
+        morphisms[m] = fiber.mor(objects[a], tgt, {x: draw(st.sampled_from(values))
+                                                   for x in fiber.elems(objects[a])})
+    return fs.lift(ic, shape, anchor, objects, morphisms)
+
+
+@st.composite
+def lift_pair(draw):
+    """Two random lifts of one anchor, on sets of at most 3 elements: over the
+    span of the product instance, the parallel pair of the equalizer
+    instance, or the chain of the relabel instance."""
+    sizes = draw(st.lists(st.integers(0, 3), min_size=1, max_size=3))
+    sets = {f"n{i}": [f"x{j}" for j in range(k)] for i, k in enumerate(sizes)}
+    kind = draw(st.sampled_from(["span", "pair", "relabel"]))
+    if kind == "relabel":
+        ic, anchor = relabel_chain(sets)
+    else:
+        base = point_base()
+        ic = fs.trivial_indexed_category(base, sets)
+        shape = span_category() if kind == "span" else parallel_pair()
+        anchor = functor(shape, base, {d: "*" for d in shape.objects},
+                         {m: ("id", "*") for m in shape.morphisms})
+    l1, l2 = (draw(random_lift(ic, anchor.source, anchor)) for _ in range(2))
+    # the oracle composes element tables for every family; keep the families few
+    assume(math.prod(len(ic.fiber(anchor.obj_map[d]).morphisms_between(l1.objects[d], l2.objects[d]))
+                     for d in anchor.source.objects) <= 1000)
+    return l1, l2
+
+
+@settings(max_examples=200, deadline=None)
+@given(lift_pair())
+def test_lift_morphisms_match_oracle_on_random_lifts(lifts):
+    assert_lift_morphisms_match_oracle(*lifts)
+
+
+@pytest.mark.parametrize("src, tgt, table", [
+    ("two", "one", {"p": "*"}),                         # partial
+    ("two", "one", {"p": "*", "q": "*", "r": "*"}),     # extra key
+    ("two", "one", {"p": "*", "q": "?"}),               # outside the target set
+    ("two", "one", {"p": "*", "q": ["*"]}),             # unhashable image
+    ("six", "one", {}),                                 # unknown set
+], ids=["partial", "extra-key", "outside", "unhashable", "unknown-set"])
+def test_fiber_mor_rejects_what_is_not_a_function(src, tgt, table):
+    fib = fs.make_fiber({"one": ["*"], "two": ["p", "q"]})
+    with pytest.raises(FinstackError):
+        fib.mor(src, tgt, table)
+
+
+def test_fiber_mor_is_positional():
+    fib = fs.make_fiber({"one": ["*"], "two": ["q", "p"]})
+    assert fib.mor("two", "two", {"p": "q", "q": "p"}).images == (1, 0)
+    assert fib.mor("one", "two", {"*": "q"}).images == (1,)
+    assert fib.morphisms_between("two", "one") == (fib.mor("two", "one", {"p": "*", "q": "*"}),)
+    assert fib.morphisms_between("one", "two")[0] == fib.mor("one", "two", {"*": "p"})
+
+
 def test_lift_morphisms_match_exhaustive_oracle():
     ic, f, p, p_lift = product_instance()
     rf = fs.right_kan(ic, f, p, p_lift)
-    fib = ic.fiber("*")
-    q_lift = fs.lift(ic, f.target, p, {"s": "s2", "u": "s1", "v": "r2"},
-                     {"is": fib.identity("s2"), "iu": fib.identity("s1"),
-                      "iv": fib.identity("r2"),
-                      "mu": fs.fib_mor("s2", "s1", {"x": "a", "y": "a"}),
-                      "mv": fs.fib_mor("s2", "r2", {"x": "p", "y": "q"})})
+    q_lift = span_lift(ic, p)
     ric, rf_, rp, rp_lift = relabel_instance()
     r_ext = fs.right_kan(ric, rf_, rp, rp_lift).lift
     pairs = [(p_lift, p_lift), (q_lift, rf.lift), (rf.lift, q_lift), (q_lift, q_lift),
              (r_ext, r_ext)]
     for l1, l2 in pairs:
-        assert lift_morphisms(l1, l2) == kan_oracle.lift_morphisms(l1, l2)
+        assert_lift_morphisms_match_oracle(l1, l2)
     # by the adjunction, as many as from F*(Q) = (s1, r2) to P = (s2, r2): 2 * 4
     assert len(lift_morphisms(q_lift, rf.lift)) == 8
 
@@ -423,10 +545,10 @@ def test_groupoid_diagram_rejects_non_functorial():
                              (0, 1): fs.identity_functor(g)})
 
 
-def test_completeness_survives_base_change():
-    """Pulling the indexed category back along a base functor preserves the
-    extension: the same comma limits are computed in the relabeled fibers."""
-    ic, f, p, p_lift = product_instance()
+def base_change_instance():
+    """The product instance over the chain 0 -> 1, pulled back along the
+    functor to the point."""
+    ic, f, _, p_lift = product_instance()
     old_base = ic.base
     new_base = chain_category(1)
     to_old = functor(new_base, old_base, {0: "*", 1: "*"},
@@ -442,6 +564,14 @@ def test_completeness_survives_base_change():
     q_prime = f.then(p_prime)
     lift_prime = fs.lift(pulled_ic, f.source, q_prime, dict(p_lift.objects),
                          dict(p_lift.morphisms))
+    return pulled_ic, f, p_prime, lift_prime
+
+
+def test_completeness_survives_base_change():
+    """Pulling the indexed category back along a base functor preserves the
+    extension: the same comma limits are computed in the relabeled fibers."""
+    ic, f, p, p_lift = product_instance()
+    pulled_ic, _, p_prime, lift_prime = base_change_instance()
     rf_original = fs.right_kan(ic, f, p, p_lift)
     rf_pulled = fs.right_kan(pulled_ic, f, p_prime, lift_prime)
     assert rf_pulled.lift.objects == rf_original.lift.objects
@@ -450,19 +580,33 @@ def test_completeness_survives_base_change():
     assert rep.bijective
 
 
+KAN_INSTANCES = {
+    "product": product_instance,
+    "along-identity": along_identity_instance,
+    "relabel": relabel_instance,
+    "equalizer": equalizer_instance,
+    "base-change": base_change_instance,
+}
+
+
+@pytest.mark.parametrize("build", KAN_INSTANCES.values(), ids=KAN_INSTANCES.keys())
+def test_right_kan_factorizations_match_element_scan(build):
+    """RF's morphisms, found by looking up pulled cones, equal those of the
+    element scan.  The instances of test_acceptance are the product,
+    along-identity and relabel instances."""
+    ic, f, p, p_lift = build()
+    rf = fs.right_kan(ic, f, p, p_lift)
+    d_cat = f.target
+    got = {m: kan_oracle.to_elements(ic.fiber(p.obj_map[d_cat.src[m]]), rf.lift.morphisms[m])
+           for m in d_cat.morphisms}
+    assert got == kan_oracle.factorizations(ic, p, rf)
+
+
 def test_finset_limit_no_cones():
     fib = fs.make_fiber({"three": [1, 2, 3], "two": ["a", "b"]})
-    shape = validate_category(
-        ["x", "y"], [("id", "x"), ("id", "y"), "f", "g"],
-        {("id", "x"): "x", ("id", "y"): "y", "f": "x", "g": "x"},
-        {("id", "x"): "x", ("id", "y"): "y", "f": "y", "g": "y"},
-        {(("id", "x"), ("id", "x")): ("id", "x"), (("id", "y"), ("id", "y")): ("id", "y"),
-         (("id", "x"), "f"): "f", ("f", ("id", "y")): "f",
-         (("id", "x"), "g"): "g", ("g", ("id", "y")): "g"},
-        {"x": ("id", "x"), "y": ("id", "y")},
-    )
+    shape = parallel_pair()
     diag = fiber_diagram(fib, shape, {"x": "three", "y": "two"},
                          {("id", "x"): fib.identity("three"), ("id", "y"): fib.identity("two"),
-                          "f": fs.fib_mor("three", "two", {1: "a", 2: "a", 3: "a"}),
-                          "g": fs.fib_mor("three", "two", {1: "b", 2: "b", 3: "b"})})
+                          "f": fib.mor("three", "two", {1: "a", 2: "a", 3: "a"}),
+                          "g": fib.mor("three", "two", {1: "b", 2: "b", 3: "b"})})
     assert fs.finset_limit(fib, diag).cones == ()

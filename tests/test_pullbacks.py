@@ -11,7 +11,14 @@ from finstack.category import chain_category
 from finstack.errors import FinstackError
 from finstack.jsonio import _pullback_from_json
 from finstack.kan import identity_pullback, relabel_pullback
-from kan_oracle import all_morphisms, check_indexed_category, table_pullback, validate_table
+from kan_oracle import (
+    all_morphisms,
+    check_indexed_category,
+    table_pullback,
+    to_elements,
+    to_positions,
+    validate_table,
+)
 
 NAMES = ["n0", "n1", "n2"]
 TARGET_NAMES = ["t0", "t1", "t2"]
@@ -105,7 +112,7 @@ def test_structural_validation_matches_exhaustive_oracle(case):
     table = table_pullback(doc, source, target)
     for m in all_morphisms(source):
         assert pf.on_obj(m.src) == table.on_obj(m.src)
-        assert pf.on_mor(m) == table.on_mor(m)
+        assert to_elements(target, pf.on_mor(to_positions(source, m))) == table.on_mor(m)
 
 
 @st.composite
@@ -170,24 +177,27 @@ def test_strict_laws_match_exhaustive_oracle(case):
      {"n0": {"a": "p", "b": "p"}, "n1": {"c": "q", "d": "r"}}, False),
     # not onto the image set
     ({"n0": ["a"]}, {"t0": ["p", "q"]}, {"n0": {"a": "p"}}, False),
+    # keys outside the set are ignored
+    ({"n0": [], "n1": ["a"]}, {"t0": [], "t1": ["p"]}, {"n0": {"zz": "p"}, "n1": {"a": "p", "b": "q"}},
+     True),
 ])
 def test_relabel_carriers(source_sets, target_sets, carriers, valid):
     source, target = fs.make_fiber(source_sets), fs.make_fiber(target_sets)
     objects = {n: "t" + n[1:] for n in source_sets}
     doc = {"kind": "relabel", "objects": objects, "carriers": carriers}
     assert oracle_accepts(doc, source, target) == valid
-    pf = relabel_pullback(objects, carriers)
     if valid:
-        pf.validate(source, target)
+        relabel_pullback(source, target, objects, carriers).validate(source, target)
     else:
         with pytest.raises(FinstackError):
-            pf.validate(source, target)
+            relabel_pullback(source, target, objects, carriers).validate(source, target)
 
 
 def test_identity_pullback_needs_equal_sets():
     source = fs.make_fiber({"n0": ["a", "b"]})
     identity_pullback(source).validate(source, fs.make_fiber({"n0": ["b", "a"], "n1": []}))
-    for target in ({"n1": ["a", "b"]}, {"n0": ["a"]}):
+    # positions forget elements, so sets of one size must still differ
+    for target in ({"n1": ["a", "b"]}, {"n0": ["a"]}, {"n0": ["a", "c"]}):
         with pytest.raises(FinstackError):
             identity_pullback(source).validate(source, fs.make_fiber(target))
 
@@ -196,6 +206,6 @@ def test_probe_morphisms_are_identities_and_constant_maps():
     fiber = fs.make_fiber({"e": [], "s": ["a", "b"]})
     probes = fiber.probe_morphisms()
     assert fiber.identity("e") in probes and fiber.identity("s") in probes
-    assert fs.fib_mor("s", "s", {"a": "b", "b": "b"}) in probes
-    assert fs.fib_mor("s", "s", {"a": "b", "b": "a"}) not in probes
+    assert fiber.mor("s", "s", {"a": "b", "b": "b"}) in probes
+    assert fiber.mor("s", "s", {"a": "b", "b": "a"}) not in probes
     assert len(probes) == 2 + 2
