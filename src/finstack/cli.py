@@ -321,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pi1", help="edge-path group and isotropy comparison", parents=[common])
     p.add_argument("--groupoid", required=True)
     p.add_argument("--basepoint", required=True)
-    p.add_argument("--budget", type=int, default=DEFAULT_COSET_BUDGET)
+    p.add_argument("--budget", type=nonnegative_int, default=DEFAULT_COSET_BUDGET)
     p.set_defaults(run=_cmd_pi1)
 
     p = sub.add_parser("milnor", help="truncated join model and its quotient", parents=[common])
@@ -392,16 +392,13 @@ def main(argv: list | None = None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         report = args.run(args)
-    except FinstackError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except OSError as exc:
+        if args.json_out:
+            with open(args.json_out, "w", encoding="utf-8") as fh:
+                fh.write(report.to_json())
+    except (FinstackError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     sys.stdout.write(report.to_text())
-    if args.json_out:
-        with open(args.json_out, "w", encoding="utf-8") as fh:
-            fh.write(report.to_json())
     return report.exit_code()
 
 

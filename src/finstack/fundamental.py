@@ -177,9 +177,6 @@ class Pi1Report:
     isomorphic: bool | None
     note: str
 
-    def ok(self) -> bool:
-        return self.isomorphic is True
-
 
 def pi1_iso_check(g: FiniteGroupoid, x, budget: int = DEFAULT_COSET_BUDGET,
                   pres: GroupPresentation | None = None) -> Pi1Report:

@@ -2,11 +2,11 @@
 
 A boundary d_n is stored as one sparse column per basis element of C_n: a
 dict from row index (a basis element of C_{n-1}) to a nonzero coefficient.
-Homology reads ranks and torsion off the invariant factors of these columns
-(``invariant_factors``).  Induced maps are tested on a Z-basis of the cycles
-from a sparse unimodular column reduction (``kernel_columns``).  No dense
-matrix and no transform Smith normal form is built.  Arithmetic is arbitrary
-precision throughout.
+One sparse elimination (``_reduce``) serves everything: homology reads ranks
+and torsion off its invariant factors, and induced maps are tested on the
+Z-basis of the cycles that the same pass yields when it also tracks its
+unimodular column transform.  No dense matrix and no transform Smith normal
+form is built.  Arithmetic is arbitrary precision throughout.
 """
 
 from __future__ import annotations
@@ -17,8 +17,8 @@ from math import gcd
 
 from .errors import InsufficientTruncation
 
-def _add_column(cols: dict, rows: dict, k, j, q: int) -> None:
-    """col_k += q * col_j, keeping the row index in step."""
+def _add_column(cols: dict, rows: dict, k, j, q: int, v: dict | None) -> None:
+    """col_k += q * col_j, keeping the row index and the transform v (if any) in step."""
     ck = cols[k]
     for r, a in cols[j].items():
         b = ck.get(r, 0) + q * a
@@ -31,29 +31,38 @@ def _add_column(cols: dict, rows: dict, k, j, q: int) -> None:
             rows[r].discard(k)
     if not ck:
         del cols[k]
+    if v is not None:
+        vk = v[k]
+        for r, a in v[j].items():
+            b = vk.get(r, 0) + q * a
+            if b:
+                vk[r] = b
+            else:
+                del vk[r]
 
 
-def _eliminate(cols: dict, rows: dict, i, j) -> int:
+def _eliminate(cols: dict, rows: dict, i, j, v: dict | None) -> int:
     """Clear row i and column j around the pivot (i, j); return the final |pivot|.
 
     Column operations reduce row i modulo the pivot, and row operations then
     reduce column j; a nonzero remainder becomes the next, strictly smaller
-    pivot.  Once both are clear, the pivot's row and column are removed.
+    pivot.  Once both are clear, the pivot's row and column are removed, and
+    so is the pivot column's transform.
     """
     while True:
         col = cols[j]
-        v = col[i]
+        p = col[i]
         for k in list(rows[i]):
-            q = cols[k][i] // v
+            q = cols[k][i] // p
             if k != j and q:
-                _add_column(cols, rows, k, j, -q)
+                _add_column(cols, rows, k, j, -q, v)
         others = [k for k in rows[i] if k != j]
         if others:
             j = min(others, key=lambda k: abs(cols[k][i]))
             continue
         # row i now holds only the pivot, so row operations touch column j alone
         for r in [r for r in col if r != i]:
-            col[r] %= v
+            col[r] %= p
             if not col[r]:
                 del col[r]
                 rows[r].discard(j)
@@ -63,10 +72,12 @@ def _eliminate(cols: dict, rows: dict, i, j) -> int:
             continue
         del cols[j]
         del rows[i]
-        return abs(v)
+        if v is not None:
+            del v[j]
+        return abs(p)
 
 
-def _eliminate_units(cols: dict, rows: dict) -> int:
+def _eliminate_units(cols: dict, rows: dict, v: dict | None) -> int:
     """Pivot on +-1 entries until none is left; return how many were used.
 
     Each pass takes columns in order; a column with a unit pivots on the unit
@@ -78,45 +89,63 @@ def _eliminate_units(cols: dict, rows: dict) -> int:
         progress = False
         for j in list(cols):
             col = cols.get(j)
-            units = [r for r, v in col.items() if v == 1 or v == -1] if col else ()
+            units = [r for r, x in col.items() if x == 1 or x == -1] if col else ()
             if units:
-                _eliminate(cols, rows, min(units, key=lambda r: len(rows[r])), j)
+                _eliminate(cols, rows, min(units, key=lambda r: len(rows[r])), j, v)
                 count += 1
                 progress = True
     return count
 
 
-def invariant_factors(columns) -> list:
-    """The nonzero invariant factors of a sparse integer matrix, d1 | d2 | ...
+def _reduce(columns, kernel: bool) -> tuple[list, list | None]:
+    """The nonzero invariant factors and, if ``kernel`` is set, a kernel basis.
 
-    ``columns`` is a sequence of dicts {row index: coefficient}.  Unit pivots
-    are eliminated sparsely first; the rest is reduced by least-|v| pivots
-    and the recorded diagonal is normalized with gcd/lcm.  The length of the
-    result is the rank.  Exact, and polynomial in the matrix size.
+    Unit pivots are eliminated sparsely first; the rest is reduced by
+    least-|v| pivots and the recorded diagonal is normalized with gcd/lcm.
+    With ``kernel`` the column operations are also applied to a transform V,
+    one sparse column per input column.  V is unimodular, row operations
+    leave it alone, and the pivot columns end with distinct pivot rows, so
+    the V columns of the columns never pivoted on (all reduced to zero) are
+    a Z-basis of the kernel.
     """
     cols = {}
     rows = defaultdict(set)
     for j, c in enumerate(columns):
-        c = {r: v for r, v in c.items() if v}
+        c = {r: x for r, x in c.items() if x}
         if c:
             cols[j] = c
             for r in c:
                 rows[r].add(j)
+    v = {j: {j: 1} for j in range(len(columns))} if kernel else None
     ones = 0
     diagonal = []
     while True:
-        ones += _eliminate_units(cols, rows)
+        ones += _eliminate_units(cols, rows, v)
         if not cols:
             break
         i, j = min(((r, j) for j, c in cols.items() for r in c),
                    key=lambda rj: abs(cols[rj[1]][rj[0]]))
-        diagonal.append(_eliminate(cols, rows, i, j))
+        diagonal.append(_eliminate(cols, rows, i, j, v))
     for a in range(len(diagonal)):
         for b in range(a + 1, len(diagonal)):
             x, y = diagonal[a], diagonal[b]
             g = gcd(x, y)
             diagonal[a], diagonal[b] = g, x // g * y
-    return [1] * ones + diagonal
+    return [1] * ones + diagonal, None if v is None else list(v.values())
+
+
+def invariant_factors(columns) -> list:
+    """The nonzero invariant factors of a sparse integer matrix, d1 | d2 | ...
+
+    ``columns`` is a sequence of dicts {row index: coefficient}.  The length
+    of the result is the rank.  Exact, and polynomial in the matrix size.
+    """
+    return _reduce(columns, False)[0]
+
+
+def kernel_columns(columns) -> list:
+    """A Z-basis of the integer kernel of a sparse matrix, as sparse columns."""
+    return _reduce(columns, True)[1]
 
 
 def boundary_column(faces) -> dict:
@@ -126,64 +155,6 @@ def boundary_column(faces) -> dict:
         if row is not None:
             col[row] = col.get(row, 0) + (-1 if i % 2 else 1)
     return {r: v for r, v in col.items() if v}
-
-
-def _combine(p: int, x: dict, q: int, y: dict) -> dict:
-    """The sparse vector p*x + q*y."""
-    out = {r: p * v for r, v in x.items()} if p else {}
-    if q:
-        for r, v in y.items():
-            w = out.get(r, 0) + q * v
-            if w:
-                out[r] = w
-            else:
-                del out[r]
-    return out
-
-
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """(g, s, t) with g = gcd(a, b) = s*a + t*b and g > 0."""
-    s0, s1, t0, t1 = 1, 0, 0, 1
-    while b:
-        q, a, b = a // b, b, a % b
-        s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
-    return (a, s0, t0) if a > 0 else (-a, -s0, -t0)
-
-
-def kernel_columns(columns) -> list:
-    """A Z-basis of the integer kernel of a sparse matrix, as sparse columns.
-
-    Columns are reduced left to right, each by the earlier column that owns
-    its lowest nonzero row, and the unimodular transform V is tracked as
-    sparse columns.  When the owner's entry a does not divide the entry b,
-    an extended-gcd pair replaces the two columns by s*owner + t*col (entry
-    gcd(a, b)) and (a/g)*col - (b/g)*owner (entry 0), a determinant-1 step.
-    Owned columns have distinct lowest rows, so they are independent; the V
-    columns of the columns that reduce to zero are therefore a Z-basis of
-    the kernel.
-    """
-    owner: dict = {}  # lowest row -> (reduced column, its transform column)
-    kernel = []
-    for j, col in enumerate(columns):
-        col = {r: x for r, x in col.items() if x}
-        v = {j: 1}
-        while col:
-            r = max(col)
-            if r not in owner:
-                owner[r] = (col, v)
-                break
-            pcol, pv = owner[r]
-            a, b = pcol[r], col[r]
-            if b % a:
-                g, s, t = _xgcd(a, b)
-                owner[r] = (_combine(s, pcol, t, col), _combine(s, pv, t, v))
-                col, v = _combine(a // g, col, -(b // g), pcol), _combine(a // g, v, -(b // g), pv)
-            else:
-                col, v = _combine(1, col, -(b // a), pcol), _combine(1, v, -(b // a), pv)
-        else:
-            kernel.append(v)
-    return kernel
 
 
 @dataclass(frozen=True)
@@ -279,15 +250,17 @@ def chain_complex(s) -> ChainComplex:
     return ChainComplex(basis=basis, boundary=boundary, complete_above=s.complete_above)
 
 
-def _homology(cx: ChainComplex, n: int) -> tuple[HomologyGroup, int]:
-    """H_n and the rank of the cycles Z_n = ker d_n."""
+def _homology(cx: ChainComplex, n: int,
+              kernel: bool = False) -> tuple[HomologyGroup, int, list | None]:
+    """H_n, the rank of the cycles Z_n = ker d_n and, with ``kernel``, a Z-basis of Z_n."""
     if n < 0 or n > cx.top_degree:
         raise InsufficientTruncation(n, cx.top_degree)
     upper = invariant_factors(cx.boundary_columns(n + 1))
-    cycles = cx.dim(n) - len(invariant_factors(cx.boundary_columns(n)))
+    lower, cycle_basis = _reduce(cx.boundary_columns(n), kernel)
+    cycles = cx.dim(n) - len(lower)
     group = HomologyGroup(degree=n, free_rank=cycles - len(upper),
                           torsion=tuple(d for d in upper if d > 1))
-    return group, cycles
+    return group, cycles, cycle_basis
 
 
 def homology(cx: ChainComplex, n: int) -> HomologyGroup:
@@ -299,10 +272,6 @@ def homology(cx: ChainComplex, n: int) -> HomologyGroup:
     return _homology(cx, n)[0]
 
 
-def homology_range(cx: ChainComplex, degrees) -> list[HomologyGroup]:
-    return [homology(cx, n) for n in degrees]
-
-
 def induced_map_is_isomorphism(cx1: ChainComplex, cx2: ChainComplex,
                                chain_map: dict, n: int) -> bool:
     """Whether a chain map f induces an isomorphism H_n(cx1) -> H_n(cx2).
@@ -310,17 +279,18 @@ def induced_map_is_isomorphism(cx1: ChainComplex, cx2: ChainComplex,
     ``chain_map[n]`` holds one sparse column {cx2 row: coefficient} per basis
     element of cx1 in degree n.  S = f(Z_n cx1) + B_n cx2 lies in Z_n cx2,
     which is pure in the chains of cx2, so S = Z_n cx2 (H_n(f) is onto)
-    exactly when the columns [d_{n+1} | f(kernel basis)] have only unit
+    exactly when the columns [d_{n+1} | f(cycle basis)] have only unit
     invariant factors and rank Z_n cx2 of them.  An onto map between
-    isomorphic finitely generated abelian groups is an isomorphism.
+    isomorphic finitely generated abelian groups is an isomorphism.  The
+    cycle basis comes from the same elimination of d_n that gives H_n(cx1).
     """
-    h1, _ = _homology(cx1, n)
-    h2, cycles = _homology(cx2, n)
+    h1, _, cycle_basis = _homology(cx1, n, kernel=True)
+    h2, cycles, _ = _homology(cx2, n)
     if h1.pair() != h2.pair():
         return False
     f = chain_map[n]
     images = []
-    for z in kernel_columns(cx1.boundary_columns(n)):
+    for z in cycle_basis:
         image: dict = {}
         for i, c in z.items():
             for r, a in f[i].items():

@@ -62,26 +62,31 @@ def load_json(path: str) -> dict:
     return doc
 
 
-def groupoid_from_json(doc: Mapping) -> FiniteGroupoid:
+def _category_tables(doc: Mapping, arrows_key: str) -> tuple:
+    """(objects, arrows, src, tgt, comp, id) of a category document whose
+    arrows are listed under ``arrows_key``."""
     objects = _ids(_require(doc, "objects", list), "objects")
-    arrows_doc = _require(doc, "arrows", list)
     arrows, src, tgt = [], {}, {}
-    for entry in arrows_doc:
+    for entry in _require(doc, arrows_key, list):
         if not isinstance(entry, dict):
-            raise SchemaError("arrows entries must be objects with id/src/tgt")
+            raise SchemaError(f"{arrows_key} entries must be objects with id/src/tgt")
         a = _require(entry, "id", str)
         arrows.append(a)
         src[a] = _require(entry, "src", str)
         tgt[a] = _require(entry, "tgt", str)
-    comp_doc = _require(doc, "comp", list)
     comp = {}
-    for entry in comp_doc:
+    for entry in _require(doc, "comp", list):
         if len(_ids(entry, "comp entries")) != 3:
             raise SchemaError("comp entries must be triples [a, b, ab]")
         comp[(entry[0], entry[1])] = entry[2]
-    ident = _id_table(_require(doc, "id", dict), "id")
-    inv = _id_table(_require(doc, "inv", dict), "inv")
-    return validate_groupoid(objects, arrows, src, tgt, comp, ident, inv)
+    return objects, arrows, src, tgt, comp, _id_table(_require(doc, "id", dict), "id")
+
+
+def groupoid_from_json(doc: Mapping) -> FiniteGroupoid:
+    """A groupoid document is a category document with its arrows under
+    ``arrows``, plus the inverse table ``inv``."""
+    tables = _category_tables(doc, "arrows")
+    return validate_groupoid(*tables, _id_table(_require(doc, "inv", dict), "inv"))
 
 
 def groupoid_to_json(g: FiniteGroupoid) -> dict:
@@ -117,12 +122,17 @@ def cocycle_from_json(doc: Mapping, target: FiniteGroupoid) -> Cocycle:
     cover_doc = _require(doc, "cover", dict)
     cov = covered_space(points, {i: set(_ids(part, f"cover {i!r}")) for i, part in cover_doc.items()})
     a_doc = _require(doc, "a", dict)
+    for i in a_doc:
+        if i not in cover_doc:
+            raise SchemaError(f"a key {i!r} is not a chart of cover")
     gamma_doc = _require(doc, "gamma", dict)
     gamma = {}
     for key, table in gamma_doc.items():
         parts = key.split(",")
         if len(parts) != 2:
             raise SchemaError(f"gamma key {key!r} must look like 'i,j'")
+        if parts[0] not in cover_doc or parts[1] not in cover_doc:
+            raise SchemaError(f"gamma key {key!r} names a chart outside cover")
         gamma[(parts[0], parts[1])] = dict(_id_table(table, f"gamma {key!r}"))
     a = {i: dict(_id_table(t, f"a {i!r}")) for i, t in a_doc.items()}
     return validate_cocycle(cov, target, a, gamma)
@@ -142,21 +152,7 @@ def cocycle_to_json(c: Cocycle) -> dict:
 
 
 def category_from_json(doc: Mapping) -> FiniteCategory:
-    objects = _ids(_require(doc, "objects", list), "objects")
-    mor_doc = _require(doc, "morphisms", list)
-    morphisms, src, tgt = [], {}, {}
-    for entry in mor_doc:
-        m = _require(entry, "id", str)
-        morphisms.append(m)
-        src[m] = _require(entry, "src", str)
-        tgt[m] = _require(entry, "tgt", str)
-    comp = {}
-    for entry in _require(doc, "comp", list):
-        if len(_ids(entry, "comp entries")) != 3:
-            raise SchemaError("comp entries must be triples [f, g, fg]")
-        comp[(entry[0], entry[1])] = entry[2]
-    ident = _id_table(_require(doc, "id", dict), "id")
-    return validate_category(objects, morphisms, src, tgt, comp, ident)
+    return validate_category(*_category_tables(doc, "morphisms"))
 
 
 def cat_functor_from_json(doc: Mapping, source: FiniteCategory, target: FiniteCategory) -> CatFunctor:
@@ -233,10 +229,15 @@ def lift_from_json(doc: Mapping, ic: IndexedCategory, shape: FiniteCategory,
     """Lift maps become fiber morphisms in the fiber over the anchor of their
     source, which checks that each is a total function between its sets."""
     objects = _require(doc, "objects", dict)
+    shape_objects = set(shape.objects)
+    for d in objects:
+        if d not in shape_objects:
+            raise SchemaError(f"objects key {d!r} is not an object of the shape")
     morphisms = {}
     for m, entry in _require(doc, "morphisms", dict).items():
+        if m not in shape.src:
+            raise SchemaError(f"morphisms key {m!r} is not a morphism of the shape")
         src, tgt = _require(entry, "src", str), _require(entry, "tgt", str)
         table = _require(entry, "map", dict)
-        if m in shape.src:
-            morphisms[m] = ic.fiber(anchor.obj_map[shape.src[m]]).mor(src, tgt, table)
+        morphisms[m] = ic.fiber(anchor.obj_map[shape.src[m]]).mor(src, tgt, table)
     return lift(ic, shape, anchor, objects, morphisms)

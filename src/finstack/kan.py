@@ -575,16 +575,13 @@ class AdjunctionReport:
     bijective: bool
     witness: str
 
-    def ok(self) -> bool:
-        return self.bijective
-
 
 def adjunction_check(ic: IndexedCategory, f: CatFunctor, p: CatFunctor,
-                     p_lift: Lift, q_lift: Lift,
-                     rf: RightKanResult | None = None) -> AdjunctionReport:
-    """Verify Hom(Q, RF(P)) matches Hom(F*(Q), P) under whiskering with the counit."""
-    if rf is None:
-        rf = right_kan(ic, f, p, p_lift)
+                     p_lift: Lift, q_lift: Lift, rf: RightKanResult) -> AdjunctionReport:
+    """Verify Hom(Q, RF(P)) matches Hom(F*(Q), P) under whiskering with the counit.
+
+    ``rf`` is ``right_kan(ic, f, p, p_lift)``; ``p`` is not read again.
+    """
     eps = counit(rf, p_lift)
     restricted_q = precompose_lift(f, q_lift)
     left = lift_morphisms(q_lift, rf.lift)

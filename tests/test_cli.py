@@ -639,3 +639,33 @@ def test_localize_malformed_pullback_exit_2(capsys, tmp_path, pullback):
     rpath.write_text(json.dumps({"members": ["i0"], "pullbacks": [pullback]}))
     assert_input_error(capsys, ["localize", "--cat", str(cpath), "--class", str(rpath),
                                 "--from", "0", "--to", "0"])
+
+
+@pytest.mark.parametrize("target", ["missing-dir", "directory"])
+def test_json_out_unwritable_exit_2(capsys, tmp_path, z2_file, target):
+    path = tmp_path / "absent" / "report.json" if target == "missing-dir" else tmp_path
+    assert main(["validate", "--groupoid", z2_file, "--json-out", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert "error:" in err and out == ""
+
+
+@pytest.mark.parametrize("budget, code", [("-3", 2), ("0", 3)])
+def test_pi1_budget_sign(capsys, z2_file, budget, code):
+    assert main(["pi1", "--groupoid", z2_file, "--basepoint", "*", "--budget", budget]) == code
+
+
+@pytest.mark.parametrize("table, key", [("objects", "e9"), ("morphisms", "ie9")])
+def test_kan_lift_key_outside_shape_exit_2(capsys, tmp_path, table, key):
+    docs = kan_product_docs()
+    docs["lift"][table][key] = "s2" if table == "objects" else identity_entry("s2", ["x", "y"])
+    assert_input_error(capsys, kan_argv(tmp_path, docs))
+
+
+@pytest.mark.parametrize("table, key", [("a", "9"), ("gamma", "0,9"), ("gamma", "9,0")])
+def test_cocycle_chart_outside_cover_exit_2(capsys, tmp_path, z2_file, table, key):
+    doc = jio.cocycle_to_json(cocycle_zoo()[1][1])
+    assert "9" not in doc["cover"] and "0" in doc["cover"]
+    doc[table][key] = {}
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(doc))
+    assert_input_error(capsys, ["torsor", "validate", "--groupoid", z2_file, "--cocycle", str(path)])

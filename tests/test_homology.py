@@ -88,13 +88,15 @@ def test_invariant_factors_empty_columns_and_zero_matrices():
 
 
 ENTRIES = st.sampled_from([0, 0, 0, 0, 1, -1, 2, -2, 3, -3, 4, 6, -9, 12])
+# no +-1 entries, so the elimination's least-|v| stage does most of the work
+UNIT_FREE_ENTRIES = st.sampled_from([0, 0, 0, 2, -2, 3, -3, 4, 6, -9, 10, 15])
 
 
 @st.composite
-def sparse_matrices(draw):
+def sparse_matrices(draw, entries=ENTRIES):
     rows = draw(st.integers(1, 7))
     cols = draw(st.integers(1, 7))
-    m = [[draw(ENTRIES) for _ in range(cols)] for _ in range(rows)]
+    m = [[draw(entries) for _ in range(cols)] for _ in range(rows)]
     for j in draw(st.sets(st.integers(0, cols - 1))):
         for row in m:
             row[j] = 0
@@ -107,8 +109,8 @@ def test_invariant_factors_match_dense_snf(m):
     assert invariant_factors(sparse_columns(m)) == snf_nonzero_diagonal(m)
 
 
-@settings(max_examples=300, deadline=None)
-@given(sparse_matrices())
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(sparse_matrices(), sparse_matrices(UNIT_FREE_ENTRIES)))
 def test_kernel_columns_are_a_basis_of_the_kernel(m):
     columns = sparse_columns(m)
     basis = kernel_columns(columns)
@@ -126,7 +128,8 @@ def test_kernel_columns_are_a_basis_of_the_kernel(m):
 
 def test_kernel_columns_hand_values():
     assert kernel_columns([{}, {0: 2}, {}]) == [{0: 1}, {2: 1}]
-    assert kernel_columns([{0: 2}, {0: 3}]) == [{0: -3, 1: 2}]
+    # a rank-1 kernel has exactly two generators; which sign comes out is not pinned
+    assert kernel_columns([{0: 2}, {0: 3}]) in ([{0: -3, 1: 2}], [{0: 3, 1: -2}])
     assert kernel_columns([{0: 0}]) == [{0: 1}]
     assert kernel_columns([]) == []
 
