@@ -11,11 +11,12 @@ from dataclasses import dataclass, field
 
 from . import jsonio
 from .category import functor as groupoid_functor
-from .errors import FinstackError, SchemaError, UsageError
+from .errors import EnumerationBudgetExceeded, FinstackError, SchemaError, UsageError
 from .fundamental import DEFAULT_COSET_BUDGET, pi1_iso_check, pi1_presentation
 from .groupoid import is_weak_equivalence, pi0
 from .homology import chain_complex, homology, induced_map_is_isomorphism
-from .kan import adjunction_check, diagram_special, groupoid_diagram, right_kan
+from .kan import (DEFAULT_SEARCH_BUDGET, adjunction_check, diagram_special, groupoid_diagram,
+                  right_kan)
 from .milnor import comparison_chain_map, milnor_B, milnor_E
 from .simplicial import nerve, simplicial_identity_violations
 from .spans import span_pi0, zigzag_check
@@ -231,10 +232,14 @@ def _cmd_kan(args) -> RunReport:
     p = jsonio.cat_functor_from_json(along_doc["p"], d_cat, base)
     q = f.then(p)
     p_lift = jsonio.lift_from_json(jsonio.load_json(args.lift), ic, e_cat, q)
-    rf = right_kan(ic, f, p, p_lift)
-    for d in d_cat.objects:
-        report.add_output(f"RF at {d}: {rf.lift.objects[d]}")
-    rep = adjunction_check(ic, f, p, p_lift, rf.lift, rf)
+    try:
+        rf = right_kan(ic, f, p, p_lift, budget=args.budget)
+        for d in d_cat.objects:
+            report.add_output(f"RF at {d}: {rf.lift.objects[d]}")
+        rep = adjunction_check(ic, f, p, p_lift, rf.lift, rf, budget=args.budget)
+    except EnumerationBudgetExceeded as exc:
+        report.add_verdict("adjunction-bijection", None, str(exc))
+        return report
     report.add_output(f"hom sizes: {rep.left_size} vs {rep.right_size}")
     report.add_verdict("adjunction-bijection", rep.bijective, rep.witness)
     return report
@@ -352,6 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fibers", required=True)
     p.add_argument("--along", required=True)
     p.add_argument("--lift", required=True)
+    p.add_argument("--budget", type=nonnegative_int, default=DEFAULT_SEARCH_BUDGET)
     p.set_defaults(run=_cmd_kan)
 
     p = sub.add_parser("diagram-special", help="base extend a cover across a diagram", parents=[common])

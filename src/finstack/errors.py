@@ -56,9 +56,9 @@ class InsufficientTruncation(FinstackError):
 
 
 class EnumerationBudgetExceeded(FinstackError):
-    def __init__(self, budget: int):
+    def __init__(self, budget: int, search: str = "coset enumeration", unit: str = "cosets"):
         self.budget = budget
-        super().__init__(f"coset enumeration exceeded budget of {budget} cosets")
+        super().__init__(f"{search} exceeded budget of {budget} {unit}")
 
 
 class LevelInactive(FinstackError):

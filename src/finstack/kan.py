@@ -4,28 +4,25 @@ A fiber over a base object is the category of a few named finite sets with
 all functions between them.  A pullback functor along a base morphism is
 conjugation by per-object carriers (identity carriers included) or constant
 at one object; it computes images on demand, is validated structurally
-without enumerating fiber morphisms, and pullbacks compose strictly.  Limits
-in a fiber are computed concretely as cone sets, a limit is *global* when
-every pullback functor carries it to a limit again, and the right Kan
-extension of a lift is assembled pointwise from global limits over comma
-categories.
+without enumerating fiber morphisms, and pullbacks compose strictly.  Cone
+sets and the natural transformations between lifts are the solutions of
+binary constraint networks, all enumerated by :func:`compatible_families`
+under a budget.  A limit is *global* when every pullback functor carries it
+to a limit again, and the right Kan extension of a lift is assembled
+pointwise from global limits over comma categories.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Mapping
 
 from .category import CatFunctor, FiniteCategory, comma_category, idkey, sorted_ids
-from .errors import (
-    AxiomViolation,
-    DanglingId,
-    NotALimit,
-    NotFComplete,
-    NotFunctorial,
-)
+from .errors import (AxiomViolation, DanglingId, EnumerationBudgetExceeded, NotALimit,
+                     NotFComplete, NotFunctorial)
 from .groupoid import fiber_product_2_projections
+
+DEFAULT_SEARCH_BUDGET = 100_000  # search nodes per call of compatible_families
 
 
 @dataclass(frozen=True)
@@ -49,6 +46,66 @@ def _positions(table: Mapping, domain, codomain) -> tuple | None:
         return tuple(where[table[x]] for x in domain)
     except (KeyError, TypeError):  # TypeError: an unhashable value
         return None
+
+
+def compatible_families(sizes, constraints, budget: int = DEFAULT_SEARCH_BUDGET) -> list:
+    """Every v with v[k] in range(sizes[k]), in lexicographic order, such that
+    left[v[i]] == right[v[j]] for each constraint (i, left, j, right), and
+    left[v[i]] == right when j is None.  Backtracking places the variables in
+    a static order, each next one with the most constraints to those placed
+    (then the most in all), and takes its values from an index of one such
+    constraint.  Raises :class:`EnumerationBudgetExceeded` once the values
+    assigned and the values copied into families pass ``budget``."""
+    values = [range(size) for size in sizes]
+    links = [[] for _ in sizes]  # k -> (other variable, k's table, other's table)
+    for i, left, j, right in constraints:
+        if j is None or i == j:
+            values[i] = [v for v in values[i] if left[v] == (right if j is None else right[v])]
+        else:
+            links[i].append((j, left, right))
+            links[j].append((i, right, left))
+    # per position: (variable, its values, index for its first link to an
+    # earlier variable: value of its table -> values with it, those links)
+    checks, placed, score = [], set(), {}  # score: unplaced variable -> links to placed ones
+    fresh = iter(sorted(range(len(sizes)), key=lambda k: (-len(links[k]), k)))
+    while len(placed) < len(sizes):
+        k = max(score, key=lambda k: (score[k], len(links[k]), -k)) if score else \
+            next(k for k in fresh if k not in placed)
+        score.pop(k, None)
+        mine = [(o, other, own) for o, own, other in links[k] if o in placed]
+        index: dict = {}
+        for v in values[k] if mine else ():
+            index.setdefault(mine[0][2][v], []).append(v)
+        checks.append((k, values[k], index, mine))
+        placed.add(k)
+        for o, _, _ in links[k]:
+            if o not in placed:
+                score[o] = score.get(o, 0) + 1
+
+    def candidates(p):
+        _, out, index, mine = checks[p]
+        for n, (o, other, own) in enumerate(mine):
+            key = other[assignment[o]]
+            out = index.get(key, ()) if n == 0 else [v for v in out if own[v] == key]
+        return out
+
+    assignment, found, nodes = [0] * len(sizes), [], 0
+    stack = [iter(candidates(0))] if sizes else []
+    while stack:
+        v = next(stack[-1], None)
+        if v is None:
+            stack.pop()
+            continue
+        leaf = len(stack) == len(sizes)
+        nodes += 1 + leaf * len(sizes)  # copying a family out counts too: that bounds memory
+        if nodes > budget:
+            raise EnumerationBudgetExceeded(budget, "compatible-family search", "search nodes")
+        assignment[checks[len(stack) - 1][0]] = v
+        if leaf:
+            found.append(tuple(assignment))
+        else:
+            stack.append(iter(candidates(len(stack))))
+    return sorted(found) if sizes else [()]
 
 
 @dataclass(frozen=True)
@@ -80,10 +137,6 @@ class FinSetFiber:
     def compose(self, m1: FibMor, m2: FibMor) -> FibMor:
         """m1 then m2."""
         return FibMor(m1.src, m2.tgt, tuple(m2.images[j] for j in m1.images))
-
-    def morphisms_between(self, o1, o2) -> tuple:
-        return tuple(FibMor(o1, o2, images) for images in itertools.product(
-            range(len(self.sets[o2])), repeat=len(self.sets[o1])))
 
     def probe_morphisms(self) -> tuple:
         """The identities and the constant maps out of nonempty sets.
@@ -276,11 +329,8 @@ def trivial_indexed_category(base: FiniteCategory, sets: Mapping) -> IndexedCate
     """Same fiber over every base object, every pullback the identity."""
     fiber = make_fiber(sets)
     ident = identity_pullback(fiber)
-    return indexed_category(
-        base,
-        {b: fiber for b in base.objects},
-        {m: ident for m in base.morphisms},
-    )
+    return indexed_category(base, {b: fiber for b in base.objects},
+                            {m: ident for m in base.morphisms})
 
 
 @dataclass(frozen=True)
@@ -334,13 +384,9 @@ def lift(ic: IndexedCategory, shape: FiniteCategory, anchor: CatFunctor,
 
 def precompose_lift(f: CatFunctor, p_lift: Lift) -> Lift:
     """Restrict a lift over D to a lift over E along F: E -> D."""
-    return lift(
-        p_lift.ic,
-        f.source,
-        f.then(p_lift.anchor),
-        {e: p_lift.objects[f.obj_map[e]] for e in f.source.objects},
-        {m: p_lift.morphisms[f.mor_map[m]] for m in f.source.morphisms},
-    )
+    return lift(p_lift.ic, f.source, f.then(p_lift.anchor),
+                {e: p_lift.objects[f.obj_map[e]] for e in f.source.objects},
+                {m: p_lift.morphisms[f.mor_map[m]] for m in f.source.morphisms})
 
 
 @dataclass(frozen=True)
@@ -381,19 +427,17 @@ class LimitCone:
     positions: tuple
 
 
-def finset_limit(fiber: FinSetFiber, diagram: FiberDiagram) -> LimitCone:
-    """Enumerate all compatible families; the empty diagram has one empty cone."""
-    shape = diagram.shape
-    shape_objects = tuple(shape.objects)
+def finset_limit(fiber: FinSetFiber, diagram: FiberDiagram,
+                 budget: int = DEFAULT_SEARCH_BUDGET) -> LimitCone:
+    """Every cone, as a compatible family with one variable per shape object."""
+    shape, shape_objects = diagram.shape, tuple(diagram.shape.objects)
     position = {x: i for i, x in enumerate(shape_objects)}
     pools = [fiber.elems(diagram.on_obj[x]) for x in shape_objects]
-    arrows = [(position[shape.src[m]], position[shape.tgt[m]], diagram.on_mor[m].images)
-              for m in shape.morphisms]
-    found = sorted(
-        ((tuple(pool[k] for pool, k in zip(pools, cone)), cone)
-         for cone in itertools.product(*(range(len(pool)) for pool in pools))
-         if all(images[cone[i]] == cone[j] for i, j, images in arrows)),
-        key=lambda pair: idkey(pair[0]))
+    arrows = [(position[shape.src[m]], diagram.on_mor[m].images, position[shape.tgt[m]],
+               range(len(pools[position[shape.tgt[m]]]))) for m in shape.morphisms]
+    found = sorted(((tuple(pool[k] for pool, k in zip(pools, cone)), cone) for cone in
+                    compatible_families([len(pool) for pool in pools], arrows, budget)),
+                   key=lambda pair: idkey(pair[0]))
     return LimitCone(shape_objects=shape_objects, cones=tuple(c for c, _ in found),
                      positions=tuple(p for _, p in found))
 
@@ -406,10 +450,8 @@ class LimitCandidate:
     projections: dict  # shape object -> FibMor
 
 
-def is_limit_cone(fiber: FinSetFiber, diagram: FiberDiagram,
-                  candidate: LimitCandidate) -> bool:
+def is_limit_cone(fiber: FinSetFiber, cone_set: LimitCone, candidate: LimitCandidate) -> bool:
     """The canonical comparison into the cone set must be a bijection."""
-    cone_set = finset_limit(fiber, diagram)
     projections = [candidate.projections[s].images for s in cone_set.shape_objects]
     size = len(fiber.elems(candidate.obj))
     images = {tuple(images[i] for images in projections) for i in range(size)}
@@ -418,30 +460,30 @@ def is_limit_cone(fiber: FinSetFiber, diagram: FiberDiagram,
 
 def pull_diagram(ic: IndexedCategory, base_morphism, diagram: FiberDiagram) -> FiberDiagram:
     pf = ic.pull(base_morphism)
-    return FiberDiagram(
-        shape=diagram.shape,
-        on_obj={x: pf.on_obj(name) for x, name in diagram.on_obj.items()},
-        on_mor={m: pf.on_mor(fm) for m, fm in diagram.on_mor.items()},
-    )
+    return FiberDiagram(diagram.shape, {x: pf.on_obj(name) for x, name in diagram.on_obj.items()},
+                        {m: pf.on_mor(fm) for m, fm in diagram.on_mor.items()})
 
 
-def is_global_limit(ic: IndexedCategory, b, diagram: FiberDiagram,
-                    candidate: LimitCandidate) -> bool:
+def is_global_limit(ic: IndexedCategory, b, diagram: FiberDiagram, candidate: LimitCandidate,
+                    cone_set: LimitCone | None = None, budget: int = DEFAULT_SEARCH_BUDGET) -> bool:
     """Check the candidate limit survives every pullback functor out of b.
 
     Raises :class:`NotALimit` when the candidate is not even a limit in the
-    fiber over b; returns False when some base morphism breaks globality.
+    fiber over b (whose cone set the caller may pass as ``cone_set``);
+    returns False when some base morphism breaks globality.  Identities need
+    no check, since :func:`indexed_category` makes their pullbacks identities.
     """
-    if not is_limit_cone(ic.fiber(b), diagram, candidate):
+    if not is_limit_cone(ic.fiber(b), cone_set or finset_limit(ic.fiber(b), diagram, budget),
+                         candidate):
         raise NotALimit((b, candidate.obj))
     for f in ic.base.morphisms_into(b):
-        a = ic.base.src[f]
-        pf = ic.pull(f)
+        if ic.base.is_identity(f):
+            continue
+        fiber, pf = ic.fiber(ic.base.src[f]), ic.pull(f)
         pulled_candidate = LimitCandidate(
-            obj=pf.on_obj(candidate.obj),
-            projections={x: pf.on_mor(m) for x, m in candidate.projections.items()},
-        )
-        if not is_limit_cone(ic.fiber(a), pull_diagram(ic, f, diagram), pulled_candidate):
+            pf.on_obj(candidate.obj), {x: pf.on_mor(m) for x, m in candidate.projections.items()})
+        pulled_cones = finset_limit(fiber, pull_diagram(ic, f, diagram), budget)
+        if not is_limit_cone(fiber, pulled_cones, pulled_candidate):
             return False
     return True
 
@@ -461,36 +503,29 @@ class RightKanResult:
 def _comma_fiber_diagram(ic: IndexedCategory, f: CatFunctor, p: CatFunctor,
                          p_lift: Lift, d) -> tuple[FiniteCategory, FiberDiagram]:
     comma = comma_category(d, f)
-    on_obj = {}
-    on_mor = {}
-    for (e, alpha) in comma.objects:
-        on_obj[(e, alpha)] = ic.pull(p.mor_map[alpha]).on_obj(p_lift.objects[e])
-    for (alpha, gamma) in comma.morphisms:
-        on_mor[(alpha, gamma)] = ic.pull(p.mor_map[alpha]).on_mor(p_lift.morphisms[gamma])
-    diagram = fiber_diagram(ic.fiber(p.obj_map[d]), comma, on_obj, on_mor)
-    return comma, diagram
+    on_obj = {(e, alpha): ic.pull(p.mor_map[alpha]).on_obj(p_lift.objects[e])
+              for e, alpha in comma.objects}
+    on_mor = {(alpha, gamma): ic.pull(p.mor_map[alpha]).on_mor(p_lift.morphisms[gamma])
+              for alpha, gamma in comma.morphisms}
+    return comma, fiber_diagram(ic.fiber(p.obj_map[d]), comma, on_obj, on_mor)
 
 
-def right_kan(ic: IndexedCategory, f: CatFunctor, p: CatFunctor, p_lift: Lift) -> RightKanResult:
+def right_kan(ic: IndexedCategory, f: CatFunctor, p: CatFunctor, p_lift: Lift,
+              budget: int = DEFAULT_SEARCH_BUDGET) -> RightKanResult:
     """Pointwise relative right Kan extension of a lift along F: E -> D.
 
     For each object d the value is a fiber object realizing the cone set of
     the comma-shaped diagram alpha |-> pull(p(alpha))(P(e)); the value on a
     shape morphism is induced by the universal property of the (global)
     limit at its target.  Raises :class:`NotFComplete` when a required limit
-    is missing or fails to be global.
+    is missing or fails to be global; ``budget`` bounds each cone search.
     """
     d_cat = f.target
-    commas: dict = {}
-    diagrams: dict = {}
-    cones: dict = {}
-    objects: dict = {}
-    projections: dict = {}
-
+    commas, diagrams, cones, objects, projections = {}, {}, {}, {}, {}
     for d in d_cat.objects:
         comma, diagram = _comma_fiber_diagram(ic, f, p, p_lift, d)
         fiber = ic.fiber(p.obj_map[d])
-        cone_set = finset_limit(fiber, diagram)
+        cone_set = finset_limit(fiber, diagram, budget)
         size = len(cone_set.cones)
         chosen = next((name for name in fiber.names() if len(fiber.elems(name)) == size), None)
         if chosen is None:
@@ -500,13 +535,10 @@ def right_kan(ic: IndexedCategory, f: CatFunctor, p: CatFunctor, p_lift: Lift) -
                              tuple(cone[k] for cone in cone_set.positions))
                  for k, obj in enumerate(cone_set.shape_objects)}
         candidate = LimitCandidate(obj=chosen, projections=projs)
-        if not is_global_limit(ic, p.obj_map[d], diagram, candidate):
+        if not is_global_limit(ic, p.obj_map[d], diagram, candidate, cone_set, budget):
             raise NotFComplete(d, "fiber limit is not global")
-        commas[d] = comma
-        diagrams[d] = diagram
-        cones[d] = cone_set
-        objects[d] = chosen
-        projections[d] = projs
+        commas[d], diagrams[d], cones[d] = comma, diagram, cone_set
+        objects[d], projections[d] = chosen, projs
 
     morphisms: dict = {}
     for m in d_cat.morphisms:
@@ -525,47 +557,43 @@ def right_kan(ic: IndexedCategory, f: CatFunctor, p: CatFunctor, p_lift: Lift) -
         morphisms[m] = FibMor(objects[a], target_name, tuple(
             element_of[tuple(cone[i] for i in restrict)] for cone in cones[a].positions))
 
-    extended = lift(ic, d_cat, p, objects, morphisms)
-    return RightKanResult(lift=extended, along=f, commas=commas, diagrams=diagrams,
-                          cones=cones, projections=projections)
+    return RightKanResult(lift=lift(ic, d_cat, p, objects, morphisms), along=f, commas=commas,
+                          diagrams=diagrams, cones=cones, projections=projections)
 
 
 def counit(rf: RightKanResult, p_lift: Lift) -> dict:
     """Component at e: project the limit at F(e) onto the (e, id) coordinate."""
-    f = rf.along
-    d_cat = f.target
+    f, d_cat = rf.along, rf.along.target
     return {e: rf.projections[f.obj_map[e]][(e, d_cat.ident[f.obj_map[e]])]
             for e in f.source.objects}
 
 
-def lift_morphisms(l1: Lift, l2: Lift) -> tuple:
-    """All vertical natural transformations between two lifts of one anchor.
-
-    Naturality at m: a -> b compares nu[a] then l2(m), which depends on
-    nu[a] alone, with l1(m) then the pullback of nu[b], which depends on
-    nu[b] alone; both sides are computed once per candidate component, and
-    compared by their images, since their endpoints are fixed.
-    """
-    ic = l1.ic
-    shape = l1.shape
-    shape_objs = list(shape.objects)
-    position = {d: i for i, d in enumerate(shape_objs)}
-    options = [ic.fiber(l1.anchor.obj_map[d]).morphisms_between(l1.objects[d], l2.objects[d])
-               for d in shape_objs]
-    sides = []
+def lift_morphisms(l1: Lift, l2: Lift, budget: int = DEFAULT_SEARCH_BUDGET) -> tuple:
+    """All vertical natural transformations between two lifts of one anchor,
+    as compatible families over the elements of l1: nu_d(x) in l2(d) for each
+    x in l1(d).  Naturality at m: a -> b is, per x in l1(a), l2(m)(nu_a(x)) ==
+    pull(nu_b)(l1(m)(x)), whose right side reads nu_b at one element through
+    the pullback's carriers, or is l1(m)(x) itself when the pullback is constant."""
+    ic, shape = l1.ic, l1.shape
+    sizes, part = [], {}  # part[d]: the slice of nu_d's variables
+    for d in shape.objects:
+        fiber = ic.fiber(l1.anchor.obj_map[d])
+        part[d] = slice(len(sizes), len(sizes) + len(fiber.elems(l1.objects[d])))
+        sizes += [len(fiber.elems(l2.objects[d]))] * len(fiber.elems(l1.objects[d]))
+    constraints = []
     for m in shape.morphisms:
         a, b = shape.src[m], shape.tgt[m]
-        fiber = ic.fiber(l1.anchor.obj_map[a])
-        pf = ic.pull(l1.anchor.mor_map[m])
-        lhs = [fiber.compose(nu_a, l2.morphisms[m]).images for nu_a in options[position[a]]]
-        rhs = [fiber.compose(l1.morphisms[m], pf.on_mor(nu_b)).images
-               for nu_b in options[position[b]]]
-        sides.append((position[a], position[b], lhs, rhs))
-    found = []
-    for combo in itertools.product(*(range(len(o)) for o in options)):
-        if all(lhs[combo[i]] == rhs[combo[j]] for i, j, lhs, rhs in sides):
-            found.append({d: options[k][combo[k]] for k, d in enumerate(shape_objs)})
-    return tuple(found)
+        pf, left = ic.pull(l1.anchor.mor_map[m]), l2.morphisms[m].images
+        for i, y in enumerate(l1.morphisms[m].images, part[a].start):
+            if pf.constant is not None:
+                constraints.append((i, left, None, y))
+            elif pf.carriers is None:
+                constraints.append((i, left, part[b].start + y, range(sizes[part[b].start])))
+            else:
+                constraints.append((i, left, part[b].start + pf.sections[l1.objects[b]][y],
+                                    pf.carriers[l2.objects[b]]))
+    return tuple({d: FibMor(l1.objects[d], l2.objects[d], family[part[d]]) for d in shape.objects}
+                 for family in compatible_families(sizes, constraints, budget))
 
 
 @dataclass(frozen=True)
@@ -576,16 +604,17 @@ class AdjunctionReport:
     witness: str
 
 
-def adjunction_check(ic: IndexedCategory, f: CatFunctor, p: CatFunctor,
-                     p_lift: Lift, q_lift: Lift, rf: RightKanResult) -> AdjunctionReport:
+def adjunction_check(ic: IndexedCategory, f: CatFunctor, p: CatFunctor, p_lift: Lift, q_lift: Lift,
+                     rf: RightKanResult, budget: int = DEFAULT_SEARCH_BUDGET) -> AdjunctionReport:
     """Verify Hom(Q, RF(P)) matches Hom(F*(Q), P) under whiskering with the counit.
 
     ``rf`` is ``right_kan(ic, f, p, p_lift)``; ``p`` is not read again.
+    ``budget`` bounds each hom-set search.
     """
     eps = counit(rf, p_lift)
     restricted_q = precompose_lift(f, q_lift)
-    left = lift_morphisms(q_lift, rf.lift)
-    right = lift_morphisms(restricted_q, p_lift)
+    left = lift_morphisms(q_lift, rf.lift, budget)
+    right = lift_morphisms(restricted_q, p_lift, budget)
 
     e_objects = f.source.objects
     right_set = {tuple(nu[e] for e in e_objects) for nu in right}
@@ -655,14 +684,10 @@ def diagram_special(diagram: GroupoidDiagram, cover: CatFunctor) -> SpecialDiagr
         raise NotFunctorial("cover must land in the final node")
     to_star = {d: shape.hom(d, star)[0] for d in shape.objects}
 
-    nodes: dict = {}
-    to_base: dict = {}
-    to_cover: dict = {}
+    nodes, to_base, to_cover = {}, {}, {}
     for d in shape.objects:
-        prod, p1, p2 = fiber_product_2_projections(diagram.arrows[to_star[d]], cover)
-        nodes[d] = prod
-        to_base[d] = p1
-        to_cover[d] = p2
+        nodes[d], to_base[d], to_cover[d] = fiber_product_2_projections(
+            diagram.arrows[to_star[d]], cover)
 
     arrows: dict = {}
     for m in shape.morphisms:

@@ -9,7 +9,9 @@ fiber's sets, and checked on every identity and every composable pair.
 ``finstack.kan`` validates the same functors structurally; the tests compare
 the two on small fibers.  The naturality search over lift morphisms and the
 scan for each universal factorization of ``right_kan`` are kept in their
-first forms as well.
+first forms as well, and so are the positional enumerations that
+``finstack.kan.compatible_families`` replaced: cone sets and fiber hom-sets
+as filtered products.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 
 from finstack.category import idkey
 from finstack.errors import AxiomViolation, DanglingId, NotFComplete
-from finstack.kan import FibMor, FinSetFiber
+from finstack.kan import FibMor, FinSetFiber, LimitCone
 
 
 @dataclass(frozen=True)
@@ -54,6 +56,30 @@ def morphisms_between(fiber: FinSetFiber, o1, o2) -> tuple:
         return (elem_mor(o1, o2, {}),)
     return tuple(elem_mor(o1, o2, dict(zip(source, images)))
                  for images in itertools.product(fiber.elems(o2), repeat=len(source)))
+
+
+def positional_morphisms(fiber: FinSetFiber, o1, o2) -> tuple:
+    """Every function from set o1 to set o2, as positional FibMors in product order."""
+    return tuple(FibMor(o1, o2, images) for images in itertools.product(
+        range(len(fiber.elems(o2))), repeat=len(fiber.elems(o1))))
+
+
+def finset_limit(fiber: FinSetFiber, diagram) -> LimitCone:
+    """Every tuple of positions, one per shape object, that every shape
+    morphism respects."""
+    shape = diagram.shape
+    shape_objects = tuple(shape.objects)
+    position = {x: i for i, x in enumerate(shape_objects)}
+    pools = [fiber.elems(diagram.on_obj[x]) for x in shape_objects]
+    arrows = [(position[shape.src[m]], position[shape.tgt[m]], diagram.on_mor[m].images)
+              for m in shape.morphisms]
+    found = sorted(
+        ((tuple(pool[k] for pool, k in zip(pools, cone)), cone)
+         for cone in itertools.product(*(range(len(pool)) for pool in pools))
+         if all(images[cone[i]] == cone[j] for i, j, images in arrows)),
+        key=lambda pair: idkey(pair[0]))
+    return LimitCone(shape_objects=shape_objects, cones=tuple(c for c, _ in found),
+                     positions=tuple(p for _, p in found))
 
 
 def all_morphisms(fiber: FinSetFiber) -> tuple:

@@ -325,6 +325,20 @@ def kan_equalizer_docs():
     }
 
 
+def kan_shift_docs(n):
+    """The equalizer instance on n points with al = id and be = i -> i+1 mod n,
+    which agree nowhere: RF(s) is the empty set Q, and the natural maps on
+    either side of the adjunction are the n rotations."""
+    docs = kan_equalizer_docs()
+    sets = {"N": [f"N.{i}" for i in range(n)], "K": [f"K.{i}" for i in range(n)], "Q": []}
+    docs["fibers"]["fibers"]["*"] = sets
+    docs["lift"]["morphisms"] = {
+        "ie0": identity_entry("N", sets["N"]), "ie1": identity_entry("K", sets["K"]),
+        "al": {"src": "N", "tgt": "K", "map": {f"N.{i}": f"K.{i}" for i in range(n)}},
+        "be": {"src": "N", "tgt": "K", "map": {f"N.{i}": f"K.{(i + 1) % n}" for i in range(n)}}}
+    return docs
+
+
 def kan_argv(tmp_path, docs):
     argv = ["kan"]
     for name in ("base", "fibers", "along", "lift"):
@@ -350,6 +364,32 @@ def test_kan_cli_relabel_and_equalizer(capsys, tmp_path, docs, rf_lines):
     assert code == 0
     assert [line for line in out.splitlines() if line.startswith("RF at")] == rf_lines
     assert "[PASS] adjunction-bijection" in out
+
+
+def test_kan_decides_shift_equalizer_within_budget(capsys, tmp_path):
+    """At n = 8 each hom-set ranges over 8^8 * 8^8 candidate pairs of maps;
+    the search stays within 10^5 nodes per enumeration."""
+    argv = kan_argv(tmp_path, kan_shift_docs(8)) + ["--budget", "100000"]
+    code, out = run_cli(capsys, argv)
+    assert code == 0
+    assert "RF at s: Q" in out.splitlines()
+    assert "hom sizes: 8 vs 8" in out.splitlines()
+    assert "[PASS] adjunction-bijection" in out.splitlines()
+
+
+@pytest.mark.parametrize("budget, code", [("-1", 2), ("100", 3)])
+def test_kan_budget(capsys, tmp_path, budget, code):
+    """A negative budget is a usage error.  100 nodes cover each cone search
+    (at most 48 nodes) but not the hom-set searches (256 nodes each: 128
+    assignments and 8 families of 16 values), so the adjunction is
+    inconclusive."""
+    assert main(kan_argv(tmp_path, kan_shift_docs(8)) + ["--budget", budget]) == code
+    out = capsys.readouterr().out
+    if code == 3:
+        assert "RF at s: Q" in out.splitlines()
+        assert "[INCONCLUSIVE] adjunction-bijection: compatible-family search exceeded " \
+               "budget of 100 search nodes" in out.splitlines()
+        assert "[FAIL]" not in out
 
 
 def diagram_special_docs():

@@ -9,9 +9,18 @@ from hypothesis import strategies as st
 
 import finstack as fs
 from finstack.category import functor, chain_category, discrete_category, validate_category
-from finstack.errors import FinstackError, NoFinalObject, NotALimit, NotFComplete, NotFunctorial
+from finstack.errors import (
+    EnumerationBudgetExceeded,
+    FinstackError,
+    NoFinalObject,
+    NotALimit,
+    NotFComplete,
+    NotFunctorial,
+)
 from finstack.kan import (
+    FibMor,
     LimitCandidate,
+    compatible_families,
     constant_pullback,
     counit,
     fiber_diagram,
@@ -268,18 +277,32 @@ def test_right_kan_equalizer():
     assert fs.adjunction_check(ic, f, p, p_lift, rf.lift, rf).bijective
 
 
-def relabel_chain(sets):
+def relabel_chain(sets, shift=0):
     """The chain 0 -> 1 as base and shape, with the identity anchor: fiber 1
-    is ``sets``, fiber 0 an m-prefixed copy, and the pullback relabels."""
+    is ``sets``, fiber 0 an m-prefixed copy, and the pullback relabels each
+    set's j-th element as the copy of its (j + shift)-th, cyclically."""
     base = chain_category(1)
     fib1 = fs.make_fiber(sets)
     fib0 = fs.make_fiber({f"m{n}": [f"m{x}" for x in xs] for n, xs in sets.items()})
-    pull01 = relabel_pullback(fib1, fib0, {n: f"m{n}" for n in sets},
-                              {n: {x: f"m{x}" for x in xs} for n, xs in sets.items()})
+    carriers = {n: {x: f"m{xs[(j + shift) % len(xs)]}" for j, x in enumerate(xs)}
+                for n, xs in sets.items()}
+    pull01 = relabel_pullback(fib1, fib0, {n: f"m{n}" for n in sets}, carriers)
     ic = fs.indexed_category(base, {0: fib0, 1: fib1},
                              {(0, 0): identity_pullback(fib0),
                               (1, 1): identity_pullback(fib1),
                               (0, 1): pull01})
+    return ic, functor(base, base, {0: 0, 1: 1}, {m: m for m in base.morphisms})
+
+
+def constant_chain(sets, at):
+    """The chain 0 -> 1 as base and shape, with the identity anchor: both
+    fibers are ``sets``, and the pullback along 0 -> 1 is constant at ``at``."""
+    base = chain_category(1)
+    fib = fs.make_fiber(sets)
+    ident = identity_pullback(fib)
+    ic = fs.indexed_category(base, {0: fib, 1: fib},
+                             {(0, 0): ident, (1, 1): ident,
+                              (0, 1): constant_pullback(fib, fib, at)})
     return ic, functor(base, base, {0: 0, 1: 1}, {m: m for m in base.morphisms})
 
 
@@ -389,12 +412,15 @@ def random_lift(draw, ic, shape, anchor):
 def lift_pair(draw):
     """Two random lifts of one anchor, on sets of at most 3 elements: over the
     span of the product instance, the parallel pair of the equalizer
-    instance, or the chain of the relabel instance."""
+    instance, the chain of the relabel instance (with its relabelling
+    rotated), or a chain whose pullback is constant."""
     sizes = draw(st.lists(st.integers(0, 3), min_size=1, max_size=3))
     sets = {f"n{i}": [f"x{j}" for j in range(k)] for i, k in enumerate(sizes)}
-    kind = draw(st.sampled_from(["span", "pair", "relabel"]))
+    kind = draw(st.sampled_from(["span", "pair", "relabel", "constant"]))
     if kind == "relabel":
-        ic, anchor = relabel_chain(sets)
+        ic, anchor = relabel_chain(sets, draw(st.integers(0, 2)))
+    elif kind == "constant":
+        ic, anchor = constant_chain(sets, draw(st.sampled_from(sorted(sets))))
     else:
         base = point_base()
         ic = fs.trivial_indexed_category(base, sets)
@@ -403,8 +429,9 @@ def lift_pair(draw):
                          {m: ("id", "*") for m in shape.morphisms})
     l1, l2 = (draw(random_lift(ic, anchor.source, anchor)) for _ in range(2))
     # the oracle composes element tables for every family; keep the families few
-    assume(math.prod(len(ic.fiber(anchor.obj_map[d]).morphisms_between(l1.objects[d], l2.objects[d]))
-                     for d in anchor.source.objects) <= 1000)
+    fibers = {d: ic.fiber(anchor.obj_map[d]) for d in anchor.source.objects}
+    assume(math.prod(len(fibers[d].elems(l2.objects[d])) ** len(fibers[d].elems(l1.objects[d]))
+                     for d in fibers) <= 1000)
     return l1, l2
 
 
@@ -431,8 +458,9 @@ def test_fiber_mor_is_positional():
     fib = fs.make_fiber({"one": ["*"], "two": ["q", "p"]})
     assert fib.mor("two", "two", {"p": "q", "q": "p"}).images == (1, 0)
     assert fib.mor("one", "two", {"*": "q"}).images == (1,)
-    assert fib.morphisms_between("two", "one") == (fib.mor("two", "one", {"p": "*", "q": "*"}),)
-    assert fib.morphisms_between("one", "two")[0] == fib.mor("one", "two", {"*": "p"})
+    assert kan_oracle.positional_morphisms(fib, "two", "one") == \
+        (fib.mor("two", "one", {"p": "*", "q": "*"}),)
+    assert kan_oracle.positional_morphisms(fib, "one", "two")[0] == fib.mor("one", "two", {"*": "p"})
 
 
 def test_lift_morphisms_match_exhaustive_oracle():
@@ -610,3 +638,90 @@ def test_finset_limit_no_cones():
                           "f": fib.mor("three", "two", {1: "a", 2: "a", 3: "a"}),
                           "g": fib.mor("three", "two", {1: "b", 2: "b", 3: "b"})})
     assert fs.finset_limit(fib, diag).cones == ()
+
+
+@st.composite
+def constraint_network(draw):
+    """At most four variables of at most three values, with up to five unary
+    or binary constraints over tables valued in {0, 1, 2}."""
+    sizes = draw(st.lists(st.integers(0, 3), max_size=4))
+    constraints = []
+    for _ in range(draw(st.integers(0, 5)) if sizes else 0):
+        i = draw(st.integers(0, len(sizes) - 1))
+        j = draw(st.none() | st.integers(0, len(sizes) - 1))
+        table = lambda k: draw(st.lists(st.integers(0, 2), min_size=sizes[k], max_size=sizes[k]))  # noqa: E731
+        constraints.append((i, table(i), j, draw(st.integers(0, 2)) if j is None else table(j)))
+    return sizes, constraints
+
+
+@settings(max_examples=300, deadline=None)
+@given(constraint_network())
+def test_compatible_families_match_filtered_product(network):
+    sizes, constraints = network
+    expected = [v for v in itertools.product(*(range(k) for k in sizes))
+                if all(left[v[i]] == (right if j is None else right[v[j]])
+                       for i, left, j, right in constraints)]
+    assert compatible_families(sizes, constraints) == expected
+
+
+def test_compatible_families_budget_counts_assignments_and_copies():
+    # three free variables of two values: 2 + 4 + 8 assignments, and 8
+    # families of 3 values copied out
+    assert len(compatible_families([2, 2, 2], [], budget=38)) == 8
+    with pytest.raises(EnumerationBudgetExceeded):
+        compatible_families([2, 2, 2], [], budget=37)
+
+
+def idempotent_category():
+    """One object x with the identity and an idempotent e."""
+    return validate_category(
+        ["x"], [("id", "x"), "e"], {("id", "x"): "x", "e": "x"}, {("id", "x"): "x", "e": "x"},
+        {(("id", "x"), ("id", "x")): ("id", "x"), (("id", "x"), "e"): "e",
+         ("e", ("id", "x")): "e", ("e", "e"): "e"},
+        {"x": ("id", "x")},
+    )
+
+
+@st.composite
+def random_diagram(draw):
+    """A diagram in a fiber of sets of at most 3 elements, over the empty,
+    discrete, parallel-pair, span or idempotent shape."""
+    sizes = draw(st.lists(st.integers(0, 3), min_size=1, max_size=3))
+    fib = fs.make_fiber({f"n{i}": [f"x{j}" for j in range(k)] for i, k in enumerate(sizes)})
+    shape = draw(st.sampled_from([discrete_category([]), discrete_category(["g1", "g2"]),
+                                  parallel_pair(), span_category(), idempotent_category()]))
+    on_obj = {x: draw(st.sampled_from(fib.names())) for x in shape.objects}
+    on_mor = {}
+    for m in shape.morphisms:
+        a, b = on_obj[shape.src[m]], on_obj[shape.tgt[m]]
+        if shape.is_identity(m):
+            on_mor[m] = fib.identity(a)
+            continue
+        assume(fib.elems(b) or not fib.elems(a))
+        images = tuple(draw(st.integers(0, len(fib.elems(b)) - 1)) for _ in fib.elems(a))
+        assume(shape.comp.get((m, m)) != m or all(images[k] == k for k in images))
+        on_mor[m] = FibMor(a, b, images)
+    return fib, fiber_diagram(fib, shape, on_obj, on_mor)
+
+
+@settings(max_examples=300, deadline=None)
+@given(random_diagram())
+def test_finset_limit_matches_filtered_product(fib_and_diagram):
+    fib, diagram = fib_and_diagram
+    assert fs.finset_limit(fib, diagram) == kan_oracle.finset_limit(fib, diagram)
+
+
+@pytest.mark.parametrize("build", KAN_INSTANCES.values(), ids=KAN_INSTANCES.keys())
+def test_right_kan_enumerates_each_cone_set_once(monkeypatch, build):
+    """One cone search per object of D, plus one per non-identity base
+    morphism into its image, for the globality check."""
+    calls = []
+    enumerate_cones = fs.finset_limit
+    monkeypatch.setattr("finstack.kan.finset_limit",
+                        lambda *args: calls.append(args) or enumerate_cones(*args))
+    ic, f, p, p_lift = build()
+    fs.right_kan(ic, f, p, p_lift)
+    base = ic.base
+    pulls = sum(1 for d in f.target.objects for m in base.morphisms_into(p.obj_map[d])
+                if not base.is_identity(m))
+    assert len(calls) == len(f.target.objects) + pulls
