@@ -15,8 +15,7 @@ from .errors import EnumerationBudgetExceeded, FinstackError, SchemaError, Usage
 from .fundamental import DEFAULT_COSET_BUDGET, pi1_iso_check, pi1_presentation
 from .groupoid import is_weak_equivalence, pi0
 from .homology import chain_complex, homology, induced_map_is_isomorphism
-from .kan import (DEFAULT_SEARCH_BUDGET, adjunction_check, diagram_special, groupoid_diagram,
-                  right_kan)
+from .kan import adjunction_check, diagram_special, groupoid_diagram, right_kan
 from .milnor import comparison_chain_map, milnor_B, milnor_E
 from .simplicial import nerve, simplicial_identity_violations
 from .spans import span_pi0, zigzag_check
@@ -233,10 +232,10 @@ def _cmd_kan(args) -> RunReport:
     q = f.then(p)
     p_lift = jsonio.lift_from_json(jsonio.load_json(args.lift), ic, e_cat, q)
     try:
-        rf = right_kan(ic, f, p, p_lift, budget=args.budget)
+        rf = right_kan(ic, f, p, p_lift)
         for d in d_cat.objects:
             report.add_output(f"RF at {d}: {rf.lift.objects[d]}")
-        rep = adjunction_check(ic, f, p, p_lift, rf.lift, rf, budget=args.budget)
+        rep = adjunction_check(ic, f, p, p_lift, rf.lift, rf)
     except EnumerationBudgetExceeded as exc:
         report.add_verdict("adjunction-bijection", None, str(exc))
         return report
@@ -357,7 +356,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fibers", required=True)
     p.add_argument("--along", required=True)
     p.add_argument("--lift", required=True)
-    p.add_argument("--budget", type=nonnegative_int, default=DEFAULT_SEARCH_BUDGET)
     p.set_defaults(run=_cmd_kan)
 
     p = sub.add_parser("diagram-special", help="base extend a cover across a diagram", parents=[common])

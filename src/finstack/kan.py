@@ -18,11 +18,17 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .category import CatFunctor, FiniteCategory, comma_category, idkey, sorted_ids
-from .errors import (AxiomViolation, DanglingId, EnumerationBudgetExceeded, NotALimit,
-                     NotFComplete, NotFunctorial)
+from .errors import (
+    AxiomViolation,
+    DanglingId,
+    EnumerationBudgetExceeded,
+    NotALimit,
+    NotFComplete,
+    NotFunctorial,
+)
 from .groupoid import fiber_product_2_projections
 
-DEFAULT_SEARCH_BUDGET = 100_000  # search nodes per call of compatible_families
+SEARCH_BUDGET = 100_000  # search nodes per call of compatible_families
 
 
 @dataclass(frozen=True)
@@ -48,14 +54,15 @@ def _positions(table: Mapping, domain, codomain) -> tuple | None:
         return None
 
 
-def compatible_families(sizes, constraints, budget: int = DEFAULT_SEARCH_BUDGET) -> list:
+def compatible_families(sizes, constraints) -> list:
     """Every v with v[k] in range(sizes[k]), in lexicographic order, such that
     left[v[i]] == right[v[j]] for each constraint (i, left, j, right), and
     left[v[i]] == right when j is None.  Backtracking places the variables in
     a static order, each next one with the most constraints to those placed
     (then the most in all), and takes its values from an index of one such
     constraint.  Raises :class:`EnumerationBudgetExceeded` once the values
-    assigned and the values copied into families pass ``budget``."""
+    assigned and the values copied into families pass :data:`SEARCH_BUDGET`."""
+    budget = SEARCH_BUDGET
     values = [range(size) for size in sizes]
     links = [[] for _ in sizes]  # k -> (other variable, k's table, other's table)
     for i, left, j, right in constraints:
@@ -329,8 +336,11 @@ def trivial_indexed_category(base: FiniteCategory, sets: Mapping) -> IndexedCate
     """Same fiber over every base object, every pullback the identity."""
     fiber = make_fiber(sets)
     ident = identity_pullback(fiber)
-    return indexed_category(base, {b: fiber for b in base.objects},
-                            {m: ident for m in base.morphisms})
+    return indexed_category(
+        base,
+        {b: fiber for b in base.objects},
+        {m: ident for m in base.morphisms},
+    )
 
 
 @dataclass(frozen=True)
@@ -384,9 +394,13 @@ def lift(ic: IndexedCategory, shape: FiniteCategory, anchor: CatFunctor,
 
 def precompose_lift(f: CatFunctor, p_lift: Lift) -> Lift:
     """Restrict a lift over D to a lift over E along F: E -> D."""
-    return lift(p_lift.ic, f.source, f.then(p_lift.anchor),
-                {e: p_lift.objects[f.obj_map[e]] for e in f.source.objects},
-                {m: p_lift.morphisms[f.mor_map[m]] for m in f.source.morphisms})
+    return lift(
+        p_lift.ic,
+        f.source,
+        f.then(p_lift.anchor),
+        {e: p_lift.objects[f.obj_map[e]] for e in f.source.objects},
+        {m: p_lift.morphisms[f.mor_map[m]] for m in f.source.morphisms},
+    )
 
 
 @dataclass(frozen=True)
@@ -427,17 +441,18 @@ class LimitCone:
     positions: tuple
 
 
-def finset_limit(fiber: FinSetFiber, diagram: FiberDiagram,
-                 budget: int = DEFAULT_SEARCH_BUDGET) -> LimitCone:
+def finset_limit(fiber: FinSetFiber, diagram: FiberDiagram) -> LimitCone:
     """Every cone, as a compatible family with one variable per shape object."""
-    shape, shape_objects = diagram.shape, tuple(diagram.shape.objects)
+    shape = diagram.shape
+    shape_objects = tuple(shape.objects)
     position = {x: i for i, x in enumerate(shape_objects)}
     pools = [fiber.elems(diagram.on_obj[x]) for x in shape_objects]
     arrows = [(position[shape.src[m]], diagram.on_mor[m].images, position[shape.tgt[m]],
                range(len(pools[position[shape.tgt[m]]]))) for m in shape.morphisms]
-    found = sorted(((tuple(pool[k] for pool, k in zip(pools, cone)), cone) for cone in
-                    compatible_families([len(pool) for pool in pools], arrows, budget)),
-                   key=lambda pair: idkey(pair[0]))
+    found = sorted(
+        ((tuple(pool[k] for pool, k in zip(pools, cone)), cone)
+         for cone in compatible_families([len(pool) for pool in pools], arrows)),
+        key=lambda pair: idkey(pair[0]))
     return LimitCone(shape_objects=shape_objects, cones=tuple(c for c, _ in found),
                      positions=tuple(p for _, p in found))
 
@@ -460,30 +475,36 @@ def is_limit_cone(fiber: FinSetFiber, cone_set: LimitCone, candidate: LimitCandi
 
 def pull_diagram(ic: IndexedCategory, base_morphism, diagram: FiberDiagram) -> FiberDiagram:
     pf = ic.pull(base_morphism)
-    return FiberDiagram(diagram.shape, {x: pf.on_obj(name) for x, name in diagram.on_obj.items()},
-                        {m: pf.on_mor(fm) for m, fm in diagram.on_mor.items()})
+    return FiberDiagram(
+        shape=diagram.shape,
+        on_obj={x: pf.on_obj(name) for x, name in diagram.on_obj.items()},
+        on_mor={m: pf.on_mor(fm) for m, fm in diagram.on_mor.items()},
+    )
 
 
-def is_global_limit(ic: IndexedCategory, b, diagram: FiberDiagram, candidate: LimitCandidate,
-                    cone_set: LimitCone | None = None, budget: int = DEFAULT_SEARCH_BUDGET) -> bool:
+def is_global_limit(ic: IndexedCategory, b, diagram: FiberDiagram,
+                    candidate: LimitCandidate, cone_set: LimitCone) -> bool:
     """Check the candidate limit survives every pullback functor out of b.
 
-    Raises :class:`NotALimit` when the candidate is not even a limit in the
-    fiber over b (whose cone set the caller may pass as ``cone_set``);
-    returns False when some base morphism breaks globality.  Identities need
-    no check, since :func:`indexed_category` makes their pullbacks identities.
+    ``cone_set`` is ``finset_limit(ic.fiber(b), diagram)``.  Raises
+    :class:`NotALimit` when the candidate is not even a limit in the fiber
+    over b; returns False when some base morphism breaks globality.
+    Identities need no check: :func:`indexed_category` makes their pullbacks
+    identities.
     """
-    if not is_limit_cone(ic.fiber(b), cone_set or finset_limit(ic.fiber(b), diagram, budget),
-                         candidate):
+    if not is_limit_cone(ic.fiber(b), cone_set, candidate):
         raise NotALimit((b, candidate.obj))
     for f in ic.base.morphisms_into(b):
         if ic.base.is_identity(f):
             continue
-        fiber, pf = ic.fiber(ic.base.src[f]), ic.pull(f)
+        a = ic.base.src[f]
+        pf = ic.pull(f)
         pulled_candidate = LimitCandidate(
-            pf.on_obj(candidate.obj), {x: pf.on_mor(m) for x, m in candidate.projections.items()})
-        pulled_cones = finset_limit(fiber, pull_diagram(ic, f, diagram), budget)
-        if not is_limit_cone(fiber, pulled_cones, pulled_candidate):
+            obj=pf.on_obj(candidate.obj),
+            projections={x: pf.on_mor(m) for x, m in candidate.projections.items()},
+        )
+        pulled = pull_diagram(ic, f, diagram)
+        if not is_limit_cone(ic.fiber(a), finset_limit(ic.fiber(a), pulled), pulled_candidate):
             return False
     return True
 
@@ -503,29 +524,36 @@ class RightKanResult:
 def _comma_fiber_diagram(ic: IndexedCategory, f: CatFunctor, p: CatFunctor,
                          p_lift: Lift, d) -> tuple[FiniteCategory, FiberDiagram]:
     comma = comma_category(d, f)
-    on_obj = {(e, alpha): ic.pull(p.mor_map[alpha]).on_obj(p_lift.objects[e])
-              for e, alpha in comma.objects}
-    on_mor = {(alpha, gamma): ic.pull(p.mor_map[alpha]).on_mor(p_lift.morphisms[gamma])
-              for alpha, gamma in comma.morphisms}
-    return comma, fiber_diagram(ic.fiber(p.obj_map[d]), comma, on_obj, on_mor)
+    on_obj = {}
+    on_mor = {}
+    for (e, alpha) in comma.objects:
+        on_obj[(e, alpha)] = ic.pull(p.mor_map[alpha]).on_obj(p_lift.objects[e])
+    for (alpha, gamma) in comma.morphisms:
+        on_mor[(alpha, gamma)] = ic.pull(p.mor_map[alpha]).on_mor(p_lift.morphisms[gamma])
+    diagram = fiber_diagram(ic.fiber(p.obj_map[d]), comma, on_obj, on_mor)
+    return comma, diagram
 
 
-def right_kan(ic: IndexedCategory, f: CatFunctor, p: CatFunctor, p_lift: Lift,
-              budget: int = DEFAULT_SEARCH_BUDGET) -> RightKanResult:
+def right_kan(ic: IndexedCategory, f: CatFunctor, p: CatFunctor, p_lift: Lift) -> RightKanResult:
     """Pointwise relative right Kan extension of a lift along F: E -> D.
 
     For each object d the value is a fiber object realizing the cone set of
     the comma-shaped diagram alpha |-> pull(p(alpha))(P(e)); the value on a
     shape morphism is induced by the universal property of the (global)
     limit at its target.  Raises :class:`NotFComplete` when a required limit
-    is missing or fails to be global; ``budget`` bounds each cone search.
+    is missing or fails to be global.
     """
     d_cat = f.target
-    commas, diagrams, cones, objects, projections = {}, {}, {}, {}, {}
+    commas: dict = {}
+    diagrams: dict = {}
+    cones: dict = {}
+    objects: dict = {}
+    projections: dict = {}
+
     for d in d_cat.objects:
         comma, diagram = _comma_fiber_diagram(ic, f, p, p_lift, d)
         fiber = ic.fiber(p.obj_map[d])
-        cone_set = finset_limit(fiber, diagram, budget)
+        cone_set = finset_limit(fiber, diagram)
         size = len(cone_set.cones)
         chosen = next((name for name in fiber.names() if len(fiber.elems(name)) == size), None)
         if chosen is None:
@@ -535,10 +563,13 @@ def right_kan(ic: IndexedCategory, f: CatFunctor, p: CatFunctor, p_lift: Lift,
                              tuple(cone[k] for cone in cone_set.positions))
                  for k, obj in enumerate(cone_set.shape_objects)}
         candidate = LimitCandidate(obj=chosen, projections=projs)
-        if not is_global_limit(ic, p.obj_map[d], diagram, candidate, cone_set, budget):
+        if not is_global_limit(ic, p.obj_map[d], diagram, candidate, cone_set):
             raise NotFComplete(d, "fiber limit is not global")
-        commas[d], diagrams[d], cones[d] = comma, diagram, cone_set
-        objects[d], projections[d] = chosen, projs
+        commas[d] = comma
+        diagrams[d] = diagram
+        cones[d] = cone_set
+        objects[d] = chosen
+        projections[d] = projs
 
     morphisms: dict = {}
     for m in d_cat.morphisms:
@@ -557,24 +588,27 @@ def right_kan(ic: IndexedCategory, f: CatFunctor, p: CatFunctor, p_lift: Lift,
         morphisms[m] = FibMor(objects[a], target_name, tuple(
             element_of[tuple(cone[i] for i in restrict)] for cone in cones[a].positions))
 
-    return RightKanResult(lift=lift(ic, d_cat, p, objects, morphisms), along=f, commas=commas,
-                          diagrams=diagrams, cones=cones, projections=projections)
+    extended = lift(ic, d_cat, p, objects, morphisms)
+    return RightKanResult(lift=extended, along=f, commas=commas, diagrams=diagrams,
+                          cones=cones, projections=projections)
 
 
 def counit(rf: RightKanResult, p_lift: Lift) -> dict:
     """Component at e: project the limit at F(e) onto the (e, id) coordinate."""
-    f, d_cat = rf.along, rf.along.target
+    f = rf.along
+    d_cat = f.target
     return {e: rf.projections[f.obj_map[e]][(e, d_cat.ident[f.obj_map[e]])]
             for e in f.source.objects}
 
 
-def lift_morphisms(l1: Lift, l2: Lift, budget: int = DEFAULT_SEARCH_BUDGET) -> tuple:
+def lift_morphisms(l1: Lift, l2: Lift) -> tuple:
     """All vertical natural transformations between two lifts of one anchor,
     as compatible families over the elements of l1: nu_d(x) in l2(d) for each
     x in l1(d).  Naturality at m: a -> b is, per x in l1(a), l2(m)(nu_a(x)) ==
     pull(nu_b)(l1(m)(x)), whose right side reads nu_b at one element through
     the pullback's carriers, or is l1(m)(x) itself when the pullback is constant."""
-    ic, shape = l1.ic, l1.shape
+    ic = l1.ic
+    shape = l1.shape
     sizes, part = [], {}  # part[d]: the slice of nu_d's variables
     for d in shape.objects:
         fiber = ic.fiber(l1.anchor.obj_map[d])
@@ -593,7 +627,7 @@ def lift_morphisms(l1: Lift, l2: Lift, budget: int = DEFAULT_SEARCH_BUDGET) -> t
                 constraints.append((i, left, part[b].start + pf.sections[l1.objects[b]][y],
                                     pf.carriers[l2.objects[b]]))
     return tuple({d: FibMor(l1.objects[d], l2.objects[d], family[part[d]]) for d in shape.objects}
-                 for family in compatible_families(sizes, constraints, budget))
+                 for family in compatible_families(sizes, constraints))
 
 
 @dataclass(frozen=True)
@@ -604,17 +638,16 @@ class AdjunctionReport:
     witness: str
 
 
-def adjunction_check(ic: IndexedCategory, f: CatFunctor, p: CatFunctor, p_lift: Lift, q_lift: Lift,
-                     rf: RightKanResult, budget: int = DEFAULT_SEARCH_BUDGET) -> AdjunctionReport:
+def adjunction_check(ic: IndexedCategory, f: CatFunctor, p: CatFunctor,
+                     p_lift: Lift, q_lift: Lift, rf: RightKanResult) -> AdjunctionReport:
     """Verify Hom(Q, RF(P)) matches Hom(F*(Q), P) under whiskering with the counit.
 
     ``rf`` is ``right_kan(ic, f, p, p_lift)``; ``p`` is not read again.
-    ``budget`` bounds each hom-set search.
     """
     eps = counit(rf, p_lift)
     restricted_q = precompose_lift(f, q_lift)
-    left = lift_morphisms(q_lift, rf.lift, budget)
-    right = lift_morphisms(restricted_q, p_lift, budget)
+    left = lift_morphisms(q_lift, rf.lift)
+    right = lift_morphisms(restricted_q, p_lift)
 
     e_objects = f.source.objects
     right_set = {tuple(nu[e] for e in e_objects) for nu in right}
@@ -684,10 +717,14 @@ def diagram_special(diagram: GroupoidDiagram, cover: CatFunctor) -> SpecialDiagr
         raise NotFunctorial("cover must land in the final node")
     to_star = {d: shape.hom(d, star)[0] for d in shape.objects}
 
-    nodes, to_base, to_cover = {}, {}, {}
+    nodes: dict = {}
+    to_base: dict = {}
+    to_cover: dict = {}
     for d in shape.objects:
-        nodes[d], to_base[d], to_cover[d] = fiber_product_2_projections(
-            diagram.arrows[to_star[d]], cover)
+        prod, p1, p2 = fiber_product_2_projections(diagram.arrows[to_star[d]], cover)
+        nodes[d] = prod
+        to_base[d] = p1
+        to_cover[d] = p2
 
     arrows: dict = {}
     for m in shape.morphisms:

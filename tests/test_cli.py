@@ -366,30 +366,57 @@ def test_kan_cli_relabel_and_equalizer(capsys, tmp_path, docs, rf_lines):
     assert "[PASS] adjunction-bijection" in out
 
 
-def test_kan_decides_shift_equalizer_within_budget(capsys, tmp_path):
+def test_kan_decides_shift_equalizer_within_budget(capsys, tmp_path, monkeypatch):
     """At n = 8 each hom-set ranges over 8^8 * 8^8 candidate pairs of maps;
-    the search stays within 10^5 nodes per enumeration."""
-    argv = kan_argv(tmp_path, kan_shift_docs(8)) + ["--budget", "100000"]
-    code, out = run_cli(capsys, argv)
+    each search stays within 1000 nodes."""
+    monkeypatch.setattr(fs.kan, "SEARCH_BUDGET", 1000)
+    code, out = run_cli(capsys, kan_argv(tmp_path, kan_shift_docs(8)))
     assert code == 0
     assert "RF at s: Q" in out.splitlines()
     assert "hom sizes: 8 vs 8" in out.splitlines()
     assert "[PASS] adjunction-bijection" in out.splitlines()
 
 
-@pytest.mark.parametrize("budget, code", [("-1", 2), ("100", 3)])
-def test_kan_budget(capsys, tmp_path, budget, code):
-    """A negative budget is a usage error.  100 nodes cover each cone search
-    (at most 48 nodes) but not the hom-set searches (256 nodes each: 128
-    assignments and 8 families of 16 values), so the adjunction is
-    inconclusive."""
-    assert main(kan_argv(tmp_path, kan_shift_docs(8)) + ["--budget", budget]) == code
-    out = capsys.readouterr().out
-    if code == 3:
-        assert "RF at s: Q" in out.splitlines()
-        assert "[INCONCLUSIVE] adjunction-bijection: compatible-family search exceeded " \
-               "budget of 100 search nodes" in out.splitlines()
-        assert "[FAIL]" not in out
+def test_kan_out_of_budget_is_inconclusive(capsys, tmp_path, monkeypatch):
+    """100 nodes cover each cone search of the shift equalizer (at most 48
+    nodes) but not its hom-set searches (256 nodes each: 128 assignments and
+    8 families of 16 values), so the adjunction is inconclusive."""
+    monkeypatch.setattr(fs.kan, "SEARCH_BUDGET", 100)
+    code, out = run_cli(capsys, kan_argv(tmp_path, kan_shift_docs(8)))
+    assert code == 3
+    assert "RF at s: Q" in out.splitlines()
+    assert "[INCONCLUSIVE] adjunction-bijection: compatible-family search exceeded " \
+           "budget of 100 search nodes" in out.splitlines()
+    assert "[FAIL]" not in out
+
+
+def kan_identity_docs(n):
+    """The extension of a lift at one n-element set along the identity of a
+    one-object category: RF(P) is P, and Hom(P, P) has n^n elements."""
+    sets = {"S": [f"S.{i}" for i in range(n)]}
+    return {
+        "base": discrete_doc(["*"]),
+        "fibers": {"fibers": {"*": sets}, "pulls": {"i*": {"kind": "identity"}}},
+        "along": {"E": discrete_doc(["e"]), "D": discrete_doc(["d"]),
+                  "F": {"objects": {"e": "d"}, "morphisms": {"ie": "id"}},
+                  "p": {"objects": {"d": "*"}, "morphisms": {"id": "i*"}}},
+        "lift": {"objects": {"e": "S"}, "morphisms": {"ie": identity_entry("S", sets["S"])}},
+    }
+
+
+@pytest.mark.parametrize("n, code, last", [
+    (5, 0, "[PASS] adjunction-bijection"),
+    (6, 3, "[INCONCLUSIVE] adjunction-bijection: compatible-family search exceeded "
+           "budget of 100000 search nodes"),
+])
+def test_kan_default_budget_bounds_hom_sets(capsys, tmp_path, n, code, last):
+    """The default budget of 10^5 nodes decides the 5^5 = 3125 endomorphisms
+    of a 5-element set (19 530 nodes) but not the 6^6 = 46 656 of a
+    6-element set (335 922 nodes, counting the values copied out), which a
+    filtered product over all 6^6 candidates would decide."""
+    out_code, out = run_cli(capsys, kan_argv(tmp_path, kan_identity_docs(n)))
+    assert out_code == code
+    assert out.splitlines()[-1] == last
 
 
 def diagram_special_docs():

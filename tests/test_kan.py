@@ -185,7 +185,7 @@ def test_global_limit_identity_pulls():
         "g1": fib.mor("four", "two", {0: "p", 1: "p", 2: "q", 3: "q"}),
         "g2": fib.mor("four", "two", {0: "p", 1: "q", 2: "p", 3: "q"}),
     })
-    assert fs.is_global_limit(ic, 1, diag, cand)
+    assert fs.is_global_limit(ic, 1, diag, cand, fs.finset_limit(fib, diag))
 
 
 def test_global_limit_fails_under_constant_pullback():
@@ -202,11 +202,11 @@ def test_global_limit_fails_under_constant_pullback():
         "g1": fib.mor("four", "two", {0: "p", 1: "p", 2: "q", 3: "q"}),
         "g2": fib.mor("four", "two", {0: "p", 1: "q", 2: "p", 3: "q"}),
     })
-    assert not fs.is_global_limit(ic, 1, diag, cand)
+    assert not fs.is_global_limit(ic, 1, diag, cand, fs.finset_limit(fib, diag))
     # the terminal object check: empty diagram pulled through the constant functor
     empty = fiber_diagram(fib, discrete_category([]), {}, {})
     terminal = LimitCandidate(obj="one", projections={})
-    assert not fs.is_global_limit(ic, 1, empty, terminal)
+    assert not fs.is_global_limit(ic, 1, empty, terminal, fs.finset_limit(fib, empty))
 
 
 def test_non_limit_candidate_rejected():
@@ -217,7 +217,7 @@ def test_non_limit_candidate_rejected():
     diag = fiber_diagram(fib, shape, {"g": "two"}, {("id", "g"): fib.identity("two")})
     bad = LimitCandidate(obj="one", projections={"g": fib.mor("one", "two", {"*": "p"})})
     with pytest.raises(NotALimit):
-        fs.is_global_limit(ic, "*", diag, bad)
+        fs.is_global_limit(ic, "*", diag, bad, fs.finset_limit(fib, diag))
 
 
 def test_right_kan_product_at_span_apex():
@@ -460,7 +460,8 @@ def test_fiber_mor_is_positional():
     assert fib.mor("one", "two", {"*": "q"}).images == (1,)
     assert kan_oracle.positional_morphisms(fib, "two", "one") == \
         (fib.mor("two", "one", {"p": "*", "q": "*"}),)
-    assert kan_oracle.positional_morphisms(fib, "one", "two")[0] == fib.mor("one", "two", {"*": "p"})
+    assert kan_oracle.positional_morphisms(fib, "one", "two")[0] == \
+        fib.mor("one", "two", {"*": "p"})
 
 
 def test_lift_morphisms_match_exhaustive_oracle():
@@ -664,12 +665,16 @@ def test_compatible_families_match_filtered_product(network):
     assert compatible_families(sizes, constraints) == expected
 
 
-def test_compatible_families_budget_counts_assignments_and_copies():
+@pytest.mark.parametrize("budget, decided", [(38, True), (37, False)])
+def test_compatible_families_budget_counts_assignments_and_copies(monkeypatch, budget, decided):
     # three free variables of two values: 2 + 4 + 8 assignments, and 8
     # families of 3 values copied out
-    assert len(compatible_families([2, 2, 2], [], budget=38)) == 8
-    with pytest.raises(EnumerationBudgetExceeded):
-        compatible_families([2, 2, 2], [], budget=37)
+    monkeypatch.setattr(fs.kan, "SEARCH_BUDGET", budget)
+    if decided:
+        assert len(compatible_families([2, 2, 2], [])) == 8
+    else:
+        with pytest.raises(EnumerationBudgetExceeded):
+            compatible_families([2, 2, 2], [])
 
 
 def idempotent_category():
