@@ -36,7 +36,7 @@ from .homology import (
     homology,
     induced_map_is_isomorphism,
 )
-from .simplicial import TruncatedSimplicialSet, graph_simplicial_set, nerve, simplicial_circle
+from .simplicial import TruncatedSimplicialSet, nerve, simplicial_circle
 from .fundamental import GroupPresentation, Pi1Report, coset_enumeration, pi1_iso_check, pi1_presentation
 from .milnor import (
     JoinComplex,
@@ -82,7 +82,6 @@ from .kan import (
     GroupoidDiagram,
     IndexedCategory,
     Lift,
-    LimitCandidate,
     LimitCone,
     RightKanResult,
     SpecialDiagram,

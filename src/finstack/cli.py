@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from . import jsonio
 from .category import functor as groupoid_functor
 from .errors import EnumerationBudgetExceeded, FinstackError, SchemaError, UsageError
-from .fundamental import DEFAULT_COSET_BUDGET, pi1_iso_check, pi1_presentation
+from .fundamental import pi1_iso_check, pi1_presentation
 from .groupoid import is_weak_equivalence, pi0
 from .homology import chain_complex, homology, induced_map_is_isomorphism
 from .kan import adjunction_check, diagram_special, groupoid_diagram, right_kan
@@ -126,7 +126,7 @@ def _cmd_pi1(args) -> RunReport:
     report = RunReport("pi1", _digest([args.groupoid]))
     g = jsonio.groupoid_from_json(jsonio.load_json(args.groupoid))
     pres = pi1_presentation(nerve(g, 2), args.basepoint)
-    rep = pi1_iso_check(g, args.basepoint, budget=args.budget, pres=pres)
+    rep = pi1_iso_check(g, args.basepoint, pres=pres)
     report.add_output(f"generators: {len(pres.generators)}")
     report.add_output(f"relations: {len(pres.relations)}")
     rank, torsion = pres.abelianization()
@@ -325,7 +325,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pi1", help="edge-path group and isotropy comparison", parents=[common])
     p.add_argument("--groupoid", required=True)
     p.add_argument("--basepoint", required=True)
-    p.add_argument("--budget", type=nonnegative_int, default=DEFAULT_COSET_BUDGET)
     p.set_defaults(run=_cmd_pi1)
 
     p = sub.add_parser("milnor", help="truncated join model and its quotient", parents=[common])

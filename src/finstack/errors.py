@@ -111,12 +111,6 @@ class HypothesisFails(FinstackError):
         super().__init__(f"section hypothesis fails for {witness!r}")
 
 
-class NotALimit(FinstackError):
-    def __init__(self, witness: object):
-        self.witness = witness
-        super().__init__(f"candidate cone is not a limit: {witness!r}")
-
-
 class NotFComplete(FinstackError):
     def __init__(self, at: object, witness: object):
         self.at = at

@@ -10,7 +10,7 @@ from .groupoid import FiniteGroupoid, vertex_group
 from .homology import invariant_factors
 from .simplicial import TruncatedSimplicialSet, nerve
 
-DEFAULT_COSET_BUDGET = 10_000
+COSET_BUDGET = 10_000  # cosets per enumeration in pi1_iso_check
 
 
 @dataclass(frozen=True)
@@ -97,7 +97,7 @@ def pi1_presentation(s: TruncatedSimplicialSet, basepoint) -> GroupPresentation:
     )
 
 
-def coset_enumeration(num_generators: int, relations, budget: int = DEFAULT_COSET_BUDGET) -> int:
+def coset_enumeration(num_generators: int, relations, budget: int = COSET_BUDGET) -> int:
     """Order of the presented group by coset enumeration over the trivial subgroup.
 
     Union-find Todd-Coxeter: every live coset has all relator paths traced and
@@ -178,15 +178,14 @@ class Pi1Report:
     note: str
 
 
-def pi1_iso_check(g: FiniteGroupoid, x, budget: int = DEFAULT_COSET_BUDGET,
-                  pres: GroupPresentation | None = None) -> Pi1Report:
+def pi1_iso_check(g: FiniteGroupoid, x, pres: GroupPresentation | None = None) -> Pi1Report:
     """Check the canonical map from the edge-path group onto the vertex group at x.
 
     Each 1-simplex maps to its tree-path conjugate loop; the check verifies all
     relators map to the identity arrow and the images generate, then certifies
     injectivity by coset enumeration (surjection between finite groups of
-    equal order).  On budget exhaustion injectivity is reported untested.
-    ``pres`` is the presentation of the nerve of g at x, if already built.
+    equal order).  Past :data:`COSET_BUDGET` cosets, injectivity is reported
+    untested.  ``pres`` is the presentation of the nerve of g at x, if already built.
     """
     if pres is None:
         pres = pi1_presentation(nerve(g, 2), x)
@@ -230,7 +229,7 @@ def pi1_iso_check(g: FiniteGroupoid, x, budget: int = DEFAULT_COSET_BUDGET,
 
     presented_order: int | None
     try:
-        presented_order = coset_enumeration(len(pres.generators), pres.relations, budget)
+        presented_order = coset_enumeration(len(pres.generators), pres.relations, COSET_BUDGET)
     except EnumerationBudgetExceeded:
         presented_order = None
 

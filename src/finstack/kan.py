@@ -8,8 +8,9 @@ without enumerating fiber morphisms, and pullbacks compose strictly.  Cone
 sets and the natural transformations between lifts are the solutions of
 binary constraint networks, all enumerated by :func:`compatible_families`
 under a budget.  A limit is *global* when every pullback functor carries it
-to a limit again, and the right Kan extension of a lift is assembled
-pointwise from global limits over comma categories.
+to a limit again, which set sizes alone decide for the three kinds of
+pullback (:func:`is_global_limit`); the right Kan extension of a lift is
+assembled pointwise from global limits over comma categories.
 """
 
 from __future__ import annotations
@@ -17,12 +18,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from .category import CatFunctor, FiniteCategory, comma_category, idkey, sorted_ids
+from .category import CatFunctor, FiniteCategory, comma_category, idkey, partition, sorted_ids
 from .errors import (
     AxiomViolation,
     DanglingId,
     EnumerationBudgetExceeded,
-    NotALimit,
     NotFComplete,
     NotFunctorial,
 )
@@ -393,14 +393,11 @@ def lift(ic: IndexedCategory, shape: FiniteCategory, anchor: CatFunctor,
 
 
 def precompose_lift(f: CatFunctor, p_lift: Lift) -> Lift:
-    """Restrict a lift over D to a lift over E along F: E -> D."""
-    return lift(
-        p_lift.ic,
-        f.source,
-        f.then(p_lift.anchor),
-        {e: p_lift.objects[f.obj_map[e]] for e in f.source.objects},
-        {m: p_lift.morphisms[f.mor_map[m]] for m in f.source.morphisms},
-    )
+    """Restrict a lift over D to a lift over E along F: E -> D; functorial by
+    construction, so it is built without :func:`lift`'s checks."""
+    return Lift(ic=p_lift.ic, shape=f.source, anchor=f.then(p_lift.anchor),
+                objects={e: p_lift.objects[f.obj_map[e]] for e in f.source.objects},
+                morphisms={m: p_lift.morphisms[f.mor_map[m]] for m in f.source.morphisms})
 
 
 @dataclass(frozen=True)
@@ -457,54 +454,37 @@ def finset_limit(fiber: FinSetFiber, diagram: FiberDiagram) -> LimitCone:
                      positions=tuple(p for _, p in found))
 
 
-@dataclass(frozen=True)
-class LimitCandidate:
-    """A fiber object with projection morphisms, proposed as the limit."""
+def is_global_limit(ic: IndexedCategory, b, diagram: FiberDiagram, obj) -> bool:
+    """Whether every pullback out of b carries ``obj``, whose i-th element
+    stands for the i-th cone over ``diagram``, to a limit again.
 
-    obj: object
-    projections: dict  # shape object -> FibMor
+    Identities pull back to identities.  Along any other f a valid pullback
+    (:meth:`PullbackFunctor.validate`) is one of three kinds, each decided
+    by set sizes (Mac Lane, CWM):
 
-
-def is_limit_cone(fiber: FinSetFiber, cone_set: LimitCone, candidate: LimitCandidate) -> bool:
-    """The canonical comparison into the cone set must be a bijection."""
-    projections = [candidate.projections[s].images for s in cone_set.shape_objects]
-    size = len(fiber.elems(candidate.obj))
-    images = {tuple(images[i] for images in projections) for i in range(size)}
-    return len(images) == size and images == set(cone_set.positions)
-
-
-def pull_diagram(ic: IndexedCategory, base_morphism, diagram: FiberDiagram) -> FiberDiagram:
-    pf = ic.pull(base_morphism)
-    return FiberDiagram(
-        shape=diagram.shape,
-        on_obj={x: pf.on_obj(name) for x, name in diagram.on_obj.items()},
-        on_mor={m: pf.on_mor(fm) for m, fm in diagram.on_mor.items()},
-    )
-
-
-def is_global_limit(ic: IndexedCategory, b, diagram: FiberDiagram,
-                    candidate: LimitCandidate, cone_set: LimitCone) -> bool:
-    """Check the candidate limit survives every pullback functor out of b.
-
-    ``cone_set`` is ``finset_limit(ic.fiber(b), diagram)``.  Raises
-    :class:`NotALimit` when the candidate is not even a limit in the fiber
-    over b; returns False when some base morphism breaks globality.
-    Identities need no check: :func:`indexed_category` makes their pullbacks
-    identities.
+    - constant at S: the limit goes to the diagonal S -> S^k, k the number
+      of components of the shape, a bijection iff |S|^k == |S|;
+    - a conjugation by bijections matches cones with pulled cones;
+    - a conjugation onto sets of at most one element leaves one cone when
+      each pulled set is nonempty (or the shape is empty), else none, and
+      the image of ``obj`` must have as many elements.  The test is exact
+      for bijections too, so it runs whenever the sets are that small.
     """
-    if not is_limit_cone(ic.fiber(b), cone_set, candidate):
-        raise NotALimit((b, candidate.obj))
+    shape = diagram.shape
     for f in ic.base.morphisms_into(b):
         if ic.base.is_identity(f):
             continue
-        a = ic.base.src[f]
-        pf = ic.pull(f)
-        pulled_candidate = LimitCandidate(
-            obj=pf.on_obj(candidate.obj),
-            projections={x: pf.on_mor(m) for x, m in candidate.projections.items()},
-        )
-        pulled = pull_diagram(ic, f, diagram)
-        if not is_limit_cone(ic.fiber(a), finset_limit(ic.fiber(a), pulled), pulled_candidate):
+        pf, fiber = ic.pull(f), ic.fiber(ic.base.src[f])
+        if pf.constant is not None:
+            size = len(fiber.elems(pf.constant.src))
+            components = partition(shape.objects,
+                                   ((shape.src[m], shape.tgt[m]) for m in shape.morphisms))
+            if size ** len(components) != size:
+                return False
+            continue
+        sizes = [len(fiber.elems(pf.on_obj(name))) for name in diagram.on_obj.values()]
+        image = len(fiber.elems(pf.on_obj(obj)))
+        if max(sizes + [image]) <= 1 and image != min(sizes, default=1):
             return False
     return True
 
@@ -523,6 +503,8 @@ class RightKanResult:
 
 def _comma_fiber_diagram(ic: IndexedCategory, f: CatFunctor, p: CatFunctor,
                          p_lift: Lift, d) -> tuple[FiniteCategory, FiberDiagram]:
+    """The diagram alpha |-> pull(p(alpha))(P(e)) on (d down F); functorial by
+    construction when P is a lift, so it is built without :func:`fiber_diagram`."""
     comma = comma_category(d, f)
     on_obj = {}
     on_mor = {}
@@ -530,8 +512,7 @@ def _comma_fiber_diagram(ic: IndexedCategory, f: CatFunctor, p: CatFunctor,
         on_obj[(e, alpha)] = ic.pull(p.mor_map[alpha]).on_obj(p_lift.objects[e])
     for (alpha, gamma) in comma.morphisms:
         on_mor[(alpha, gamma)] = ic.pull(p.mor_map[alpha]).on_mor(p_lift.morphisms[gamma])
-    diagram = fiber_diagram(ic.fiber(p.obj_map[d]), comma, on_obj, on_mor)
-    return comma, diagram
+    return comma, FiberDiagram(shape=comma, on_obj=on_obj, on_mor=on_mor)
 
 
 def right_kan(ic: IndexedCategory, f: CatFunctor, p: CatFunctor, p_lift: Lift) -> RightKanResult:
@@ -559,12 +540,11 @@ def right_kan(ic: IndexedCategory, f: CatFunctor, p: CatFunctor, p_lift: Lift) -
         if chosen is None:
             raise NotFComplete(d, f"no fiber object of size {size}")
         # the i-th element of ``chosen`` stands for the i-th cone
+        if not is_global_limit(ic, p.obj_map[d], diagram, chosen):
+            raise NotFComplete(d, "fiber limit is not global")
         projs = {obj: FibMor(chosen, diagram.on_obj[obj],
                              tuple(cone[k] for cone in cone_set.positions))
                  for k, obj in enumerate(cone_set.shape_objects)}
-        candidate = LimitCandidate(obj=chosen, projections=projs)
-        if not is_global_limit(ic, p.obj_map[d], diagram, candidate, cone_set):
-            raise NotFComplete(d, "fiber limit is not global")
         commas[d] = comma
         diagrams[d] = diagram
         cones[d] = cone_set

@@ -1,12 +1,11 @@
-"""Truncated simplicial sets and the nerve of a finite groupoid."""
+"""Truncated simplicial sets and the nerve of a finite category."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Callable
 
-from .category import idkey
-from .groupoid import FiniteGroupoid
+from .category import FiniteCategory, idkey, validate_category
 
 
 @dataclass(frozen=True)
@@ -71,8 +70,9 @@ def simplicial_identity_violations(s: TruncatedSimplicialSet) -> list:
     return bad
 
 
-def nerve(g: FiniteGroupoid, cap: int) -> TruncatedSimplicialSet:
-    """The nerve: n-simplices are length-n composable arrow strings.
+def nerve(g: FiniteCategory, cap: int) -> TruncatedSimplicialSet:
+    """The nerve of a finite category: n-simplices are length-n composable
+    arrow strings.
 
     d_0 drops the first arrow, d_n the last, and inner faces compose
     neighbouring arrows; degeneracies insert identities.  0-simplices are the
@@ -115,57 +115,15 @@ def nerve(g: FiniteGroupoid, cap: int) -> TruncatedSimplicialSet:
     return TruncatedSimplicialSet(cap, simplices, face, degeneracy, is_degenerate)
 
 
-def graph_simplicial_set(vertices, edges: dict) -> TruncatedSimplicialSet:
-    """The 2-truncated simplicial set of a directed multigraph.
-
-    ``edges[e] = (source, target)``.  Every 2-simplex is degenerate, so the
-    realization is the graph itself; this is the generic source of
-    nondegenerate-1-dimensional examples (circles, wedges).
-    """
-    vertices = tuple(sorted(vertices, key=idkey))
-    edge_ids = tuple(sorted(edges, key=idkey))
-    one = edge_ids + tuple(("s0", v) for v in vertices)
-    d0 = {e: edges[e][1] for e in edge_ids}
-    d1 = {e: edges[e][0] for e in edge_ids}
-    for v in vertices:
-        d0[("s0", v)] = v
-        d1[("s0", v)] = v
-
-    # s_0 s_0 = s_1 s_0 forces the two degeneracies of a degenerate edge to agree
-    def s_of(i, e):
-        if e in edges:
-            return ("s", i, e)
-        return ("ss", e[1])
-
-    two = tuple(("s", i, e) for e in edge_ids for i in (0, 1)) + \
-        tuple(("ss", v) for v in vertices)
-    faces2: dict = {(2, 0): {}, (2, 1): {}, (2, 2): {}}
-    for e in edge_ids:
-        faces2[(2, 0)][("s", 0, e)] = e
-        faces2[(2, 1)][("s", 0, e)] = e
-        faces2[(2, 2)][("s", 0, e)] = ("s0", d1[e])
-        faces2[(2, 0)][("s", 1, e)] = ("s0", d0[e])
-        faces2[(2, 1)][("s", 1, e)] = e
-        faces2[(2, 2)][("s", 1, e)] = e
-    for v in vertices:
-        for i in range(3):
-            faces2[(2, i)][("ss", v)] = ("s0", v)
-    faces = {(1, 0): d0, (1, 1): d1, **faces2}
-    degeneracies = {
-        (0, 0): {v: ("s0", v) for v in vertices},
-        (1, 0): {e: s_of(0, e) for e in one},
-        (1, 1): {e: s_of(1, e) for e in one},
-    }
-    degenerate = {0: frozenset(), 1: frozenset(degeneracies[(0, 0)].values()), 2: frozenset(two)}
-    return TruncatedSimplicialSet(
-        cap=2,
-        simplices={0: vertices, 1: one, 2: two},
-        face=lambda n, i, x: faces[(n, i)][x],
-        degeneracy=lambda n, i, x: degeneracies[(n, i)][x],
-        is_degenerate=lambda n, x: x in degenerate[n],
-    )
-
-
 def simplicial_circle() -> TruncatedSimplicialSet:
-    """Two vertices joined by two parallel nondegenerate edges: a circle."""
-    return graph_simplicial_set(["p", "q"], {"a": ("p", "q"), "b": ("p", "q")})
+    """The nerve of two parallel arrows a, b: p -> q, truncated at 2.  No two
+    non-identity arrows compose, so every 2-simplex is degenerate and the
+    realization is the circle formed by a and b."""
+    category = validate_category(
+        ["p", "q"], ["1p", "1q", "a", "b"],
+        {"1p": "p", "1q": "q", "a": "p", "b": "p"},
+        {"1p": "p", "1q": "q", "a": "q", "b": "q"},
+        {("1p", "1p"): "1p", ("1q", "1q"): "1q", ("1p", "a"): "a", ("a", "1q"): "a",
+         ("1p", "b"): "b", ("b", "1q"): "b"},
+        {"p": "1p", "q": "1q"})
+    return nerve(category, 2)

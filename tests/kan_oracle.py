@@ -11,7 +11,8 @@ the two on small fibers.  The naturality search over lift morphisms and the
 scan for each universal factorization of ``right_kan`` are kept in their
 first forms as well, and so are the positional enumerations that
 ``finstack.kan.compatible_families`` replaced: cone sets and fiber hom-sets
-as filtered products.
+as filtered products.  :func:`is_global_limit` is the enumerating globality
+check that ``finstack.kan.is_global_limit`` decides from set sizes.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 
 from finstack.category import idkey
 from finstack.errors import AxiomViolation, DanglingId, NotFComplete
-from finstack.kan import FibMor, FinSetFiber, LimitCone
+from finstack.kan import FiberDiagram, FibMor, FinSetFiber, LimitCone
 
 
 @dataclass(frozen=True)
@@ -80,6 +81,27 @@ def finset_limit(fiber: FinSetFiber, diagram) -> LimitCone:
         key=lambda pair: idkey(pair[0]))
     return LimitCone(shape_objects=shape_objects, cones=tuple(c for c, _ in found),
                      positions=tuple(p for _, p in found))
+
+
+def is_global_limit(ic, b, diagram, obj) -> bool:
+    """Element i of ``obj`` stands for cone i over ``diagram``; along every
+    base morphism into b, identities included, the pulled projections must
+    send the elements of the pulled ``obj`` one to one onto the cones of the
+    pulled diagram, enumerated as a filtered product."""
+    cones = finset_limit(ic.fiber(b), diagram)
+    projections = [FibMor(obj, diagram.on_obj[x], tuple(cone[k] for cone in cones.positions))
+                   for k, x in enumerate(cones.shape_objects)]
+    for f in ic.base.morphisms_into(b):
+        pf, fiber = ic.pull(f), ic.fiber(ic.base.src[f])
+        pulled = FiberDiagram(shape=diagram.shape,
+                              on_obj={x: pf.on_obj(name) for x, name in diagram.on_obj.items()},
+                              on_mor={m: pf.on_mor(fm) for m, fm in diagram.on_mor.items()})
+        images = [pf.on_mor(projection).images for projection in projections]
+        size = len(fiber.elems(pf.on_obj(obj)))
+        comparison = {tuple(image[i] for image in images) for i in range(size)}
+        if len(comparison) != size or comparison != set(finset_limit(fiber, pulled).positions):
+            return False
+    return True
 
 
 def all_morphisms(fiber: FinSetFiber) -> tuple:

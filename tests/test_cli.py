@@ -90,10 +90,11 @@ def test_pi1_report(capsys, z2_file):
     assert "presented order: 2" in out
 
 
-def test_pi1_budget_0_is_inconclusive(capsys, tmp_path, s3_file):
+def test_pi1_budget_0_is_inconclusive(capsys, tmp_path, s3_file, monkeypatch):
+    monkeypatch.setattr(fs.fundamental, "COSET_BUDGET", 0)
     out_json = tmp_path / "report.json"
     code, out = run_cli(capsys, ["pi1", "--groupoid", s3_file, "--basepoint", "*",
-                                 "--budget", "0", "--json-out", str(out_json)])
+                                 "--json-out", str(out_json)])
     assert code == 3
     assert "presented order: untested" in out
     assert "[INCONCLUSIVE] isomorphism: surjective, injectivity untested" in out.splitlines()
@@ -388,6 +389,39 @@ def test_kan_out_of_budget_is_inconclusive(capsys, tmp_path, monkeypatch):
     assert "[INCONCLUSIVE] adjunction-bijection: compatible-family search exceeded " \
            "budget of 100 search nodes" in out.splitlines()
     assert "[FAIL]" not in out
+
+
+def kan_constant_docs():
+    """E = eight discrete objects over the one object d, p(d) = 1 in the chain
+    0 -> 1, and the lift at a one-element set everywhere, so RF(d) is that
+    set.  The pullback along 0 -> 1 is constant at a 4-element set, so it
+    sends the limit to the diagonal of that set into its eighth power."""
+    sets = {"one": ["*"], "four": ["0", "1", "2", "3"]}
+    es = [f"e{i}" for i in range(8)]
+    base = category_doc(["0", "1"], {"i0": ("0", "0"), "i1": ("1", "1"), "u": ("0", "1")},
+                        [["i0", "i0", "i0"], ["i1", "i1", "i1"], ["i0", "u", "u"], ["u", "i1", "u"]],
+                        {"0": "i0", "1": "i1"})
+    return {
+        "base": base,
+        "fibers": {"fibers": {"0": sets, "1": sets},
+                   "pulls": {"i0": {"kind": "identity"}, "i1": {"kind": "identity"},
+                             "u": {"kind": "constant", "at": "four"}}},
+        "along": {"E": discrete_doc(es), "D": discrete_doc(["d"]),
+                  "F": {"objects": {e: "d" for e in es}, "morphisms": {f"i{e}": "id" for e in es}},
+                  "p": {"objects": {"d": "1"}, "morphisms": {"id": "i1"}}},
+        "lift": {"objects": {e: "one" for e in es},
+                 "morphisms": {f"i{e}": identity_entry("one", sets["one"]) for e in es}},
+    }
+
+
+def test_kan_non_global_limit_is_decided(capsys, tmp_path):
+    """Globality is read off set sizes, 4^8 != 4, without enumerating the
+    4^8 cones of the pulled diagram, so the answer is an error, not a budget
+    running out."""
+    assert main(kan_argv(tmp_path, kan_constant_docs())) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: indexed category not complete at 'd': 'fiber limit is not global'\n"
+    assert captured.out == ""
 
 
 def kan_identity_docs(n):
@@ -716,9 +750,11 @@ def test_json_out_unwritable_exit_2(capsys, tmp_path, z2_file, target):
     assert "error:" in err and out == ""
 
 
-@pytest.mark.parametrize("budget, code", [("-3", 2), ("0", 3)])
-def test_pi1_budget_sign(capsys, z2_file, budget, code):
-    assert main(["pi1", "--groupoid", z2_file, "--basepoint", "*", "--budget", budget]) == code
+@pytest.mark.parametrize("budget, code", [(0, 3)])
+def test_pi1_budget_sign(capsys, z2_file, monkeypatch, budget, code):
+    """A coset budget of 0 leaves the isomorphism verdict inconclusive."""
+    monkeypatch.setattr(fs.fundamental, "COSET_BUDGET", budget)
+    assert main(["pi1", "--groupoid", z2_file, "--basepoint", "*"]) == code
 
 
 @pytest.mark.parametrize("table, key", [("objects", "e9"), ("morphisms", "ie9")])

@@ -13,19 +13,18 @@ from finstack.errors import (
     EnumerationBudgetExceeded,
     FinstackError,
     NoFinalObject,
-    NotALimit,
     NotFComplete,
     NotFunctorial,
 )
 from finstack.kan import (
     FibMor,
-    LimitCandidate,
     compatible_families,
     constant_pullback,
     counit,
     fiber_diagram,
     identity_pullback,
     lift_morphisms,
+    precompose_lift,
     relabel_pullback,
 )
 import kan_oracle
@@ -181,11 +180,7 @@ def test_global_limit_identity_pulls():
     shape = discrete_category(["g1", "g2"])
     diag = fiber_diagram(fib, shape, {"g1": "two", "g2": "two"},
                          {("id", "g1"): fib.identity("two"), ("id", "g2"): fib.identity("two")})
-    cand = LimitCandidate(obj="four", projections={
-        "g1": fib.mor("four", "two", {0: "p", 1: "p", 2: "q", 3: "q"}),
-        "g2": fib.mor("four", "two", {0: "p", 1: "q", 2: "p", 3: "q"}),
-    })
-    assert fs.is_global_limit(ic, 1, diag, cand, fs.finset_limit(fib, diag))
+    assert fs.is_global_limit(ic, 1, diag, "four")
 
 
 def test_global_limit_fails_under_constant_pullback():
@@ -198,26 +193,11 @@ def test_global_limit_fails_under_constant_pullback():
     shape = discrete_category(["g1", "g2"])
     diag = fiber_diagram(fib, shape, {"g1": "two", "g2": "two"},
                          {("id", "g1"): fib.identity("two"), ("id", "g2"): fib.identity("two")})
-    cand = LimitCandidate(obj="four", projections={
-        "g1": fib.mor("four", "two", {0: "p", 1: "p", 2: "q", 3: "q"}),
-        "g2": fib.mor("four", "two", {0: "p", 1: "q", 2: "p", 3: "q"}),
-    })
-    assert not fs.is_global_limit(ic, 1, diag, cand, fs.finset_limit(fib, diag))
+    # the product of two copies goes to the diagonal two -> two x two
+    assert not fs.is_global_limit(ic, 1, diag, "four")
     # the terminal object check: empty diagram pulled through the constant functor
     empty = fiber_diagram(fib, discrete_category([]), {}, {})
-    terminal = LimitCandidate(obj="one", projections={})
-    assert not fs.is_global_limit(ic, 1, empty, terminal, fs.finset_limit(fib, empty))
-
-
-def test_non_limit_candidate_rejected():
-    base = point_base()
-    ic = fs.trivial_indexed_category(base, {"two": ["p", "q"], "one": ["*"]})
-    fib = ic.fiber("*")
-    shape = discrete_category(["g"])
-    diag = fiber_diagram(fib, shape, {"g": "two"}, {("id", "g"): fib.identity("two")})
-    bad = LimitCandidate(obj="one", projections={"g": fib.mor("one", "two", {"*": "p"})})
-    with pytest.raises(NotALimit):
-        fs.is_global_limit(ic, "*", diag, bad, fs.finset_limit(fib, diag))
+    assert not fs.is_global_limit(ic, 1, empty, "one")
 
 
 def test_right_kan_product_at_span_apex():
@@ -716,17 +696,76 @@ def test_finset_limit_matches_filtered_product(fib_and_diagram):
     assert fs.finset_limit(fib, diagram) == kan_oracle.finset_limit(fib, diagram)
 
 
+def pullback_chain(fib0, fib1, pull01):
+    """The chain 0 -> 1 as base, with fibers fib0 and fib1 and pull01 along 0 -> 1."""
+    return fs.indexed_category(chain_category(1), {0: fib0, 1: fib1},
+                               {(0, 0): identity_pullback(fib0),
+                                (1, 1): identity_pullback(fib1), (0, 1): pull01})
+
+
+@st.composite
+def pulled_diagram(draw):
+    """A diagram of random_diagram in the fiber over 1 of the chain 0 -> 1,
+    whose fiber also holds its limit as the set "lim".  The pullback along
+    0 -> 1 is the identity, constant at one set, a relabelling by
+    bijections, or a collapse of every set onto one of at most one element."""
+    fib, diagram = draw(random_diagram())
+    cones = fs.finset_limit(fib, diagram).cones
+    sets = dict(fib.sets, lim=[f"x{j}" for j in range(len(cones))])
+    fib1 = fs.make_fiber(sets)
+    kind = draw(st.sampled_from(["identity", "constant", "relabel", "collapse"]))
+    if kind == "identity":
+        ic = pullback_chain(fib1, fib1, identity_pullback(fib1))
+    elif kind == "constant":
+        ic, _ = constant_chain(sets, draw(st.sampled_from(sorted(sets))))
+    elif kind == "relabel":
+        ic, _ = relabel_chain(sets, draw(st.integers(0, 2)))
+    else:
+        fib0 = fs.make_fiber({"none": [], "one": ["*"]})
+        ic = pullback_chain(fib0, fib1, relabel_pullback(
+            fib1, fib0, {n: "one" if xs else "none" for n, xs in sets.items()},
+            {n: {x: "*" for x in xs} for n, xs in sets.items()}))
+    return ic, diagram
+
+
+def test_global_limit_closed_form_matches_enumerating_oracle():
+    """Set sizes decide globality as the enumerating check does, on every
+    kind of pullback, and both verdicts occur."""
+    verdicts = []
+
+    @settings(max_examples=300, deadline=None)
+    @given(pulled_diagram())
+    def agree(case):
+        ic, diagram = case
+        verdict = fs.is_global_limit(ic, 1, diagram, "lim")
+        assert verdict == kan_oracle.is_global_limit(ic, 1, diagram, "lim")
+        verdicts.append(verdict)
+
+    agree()
+    assert set(verdicts) == {True, False}
+
+
 @pytest.mark.parametrize("build", KAN_INSTANCES.values(), ids=KAN_INSTANCES.keys())
 def test_right_kan_enumerates_each_cone_set_once(monkeypatch, build):
-    """One cone search per object of D, plus one per non-identity base
-    morphism into its image, for the globality check."""
+    """One cone search per object of D; globality enumerates nothing."""
     calls = []
     enumerate_cones = fs.finset_limit
     monkeypatch.setattr("finstack.kan.finset_limit",
                         lambda *args: calls.append(args) or enumerate_cones(*args))
     ic, f, p, p_lift = build()
     fs.right_kan(ic, f, p, p_lift)
-    base = ic.base
-    pulls = sum(1 for d in f.target.objects for m in base.morphisms_into(p.obj_map[d])
-                if not base.is_identity(m))
-    assert len(calls) == len(f.target.objects) + pulls
+    assert len(calls) == len(f.target.objects)
+
+
+@pytest.mark.parametrize("build", KAN_INSTANCES.values(), ids=KAN_INSTANCES.keys())
+def test_unchecked_builders_pass_the_validating_constructors(build):
+    """The comma diagrams of right_kan and the restriction of precompose_lift
+    are built without checks; the validating constructors accept them."""
+    ic, f, p, p_lift = build()
+    rf = fs.right_kan(ic, f, p, p_lift)
+    for d, diagram in rf.diagrams.items():
+        assert fiber_diagram(ic.fiber(p.obj_map[d]), diagram.shape, diagram.on_obj,
+                             diagram.on_mor) == diagram
+    restricted = precompose_lift(f, rf.lift)
+    assert fs.lift(ic, restricted.shape, restricted.anchor, restricted.objects,
+                   restricted.morphisms) == restricted
