@@ -97,13 +97,15 @@ def pi1_presentation(s: TruncatedSimplicialSet, basepoint) -> GroupPresentation:
     )
 
 
-def coset_enumeration(num_generators: int, relations, budget: int = COSET_BUDGET) -> int:
+def coset_enumeration(num_generators: int, relations, budget: int | None = None) -> int:
     """Order of the presented group by coset enumeration over the trivial subgroup.
 
     Union-find Todd-Coxeter: every live coset has all relator paths traced and
     all generator edges defined, so on termination the live count is the group
-    order.  Raises :class:`EnumerationBudgetExceeded` past ``budget`` cosets.
+    order.  Raises :class:`EnumerationBudgetExceeded` past ``budget`` cosets,
+    by default :data:`COSET_BUDGET` as it reads at the call.
     """
+    budget = COSET_BUDGET if budget is None else budget
     sentinel = -1
     labels: list[int] = []
     neighbors: list[list[int]] = []
@@ -229,7 +231,7 @@ def pi1_iso_check(g: FiniteGroupoid, x, pres: GroupPresentation | None = None) -
 
     presented_order: int | None
     try:
-        presented_order = coset_enumeration(len(pres.generators), pres.relations, COSET_BUDGET)
+        presented_order = coset_enumeration(len(pres.generators), pres.relations)
     except EnumerationBudgetExceeded:
         presented_order = None
 

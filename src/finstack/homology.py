@@ -227,26 +227,33 @@ class ChainComplex:
         return True
 
 
+def lookup_levels(s):
+    """Each degree's basis and face rows, one row at a time, by ``s.face`` lookups."""
+    def rows(n, gens, index):
+        return ([index.get(s.face(n, i, x)) for i in range(n + 1)] for x in gens)
+
+    index: dict = {}
+    for n in range(max(s.simplices) + 1):
+        gens = tuple(x for x in s.simplices[n] if not s.is_degenerate(n, x))
+        yield gens, rows(n, gens, index) if n else ()
+        index = {x: i for i, x in enumerate(gens)}
+
+
 def chain_complex(s) -> ChainComplex:
     """Normalized chains: free on nondegenerate simplices, degenerate faces dropped.
 
-    ``s`` is any simplicial set or semi-simplicial complex with ``simplices``
-    (degree -> tuple, degrees 0..top), ``face(n, i, x)``, ``is_degenerate(n, x)``
-    and ``complete_above``: whether s is zero above its top degree (a Milnor
-    model) rather than truncated there (a nerve).  See May, *Simplicial
-    Objects in Algebraic Topology*, section 22.
+    Each degree comes as its basis and face rows (the basis index one degree
+    down of each face, ``None`` where it is degenerate): from a nerve's
+    ``chain_levels()``, else from :func:`lookup_levels`.  With
+    ``complete_above`` s is zero above its top degree (a Milnor model), not
+    truncated there (a nerve).  See May, *Simplicial Objects*, section 22.
     """
-    basis = {}
-    index = {}
-    for n in range(max(s.simplices) + 1):
-        gens = tuple(x for x in s.simplices[n] if not s.is_degenerate(n, x))
+    levels = s.chain_levels() if hasattr(s, "chain_levels") else lookup_levels(s)
+    basis, boundary = {}, {}
+    for n, (gens, rows) in enumerate(levels):
         basis[n] = gens
-        index[n] = {x: i for i, x in enumerate(gens)}
-    boundary = {}
-    for n in range(1, len(basis)):
-        rows = index[n - 1]
-        boundary[n] = [boundary_column([rows.get(s.face(n, i, x)) for i in range(n + 1)])
-                       for x in basis[n]]
+        if n:
+            boundary[n] = [boundary_column(row) for row in rows]
     return ChainComplex(basis=basis, boundary=boundary, complete_above=s.complete_above)
 
 

@@ -3,34 +3,103 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from functools import cached_property
 
-from .category import FiniteCategory, idkey, validate_category
+from .category import FiniteCategory, validate_category
 
 
 @dataclass(frozen=True)
 class TruncatedSimplicialSet:
-    """Simplices in degrees <= cap with their face and degeneracy maps.
-
-    ``face(n, i, x)`` is the i-th face of an n-simplex (1 <= n <= cap),
-    ``degeneracy(n, i, x)`` the i-th degeneracy of an n-simplex (n < cap) and
-    ``is_degenerate(n, x)`` whether x lies in the image of a degeneracy.  All
-    three are functions, so nothing is tabulated.  The set is a truncation:
-    its chains above ``cap`` are unknown, not zero.
+    """The nerve of a finite category in degrees <= cap, whose chains above cap
+    are unknown, not zero.  n-simplices are length-n composable arrow strings
+    in lexicographic order of arrow positions (``idkey`` order), 0-simplices
+    the objects.  d_0 drops the first arrow, d_n the last, inner faces compose
+    neighbours, degeneracies insert identities, and a string is degenerate
+    exactly when it holds one.  Maps and counts are computed on demand; the
+    table ``simplices`` is built on first use, never by :meth:`chain_levels`.
     """
 
+    category: FiniteCategory
     cap: int
-    simplices: dict
-    face: Callable
-    degeneracy: Callable
-    is_degenerate: Callable
     complete_above = False
 
-    def count(self, n: int) -> int:
-        return len(self.simplices.get(n, ()))
+    @cached_property
+    def simplices(self) -> dict:
+        g = self.category
+        table = {0: g.objects, 1: tuple((a,) for a in g.morphisms)}
+        for n in range(2, self.cap + 1):
+            table[n] = tuple(x + (a,) for x in table[n - 1] for a in g.morphisms_from(g.tgt[x[-1]]))
+        return {n: table[n] for n in range(self.cap + 1)}
+
+    def face(self, n: int, i: int, x):
+        g = self.category
+        if n == 1:
+            return g.tgt[x[0]] if i == 0 else g.src[x[0]]
+        if i == 0:
+            return x[1:]
+        if i == n:
+            return x[:-1]
+        return x[:i - 1] + (g.comp[(x[i - 1], x[i])],) + x[i + 1:]
+
+    def degeneracy(self, n: int, i: int, x):
+        g = self.category
+        if n == 0:
+            return (g.ident[x],)
+        vertex = g.src[x[0]] if i == 0 else g.tgt[x[i - 1]]
+        return x[:i] + (g.ident[vertex],) + x[i:]
+
+    def is_degenerate(self, n: int, x) -> bool:
+        return n > 0 and any(map(self.category.is_identity, x))
+
+    def count(self, n: int, nondegenerate: bool = False) -> int:
+        """The number of n-simplices: paths of n arrows, counted end by end."""
+        g = self.category
+        arrows = [a for a in g.morphisms if not (nondegenerate and g.is_identity(a))]
+        ways = dict.fromkeys(g.objects, 1)
+        for _ in range(n):
+            ways, last = dict.fromkeys(g.objects, 0), ways
+            for a in arrows:
+                ways[g.tgt[a]] += last[g.src[a]]
+        return sum(ways.values()) if 0 <= n <= self.cap else 0
 
     def count_nondegenerate(self, n: int) -> int:
-        return sum(1 for x in self.simplices.get(n, ()) if not self.is_degenerate(n, x))
+        return self.count(n, nondegenerate=True)
+
+    def chain_levels(self):
+        """Yield (identity-free strings, face rows) for degrees 0..cap (see
+        ``homology.chain_complex``), keeping only the last degree's rows.
+
+        For x = p + (a,): d_n x = p, d_i x = child(d_i p, a) for i < n - 1 and
+        d_{n-1} x = child(d_{n-1} p, last(p) a), where the children of a string
+        are contiguous, so child(q, a) = first[q] + slot[a].
+        """
+        g = self.category
+        arrows = [a for a in g.morphisms if not g.is_identity(a)]
+        pos = {a: j for j, a in enumerate(arrows)}
+        out = {x: [pos[a] for a in g.morphisms_from(x) if a in pos] for x in g.objects}
+        slot = [out[g.src[a]].index(j) for j, a in enumerate(arrows)]
+        # after[a]: (position k, arrow k, position of a then k or None) for arrows k out of tgt(a)
+        after = {a: [(k, arrows[k], pos.get(g.comp[(a, arrows[k])])) for k in out[g.tgt[a]]]
+                 for a in arrows}
+        yield g.objects, ()
+        strings = tuple((a,) for a in arrows)
+        rows = [[g.objects.index(g.tgt[a]), g.objects.index(g.src[a])] for a in arrows]
+        # the children of a vertex are all 1-strings, in arrow position order
+        first, step = [0] * len(g.objects), range(len(arrows))
+        for n in range(1, self.cap + 1):
+            if n > 1:
+                next_strings, next_rows, next_first = [], [], []
+                for p, (x, row) in enumerate(zip(strings, rows)):
+                    next_first.append(len(next_rows))
+                    head, top = row[:-1], first[row[-1]]
+                    for k, a, c in after[x[-1]]:
+                        face = [None if q is None else first[q] + step[k] for q in head]
+                        face += (None if c is None else top + step[c], p)
+                        next_rows.append(face)
+                        next_strings.append(x + (a,))
+                strings, rows = tuple(next_strings), next_rows
+                first, step = next_first, slot
+            yield strings, rows
 
 
 def simplicial_identity_violations(s: TruncatedSimplicialSet) -> list:
@@ -71,48 +140,10 @@ def simplicial_identity_violations(s: TruncatedSimplicialSet) -> list:
 
 
 def nerve(g: FiniteCategory, cap: int) -> TruncatedSimplicialSet:
-    """The nerve of a finite category: n-simplices are length-n composable
-    arrow strings.
-
-    d_0 drops the first arrow, d_n the last, and inner faces compose
-    neighbouring arrows; degeneracies insert identities.  0-simplices are the
-    objects themselves.  Only the strings are built; faces and degeneracies
-    are computed when asked for.  A string is degenerate exactly when it holds
-    an identity arrow.
-    """
+    """The nerve of a finite category, truncated at ``cap``."""
     if cap < 0:
         raise ValueError("cap must be nonnegative")
-    simplices: dict = {0: tuple(g.objects)}
-    for n in range(1, cap + 1):
-        strings = []
-        for prefix in simplices[n - 1] if n > 1 else [()]:
-            start_options = g.morphisms_from(g.tgt[prefix[-1]]) if n > 1 else g.morphisms
-            for a in start_options:
-                strings.append(prefix + (a,))
-        strings.sort(key=idkey)
-        simplices[n] = tuple(strings)
-    src, tgt, comp, ident = g.src, g.tgt, g.comp, g.ident
-    identities = frozenset(ident.values())
-
-    def face(n: int, i: int, x):
-        if n == 1:
-            return tgt[x[0]] if i == 0 else src[x[0]]
-        if i == 0:
-            return x[1:]
-        if i == n:
-            return x[:-1]
-        return x[:i - 1] + (comp[(x[i - 1], x[i])],) + x[i + 1:]
-
-    def degeneracy(n: int, i: int, x):
-        if n == 0:
-            return (ident[x],)
-        vertex = src[x[0]] if i == 0 else tgt[x[i - 1]]
-        return x[:i] + (ident[vertex],) + x[i:]
-
-    def is_degenerate(n: int, x) -> bool:
-        return n > 0 and not identities.isdisjoint(x)
-
-    return TruncatedSimplicialSet(cap, simplices, face, degeneracy, is_degenerate)
+    return TruncatedSimplicialSet(g, cap)
 
 
 def simplicial_circle() -> TruncatedSimplicialSet:

@@ -58,6 +58,12 @@ def test_coset_enumeration_small_groups():
         coset_enumeration(1, [], budget=50)
 
 
+def test_coset_enumeration_reads_budget_at_call(monkeypatch):
+    monkeypatch.setattr(fs.fundamental, "COSET_BUDGET", 0)
+    with pytest.raises(EnumerationBudgetExceeded):
+        coset_enumeration(1, [((0, 1), (0, 1))])
+
+
 @pytest.mark.parametrize("g,order", [(z2(), 2), (z3(), 3), (s3(), 6), (pair2(), 1)])
 def test_pi1_iso_check(g, order):
     report = fs.pi1_iso_check(g, g.objects[0])

@@ -3,6 +3,8 @@ from __future__ import annotations
 import pytest
 
 import finstack as fs
+from finstack.category import chain_category
+from finstack.homology import lookup_levels
 from finstack.simplicial import simplicial_identity_violations
 from nerve_oracle import tabulated_nerve
 from support import groupoid_zoo, pair2, pt, s3, z2
@@ -45,7 +47,7 @@ def test_simplicial_identities_hold(name, g):
     assert simplicial_identity_violations(fs.nerve(g, 3)) == []
 
 
-def test_simplicial_identities_hold_for_graph_complex():
+def test_simplicial_identities_hold_for_circle():
     assert simplicial_identity_violations(fs.simplicial_circle()) == []
 
 
@@ -103,9 +105,61 @@ def test_nerve_matches_tabulating_oracle_s3_dim5():
     assert_nerve_matches_oracle(s3(), 5)
 
 
-def test_graph_complex_degenerate_flags_are_degeneracy_images():
+def test_circle_degenerate_flags_are_degeneracy_images():
     s = fs.simplicial_circle()
     for n in (1, 2):
         images = degeneracy_images(s, n)
         assert [s.is_degenerate(n, x) for x in s.simplices[n]] == \
             [x in images for x in s.simplices[n]]
+
+
+def relabelled_group(names: list):
+    """Z/len(names) with the element k renamed to names[k]."""
+    m = len(names)
+    mult = {(names[a], names[b]): names[(a + b) % m] for a in range(m) for b in range(m)}
+    return fs.groupoid_from_group(names, mult, names[0])
+
+
+ORDER_CASES = [
+    # ints whose reprs are prefixes of each other: 1, 10, 11, 12
+    ("prefix-ints", fs.cyclic_groupoid(13), 3),
+    # strings whose texts are prefixes, and characters sorting below the quote
+    ("prefix-strs", relabelled_group(["a", "a.b", "a.b.c", "a!", "a "]), 3),
+    ("mixed-group", relabelled_group([0, "0", 1, "b", 12, "12"]), 3),
+    ("mixed-pair", fs.pair_groupoid([1, 12, "1", "a.b"]), 3),
+    ("cap-0", s3(), 0),
+    ("point", pt(), 3),
+    ("circle", fs.simplicial_circle().category, 3),
+    ("chain", chain_category(3), 4),
+]
+
+
+@pytest.mark.parametrize("name,g,cap", ORDER_CASES, ids=[c[0] for c in ORDER_CASES])
+def test_nerve_chains_match_oracle_in_order(name, g, cap):
+    """Lexicographic arrow-position order is idkey order, and the nerve's
+    face rows by index arithmetic are the rows the generic lookup finds."""
+    s, oracle = fs.nerve(g, cap), tabulated_nerve(g, cap)
+    cx, ocx = fs.chain_complex(s), fs.chain_complex(oracle)
+    assert cx.basis == ocx.basis
+    assert cx.boundary == ocx.boundary
+    assert [(gens, list(rows)) for gens, rows in s.chain_levels()] == \
+        [(gens, list(rows)) for gens, rows in lookup_levels(s)]
+    assert s.simplices == oracle.simplices
+
+
+def test_chains_and_counts_leave_the_string_table_unbuilt():
+    s = fs.nerve(s3(), 5)
+    fs.chain_complex(s)
+    assert [s.count(n) for n in range(6)] == [6 ** n for n in range(6)]
+    assert [s.count_nondegenerate(n) for n in range(6)] == [5 ** n for n in range(6)]
+    assert "simplices" not in vars(s)
+    assert s.count(6) == s.count(-1) == 0
+
+
+@pytest.mark.parametrize("name,g", groupoid_zoo())
+def test_counts_match_oracle(name, g):
+    s, oracle = fs.nerve(g, 4), tabulated_nerve(g, 4)
+    for n in range(5):
+        assert s.count(n) == oracle.count(n)
+        assert s.count_nondegenerate(n) == oracle.count_nondegenerate(n)
+    assert "simplices" not in vars(s)
