@@ -96,4 +96,11 @@ from .kan import (
     right_kan,
     trivial_indexed_category,
 )
-from .cli import RunReport, dispatch
+
+
+def __getattr__(name):
+    """Load ``finstack.cli`` on first use (PEP 562), so that running it with -m warns nothing."""
+    if name in ("RunReport", "dispatch"):
+        from . import cli
+        return getattr(cli, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -155,9 +155,11 @@ def _cmd_milnor(args) -> RunReport:
             raise FinstackError("--compare-nerve needs --space B")
         ncx = chain_complex(nerve(g, args.levels))
         cmap = comparison_chain_map(complex_, ncx)
-        for n in range(max(args.levels - 1, 0)):
-            agree = induced_map_is_isomorphism(cx, ncx, cmap, n)
-            report.add_verdict(f"homology-agreement-degree-{n}", agree)
+        # top degree first: the kernel pass over d_n then also serves H_{n-1}
+        degrees = range(max(args.levels - 1, 0))
+        agree = [induced_map_is_isomorphism(cx, ncx, cmap, n) for n in reversed(degrees)][::-1]
+        for n in degrees:
+            report.add_verdict(f"homology-agreement-degree-{n}", agree[n])
     report.add_verdict("boundary-squared-zero", cx.check_dd_zero())
     return report
 

@@ -2,17 +2,18 @@
 
 A boundary d_n is stored as one sparse column per basis element of C_n: a
 dict from row index (a basis element of C_{n-1}) to a nonzero coefficient.
-One sparse elimination (``_reduce``) serves everything: homology reads ranks
-and torsion off its invariant factors, and induced maps are tested on the
-Z-basis of the cycles that the same pass yields when it also tracks its
-unimodular column transform.  No dense matrix and no transform Smith normal
-form is built.  Arithmetic is arbitrary precision throughout.
+One sparse elimination (``_reduce``), run once per boundary of a complex,
+serves everything: homology reads ranks and torsion off its invariant
+factors, and induced maps are tested on the Z-basis of the cycles that the
+same pass yields when it also tracks its unimodular column transform.  No
+dense matrix and no transform Smith normal form is built.  Arithmetic is
+arbitrary precision throughout.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import gcd
 
 from .errors import InsufficientTruncation
@@ -194,6 +195,7 @@ class ChainComplex:
     basis: dict
     boundary: dict
     complete_above: bool = False
+    _reductions: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def top_degree(self) -> int:
@@ -214,6 +216,13 @@ class ChainComplex:
             return []
         raise InsufficientTruncation(n - 1, self.top_degree)
 
+    def reduction(self, n: int, kernel: bool = False) -> tuple[list, list | None]:
+        """``_reduce`` of d_n, once per degree: a kernel pass also serves plain requests."""
+        done = self._reductions.get(n)
+        if done is None or kernel and done[1] is None:
+            done = self._reductions[n] = _reduce(self.boundary_columns(n), kernel)
+        return done
+
     def check_dd_zero(self) -> bool:
         for n in range(2, self.top_degree + 1):
             lower = self.boundary[n - 1]
@@ -227,30 +236,16 @@ class ChainComplex:
         return True
 
 
-def lookup_levels(s):
-    """Each degree's basis and face rows, one row at a time, by ``s.face`` lookups."""
-    def rows(n, gens, index):
-        return ([index.get(s.face(n, i, x)) for i in range(n + 1)] for x in gens)
-
-    index: dict = {}
-    for n in range(max(s.simplices) + 1):
-        gens = tuple(x for x in s.simplices[n] if not s.is_degenerate(n, x))
-        yield gens, rows(n, gens, index) if n else ()
-        index = {x: i for i, x in enumerate(gens)}
-
-
 def chain_complex(s) -> ChainComplex:
     """Normalized chains: free on nondegenerate simplices, degenerate faces dropped.
 
-    Each degree comes as its basis and face rows (the basis index one degree
-    down of each face, ``None`` where it is degenerate): from a nerve's
-    ``chain_levels()``, else from :func:`lookup_levels`.  With
-    ``complete_above`` s is zero above its top degree (a Milnor model), not
-    truncated there (a nerve).  See May, *Simplicial Objects*, section 22.
+    ``s.chain_levels()`` yields each degree's basis and face rows (the basis
+    index one degree down of each face, ``None`` where it is degenerate).
+    With ``complete_above`` s is zero above its top degree (a Milnor model),
+    not truncated there (a nerve).  See May, *Simplicial Objects*, section 22.
     """
-    levels = s.chain_levels() if hasattr(s, "chain_levels") else lookup_levels(s)
     basis, boundary = {}, {}
-    for n, (gens, rows) in enumerate(levels):
+    for n, (gens, rows) in enumerate(s.chain_levels()):
         basis[n] = gens
         if n:
             boundary[n] = [boundary_column(row) for row in rows]
@@ -262,8 +257,8 @@ def _homology(cx: ChainComplex, n: int,
     """H_n, the rank of the cycles Z_n = ker d_n and, with ``kernel``, a Z-basis of Z_n."""
     if n < 0 or n > cx.top_degree:
         raise InsufficientTruncation(n, cx.top_degree)
-    upper = invariant_factors(cx.boundary_columns(n + 1))
-    lower, cycle_basis = _reduce(cx.boundary_columns(n), kernel)
+    upper = cx.reduction(n + 1)[0]
+    lower, cycle_basis = cx.reduction(n, kernel)
     cycles = cx.dim(n) - len(lower)
     group = HomologyGroup(degree=n, free_rank=cycles - len(upper),
                           torsion=tuple(d for d in upper if d > 1))

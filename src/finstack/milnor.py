@@ -6,16 +6,16 @@ and all arrows sharing one source; continuous join coordinates are replaced
 by which levels are active.  The quotient complex divides by the free
 diagonal translation g . (i, a) = (i, compose(g, a)).  It is built directly
 in section normal form: each orbit has exactly one member whose first arrow
-is an identity, so B never enumerates the total complex.
+is an identity, so B never enumerates the total complex.  Both list each
+degree in lexicographic order of (level, arrow position) entries.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
+from itertools import repeat
 
 from .errors import LevelInactive, NotSameOrbit
-from .category import idkey
 from .groupoid import FiniteGroupoid
 
 
@@ -24,16 +24,63 @@ def _delete(simplex: tuple, j: int) -> tuple:
 
 
 class _WholeComplex:
-    """A semi-simplicial complex built in full: no degenerate simplices, and
-    its chains are zero above the top degree."""
+    """A semi-simplicial complex built in full: its chains are zero above the top degree."""
 
     complete_above = True
 
-    def is_degenerate(self, k: int, simplex: tuple) -> bool:
-        return False
-
     def count(self, k: int) -> int:
         return len(self.simplices.get(k, ()))
+
+    def chain_levels(self):
+        """Yield (simplices, face rows) for degrees 0..levels (see
+        ``homology.chain_complex``), keeping only the last degree's rows.
+
+        The extensions of a prefix q are contiguous, so extending q by (l, a) gives
+        child(q, (l, a)) = first[q] + (l - last[q] - 1) m + pos[a], where m counts
+        the arrows out of q's object (the same for each face of q).  For x = p +
+        ((l, a),) in degree k: d_k x = p, d_j x = child(d_j p, (l, a)) for 0 < j < k
+        and d_0 x = child(d_0 p, (l, lead(a_1, a))), a_1 the arrow at entry 1 of x.
+        """
+        g, top, simplices = self.groupoid, self.levels, self.simplices
+        pos = {a: k for y in g.objects for k, a in enumerate(g.morphisms_from(y))}
+        # lead[b][k]: position of lead(b, a) for the k-th arrow a out of src(b)
+        lead = {b: [pos[self._lead(b, a)] for a in g.morphisms_from(g.src[b])] for b in g.morphisms}
+        width = len(simplices[0]) // (top + 1)
+        head = {x[0][1]: i for i, x in enumerate(simplices[0][:width])}
+        vertex = {b: head[self._lead(b, b)] for b in g.morphisms}
+        yield simplices[0], ()
+        if top:
+            # base[q] = first[q] - (last[q] + 1) m, so child(q, (l, a)) = base[q] + l m + pos[a]
+            base, rows = [], []
+            for p, ((l0, a0),) in enumerate(simplices[0]):
+                ends = [vertex[a] for a in g.morphisms_from(g.src[a0])]
+                base.append(len(rows) - (l0 + 1) * len(ends))
+                for l in range(l0 + 1, top + 1):
+                    rows += zip([l * width + v for v in ends], repeat(p))
+            yield simplices[1], rows
+        for k in range(2, top + 1):
+            next_base, next_rows = [], []
+            for p, (x, row) in enumerate(zip(simplices[k - 1], rows)):
+                shift = lead[x[1][1]]
+                m, last = len(shift), x[-1][0]
+                next_base.append(len(next_rows) - (last + 1) * m)
+                for l in range(last + 1, top + 1):
+                    d0, *inner = (base[q] + l * m for q in row)
+                    next_rows += zip([d0 + j for j in shift], *[range(d, d + m) for d in inner],
+                                     repeat(p))
+            base, rows = next_base, next_rows
+            yield simplices[k], rows
+
+
+def _extend(g: FiniteGroupoid, levels: int, vertices: tuple) -> dict:
+    """Degrees 0..levels from ``vertices``, each k-simplex a (k-1)-simplex extended in
+    order by a higher level and an arrow out of its source: lexicographic order."""
+    simplices = {0: vertices}
+    for k in range(1, levels + 1):
+        simplices[k] = tuple(x + ((l, a),) for x in simplices[k - 1]
+                             for l in range(x[-1][0] + 1, levels + 1)
+                             for a in g.morphisms_from(g.src[x[0][1]]))
+    return simplices
 
 
 @dataclass(frozen=True)
@@ -49,6 +96,9 @@ class JoinComplex(_WholeComplex):
 
     def common_source(self, simplex: tuple):
         return self.groupoid.src[simplex[0][1]]
+
+    def _lead(self, a1, a):
+        return a
 
 
 @dataclass(frozen=True)
@@ -70,24 +120,17 @@ class MilnorBComplex(_WholeComplex):
         rest = rep[1:]
         return translate(self.groupoid, self.groupoid.inv[rest[0][1]], rest)
 
+    def _lead(self, a1, a):
+        """Arrow a after deleting entry 0, renormalised by the arrow a1 at entry 1."""
+        return self.groupoid.compose(self.groupoid.inv[a1], a)
+
 
 def milnor_E(g: FiniteGroupoid, levels: int) -> JoinComplex:
     """(levels+1)-fold join model of the universal bundle."""
     if levels < 0:
         raise ValueError("levels must be nonnegative")
-    simplices: dict = {}
-    for k in range(levels + 1):
-        found = []
-        for x in g.objects:
-            outgoing = g.morphisms_from(x)
-            if not outgoing:
-                continue
-            for level_choice in itertools.combinations(range(levels + 1), k + 1):
-                for arrows in itertools.product(outgoing, repeat=k + 1):
-                    found.append(tuple(zip(level_choice, arrows)))
-        found.sort(key=idkey)
-        simplices[k] = tuple(found)
-    return JoinComplex(groupoid=g, levels=levels, simplices=simplices)
+    vertices = tuple(((l, a),) for l in range(levels + 1) for a in g.morphisms)
+    return JoinComplex(groupoid=g, levels=levels, simplices=_extend(g, levels, vertices))
 
 
 def translate(g: FiniteGroupoid, gamma, simplex: tuple) -> tuple:
@@ -105,16 +148,8 @@ def milnor_B(g: FiniteGroupoid, levels: int) -> MilnorBComplex:
     """
     if levels < 0:
         raise ValueError("levels must be nonnegative")
-    simplices: dict = {}
-    for k in range(levels + 1):
-        found = []
-        for y in g.objects:
-            first = (g.ident[y],)
-            tails = list(itertools.product(g.morphisms_from(y), repeat=k))
-            for level_choice in itertools.combinations(range(levels + 1), k + 1):
-                found.extend(tuple(zip(level_choice, first + tail)) for tail in tails)
-        simplices[k] = tuple(found)
-    return MilnorBComplex(groupoid=g, levels=levels, simplices=simplices)
+    vertices = tuple(((l, a),) for l in range(levels + 1) for a in g.morphisms if g.is_identity(a))
+    return MilnorBComplex(groupoid=g, levels=levels, simplices=_extend(g, levels, vertices))
 
 
 def milnor_section(b: MilnorBComplex, rep: tuple, level: int) -> tuple:

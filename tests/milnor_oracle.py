@@ -14,6 +14,8 @@ from finstack.category import idkey
 from finstack.groupoid import FiniteGroupoid
 from finstack.milnor import JoinComplex, milnor_E, translate
 
+from chain_oracle import lookup_levels
+
 
 @dataclass(frozen=True)
 class OrbitQuotient:
@@ -29,8 +31,8 @@ class OrbitQuotient:
     def face(self, k: int, j: int, rep: tuple) -> tuple:
         return self.orbit[k - 1][rep[:j] + rep[j + 1:]]
 
-    def is_degenerate(self, k: int, rep: tuple) -> bool:
-        return False
+    def chain_levels(self):
+        return lookup_levels(self)
 
     def count(self, k: int) -> int:
         return len(self.simplices.get(k, ()))

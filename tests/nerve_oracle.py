@@ -13,6 +13,8 @@ from dataclasses import dataclass
 from finstack.category import idkey
 from finstack.groupoid import FiniteGroupoid
 
+from chain_oracle import lookup_levels
+
 
 @dataclass(frozen=True)
 class TabulatedSimplicialSet:
@@ -41,6 +43,9 @@ class TabulatedSimplicialSet:
 
     def count(self, n: int) -> int:
         return len(self.simplices.get(n, ()))
+
+    def chain_levels(self):
+        return lookup_levels(self)
 
     def count_nondegenerate(self, n: int) -> int:
         return self.count(n) - len(self.degenerate.get(n, frozenset()))

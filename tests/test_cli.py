@@ -4,7 +4,10 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -90,10 +93,14 @@ def test_pi1_report(capsys, z2_file):
     assert "presented order: 2" in out
 
 
-def test_pi1_budget_0_is_inconclusive(capsys, tmp_path, s3_file, monkeypatch):
+@pytest.mark.parametrize("g", [z2(), s3()], ids=["Z2", "S3"])
+def test_pi1_budget_0_is_inconclusive(capsys, tmp_path, g, monkeypatch):
+    """A coset budget of 0 leaves the isomorphism verdict inconclusive."""
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(jio.groupoid_to_json(g)))
     monkeypatch.setattr(fs.fundamental, "COSET_BUDGET", 0)
     out_json = tmp_path / "report.json"
-    code, out = run_cli(capsys, ["pi1", "--groupoid", s3_file, "--basepoint", "*",
+    code, out = run_cli(capsys, ["pi1", "--groupoid", str(path), "--basepoint", "*",
                                  "--json-out", str(out_json)])
     assert code == 3
     assert "presented order: untested" in out
@@ -572,6 +579,15 @@ def test_dispatch_usage_error(capsys):
     capsys.readouterr()
 
 
+def test_module_entry_point_warns_nothing(z2_file):
+    """The package does not import ``finstack.cli`` before ``-m`` runs it."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "finstack.cli",
+                          "validate", "--groupoid", z2_file], capture_output=True, text=True, env=env)
+    assert (run.returncode, run.stderr) == (0, "")
+
+
 def test_schema_error_exit_2(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"objects": ["x"]}))
@@ -748,12 +764,6 @@ def test_json_out_unwritable_exit_2(capsys, tmp_path, z2_file, target):
     assert main(["validate", "--groupoid", z2_file, "--json-out", str(path)]) == 2
     out, err = capsys.readouterr()
     assert "error:" in err and out == ""
-
-
-def test_pi1_coset_budget(capsys, z2_file, monkeypatch):
-    """A coset budget of 0 leaves the isomorphism verdict inconclusive."""
-    monkeypatch.setattr(fs.fundamental, "COSET_BUDGET", 0)
-    assert main(["pi1", "--groupoid", z2_file, "--basepoint", "*"]) == 3
 
 
 @pytest.mark.parametrize("table, key", [("objects", "e9"), ("morphisms", "ie9")])

@@ -1,12 +1,17 @@
 from __future__ import annotations
 
+import importlib
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import finstack as fs
+import finstack.jsonio as jio
+from finstack.cli import main
 from finstack.errors import InsufficientTruncation
-from finstack.homology import invariant_factors, kernel_columns
+from finstack.homology import ChainComplex, invariant_factors, kernel_columns
 from bar_oracle import bar_homology, snf_nonzero_diagonal
 from snf_oracle import (
     boundary_matrix,
@@ -21,6 +26,9 @@ from snf_oracle import (
     transform_induced_is_isomorphism,
 )
 from support import apply_columns, groupoid_zoo, pair2, pt, s3, swap_action, z2, z3
+
+# the package's ``homology`` attribute is the function, not the module
+homology_module = importlib.import_module("finstack.homology")
 
 
 def bareiss_det(m):
@@ -289,3 +297,49 @@ def test_induced_map_onto_but_not_injective():
     assert not fs.induced_map_is_isomorphism(point, halves, onto, 0)
     assert not transform_induced_is_isomorphism(point, halves, onto, 0)
     assert fs.induced_map_is_isomorphism(point, point, onto, 0)
+
+
+@pytest.fixture()
+def reductions(monkeypatch):
+    """Kernel flags of each reduction of a boundary, by (complex id, degree).
+
+    A reduction counts when ``_reduce`` gets the very list that
+    ``boundary_columns`` just returned, so the stacked matrices of
+    ``induced_map_is_isomorphism`` are not counted.
+    """
+    seen: dict = {}
+    last: dict = {}
+    columns_of, reduce = ChainComplex.boundary_columns, homology_module._reduce
+
+    def boundary_columns(self, n):
+        last["columns"], last["key"] = columns_of(self, n), (id(self), n)
+        return last["columns"]
+
+    def counted(columns, kernel):
+        if columns is last.get("columns"):
+            seen.setdefault(last["key"], []).append(kernel)
+        return reduce(columns, kernel)
+
+    monkeypatch.setattr(ChainComplex, "boundary_columns", boundary_columns)
+    monkeypatch.setattr(homology_module, "_reduce", counted)
+    return seen
+
+
+def test_homology_reduces_each_nerve_boundary_once(reductions):
+    cx = fs.chain_complex(fs.nerve(s3(), 4))
+    assert [str(fs.homology(cx, n)) for n in range(4)] == \
+        ["H_0 = Z", "H_1 = Z/2", "H_2 = 0", "H_3 = Z/6"]
+    assert reductions == {(id(cx), n): [False] for n in range(5)}
+
+
+def test_milnor_compare_reduces_each_boundary_once(reductions, tmp_path, capsys):
+    """Each (complex, degree) is reduced once, or once plain and then once
+    with the kernel transform."""
+    path = tmp_path / "z3.json"
+    path.write_text(json.dumps(jio.groupoid_to_json(z3())))
+    assert main(["milnor", "--groupoid", str(path), "--levels", "4", "--space", "B",
+                 "--compare-nerve", "--homology", "1"]) == 0
+    assert "H_1 = Z/3" in capsys.readouterr().out.splitlines()
+    # d_0..d_3 of B and of the nerve
+    assert len(reductions) == 8
+    assert all(flags in ([False], [True], [False, True]) for flags in reductions.values())

@@ -4,9 +4,13 @@ import pytest
 
 import finstack as fs
 from finstack.errors import LevelInactive, NotSameOrbit
+import finstack.milnor as milnor
 from finstack.milnor import translate
+from chain_oracle import lookup_levels
 from milnor_oracle import orbit_quotient
-from support import groupoid_zoo, is_sparse_chain_map, pair2, pt, z2, z3
+from support import groupoid_zoo, is_sparse_chain_map, pair2, pt, s3, z2, z3
+
+MILNOR_ZOO = groupoid_zoo() + [("z2+pt", fs.disjoint_union(z2(), pt()))]
 
 
 def test_join_counts_octahedron():
@@ -186,7 +190,7 @@ def test_comparison_induces_homology_isomorphisms(name, g):
         assert fs.induced_map_is_isomorphism(bcx, ncx, cmap, n)
 
 
-@pytest.mark.parametrize("name,g", groupoid_zoo() + [("z2+pt", fs.disjoint_union(z2(), pt()))])
+@pytest.mark.parametrize("name,g", MILNOR_ZOO)
 @pytest.mark.parametrize("levels", [1, 2, 3, 4])
 def test_direct_quotient_matches_orbit_oracle(name, g, levels):
     b = fs.milnor_B(g, levels)
@@ -204,3 +208,33 @@ def test_direct_quotient_matches_orbit_oracle(name, g, levels):
     ocx = fs.chain_complex(quotient)
     for n in range(levels + 1):
         assert fs.homology(bcx, n) == fs.homology(ocx, n)
+
+
+@pytest.mark.parametrize("space", [fs.milnor_E, fs.milnor_B], ids=["E", "B"])
+@pytest.mark.parametrize("name,g", MILNOR_ZOO)
+@pytest.mark.parametrize("levels", [0, 1, 2, 3, 4])
+def test_milnor_chain_levels_match_face_lookup(space, name, g, levels):
+    """Rows by index arithmetic are the rows that face lookups find, and each
+    degree is in lexicographic order of (level, arrow position) entries."""
+    s = space(g, levels)
+    got = [(gens, [list(row) for row in rows]) for gens, rows in s.chain_levels()]
+    assert got == [(gens, list(rows)) for gens, rows in lookup_levels(s)]
+    assert [gens for gens, _ in got] == [s.simplices[k] for k in range(levels + 1)]
+    position = {a: i for i, a in enumerate(g.morphisms)}
+    for simplices in s.simplices.values():
+        keys = [[(level, position[a]) for level, a in x] for x in simplices]
+        assert keys == sorted(keys) and len(set(map(tuple, keys))) == len(keys)
+
+
+def test_milnor_chains_build_no_face(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("a face was built")
+
+    for name in ("JoinComplex", "MilnorBComplex"):
+        monkeypatch.setattr(getattr(milnor, name), "face", forbidden)
+    monkeypatch.setattr(milnor, "translate", forbidden)
+    for space in (fs.milnor_E, fs.milnor_B):
+        s = space(s3(), 4)
+        cx = fs.chain_complex(s)
+        assert cx.basis == s.simplices
+        assert [len(cx.boundary[k]) for k in range(1, 5)] == [s.count(k) for k in range(1, 5)]

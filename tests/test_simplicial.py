@@ -4,8 +4,8 @@ import pytest
 
 import finstack as fs
 from finstack.category import chain_category
-from finstack.homology import lookup_levels
 from finstack.simplicial import simplicial_identity_violations
+from chain_oracle import lookup_levels
 from nerve_oracle import tabulated_nerve
 from support import groupoid_zoo, pair2, pt, s3, z2
 
