@@ -140,6 +140,18 @@ def test_milnor_compare_reaches_larger_models(capsys, request, doc, levels):
     assert all(line.startswith("[PASS]") for line in verdicts)
 
 
+def test_milnor_e_report(capsys, z2_file):
+    """E of Z/2 at 3 levels is the octahedral 3-sphere: the join of four copies of S^0."""
+    code, out = run_cli(capsys, ["milnor", "--groupoid", z2_file, "--levels", "3",
+                                 "--space", "E", "--homology", "3"])
+    assert code == 0
+    lines = out.splitlines()
+    for k, count in enumerate([8, 24, 32, 16]):
+        assert f"degree {k}: {count} simplices" in lines
+    assert "H_3 = Z" in lines
+    assert "[PASS] boundary-squared-zero" in lines
+
+
 def test_milnor_compare_requires_b(z2_file):
     assert main(["milnor", "--groupoid", z2_file, "--levels", "2",
                  "--space", "E", "--compare-nerve"]) == 2
