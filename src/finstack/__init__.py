@@ -39,8 +39,7 @@ from .homology import (
 from .simplicial import TruncatedSimplicialSet, nerve, simplicial_circle
 from .fundamental import GroupPresentation, Pi1Report, coset_enumeration, pi1_iso_check, pi1_presentation
 from .milnor import (
-    JoinComplex,
-    MilnorBComplex,
+    MilnorComplex,
     comparison_chain_map,
     milnor_B,
     milnor_E,

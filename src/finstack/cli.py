@@ -144,6 +144,8 @@ def _cmd_pi1(args) -> RunReport:
 def _cmd_milnor(args) -> RunReport:
     report = RunReport("milnor", _digest([args.groupoid]))
     g = jsonio.groupoid_from_json(jsonio.load_json(args.groupoid))
+    if args.compare_nerve and args.space != "B":
+        raise FinstackError("--compare-nerve needs --space B")
     complex_ = (milnor_E if args.space == "E" else milnor_B)(g, args.levels)
     cx = chain_complex(complex_)
     for k in range(args.levels + 1):
@@ -151,8 +153,6 @@ def _cmd_milnor(args) -> RunReport:
     if args.homology is not None:
         report.add_output(str(homology(cx, args.homology)))
     if args.compare_nerve:
-        if args.space != "B":
-            raise FinstackError("--compare-nerve needs --space B")
         ncx = chain_complex(nerve(g, args.levels))
         cmap = comparison_chain_map(complex_, ncx)
         # top degree first: the kernel pass over d_n then also serves H_{n-1}

@@ -66,40 +66,50 @@ class TruncatedSimplicialSet:
         return self.count(n, nondegenerate=True)
 
     def chain_levels(self):
-        """Yield (identity-free strings, face rows) for degrees 0..cap (see
-        ``homology.chain_complex``), keeping only the last degree's rows.
-
-        For x = p + (a,): d_n x = p, d_i x = child(d_i p, a) for i < n - 1 and
-        d_{n-1} x = child(d_{n-1} p, last(p) a), where the children of a string
-        are contiguous, so child(q, a) = first[q] + slot[a].
-        """
+        """Yield (identity-free strings, face rows) for degrees 0..cap: the
+        normalized chains (see ``homology.chain_complex``)."""
         g = self.category
-        arrows = [a for a in g.morphisms if not g.is_identity(a)]
-        pos = {a: j for j, a in enumerate(arrows)}
-        out = {x: [pos[a] for a in g.morphisms_from(x) if a in pos] for x in g.objects}
-        slot = [out[g.src[a]].index(j) for j, a in enumerate(arrows)]
-        # after[a]: (position k, arrow k, position of a then k or None) for arrows k out of tgt(a)
-        after = {a: [(k, arrows[k], pos.get(g.comp[(a, arrows[k])])) for k in out[g.tgt[a]]]
-                 for a in arrows}
-        yield g.objects, ()
-        strings = tuple((a,) for a in arrows)
-        rows = [[g.objects.index(g.tgt[a]), g.objects.index(g.src[a])] for a in arrows]
-        # the children of a vertex are all 1-strings, in arrow position order
-        first, step = [0] * len(g.objects), range(len(arrows))
-        for n in range(1, self.cap + 1):
-            if n > 1:
-                next_strings, next_rows, next_first = [], [], []
-                for p, (x, row) in enumerate(zip(strings, rows)):
-                    next_first.append(len(next_rows))
-                    head, top = row[:-1], first[row[-1]]
-                    for k, a, c in after[x[-1]]:
-                        face = [None if q is None else first[q] + step[k] for q in head]
-                        face += (None if c is None else top + step[c], p)
-                        next_rows.append(face)
-                        next_strings.append(x + (a,))
-                strings, rows = tuple(next_strings), next_rows
-                first, step = next_first, slot
-            yield strings, rows
+        return string_levels(g, [a for a in g.morphisms if not g.is_identity(a)], self.cap)
+
+
+def string_levels(g: FiniteCategory, arrows: list, cap: int):
+    """Yield (strings, face rows) for degrees 0..cap of the composable strings
+    of ``arrows``, a subsequence of ``g.morphisms``, keeping only the last
+    degree's rows.
+
+    Degree 0 is the objects and degree n the strings of n arrows, in
+    lexicographic order of arrow positions.  A face row holds the index one
+    degree down of each face, or ``None`` where an inner face composes to an
+    arrow outside ``arrows``.  For x = p + (a,): d_n x = p, d_i x =
+    child(d_i p, a) for i < n - 1 and d_{n-1} x = child(d_{n-1} p, last(p) a),
+    where the children of a string are contiguous, so child(q, a) = first[q]
+    + slot[a].
+    """
+    pos = {a: j for j, a in enumerate(arrows)}
+    out = {x: [pos[a] for a in g.morphisms_from(x) if a in pos] for x in g.objects}
+    slot = [out[g.src[a]].index(j) for j, a in enumerate(arrows)]
+    # after[a]: (position k, arrow k, position of a then k or None) for arrows k out of tgt(a)
+    after = {a: [(k, arrows[k], pos.get(g.comp[(a, arrows[k])])) for k in out[g.tgt[a]]]
+             for a in arrows}
+    yield g.objects, ()
+    strings = tuple((a,) for a in arrows)
+    rows = [[g.objects.index(g.tgt[a]), g.objects.index(g.src[a])] for a in arrows]
+    # the children of a vertex are all 1-strings, in arrow position order
+    first, step = [0] * len(g.objects), range(len(arrows))
+    for n in range(1, cap + 1):
+        if n > 1:
+            next_strings, next_rows, next_first = [], [], []
+            for p, (x, row) in enumerate(zip(strings, rows)):
+                next_first.append(len(next_rows))
+                head, top = row[:-1], first[row[-1]]
+                for k, a, c in after[x[-1]]:
+                    face = [None if q is None else first[q] + step[k] for q in head]
+                    face += (None if c is None else top + step[c], p)
+                    next_rows.append(face)
+                    next_strings.append(x + (a,))
+            strings, rows = tuple(next_strings), next_rows
+            first, step = next_first, slot
+        yield strings, rows
 
 
 def simplicial_identity_violations(s: TruncatedSimplicialSet) -> list:

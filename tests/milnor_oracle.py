@@ -1,9 +1,9 @@
 """Orbit-quotient oracle for the Milnor quotient B.
 
-Builds the whole total complex E, groups its simplices into orbits of the
-diagonal translation, and keeps the lexicographically least member of each
-orbit as its representative; faces are read through the orbit map.  The
-runtime builds B directly in section normal form instead.
+Builds the whole total complex E, groups its cells into orbits of the
+diagonal translation, and keeps the least member of each orbit (by ``idkey``)
+as its representative; faces are E's faces read through the orbit map.  The
+runtime builds B directly as a level product with the nerve instead.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from finstack.category import idkey
 from finstack.groupoid import FiniteGroupoid
-from finstack.milnor import JoinComplex, milnor_E, translate
+from finstack.milnor import MilnorComplex, milnor_E, translate
 
 from chain_oracle import lookup_levels
 
@@ -25,11 +25,11 @@ class OrbitQuotient:
     levels: int
     simplices: dict
     orbit: dict   # degree -> {simplex of E: its orbit's representative}
-    total: JoinComplex
+    total: MilnorComplex
     complete_above = True
 
     def face(self, k: int, j: int, rep: tuple) -> tuple:
-        return self.orbit[k - 1][rep[:j] + rep[j + 1:]]
+        return self.orbit[k - 1][self.total.face(k, j, rep)]
 
     def chain_levels(self):
         return lookup_levels(self)
@@ -38,8 +38,14 @@ class OrbitQuotient:
         return len(self.simplices.get(k, ()))
 
 
+def arrows(cell: tuple) -> tuple:
+    """The arrows a_0, ..., a_k of an E cell (L, x): the vertices of x."""
+    subset, x = cell
+    return (x,) if len(subset) == 1 else (x[0][0],) + tuple(b for _, b in x)
+
+
 def orbit_quotient(g: FiniteGroupoid, levels: int) -> OrbitQuotient:
-    """Quotient by the diagonal action, with lexicographically least representatives."""
+    """Quotient by the diagonal action, with ``idkey``-least representatives."""
     total = milnor_E(g, levels)
     simplices: dict = {}
     orbit: dict = {}
@@ -49,8 +55,7 @@ def orbit_quotient(g: FiniteGroupoid, levels: int) -> OrbitQuotient:
         for simplex in total.simplices[k]:
             if simplex in orbit_k:
                 continue
-            x = total.common_source(simplex)
-            members = [translate(g, gamma, simplex) for gamma in g.morphisms_into(x)]
+            members = [translate(g, gamma, simplex) for gamma in g.morphisms_into(g.src[arrows(simplex)[0]])]
             assert len(set(members)) == len(members), f"action not free at {simplex!r}"
             rep = min(members, key=idkey)
             for member in members:

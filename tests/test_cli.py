@@ -152,9 +152,17 @@ def test_milnor_e_report(capsys, z2_file):
     assert "[PASS] boundary-squared-zero" in lines
 
 
-def test_milnor_compare_requires_b(z2_file):
+def test_milnor_compare_requires_b(capsys, monkeypatch, z2_file):
+    """E with --compare-nerve is refused right after the groupoid is read."""
+    def forbidden(*args):
+        raise AssertionError("E was built")
+
+    monkeypatch.setattr("finstack.cli.milnor_E", forbidden)
     assert main(["milnor", "--groupoid", z2_file, "--levels", "2",
-                 "--space", "E", "--compare-nerve"]) == 2
+                 "--space", "E", "--compare-nerve", "--homology", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == ["error: --compare-nerve needs --space B"]
+    assert captured.out == ""
 
 
 def test_torsor_roundtrip(capsys, tmp_path, z2_file):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from math import comb
+
 import pytest
 
 import finstack as fs
@@ -7,7 +9,7 @@ from finstack.errors import LevelInactive, NotSameOrbit
 import finstack.milnor as milnor
 from finstack.milnor import translate
 from chain_oracle import lookup_levels
-from milnor_oracle import orbit_quotient
+from milnor_oracle import arrows, orbit_quotient
 from support import groupoid_zoo, is_sparse_chain_map, pair2, pt, s3, z2, z3
 
 MILNOR_ZOO = groupoid_zoo() + [("z2+pt", fs.disjoint_union(z2(), pt()))]
@@ -29,7 +31,7 @@ def test_join_pair_groupoid_level_zero():
     e = fs.milnor_E(pair2(), 0)
     assert e.count(0) == 4
     by_source = {}
-    for ((_, arrow),) in e.simplices[0]:
+    for _, arrow in e.simplices[0]:
         by_source.setdefault(pair2().src[arrow], 0)
         by_source[pair2().src[arrow]] += 1
     assert sorted(by_source.values()) == [2, 2]
@@ -74,47 +76,45 @@ def test_orbits_are_free():
     b = orbit_quotient(g, 2)
     for k, orbit_map in b.orbit.items():
         for simplex, rep in orbit_map.items():
-            members = {translate(g, gamma, simplex)
-                       for gamma in g.morphisms_into(b.total.common_source(simplex))}
+            translations = g.morphisms_into(g.src[arrows(simplex)[0]])
+            members = {translate(g, gamma, simplex) for gamma in translations}
             assert rep in members
-            assert len(members) == len(g.morphisms_into(b.total.common_source(simplex)))
+            assert len(members) == len(translations)
 
 
 def test_section_normalizes_requested_level():
     g = z2()
     b = fs.milnor_B(g, 2)
-    rep = orbit_quotient(g, 2).orbit[0][((0, 1),)]
-    section = fs.milnor_section(b, rep, 0)
-    assert section == ((0, 0),)
-    # already normalized stays put
-    assert fs.milnor_section(b, ((0, 0),), 0) == ((0, 0),)
+    assert fs.milnor_section(b, ((0,), "*"), 0) == ((0,), 0)
+    # the B edge from level 0 to level 2 labelled 1
+    assert fs.milnor_section(b, ((0, 2), (1,)), 0) == ((0, 2), ((0, 1),))
+    assert fs.milnor_section(b, ((0, 2), (1,)), 2) == ((0, 2), ((1, 0),))
     with pytest.raises(LevelInactive):
-        fs.milnor_section(b, ((0, 0), (2, 1)), 1)
+        fs.milnor_section(b, ((0, 2), (1,)), 1)
 
 
 def test_section_is_unique_identity_representative():
     g = z3()
     b = fs.milnor_B(g, 2)
     quotient = orbit_quotient(g, 2)
-    for rep in quotient.simplices[1]:
-        levels = [i for i, _ in rep]
-        for level in levels:
-            section = fs.milnor_section(b, rep, level)
-            arrow = dict(section)[level]
-            assert g.is_identity(arrow)
-            assert quotient.orbit[1][section] == quotient.orbit[1][rep]
-    # the direct model stores each orbit as its section at the first level
-    for simplices in b.simplices.values():
-        for rep in simplices:
-            assert fs.milnor_section(b, rep, rep[0][0]) == rep
+    for k, cells in b.simplices.items():
+        for cell in cells:
+            subset = cell[0]
+            orbit = quotient.orbit[k][fs.milnor_section(b, cell, subset[0])]
+            for level in subset:
+                section = fs.milnor_section(b, cell, level)
+                assert g.is_identity(dict(zip(subset, arrows(section)))[level])
+                assert quotient.orbit[k][section] == orbit
+                # E -> B takes the section back to the cell
+                assert (subset, fs.milnor_to_nerve(g, section)) == cell
 
 
 def test_pairing_values_and_laws():
     g = z2()
-    assert fs.milnor_pairing(g, ((0, 1),), ((0, 0),)) == 1
-    assert fs.milnor_pairing(g, ((0, 1),), ((0, 1),)) == 0
+    assert fs.milnor_pairing(g, ((0,), 1), ((0,), 0)) == 1
+    assert fs.milnor_pairing(g, ((0,), 1), ((0,), 1)) == 0
     with pytest.raises(NotSameOrbit):
-        fs.milnor_pairing(g, ((0, 0),), ((1, 0),))
+        fs.milnor_pairing(g, ((0,), 0), ((1,), 0))
 
 
 def test_pairing_composition_law_exhaustive():
@@ -139,10 +139,10 @@ def test_pairing_composition_law_exhaustive():
 
 def test_projection_to_nerve_values():
     g = z2()
-    assert fs.milnor_to_nerve(g, ((0, 1),)) == "*"
-    assert fs.milnor_to_nerve(g, ((0, 0), (1, 1))) == (1,)
+    assert fs.milnor_to_nerve(g, ((0,), 1)) == "*"
+    assert fs.milnor_to_nerve(g, ((0, 1), ((0, 1),))) == (1,)
     # representative independence on a translated edge
-    assert fs.milnor_to_nerve(g, ((0, 1), (1, 0))) == fs.milnor_to_nerve(g, ((0, 0), (1, 1)))
+    assert fs.milnor_to_nerve(g, ((0, 1), ((1, 0),))) == fs.milnor_to_nerve(g, ((0, 1), ((0, 1),)))
 
 
 @pytest.mark.parametrize("name,g", groupoid_zoo())
@@ -195,15 +195,18 @@ def test_comparison_induces_homology_isomorphisms(name, g):
 def test_direct_quotient_matches_orbit_oracle(name, g, levels):
     b = fs.milnor_B(g, levels)
     quotient = orbit_quotient(g, levels)
+
+    def orbit(k, cell):
+        return quotient.orbit[k][fs.milnor_section(b, cell, cell[0][0])]
+
     assert [b.count(k) for k in range(levels + 1)] == \
         [quotient.count(k) for k in range(levels + 1)]
     for k in range(levels + 1):
-        assert {quotient.orbit[k][rep] for rep in b.simplices[k]} == set(quotient.simplices[k])
+        assert {orbit(k, cell) for cell in b.simplices[k]} == set(quotient.simplices[k])
     for k in range(1, levels + 1):
-        for rep in b.simplices[k]:
+        for cell in b.simplices[k]:
             for j in range(k + 1):
-                assert quotient.orbit[k - 1][b.face(k, j, rep)] == \
-                    quotient.face(k, j, quotient.orbit[k][rep])
+                assert orbit(k - 1, b.face(k, j, cell)) == quotient.face(k, j, orbit(k, cell))
     bcx = fs.chain_complex(b)
     ocx = fs.chain_complex(quotient)
     for n in range(levels + 1):
@@ -215,26 +218,53 @@ def test_direct_quotient_matches_orbit_oracle(name, g, levels):
 @pytest.mark.parametrize("levels", [0, 1, 2, 3, 4])
 def test_milnor_chain_levels_match_face_lookup(space, name, g, levels):
     """Rows by index arithmetic are the rows that face lookups find, and each
-    degree is in lexicographic order of (level, arrow position) entries."""
+    degree is in level-product order: by level subset, then by factor string."""
     s = space(g, levels)
     got = [(gens, [list(row) for row in rows]) for gens, rows in s.chain_levels()]
     assert got == [(gens, list(rows)) for gens, rows in lookup_levels(s)]
     assert [gens for gens, _ in got] == [s.simplices[k] for k in range(levels + 1)]
-    position = {a: i for i, a in enumerate(g.morphisms)}
-    for simplices in s.simplices.values():
-        keys = [[(level, position[a]) for level, a in x] for x in simplices]
-        assert keys == sorted(keys) and len(set(map(tuple, keys))) == len(keys)
+    for k, cells in s.simplices.items():
+        position = {x: i for i, x in enumerate(s.factor.simplices[k])}
+        keys = [(subset, position[x]) for subset, x in cells]
+        assert keys == sorted(keys) and len(set(keys)) == len(keys)
+
+
+@pytest.mark.parametrize("space", ["E", "B"])
+@pytest.mark.parametrize("name,g", MILNOR_ZOO)
+def test_milnor_counts_are_level_products(space, name, g):
+    """E's factor has sum |out(y)|^(k+1) k-simplices, one per k+1 arrows of one
+    source, and B's sum |out(y)|^k, one per string of k arrows."""
+    levels = 4
+    s = (fs.milnor_E if space == "E" else fs.milnor_B)(g, levels)
+    for k in range(levels + 1):
+        strings = sum(len(g.morphisms_from(y)) ** (k + (space == "E")) for y in g.objects)
+        assert s.factor.count(k) == strings
+        assert s.count(k) == comb(levels + 1, k + 1) * strings == len(s.simplices[k])
+
+
+@pytest.mark.parametrize("name,g", MILNOR_ZOO)
+def test_comparison_columns_are_the_projection(name, g):
+    levels = 3
+    b = fs.milnor_B(g, levels)
+    ncx = fs.chain_complex(fs.nerve(g, levels))
+    cmap = fs.comparison_chain_map(b, ncx)
+    assert sorted(cmap) == list(range(levels + 1))
+    for k, cells in b.simplices.items():
+        rows = {x: i for i, x in enumerate(ncx.basis[k])}
+        assert cmap[k] == [{rows[x]: 1} if x in rows else {} for _, x in cells]
 
 
 def test_milnor_chains_build_no_face(monkeypatch):
     def forbidden(*args):
         raise AssertionError("a face was built")
 
-    for name in ("JoinComplex", "MilnorBComplex"):
-        monkeypatch.setattr(getattr(milnor, name), "face", forbidden)
+    for cls in (milnor.MilnorComplex, fs.TruncatedSimplicialSet):
+        monkeypatch.setattr(cls, "face", forbidden)
     monkeypatch.setattr(milnor, "translate", forbidden)
     for space in (fs.milnor_E, fs.milnor_B):
         s = space(s3(), 4)
         cx = fs.chain_complex(s)
+        # neither the cell table nor the factor's string table was built
+        assert "simplices" not in vars(s) and "simplices" not in vars(s.factor)
         assert cx.basis == s.simplices
         assert [len(cx.boundary[k]) for k in range(1, 5)] == [s.count(k) for k in range(1, 5)]

@@ -1,9 +1,13 @@
-"""The runtime imports nothing outside the standard library."""
+"""The runtime imports nothing outside the standard library, and every
+annotation in it names something its module can see."""
 
 from __future__ import annotations
 
 import ast
+import importlib
+import inspect
 import sys
+import typing
 from pathlib import Path
 
 import pytest
@@ -26,3 +30,18 @@ def test_absolute_imports_are_standard_library(path):
 
 def test_sources_found():
     assert any(p.name == "category.py" for p in SOURCES)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_type_hints_resolve(path):
+    """``typing.get_type_hints`` resolves every function, class and method defined here."""
+    module = importlib.import_module("finstack" if path.stem == "__init__" else f"finstack.{path.stem}")
+    owned = [obj for obj in vars(module).values()
+             if (inspect.isfunction(obj) or inspect.isclass(obj)) and obj.__module__ == module.__name__]
+    assert owned
+    for obj in owned:
+        typing.get_type_hints(obj)
+        if inspect.isclass(obj):
+            for member in vars(obj).values():
+                if inspect.isfunction(member):
+                    typing.get_type_hints(member)
