@@ -71,14 +71,15 @@ class MilnorComplex:
             offsets = {s: i * len(strings) for i, s in enumerate(subsets)}
 
 
-def _level_product(g: FiniteGroupoid, levels: int, factor: FiniteCategory) -> MilnorComplex:
+def _level_product(g: FiniteGroupoid, levels: int, category: FiniteCategory) -> MilnorComplex:
     if levels < 0:
         raise ValueError("levels must be nonnegative")
-    return MilnorComplex(groupoid=g, levels=levels, factor=nerve(factor, levels))
+    return MilnorComplex(groupoid=g, levels=levels, factor=nerve(category, levels))
 
 
 def milnor_E(g: FiniteGroupoid, levels: int) -> MilnorComplex:
-    """(levels+1)-fold join model of the universal bundle."""
+    """(levels+1)-fold join model of the universal bundle: the level product
+    with the nerve of the preorder that relates the arrows of one source."""
     return _level_product(g, levels, _poset(g.morphisms, lambda a, b: g.src[a] == g.src[b]))
 
 
@@ -147,8 +148,8 @@ def comparison_chain_map(b: MilnorComplex, nerve_cx: ChainComplex) -> dict:
 
     Degree k holds one sparse column {nerve row: 1} per cell of B, the zero
     column {} where x is degenerate.  Each factor string's column is built
-    once and repeated for every level subset.  Defined in degrees
-    0..min(levels, nerve cap).
+    once and repeated for every level subset, so the columns are shared and
+    must not be mutated.  Defined in degrees 0..min(levels, nerve cap).
     """
     maps = {}
     for k in range(min(b.levels, nerve_cx.top_degree) + 1):

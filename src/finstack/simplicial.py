@@ -69,10 +69,10 @@ class TruncatedSimplicialSet:
         """Yield (identity-free strings, face rows) for degrees 0..cap: the
         normalized chains (see ``homology.chain_complex``)."""
         g = self.category
-        return string_levels(g, [a for a in g.morphisms if not g.is_identity(a)], self.cap)
+        return string_levels(g, tuple(a for a in g.morphisms if not g.is_identity(a)), self.cap)
 
 
-def string_levels(g: FiniteCategory, arrows: list, cap: int):
+def string_levels(g: FiniteCategory, arrows: tuple, cap: int):
     """Yield (strings, face rows) for degrees 0..cap of the composable strings
     of ``arrows``, a subsequence of ``g.morphisms``, keeping only the last
     degree's rows.
