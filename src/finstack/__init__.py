@@ -20,11 +20,13 @@ from .groupoid import (
     fiber_product_2,
     fiber_product_2_projections,
     fiber_product_strict,
+    full_subgroupoid,
     groupoid_from_group,
     is_weak_equivalence,
     pair_groupoid,
     pi0,
     point_groupoid,
+    skeleton,
     symmetric_groupoid,
     validate_groupoid,
     vertex_group,

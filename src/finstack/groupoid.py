@@ -241,17 +241,30 @@ def pi0(g: FiniteGroupoid) -> tuple:
     return tuple(tuple(sorted_ids(c)) for c in partition(g.objects, pairs))
 
 
+def full_subgroupoid(g: FiniteGroupoid, objects) -> FiniteGroupoid:
+    """The full subgroupoid on ``objects``: every arrow of g between two of them."""
+    keep = set(objects)
+    unknown = keep - set(g.objects)
+    if unknown:
+        raise UnknownObject(sorted_ids(unknown)[0])
+    arrows = [a for x in keep for a in g.morphisms_from(x) if g.tgt[a] in keep]
+    return FiniteGroupoid(
+        keep,
+        arrows,
+        {a: g.src[a] for a in arrows},
+        {a: g.tgt[a] for a in arrows},
+        {(a, b): g.comp[(a, b)] for a in arrows for b in g.morphisms_from(g.tgt[a])
+         if g.tgt[b] in keep},
+        {x: g.ident[x] for x in keep},
+        {a: g.inv[a] for a in arrows},
+    )
+
+
+def skeleton(g: FiniteGroupoid) -> FiniteGroupoid:
+    """The full subgroupoid on the first object of each component: equivalent to g."""
+    return full_subgroupoid(g, [c[0] for c in pi0(g)])
+
+
 def vertex_group(g: FiniteGroupoid, x) -> FiniteGroupoid:
     """The one-object groupoid of loops at ``x``."""
-    if x not in set(g.objects):
-        raise UnknownObject(x)
-    loops = g.hom(x, x)
-    return FiniteGroupoid(
-        [x],
-        loops,
-        {a: x for a in loops},
-        {a: x for a in loops},
-        {(a, b): g.comp[(a, b)] for a in loops for b in loops},
-        {x: g.ident[x]},
-        {a: g.inv[a] for a in loops},
-    )
+    return full_subgroupoid(g, [x])

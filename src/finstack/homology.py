@@ -188,8 +188,8 @@ class ChainComplex:
     ``boundary[n]`` maps C_n -> C_{n-1} for 1 <= n <= top_degree, as one
     sparse column {row index: nonzero coefficient} per basis element of C_n.
     When ``complete_above`` is set the complex is genuinely zero above
-    ``top_degree`` (a total space, not a truncation), so the boundary out of
-    degree top_degree + 1 is the zero map rather than unknown.
+    ``top_degree`` (a total space, not a truncation), so every boundary above
+    top_degree is the zero map rather than unknown, and H_n = 0 there.
     """
 
     basis: dict
@@ -212,7 +212,7 @@ class ChainComplex:
             return [{} for _ in range(self.dim(0))]
         if n < 0:
             raise ValueError("negative degree")
-        if self.complete_above and n == self.top_degree + 1:
+        if self.complete_above:
             return []
         raise InsufficientTruncation(n - 1, self.top_degree)
 
@@ -255,7 +255,7 @@ def chain_complex(s) -> ChainComplex:
 def _homology(cx: ChainComplex, n: int,
               kernel: bool = False) -> tuple[HomologyGroup, int, list | None]:
     """H_n, the rank of the cycles Z_n = ker d_n and, with ``kernel``, a Z-basis of Z_n."""
-    if n < 0 or n > cx.top_degree:
+    if n < 0 or n > cx.top_degree and not cx.complete_above:
         raise InsufficientTruncation(n, cx.top_degree)
     upper = cx.reduction(n + 1)[0]
     lower, cycle_basis = cx.reduction(n, kernel)

@@ -38,6 +38,11 @@ def self_action(group=None):
     return fs.action_groupoid(list(g.morphisms), g, lambda x, k: g.compose(x, k))
 
 
+def s3_on_letters():
+    """S3 permuting three letters: connected, with isotropy Z/2 at each letter."""
+    return fs.action_groupoid(range(3), s3(), lambda x, p: p[x])
+
+
 def apply_columns(columns, vector: dict) -> dict:
     """The sparse vector sum_i vector[i] * columns[i], zeros dropped."""
     out: dict = {}

@@ -16,7 +16,8 @@ from hypothesis import strategies as st
 import finstack as fs
 import finstack.jsonio as jio
 from finstack.cli import main
-from support import cocycle_zoo, gauge_cocycle, pair2, point_inclusion, s3, z2, z3
+from support import (cocycle_zoo, gauge_cocycle, groupoid_zoo, pair2, point_inclusion, s3,
+                     s3_on_letters, weak_equivalence_zoo, z2, z3)
 
 
 @pytest.fixture()
@@ -77,6 +78,55 @@ def test_homology_s3_degree_4(capsys, s3_file):
     code, out = run_cli(capsys, ["homology", "--groupoid", s3_file, "--dim", "5", "--degree", "4"])
     assert code == 0
     assert "H_4 = 0" in out.splitlines()
+
+
+def test_homology_degree_at_dim_exit_2(capsys, z2_file):
+    """A nerve is truncated at --dim, so H_dim needs one more level."""
+    assert main(["homology", "--groupoid", z2_file, "--dim", "2", "--degree", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == ["error: degree 2 needs truncation cap >= 3, have 2"]
+    assert captured.out == ""
+
+
+def homology_oracle_zoo():
+    cases = [(name, g, 4) for name, g in groupoid_zoo()]
+    cases += [(f"target-{name}", f.target, 4) for name, f in weak_equivalence_zoo()]
+    cases.append(("Z2+pair3", fs.disjoint_union(z2(), fs.pair_groupoid([1, 2, 3])), 4))
+    cases.append(("S3-on-letters", s3_on_letters(), 5))
+    return cases
+
+
+@pytest.mark.parametrize("g,top", [pytest.param(g, top, id=name)
+                                   for name, g, top in homology_oracle_zoo()])
+def test_homology_report_matches_full_nerve(capsys, tmp_path, g, top):
+    """`homology` computes on a skeleton; the whole nerve of g stays its oracle."""
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(jio.groupoid_to_json(g)))
+    for dim in range(1, top + 1):
+        full = fs.chain_complex(fs.nerve(g, dim))
+        code, out = run_cli(capsys, ["homology", "--groupoid", str(path), "--dim", str(dim)])
+        assert code == 0
+        assert [line for line in out.splitlines() if line.startswith("H_")] == [
+            str(fs.homology(full, n)) for n in range(dim)]
+
+
+def test_homology_builds_skeleton_chains(capsys, tmp_path, monkeypatch):
+    """On the pair groupoid on 4 points the chains are the trivial group's, not the 12 arrows'."""
+    sizes = []
+
+    def recording(s):
+        cx = fs.chain_complex(s)
+        sizes.append([cx.dim(n) for n in range(cx.top_degree + 1)])
+        return cx
+
+    monkeypatch.setattr("finstack.cli.chain_complex", recording)
+    path = tmp_path / "pair4.json"
+    path.write_text(json.dumps(jio.groupoid_to_json(fs.pair_groupoid(range(4)))))
+    code, out = run_cli(capsys, ["homology", "--groupoid", str(path), "--dim", "4"])
+    assert code == 0
+    assert out.splitlines()[2:] == ["H_0 = Z", "H_1 = 0", "H_2 = 0", "H_3 = 0",
+                                    "[PASS] boundary-squared-zero"]
+    assert sizes == [[1, 0, 0, 0, 0]]
 
 
 def test_nerve_counts(capsys, z2_file):
@@ -150,6 +200,15 @@ def test_milnor_e_report(capsys, z2_file):
         assert f"degree {k}: {count} simplices" in lines
     assert "H_3 = Z" in lines
     assert "[PASS] boundary-squared-zero" in lines
+
+
+@pytest.mark.parametrize("space", ["B", "E"])
+def test_milnor_homology_above_top_degree_is_zero(capsys, z2_file, space):
+    """E and B at 2 levels have no 3-cells and are complete there, so H_3 = 0."""
+    code, out = run_cli(capsys, ["milnor", "--groupoid", z2_file, "--levels", "2",
+                                 "--space", space, "--homology", "3"])
+    assert code == 0
+    assert out.splitlines()[-2:] == ["H_3 = 0", "[PASS] boundary-squared-zero"]
 
 
 def test_milnor_compare_requires_b(capsys, monkeypatch, z2_file):

@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 
 import finstack as fs
 from finstack.category import partition
-from support import groupoid_zoo, pair2, point_inclusion, pt, s3, self_action, swap_action, z2, z3
+from support import (groupoid_zoo, pair2, point_inclusion, pt, s3, s3_on_letters, self_action,
+                     swap_action, z2, z3)
 
 
 def revalidated(c):
@@ -58,11 +59,15 @@ def builder_outputs():
         out.append((f"union-{n1}-{n2}", fs.disjoint_union(g1, g2)))
     for name, g in ZOO:
         out.extend((f"vertex-{name}-{x}", fs.vertex_group(g, x)) for x in g.objects)
+        out.append((f"full-{name}", fs.full_subgroupoid(g, g.objects[1:])))
+        out.append((f"skeleton-{name}", fs.skeleton(g)))
         ident = fs.identity_functor(g)
         out.append((f"strict-{name}", fs.fiber_product_strict(ident, ident)))
         out.append((f"iso-comma-{name}", fs.fiber_product_2(ident, ident)))
     g = pair2()
     out.append(("strict-points", fs.fiber_product_strict(point_inclusion(g, 1), point_inclusion(g, 2))))
+    out.append(("full-pair-union", fs.full_subgroupoid(
+        fs.disjoint_union(fs.pair_groupoid([1, 2, 3]), s3_on_letters()), [(0, 1), (0, 3), (1, 2)])))
     out.append(("strict-sign", fs.fiber_product_strict(translation_projection(z2()),
                                                        constant_functor(z3(), z2(), "*"))))
     out.extend((f"discrete-{n}", fs.discrete_category(range(n))) for n in range(3))

@@ -6,7 +6,8 @@ import pytest
 
 import finstack as fs
 from finstack.errors import AxiomViolation, DanglingId, MismatchedTarget, NotAnAction, UnknownObject
-from support import groupoid_zoo, pair2, point_inclusion, pt, self_action, swap_action, z2, z3
+from support import (groupoid_zoo, pair2, point_inclusion, pt, s3_on_letters, self_action,
+                     swap_action, z2, z3)
 
 
 def test_z2_valid():
@@ -166,6 +167,44 @@ def test_vertex_group_examples():
     assert len(fs.vertex_group(z3(), "*").morphisms) == 3
     with pytest.raises(UnknownObject):
         fs.vertex_group(g, 99)
+
+
+def inclusion(sub, g):
+    return fs.functor(sub, g, {x: x for x in sub.objects}, {a: a for a in sub.morphisms})
+
+
+SKELETON_ZOO = groupoid_zoo() + [
+    ("point", pt()),
+    ("pair3", fs.pair_groupoid([1, 2, 3])),
+    ("S3-on-letters", s3_on_letters()),
+    ("Z2+pair3", fs.disjoint_union(z2(), fs.pair_groupoid([1, 2, 3]))),
+    ("Z2-self-action+swap", fs.disjoint_union(self_action(), swap_action())),
+]
+
+
+@pytest.mark.parametrize("name,g", SKELETON_ZOO)
+def test_skeleton_inclusion_is_weak_equivalence(name, g):
+    sk = fs.skeleton(g)
+    assert [c[0] for c in fs.pi0(g)] == list(sk.objects)
+    assert fs.is_weak_equivalence(inclusion(sk, g))
+
+
+def test_full_subgroupoid_examples():
+    g = fs.disjoint_union(z2(), fs.pair_groupoid([1, 2, 3]))
+    sub = fs.full_subgroupoid(g, [(1, 3), (1, 1)])
+    assert sub.objects == ((1, 1), (1, 3))
+    assert len(sub.morphisms) == 4
+    assert fs.full_subgroupoid(g, g.objects) == g
+    assert fs.full_subgroupoid(g, []).objects == ()
+    # not a weak equivalence: it misses the Z/2 component
+    assert not fs.is_weak_equivalence(inclusion(sub, g))
+
+
+def test_full_subgroupoid_rejects_unknown_object():
+    with pytest.raises(UnknownObject):
+        fs.full_subgroupoid(pair2(), [1, 99])
+    with pytest.raises(UnknownObject):
+        fs.full_subgroupoid(z2(), ["pt"])
 
 
 def test_fiber_product_2_of_two_weak_equivalences():

@@ -218,6 +218,14 @@ def test_truncation_guard():
         fs.homology(cx, 2)
 
 
+@pytest.mark.parametrize("space", [fs.milnor_B, fs.milnor_E])
+def test_complete_complex_is_zero_above_top_degree(space):
+    cx = fs.chain_complex(space(z2(), 2))
+    assert cx.top_degree == 2
+    for n in (3, 4, 7):
+        assert fs.homology(cx, n).pair() == (0, ())
+
+
 @pytest.mark.parametrize("name,g", groupoid_zoo())
 def test_dd_zero_and_h0_counts_components(name, g):
     cx = fs.chain_complex(fs.nerve(g, 3))
