@@ -39,7 +39,7 @@ from .homology import (
     induced_map_is_isomorphism,
 )
 from .simplicial import TruncatedSimplicialSet, nerve, simplicial_circle
-from .fundamental import GroupPresentation, Pi1Report, coset_enumeration, pi1_iso_check, pi1_presentation
+from .fundamental import GroupPresentation, Pi1Report, pi1_iso_check, pi1_presentation
 from .milnor import (
     MilnorComplex,
     comparison_chain_map,

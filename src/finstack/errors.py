@@ -56,7 +56,7 @@ class InsufficientTruncation(FinstackError):
 
 
 class EnumerationBudgetExceeded(FinstackError):
-    def __init__(self, budget: int, search: str = "coset enumeration", unit: str = "cosets"):
+    def __init__(self, budget: int, search: str, unit: str):
         self.budget = budget
         super().__init__(f"{search} exceeded budget of {budget} {unit}")
 

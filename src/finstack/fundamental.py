@@ -1,16 +1,14 @@
-"""Edge-path group presentations and coset-enumeration order certificates."""
+"""Edge-path group presentations and their certified comparison with vertex groups."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import EnumerationBudgetExceeded, InsufficientTruncation, UnknownBasepoint
+from .errors import InsufficientTruncation, UnknownBasepoint
 from .category import idkey
 from .groupoid import FiniteGroupoid, vertex_group
 from .homology import invariant_factors
 from .simplicial import TruncatedSimplicialSet, nerve
-
-COSET_BUDGET = 10_000  # cosets per enumeration in pi1_iso_check
 
 
 @dataclass(frozen=True)
@@ -58,8 +56,7 @@ def pi1_presentation(s: TruncatedSimplicialSet, basepoint) -> GroupPresentation:
     tree_parent = {basepoint: None}
     tree_edges = set()
     queue = [basepoint]
-    while queue:
-        u = queue.pop(0)
+    for u in queue:  # the loop also visits the vertices appended to queue
         for e, forward, w in incident[u]:
             if w not in tree_parent:
                 tree_parent[w] = (e, forward, u)
@@ -97,75 +94,6 @@ def pi1_presentation(s: TruncatedSimplicialSet, basepoint) -> GroupPresentation:
     )
 
 
-def coset_enumeration(num_generators: int, relations, budget: int | None = None) -> int:
-    """Order of the presented group by coset enumeration over the trivial subgroup.
-
-    Union-find Todd-Coxeter: every live coset has all relator paths traced and
-    all generator edges defined, so on termination the live count is the group
-    order.  Raises :class:`EnumerationBudgetExceeded` past ``budget`` cosets,
-    by default :data:`COSET_BUDGET` as it reads at the call.
-    """
-    budget = COSET_BUDGET if budget is None else budget
-    sentinel = -1
-    labels: list[int] = []
-    neighbors: list[list[int]] = []
-    directions = 2 * num_generators
-
-    def find(c: int) -> int:
-        while labels[c] != c:
-            labels[c] = labels[labels[c]]
-            c = labels[c]
-        return c
-
-    def add_coset() -> int:
-        if len(labels) >= budget:
-            raise EnumerationBudgetExceeded(budget)
-        c = len(labels)
-        labels.append(c)
-        neighbors.append([sentinel] * directions)
-        return c
-
-    def unify(a: int, b: int) -> None:
-        pending = [(a, b)]
-        while pending:
-            c1, c2 = pending.pop()
-            c1, c2 = find(c1), find(c2)
-            if c1 == c2:
-                continue
-            c1, c2 = min(c1, c2), max(c1, c2)
-            labels[c2] = c1
-            for d in range(directions):
-                n1, n2 = neighbors[c1][d], neighbors[c2][d]
-                if n1 == sentinel:
-                    neighbors[c1][d] = n2
-                elif n2 != sentinel:
-                    pending.append((n1, n2))
-
-    def follow(c: int, d: int) -> int:
-        c = find(c)
-        n = neighbors[c][d]
-        if n == sentinel:
-            n = add_coset()
-            neighbors[c][d] = n
-            neighbors[n][d ^ 1] = c
-        return find(n)
-
-    words = [[2 * g + (0 if sign > 0 else 1) for g, sign in word] for word in relations]
-    add_coset()
-    cursor = 0
-    while cursor < len(labels):
-        if find(cursor) == cursor:
-            for word in words:
-                end = cursor
-                for d in word:
-                    end = follow(end, d)
-                unify(end, cursor)
-            for d in range(directions):
-                follow(cursor, d)
-        cursor += 1
-    return sum(1 for c in range(len(labels)) if find(c) == c)
-
-
 @dataclass(frozen=True)
 class Pi1Report:
     """Outcome of comparing the edge-path group with the isotropy group."""
@@ -180,14 +108,55 @@ class Pi1Report:
     note: str
 
 
-def pi1_iso_check(g: FiniteGroupoid, x, pres: GroupPresentation | None = None) -> Pi1Report:
-    """Check the canonical map from the edge-path group onto the vertex group at x.
+def _missing_relator(g: FiniteGroupoid, pres: GroupPresentation) -> str | None:
+    """Name the first relator of :func:`pi1_iso_check`'s certificate that pres lacks."""
+    relators = set(pres.relations)
+    index = {e[0]: i for i, e in enumerate(pres.generators)}
 
-    Each 1-simplex maps to its tree-path conjugate loop; the check verifies all
-    relators map to the identity arrow and the images generate, then certifies
-    injectivity by coset enumeration (surjection between finite groups of
-    equal order).  Past :data:`COSET_BUDGET` cosets, injectivity is reported
-    untested.  ``pres`` is the presentation of the nerve of g at x, if already built.
+    def letter(a, sign=1):
+        # an arrow that is no generator gives a word that matches no relator
+        return () if g.is_identity(a) else ((index.get(a), sign),)
+
+    for v in pres.component:
+        if pres.tree_parent[v] is not None:
+            edge = pres.tree_parent[v][0]
+            if letter(edge[0]) not in relators:
+                return f"missing relator for tree edge {edge!r}"
+    for u in pres.component:
+        for a in g.morphisms_from(u):
+            if g.is_identity(a):
+                continue
+            for b in g.morphisms_from(g.tgt[a]):
+                if not g.is_identity(b) and \
+                        letter(a) + letter(b) + letter(g.compose(a, b), -1) not in relators:
+                    return f"missing relator for composable pair {(a, b)!r}"
+    return None
+
+
+def pi1_iso_check(g: FiniteGroupoid, x, pres: GroupPresentation | None = None) -> Pi1Report:
+    """Check the canonical map phi from the edge-path group P onto the vertex group at x.
+
+    phi sends the generator of an arrow e: u -> v to the loop
+    path(u) . e . path(v)^-1 at x, where path(u) is the tree path from x to u.
+    The check verifies that every relator maps to the identity arrow (phi is
+    well defined) and that the images generate the vertex group (phi is onto).
+    ``pres`` is the presentation of the nerve of g at x, if already built.
+
+    Injectivity is read off the relators by the edge-path argument (R. Brown,
+    *Topology and Groupoids*, 6.7; Spanier, *Algebraic Topology*, ch. 3).
+    Write [a] for the generator of a non-identity arrow a, and read an
+    identity arrow as the empty word.  The certificate asks the relators to
+    contain the word [t] of every spanning-tree edge t, and the word
+    [a][b][ab]^-1 of every composable pair (a, b) of non-identity arrows in
+    x's component.  Then tree edges are trivial in P; the pair (a, inv a)
+    makes [inv a] = [a]^-1; and folding a composable string pair by pair
+    gives [a_1]...[a_n] = [a_1 ... a_n].  So each generator [e] equals
+    [path(u)][e][path(v)^-1] = [loop(e)], the word of a single loop at x,
+    and loops multiply by the same relators.  Every element of P is then the
+    word of one loop, so |P| <= |Aut(x)|.  If phi is also well defined and
+    onto, it is an isomorphism and the presented order is |Aut(x)|.  If a
+    relator of the certificate is missing, nothing is decided: the presented
+    order and the verdict are None, and the note names the first one missing.
     """
     if pres is None:
         pres = pi1_presentation(nerve(g, 2), x)
@@ -226,21 +195,16 @@ def pi1_iso_check(g: FiniteGroupoid, x, pres: GroupPresentation | None = None) -
     frontier = set(images)
     while frontier:
         generated |= frontier
-        frontier = {g.compose(a, b) for a in generated for b in images} - generated
+        frontier = {g.compose(a, b) for a in frontier for b in images} - generated
     surjective = generated == set(vgroup.morphisms)
 
-    presented_order: int | None
-    try:
-        presented_order = coset_enumeration(len(pres.generators), pres.relations)
-    except EnumerationBudgetExceeded:
-        presented_order = None
-
-    if presented_order is None:
-        isomorphic = None
-        note = "surjective, injectivity untested" if surjective else "not surjective"
+    missing = _missing_relator(g, pres)
+    if missing is not None:
+        presented_order, isomorphic, note = None, None, missing
+    elif relations_hold and surjective:
+        presented_order, isomorphic, note = len(vgroup.morphisms), True, "isomorphism confirmed"
     else:
-        isomorphic = relations_hold and surjective and presented_order == len(vgroup.morphisms)
-        note = "isomorphism confirmed" if isomorphic else "mismatch"
+        presented_order, isomorphic, note = None, False, "mismatch"
     return Pi1Report(
         basepoint=x,
         generator_count=len(pres.generators),

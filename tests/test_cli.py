@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -143,22 +144,37 @@ def test_pi1_report(capsys, z2_file):
     assert "presented order: 2" in out
 
 
+def test_pi1_s5_is_decided(capsys, tmp_path):
+    """The relator certificate decides S5 (120 arrows) without a search."""
+    path = tmp_path / "s5.json"
+    path.write_text(json.dumps(jio.groupoid_to_json(fs.symmetric_groupoid(5))))
+    code, out = run_cli(capsys, ["pi1", "--groupoid", str(path), "--basepoint", "*"])
+    assert code == 0
+    assert "presented order: 120" in out.splitlines()
+    assert "[PASS] isomorphism" in out.splitlines()
+
+
 @pytest.mark.parametrize("g", [z2(), s3()], ids=["Z2", "S3"])
-def test_pi1_budget_0_is_inconclusive(capsys, tmp_path, g, monkeypatch):
-    """A coset budget of 0 leaves the isomorphism verdict inconclusive."""
+def test_pi1_missing_relator_is_inconclusive(capsys, tmp_path, g, monkeypatch):
+    """A presentation lacking a certificate relator leaves the isomorphism open."""
     path = tmp_path / "g.json"
     path.write_text(json.dumps(jio.groupoid_to_json(g)))
-    monkeypatch.setattr(fs.fundamental, "COSET_BUDGET", 0)
+    build = fs.pi1_presentation
+
+    def drop_last(s, basepoint):
+        pres = build(s, basepoint)
+        return dataclasses.replace(pres, relations=pres.relations[:-1])
+
+    monkeypatch.setattr("finstack.cli.pi1_presentation", drop_last)
     out_json = tmp_path / "report.json"
     code, out = run_cli(capsys, ["pi1", "--groupoid", str(path), "--basepoint", "*",
                                  "--json-out", str(out_json)])
     assert code == 3
-    assert "presented order: untested" in out
-    assert "[INCONCLUSIVE] isomorphism: surjective, injectivity untested" in out.splitlines()
+    assert "presented order: untested" in out.splitlines()
+    assert "[INCONCLUSIVE] isomorphism: missing relator for composable pair" in out
     assert "[FAIL]" not in out
     verdicts = json.loads(out_json.read_text())["verdicts"]
-    assert {"name": "isomorphism", "passed": None,
-            "witness": "surjective, injectivity untested"} in verdicts
+    assert [v["passed"] for v in verdicts if v["name"] == "isomorphism"] == [None]
 
 
 def test_failed_verdict_outranks_inconclusive():

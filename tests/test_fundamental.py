@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 import finstack as fs
 from finstack.errors import EnumerationBudgetExceeded, InsufficientTruncation, UnknownBasepoint
-from finstack.fundamental import coset_enumeration
-from support import pair2, s3, swap_action, z2, z3
+from pi1_oracle import coset_enumeration
+from support import groupoid_zoo, pair2, s3, swap_action, weak_equivalence_zoo, z2, z3
 
 
 def test_presentation_z2():
@@ -58,12 +60,6 @@ def test_coset_enumeration_small_groups():
         coset_enumeration(1, [], budget=50)
 
 
-def test_coset_enumeration_reads_budget_at_call(monkeypatch):
-    monkeypatch.setattr(fs.fundamental, "COSET_BUDGET", 0)
-    with pytest.raises(EnumerationBudgetExceeded):
-        coset_enumeration(1, [((0, 1), (0, 1))])
-
-
 @pytest.mark.parametrize("g,order", [(z2(), 2), (z3(), 3), (s3(), 6), (pair2(), 1)])
 def test_pi1_iso_check(g, order):
     report = fs.pi1_iso_check(g, g.objects[0])
@@ -74,13 +70,47 @@ def test_pi1_iso_check(g, order):
     assert report.isomorphic is True
 
 
-def test_pi1_iso_check_budget_degrades_gracefully(monkeypatch):
-    monkeypatch.setattr(fs.fundamental, "COSET_BUDGET", 2)
-    report = fs.pi1_iso_check(s3(), "*")
-    assert report.presented_order is None
-    assert report.isomorphic is None
-    assert "untested" in report.note
-    assert report.surjective
+def certificate_zoo():
+    """Groupoids with nontrivial groups, trees and several components."""
+    targets = [(f"{name}-target", f.target) for name, f in weak_equivalence_zoo()]
+    return groupoid_zoo() + targets + [("S4", fs.symmetric_groupoid(4)),
+                                       ("pair6", fs.pair_groupoid(range(6)))]
+
+
+@pytest.mark.parametrize("g", [g for _, g in certificate_zoo()],
+                         ids=[name for name, _ in certificate_zoo()])
+def test_certificate_order_matches_coset_enumeration(g):
+    for x in g.objects:
+        pres = fs.pi1_presentation(fs.nerve(g, 2), x)
+        report = fs.pi1_iso_check(g, x, pres=pres)
+        assert report.isomorphic is True
+        assert report.presented_order == coset_enumeration(len(pres.generators), pres.relations)
+
+
+def expected_note(pres, word):
+    """The note naming the certificate relator ``word`` of ``pres``."""
+    arrows = tuple(pres.generators[i][0] for i, sign in word if sign > 0)
+    if len(word) == 1:
+        return f"missing relator for tree edge {arrows!r}"
+    return f"missing relator for composable pair {arrows!r}"
+
+
+@pytest.mark.parametrize("g,x", [(z3(), "*"), (s3(), "*"), (fs.pair_groupoid(range(3)), 1),
+                                 (swap_action(), 2)],
+                         ids=["Z3", "S3", "pair3", "swap-action"])
+def test_dropping_any_relator_decides_nothing(g, x):
+    """Each tree or composition relator dropped alone leaves the verdict open."""
+    pres = fs.pi1_presentation(fs.nerve(g, 2), x)
+    kinds = set()
+    for i, word in enumerate(pres.relations):
+        kinds.add(len(word) == 1)
+        dropped = dataclasses.replace(pres, relations=pres.relations[:i] + pres.relations[i + 1:])
+        report = fs.pi1_iso_check(g, x, pres=dropped)
+        assert report.relations_hold and report.surjective
+        assert report.presented_order is None
+        assert report.isomorphic is None
+        assert report.note == expected_note(pres, word)
+    assert kinds == ({False} if len(g.objects) == 1 else {True, False})
 
 
 def test_pi1_iso_check_reuses_given_presentation():
