@@ -5,8 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InsufficientTruncation, UnknownBasepoint
-from .category import idkey
-from .groupoid import FiniteGroupoid, vertex_group
+from .category import FiniteCategory, idkey
+from .groupoid import FiniteGroupoid
 from .homology import invariant_factors
 from .simplicial import TruncatedSimplicialSet, nerve
 
@@ -33,63 +33,58 @@ class GroupPresentation:
         return len(self.generators) - len(factors), tuple(d for d in factors if d > 1)
 
 
-def pi1_presentation(s: TruncatedSimplicialSet, basepoint) -> GroupPresentation:
-    """Edge-path presentation of the fundamental group at a basepoint.
+def _letter(g: FiniteCategory, index: dict, a, sign: int = 1) -> tuple:
+    """The word of arrow a to the power sign: empty for an identity, else one
+    letter; an arrow with no generator in ``index`` gets index None and matches no relator."""
+    return () if g.is_identity(a) else ((index.get(a), sign),)
 
-    Generators are the nondegenerate 1-simplices of the basepoint's component;
-    a deterministic BFS spanning tree (sorted simplex ids) is killed, and each
-    nondegenerate 2-simplex sigma contributes d2(sigma) . d0(sigma) = d1(sigma),
-    with degenerate faces read as the empty word.
+
+def _relator(g: FiniteCategory, index: dict, a, b) -> tuple:
+    """The word [a][b][ab]^-1 of the composable pair (a, b)."""
+    return _letter(g, index, a) + _letter(g, index, b) + _letter(g, index, g.compose(a, b), -1)
+
+
+def pi1_presentation(s: TruncatedSimplicialSet, basepoint) -> GroupPresentation:
+    """Edge-path presentation of the fundamental group at a basepoint, read off
+    the composition table of the category whose nerve is s.
+
+    Generators are the nondegenerate 1-simplices (a,) of the basepoint's
+    component, in ``morphisms`` order.  A deterministic BFS spanning tree
+    (sorted simplex ids) is killed, and each nondegenerate 2-simplex (a, b)
+    contributes d2 . d0 = d1, the word [a][b][ab]^-1 with an identity
+    composite read as the empty word.
     """
     if s.cap < 2:
         raise InsufficientTruncation(2, s.cap)
-    if basepoint not in set(s.simplices[0]):
+    g = s.category
+    if basepoint not in set(g.objects):
         raise UnknownBasepoint(basepoint)
 
-    edges = [e for e in s.simplices[1] if not s.is_degenerate(1, e)]
-    incident: dict = {v: [] for v in s.simplices[0]}
-    for e in sorted(edges, key=idkey):
-        u, v = s.face(1, 1, e), s.face(1, 0, e)
-        incident[u].append((e, True, v))
-        incident[v].append((e, False, u))
+    arrows = [a for a in g.morphisms if not g.is_identity(a)]
+    incident: dict = {v: [] for v in g.objects}
+    for a in sorted(arrows, key=lambda a: idkey((a,))):
+        incident[g.src[a]].append(((a,), True, g.tgt[a]))
+        incident[g.tgt[a]].append(((a,), False, g.src[a]))
 
     tree_parent = {basepoint: None}
-    tree_edges = set()
     queue = [basepoint]
     for u in queue:  # the loop also visits the vertices appended to queue
         for e, forward, w in incident[u]:
             if w not in tree_parent:
                 tree_parent[w] = (e, forward, u)
-                tree_edges.add(e)
                 queue.append(w)
-    component = tuple(sorted(tree_parent, key=idkey))
-    in_component = set(component)
 
-    generators = tuple(e for e in edges
-                       if s.face(1, 0, e) in in_component and s.face(1, 1, e) in in_component)
-    gen_index = {e: i for i, e in enumerate(generators)}
-
-    def word_of_edge(e, sign=1):
-        if s.is_degenerate(1, e):
-            return ()
-        return ((gen_index[e], sign),)
-
-    relations = [word_of_edge(e) for e in generators if e in tree_edges]
-    for sigma in s.simplices[2]:
-        if s.is_degenerate(2, sigma):
-            continue
-        d0, d1, d2 = (s.face(2, i, sigma) for i in range(3))
-        anchor = s.face(1, 1, d2)
-        if anchor not in in_component:
-            continue
-        word = word_of_edge(d2) + word_of_edge(d0) + \
-            tuple((g, -sign) for g, sign in reversed(word_of_edge(d1)))
-        relations.append(word)
+    arrows = [a for a in arrows if g.src[a] in tree_parent]
+    index = {a: i for i, a in enumerate(arrows)}
+    tree = {parent[0][0] for parent in tree_parent.values() if parent is not None}
+    relations = [_letter(g, index, a) for a in arrows if a in tree]
+    relations += [_relator(g, index, a, b) for a in arrows
+                  for b in g.morphisms_from(g.tgt[a]) if not g.is_identity(b)]
     return GroupPresentation(
-        generators=generators,
+        generators=tuple((a,) for a in arrows),
         relations=tuple(relations),
         basepoint=basepoint,
-        component=component,
+        component=tuple(sorted(tree_parent, key=idkey)),
         tree_parent=tree_parent,
     )
 
@@ -112,23 +107,16 @@ def _missing_relator(g: FiniteGroupoid, pres: GroupPresentation) -> str | None:
     """Name the first relator of :func:`pi1_iso_check`'s certificate that pres lacks."""
     relators = set(pres.relations)
     index = {e[0]: i for i, e in enumerate(pres.generators)}
-
-    def letter(a, sign=1):
-        # an arrow that is no generator gives a word that matches no relator
-        return () if g.is_identity(a) else ((index.get(a), sign),)
-
     for v in pres.component:
         if pres.tree_parent[v] is not None:
             edge = pres.tree_parent[v][0]
-            if letter(edge[0]) not in relators:
+            if _letter(g, index, edge[0]) not in relators:
                 return f"missing relator for tree edge {edge!r}"
     for u in pres.component:
         for a in g.morphisms_from(u):
-            if g.is_identity(a):
-                continue
             for b in g.morphisms_from(g.tgt[a]):
-                if not g.is_identity(b) and \
-                        letter(a) + letter(b) + letter(g.compose(a, b), -1) not in relators:
+                if not (g.is_identity(a) or g.is_identity(b)) and \
+                        _relator(g, index, a, b) not in relators:
                     return f"missing relator for composable pair {(a, b)!r}"
     return None
 
@@ -137,7 +125,8 @@ def pi1_iso_check(g: FiniteGroupoid, x, pres: GroupPresentation | None = None) -
     """Check the canonical map phi from the edge-path group P onto the vertex group at x.
 
     phi sends the generator of an arrow e: u -> v to the loop
-    path(u) . e . path(v)^-1 at x, where path(u) is the tree path from x to u.
+    path(u) . e . path(v)^-1 at x, where path(u) is the composite of the tree
+    path from x to u.
     The check verifies that every relator maps to the identity arrow (phi is
     well defined) and that the images generate the vertex group (phi is onto).
     ``pres`` is the presentation of the nerve of g at x, if already built.
@@ -160,25 +149,16 @@ def pi1_iso_check(g: FiniteGroupoid, x, pres: GroupPresentation | None = None) -
     """
     if pres is None:
         pres = pi1_presentation(nerve(g, 2), x)
-    vgroup = vertex_group(g, x)
-
-    def path_to(v):
-        # tree edges are nerve 1-simplices, i.e. 1-tuples holding one arrow
-        arrows = []
-        while pres.tree_parent[v] is not None:
-            edge, forward, parent = pres.tree_parent[v]
-            arrows.append(edge[0] if forward else g.inv[edge[0]])
-            v = parent
-        arrows.reverse()
-        return arrows
-
-    def loop_of_edge(e):
-        arrow = e[0]
-        u, v = g.src[arrow], g.tgt[arrow]
-        arrows = path_to(u) + [arrow] + [g.inv[a] for a in reversed(path_to(v))]
-        return g.compose_path(arrows)
-
-    images = [loop_of_edge(e) for e in pres.generators]
+    path = {}  # each tree path composed once; tree_parent lists parents first
+    for v, parent in pres.tree_parent.items():
+        if parent is None:
+            path[v] = g.ident[v]
+        else:
+            (arrow,), forward, u = parent
+            path[v] = g.compose(path[u], arrow if forward else g.inv[arrow])
+    images = [g.compose(g.compose(path[g.src[a]], a), g.inv[path[g.tgt[a]]])
+              for (a,) in pres.generators]
+    aut = g.hom(x, x)
     identity = g.ident[x]
 
     relations_hold = True
@@ -196,19 +176,19 @@ def pi1_iso_check(g: FiniteGroupoid, x, pres: GroupPresentation | None = None) -
     while frontier:
         generated |= frontier
         frontier = {g.compose(a, b) for a in frontier for b in images} - generated
-    surjective = generated == set(vgroup.morphisms)
+    surjective = generated == set(aut)
 
     missing = _missing_relator(g, pres)
     if missing is not None:
         presented_order, isomorphic, note = None, None, missing
     elif relations_hold and surjective:
-        presented_order, isomorphic, note = len(vgroup.morphisms), True, "isomorphism confirmed"
+        presented_order, isomorphic, note = len(aut), True, "isomorphism confirmed"
     else:
         presented_order, isomorphic, note = None, False, "mismatch"
     return Pi1Report(
         basepoint=x,
         generator_count=len(pres.generators),
-        vertex_group_order=len(vgroup.morphisms),
+        vertex_group_order=len(aut),
         relations_hold=relations_hold,
         surjective=surjective,
         presented_order=presented_order,

@@ -22,9 +22,6 @@ class FiniteGroupoid(FiniteCategory):
 
     inv: Mapping
 
-    def inverse(self, a):
-        return self.inv[a]
-
     def __str__(self):
         return f"FiniteGroupoid({len(self.objects)} objects, {len(self.morphisms)} arrows)"
 

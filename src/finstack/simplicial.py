@@ -16,7 +16,8 @@ class TruncatedSimplicialSet:
     the objects.  d_0 drops the first arrow, d_n the last, inner faces compose
     neighbours, degeneracies insert identities, and a string is degenerate
     exactly when it holds one.  Maps and counts are computed on demand; the
-    table ``simplices`` is built on first use, never by :meth:`chain_levels`.
+    table ``simplices`` of all strings comes from :func:`string_levels` on
+    first use, never by :meth:`chain_levels`.
     """
 
     category: FiniteCategory
@@ -25,11 +26,8 @@ class TruncatedSimplicialSet:
 
     @cached_property
     def simplices(self) -> dict:
-        g = self.category
-        table = {0: g.objects, 1: tuple((a,) for a in g.morphisms)}
-        for n in range(2, self.cap + 1):
-            table[n] = tuple(x + (a,) for x in table[n - 1] for a in g.morphisms_from(g.tgt[x[-1]]))
-        return {n: table[n] for n in range(self.cap + 1)}
+        levels = string_levels(self.category, self.category.morphisms, self.cap)
+        return {n: strings for n, (strings, _) in enumerate(levels)}
 
     def face(self, n: int, i: int, x):
         g = self.category

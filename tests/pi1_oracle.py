@@ -1,4 +1,9 @@
-"""Todd-Coxeter oracle for the order of a finitely presented group.
+"""Oracles for the edge-path presentation and the order of a finitely presented group.
+
+``tabulated_pi1_presentation`` builds the presentation from the nerve's table
+of all 1- and 2-strings, degenerate ones included, computing each face; it was
+``pi1_presentation`` before the presentation was read off the composition
+table, and is kept here to check that builder exactly.
 
 ``coset_enumeration`` enumerates the cosets of the trivial subgroup under a
 budget; it was the runtime's injectivity test in ``pi1_iso_check`` before the
@@ -8,7 +13,10 @@ presented orders on small groups.
 
 from __future__ import annotations
 
-from finstack.errors import EnumerationBudgetExceeded
+from finstack.category import idkey
+from finstack.errors import EnumerationBudgetExceeded, InsufficientTruncation, UnknownBasepoint
+from finstack.fundamental import GroupPresentation
+from finstack.simplicial import TruncatedSimplicialSet
 
 COSET_BUDGET = 10_000  # cosets per enumeration
 
@@ -80,3 +88,64 @@ def coset_enumeration(num_generators: int, relations, budget: int | None = None)
                 follow(cursor, d)
         cursor += 1
     return sum(1 for c in range(len(labels)) if find(c) == c)
+
+
+def tabulated_pi1_presentation(s: TruncatedSimplicialSet, basepoint) -> GroupPresentation:
+    """Edge-path presentation of the fundamental group at a basepoint.
+
+    Generators are the nondegenerate 1-simplices of the basepoint's component;
+    a deterministic BFS spanning tree (sorted simplex ids) is killed, and each
+    nondegenerate 2-simplex sigma contributes d2(sigma) . d0(sigma) = d1(sigma),
+    with degenerate faces read as the empty word.
+    """
+    if s.cap < 2:
+        raise InsufficientTruncation(2, s.cap)
+    if basepoint not in set(s.simplices[0]):
+        raise UnknownBasepoint(basepoint)
+
+    edges = [e for e in s.simplices[1] if not s.is_degenerate(1, e)]
+    incident: dict = {v: [] for v in s.simplices[0]}
+    for e in sorted(edges, key=idkey):
+        u, v = s.face(1, 1, e), s.face(1, 0, e)
+        incident[u].append((e, True, v))
+        incident[v].append((e, False, u))
+
+    tree_parent = {basepoint: None}
+    tree_edges = set()
+    queue = [basepoint]
+    for u in queue:  # the loop also visits the vertices appended to queue
+        for e, forward, w in incident[u]:
+            if w not in tree_parent:
+                tree_parent[w] = (e, forward, u)
+                tree_edges.add(e)
+                queue.append(w)
+    component = tuple(sorted(tree_parent, key=idkey))
+    in_component = set(component)
+
+    generators = tuple(e for e in edges
+                       if s.face(1, 0, e) in in_component and s.face(1, 1, e) in in_component)
+    gen_index = {e: i for i, e in enumerate(generators)}
+
+    def word_of_edge(e, sign=1):
+        if s.is_degenerate(1, e):
+            return ()
+        return ((gen_index[e], sign),)
+
+    relations = [word_of_edge(e) for e in generators if e in tree_edges]
+    for sigma in s.simplices[2]:
+        if s.is_degenerate(2, sigma):
+            continue
+        d0, d1, d2 = (s.face(2, i, sigma) for i in range(3))
+        anchor = s.face(1, 1, d2)
+        if anchor not in in_component:
+            continue
+        word = word_of_edge(d2) + word_of_edge(d0) + \
+            tuple((g, -sign) for g, sign in reversed(word_of_edge(d1)))
+        relations.append(word)
+    return GroupPresentation(
+        generators=generators,
+        relations=tuple(relations),
+        basepoint=basepoint,
+        component=component,
+        tree_parent=tree_parent,
+    )

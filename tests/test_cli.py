@@ -177,6 +177,22 @@ def test_pi1_missing_relator_is_inconclusive(capsys, tmp_path, g, monkeypatch):
     assert [v["passed"] for v in verdicts if v["name"] == "isomorphism"] == [None]
 
 
+def test_pi1_builds_no_string_table(capsys, s3_file, monkeypatch):
+    """pi1 reads its presentation off the composition table, not the nerve's strings."""
+    built = []
+
+    def recording_nerve(g, cap):
+        built.append(fs.nerve(g, cap))
+        return built[-1]
+
+    monkeypatch.setattr("finstack.cli.nerve", recording_nerve)
+    code, out = run_cli(capsys, ["pi1", "--groupoid", s3_file, "--basepoint", "*"])
+    assert code == 0
+    assert "[PASS] isomorphism" in out.splitlines()
+    assert len(built) == 1
+    assert "simplices" not in vars(built[0])
+
+
 def test_failed_verdict_outranks_inconclusive():
     from finstack.cli import RunReport
     report = RunReport("x", "0")

@@ -6,7 +6,7 @@ import pytest
 
 import finstack as fs
 from finstack.errors import EnumerationBudgetExceeded, InsufficientTruncation, UnknownBasepoint
-from pi1_oracle import coset_enumeration
+from pi1_oracle import coset_enumeration, tabulated_pi1_presentation
 from support import groupoid_zoo, pair2, s3, swap_action, weak_equivalence_zoo, z2, z3
 
 
@@ -85,6 +85,21 @@ def test_certificate_order_matches_coset_enumeration(g):
         report = fs.pi1_iso_check(g, x, pres=pres)
         assert report.isomorphic is True
         assert report.presented_order == coset_enumeration(len(pres.generators), pres.relations)
+
+
+def presentation_zoo():
+    """The certificate zoo's nerves, and the circle: a category that is not a groupoid."""
+    return [(name, fs.nerve(g, 2)) for name, g in certificate_zoo()] + \
+        [("circle", fs.simplicial_circle())]
+
+
+@pytest.mark.parametrize("s", [s for _, s in presentation_zoo()],
+                         ids=[name for name, _ in presentation_zoo()])
+def test_presentation_matches_tabulated_oracle(s):
+    for x in s.category.objects:
+        pres, oracle = fs.pi1_presentation(s, x), tabulated_pi1_presentation(s, x)
+        assert pres == oracle
+        assert list(pres.tree_parent) == list(oracle.tree_parent)  # BFS order, parents first
 
 
 def expected_note(pres, word):
