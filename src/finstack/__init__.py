@@ -38,6 +38,7 @@ from .homology import (
     homology,
     induced_map_is_isomorphism,
 )
+from .resolution import resolution_chains
 from .simplicial import TruncatedSimplicialSet, nerve, simplicial_circle
 from .fundamental import GroupPresentation, Pi1Report, pi1_iso_check, pi1_presentation
 from .milnor import (

@@ -13,10 +13,11 @@ from . import jsonio
 from .category import functor as groupoid_functor
 from .errors import EnumerationBudgetExceeded, FinstackError, SchemaError, UsageError
 from .fundamental import pi1_iso_check, pi1_presentation
-from .groupoid import is_weak_equivalence, pi0, skeleton
+from .groupoid import is_weak_equivalence, pi0
 from .homology import chain_complex, homology, induced_map_is_isomorphism
 from .kan import adjunction_check, diagram_special, groupoid_diagram, right_kan
 from .milnor import comparison_chain_map, milnor_B, milnor_E
+from .resolution import resolution_chains
 from .simplicial import nerve, simplicial_identity_violations
 from .spans import span_pi0, zigzag_check
 from .torsor import cocycle_to_torsor, find_cocycle_morphism, torsor_isomorphic, torsor_to_cocycle
@@ -114,9 +115,9 @@ def _cmd_nerve(args) -> RunReport:
 def _cmd_homology(args) -> RunReport:
     report = RunReport("homology", _digest([args.groupoid]))
     g = jsonio.groupoid_from_json(jsonio.load_json(args.groupoid))
-    # N(g) is homotopy equivalent to the nerve of its skeleton, the disjoint
-    # union of the B Aut(x) (Segal 1968); its eliminations give the sum directly
-    cx = chain_complex(nerve(skeleton(g), args.dim))
+    # N(g) is homotopy equivalent to the disjoint union of the B Aut(x), one x
+    # per component (Segal 1968); a free ZG-resolution of each gives H_*(B G)
+    cx = resolution_chains(g, args.dim)
     degrees = [args.degree] if args.degree is not None else list(range(args.dim))
     for line in _homology_lines(cx, degrees):
         report.add_output(line)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InsufficientTruncation, UnknownBasepoint
+from .errors import FinstackError, InsufficientTruncation, UnknownBasepoint
 from .category import FiniteCategory, idkey
 from .groupoid import FiniteGroupoid
 from .homology import invariant_factors
@@ -129,7 +129,8 @@ def pi1_iso_check(g: FiniteGroupoid, x, pres: GroupPresentation | None = None) -
     path from x to u.
     The check verifies that every relator maps to the identity arrow (phi is
     well defined) and that the images generate the vertex group (phi is onto).
-    ``pres`` is the presentation of the nerve of g at x, if already built.
+    ``pres`` is the presentation of the nerve of g at x, if already built; one
+    based at another object is refused with :class:`FinstackError`.
 
     Injectivity is read off the relators by the edge-path argument (R. Brown,
     *Topology and Groupoids*, 6.7; Spanier, *Algebraic Topology*, ch. 3).
@@ -147,8 +148,12 @@ def pi1_iso_check(g: FiniteGroupoid, x, pres: GroupPresentation | None = None) -
     relator of the certificate is missing, nothing is decided: the presented
     order and the verdict are None, and the note names the first one missing.
     """
+    if x not in g.objects:
+        raise UnknownBasepoint(x)
     if pres is None:
         pres = pi1_presentation(nerve(g, 2), x)
+    elif pres.basepoint != x:
+        raise FinstackError(f"presentation is based at {pres.basepoint!r}, not at {x!r}")
     path = {}  # each tree path composed once; tree_parent lists parents first
     for v, parent in pres.tree_parent.items():
         if parent is None:

@@ -18,6 +18,14 @@ def s3():
     return fs.symmetric_groupoid(3)
 
 
+def dihedral4():
+    """The dihedral group of order 8 as pairs (rotation, reflection); it has no constructor."""
+    elements = [(r, f) for f in (0, 1) for r in range(4)]
+    mult = {((r, f), (s, h)): ((r + (-s if f else s)) % 4, f ^ h)
+            for r, f in elements for s, h in elements}
+    return fs.groupoid_from_group(elements, mult, (0, 0))
+
+
 def pair2():
     return fs.pair_groupoid([1, 2])
 

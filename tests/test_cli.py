@@ -17,8 +17,8 @@ from hypothesis import strategies as st
 import finstack as fs
 import finstack.jsonio as jio
 from finstack.cli import main
-from support import (cocycle_zoo, gauge_cocycle, groupoid_zoo, pair2, point_inclusion, s3,
-                     s3_on_letters, weak_equivalence_zoo, z2, z3)
+from support import (cocycle_zoo, dihedral4, gauge_cocycle, groupoid_zoo, pair2, point_inclusion,
+                     s3, s3_on_letters, weak_equivalence_zoo, z2, z3)
 
 
 @pytest.fixture()
@@ -111,16 +111,21 @@ def test_homology_report_matches_full_nerve(capsys, tmp_path, g, top):
             str(fs.homology(full, n)) for n in range(dim)]
 
 
-def test_homology_builds_skeleton_chains(capsys, tmp_path, monkeypatch):
-    """On the pair groupoid on 4 points the chains are the trivial group's, not the 12 arrows'."""
+def test_homology_builds_resolution_chains(capsys, tmp_path, monkeypatch):
+    """On the pair groupoid on 4 points the chains are the trivial group's, and no nerve is built."""
     sizes = []
 
-    def recording(s):
-        cx = fs.chain_complex(s)
+    def recording(g, cap):
+        cx = fs.resolution_chains(g, cap)
         sizes.append([cx.dim(n) for n in range(cx.top_degree + 1)])
         return cx
 
-    monkeypatch.setattr("finstack.cli.chain_complex", recording)
+    def refused(*args):
+        raise AssertionError("homology builds no nerve chains")
+
+    monkeypatch.setattr("finstack.cli.resolution_chains", recording)
+    monkeypatch.setattr("finstack.cli.nerve", refused)
+    monkeypatch.setattr("finstack.cli.chain_complex", refused)
     path = tmp_path / "pair4.json"
     path.write_text(json.dumps(jio.groupoid_to_json(fs.pair_groupoid(range(4)))))
     code, out = run_cli(capsys, ["homology", "--groupoid", str(path), "--dim", "4"])
@@ -128,6 +133,21 @@ def test_homology_builds_skeleton_chains(capsys, tmp_path, monkeypatch):
     assert out.splitlines()[2:] == ["H_0 = Z", "H_1 = 0", "H_2 = 0", "H_3 = 0",
                                     "[PASS] boundary-squared-zero"]
     assert sizes == [[1, 0, 0, 0, 0]]
+
+
+@pytest.mark.parametrize("g,dim,line", [
+    (s3(), 11, "H_10 = 0"),
+    (dihedral4(), 7, "H_6 = Z/2 (+) Z/2 (+) Z/2"),
+    (fs.symmetric_groupoid(4), 5, "H_4 = Z/2"),
+], ids=["S3", "D4", "S4"])
+def test_homology_reaches_high_degrees(capsys, tmp_path, g, dim, line):
+    """Degrees the bar complex could not reach: (|G| - 1)^n cells against a few per degree."""
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(jio.groupoid_to_json(g)))
+    code, out = run_cli(capsys, ["homology", "--groupoid", str(path), "--dim", str(dim),
+                                 "--degree", str(dim - 1)])
+    assert code == 0
+    assert out.splitlines()[2:] == [line, "[PASS] boundary-squared-zero"]
 
 
 def test_nerve_counts(capsys, z2_file):

@@ -5,7 +5,8 @@ import dataclasses
 import pytest
 
 import finstack as fs
-from finstack.errors import EnumerationBudgetExceeded, InsufficientTruncation, UnknownBasepoint
+from finstack.errors import (EnumerationBudgetExceeded, FinstackError, InsufficientTruncation,
+                             UnknownBasepoint, UnknownObject)
 from pi1_oracle import coset_enumeration, tabulated_pi1_presentation
 from support import groupoid_zoo, pair2, s3, swap_action, weak_equivalence_zoo, z2, z3
 
@@ -132,6 +133,25 @@ def test_pi1_iso_check_reuses_given_presentation():
     g = s3()
     pres = fs.pi1_presentation(fs.nerve(g, 2), "*")
     assert fs.pi1_iso_check(g, "*", pres=pres) == fs.pi1_iso_check(g, "*")
+
+
+@pytest.mark.parametrize("g,at,x", [
+    (fs.disjoint_union(z2(), z3()), (0, "*"), (1, "*")),
+    (fs.pair_groupoid(range(3)), 0, 1),
+], ids=["Z2+Z3", "pair3"])
+def test_pi1_iso_check_refuses_presentation_at_other_basepoint(g, at, x):
+    pres = fs.pi1_presentation(fs.nerve(g, 2), at)
+    with pytest.raises(FinstackError) as info:
+        fs.pi1_iso_check(g, x, pres=pres)
+    assert str(info.value) == f"presentation is based at {at!r}, not at {x!r}"
+
+
+def test_pi1_iso_check_unknown_object():
+    g = z2()
+    pres = fs.pi1_presentation(fs.nerve(g, 2), "*")
+    for kwargs in ({}, {"pres": pres}):
+        with pytest.raises(UnknownObject):
+            fs.pi1_iso_check(g, "missing", **kwargs)
 
 
 def test_pi1_swap_action_trivial():

@@ -1,0 +1,86 @@
+from __future__ import annotations
+
+import pytest
+
+import finstack as fs
+from finstack.errors import InsufficientTruncation
+from finstack.homology import invariant_factors
+from finstack.resolution import free_resolution
+from support import apply_columns, dihedral4, groupoid_zoo, s3, weak_equivalence_zoo
+
+
+def oracle_zoo():
+    cases = [(name, g, 6) for name, g in groupoid_zoo()]
+    cases += [(f"target-{name}", f.target, 6) for name, f in weak_equivalence_zoo()]
+    cases.append(("S3", s3(), 6))
+    cases.append(("S3+Z4", fs.disjoint_union(s3(), fs.cyclic_groupoid(4)), 5))
+    cases.append(("D4", dihedral4(), 4))
+    return cases
+
+
+@pytest.mark.parametrize("g,dim", [pytest.param(g, dim, id=name) for name, g, dim in oracle_zoo()])
+def test_resolution_homology_matches_skeleton_nerve(g, dim):
+    """The nerve chains of the skeleton, which `homology` eliminated before, stay the oracle."""
+    cx = fs.resolution_chains(g, dim)
+    nerve_cx = fs.chain_complex(fs.nerve(fs.skeleton(g), dim))
+    assert cx.check_dd_zero()
+    assert [fs.homology(cx, n) for n in range(dim)] == [fs.homology(nerve_cx, n) for n in range(dim)]
+
+
+def test_resolution_sums_components_in_invariant_factor_form():
+    cx = fs.resolution_chains(fs.disjoint_union(s3(), fs.cyclic_groupoid(4)), 5)
+    assert str(fs.homology(cx, 0)) == "H_0 = Z^2"
+    assert str(fs.homology(cx, 3)) == "H_3 = Z/2 (+) Z/12"
+
+
+def multiplication_table(g):
+    aut = g.morphisms
+    index = {a: i for i, a in enumerate(aut)}
+    return [[index[g.compose(a, b)] for b in aut] for a in aut]
+
+
+def translated_columns(images, table):
+    """Every column g . z of d_n as a Z-matrix, with g . (h e_i) = (g h) e_i."""
+    m = len(table)
+    columns = []
+    for z in images:
+        for g in range(m):
+            column = {}
+            for k, c in z.items():
+                i, h = divmod(k, m)
+                column[i * m + table[g][h]] = c
+            columns.append(column)
+    return columns
+
+
+@pytest.mark.parametrize("g,cap", [
+    (fs.cyclic_groupoid(1), 3), (fs.cyclic_groupoid(2), 6), (fs.cyclic_groupoid(5), 6),
+    (fs.cyclic_groupoid(6), 6), (s3(), 7), (dihedral4(), 5), (fs.symmetric_groupoid(4), 3),
+], ids=["Z1", "Z2", "Z5", "Z6", "S3", "D4", "S4"])
+def test_free_resolution_is_exact(g, cap):
+    """im d_n = ker d_{n-1}: the translates of d_n's generator images lie in ker d_{n-1}
+    and have only unit invariant factors, rank ker d_{n-1} of them."""
+    table = multiplication_table(g)
+    previous = [{0: 1} for _ in table]  # the augmentation ZG -> Z
+    images = free_resolution(table, cap)
+    assert len(images) == cap
+    for gens in images:
+        columns = translated_columns(gens, table)
+        assert all(apply_columns(previous, z) == {} for z in gens)
+        factors = invariant_factors(columns)
+        assert factors == [1] * (len(previous) - len(invariant_factors(previous)))
+        previous = columns
+
+
+def test_cyclic_resolutions_have_one_generator_per_degree():
+    for m in range(2, 9):
+        images = free_resolution(multiplication_table(fs.cyclic_groupoid(m)), 5)
+        assert [len(gens) for gens in images] == [1] * 5
+
+
+def test_resolution_chains_are_truncated_at_cap():
+    cx = fs.resolution_chains(fs.cyclic_groupoid(2), 2)
+    assert cx.top_degree == 2
+    with pytest.raises(InsufficientTruncation) as info:
+        fs.homology(cx, 2)
+    assert str(info.value) == "degree 2 needs truncation cap >= 3, have 2"
