@@ -216,7 +216,7 @@ def _cmd_localize(args) -> RunReport:
         report.add_output(f"class rep: apex {rep_span.apex}, left {rep_span.left}, right {rep_span.right}")
     report.add_verdict("class-enumeration", True)
     if args.zigzag:
-        zz = zigzag_check(rcls, args.source, args.target)
+        zz = zigzag_check(rcls, classes)
         report.add_output(f"homotopy classes: {zz.homotopy_class_count}")
         report.add_verdict("zigzag-bijection", zz.bijective)
     return report
@@ -376,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def dispatch(argv: list) -> RunReport:
-    """Parse and run one subcommand, returning its report.
+    """Parse and run one subcommand, write its ``--json-out`` file, and return its report.
 
     Raises :class:`UsageError` with the usage text on malformed command
     lines; input errors propagate as the raising module's exception.
@@ -388,21 +388,20 @@ def dispatch(argv: list) -> RunReport:
         if exc.code not in (0, None):
             raise UsageError(parser.format_usage()) from None
         raise
-    return args.run(args)
+    report = args.run(args)
+    if args.json_out:
+        with open(args.json_out, "w", encoding="utf-8") as fh:
+            fh.write(report.to_json())
+    return report
 
 
 def main(argv: list | None = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
-    try:
-        report = args.run(args)
-        if args.json_out:
-            with open(args.json_out, "w", encoding="utf-8") as fh:
-                fh.write(report.to_json())
+        report = dispatch(list(sys.argv[1:] if argv is None else argv))
+    except SystemExit:  # --help, after argparse printed it
+        return 0
+    except UsageError:  # argparse already printed its message
+        return 2
     except (FinstackError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

@@ -3,7 +3,8 @@
 A morphism class R must contain all identities and be closed under
 composition; base-extension closure is checked against whatever pullbacks the
 supplied oracle knows.  Localized hom-sets are connected components of span
-categories, computed by exhaustive enumeration.
+categories, linked by the arrows into each apex; R-homotopy classes are
+linked by the section sets {t . g} of each r in R and map g out of its source.
 """
 
 from __future__ import annotations
@@ -67,9 +68,9 @@ def close_composition(cat: FiniteCategory, members) -> frozenset:
     grew = True
     while grew:
         grew = False
-        for r1 in sorted(closed, key=idkey):
-            for r2 in sorted(closed, key=idkey):
-                if cat.tgt[r1] == cat.src[r2]:
+        for r1 in list(closed):
+            for r2 in cat.morphisms_from(cat.tgt[r1]):
+                if r2 in closed:
                     composite = cat.compose(r1, r2)
                     if composite not in closed:
                         closed.add(composite)
@@ -115,13 +116,6 @@ def all_spans(rcls: MorphismClass, x, y) -> tuple:
     return tuple(sorted(spans, key=Span.key))
 
 
-def span_morphisms(cat: FiniteCategory, source: Span, target: Span) -> tuple:
-    """Apex maps from source to target commuting with both legs."""
-    return tuple(h for h in cat.hom(source.apex, target.apex)
-                 if cat.compose(h, target.left) == source.left
-                 and cat.compose(h, target.right) == source.right)
-
-
 @dataclass(frozen=True)
 class SpanClasses:
     """Connected components of a span category, with canonical representatives."""
@@ -153,8 +147,11 @@ def span_pi0(rcls: MorphismClass, x, y) -> SpanClasses:
         if obj not in cat.objects:
             raise UnknownObject(obj)
     spans = all_spans(rcls, x, y)
-    linked = ((s1, s2) for s1 in spans for s2 in spans
-              if s1 is not s2 and span_morphisms(cat, s1, s2))
+    # h: U -> apex(s) is a span morphism into s from (U, h . left, h . right),
+    # which is a span exactly when h . left is in R
+    linked = ((Span(cat.src[h], left, cat.compose(h, s.right)), s)
+              for s in spans for h in cat.morphisms_into(s.apex)
+              if (left := cat.compose(h, s.left)) in rcls)
     classes = sorted((tuple(sorted(c, key=Span.key)) for c in partition(spans, linked)),
                      key=lambda c: c[0].key())
     return SpanClasses(source=x, target=y, classes=tuple(classes))
@@ -171,35 +168,32 @@ def identity_span(cat: FiniteCategory, x) -> Span:
     return Span(x, cat.ident[x], cat.ident[x])
 
 
-def r_homotopic(rcls: MorphismClass, f, f2) -> bool:
-    """One-step homotopy: a common R-cover of the source with two sections.
+def _homotopy_sets(rcls: MorphismClass, x, y):
+    """The maps t . g: X -> Y over the sections t of r, for each r: V -> X in R
+    and g: V -> Y.  Two maps are one-step homotopic exactly when one set holds both."""
+    cat = rcls.category
+    for r in cat.morphisms_into(x):
+        if r in rcls:
+            sections = [t for t in cat.hom(x, cat.src[r]) if cat.compose(t, r) == cat.ident[x]]
+            for g in cat.hom(cat.src[r], y):
+                yield [cat.compose(t, g) for t in sections]
 
-    Searches exhaustively for V, r: V -> X in R, sections t, t' of r, and
-    g: V -> Y with g after t = f and g after t' = f2.
-    """
+
+def r_homotopic(rcls: MorphismClass, f, f2) -> bool:
+    """One-step homotopy: a common R-cover of the source with two sections,
+    that is r: V -> X in R, sections t, t' of r and g: V -> Y with t . g = f
+    and t' . g = f2."""
     cat = rcls.category
     x, y = cat.src[f], cat.tgt[f]
     if cat.src[f2] != x or cat.tgt[f2] != y:
         return False
-    for v in cat.objects:
-        for r in cat.hom(v, x):
-            if r not in rcls:
-                continue
-            sections = [t for t in cat.hom(x, v) if cat.compose(t, r) == cat.ident[x]]
-            for g in cat.hom(v, y):
-                hits_f = [t for t in sections if cat.compose(t, g) == f]
-                hits_f2 = [t for t in sections if cat.compose(t, g) == f2]
-                if hits_f and hits_f2:
-                    return True
-    return False
+    return any(f in maps and f2 in maps for maps in _homotopy_sets(rcls, x, y))
 
 
 def r_homotopy_classes(rcls: MorphismClass, x, y) -> tuple:
     """Hom(x, y) modulo the equivalence generated by one-step homotopies."""
-    cat = rcls.category
-    homs = cat.hom(x, y)
-    linked = ((f, f2) for f in homs for f2 in homs
-              if idkey(f) < idkey(f2) and r_homotopic(rcls, f, f2))
+    homs = rcls.category.hom(x, y)
+    linked = ((f, maps[0]) for maps in _homotopy_sets(rcls, x, y) for f in maps)
     return tuple(sorted((tuple(sorted(c, key=idkey)) for c in partition(homs, linked)),
                         key=lambda c: idkey(c[0])))
 
@@ -218,30 +212,24 @@ class ZigzagReport:
         return self.injective and self.surjective
 
 
-def zigzag_check(rcls: MorphismClass, x, y) -> ZigzagReport:
-    """Compare Hom(x, y)/homotopy with the localized hom-set via f -> (id, f).
+def zigzag_check(rcls: MorphismClass, sclasses: SpanClasses) -> ZigzagReport:
+    """Compare Hom(x, y)/homotopy with the span classes from x to y via f -> (id, f).
 
     Requires every R-morphism into x to admit a section; raises
     :class:`HypothesisFails` with a sectionless witness otherwise.
     """
     cat = rcls.category
+    x, y = sclasses.source, sclasses.target
     for r in cat.morphisms_into(x):
         if r in rcls and not any(cat.compose(t, r) == cat.ident[x]
                                  for t in cat.hom(x, cat.src[r])):
             raise HypothesisFails(r)
     hclasses = r_homotopy_classes(rcls, x, y)
-    sclasses = span_pi0(rcls, x, y)
     image = [sclasses.class_index(Span(x, cat.ident[x], c[0])) for c in hclasses]
     injective = len(set(image)) == len(image)
     surjective = set(image) == set(range(len(sclasses)))
-    return ZigzagReport(
-        source=x,
-        target=y,
-        homotopy_class_count=len(hclasses),
-        span_class_count=len(sclasses),
-        injective=injective,
-        surjective=surjective,
-    )
+    return ZigzagReport(source=x, target=y, homotopy_class_count=len(hclasses),
+                        span_class_count=len(sclasses), injective=injective, surjective=surjective)
 
 
 def theta_span(rcls: MorphismClass, f, phi_x, phi_y) -> Span:

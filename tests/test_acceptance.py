@@ -152,8 +152,8 @@ def test_criterion_8_localization_laws():
     # zigzag on every instance whose hypothesis holds
     full = frozenset({0, 1})
     for x in poset.objects:
-        ok = ok and fs.zigzag_check(rid, x, full).bijective
-    ok = ok and fs.zigzag_check(rcyl, "X", "Y").bijective
+        ok = ok and fs.zigzag_check(rid, fs.span_pi0(rid, x, full)).bijective
+    ok = ok and fs.zigzag_check(rcyl, fs.span_pi0(rcyl, "X", "Y")).bijective
 
     # composition descends to classes, exhaustively on the poset zoo
     rall = all_morphisms_class(poset, oracle)

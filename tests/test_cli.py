@@ -702,6 +702,15 @@ def test_dispatch_returns_report(z2_file):
     assert report.exit_code() == 0
 
 
+def test_dispatch_writes_json_out_like_main(capsys, z2_file, tmp_path):
+    from finstack.cli import dispatch
+    via_main, via_dispatch = tmp_path / "main.json", tmp_path / "dispatch.json"
+    assert main(["validate", "--groupoid", z2_file, "--json-out", str(via_main)]) == 0
+    report = dispatch(["validate", "--groupoid", z2_file, "--json-out", str(via_dispatch)])
+    assert via_dispatch.read_text() == via_main.read_text() == report.to_json()
+    capsys.readouterr()
+
+
 def test_dispatch_usage_error(capsys):
     from finstack.cli import dispatch
     from finstack.errors import UsageError

@@ -72,6 +72,24 @@ def test_free_resolution_is_exact(g, cap):
         previous = columns
 
 
+def test_free_resolution_stops_at_unit_invariant_factors(monkeypatch):
+    """Full rank is not enough: the translates of a kernel vector can have full
+    rank and still span a sublattice of finite index.
+
+    For Z/3, ker d_0 has the Z-basis z1 = e0 + e1 - 2 e2, z2 = e2 - e0.  The
+    translates of z1 have rank 2, the rank of the kernel, but invariant factors
+    [1, 3]; only with z2 added do they span it.
+    """
+    import finstack.resolution
+    basis = [{0: 1, 1: 1, 2: -2}, {0: -1, 2: 1}]
+    monkeypatch.setattr(finstack.resolution, "kernel_columns", lambda columns: basis)
+    table = multiplication_table(fs.cyclic_groupoid(3))
+    assert invariant_factors(translated_columns(basis[:1], table)) == [1, 3]
+    images = free_resolution(table, 1)
+    assert images == [basis]
+    assert invariant_factors(translated_columns(images[0], table)) == [1, 1]
+
+
 def test_cyclic_resolutions_have_one_generator_per_degree():
     for m in range(2, 9):
         images = free_resolution(multiplication_table(fs.cyclic_groupoid(m)), 5)

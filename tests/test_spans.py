@@ -1,10 +1,16 @@
 from __future__ import annotations
 
+import importlib.util
+import sys
+from pathlib import Path
+
 import pytest
 
 import finstack as fs
 from finstack.errors import HypothesisFails, InvalidClass, OracleMissing
-from finstack.spans import all_spans, identity_span, well_defined_on_classes
+from finstack import jsonio
+from finstack.spans import all_spans, close_composition, identity_span, well_defined_on_classes
+import spans_oracle
 from support import all_morphisms_class, cylinder_category, subset_poset
 
 
@@ -147,14 +153,14 @@ def test_zigzag_identities_class():
     rid = fs.identities_class(cat)
     full = frozenset({0, 1})
     for x in cat.objects:
-        report = fs.zigzag_check(rid, x, full)
+        report = fs.zigzag_check(rid, fs.span_pi0(rid, x, full))
         assert report.bijective
         assert report.homotopy_class_count == len(cat.hom(x, full))
 
 
 def test_zigzag_cylinder_confirms_bijection():
     cat, rcls = cylinder_category()
-    report = fs.zigzag_check(rcls, "X", "Y")
+    report = fs.zigzag_check(rcls, fs.span_pi0(rcls, "X", "Y"))
     assert report.bijective
     assert report.homotopy_class_count == 1
     assert report.span_class_count == 1
@@ -164,7 +170,7 @@ def test_zigzag_hypothesis_failure():
     cat = fs.chain_category(1)
     rall = all_morphisms_class(cat)
     with pytest.raises(HypothesisFails):
-        fs.zigzag_check(rall, 1, 0)
+        fs.zigzag_check(rall, fs.span_pi0(rall, 1, 0))
 
 
 def test_theta_span_identity_case():
@@ -226,3 +232,55 @@ def test_theta_span_coherent_on_all_composable_pairs():
             composite = fs.compose_spans(rall, span_f, span_g)
             classes = fs.span_pi0(rall, cat.src[covers[x]], cat.src[covers[z]])
             assert classes.same_class(span_fg, composite)
+
+
+def load_bench_docs():
+    """``bench/docs.py`` builds plain-table documents and imports only the standard library."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "docs.py"
+    spec = importlib.util.spec_from_file_location("bench_docs", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up there
+    spec.loader.exec_module(module)
+    return module
+
+
+def oracle_zoo():
+    docs = load_bench_docs()
+    cases = [("poset2", subset_poset(2)[0]), ("poset3", subset_poset(3)[0])]
+    cases += [(f"cylinder{k}", jsonio.category_from_json(docs.cylinder(k, 2)[0])) for k in range(1, 6)]
+    cases += [("chain3", fs.chain_category(3)), ("chain1", fs.chain_category(1)),
+              ("cylinder-fixture", cylinder_category()[0]),
+              ("discrete", fs.discrete_category(["x", "y"]))]
+    return cases
+
+
+def generating_sets(cat):
+    """The identities, every morphism, and each single morphism."""
+    return [set(), set(cat.morphisms)] + [{m} for m in cat.morphisms]
+
+
+@pytest.mark.parametrize("cat", [pytest.param(cat, id=name) for name, cat in oracle_zoo()])
+def test_localization_matches_pairwise_oracle(cat):
+    """Span components from the arrows into each apex, R-homotopy from the
+    section sets of (r, g) and the composition closure equal the pairwise search."""
+    pairs = [{m, m2} for m in cat.morphisms for m2 in cat.morphisms]
+    for members in generating_sets(cat) + pairs:
+        assert close_composition(cat, members) == spans_oracle.close_composition(cat, members)
+    for members in generating_sets(cat):
+        rcls = fs.morphism_class(cat, members)
+        for x in cat.objects:
+            for y in cat.objects:
+                assert fs.span_pi0(rcls, x, y).classes == spans_oracle.span_pi0(rcls, x, y).classes
+                assert (fs.r_homotopy_classes(rcls, x, y)
+                        == spans_oracle.r_homotopy_classes(rcls, x, y))
+        for f in cat.morphisms:
+            for f2 in cat.morphisms:
+                assert fs.r_homotopic(rcls, f, f2) == spans_oracle.r_homotopic(rcls, f, f2)
+
+
+def test_close_composition_of_a_chain_of_generators():
+    """The covering relations of a chain generate every arrow, over several rounds."""
+    cat = fs.chain_category(5)
+    members = {(i, i + 1) for i in range(5)}
+    assert close_composition(cat, members) == spans_oracle.close_composition(cat, members)
+    assert close_composition(cat, members) == frozenset(cat.morphisms)
