@@ -62,7 +62,6 @@ from .torsor import (
     torsor_isomorphic,
     torsor_to_cocycle,
     validate_cocycle,
-    validate_torsor,
 )
 from .spans import (
     MorphismClass,

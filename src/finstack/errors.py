@@ -84,13 +84,6 @@ class C2Violation(FinstackError):
         super().__init__(f"C2 fails at w={w!r}, (i,j,k)=({i!r},{j!r},{k!r})")
 
 
-class TorsorViolation(FinstackError):
-    def __init__(self, law: str, witness: object):
-        self.law = law
-        self.witness = witness
-        super().__init__(f"torsor law {law} fails at {witness!r}")
-
-
 class InvalidClass(FinstackError):
     """The designated morphism class is not closed under the required operations."""
 

@@ -8,6 +8,10 @@ factors, and induced maps are tested on the Z-basis of the cycles that the
 same pass yields when it also tracks its unimodular column transform.  No
 dense matrix and no transform Smith normal form is built.  Arithmetic is
 arbitrary precision throughout.
+
+``lattice_reduce`` is not a second elimination: it grows a lattice one column
+at a time in echelon form and decides whether a column lies in it, and it
+computes no invariant factors.
 """
 
 from __future__ import annotations
@@ -133,6 +137,40 @@ def _reduce(columns, kernel: bool) -> tuple[list, list | None]:
             g = gcd(x, y)
             diagonal[a], diagonal[b] = g, x // g * y
     return [1] * ones + diagonal, None if v is None else list(v.values())
+
+
+def lattice_reduce(echelon: dict, z: dict, insert: bool = False) -> dict:
+    """Reduce the sparse column z in place against a lattice held in echelon form.
+
+    ``echelon`` maps each leading row (a column's largest row index) to the
+    one lattice column that leads there.  While the lattice column at z's
+    leading row divides z's entry there, z loses that multiple of it, so the
+    result is {} exactly when z lies in the lattice.  With ``insert`` z joins
+    the lattice and the result is {}: where the entry is not a multiple, the
+    remainder takes the lattice column's place and the old column is reduced
+    in turn, a Euclid step by column operations that leaves the span unchanged.
+    """
+    while z:
+        r = max(z)
+        col = echelon.get(r)
+        if col is None:
+            if insert:
+                echelon[r] = z
+                return {}
+            return z
+        q = z[r] // col[r]
+        if q:
+            for k, a in col.items():
+                b = z.get(k, 0) - q * a
+                if b:
+                    z[k] = b
+                else:
+                    del z[k]
+        if r in z:
+            if not insert:
+                return z
+            echelon[r], z = z, col
+    return z
 
 
 def invariant_factors(columns) -> list:

@@ -4,10 +4,10 @@ The nerve of a finite groupoid is homotopy equivalent to the disjoint union
 of the B Aut(x), one object x per component (Segal, *Classifying spaces and
 spectral sequences*, IHES 1968), and H_n(B G) = H_n(F (x)_ZG Z) for any free
 resolution F of Z over ZG (Brown, *Cohomology of Groups*, 1982, ch. I).
-Each F is built degree by degree with the one sparse elimination of
-:mod:`finstack.homology`, following Ellis, *Computing group resolutions*,
-JSC 2004.  F_n = ZG^{r_n} has r_n cells after tensoring with Z, against the
-(|G| - 1)^n of the normalized bar complex.
+Each F is built degree by degree with the sparse elimination and the
+lattice membership test of :mod:`finstack.homology`, following Ellis,
+*Computing group resolutions*, JSC 2004.  F_n = ZG^{r_n} has r_n cells
+after tensoring with Z, against the (|G| - 1)^n of the normalized bar complex.
 
 An element of F_n is a sparse column {i * |G| + h: coefficient}, the sum of
 the coefficients times h . e_i over the ZG-generators e_i and group elements h.
@@ -16,18 +16,13 @@ the coefficients times h . e_i over the ZG-generators e_i and group elements h.
 from __future__ import annotations
 
 from .groupoid import FiniteGroupoid, pi0
-from .homology import ChainComplex, invariant_factors, kernel_columns
+from .homology import ChainComplex, kernel_columns, lattice_reduce
 
 
 def _translates(z: dict, table: list) -> list:
     """The columns g . z for every group element g, in element order."""
     m = len(table)
     return [{k - k % m + row[k % m]: c for k, c in z.items()} for row in table]
-
-
-def _spans(factors: list, rank: int) -> bool:
-    """Whether columns with these invariant factors span a saturated lattice of this rank."""
-    return len(factors) == rank and all(d == 1 for d in factors)
 
 
 def free_resolution(table: list, cap: int) -> list:
@@ -38,29 +33,24 @@ def free_resolution(table: list, cap: int) -> list:
     F_{n-1} of the generators of F_n, for n = 1..cap; d_0 is the augmentation.
 
     Degree n takes a Z-basis of ker d_{n-1} and keeps a basis vector as a
-    generator when its translates change the invariant factors of the columns
-    kept so far, that is, when they enlarge their span.  ker d_{n-1} is
-    saturated, so the span is the kernel once the columns have only unit
-    invariant factors, rank ker d_{n-1} of them.  The basis always gets there,
-    because the translates by the identity are the basis itself.
+    generator when it is not in the span L of the translates kept so far, and
+    then adds its translates to L.  L is a ZG-submodule, so a vector outside
+    it is exactly one whose translates enlarge it.  Once the whole basis has
+    been seen, L is ker d_{n-1}, because the translates by the identity are
+    the basis itself.
     """
     boundary = [{0: 1} for _ in table]
     images = []
-    for n in range(1, cap + 1):
-        kernel = kernel_columns(boundary)
-        chosen, columns, factors = [], [], []
-        for z in kernel:
-            if _spans(factors, len(kernel)):
-                break
-            trial = columns + _translates(z, table)
-            trial_factors = invariant_factors(trial)
-            if trial_factors != factors:
+    for _ in range(cap):
+        echelon: dict = {}
+        chosen = []
+        for z in kernel_columns(boundary):
+            if lattice_reduce(echelon, dict(z)):
                 chosen.append(z)
-                columns, factors = trial, trial_factors
-        if not _spans(factors, len(kernel)):
-            raise RuntimeError(f"the translates of a basis of ker d_{n - 1} do not span it")
+                for y in _translates(z, table):
+                    lattice_reduce(echelon, y, insert=True)
         images.append(chosen)
-        boundary = columns
+        boundary = [y for z in chosen for y in _translates(z, table)]
     return images
 
 

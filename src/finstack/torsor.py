@@ -14,7 +14,6 @@ from .errors import (
     C2Violation,
     DanglingId,
     MismatchedTarget,
-    TorsorViolation,
 )
 from .category import idkey, partition, sorted_ids
 from .groupoid import FiniteGroupoid
@@ -112,37 +111,6 @@ class Torsor:
 
     def fiber(self, w) -> tuple:
         return tuple(t for t in self.elements if self.p[t] == w)
-
-
-def validate_torsor(t: Torsor) -> Torsor:
-    """Exhaustively check section, pairing, and cartesianness laws."""
-    g = t.target
-    for i, table in t.sections.items():
-        if set(table) != set(t.cov.cover[i]):
-            raise TorsorViolation("section-domain", i)
-        for w, u in table.items():
-            if t.p[u] != w:
-                raise TorsorViolation("section", (i, w))
-    fibers = {w: t.fiber(w) for w in t.cov.points}
-    expected_pairs = {(u, v) for fiber in fibers.values() for u in fiber for v in fiber}
-    if set(t.delta) != expected_pairs:
-        raise TorsorViolation("pairing-domain", set(t.delta) ^ expected_pairs)
-    for (u, v), arrow in t.delta.items():
-        if g.src[arrow] != t.f[u] or g.tgt[arrow] != t.f[v]:
-            raise TorsorViolation("pairing-endpoints", (u, v))
-    for fiber in fibers.values():
-        for u in fiber:
-            if t.delta[(u, u)] != g.ident[t.f[u]]:
-                raise TorsorViolation("pairing-unit", u)
-            for v in fiber:
-                for w2 in fiber:
-                    if g.compose(t.delta[(u, v)], t.delta[(v, w2)]) != t.delta[(u, w2)]:
-                        raise TorsorViolation("pairing-composition", (u, v, w2))
-            for rho in g.morphisms_from(t.f[u]):
-                matches = [v for v in fiber if t.delta[(u, v)] == rho]
-                if len(matches) != 1:
-                    raise TorsorViolation("cartesianness", (u, rho, matches))
-    return t
 
 
 def cocycle_to_torsor(c: Cocycle) -> Torsor:

@@ -5,6 +5,9 @@ chart pair (i, k) and every point w of their overlap, and keeps a candidate
 only if it passes the M1/M2 check; it is exponential in the number of slots.
 ``search_torsor_isomorphism`` tries every image of the first element of each
 fiber and checks the induced bijection against f and the pairing.
+``validate_torsor`` checks the torsor laws exhaustively; the torsors of
+:mod:`finstack.torsor` are glued from validated cocycles and are correct by
+construction, so the check lives here.
 """
 
 from __future__ import annotations
@@ -23,12 +26,52 @@ class SearchBudgetExceeded(Exception):
     """An oracle search tried more candidates than its budget allows."""
 
 
+class TorsorViolation(Exception):
+    """A torsor law fails; ``witness`` names where."""
+
+    def __init__(self, law: str, witness: object):
+        self.law = law
+        self.witness = witness
+        super().__init__(f"torsor law {law} fails at {witness!r}")
+
+
 def search_space(c: Cocycle, c2: Cocycle) -> int:
     """Number of assignments the search ranges over."""
     g = c.target
     return math.prod(len(g.hom(c.a[i][w], c2.a[k][w]))
                      for i in c.cov.indices() for k in c2.cov.indices()
                      for w in set(c.cov.cover[i]) & set(c2.cov.cover[k]))
+
+
+def validate_torsor(t: Torsor) -> Torsor:
+    """Exhaustively check section, pairing, and cartesianness laws."""
+    g = t.target
+    for i, table in t.sections.items():
+        if set(table) != set(t.cov.cover[i]):
+            raise TorsorViolation("section-domain", i)
+        for w, u in table.items():
+            if t.p[u] != w:
+                raise TorsorViolation("section", (i, w))
+    fibers = {w: t.fiber(w) for w in t.cov.points}
+    expected_pairs = {(u, v) for fiber in fibers.values() for u in fiber for v in fiber}
+    if set(t.delta) != expected_pairs:
+        raise TorsorViolation("pairing-domain", set(t.delta) ^ expected_pairs)
+    for (u, v), arrow in t.delta.items():
+        if g.src[arrow] != t.f[u] or g.tgt[arrow] != t.f[v]:
+            raise TorsorViolation("pairing-endpoints", (u, v))
+    for fiber in fibers.values():
+        for u in fiber:
+            if t.delta[(u, u)] != g.ident[t.f[u]]:
+                raise TorsorViolation("pairing-unit", u)
+            for v in fiber:
+                for w2 in fiber:
+                    if g.compose(t.delta[(u, v)], t.delta[(v, w2)]) != t.delta[(u, w2)]:
+                        raise TorsorViolation("pairing-composition", (u, v, w2))
+            for rho in g.morphisms_from(t.f[u]):
+                matches = [v for v in fiber if t.delta[(u, v)] == rho]
+                if len(matches) != 1:
+                    raise TorsorViolation("cartesianness", (u, rho, matches))
+    return t
 
 
 def search_cocycle_morphism(c: Cocycle, c2: Cocycle,

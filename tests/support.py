@@ -26,6 +26,29 @@ def dihedral4():
     return fs.groupoid_from_group(elements, mult, (0, 0))
 
 
+def quaternion8():
+    """The quaternion group of order 8 as pairs (sign, unit) with unit in 1, i, j, k."""
+    units = {("1", u): (1, u) for u in "1ijk"}
+    units.update({(u, "1"): (1, u) for u in "1ijk"})
+    units.update({(u, u): (-1, "1") for u in "ijk"})
+    for a, b, c in ("ijk", "jki", "kij"):
+        units[(a, b)], units[(b, a)] = (1, c), (-1, c)
+    elements = [(s, u) for s in (1, -1) for u in "1ijk"]
+    mult = {}
+    for s, u in elements:
+        for t, v in elements:
+            sign, w = units[(u, v)]
+            mult[((s, u), (t, v))] = (s * t * sign, w)
+    return fs.groupoid_from_group(elements, mult, (1, "1"))
+
+
+def elementary_abelian8():
+    """(Z/2)^3 as bit triples under coordinatewise addition."""
+    elements = [(a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1)]
+    mult = {(x, y): tuple(p ^ q for p, q in zip(x, y)) for x in elements for y in elements}
+    return fs.groupoid_from_group(elements, mult, (0, 0, 0))
+
+
 def pair2():
     return fs.pair_groupoid([1, 2])
 

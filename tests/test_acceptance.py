@@ -14,6 +14,7 @@ import finstack.jsonio as jio
 from finstack.cli import main
 from finstack.errors import NotFComplete
 from bar_oracle import bar_homology
+from descent_oracle import validate_torsor
 from milnor_oracle import orbit_quotient
 from support import (
     all_morphisms_class,
@@ -120,7 +121,7 @@ def test_criterion_6_torsor_round_trip():
     ok = ok and all(len(c.cov.points) <= 4 and len(c.cov.indices()) <= 3
                     for _, c in instances)
     for name, c in instances:
-        torsor = fs.validate_torsor(fs.cocycle_to_torsor(c))
+        torsor = validate_torsor(fs.cocycle_to_torsor(c))
         back = fs.torsor_to_cocycle(torsor)
         ok = ok and fs.find_cocycle_morphism(c, back) is not None
         ok = ok and fs.find_cocycle_morphism(back, c) is not None

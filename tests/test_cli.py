@@ -139,9 +139,16 @@ def test_homology_builds_resolution_chains(capsys, tmp_path, monkeypatch):
     (s3(), 11, "H_10 = 0"),
     (dihedral4(), 7, "H_6 = Z/2 (+) Z/2 (+) Z/2"),
     (fs.symmetric_groupoid(4), 5, "H_4 = Z/2"),
-], ids=["S3", "D4", "S4"])
+    (fs.symmetric_groupoid(4), 6, "H_5 = Z/2 (+) Z/2 (+) Z/2"),
+    (fs.symmetric_groupoid(4), 10, "H_9 = Z/2 (+) Z/2 (+) Z/2 (+) Z/2"),
+    (fs.symmetric_groupoid(5), 6, "H_5 = Z/2 (+) Z/2 (+) Z/2"),
+], ids=["S3", "D4", "S4", "S4-H5", "S4-H9", "S5-H5"])
 def test_homology_reaches_high_degrees(capsys, tmp_path, g, dim, line):
-    """Degrees the bar complex could not reach: (|G| - 1)^n cells against a few per degree."""
+    """Degrees the bar complex could not reach: (|G| - 1)^n cells against a few per degree.
+
+    S4 H_5 is what the invariant-factor greedy also gave; S4 H_9 and S5 H_5
+    are reached because the resolution tests lattice membership.
+    """
     path = tmp_path / "g.json"
     path.write_text(json.dumps(jio.groupoid_to_json(g)))
     code, out = run_cli(capsys, ["homology", "--groupoid", str(path), "--dim", str(dim),

@@ -11,7 +11,7 @@ import finstack as fs
 import finstack.jsonio as jio
 from finstack.cli import main
 from finstack.errors import InsufficientTruncation
-from finstack.homology import ChainComplex, invariant_factors, kernel_columns
+from finstack.homology import ChainComplex, invariant_factors, kernel_columns, lattice_reduce
 from bar_oracle import bar_homology, snf_nonzero_diagonal
 from snf_oracle import (
     boundary_matrix,
@@ -132,6 +132,21 @@ def test_kernel_columns_are_a_basis_of_the_kernel(m):
         assert mat_mul(theirs, solve_columns(theirs, ours)) == ours
     else:
         assert not theirs or not theirs[0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(sparse_matrices(), sparse_matrices(UNIT_FREE_ENTRIES)))
+def test_lattice_membership_matches_invariant_factors(m):
+    """A column lies in the span of the columns before it exactly when adding it
+    leaves their invariant factors unchanged, and inserting keeps the span."""
+    columns = sparse_columns(m)
+    echelon: dict = {}
+    for j, z in enumerate(columns):
+        inside = not lattice_reduce(echelon, dict(z))
+        assert inside == (invariant_factors(columns[:j + 1]) == invariant_factors(columns[:j]))
+        assert lattice_reduce(echelon, dict(z), insert=True) == {}
+        assert not lattice_reduce(echelon, dict(z))
+        assert invariant_factors(list(echelon.values())) == invariant_factors(columns[:j + 1])
 
 
 def test_kernel_columns_hand_values():

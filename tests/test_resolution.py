@@ -6,7 +6,16 @@ import finstack as fs
 from finstack.errors import InsufficientTruncation
 from finstack.homology import invariant_factors
 from finstack.resolution import free_resolution
-from support import apply_columns, dihedral4, groupoid_zoo, s3, weak_equivalence_zoo
+from resolution_oracle import free_resolution as oracle_free_resolution
+from support import (
+    apply_columns,
+    dihedral4,
+    elementary_abelian8,
+    groupoid_zoo,
+    quaternion8,
+    s3,
+    weak_equivalence_zoo,
+)
 
 
 def oracle_zoo():
@@ -88,6 +97,29 @@ def test_free_resolution_stops_at_unit_invariant_factors(monkeypatch):
     images = free_resolution(table, 1)
     assert images == [basis]
     assert invariant_factors(translated_columns(images[0], table)) == [1, 1]
+
+
+def vertex_tables(g):
+    """The multiplication table of Aut(x) for the first object x of each component."""
+    for component in fs.pi0(g):
+        aut = g.hom(component[0], component[0])
+        index = {a: i for i, a in enumerate(aut)}
+        yield [[index[g.compose(a, b)] for b in aut] for a in aut]
+
+
+def oracle_groups():
+    cases = [(f"{name}-{i}", table, 6)
+             for name, g in groupoid_zoo() for i, table in enumerate(vertex_tables(g))]
+    cases += [(name, multiplication_table(g), cap) for name, g, cap in [
+        ("D4", dihedral4(), 6), ("Q8", quaternion8(), 6), ("Z2^3", elementary_abelian8(), 6),
+        ("S3", s3(), 8), ("S4", fs.symmetric_groupoid(4), 5)]]
+    return cases
+
+
+@pytest.mark.parametrize("table,cap", [pytest.param(t, cap, id=name) for name, t, cap in oracle_groups()])
+def test_free_resolution_matches_invariant_factor_oracle(table, cap):
+    """Lattice membership keeps exactly the generators the invariant-factor greedy keeps."""
+    assert free_resolution(table, cap) == oracle_free_resolution(table, cap)
 
 
 def test_cyclic_resolutions_have_one_generator_per_degree():

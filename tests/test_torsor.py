@@ -5,14 +5,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import finstack as fs
-from descent_oracle import search_cocycle_morphism, search_space, search_torsor_isomorphism
+from descent_oracle import (
+    TorsorViolation,
+    search_cocycle_morphism,
+    search_space,
+    search_torsor_isomorphism,
+    validate_torsor,
+)
 from finstack.errors import (
     AxiomViolation,
     C1Violation,
     C2Violation,
     DanglingId,
     MismatchedTarget,
-    TorsorViolation,
 )
 from support import cocycle_zoo, gauge_cocycle, pair2, pt, s3, z2, z3
 
@@ -94,7 +99,7 @@ def test_trivial_cover_torsor_is_product():
 def test_twist_torsor_size_and_cartesianness():
     t = fs.cocycle_to_torsor(twist_cocycle())
     assert len(t.elements) == 2
-    fs.validate_torsor(t)
+    validate_torsor(t)
 
 
 def test_empty_base_torsor():
@@ -132,7 +137,7 @@ def assert_constructions_validate(c):
     """Oracle: gluing a torsor and reading its cocycle back, both built without
     validation, pass the exhaustive validators unchanged."""
     t = fs.cocycle_to_torsor(c)
-    assert fs.validate_torsor(t) is t
+    assert validate_torsor(t) is t
     back = fs.torsor_to_cocycle(t)
     assert fs.validate_cocycle(back.cov, back.target, back.a, back.gamma) == back
 
@@ -150,7 +155,7 @@ def test_corrupted_pairing_caught():
     broken = fs.Torsor(cov=t.cov, target=t.target, elements=t.elements,
                        p=t.p, f=t.f, delta=bad_delta, sections=t.sections)
     with pytest.raises(TorsorViolation):
-        fs.validate_torsor(broken)
+        validate_torsor(broken)
 
 
 def test_point_cocycles_over_group_are_all_equivalent():
