@@ -9,8 +9,8 @@ same pass yields when it also tracks its unimodular column transform.  No
 dense matrix and no transform Smith normal form is built.  Arithmetic is
 arbitrary precision throughout.
 
-``lattice_reduce`` is not a second elimination: it grows a lattice one column
-at a time in echelon form and decides whether a column lies in it, and it
+``lattice_insert`` is not a second elimination: it grows a lattice one column
+at a time in echelon form and tells whether a column enlarged it, and it
 computes no invariant factors.
 """
 
@@ -139,25 +139,25 @@ def _reduce(columns, kernel: bool) -> tuple[list, list | None]:
     return [1] * ones + diagonal, None if v is None else list(v.values())
 
 
-def lattice_reduce(echelon: dict, z: dict, insert: bool = False) -> dict:
-    """Reduce the sparse column z in place against a lattice held in echelon form.
+def lattice_insert(echelon: dict, z: dict) -> bool:
+    """Insert the sparse column z into a lattice L held in echelon form; True when L grew.
 
     ``echelon`` maps each leading row (a column's largest row index) to the
-    one lattice column that leads there.  While the lattice column at z's
-    leading row divides z's entry there, z loses that multiple of it, so the
-    result is {} exactly when z lies in the lattice.  With ``insert`` z joins
-    the lattice and the result is {}: where the entry is not a multiple, the
-    remainder takes the lattice column's place and the old column is reduced
-    in turn, a Euclid step by column operations that leaves the span unchanged.
+    one lattice column that leads there; z is used up.  While the lattice
+    column at z's leading row divides z's entry there, z loses that multiple
+    of it.  Where it does not, the remainder takes the lattice column's place
+    and the old column is reduced in turn, a Euclid step by column operations
+    that leaves the span unchanged; where no column leads, z joins the lattice.
+    The leading rows are distinct, so a member of L reduces to {} by exact
+    division at every leading row and leaves L unchanged.
     """
+    grew = False
     while z:
         r = max(z)
         col = echelon.get(r)
         if col is None:
-            if insert:
-                echelon[r] = z
-                return {}
-            return z
+            echelon[r] = z
+            return True
         q = z[r] // col[r]
         if q:
             for k, a in col.items():
@@ -167,10 +167,9 @@ def lattice_reduce(echelon: dict, z: dict, insert: bool = False) -> dict:
                 else:
                     del z[k]
         if r in z:
-            if not insert:
-                return z
             echelon[r], z = z, col
-    return z
+            grew = True
+    return grew
 
 
 def invariant_factors(columns) -> list:

@@ -16,7 +16,7 @@ the coefficients times h . e_i over the ZG-generators e_i and group elements h.
 from __future__ import annotations
 
 from .groupoid import FiniteGroupoid, pi0
-from .homology import ChainComplex, kernel_columns, lattice_reduce
+from .homology import ChainComplex, kernel_columns, lattice_insert
 
 
 def _translates(z: dict, table: list) -> list:
@@ -33,11 +33,11 @@ def free_resolution(table: list, cap: int) -> list:
     F_{n-1} of the generators of F_n, for n = 1..cap; d_0 is the augmentation.
 
     Degree n takes a Z-basis of ker d_{n-1} and keeps a basis vector as a
-    generator when it is not in the span L of the translates kept so far, and
-    then adds its translates to L.  L is a ZG-submodule, so a vector outside
-    it is exactly one whose translates enlarge it.  Once the whole basis has
-    been seen, L is ker d_{n-1}, because the translates by the identity are
-    the basis itself.
+    generator when inserting it grows the span L of the translates kept so
+    far, and then adds its translates to L.  L is a ZG-submodule, so a vector
+    outside it is exactly one whose translates enlarge it.  Once the whole
+    basis has been seen, L is ker d_{n-1}, because the translates by the
+    identity are the basis itself.
     """
     boundary = [{0: 1} for _ in table]
     images = []
@@ -45,10 +45,10 @@ def free_resolution(table: list, cap: int) -> list:
         echelon: dict = {}
         chosen = []
         for z in kernel_columns(boundary):
-            if lattice_reduce(echelon, dict(z)):
+            if lattice_insert(echelon, dict(z)):
                 chosen.append(z)
                 for y in _translates(z, table):
-                    lattice_reduce(echelon, y, insert=True)
+                    lattice_insert(echelon, y)
         images.append(chosen)
         boundary = [y for z in chosen for y in _translates(z, table)]
     return images

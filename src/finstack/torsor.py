@@ -15,7 +15,7 @@ from .errors import (
     DanglingId,
     MismatchedTarget,
 )
-from .category import idkey, partition, sorted_ids
+from .category import sorted_ids
 from .groupoid import FiniteGroupoid
 
 
@@ -41,6 +41,8 @@ class CoveredSpace:
 def covered_space(points, cover: dict) -> CoveredSpace:
     points = sorted_ids(points)
     point_set = set(points)
+    if len(point_set) != len(points):
+        raise AxiomViolation("distinct-points", next(w for w in points if points.count(w) > 1))
     fixed = {}
     for i, part in cover.items():
         part = frozenset(part)
@@ -117,40 +119,30 @@ def cocycle_to_torsor(c: Cocycle) -> Torsor:
     """Glue the chart pieces U_i x_{a_i} R along the transition arrows.
 
     Chart points (i, w, alpha) with src(alpha) = a_i(w) are identified when
-    alpha = gamma_ij(w) . beta; the pairing of two classes compares their
-    arrows inside any common chart.  The result satisfies every torsor law by
-    construction from a valid cocycle, so it is not validated again.
+    alpha = gamma_ij(w) . beta.  Let i0 be the first chart containing w.  By
+    C2 the class of (i0, w, alpha) is {(j, w, inv(gamma_{i0 j}(w)) . alpha) :
+    w in U_j}, which meets chart i0 in alpha alone, so the fiber over w is read
+    off chart i0, and the section of chart i at w, the class of the identity
+    of a_i(w), is (i0, w, gamma_{i0 i}(w)).  The result satisfies every torsor
+    law by construction from a valid cocycle, so it is not validated again.
     """
     g = c.target
     indices = c.cov.indices()
-    chart_points = [(i, w, alpha)
-                    for i in indices
-                    for w in sorted_ids(c.cov.cover[i])
-                    for alpha in g.morphisms_from(c.a[i][w])]
-    glued = (((i, w, alpha), (j, w, g.compose(g.inv[c.gamma[(i, j)][w]], alpha)))
-             for i, w, alpha in chart_points for j in indices if w in c.cov.cover[j])
-    rep_of = {}
-    chart_arrow = {}
-    for pts in partition(chart_points, glued):
-        rep = min(pts, key=idkey)
-        for i, w, alpha in pts:
-            rep_of[(i, w, alpha)] = rep
-            chart_arrow[(rep, i)] = alpha
-    elements = sorted_ids(set(rep_of.values()))
-
-    p = {rep: rep[1] for rep in elements}
-    f = {rep: g.tgt[chart_arrow[(rep, rep[0])]] for rep in elements}
+    sections: dict = {i: {} for i in indices}
     delta = {}
+    elements = []
     for w in c.cov.points:
-        fiber = [rep for rep in elements if p[rep] == w]
-        for u in fiber:
-            i = u[0]
-            for v in fiber:
-                delta[(u, v)] = g.compose(g.inv[chart_arrow[(u, i)]], chart_arrow[(v, i)])
-    sections = {i: {w: rep_of[(i, w, g.ident[c.a[i][w]])] for w in c.cov.cover[i]}
-                for i in indices}
+        charts = [i for i in indices if w in c.cov.cover[i]]
+        i0 = charts[0]
+        fiber = sorted_ids((i0, w, alpha) for alpha in g.morphisms_from(c.a[i0][w]))
+        delta.update(((u, v), g.compose(g.inv[u[2]], v[2])) for u in fiber for v in fiber)
+        for i in charts:
+            sections[i][w] = (i0, w, c.gamma[(i0, i)][w])
+        elements += fiber
+    elements = sorted_ids(elements)
     return Torsor(cov=c.cov, target=g, elements=elements,
-                  p=p, f=f, delta=delta, sections=sections)
+                  p={u: u[1] for u in elements}, f={u: g.tgt[u[2]] for u in elements},
+                  delta=delta, sections=sections)
 
 
 def torsor_to_cocycle(t: Torsor) -> Cocycle:

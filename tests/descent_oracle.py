@@ -7,7 +7,9 @@ only if it passes the M1/M2 check; it is exponential in the number of slots.
 fiber and checks the induced bijection against f and the pairing.
 ``validate_torsor`` checks the torsor laws exhaustively; the torsors of
 :mod:`finstack.torsor` are glued from validated cocycles and are correct by
-construction, so the check lives here.
+construction, so the check lives here.  ``glue_torsor`` glues the chart
+points with a union-find and names each class by its least member, which
+:func:`finstack.torsor.cocycle_to_torsor` reads off the first chart instead.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 
-from finstack.category import sorted_ids
+from finstack.category import idkey, partition, sorted_ids
 from finstack.errors import MismatchedTarget
 from finstack.torsor import Cocycle, CocycleMorphism, Torsor, check_cocycle_morphism
 
@@ -72,6 +74,46 @@ def validate_torsor(t: Torsor) -> Torsor:
                 if len(matches) != 1:
                     raise TorsorViolation("cartesianness", (u, rho, matches))
     return t
+
+
+def glue_torsor(c: Cocycle) -> Torsor:
+    """Glue the chart pieces U_i x_{a_i} R along the transition arrows.
+
+    Chart points (i, w, alpha) with src(alpha) = a_i(w) are identified when
+    alpha = gamma_ij(w) . beta; the pairing of two classes compares their
+    arrows inside any common chart.  The result satisfies every torsor law by
+    construction from a valid cocycle, so it is not validated again.
+    """
+    g = c.target
+    indices = c.cov.indices()
+    chart_points = [(i, w, alpha)
+                    for i in indices
+                    for w in sorted_ids(c.cov.cover[i])
+                    for alpha in g.morphisms_from(c.a[i][w])]
+    glued = (((i, w, alpha), (j, w, g.compose(g.inv[c.gamma[(i, j)][w]], alpha)))
+             for i, w, alpha in chart_points for j in indices if w in c.cov.cover[j])
+    rep_of = {}
+    chart_arrow = {}
+    for pts in partition(chart_points, glued):
+        rep = min(pts, key=idkey)
+        for i, w, alpha in pts:
+            rep_of[(i, w, alpha)] = rep
+            chart_arrow[(rep, i)] = alpha
+    elements = sorted_ids(set(rep_of.values()))
+
+    p = {rep: rep[1] for rep in elements}
+    f = {rep: g.tgt[chart_arrow[(rep, rep[0])]] for rep in elements}
+    delta = {}
+    for w in c.cov.points:
+        fiber = [rep for rep in elements if p[rep] == w]
+        for u in fiber:
+            i = u[0]
+            for v in fiber:
+                delta[(u, v)] = g.compose(g.inv[chart_arrow[(u, i)]], chart_arrow[(v, i)])
+    sections = {i: {w: rep_of[(i, w, g.ident[c.a[i][w]])] for w in c.cov.cover[i]}
+                for i in indices}
+    return Torsor(cov=c.cov, target=g, elements=elements,
+                  p=p, f=f, delta=delta, sections=sections)
 
 
 def search_cocycle_morphism(c: Cocycle, c2: Cocycle,

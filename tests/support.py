@@ -2,8 +2,27 @@
 
 from __future__ import annotations
 
+import importlib.util
+import sys
+from pathlib import Path
+
 import finstack as fs
 from finstack.category import sorted_ids, validate_category
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def load_jobs():
+    """The benchmark's job generators, ``bench/jobs.py``, as a module."""
+    sys.path.insert(0, str(BENCH))  # jobs.py imports its sibling docs.py
+    try:
+        spec = importlib.util.spec_from_file_location("bench_jobs", BENCH / "jobs.py")
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[spec.name] = module  # dataclasses look their module up there
+        spec.loader.exec_module(module)
+    finally:
+        sys.path.remove(str(BENCH))
+    return module
 
 
 def z2():

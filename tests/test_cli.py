@@ -335,6 +335,23 @@ def test_torsor_compare(capsys, tmp_path, z2_file):
     assert "[PASS] morphism-iff-isomorphic" in out
 
 
+def test_torsor_repeated_base_point_exit_2(capsys, tmp_path, z2_file):
+    doc = {"W": ["w", "w"], "cover": {"0": ["w"]}, "a": {"0": {"w": "*"}},
+           "gamma": {"0,0": {"w": "0"}}}
+    p1 = tmp_path / "repeated.json"
+    p2 = tmp_path / "once.json"
+    p1.write_text(json.dumps(doc))
+    p2.write_text(json.dumps(dict(doc, W=["w"])))
+    for argv in (["build", "--cocycle", str(p1)],
+                 ["compare", "--cocycle", str(p1), "--cocycle2", str(p2)],
+                 ["compare", "--cocycle", str(p2), "--cocycle2", str(p1)]):
+        assert main(["torsor", argv[0], "--groupoid", z2_file, *argv[1:]]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == ["error: axiom distinct-points fails at 'w'"]
+        assert captured.out == ""
+    assert main(["torsor", "build", "--groupoid", z2_file, "--cocycle", str(p2)]) == 0
+
+
 def test_localize_and_zigzag(capsys, tmp_path):
     cat_doc = {
         "objects": ["0", "1"],
@@ -779,6 +796,31 @@ def test_localize_list_id_exit_2(capsys, tmp_path, objects, members):
     rpath.write_text(json.dumps({"members": members}))
     assert_input_error(capsys, ["localize", "--cat", str(cpath), "--class", str(rpath),
                                 "--from", "0", "--to", "0"])
+
+
+def test_groupoid_comp_repeated_pair_exit_2(capsys, tmp_path, z2_file):
+    doc = jio.groupoid_to_json(z2())
+    assert ["1", "1", "0"] in doc["comp"]
+    doc["comp"].insert(0, ["1", "1", "1"])
+    path = tmp_path / "repeated-comp.json"
+    path.write_text(json.dumps(doc))
+    assert main(["homology", "--groupoid", str(path), "--dim", "3"]) == 2
+    assert capsys.readouterr().err.splitlines() == ["error: comp repeats the pair ['1', '1']"]
+    assert main(["homology", "--groupoid", z2_file, "--dim", "3"]) == 0
+
+
+def test_category_comp_repeated_pair_exit_2(capsys, tmp_path):
+    cat_doc = {"objects": ["0"], "morphisms": [{"id": "i0", "src": "0", "tgt": "0"}],
+               "comp": [["i0", "i0", "i0"], ["i0", "i0", "i0"]], "id": {"0": "i0"}}
+    cpath = tmp_path / "cat.json"
+    rpath = tmp_path / "cls.json"
+    cpath.write_text(json.dumps(cat_doc))
+    rpath.write_text(json.dumps({"members": ["i0"]}))
+    argv = ["localize", "--cat", str(cpath), "--class", str(rpath), "--from", "0", "--to", "0"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.splitlines() == ["error: comp repeats the pair ['i0', 'i0']"]
+    cpath.write_text(json.dumps(dict(cat_doc, comp=[["i0", "i0", "i0"]])))
+    assert main(argv) == 0
 
 
 def test_parser_built_once():

@@ -11,11 +11,9 @@ from __future__ import annotations
 
 import contextlib
 import copy
-import importlib.util
 import io
 import json
 import re
-import sys
 import tempfile
 from pathlib import Path
 
@@ -24,20 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from finstack.cli import main
-
-BENCH = Path(__file__).resolve().parent.parent / "bench"
-
-
-def load_jobs():
-    sys.path.insert(0, str(BENCH))  # jobs.py imports its sibling docs.py
-    try:
-        spec = importlib.util.spec_from_file_location("bench_jobs", BENCH / "jobs.py")
-        module = importlib.util.module_from_spec(spec)
-        sys.modules[spec.name] = module  # dataclasses look their module up there
-        spec.loader.exec_module(module)
-    finally:
-        sys.path.remove(str(BENCH))
-    return module
+from support import load_jobs
 
 
 def smallest_jobs() -> dict:

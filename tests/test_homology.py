@@ -11,7 +11,7 @@ import finstack as fs
 import finstack.jsonio as jio
 from finstack.cli import main
 from finstack.errors import InsufficientTruncation
-from finstack.homology import ChainComplex, invariant_factors, kernel_columns, lattice_reduce
+from finstack.homology import ChainComplex, invariant_factors, kernel_columns, lattice_insert
 from bar_oracle import bar_homology, snf_nonzero_diagonal
 from snf_oracle import (
     boundary_matrix,
@@ -137,15 +137,17 @@ def test_kernel_columns_are_a_basis_of_the_kernel(m):
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(sparse_matrices(), sparse_matrices(UNIT_FREE_ENTRIES)))
 def test_lattice_membership_matches_invariant_factors(m):
-    """A column lies in the span of the columns before it exactly when adding it
-    leaves their invariant factors unchanged, and inserting keeps the span."""
+    """Inserting a column grows the span of the columns before it exactly when
+    adding it changes their invariant factors; the lattice then spans both, and
+    inserting a member leaves it unchanged."""
     columns = sparse_columns(m)
     echelon: dict = {}
     for j, z in enumerate(columns):
-        inside = not lattice_reduce(echelon, dict(z))
-        assert inside == (invariant_factors(columns[:j + 1]) == invariant_factors(columns[:j]))
-        assert lattice_reduce(echelon, dict(z), insert=True) == {}
-        assert not lattice_reduce(echelon, dict(z))
+        grew = lattice_insert(echelon, dict(z))
+        assert grew == (invariant_factors(columns[:j + 1]) != invariant_factors(columns[:j]))
+        before = {r: dict(col) for r, col in echelon.items()}
+        assert not lattice_insert(echelon, dict(z))
+        assert echelon == before
         assert invariant_factors(list(echelon.values())) == invariant_factors(columns[:j + 1])
 
 

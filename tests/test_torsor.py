@@ -5,8 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import finstack as fs
+import finstack.jsonio as jio
 from descent_oracle import (
     TorsorViolation,
+    glue_torsor,
     search_cocycle_morphism,
     search_space,
     search_torsor_isomorphism,
@@ -19,7 +21,7 @@ from finstack.errors import (
     DanglingId,
     MismatchedTarget,
 )
-from support import cocycle_zoo, gauge_cocycle, pair2, pt, s3, z2, z3
+from support import cocycle_zoo, gauge_cocycle, load_jobs, pair2, pt, s3, z2, z3
 
 GROUPS = [z2(), z3(), s3()]
 
@@ -46,6 +48,11 @@ def twist_cocycle():
 def test_cover_must_cover():
     with pytest.raises(DanglingId):
         fs.covered_space(["u", "v"], {"0": {"u"}})
+
+
+def test_repeated_base_point_rejected():
+    with pytest.raises(AxiomViolation, match="distinct-points fails at 'w'"):
+        fs.covered_space(["w", "v", "w"], {"0": {"v", "w"}})
 
 
 def test_one_chart_cocycle_valid():
@@ -294,10 +301,12 @@ DISCONNECTED = [fs.disjoint_union(z2(), pt()), fs.disjoint_union(pair2(), z2()),
 
 
 @st.composite
-def anchored_cocycles(draw, target, points):
-    """A valid cocycle with random anchors, so points may land in different components."""
-    cover = {str(i): set(draw(st.lists(st.sampled_from(points), min_size=1, unique=True)))
-             for i in range(draw(st.integers(1, 3)))}
+def anchored_cocycles(draw, target, points,
+                      charts=st.integers(1, 3).map(lambda n: [str(i) for i in range(n)])):
+    """A valid cocycle with random anchors, so points may land in different
+    components; ``charts`` draws the chart ids."""
+    cover = {i: set(draw(st.lists(st.sampled_from(points), min_size=1, unique=True)))
+             for i in draw(charts)}
     for w in points:
         if not any(w in part for part in cover.values()):
             cover[draw(st.sampled_from(sorted(cover)))].add(w)
@@ -332,3 +341,36 @@ def test_direct_torsor_isomorphism_matches_search_oracle_on_zoo():
                 assert answer == search_torsor_isomorphism(t1, t2), (name, name2)
                 answers.add(answer)
     assert answers == {True, False}
+
+
+def test_first_chart_glue_matches_union_find_oracle_on_zoo():
+    for name, c in cocycle_zoo() + list(zip(("left", "right"), component_obstruction_pair())):
+        assert fs.cocycle_to_torsor(c) == glue_torsor(c), name
+
+
+def test_first_chart_glue_matches_union_find_oracle_on_bench_documents():
+    count = 0
+    for job in load_jobs().WORKLOADS["descent"]():
+        g = jio.groupoid_from_json(job.docs["g"])
+        for key in sorted({"c", "c2"} & set(job.docs)):
+            c = jio.cocycle_from_json(job.docs[key], g)
+            assert fs.cocycle_to_torsor(c) == glue_torsor(c), (job.name, key)
+            count += 1
+    assert count == 50
+
+
+@st.composite
+def prefix_chart_cocycles(draw):
+    """Cocycles on the charts 1, 10 and 2, as strings or as ints: the repr of
+    one chart id is a prefix of another's, so the first chart and the least
+    chart point by repr could part ways."""
+    target = draw(st.sampled_from(GROUPS + DISCONNECTED))
+    points = [f"w{n}" for n in range(draw(st.integers(1, 3)))]
+    return draw(anchored_cocycles(target, points, st.sampled_from([("1", "10", "2"), (1, 10, 2)])))
+
+
+@settings(max_examples=150, deadline=None)
+@given(prefix_chart_cocycles())
+def test_first_chart_glue_matches_union_find_oracle_on_prefix_chart_ids(c):
+    """(i0, w, alpha) is the least member of its class, i0 the first chart containing w."""
+    assert fs.cocycle_to_torsor(c) == glue_torsor(c)
