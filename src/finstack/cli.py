@@ -128,7 +128,7 @@ def _cmd_homology(args) -> RunReport:
 def _cmd_pi1(args) -> RunReport:
     report = RunReport("pi1", _digest([args.groupoid]))
     g = jsonio.groupoid_from_json(jsonio.load_json(args.groupoid))
-    pres = pi1_presentation(nerve(g, 2), args.basepoint)
+    pres = pi1_presentation(g, args.basepoint)
     rep = pi1_iso_check(g, args.basepoint, pres=pres)
     report.add_output(f"generators: {len(pres.generators)}")
     report.add_output(f"relations: {len(pres.relations)}")
@@ -178,9 +178,9 @@ def _cmd_torsor(args) -> RunReport:
     if args.mode == "validate":
         return report
     t = cocycle_to_torsor(c)
-    fiber_sizes = ",".join(str(len(t.fiber(w))) for w in c.cov.points) or "-"
-    report.add_output(f"torsor size: {len(t.elements)}")
-    report.add_output(f"fiber sizes: {fiber_sizes}")
+    sizes = [len(t.fibers[w]) for w in c.cov.points]
+    report.add_output(f"torsor size: {sum(sizes)}")
+    report.add_output(f"fiber sizes: {','.join(map(str, sizes)) or '-'}")
     report.add_verdict("torsor-invariants", True)
     if args.mode == "build":
         return report

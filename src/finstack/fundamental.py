@@ -4,11 +4,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import FinstackError, InsufficientTruncation, UnknownBasepoint
+from .errors import FinstackError, UnknownBasepoint
 from .category import FiniteCategory, idkey
 from .groupoid import FiniteGroupoid
 from .homology import invariant_factors
-from .simplicial import TruncatedSimplicialSet, nerve
 
 
 @dataclass(frozen=True)
@@ -39,24 +38,33 @@ def _letter(g: FiniteCategory, index: dict, a, sign: int = 1) -> tuple:
     return () if g.is_identity(a) else ((index.get(a), sign),)
 
 
-def _relator(g: FiniteCategory, index: dict, a, b) -> tuple:
-    """The word [a][b][ab]^-1 of the composable pair (a, b)."""
-    return _letter(g, index, a) + _letter(g, index, b) + _letter(g, index, g.compose(a, b), -1)
+def _certificate(g: FiniteCategory, index: dict, tree_parent: dict):
+    """The relators :func:`pi1_iso_check`'s certificate asks for, as (note, word)
+    pairs: the word [t] of each spanning-tree edge t, then [a][b][ab]^-1 of each
+    composable pair (a, b) of non-identity arrows in the component of
+    ``tree_parent``, both in ``morphisms`` order.  A note is (kind, arrows)."""
+    arrows = [a for a in g.morphisms if g.src[a] in tree_parent and not g.is_identity(a)]
+    tree = {parent[0][0] for parent in tree_parent.values() if parent is not None}
+    for a in arrows:
+        if a in tree:
+            yield ("tree edge", (a,)), _letter(g, index, a)
+    for a in arrows:
+        for b in g.morphisms_from(g.tgt[a]):
+            if not g.is_identity(b):
+                word = _letter(g, index, a) + _letter(g, index, b)
+                yield ("composable pair", (a, b)), word + _letter(g, index, g.compose(a, b), -1)
 
 
-def pi1_presentation(s: TruncatedSimplicialSet, basepoint) -> GroupPresentation:
-    """Edge-path presentation of the fundamental group at a basepoint, read off
-    the composition table of the category whose nerve is s.
+def pi1_presentation(g: FiniteCategory, basepoint) -> GroupPresentation:
+    """Edge-path presentation of the fundamental group of the nerve of g at a
+    basepoint, read off the composition table of g.
 
     Generators are the nondegenerate 1-simplices (a,) of the basepoint's
     component, in ``morphisms`` order.  A deterministic BFS spanning tree
     (sorted simplex ids) is killed, and each nondegenerate 2-simplex (a, b)
     contributes d2 . d0 = d1, the word [a][b][ab]^-1 with an identity
-    composite read as the empty word.
+    composite read as the empty word: the relators are :func:`_certificate`'s.
     """
-    if s.cap < 2:
-        raise InsufficientTruncation(2, s.cap)
-    g = s.category
     if basepoint not in set(g.objects):
         raise UnknownBasepoint(basepoint)
 
@@ -74,15 +82,10 @@ def pi1_presentation(s: TruncatedSimplicialSet, basepoint) -> GroupPresentation:
                 tree_parent[w] = (e, forward, u)
                 queue.append(w)
 
-    arrows = [a for a in arrows if g.src[a] in tree_parent]
-    index = {a: i for i, a in enumerate(arrows)}
-    tree = {parent[0][0] for parent in tree_parent.values() if parent is not None}
-    relations = [_letter(g, index, a) for a in arrows if a in tree]
-    relations += [_relator(g, index, a, b) for a in arrows
-                  for b in g.morphisms_from(g.tgt[a]) if not g.is_identity(b)]
+    index = {a: i for i, a in enumerate(a for a in arrows if g.src[a] in tree_parent)}
     return GroupPresentation(
-        generators=tuple((a,) for a in arrows),
-        relations=tuple(relations),
+        generators=tuple((a,) for a in index),
+        relations=tuple(word for _, word in _certificate(g, index, tree_parent)),
         basepoint=basepoint,
         component=tuple(sorted(tree_parent, key=idkey)),
         tree_parent=tree_parent,
@@ -107,17 +110,9 @@ def _missing_relator(g: FiniteGroupoid, pres: GroupPresentation) -> str | None:
     """Name the first relator of :func:`pi1_iso_check`'s certificate that pres lacks."""
     relators = set(pres.relations)
     index = {e[0]: i for i, e in enumerate(pres.generators)}
-    for v in pres.component:
-        if pres.tree_parent[v] is not None:
-            edge = pres.tree_parent[v][0]
-            if _letter(g, index, edge[0]) not in relators:
-                return f"missing relator for tree edge {edge!r}"
-    for u in pres.component:
-        for a in g.morphisms_from(u):
-            for b in g.morphisms_from(g.tgt[a]):
-                if not (g.is_identity(a) or g.is_identity(b)) and \
-                        _relator(g, index, a, b) not in relators:
-                    return f"missing relator for composable pair {(a, b)!r}"
+    for (kind, arrows), word in _certificate(g, index, pres.tree_parent):
+        if word not in relators:
+            return f"missing relator for {kind} {arrows!r}"
     return None
 
 
@@ -129,7 +124,7 @@ def pi1_iso_check(g: FiniteGroupoid, x, pres: GroupPresentation | None = None) -
     path from x to u.
     The check verifies that every relator maps to the identity arrow (phi is
     well defined) and that the images generate the vertex group (phi is onto).
-    ``pres`` is the presentation of the nerve of g at x, if already built; one
+    ``pres`` is the presentation of g at x, if already built; one
     based at another object is refused with :class:`FinstackError`.
 
     Injectivity is read off the relators by the edge-path argument (R. Brown,
@@ -151,7 +146,7 @@ def pi1_iso_check(g: FiniteGroupoid, x, pres: GroupPresentation | None = None) -
     if x not in g.objects:
         raise UnknownBasepoint(x)
     if pres is None:
-        pres = pi1_presentation(nerve(g, 2), x)
+        pres = pi1_presentation(g, x)
     elif pres.basepoint != x:
         raise FinstackError(f"presentation is based at {pres.basepoint!r}, not at {x!r}")
     path = {}  # each tree path composed once; tree_parent lists parents first

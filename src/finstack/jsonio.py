@@ -52,9 +52,17 @@ def _id_table(value, what: str) -> dict:
 
 
 def load_json(path: str) -> dict:
+    def unique_keys(pairs: list) -> dict:
+        obj = dict(pairs)
+        if len(obj) < len(pairs):
+            seen: set = set()
+            key = next(k for k, _ in pairs if k in seen or seen.add(k))
+            raise SchemaError(f"{path}: repeated key {key!r}")
+        return obj
+
     try:
         with open(path, "rb") as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, object_pairs_hook=unique_keys)
     except (OSError, ValueError, RecursionError) as exc:  # ValueError covers bad UTF-8
         raise SchemaError(f"cannot read {path}: {exc}") from exc
     if not isinstance(doc, dict):

@@ -101,18 +101,18 @@ def validate_cocycle(cov: CoveredSpace, target: FiniteGroupoid, a: dict, gamma: 
 
 @dataclass(frozen=True)
 class Torsor:
-    """A total set over W with fiberwise pairing into the groupoid and sections."""
+    """A total set over W, held as its fibers, with fiberwise pairing and sections."""
 
     cov: CoveredSpace
     target: FiniteGroupoid
-    elements: tuple
-    p: dict         # element -> point of W
+    fibers: dict    # point of W -> the elements over it, in id order
     f: dict         # element -> object of the target groupoid
-    delta: dict     # (u, v) with p(u) == p(v) -> arrow
+    delta: dict     # (u, v) in one fiber -> arrow
     sections: dict  # i -> {w: element} for w in U_i
 
-    def fiber(self, w) -> tuple:
-        return tuple(t for t in self.elements if self.p[t] == w)
+    @property
+    def elements(self) -> tuple:
+        return sorted_ids(u for fiber in self.fibers.values() for u in fiber)
 
 
 def cocycle_to_torsor(c: Cocycle) -> Torsor:
@@ -129,20 +129,16 @@ def cocycle_to_torsor(c: Cocycle) -> Torsor:
     g = c.target
     indices = c.cov.indices()
     sections: dict = {i: {} for i in indices}
-    delta = {}
-    elements = []
+    fibers, f, delta = {}, {}, {}
     for w in c.cov.points:
         charts = [i for i in indices if w in c.cov.cover[i]]
         i0 = charts[0]
-        fiber = sorted_ids((i0, w, alpha) for alpha in g.morphisms_from(c.a[i0][w]))
+        fiber = fibers[w] = sorted_ids((i0, w, alpha) for alpha in g.morphisms_from(c.a[i0][w]))
+        f.update((u, g.tgt[u[2]]) for u in fiber)
         delta.update(((u, v), g.compose(g.inv[u[2]], v[2])) for u in fiber for v in fiber)
         for i in charts:
             sections[i][w] = (i0, w, c.gamma[(i0, i)][w])
-        elements += fiber
-    elements = sorted_ids(elements)
-    return Torsor(cov=c.cov, target=g, elements=elements,
-                  p={u: u[1] for u in elements}, f={u: g.tgt[u[2]] for u in elements},
-                  delta=delta, sections=sections)
+    return Torsor(cov=c.cov, target=g, fibers=fibers, f=f, delta=delta, sections=sections)
 
 
 def torsor_to_cocycle(t: Torsor) -> Cocycle:
@@ -249,8 +245,7 @@ def torsor_isomorphic(t1: Torsor, t2: Torsor) -> bool:
     if t1.target != t2.target:
         raise MismatchedTarget("torsors have different target groupoids")
     for w in t1.cov.points:
-        fiber1 = t1.fiber(w)
-        fiber2 = t2.fiber(w)
+        fiber1, fiber2 = t1.fibers[w], t2.fibers[w]
         if len(fiber1) != len(fiber2):
             return False
         if fiber1 and all(t2.f[v] != t1.f[fiber1[0]] for v in fiber2):

@@ -46,22 +46,28 @@ def search_space(c: Cocycle, c2: Cocycle) -> int:
 
 
 def validate_torsor(t: Torsor) -> Torsor:
-    """Exhaustively check section, pairing, and cartesianness laws."""
+    """Exhaustively check fiber, section, pairing, and cartesianness laws."""
     g = t.target
+    if set(t.fibers) != set(t.cov.points):
+        raise TorsorViolation("fiber-domain", set(t.fibers) ^ set(t.cov.points))
+    seen: set = set()
+    for w, fiber in t.fibers.items():
+        if len(set(fiber)) != len(fiber) or seen & set(fiber):
+            raise TorsorViolation("fibers-disjoint", w)
+        seen |= set(fiber)
     for i, table in t.sections.items():
         if set(table) != set(t.cov.cover[i]):
             raise TorsorViolation("section-domain", i)
         for w, u in table.items():
-            if t.p[u] != w:
+            if u not in t.fibers[w]:
                 raise TorsorViolation("section", (i, w))
-    fibers = {w: t.fiber(w) for w in t.cov.points}
-    expected_pairs = {(u, v) for fiber in fibers.values() for u in fiber for v in fiber}
+    expected_pairs = {(u, v) for fiber in t.fibers.values() for u in fiber for v in fiber}
     if set(t.delta) != expected_pairs:
         raise TorsorViolation("pairing-domain", set(t.delta) ^ expected_pairs)
     for (u, v), arrow in t.delta.items():
         if g.src[arrow] != t.f[u] or g.tgt[arrow] != t.f[v]:
             raise TorsorViolation("pairing-endpoints", (u, v))
-    for fiber in fibers.values():
+    for fiber in t.fibers.values():
         for u in fiber:
             if t.delta[(u, u)] != g.ident[t.f[u]]:
                 raise TorsorViolation("pairing-unit", u)
@@ -101,19 +107,20 @@ def glue_torsor(c: Cocycle) -> Torsor:
             chart_arrow[(rep, i)] = alpha
     elements = sorted_ids(set(rep_of.values()))
 
-    p = {rep: rep[1] for rep in elements}
+    fibers: dict = {w: [] for w in c.cov.points}
+    for rep in elements:
+        fibers[rep[1]].append(rep)
+    fibers = {w: tuple(fiber) for w, fiber in fibers.items()}
     f = {rep: g.tgt[chart_arrow[(rep, rep[0])]] for rep in elements}
     delta = {}
-    for w in c.cov.points:
-        fiber = [rep for rep in elements if p[rep] == w]
+    for fiber in fibers.values():
         for u in fiber:
             i = u[0]
             for v in fiber:
                 delta[(u, v)] = g.compose(g.inv[chart_arrow[(u, i)]], chart_arrow[(v, i)])
     sections = {i: {w: rep_of[(i, w, g.ident[c.a[i][w]])] for w in c.cov.cover[i]}
                 for i in indices}
-    return Torsor(cov=c.cov, target=g, elements=elements,
-                  p=p, f=f, delta=delta, sections=sections)
+    return Torsor(cov=c.cov, target=g, fibers=fibers, f=f, delta=delta, sections=sections)
 
 
 def search_cocycle_morphism(c: Cocycle, c2: Cocycle,
@@ -152,8 +159,7 @@ def search_torsor_isomorphism(t1: Torsor, t2: Torsor, budget: int = SEARCH_BUDGE
         raise MismatchedTarget("torsors have different target groupoids")
     tried = 0
     for w in t1.cov.points:
-        fiber1 = t1.fiber(w)
-        fiber2 = t2.fiber(w)
+        fiber1, fiber2 = t1.fibers[w], t2.fibers[w]
         if len(fiber1) != len(fiber2):
             return False
         if not fiber1:

@@ -280,3 +280,12 @@ def cocycle_zoo():
         {("0", "x"): e, ("0", "y"): tr, ("1", "x"): tr, ("1", "y"): e},
     )))
     return instances
+
+
+def two_chart_z3_cocycle(n: int):
+    """W = w0..w{n-1} under two charts A and B that both cover it, a = *,
+    gamma_AB(w_k) = k mod 3 and gamma_BA(w_k) = -k mod 3."""
+    points = [f"w{k}" for k in range(n)]
+    gauges = {("A", w): 0 for w in points} | {("B", f"w{k}"): k % 3 for k in range(n)}
+    return gauge_cocycle(z3(), {"A": set(points), "B": set(points)}, {w: "*" for w in points},
+                         gauges)

@@ -18,7 +18,7 @@ import finstack as fs
 import finstack.jsonio as jio
 from finstack.cli import main
 from support import (cocycle_zoo, dihedral4, gauge_cocycle, groupoid_zoo, pair2, point_inclusion,
-                     s3, s3_on_letters, weak_equivalence_zoo, z2, z3)
+                     s3, s3_on_letters, two_chart_z3_cocycle, weak_equivalence_zoo, z2, z3)
 
 
 @pytest.fixture()
@@ -188,8 +188,8 @@ def test_pi1_missing_relator_is_inconclusive(capsys, tmp_path, g, monkeypatch):
     path.write_text(json.dumps(jio.groupoid_to_json(g)))
     build = fs.pi1_presentation
 
-    def drop_last(s, basepoint):
-        pres = build(s, basepoint)
+    def drop_last(category, basepoint):
+        pres = build(category, basepoint)
         return dataclasses.replace(pres, relations=pres.relations[:-1])
 
     monkeypatch.setattr("finstack.cli.pi1_presentation", drop_last)
@@ -205,7 +205,7 @@ def test_pi1_missing_relator_is_inconclusive(capsys, tmp_path, g, monkeypatch):
 
 
 def test_pi1_builds_no_string_table(capsys, s3_file, monkeypatch):
-    """pi1 reads its presentation off the composition table, not the nerve's strings."""
+    """pi1 reads its presentation off the composition table and builds no nerve."""
     built = []
 
     def recording_nerve(g, cap):
@@ -216,8 +216,7 @@ def test_pi1_builds_no_string_table(capsys, s3_file, monkeypatch):
     code, out = run_cli(capsys, ["pi1", "--groupoid", s3_file, "--basepoint", "*"])
     assert code == 0
     assert "[PASS] isomorphism" in out.splitlines()
-    assert len(built) == 1
-    assert "simplices" not in vars(built[0])
+    assert built == []
 
 
 def test_failed_verdict_outranks_inconclusive():
@@ -333,6 +332,18 @@ def test_torsor_compare(capsys, tmp_path, z2_file):
     assert "morphism-exists: yes" in out
     assert "torsors-isomorphic: yes" in out
     assert "[PASS] morphism-iff-isomorphic" in out
+
+
+def test_torsor_build_reads_sizes_off_the_fibers(capsys, tmp_path):
+    c = two_chart_z3_cocycle(400)
+    gpath, cpath = tmp_path / "z3.json", tmp_path / "c.json"
+    gpath.write_text(json.dumps(jio.groupoid_to_json(c.target)))
+    cpath.write_text(json.dumps(jio.cocycle_to_json(c)))
+    code, out = run_cli(capsys, ["torsor", "build", "--groupoid", str(gpath), "--cocycle", str(cpath)])
+    assert code == 0
+    assert "torsor size: 1200" in out.splitlines()
+    assert f"fiber sizes: {','.join(['3'] * 400)}" in out.splitlines()
+    assert "[PASS] torsor-invariants" in out.splitlines()
 
 
 def test_torsor_repeated_base_point_exit_2(capsys, tmp_path, z2_file):
@@ -807,6 +818,36 @@ def test_groupoid_comp_repeated_pair_exit_2(capsys, tmp_path, z2_file):
     assert main(["homology", "--groupoid", str(path), "--dim", "3"]) == 2
     assert capsys.readouterr().err.splitlines() == ["error: comp repeats the pair ['1', '1']"]
     assert main(["homology", "--groupoid", z2_file, "--dim", "3"]) == 0
+
+
+def write_repeating(path, doc: dict, old: str, new: str) -> None:
+    """Write ``doc`` as JSON with its first ``old`` replaced by ``new``, which
+    repeats a key and parses, last entry winning, back to ``doc``."""
+    text = json.dumps(doc).replace(old, new, 1)
+    assert text != json.dumps(doc) and json.loads(text) == doc
+    path.write_text(text)
+
+
+def test_groupoid_repeated_inv_key_exit_2(capsys, tmp_path):
+    path = tmp_path / "repeated-inv.json"
+    write_repeating(path, jio.groupoid_to_json(z2()), '"inv": {', '"inv": {"1": "0", ')
+    assert main(["homology", "--groupoid", str(path), "--dim", "3"]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {path}: repeated key '1'"]
+
+
+def test_cocycle_repeated_gamma_key_exit_2(capsys, tmp_path, z2_file):
+    path = tmp_path / "repeated-gamma.json"
+    doc = jio.cocycle_to_json(cocycle_zoo()[1][1])
+    write_repeating(path, doc, '"gamma": ', '"gamma": {}, "gamma": ')
+    assert main(["torsor", "validate", "--groupoid", z2_file, "--cocycle", str(path)]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {path}: repeated key 'gamma'"]
+
+
+def test_arrow_entry_repeated_src_key_exit_2(capsys, tmp_path):
+    path = tmp_path / "repeated-src.json"
+    write_repeating(path, jio.groupoid_to_json(z2()), '"src": "*"', '"src": "x", "src": "*"')
+    assert main(["validate", "--groupoid", str(path)]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {path}: repeated key 'src'"]
 
 
 def test_category_comp_repeated_pair_exit_2(capsys, tmp_path):

@@ -5,44 +5,38 @@ import dataclasses
 import pytest
 
 import finstack as fs
-from finstack.errors import (EnumerationBudgetExceeded, FinstackError, InsufficientTruncation,
-                             UnknownBasepoint, UnknownObject)
+from finstack.errors import EnumerationBudgetExceeded, FinstackError, UnknownBasepoint, UnknownObject
 from pi1_oracle import coset_enumeration, tabulated_pi1_presentation
 from support import groupoid_zoo, pair2, s3, swap_action, weak_equivalence_zoo, z2, z3
 
 
 def test_presentation_z2():
-    pres = fs.pi1_presentation(fs.nerve(z2(), 2), "*")
+    pres = fs.pi1_presentation(z2(), "*")
     assert len(pres.generators) == 1
     assert pres.relations == (((0, 1), (0, 1)),)
     assert pres.abelianization() == (0, (2,))
 
 
 def test_presentation_pair_groupoid_trivial():
-    pres = fs.pi1_presentation(fs.nerve(pair2(), 2), 1)
+    pres = fs.pi1_presentation(pair2(), 1)
     assert pres.abelianization() == (0, ())
 
 
 def test_presentation_circle_free_rank_one():
-    pres = fs.pi1_presentation(fs.simplicial_circle(), "p")
+    pres = fs.pi1_presentation(fs.simplicial_circle().category, "p")
     assert len(pres.generators) == 2
     assert len(pres.relations) == 1
     assert pres.abelianization() == (1, ())
 
 
-def test_presentation_requires_two_levels():
-    with pytest.raises(InsufficientTruncation):
-        fs.pi1_presentation(fs.nerve(z2(), 1), "*")
-
-
 def test_presentation_unknown_basepoint():
     with pytest.raises(UnknownBasepoint):
-        fs.pi1_presentation(fs.nerve(z2(), 2), "missing")
+        fs.pi1_presentation(z2(), "missing")
 
 
 def test_abelianization_matches_h1():
     for g in (z2(), z3(), s3(), pair2(), swap_action()):
-        pres = fs.pi1_presentation(fs.nerve(g, 2), g.objects[0])
+        pres = fs.pi1_presentation(g, g.objects[0])
         cx = fs.chain_complex(fs.nerve(g, 2))
         h1 = fs.homology(cx, 1)
         assert pres.abelianization() == (h1.free_rank, h1.torsion)
@@ -82,7 +76,7 @@ def certificate_zoo():
                          ids=[name for name, _ in certificate_zoo()])
 def test_certificate_order_matches_coset_enumeration(g):
     for x in g.objects:
-        pres = fs.pi1_presentation(fs.nerve(g, 2), x)
+        pres = fs.pi1_presentation(g, x)
         report = fs.pi1_iso_check(g, x, pres=pres)
         assert report.isomorphic is True
         assert report.presented_order == coset_enumeration(len(pres.generators), pres.relations)
@@ -98,7 +92,7 @@ def presentation_zoo():
                          ids=[name for name, _ in presentation_zoo()])
 def test_presentation_matches_tabulated_oracle(s):
     for x in s.category.objects:
-        pres, oracle = fs.pi1_presentation(s, x), tabulated_pi1_presentation(s, x)
+        pres, oracle = fs.pi1_presentation(s.category, x), tabulated_pi1_presentation(s, x)
         assert pres == oracle
         assert list(pres.tree_parent) == list(oracle.tree_parent)  # BFS order, parents first
 
@@ -116,7 +110,7 @@ def expected_note(pres, word):
                          ids=["Z3", "S3", "pair3", "swap-action"])
 def test_dropping_any_relator_decides_nothing(g, x):
     """Each tree or composition relator dropped alone leaves the verdict open."""
-    pres = fs.pi1_presentation(fs.nerve(g, 2), x)
+    pres = fs.pi1_presentation(g, x)
     kinds = set()
     for i, word in enumerate(pres.relations):
         kinds.add(len(word) == 1)
@@ -131,7 +125,7 @@ def test_dropping_any_relator_decides_nothing(g, x):
 
 def test_pi1_iso_check_reuses_given_presentation():
     g = s3()
-    pres = fs.pi1_presentation(fs.nerve(g, 2), "*")
+    pres = fs.pi1_presentation(g, "*")
     assert fs.pi1_iso_check(g, "*", pres=pres) == fs.pi1_iso_check(g, "*")
 
 
@@ -140,7 +134,7 @@ def test_pi1_iso_check_reuses_given_presentation():
     (fs.pair_groupoid(range(3)), 0, 1),
 ], ids=["Z2+Z3", "pair3"])
 def test_pi1_iso_check_refuses_presentation_at_other_basepoint(g, at, x):
-    pres = fs.pi1_presentation(fs.nerve(g, 2), at)
+    pres = fs.pi1_presentation(g, at)
     with pytest.raises(FinstackError) as info:
         fs.pi1_iso_check(g, x, pres=pres)
     assert str(info.value) == f"presentation is based at {at!r}, not at {x!r}"
@@ -148,7 +142,7 @@ def test_pi1_iso_check_refuses_presentation_at_other_basepoint(g, at, x):
 
 def test_pi1_iso_check_unknown_object():
     g = z2()
-    pres = fs.pi1_presentation(fs.nerve(g, 2), "*")
+    pres = fs.pi1_presentation(g, "*")
     for kwargs in ({}, {"pres": pres}):
         with pytest.raises(UnknownObject):
             fs.pi1_iso_check(g, "missing", **kwargs)

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +16,7 @@ from descent_oracle import (
     search_torsor_isomorphism,
     validate_torsor,
 )
+from finstack.category import sorted_ids
 from finstack.errors import (
     AxiomViolation,
     C1Violation,
@@ -21,7 +24,8 @@ from finstack.errors import (
     DanglingId,
     MismatchedTarget,
 )
-from support import cocycle_zoo, gauge_cocycle, load_jobs, pair2, pt, s3, z2, z3
+from support import (cocycle_zoo, gauge_cocycle, load_jobs, pair2, pt, s3, two_chart_z3_cocycle, z2,
+                     z3)
 
 GROUPS = [z2(), z3(), s3()]
 
@@ -94,7 +98,7 @@ def test_trivial_cover_torsor_is_product():
     t = fs.cocycle_to_torsor(c)
     assert len(t.elements) == 4
     for w in c.cov.points:
-        fiber = t.fiber(w)
+        fiber = t.fibers[w]
         assert len(fiber) == 2
         u = fiber[0]
         for v in fiber:
@@ -156,13 +160,33 @@ def test_torsor_invariants_exhaustive():
 
 def test_corrupted_pairing_caught():
     t = fs.cocycle_to_torsor(one_chart_cocycle())
-    u, v = t.fiber("u")[0], t.fiber("u")[1]
+    u, v = t.fibers["u"]
     bad_delta = dict(t.delta)
     bad_delta[(u, v)] = t.delta[(u, u)]
-    broken = fs.Torsor(cov=t.cov, target=t.target, elements=t.elements,
-                       p=t.p, f=t.f, delta=bad_delta, sections=t.sections)
     with pytest.raises(TorsorViolation):
-        validate_torsor(broken)
+        validate_torsor(dataclasses.replace(t, delta=bad_delta))
+
+
+@pytest.mark.parametrize("law", ["fiber-domain", "fibers-disjoint", "section"])
+def test_corrupted_fibers_caught(law):
+    """The fibers are keyed by W, pairwise disjoint, and hold the sections."""
+    t = fs.cocycle_to_torsor(one_chart_cocycle())
+    fu, fv = t.fibers["u"], t.fibers["v"]
+    fibers = {"fiber-domain": {"u": fu},
+              "fibers-disjoint": {"u": fu, "v": fv + fu[:1]},
+              "section": {"u": fu[1:], "v": fv}}[law]
+    with pytest.raises(TorsorViolation) as err:
+        validate_torsor(dataclasses.replace(t, fibers=fibers))
+    assert err.value.law == law
+
+
+def test_torsor_is_held_as_its_fibers():
+    c = two_chart_z3_cocycle(12)
+    t = fs.cocycle_to_torsor(c)
+    assert list(t.fibers) == list(c.cov.points)
+    assert all(fiber == sorted_ids(fiber) and len(fiber) == 3 for fiber in t.fibers.values())
+    assert t.elements == sorted_ids(u for fiber in t.fibers.values() for u in fiber)
+    assert len(t.elements) == 36
 
 
 def test_point_cocycles_over_group_are_all_equivalent():
@@ -346,6 +370,11 @@ def test_direct_torsor_isomorphism_matches_search_oracle_on_zoo():
 def test_first_chart_glue_matches_union_find_oracle_on_zoo():
     for name, c in cocycle_zoo() + list(zip(("left", "right"), component_obstruction_pair())):
         assert fs.cocycle_to_torsor(c) == glue_torsor(c), name
+
+
+def test_first_chart_glue_matches_union_find_oracle_on_400_points():
+    c = two_chart_z3_cocycle(400)
+    assert fs.cocycle_to_torsor(c) == glue_torsor(c)
 
 
 def test_first_chart_glue_matches_union_find_oracle_on_bench_documents():
