@@ -70,6 +70,27 @@ class MilnorComplex:
                    (list(map(add, shift, row)) for shift, row in product(shifts, rows)))
             offsets = {s: i * len(strings) for i, s in enumerate(subsets)}
 
+    def check_dd_zero(self) -> bool:
+        """Whether d^2 = 0, decided on the factor's face rows alone.
+
+        In d^2 (L, x) the block of L minus {l_a, l_b}, a < b, gets exactly two
+        unit terms of opposite sign, at row a of row b of x and at row b - 1
+        of row a of x, and distinct pairs land in distinct blocks.  So d^2 = 0
+        on every cell exactly when those two rows agree for every factor
+        string x of degree 2..levels and every a < b, whatever L is.
+        """
+        g = self.factor.category
+        lower = ()
+        for k, (_, rows) in enumerate(string_levels(g, g.morphisms, self.levels)):
+            if k > 1:
+                # faces[j]: the face row of d_j x, for every k-string x in order
+                faces = [[lower[row[j]] for row in rows] for j in range(k + 1)]
+                if any([f[a] for f in faces[b]] != [f[b - 1] for f in faces[a]]
+                       for b in range(k + 1) for a in range(b)):
+                    return False
+            lower = rows
+        return True
+
 
 def _level_product(g: FiniteGroupoid, levels: int, category: FiniteCategory) -> MilnorComplex:
     if levels < 0:

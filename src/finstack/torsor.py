@@ -21,8 +21,8 @@ from .groupoid import FiniteGroupoid
 
 @dataclass(frozen=True)
 class CoveredSpace:
-    points: tuple
-    cover: dict  # index -> frozenset of points
+    points: tuple  # in id order
+    cover: dict    # index -> frozenset of points
     _indices: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -32,10 +32,11 @@ class CoveredSpace:
         return self._indices
 
     def overlap(self, *labels) -> tuple:
-        pts = set(self.points)
-        for i in labels:
-            pts &= self.cover[i]
-        return sorted_ids(pts)
+        """The points in every named cover set, in id order."""
+        if not labels:
+            return self.points
+        common = frozenset.intersection(*(self.cover[i] for i in labels))
+        return tuple(w for w in self.points if w in common)
 
 
 def covered_space(points, cover: dict) -> CoveredSpace:

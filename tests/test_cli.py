@@ -269,6 +269,27 @@ def test_milnor_homology_above_top_degree_is_zero(capsys, z2_file, space):
     assert out.splitlines()[-2:] == ["H_3 = 0", "[PASS] boundary-squared-zero"]
 
 
+def test_milnor_count_only_builds_no_chains(capsys, monkeypatch, s3_file):
+    """Without --homology or --compare-nerve the d^2 = 0 verdict is read off the
+    factor's face rows, so no chain complex is built and the report is unchanged."""
+    class ChainsBuilt(Exception):
+        pass
+
+    def refused(*args):
+        raise ChainsBuilt
+
+    jobs = [["milnor", "--groupoid", s3_file, "--levels", "4", "--space", "B"],
+            ["milnor", "--groupoid", s3_file, "--levels", "3", "--space", "E"]]
+    expected = [run_cli(capsys, argv) for argv in jobs]
+    assert all(code == 0 and out.endswith("[PASS] boundary-squared-zero\n") for code, out in expected)
+    monkeypatch.setattr("finstack.cli.chain_complex", refused)
+    assert [run_cli(capsys, argv) for argv in jobs] == expected
+    for argv in [jobs[0] + ["--homology", "1"], jobs[1] + ["--homology", "1"],
+                 jobs[0] + ["--compare-nerve"]]:
+        with pytest.raises(ChainsBuilt):
+            main(argv)
+
+
 def test_milnor_compare_requires_b(capsys, monkeypatch, z2_file):
     """E with --compare-nerve is refused right after the groupoid is read."""
     def forbidden(*args):

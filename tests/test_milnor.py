@@ -268,3 +268,60 @@ def test_milnor_chains_build_no_face(monkeypatch):
         assert "simplices" not in vars(s) and "simplices" not in vars(s.factor)
         assert cx.basis == s.simplices
         assert [len(cx.boundary[k]) for k in range(1, 5)] == [s.count(k) for k in range(1, 5)]
+
+
+@pytest.mark.parametrize("name,g", MILNOR_ZOO)
+def test_dd_zero_on_factor_rows_matches_chains(name, g):
+    """The d^2 = 0 verdict read off the factor's face rows is the full chains' verdict."""
+    for space, top in ((fs.milnor_E, 4), (fs.milnor_B, 5)):
+        for levels in range(top + 1):
+            s = space(g, levels)
+            assert (s.check_dd_zero(), fs.chain_complex(s).check_dd_zero()) == (True, True)
+
+
+def corrupted_string_levels(degree: int, index: int, j: int, value: int):
+    """``string_levels`` with entry j of the face row of string ``index`` in
+    ``degree`` set to ``value``; the rows it builds from are untouched."""
+    real = milnor.string_levels
+
+    def corrupted(*args):
+        for k, (strings, rows) in enumerate(real(*args)):
+            if k == degree:
+                rows = [list(row) for row in rows]
+                rows[index][j] = value
+            yield strings, rows
+
+    return corrupted
+
+
+@pytest.mark.parametrize("space,name,g", [(fs.milnor_B, "Z2", z2()), (fs.milnor_B, "pair", pair2()),
+                                          (fs.milnor_E, "Z2", z2())])
+def test_dd_zero_on_factor_rows_matches_chains_under_corruption(monkeypatch, space, name, g):
+    """Every single-entry change of the factor's face rows at 3 levels gets the
+    same verdict from the factor rows and from the full chains."""
+    levels = 3
+    category = space(g, levels).factor.category
+    clean = list(milnor.string_levels(category, category.morphisms, levels))
+    verdicts = []
+    for k in range(1, levels + 1):
+        for index, row in enumerate(clean[k][1]):
+            for j, entry in enumerate(row):
+                for value in range(len(clean[k - 1][0])):
+                    if value != entry:
+                        monkeypatch.setattr(milnor, "string_levels",
+                                            corrupted_string_levels(k, index, j, value))
+                        s = space(g, levels)
+                        verdict = s.check_dd_zero()
+                        assert verdict == fs.chain_complex(s).check_dd_zero()
+                        verdicts.append(verdict)
+    assert False in verdicts
+
+
+def test_dd_zero_accepts_a_change_between_parallel_arrows(monkeypatch):
+    """The two arrows of Z/2 have the same faces, so pointing a top-degree face
+    of B at 2 levels at the other arrow keeps d^2 = 0, by both checks."""
+    g = z2()
+    _, rows = list(milnor.string_levels(g, g.morphisms, 2))[2]
+    monkeypatch.setattr(milnor, "string_levels", corrupted_string_levels(2, 0, 0, 1 - rows[0][0]))
+    s = fs.milnor_B(g, 2)
+    assert (s.check_dd_zero(), fs.chain_complex(s).check_dd_zero()) == (True, True)

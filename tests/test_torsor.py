@@ -81,6 +81,32 @@ def test_c2_violation_witness():
     assert err.value.witness == ("w", "0", "1", "0")
 
 
+def test_c2_violation_witness_is_the_first_in_id_order():
+    """C2 fails at w10 and w2 of one chart triple; points are scanned in id
+    order, where 'w10' comes before 'w2', so w10 is the witness."""
+    g = z2()
+    points = ["w2", "w1", "w10"]
+    cov = fs.covered_space(points, {"0": set(points), "1": set(points)})
+    with pytest.raises(C2Violation) as err:
+        fs.validate_cocycle(
+            cov, g,
+            {"0": dict.fromkeys(points, "*"), "1": dict.fromkeys(points, "*")},
+            {("0", "0"): dict.fromkeys(points, 0), ("0", "1"): dict.fromkeys(points, 1),
+             ("1", "0"): {"w1": 1, "w10": 0, "w2": 0}, ("1", "1"): dict.fromkeys(points, 0)},
+        )
+    assert err.value.witness == ("w10", "0", "1", "0")
+    assert str(err.value) == "C2 fails at w='w10', (i,j,k)=('0','1','0')"
+
+
+def test_overlap_lists_the_common_points_in_id_order():
+    for _, c in cocycle_zoo():
+        cov = c.cov
+        for labels in [()] + [(i, j, k) for i in cov.indices() for j in cov.indices()
+                              for k in cov.indices()]:
+            common = set(cov.points).intersection(*(cov.cover[i] for i in labels))
+            assert cov.overlap(*labels) == sorted_ids(common)
+
+
 def test_c1_violation():
     g = pair2()
     cov = fs.covered_space(["w"], {"0": {"w"}, "1": {"w"}})
