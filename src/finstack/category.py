@@ -9,7 +9,11 @@ inverse table.  Composition is diagrammatic throughout the package:
 Tables that come from outside the program go through :func:`validate_category`
 or :func:`validate_groupoid`, which check every axiom.  Builders that only
 combine validated values construct the dataclasses directly: their output is
-correct by construction.
+correct by construction.  Ids are put in order once, when a table is built
+(``FiniteCategory``, ``covered_space``, ``make_fiber``); :func:`partition` and
+the morphism indexes keep that order, so components, span and homotopy
+classes, torsor fibers, fiber names and cone sets come out in id order
+without a sort.
 """
 
 from __future__ import annotations

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import FinstackError, UnknownBasepoint
-from .category import FiniteCategory, idkey
+from .category import FiniteCategory
 from .groupoid import FiniteGroupoid
 from .homology import invariant_factors
 
@@ -61,7 +61,7 @@ def pi1_presentation(g: FiniteCategory, basepoint) -> GroupPresentation:
 
     Generators are the nondegenerate 1-simplices (a,) of the basepoint's
     component, in ``morphisms`` order.  A deterministic BFS spanning tree
-    (sorted simplex ids) is killed, and each nondegenerate 2-simplex (a, b)
+    (edges in arrow order) is killed, and each nondegenerate 2-simplex (a, b)
     contributes d2 . d0 = d1, the word [a][b][ab]^-1 with an identity
     composite read as the empty word: the relators are :func:`_certificate`'s.
     """
@@ -70,7 +70,7 @@ def pi1_presentation(g: FiniteCategory, basepoint) -> GroupPresentation:
 
     arrows = [a for a in g.morphisms if not g.is_identity(a)]
     incident: dict = {v: [] for v in g.objects}
-    for a in sorted(arrows, key=lambda a: idkey((a,))):
+    for a in arrows:
         incident[g.src[a]].append(((a,), True, g.tgt[a]))
         incident[g.tgt[a]].append(((a,), False, g.src[a]))
 
@@ -87,7 +87,7 @@ def pi1_presentation(g: FiniteCategory, basepoint) -> GroupPresentation:
         generators=tuple((a,) for a in index),
         relations=tuple(word for _, word in _certificate(g, index, tree_parent)),
         basepoint=basepoint,
-        component=tuple(sorted(tree_parent, key=idkey)),
+        component=tuple(v for v in g.objects if v in tree_parent),
         tree_parent=tree_parent,
     )
 

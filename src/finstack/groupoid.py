@@ -233,9 +233,10 @@ def is_weak_equivalence(f: CatFunctor) -> bool:
 
 
 def pi0(g: FiniteGroupoid) -> tuple:
-    """Connected components of the objects, each a sorted tuple; deterministic order."""
+    """Connected components of the objects, each in id order; components in
+    the order of their first objects."""
     pairs = ((g.src[a], g.tgt[a]) for a in g.morphisms)
-    return tuple(tuple(sorted_ids(c)) for c in partition(g.objects, pairs))
+    return tuple(map(tuple, partition(g.objects, pairs)))
 
 
 def full_subgroupoid(g: FiniteGroupoid, objects) -> FiniteGroupoid:

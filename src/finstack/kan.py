@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from .category import CatFunctor, FiniteCategory, comma_category, idkey, partition, sorted_ids
+from .category import CatFunctor, FiniteCategory, comma_category, partition, sorted_ids
 from .errors import (
     AxiomViolation,
     DanglingId,
@@ -119,10 +119,10 @@ def compatible_families(sizes, constraints) -> list:
 class FinSetFiber:
     """Named finite sets; the morphisms are all functions between them."""
 
-    sets: dict  # name -> tuple of elements
+    sets: dict  # name -> tuple of elements; names and elements in id order
 
     def names(self) -> tuple:
-        return sorted_ids(self.sets)
+        return tuple(self.sets)
 
     def elems(self, name) -> tuple:
         return self.sets[name]
@@ -162,7 +162,7 @@ class FinSetFiber:
 
 
 def make_fiber(sets: Mapping) -> FinSetFiber:
-    return FinSetFiber(sets={name: sorted_ids(elems) for name, elems in sets.items()})
+    return FinSetFiber(sets={name: sorted_ids(sets[name]) for name in sorted_ids(sets)})
 
 
 def _has(collection, value) -> bool:
@@ -318,9 +318,7 @@ def indexed_category(base: FiniteCategory, fibers: Mapping, pulls: Mapping) -> I
             if pf.on_mor(m) != m:
                 raise AxiomViolation("strict-identity-pullback", (b, m))
     for f in base.morphisms:
-        for g in base.morphisms:
-            if base.tgt[f] != base.src[g]:
-                continue
+        for g in base.morphisms_from(base.tgt[f]):
             fg = base.comp[(f, g)]
             far = base.tgt[g]
             for name in fibers[far].names():
@@ -412,7 +410,7 @@ class FiberDiagram:
 def fiber_diagram(fiber: FinSetFiber, shape: FiniteCategory,
                   on_obj: Mapping, on_mor: Mapping) -> FiberDiagram:
     for x in shape.objects:
-        if on_obj.get(x) not in set(fiber.names()):
+        if not _has(fiber.sets, on_obj.get(x)):
             raise DanglingId("diagram on_obj", x, on_obj.get(x))
     for m in shape.morphisms:
         fm = on_mor.get(m)
@@ -430,8 +428,8 @@ def fiber_diagram(fiber: FinSetFiber, shape: FiniteCategory,
 @dataclass(frozen=True)
 class LimitCone:
     """All cones over a finite-set diagram, as tuples aligned with shape_objects:
-    ``cones`` holds the elements, in id order, and ``positions`` the same
-    cones as the positions of those elements in their sets."""
+    ``positions`` holds the positions of the elements in their sets, in
+    lexicographic (so id) order, and ``cones`` the elements themselves."""
 
     shape_objects: tuple
     cones: tuple
@@ -446,12 +444,9 @@ def finset_limit(fiber: FinSetFiber, diagram: FiberDiagram) -> LimitCone:
     pools = [fiber.elems(diagram.on_obj[x]) for x in shape_objects]
     arrows = [(position[shape.src[m]], diagram.on_mor[m].images, position[shape.tgt[m]],
                range(len(pools[position[shape.tgt[m]]]))) for m in shape.morphisms]
-    found = sorted(
-        ((tuple(pool[k] for pool, k in zip(pools, cone)), cone)
-         for cone in compatible_families([len(pool) for pool in pools], arrows)),
-        key=lambda pair: idkey(pair[0]))
-    return LimitCone(shape_objects=shape_objects, cones=tuple(c for c, _ in found),
-                     positions=tuple(p for _, p in found))
+    positions = tuple(compatible_families([len(pool) for pool in pools], arrows))
+    cones = tuple(tuple(pool[k] for pool, k in zip(pools, cone)) for cone in positions)
+    return LimitCone(shape_objects=shape_objects, cones=cones, positions=positions)
 
 
 def is_global_limit(ic: IndexedCategory, b, diagram: FiberDiagram, obj) -> bool:

@@ -108,12 +108,12 @@ def identities_class(cat: FiniteCategory) -> MorphismClass:
 
 
 def all_spans(rcls: MorphismClass, x, y) -> tuple:
+    """Every span from x to y, in :meth:`Span.key` order (apex, left leg, right leg)."""
     cat = rcls.category
-    spans = [Span(v, r, g)
-             for v in cat.objects
-             for r in cat.hom(v, x) if r in rcls
-             for g in cat.hom(v, y)]
-    return tuple(sorted(spans, key=Span.key))
+    return tuple(Span(v, r, g)
+                 for v in cat.objects
+                 for r in cat.hom(v, x) if r in rcls
+                 for g in cat.hom(v, y))
 
 
 @dataclass(frozen=True)
@@ -122,7 +122,7 @@ class SpanClasses:
 
     source: object
     target: object
-    classes: tuple  # tuple of tuples of spans, each sorted; classes sorted by representative
+    classes: tuple  # tuple of tuples of spans, each in key order; classes ordered by representative
 
     def representatives(self) -> tuple:
         return tuple(c[0] for c in self.classes)
@@ -152,9 +152,7 @@ def span_pi0(rcls: MorphismClass, x, y) -> SpanClasses:
     linked = ((Span(cat.src[h], left, cat.compose(h, s.right)), s)
               for s in spans for h in cat.morphisms_into(s.apex)
               if (left := cat.compose(h, s.left)) in rcls)
-    classes = sorted((tuple(sorted(c, key=Span.key)) for c in partition(spans, linked)),
-                     key=lambda c: c[0].key())
-    return SpanClasses(source=x, target=y, classes=tuple(classes))
+    return SpanClasses(source=x, target=y, classes=tuple(map(tuple, partition(spans, linked))))
 
 
 def compose_spans(rcls: MorphismClass, s1: Span, s2: Span) -> Span:
@@ -194,8 +192,7 @@ def r_homotopy_classes(rcls: MorphismClass, x, y) -> tuple:
     """Hom(x, y) modulo the equivalence generated by one-step homotopies."""
     homs = rcls.category.hom(x, y)
     linked = ((f, maps[0]) for maps in _homotopy_sets(rcls, x, y) for f in maps)
-    return tuple(sorted((tuple(sorted(c, key=idkey)) for c in partition(homs, linked)),
-                        key=lambda c: idkey(c[0])))
+    return tuple(map(tuple, partition(homs, linked)))
 
 
 @dataclass(frozen=True)

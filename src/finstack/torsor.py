@@ -134,7 +134,7 @@ def cocycle_to_torsor(c: Cocycle) -> Torsor:
     for w in c.cov.points:
         charts = [i for i in indices if w in c.cov.cover[i]]
         i0 = charts[0]
-        fiber = fibers[w] = sorted_ids((i0, w, alpha) for alpha in g.morphisms_from(c.a[i0][w]))
+        fiber = fibers[w] = tuple((i0, w, alpha) for alpha in g.morphisms_from(c.a[i0][w]))
         f.update((u, g.tgt[u[2]]) for u in fiber)
         delta.update(((u, v), g.compose(g.inv[u[2]], v[2])) for u in fiber for v in fiber)
         for i in charts:

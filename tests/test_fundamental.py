@@ -85,7 +85,9 @@ def test_certificate_order_matches_coset_enumeration(g):
 def presentation_zoo():
     """The certificate zoo's nerves, and the circle: a category that is not a groupoid."""
     return [(name, fs.nerve(g, 2)) for name, g in certificate_zoo()] + \
-        [("circle", fs.simplicial_circle())]
+        [("circle", fs.simplicial_circle()),
+         # the repr of object 1 is a prefix of those of 10 and 11
+         ("pair-1-10-11-2", fs.nerve(fs.pair_groupoid([1, 10, 11, 2]), 2))]
 
 
 @pytest.mark.parametrize("s", [s for _, s in presentation_zoo()],

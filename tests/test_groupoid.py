@@ -159,6 +159,12 @@ def test_pi0_examples():
     two = fs.disjoint_union(z2(), pt())
     assert len(fs.pi0(two)) == 2
     assert len(fs.pi0(self_action())) == 1
+    # components list their objects in id order, and come in the order of
+    # their first objects; the repr of 1 is a prefix of that of 10
+    assert fs.pi0(fs.disjoint_union(fs.pair_groupoid([2, 10, 1]), pt())) == \
+        (((0, 1), (0, 10), (0, 2)), ((1, "pt"),))
+    swap = fs.action_groupoid([2, 10, 1], z2(), lambda x, g: {1: 2, 2: 1}.get(x, x) if g else x)
+    assert fs.pi0(swap) == ((1, 2), (10,))
 
 
 def test_vertex_group_examples():

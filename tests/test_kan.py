@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import finstack as fs
 from finstack.category import functor, chain_category, discrete_category, validate_category
 from finstack.errors import (
+    DanglingId,
     EnumerationBudgetExceeded,
     FinstackError,
     NoFinalObject,
@@ -259,12 +260,13 @@ def test_right_kan_equalizer():
 
 def relabel_chain(sets, shift=0):
     """The chain 0 -> 1 as base and shape, with the identity anchor: fiber 1
-    is ``sets``, fiber 0 an m-prefixed copy, and the pullback relabels each
-    set's j-th element as the copy of its (j + shift)-th, cyclically."""
+    is ``sets``, fiber 0 a copy with m-prefixed names and elements ("m", x),
+    and the pullback relabels each set's j-th element as the copy of its
+    (j + shift)-th, cyclically."""
     base = chain_category(1)
     fib1 = fs.make_fiber(sets)
-    fib0 = fs.make_fiber({f"m{n}": [f"m{x}" for x in xs] for n, xs in sets.items()})
-    carriers = {n: {x: f"m{xs[(j + shift) % len(xs)]}" for j, x in enumerate(xs)}
+    fib0 = fs.make_fiber({f"m{n}": [("m", x) for x in xs] for n, xs in sets.items()})
+    carriers = {n: {x: ("m", xs[(j + shift) % len(xs)]) for j, x in enumerate(xs)}
                 for n, xs in sets.items()}
     pull01 = relabel_pullback(fib1, fib0, {n: f"m{n}" for n in sets}, carriers)
     ic = fs.indexed_category(base, {0: fib0, 1: fib1},
@@ -621,6 +623,13 @@ def test_finset_limit_no_cones():
     assert fs.finset_limit(fib, diag).cones == ()
 
 
+def test_fiber_diagram_rejects_an_unhashable_object_name():
+    """An unhashable name is undeclared, like any other dangling name."""
+    fib = fs.make_fiber({"two": ["a", "b"]})
+    with pytest.raises(DanglingId, match=r"undeclared id \['two'\]"):
+        fiber_diagram(fib, discrete_category(["g"]), {"g": ["two"]}, {})
+
+
 @st.composite
 def constraint_network(draw):
     """At most four variables of at most three values, with up to five unary
@@ -667,12 +676,17 @@ def idempotent_category():
     )
 
 
+# ids whose reprs are prefixes of each other's, and ids of mixed types
+ELEMENTS = ("x0", "x1", "x2", 1, 10, -1, "1", "10", "a'", 'a"b', (1, 2), (1, 20))
+
+
 @st.composite
 def random_diagram(draw):
-    """A diagram in a fiber of sets of at most 3 elements, over the empty,
-    discrete, parallel-pair, span or idempotent shape."""
-    sizes = draw(st.lists(st.integers(0, 3), min_size=1, max_size=3))
-    fib = fs.make_fiber({f"n{i}": [f"x{j}" for j in range(k)] for i, k in enumerate(sizes)})
+    """A diagram in a fiber of sets of at most 3 elements out of ELEMENTS,
+    over the empty, discrete, parallel-pair, span or idempotent shape."""
+    sets = draw(st.lists(st.lists(st.sampled_from(ELEMENTS), unique=True, max_size=3),
+                         min_size=1, max_size=3))
+    fib = fs.make_fiber({f"n{i}": xs for i, xs in enumerate(sets)})
     shape = draw(st.sampled_from([discrete_category([]), discrete_category(["g1", "g2"]),
                                   parallel_pair(), span_category(), idempotent_category()]))
     on_obj = {x: draw(st.sampled_from(fib.names())) for x in shape.objects}

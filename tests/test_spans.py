@@ -249,6 +249,7 @@ def oracle_zoo():
     cases = [("poset2", subset_poset(2)[0]), ("poset3", subset_poset(3)[0])]
     cases += [(f"cylinder{k}", jsonio.category_from_json(docs.cylinder(k, 2)[0])) for k in range(1, 6)]
     cases += [("chain3", fs.chain_category(3)), ("chain1", fs.chain_category(1)),
+              ("chain11", fs.chain_category(11)),  # the repr of object 1 is a prefix of 10's
               ("cylinder-fixture", cylinder_category()[0]),
               ("discrete", fs.discrete_category(["x", "y"]))]
     return cases

@@ -1,5 +1,6 @@
-"""The runtime imports nothing outside the standard library, and every
-annotation in it names something its module can see."""
+"""The runtime imports nothing outside the standard library, every
+annotation in it names something its module can see, and every name a
+module imports is used there."""
 
 from __future__ import annotations
 
@@ -45,3 +46,31 @@ def test_type_hints_resolve(path):
             for member in vars(obj).values():
                 if inspect.isfunction(member):
                     typing.get_type_hints(member)
+
+
+def _names_read(tree: ast.AST) -> set:
+    """Every name the module reads, in code and in annotations, string ones included."""
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        for annotation in (getattr(node, "annotation", None), getattr(node, "returns", None)):
+            if isinstance(annotation, ast.Constant) and isinstance(annotation.value, str):
+                read |= _names_read(ast.parse(annotation.value, mode="eval"))
+    return read
+
+
+MODULES = [p for p in SOURCES if p.name != "__init__.py"]  # __init__ imports to re-export
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_every_import_is_used(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound.update((alias.asname or alias.name).split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound.update(alias.asname or alias.name for alias in node.names)
+    unused = sorted(bound - _names_read(tree))
+    assert not unused, f"{path.name} imports {unused} without using them"

@@ -429,3 +429,18 @@ def prefix_chart_cocycles(draw):
 def test_first_chart_glue_matches_union_find_oracle_on_prefix_chart_ids(c):
     """(i0, w, alpha) is the least member of its class, i0 the first chart containing w."""
     assert fs.cocycle_to_torsor(c) == glue_torsor(c)
+
+
+@st.composite
+def prefix_arrow_cocycles(draw):
+    """Cocycles into Z/12, whose arrow 1 has a repr that is a prefix of those
+    of the arrows 10 and 11."""
+    points = [f"w{n}" for n in range(draw(st.integers(1, 3)))]
+    return draw(anchored_cocycles(fs.cyclic_groupoid(12), points))
+
+
+@settings(max_examples=50, deadline=None)
+@given(prefix_arrow_cocycles())
+def test_first_chart_glue_matches_union_find_oracle_on_prefix_arrow_ids(c):
+    """Each fiber lists its elements in the order of the arrows out of a_i0(w)."""
+    assert fs.cocycle_to_torsor(c) == glue_torsor(c)
