@@ -7,7 +7,10 @@ inverse table.  Composition is diagrammatic throughout the package:
 ``tgt(compose(f, g)) == tgt(g)``.
 
 Tables that come from outside the program go through :func:`validate_category`
-or :func:`validate_groupoid`, which check every axiom.  Builders that only
+or :func:`validate_groupoid`, which decide every axiom: associativity and
+functoriality on a generating set of arrows (``FiniteCategory.generators``),
+with an exhaustive scan only to name the first witness of a failure, or on
+tables under ``SCAN_BELOW`` entries.  Builders that only
 combine validated values construct the dataclasses directly: their output is
 correct by construction.  Ids are put in order once, when a table is built
 (``FiniteCategory``, ``covered_space``, ``make_fiber``); :func:`partition` and
@@ -19,6 +22,7 @@ without a sort.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Iterable, Mapping
 
 from .errors import AxiomViolation, DanglingId, MismatchedTarget, NoFinalObject
@@ -118,6 +122,35 @@ class FiniteCategory:
     def morphisms_into(self, x) -> tuple:
         return self._into.get(x, ())
 
+    @cached_property
+    def generators(self) -> tuple:
+        """Non-identity arrows whose left-bracketed composites reach every
+        non-identity arrow; needs a total ``comp`` table.
+
+        Arrows b are taken in order of |into(src b)|·|from(tgt b)|, ties in id
+        order, and kept when no composite of the arrows kept so far is b.
+        """
+        src, tgt, comp, into, out = self.src, self.tgt, self.comp, self._into, self._from
+        identities = set(self.ident.values())
+        candidates = sorted((m for m in self.morphisms if m not in identities),
+                            key=lambda b: len(into[src[b]]) * len(out[tgt[b]]))
+        gens: list = []
+        gens_from: dict = {}
+        reached: set = set()
+        for b in candidates:
+            if b in reached:
+                continue
+            gens.append(b)
+            gens_from.setdefault(src[b], []).append(b)
+            # close the reached set under right composition, breadth first:
+            # the old composites gain the factor b, the new ones every generator
+            queue = [b] + [comp[(r, b)] for r in into[src[b]] if r in reached]
+            for w in queue:
+                if w not in reached:
+                    reached.add(w)
+                    queue += [comp[(w, g)] for g in gens_from.get(tgt[w], ())]
+        return tuple(gens)
+
     def final_object(self):
         """The first object with exactly one morphism from every object."""
         for t in self.objects:
@@ -127,6 +160,22 @@ class FiniteCategory:
         raise NoFinalObject("category has no final object")
 
 
+# A comp table with fewer entries than this is scanned whole: on tables this
+# small, choosing generators costs more than the scan.
+SCAN_BELOW = 32
+
+
+def _associative_at(c: FiniteCategory, b) -> bool:
+    """Whether (f.b).h = f.(b.h) for every f into src b and h out of tgt b."""
+    comp, after = c.comp, c._from[c.tgt[b]]
+    through_b = [comp[(b, h)] for h in after]
+    for f in c._into[c.src[b]]:
+        fb = comp[(f, b)]
+        if [comp[(fb, h)] for h in after] != [comp[(f, bh)] for bh in through_b]:
+            return False
+    return True
+
+
 def validated(build: Callable, objects, morphisms, src, tgt, comp, ident):
     """Check the category axioms on raw tables and return ``build`` of them.
 
@@ -134,6 +183,13 @@ def validated(build: Callable, objects, morphisms, src, tgt, comp, ident):
     Raises :class:`DanglingId` when a table mentions an undeclared id and
     :class:`AxiomViolation` with a witness when a law fails.  ``comp`` must be
     defined on exactly the composable pairs.
+
+    Associativity is decided on the triples (f, b, h) with b a generator
+    (Light's test, read for categories): the arrows b with (f.b).h = f.(b.h)
+    for all f and h hold the identities, by the unit laws, and are closed
+    under composition, so they are every arrow once they hold a generating
+    set.  Only a failure, or a table under ``SCAN_BELOW`` entries, runs the
+    scan over every composable triple, which names the first failing one.
     """
     objects, morphisms = tuple(objects), tuple(morphisms)
     obj_set, mor_set = set(objects), set(morphisms)
@@ -163,26 +219,32 @@ def validated(build: Callable, objects, morphisms, src, tgt, comp, ident):
             raise AxiomViolation("comp-domain", (f, g))
         if src[h] != src[f] or tgt[h] != tgt[g]:
             raise AxiomViolation("comp-endpoints", (f, g, h))
-    for f in c.morphisms:
-        for g in c.morphisms_from(tgt[f]):
-            if (f, g) not in comp:
-                raise DanglingId("comp (missing entry)", (f, g))
+    # every key is a composable pair, so comp is total when it has them all
+    if len(comp) != sum(len(c._into[x]) * len(c._from[x]) for x in c.objects):
+        for f in c.morphisms:
+            for g in c.morphisms_from(tgt[f]):
+                if (f, g) not in comp:
+                    raise DanglingId("comp (missing entry)", (f, g))
     for f in c.morphisms:
         if comp[(ident[src[f]], f)] != f:
             raise AxiomViolation("left-unit", f)
         if comp[(f, ident[tgt[f]])] != f:
             raise AxiomViolation("right-unit", f)
-    for f in c.morphisms:
-        for g in c.morphisms_from(tgt[f]):
-            fg = comp[(f, g)]
-            for h in c.morphisms_from(tgt[g]):
-                if comp[(fg, h)] != comp[(f, comp[(g, h)])]:
-                    raise AxiomViolation("associativity", (f, g, h))
+    if len(comp) < SCAN_BELOW or not all(_associative_at(c, b) for b in c.generators):
+        for f in c.morphisms:
+            for g in c.morphisms_from(tgt[f]):
+                fg = comp[(f, g)]
+                for h in c.morphisms_from(tgt[g]):
+                    if comp[(fg, h)] != comp[(f, comp[(g, h)])]:
+                        raise AxiomViolation("associativity", (f, g, h))
     return c
 
 
 def validate_category(objects, morphisms, src, tgt, comp, ident) -> FiniteCategory:
-    """Check the category axioms exhaustively and return the validated value."""
+    """Check the category axioms and return the validated value.
+
+    The laws are decided on a generating set; see :func:`validated`.
+    """
     return validated(FiniteCategory, objects, morphisms, src, tgt, comp, ident)
 
 
@@ -244,7 +306,13 @@ class CatFunctor:
 def functor(source: FiniteCategory, target: FiniteCategory, obj_map, mor_map) -> CatFunctor:
     """Validate that the tables commute with src/tgt/id/comp.
 
-    Between groupoids this also preserves inverses: F(a) . F(inv a) = F(id) = id.
+    ``source`` and ``target`` must be valid categories.  Composition is decided
+    on the generators of the source: F(s.b) = F(s).F(b) for every s into
+    src b and every generator b gives F(s.w) = F(s).F(w) for every arrow w,
+    by induction on the length of w.  Only a failure, or a table under
+    ``SCAN_BELOW`` entries, scans the whole ``comp`` table, which names the
+    first failing pair.  Between groupoids this also
+    preserves inverses: F(a) . F(inv a) = F(id) = id.
     """
     objects, morphisms = set(target.objects), set(target.morphisms)
     for x in source.objects:
@@ -259,9 +327,13 @@ def functor(source: FiniteCategory, target: FiniteCategory, obj_map, mor_map) ->
     for x in source.objects:
         if mor_map[source.ident[x]] != target.ident[obj_map[x]]:
             raise AxiomViolation("functor-identity", x)
-    for (f, g), h in source.comp.items():
-        if target.comp[(mor_map[f], mor_map[g])] != mor_map[h]:
-            raise AxiomViolation("functor-composition", (f, g))
+    scomp, tcomp = source.comp, target.comp
+    if len(scomp) < SCAN_BELOW or any(
+            tcomp[(mor_map[s], mor_map[b])] != mor_map[scomp[(s, b)]]
+            for b in source.generators for s in source._into[source.src[b]]):
+        for (f, g), h in scomp.items():
+            if tcomp[(mor_map[f], mor_map[g])] != mor_map[h]:
+                raise AxiomViolation("functor-composition", (f, g))
     return CatFunctor(source, target, dict(obj_map), dict(mor_map))
 
 

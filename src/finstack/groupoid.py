@@ -188,19 +188,26 @@ def fiber_product_2(f: CatFunctor, h: CatFunctor) -> FiniteGroupoid:
     objects = [(x, y, k)
                for x in g1.objects for y in g2.objects
                for k in k_grp.hom(f.obj_map[x], h.obj_map[y])]
+    kcomp = k_grp.comp
+    rights = [(b, g2.src[b], g2.tgt[b], g2.inv[b], h.obj_map[g2.src[b]], h.mor_map[b],
+               [(d, g2.comp[(b, d)]) for d in g2.morphisms_from(g2.tgt[b])])
+              for b in g2.morphisms]
     src, tgt, comp, inv = {}, {}, {}, {}
     for a in g1.morphisms:
-        for b in g2.morphisms:
-            back = k_grp.inv[f.mor_map[a]]
-            for k in k_grp.hom(f.obj_map[g1.src[a]], h.obj_map[g2.src[b]]):
+        sa, ta, ia = g1.src[a], g1.tgt[a], g1.inv[a]
+        fsa, back = f.obj_map[sa], k_grp.inv[f.mor_map[a]]
+        lefts = [(c, g1.comp[(a, c)]) for c in g1.morphisms_from(ta)]
+        for b, sb, tb, ib, hsb, hb, downs in rights:
+            for k in k_grp.hom(fsa, hsb):
                 # k at the source of (a, b) carried to the target of (a, b)
-                k2 = k_grp.compose_path([back, k, h.mor_map[b]])
-                src[(a, b, k)] = (g1.src[a], g2.src[b], k)
-                tgt[(a, b, k)] = (g1.tgt[a], g2.tgt[b], k2)
-                inv[(a, b, k)] = (g1.inv[a], g2.inv[b], k2)
-                for c in g1.morphisms_from(g1.tgt[a]):
-                    for d in g2.morphisms_from(g2.tgt[b]):
-                        comp[((a, b, k), (c, d, k2))] = (g1.comp[(a, c)], g2.comp[(b, d)], k)
+                k2 = kcomp[(kcomp[(back, k)], hb)]
+                arrow = (a, b, k)
+                src[arrow] = (sa, sb, k)
+                tgt[arrow] = (ta, tb, k2)
+                inv[arrow] = (ia, ib, k2)
+                for c, ac in lefts:
+                    for d, bd in downs:
+                        comp[(arrow, (c, d, k2))] = (ac, bd, k)
     return FiniteGroupoid(objects, src.keys(), src, tgt, comp,
                           {(x, y, k): (g1.ident[x], g2.ident[y], k) for x, y, k in objects}, inv)
 

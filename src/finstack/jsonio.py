@@ -84,8 +84,10 @@ def _category_tables(doc: Mapping, arrows_key: str) -> tuple:
         tgt[a] = _require(entry, "tgt", str)
     comp = {}
     for entry in _require(doc, "comp", list):
-        if len(_ids(entry, "comp entries")) != 3:
-            raise SchemaError("comp entries must be triples [a, b, ab]")
+        if not (type(entry) is list and len(entry) == 3 and type(entry[0]) is str
+                and type(entry[1]) is str and type(entry[2]) is str):
+            if len(_ids(entry, "comp entries")) != 3:
+                raise SchemaError("comp entries must be triples [a, b, ab]")
         if (entry[0], entry[1]) in comp:
             raise SchemaError(f"comp repeats the pair {entry[:2]!r}")
         comp[(entry[0], entry[1])] = entry[2]

@@ -43,21 +43,30 @@ class MorphismClass:
         return self.oracle[(f, g)]
 
 
-def _check_pullback_square(cat: FiniteCategory, f, g, apex, pf, pg) -> None:
+def _maps_into(cat: FiniteCategory, a) -> list:
+    """The pairs (x, hom(x, a)) with hom(x, a) not empty, in object order."""
+    return [(x, maps) for x in cat.objects if (maps := cat.hom(x, a))]
+
+
+def _check_pullback_square(cat: FiniteCategory, f, g, apex, pf, pg, maps_into_a: list) -> None:
+    """Every (q1, q2) with q1 . f = q2 . g has exactly one u: x -> apex with
+    u . pf = q1 and u . pg = q2; ``maps_into_a`` is ``_maps_into(cat, src f)``."""
+    comp = cat.comp
     if cat.src[pf] != apex or cat.src[pg] != apex:
         raise InvalidClass("oracle projections must leave the apex", (f, g))
     if cat.tgt[pf] != cat.src[f] or cat.tgt[pg] != cat.src[g]:
         raise InvalidClass("oracle projections land wrong", (f, g))
-    if cat.compose(pf, f) != cat.compose(pg, g):
+    if comp[(pf, f)] != comp[(pg, g)]:
         raise InvalidClass("oracle square does not commute", (f, g))
-    for x in cat.objects:
-        for q1 in cat.hom(x, cat.src[f]):
-            for q2 in cat.hom(x, cat.src[g]):
-                if cat.compose(q1, f) != cat.compose(q2, g):
-                    continue
-                mediators = [u for u in cat.hom(x, apex)
-                             if cat.compose(u, pf) == q1 and cat.compose(u, pg) == q2]
-                if len(mediators) != 1:
+    for x, q1s in maps_into_a:
+        q2s = [(q2, comp[(q2, g)]) for q2 in cat.hom(x, cat.src[g])]
+        if not q2s:
+            continue
+        images = [(comp[(u, pf)], comp[(u, pg)]) for u in cat.hom(x, apex)]
+        for q1 in q1s:
+            q1f = comp[(q1, f)]
+            for q2, q2g in q2s:
+                if q2g == q1f and images.count((q1, q2)) != 1:
                     raise InvalidClass("oracle output fails the universal property",
                                        (f, g, x, q1, q2))
 
@@ -87,6 +96,7 @@ def morphism_class(cat: FiniteCategory, members, oracle: Mapping | None = None) 
         raise InvalidClass("members outside the category", sorted_ids(members - set(cat.morphisms)))
     members = close_composition(cat, members)
     if oracle is not None:
+        maps_into: dict = {}  # object a -> _maps_into(cat, a), for each a met as src f
         for (f, g), (apex, pf, pg) in oracle.items():
             for m in (f, g, pf, pg):
                 if m not in cat.src:
@@ -95,7 +105,10 @@ def morphism_class(cat: FiniteCategory, members, oracle: Mapping | None = None) 
                 raise DanglingId("pullbacks", (f, g), apex)
             if cat.tgt[f] != cat.tgt[g]:
                 raise InvalidClass("oracle key is not a cospan", (f, g))
-            _check_pullback_square(cat, f, g, apex, pf, pg)
+            a = cat.src[f]
+            if a not in maps_into:
+                maps_into[a] = _maps_into(cat, a)
+            _check_pullback_square(cat, f, g, apex, pf, pg, maps_into[a])
             if f in members and pg not in members:
                 raise InvalidClass("not closed under base extension", (f, g, pg))
             if g in members and pf not in members:

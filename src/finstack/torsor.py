@@ -111,10 +111,6 @@ class Torsor:
     delta: dict     # (u, v) in one fiber -> arrow
     sections: dict  # i -> {w: element} for w in U_i
 
-    @property
-    def elements(self) -> tuple:
-        return sorted_ids(u for fiber in self.fibers.values() for u in fiber)
-
 
 def cocycle_to_torsor(c: Cocycle) -> Torsor:
     """Glue the chart pieces U_i x_{a_i} R along the transition arrows.

@@ -7,13 +7,64 @@ on every pair of maps; ``close_composition`` re-sorts the class in every
 round.  They were the runtime's code before each relation was generated from
 the witnesses that define it (arrows into each apex, section sets of (r, g)),
 and are kept here to check those generators exactly on small categories.
+
+``check_pullback_square`` refilters hom(x, apex) for every object x and every
+pair of maps into the two legs, and ``fiber_product_2`` composes each carried
+k as a fresh path; they were the runtime's code before the maps into each
+object, the mediator images and the per-arrow lookups were read once.
 """
 
 from __future__ import annotations
 
-from finstack.category import FiniteCategory, idkey, partition
-from finstack.errors import UnknownObject
+from finstack.category import CatFunctor, FiniteCategory, idkey, partition
+from finstack.errors import InvalidClass, MismatchedTarget, UnknownObject
+from finstack.groupoid import FiniteGroupoid
 from finstack.spans import MorphismClass, Span, SpanClasses, all_spans
+
+
+def check_pullback_square(cat: FiniteCategory, f, g, apex, pf, pg) -> None:
+    if cat.src[pf] != apex or cat.src[pg] != apex:
+        raise InvalidClass("oracle projections must leave the apex", (f, g))
+    if cat.tgt[pf] != cat.src[f] or cat.tgt[pg] != cat.src[g]:
+        raise InvalidClass("oracle projections land wrong", (f, g))
+    if cat.compose(pf, f) != cat.compose(pg, g):
+        raise InvalidClass("oracle square does not commute", (f, g))
+    for x in cat.objects:
+        for q1 in cat.hom(x, cat.src[f]):
+            for q2 in cat.hom(x, cat.src[g]):
+                if cat.compose(q1, f) != cat.compose(q2, g):
+                    continue
+                mediators = [u for u in cat.hom(x, apex)
+                             if cat.compose(u, pf) == q1 and cat.compose(u, pg) == q2]
+                if len(mediators) != 1:
+                    raise InvalidClass("oracle output fails the universal property",
+                                       (f, g, x, q1, q2))
+
+
+def fiber_product_2(f: CatFunctor, h: CatFunctor) -> FiniteGroupoid:
+    """Iso-comma fiber product: objects are triples (x, y, k) with k: f(x) -> h(y)."""
+    if f.target != h.target:
+        raise MismatchedTarget("fiber product needs a common target")
+    k_grp = f.target
+    g1, g2 = f.source, h.source
+
+    objects = [(x, y, k)
+               for x in g1.objects for y in g2.objects
+               for k in k_grp.hom(f.obj_map[x], h.obj_map[y])]
+    src, tgt, comp, inv = {}, {}, {}, {}
+    for a in g1.morphisms:
+        for b in g2.morphisms:
+            back = k_grp.inv[f.mor_map[a]]
+            for k in k_grp.hom(f.obj_map[g1.src[a]], h.obj_map[g2.src[b]]):
+                k2 = k_grp.compose_path([back, k, h.mor_map[b]])
+                src[(a, b, k)] = (g1.src[a], g2.src[b], k)
+                tgt[(a, b, k)] = (g1.tgt[a], g2.tgt[b], k2)
+                inv[(a, b, k)] = (g1.inv[a], g2.inv[b], k2)
+                for c in g1.morphisms_from(g1.tgt[a]):
+                    for d in g2.morphisms_from(g2.tgt[b]):
+                        comp[((a, b, k), (c, d, k2))] = (g1.comp[(a, c)], g2.comp[(b, d)], k)
+    return FiniteGroupoid(objects, src.keys(), src, tgt, comp,
+                          {(x, y, k): (g1.ident[x], g2.ident[y], k) for x, y, k in objects}, inv)
 
 
 def close_composition(cat: FiniteCategory, members) -> frozenset:

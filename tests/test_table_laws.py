@@ -1,0 +1,262 @@
+"""The table laws decided on generators, against the exhaustive oracles.
+
+``category.validated`` decides associativity on the triples whose middle is a
+generator, ``category.functor`` decides composition on the generators of the
+source, ``spans._check_pullback_square`` reads the maps into each object and
+the mediator images once, and ``groupoid.fiber_product_2`` hoists its
+per-arrow lookups.  Each must give the same verdict, exception and witness as
+the exhaustive code it replaced (``category_oracle``, ``spans_oracle``).
+"""
+
+from __future__ import annotations
+
+import itertools
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import category_oracle
+import finstack as fs
+import spans_oracle
+from finstack import category, jsonio
+from finstack.category import FiniteCategory, validated
+from finstack.errors import FinstackError
+from finstack.spans import _check_pullback_square, _maps_into
+from support import (cylinder_category, pair2, point_inclusion, s3, self_action, subset_poset, z2,
+                     z3)
+from test_core import BUILT, LEGS, translation_projection
+from test_spans import load_bench_docs
+
+
+@pytest.fixture(params=["default", "no-scan"])
+def scan_below(request, monkeypatch):
+    """Run a test as it is, and with no table small enough to be scanned
+    whole, so that every verdict comes from the generators."""
+    if request.param == "no-scan":
+        monkeypatch.setattr(category, "SCAN_BELOW", 0)
+
+
+def outcome(fn, *args):
+    """The value ``fn`` returns, or the class and text of the error it raises."""
+    try:
+        return "ok", fn(*args)
+    except FinstackError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def tables(c) -> list:
+    return [c.objects, c.morphisms, dict(c.src), dict(c.tgt), dict(c.comp), dict(c.ident)]
+
+
+def same_verdict(raw) -> tuple:
+    """Validate ``raw`` tables both ways; the two outcomes must agree."""
+    got = outcome(validated, FiniteCategory, *raw)
+    assert got == outcome(category_oracle.validated, FiniteCategory, *raw)
+    return got
+
+
+def cylinders():
+    docs = load_bench_docs()
+    return [jsonio.category_from_json(docs.cylinder(k, 2)[0]) for k in (1, 2, 3, 5, 12)]
+
+
+@pytest.mark.usefixtures("scan_below")
+def test_valid_tables_pass_both_ways():
+    cases = [c for _, c in BUILT] + [fs.symmetric_groupoid(5), cylinder_category()[0]]
+    cases += [subset_poset(n)[0] for n in (2, 3, 4)] + cylinders()
+    for c in cases:
+        verdict, value = same_verdict(tables(c))
+        assert verdict == "ok" and tables(value) == tables(c)
+
+
+def corruption_cases():
+    return [z3(), s3(), fs.pair_groupoid([1, 2, 3]), fs.chain_category(3), subset_poset(2)[0]]
+
+
+@pytest.mark.usefixtures("scan_below")
+def test_every_single_comp_corruption_gets_the_same_witness():
+    """Each comp entry set to every other arrow, or dropped.  Some changes
+    pass the unit laws, so the generator check must fail and the scan name
+    the first failing triple."""
+    axioms = set()
+    for c in corruption_cases():
+        raw = tables(c)
+        comp = raw[4]
+        for key, value in comp.items():
+            for other in c.morphisms:
+                if other != value:
+                    verdict, text = same_verdict(raw[:4] + [{**comp, key: other}] + raw[5:])
+                    assert verdict == "AxiomViolation"
+                    axioms.add(text.split()[1])
+            dropped = {k: v for k, v in comp.items() if k != key}
+            assert same_verdict(raw[:4] + [dropped] + raw[5:])[0] == "DanglingId"
+    assert axioms == {"associativity", "left-unit", "right-unit", "comp-endpoints"}
+
+
+def small_functors():
+    shift = fs.functor(fs.chain_category(1), fs.chain_category(2), {0: 1, 1: 2},
+                       {(0, 0): (1, 1), (0, 1): (1, 2), (1, 1): (2, 2)})
+    k = z3()
+    double = fs.functor(k, k, {"*": "*"}, {a: 2 * a % 3 for a in k.morphisms})
+    return [fs.identity_functor(s3()), double, translation_projection(z2()),
+            translation_projection(z3()), point_inclusion(pair2(), 1), shift,
+            fs.identity_functor(fs.chain_category(3)), fs.identity_functor(self_action())]
+
+
+@pytest.mark.usefixtures("scan_below")
+def test_every_single_mor_map_corruption_gets_the_same_witness():
+    seen = set()
+    for f in small_functors():
+        assert outcome(fs.functor, f.source, f.target, f.obj_map, f.mor_map) == ("ok", f)
+        for m, image in f.mor_map.items():
+            for other in f.target.morphisms:
+                if other == image:
+                    continue
+                args = (f.source, f.target, f.obj_map, {**f.mor_map, m: other})
+                got = outcome(fs.functor, *args)
+                assert got == outcome(category_oracle.functor, *args)
+                seen.add(got[1].split(" fails")[0])
+    assert "axiom functor-composition" in seen
+
+
+def generator_spec_holds(c) -> bool:
+    """Arrow b, taken in cost order, is a generator exactly when no composite
+    of the generators kept before it is b, and the generators reach every
+    non-identity arrow."""
+    identities = set(c.ident.values())
+    order = sorted((m for m in c.morphisms if m not in identities),
+                   key=lambda b: len(c.morphisms_into(c.src[b])) * len(c.morphisms_from(c.tgt[b])))
+
+    def closure(gens):
+        reached = set(gens)
+        while True:
+            new = {c.compose(w, g) for w in reached for g in gens if c.tgt[w] == c.src[g]}
+            if new <= reached:
+                return reached
+            reached |= new
+
+    kept = []
+    for b in order:
+        if b not in closure(kept):
+            kept.append(b)
+    return tuple(kept) == c.generators and closure(kept) | identities == set(c.morphisms)
+
+
+def preorders():
+    """Thin categories on up to five objects: the reflexive-transitive closure of a random relation."""
+    def build(n_and_pairs):
+        n, pairs = n_and_pairs
+        le = {(x, x) for x in range(n)} | {(x, y) for x, y in pairs if x < n and y < n}
+        for z, x, y in itertools.product(range(n), repeat=3):
+            if (x, z) in le and (z, y) in le:
+                le.add((x, y))
+        return fs.poset_category(range(n), lambda x, y: (x, y) in le)
+
+    pairs = st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), max_size=8)
+    return st.tuples(st.integers(1, 5), pairs).map(build)
+
+
+POOL = [c for _, c in BUILT] + [fs.cyclic_groupoid(m) for m in (4, 6, 12)] + [
+    subset_poset(3)[0], cylinder_category()[0]]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(st.sampled_from(POOL), preorders()))
+def test_generators_reach_every_non_identity_arrow(c):
+    assert generator_spec_holds(c)
+
+
+def late_factor_category():
+    """r: x -> y is kept before b: y -> z, and r . b = rb comes after b in
+    cost order, so choosing b must also reach rb through the earlier r.
+
+    e is an idempotent at x and d1, d2 are left zeros at z with b . d = b.
+    """
+    arrows = {"1x": "xx", "1y": "yy", "1z": "zz", "e": "xx", "r": "xy", "b": "yz", "rb": "xz",
+              "d1": "zz", "d2": "zz"}
+    comp = {("e", "e"): "e", ("e", "r"): "r", ("e", "rb"): "rb", ("r", "b"): "rb"}
+    comp.update({(f, d): f for f in ("b", "rb") for d in ("d1", "d2")})
+    comp.update({(d, d2): d for d in ("d1", "d2") for d2 in ("d1", "d2")})
+    for m, (x, y) in arrows.items():
+        comp[("1" + x, m)] = comp[(m, "1" + y)] = m
+    return fs.validate_category("xyz", arrows, {m: e[0] for m, e in arrows.items()},
+                                {m: e[1] for m, e in arrows.items()}, comp,
+                                {x: "1" + x for x in "xyz"})
+
+
+def test_generators_reach_a_composite_through_an_earlier_generator():
+    c = late_factor_category()
+    assert c.generators == ("r", "b", "e", "d1", "d2")
+    assert generator_spec_holds(c)
+
+
+def test_generators_on_the_large_cases():
+    assert len(fs.symmetric_groupoid(5).generators) == 4
+    cylinder = cylinders()[-1]
+    assert generator_spec_holds(cylinder)
+    assert len(cylinder.generators) == 12 * 3 + 2
+
+
+def pullback_cases():
+    """Subset posets with their meets, cylinders with their identity cospans,
+    and groupoids, where (f, g) has the pullback (src f, id, f . inv g)."""
+    cases = [subset_poset(n) for n in (2, 3, 4)]
+    for cat in cylinders() + [cylinder_category()[0]]:
+        cases.append((cat, {(e, e): (x, e, e) for x, e in cat.ident.items()}))
+    for g in (z3(), fs.pair_groupoid([1, 2, 3])):
+        cases.append((g, {(f, h): (g.src[f], g.ident[g.src[f]], g.compose(f, g.inv[h]))
+                          for f in g.morphisms for h in g.morphisms_into(g.tgt[f])}))
+    return cases
+
+
+def same_square_verdict(cat, f, g, apex, pf, pg) -> str:
+    got = outcome(_check_pullback_square, cat, f, g, apex, pf, pg, _maps_into(cat, cat.src[f]))
+    assert got == outcome(spans_oracle.check_pullback_square, cat, f, g, apex, pf, pg)
+    return got[0] if got[0] != "InvalidClass" else got[1].split(": ", 1)[1].split(" at ")[0]
+
+
+def swapped_entries(cat, f, g, apex, pf, pg):
+    """The entry with one projection, or the apex and both projections,
+    swapped for other arrows with valid endpoints."""
+    a, b = cat.src[f], cat.src[g]
+    yield from ((apex, p, pg) for p in cat.hom(apex, a) if p != pf)
+    yield from ((apex, pf, p) for p in cat.hom(apex, b) if p != pg)
+    for other in cat.objects:
+        if other != apex:
+            yield from ((other, p1, p2) for p1 in cat.hom(other, a) for p2 in cat.hom(other, b))
+
+
+def test_pullback_squares_match_the_oracle():
+    for cat, oracle in pullback_cases():
+        for (f, g), entry in oracle.items():
+            assert same_square_verdict(cat, f, g, *entry) == "ok"
+
+
+def test_swapped_pullback_entries_get_the_same_witness():
+    seen = set()
+    cases = pullback_cases()
+    del cases[2]  # the 4-bit poset's 625 entries, each swapped 16 ways, would take long
+    for cat, oracle in cases:
+        for (f, g), entry in oracle.items():
+            for swapped in swapped_entries(cat, f, g, *entry):
+                seen.add(same_square_verdict(cat, f, g, *swapped))
+    assert {"ok", "oracle square does not commute",
+            "oracle output fails the universal property"} <= seen
+
+
+def test_swapped_entry_is_rejected_through_the_class():
+    cat = cylinders()[2]
+    one_x = cat.ident["X"]
+    bad = {(one_x, one_x): ("V", "r", "r")}
+    expected = outcome(spans_oracle.check_pullback_square, cat, one_x, one_x, "V", "r", "r")
+    assert expected[0] == "InvalidClass"
+    assert outcome(fs.morphism_class, cat, {"r"}, bad) == expected
+
+
+def test_fiber_product_2_tables_match_the_oracle():
+    for legs in LEGS:
+        for f, h in itertools.product(legs, repeat=2):
+            got, want = fs.fiber_product_2(f, h), spans_oracle.fiber_product_2(f, h)
+            for name in ("objects", "morphisms", "src", "tgt", "comp", "ident", "inv"):
+                assert getattr(got, name) == getattr(want, name)
