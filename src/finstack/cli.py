@@ -150,21 +150,34 @@ def _cmd_milnor(args) -> RunReport:
     if args.compare_nerve and args.space != "B":
         raise FinstackError("--compare-nerve needs --space B")
     complex_ = (milnor_E if args.space == "E" else milnor_B)(g, args.levels)
-    # only homology needs chains: the d^2 = 0 verdict is read off the factor's face rows
-    cx = chain_complex(complex_) if args.homology is not None or args.compare_nerve else None
+    chains = args.homology is not None or args.compare_nerve
+    # one pass over the factor's face rows decides d^2 = 0 and, for homology,
+    # certifies the level-collapse matching; a count-only job builds no chains
+    dd_zero, unmatched = complex_.certify(matching=chains)
+    witness = ""
+    if unmatched is not None:  # an uncertified matching decides nothing about homology
+        x, m = unmatched
+        witness = f"level-collapse matching uncertified: a face of s_{m} of {x!r} breaks an identity"
+    # the Morse complex of the matching: the factor's normalized chains, zero above the levels
+    cx = chain_complex(complex_) if chains and not witness else None
     for k in range(args.levels + 1):
         report.add_output(f"degree {k}: {complex_.count(k)} simplices")
     if args.homology is not None:
-        report.add_output(str(homology(cx, args.homology)))
+        if witness:
+            report.add_verdict(f"homology-degree-{args.homology}", None, witness)
+        else:
+            report.add_output(str(homology(cx, args.homology)))
     if args.compare_nerve:
-        ncx = chain_complex(nerve(g, args.levels))
-        cmap = comparison_chain_map(complex_, ncx)
-        # top degree first: the kernel pass over d_n then also serves H_{n-1}
         degrees = range(max(args.levels - 1, 0))
-        agree = [induced_map_is_isomorphism(cx, ncx, cmap, n) for n in reversed(degrees)][::-1]
+        agree = [None] * len(degrees)
+        if not witness:
+            ncx = chain_complex(nerve(g, args.levels))
+            cmap = comparison_chain_map(complex_, ncx)
+            # top degree first: the kernel pass over d_n then also serves H_{n-1}
+            agree = [induced_map_is_isomorphism(cx, ncx, cmap, n) for n in reversed(degrees)][::-1]
         for n in degrees:
-            report.add_verdict(f"homology-agreement-degree-{n}", agree[n])
-    report.add_verdict("boundary-squared-zero", complex_.check_dd_zero())
+            report.add_verdict(f"homology-agreement-degree-{n}", agree[n], witness)
+    report.add_verdict("boundary-squared-zero", dd_zero)
     return report
 
 

@@ -13,6 +13,44 @@ a_k.  For B, X is the nerve of the groupoid, and x is the string of
 quotients inv(a_{j-1}) . a_j, which is constant on orbits and tells them
 apart (Milnor, *Construction of universal bundles II*; Segal, *Classifying
 spaces and spectral sequences*).
+
+Homology never builds or eliminates the level product.  An acyclic matching
+collapses it onto its critical cells (Forman, *Morse theory for cell
+complexes*, Adv. Math. 1998; Skoldberg, *Morse theory from an algebraic
+viewpoint*, Trans. AMS 2006).  For a cell (L, x), L = (l_0 < ... < l_k),
+scan j = 0, 1, ...: if j > k the cell is critical; if l_j > j it is matched
+up with (L + {j}, s_j x); if j < k and arrow j of x is an identity it is
+matched down with (L - {l_j}, d_j x).  The critical cells are the
+({0..k}, x) with x identity-free.  :meth:`MilnorComplex.certify` checks, on
+the factor's face rows and for every k-string x with k < N and m <= k,
+
+    d_m s_m x = x,  d_{m+1} s_m x = x,
+    d_i s_m x = s_{m-1} d_i x for i < m,  d_i s_m x = s_m d_{i-1} x for i > m + 1.
+
+- The first identity makes the matching an involution: (L + {j}, s_j x)
+  scans like (L, x) up to j, where its arrow j is an identity, so it is
+  matched down with (L, d_j s_j x) = (L, x).  Distinct faces of a cell
+  delete distinct levels, so the incidence is the single sign (-1)^j.
+  Arrows 0..m-1 of a cell matched down at m are not identities.
+- Acyclicity.  Along a V-path, each up partner tau = (L', s_m x) goes to a
+  face sigma and on to sigma's up partner tau'.  The key (number of
+  identities in tau's string, then tau's level set in reverse lex order,
+  then tau's first identity position) strictly increases:
+  - a face i < m is s_{m-1} d_i x, which holds at least as many identities
+    as s_m x, since d_i x drops or composes arrows that are not identities;
+    its up partner has one more;
+  - the face i = m + 1 is x with l'_{m+1} deleted; its up partner has as
+    many identities as tau, and either a lower level set or the same level
+    set with the identity moved right;
+  - a face i > m + 1 is s_m d_{i-1} x with l'_0..l'_m = 0..m kept, which is
+    matched down, and the path ends.
+- Every up partner's string is degenerate.  The projection f: (L, x) -> x
+  onto normalized chains is a chain map by the first two identities (the
+  faces m and m + 1 of s_m x cancel, and the others are degenerate), and
+  it sends the Morse inclusion of a critical cell ({0..k}, x) to x.  So f
+  after the Morse inclusion is the identity: the Morse complex is the
+  factor's normalized nerve in degrees 0..N and zero above, and f induces
+  an isomorphism on H_n for n < N.
 """
 
 from __future__ import annotations
@@ -21,7 +59,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, combinations, product
 from math import comb
-from operator import add
 
 from .category import FiniteCategory, _poset
 from .errors import LevelInactive, NotSameOrbit
@@ -56,40 +93,95 @@ class MilnorComplex:
         return comb(self.levels + 1, k + 1) * self.factor.count(k)
 
     def chain_levels(self):
-        """Yield (cells, face rows) for degrees 0..levels (see ``homology.chain_complex``).
-
-        Row j of (L, x) is rank(L minus l_j) |X_{k-1}| + row j of x, where X_k
-        holds the factor's k-strings and rank numbers the subsets of one size.
-        """
-        g, levels = self.factor.category, range(self.levels + 1)
-        offsets = {(): 0}
-        for k, (strings, rows) in enumerate(string_levels(g, g.morphisms, self.levels)):
-            subsets = list(combinations(levels, k + 1))
-            shifts = ([offsets[s[:j] + s[j + 1:]] for j in range(k + 1)] for s in subsets)
-            yield (tuple(product(subsets, strings)),
-                   (list(map(add, shift, row)) for shift, row in product(shifts, rows)))
-            offsets = {s: i * len(strings) for i, s in enumerate(subsets)}
+        """Yield (critical cells, face rows) of the level-collapse matching's Morse
+        complex for degrees 0..levels: the critical cell ({0..k}, x) is labelled
+        by x, and the rows are the factor's normalized rows.  Sound when
+        :meth:`certify` finds no witness."""
+        return self.factor.chain_levels()
 
     def check_dd_zero(self) -> bool:
-        """Whether d^2 = 0, decided on the factor's face rows alone.
+        return self.certify(matching=False)[0]
+
+    def certify(self, matching: bool = True) -> tuple:
+        """(whether d^2 = 0, the first (x, m) at which a face identity of the
+        level-collapse matching fails, or None), read off one pass over the
+        factor's face rows.  Without ``matching`` only d^2 = 0 is decided.
 
         In d^2 (L, x) the block of L minus {l_a, l_b}, a < b, gets exactly two
         unit terms of opposite sign, at row a of row b of x and at row b - 1
         of row a of x, and distinct pairs land in distinct blocks.  So d^2 = 0
         on every cell exactly when those two rows agree for every factor
-        string x of degree 2..levels and every a < b, whatever L is.
+        string x of degree 2..levels and every a < b, whatever L is.  The
+        matching's identities (see the module docstring) compare the rows of
+        s_m x with the rows of x, in O(sum |X_k| k^2) whatever the levels.
         """
         g = self.factor.category
-        lower = ()
-        for k, (_, rows) in enumerate(string_levels(g, g.morphisms, self.levels)):
-            if k > 1:
+        dd_zero, witness = True, None
+        below = lower = older = ()
+        degen = ((), ())  # degree k - 1's (table, first), see _degeneracies; older: k - 2's table
+        for k, (strings, rows) in enumerate(string_levels(g, g.morphisms, self.levels)):
+            if dd_zero and k > 1:
                 # faces[j]: the face row of d_j x, for every k-string x in order
                 faces = [[lower[row[j]] for row in rows] for j in range(k + 1)]
-                if any([f[a] for f in faces[b]] != [f[b - 1] for f in faces[a]]
-                       for b in range(k + 1) for a in range(b)):
-                    return False
-            lower = rows
-        return True
+                dd_zero = not any([f[a] for f in faces[b]] != [f[b - 1] for f in faces[a]]
+                                  for b in range(k + 1) for a in range(b))
+            if matching and witness is None:
+                if k:
+                    witness = _face_identity_witness(below, lower, rows, degen[0], older)
+                if k < self.levels:
+                    older, degen = degen[0], _degeneracies(g, k, strings, degen)
+            below, lower = strings, rows
+        return dd_zero, witness
+
+
+def _degeneracies(g: FiniteCategory, k: int, strings: tuple, below: tuple) -> tuple:
+    """(table, first) for the k-strings of ``string_levels`` over all arrows:
+    table[m] lists the index of s_m x for every k-string x, and a (k+1)-string
+    x + (a,) has index first[x] + slot[a], a's place among the arrows out of
+    its source.  (A vertex's children are the 1-strings, in arrow order.)
+    So s_k x appends the identity of x's end, and s_m (p + (a,)) =
+    s_m p + (a,) for m < k, read off ``below``, degree k - 1's (table, first).
+    """
+    if not k:
+        position = {a: i for i, a in enumerate(g.morphisms)}
+        return [[position[g.ident[y]] for y in strings]], ()
+    table, before = below
+    slot = {a: i for y in g.objects for i, a in enumerate(g.morphisms_from(y))}
+    ends = [g.tgt[x[-1]] for x in strings]
+    first = list(accumulate((len(g.morphisms_from(y)) for y in ends), initial=0))
+    if k == 1:
+        index = {y: i for i, y in enumerate(g.objects)}
+        parents = [index[g.src[a]] for a, in strings]
+    else:
+        # the children of each (k-1)-string p are contiguous: before[p] up to before[p + 1]
+        parents = [p for p, (start, stop) in enumerate(zip(before, before[1:]))
+                   for _ in range(stop - start)]
+    last = [slot[x[-1]] for x in strings]
+    up = [[first[s[p]] + j for p, j in zip(parents, last)] for s in table]
+    up.append([f + slot[g.ident[y]] for f, y in zip(first, ends)])
+    return up, first
+
+
+def _face_identity_witness(strings: tuple, rows: list, up_rows: list,
+                           table: list, below: list) -> tuple | None:
+    """The first (x, m), x one of ``strings`` (degree k, face rows ``rows``),
+    at which a face of s_m x (rows ``up_rows``) breaks an identity of the
+    module docstring, or None.  ``table`` is degree k's degeneracy table and
+    ``below`` degree k - 1's."""
+    faces = [[row[i] for row in up_rows] for i in range(len(table) + 1)]
+    itself = list(range(len(strings)))
+    for m, up in enumerate(table):
+        for i, face in enumerate(faces):
+            if i in (m, m + 1):
+                want = itself
+            elif i < m:
+                want = [below[m - 1][row[i]] for row in rows]
+            else:
+                want = [below[m][row[i - 1]] for row in rows]
+            got = [face[y] for y in up]
+            if got != want:
+                return next(x for x, a, b in zip(strings, got, want) if a != b), m
+    return None
 
 
 def _level_product(g: FiniteGroupoid, levels: int, category: FiniteCategory) -> MilnorComplex:
@@ -165,16 +257,12 @@ def milnor_to_nerve(g: FiniteGroupoid, cell: tuple):
 
 
 def comparison_chain_map(b: MilnorComplex, nerve_cx: ChainComplex) -> dict:
-    """The projection (L, x) -> x of B into normalized nerve chains, degree by degree.
+    """The projection f onto the nerve after the Morse inclusion of :meth:`MilnorComplex.chain_levels`,
+    degree by degree, for ``nerve_cx`` the normalized chains of b's factor.
 
-    Degree k holds one sparse column {nerve row: 1} per cell of B, the zero
-    column {} where x is degenerate.  Each factor string's column is built
-    once and repeated for every level subset, so the columns are shared and
-    must not be mutated.  Defined in degrees 0..min(levels, nerve cap).
+    Up partners have degenerate strings, so the critical cell ({0..k}, x)
+    goes to x: the identity, one column {row: 1} per critical cell.  Defined in
+    degrees 0..min(levels, nerve cap).
     """
-    maps = {}
-    for k in range(min(b.levels, nerve_cx.top_degree) + 1):
-        rows = {x: i for i, x in enumerate(nerve_cx.basis[k])}
-        columns = [{} if row is None else {row: 1} for row in map(rows.get, b.factor.simplices[k])]
-        maps[k] = columns * comb(b.levels + 1, k + 1)
-    return maps
+    return {k: [{row: 1} for row in range(nerve_cx.dim(k))]
+            for k in range(min(b.levels, nerve_cx.top_degree) + 1)}

@@ -1,17 +1,32 @@
-"""Orbit-quotient oracle for the Milnor quotient B.
+"""Oracles for the Milnor models E and B.
 
-Builds the whole total complex E, groups its cells into orbits of the
-diagonal translation, and keeps the least member of each orbit (by ``idkey``)
-as its representative; faces are E's faces read through the orbit map.  The
-runtime builds B directly as a level product with the nerve instead.
+- The orbit quotient builds the whole total complex E, groups its cells into
+  orbits of the diagonal translation, and keeps the least member of each
+  orbit (by ``idkey``) as its representative; faces are E's faces read
+  through the orbit map.  The runtime builds B directly as a level product
+  with the nerve instead.
+- The level product's full chains: every cell (L, x), degenerate strings
+  included, with face rows by index arithmetic on the factor's rows, and the
+  projection (L, x) -> x onto the nerve's normalized chains.  The runtime
+  reads homology and the nerve comparison off the Morse complex of the
+  level-collapse matching instead, and ``install_level_product`` puts the full
+  chains back under the CLI.
+- The level-collapse matching cell by cell, by labels: its partners, and
+  the Morse boundary of each critical cell by following V-paths.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations, product
+from math import comb
+from operator import add
 
+import finstack.cli as cli
+import finstack.milnor as milnor
 from finstack.category import idkey
 from finstack.groupoid import FiniteGroupoid
+from finstack.homology import ChainComplex, chain_complex
 from finstack.milnor import MilnorComplex, milnor_E, translate
 
 from chain_oracle import lookup_levels
@@ -65,3 +80,93 @@ def orbit_quotient(g: FiniteGroupoid, levels: int) -> OrbitQuotient:
         simplices[k] = tuple(reps)
         orbit[k] = orbit_k
     return OrbitQuotient(groupoid=g, levels=levels, simplices=simplices, orbit=orbit, total=total)
+
+
+@dataclass(frozen=True)
+class LevelProduct:
+    """Every cell (L, x) of a Milnor model, for ``chain_complex``."""
+
+    model: MilnorComplex
+    complete_above = True
+
+    def chain_levels(self):
+        """Yield (cells, face rows) for degrees 0..levels, in the model's
+        ``simplices`` order.  Row j of (L, x) is rank(L minus l_j) |X_{k-1}| +
+        row j of x, where X_k holds the factor's k-strings and rank numbers
+        the subsets of one size."""
+        g, levels = self.model.factor.category, range(self.model.levels + 1)
+        offsets = {(): 0}
+        for k, (strings, rows) in enumerate(milnor.string_levels(g, g.morphisms, self.model.levels)):
+            subsets = list(combinations(levels, k + 1))
+            shifts = ([offsets[s[:j] + s[j + 1:]] for j in range(k + 1)] for s in subsets)
+            yield (tuple(product(subsets, strings)),
+                   (list(map(add, shift, row)) for shift, row in product(shifts, rows)))
+            offsets = {s: i * len(strings) for i, s in enumerate(subsets)}
+
+
+def level_product_chains(s: MilnorComplex) -> ChainComplex:
+    """The full chains of the level product, every cell a generator."""
+    return chain_complex(LevelProduct(s))
+
+
+def projection_chain_map(b: MilnorComplex, nerve_cx: ChainComplex) -> dict:
+    """The projection (L, x) -> x of all of B into normalized nerve chains.
+
+    Degree k holds one sparse column {nerve row: 1} per cell of B, the zero
+    column {} where x is degenerate.  Defined in degrees 0..min(levels, nerve cap).
+    """
+    maps = {}
+    for k in range(min(b.levels, nerve_cx.top_degree) + 1):
+        rows = {x: i for i, x in enumerate(nerve_cx.basis[k])}
+        columns = [{} if row is None else {row: 1} for row in map(rows.get, b.factor.simplices[k])]
+        maps[k] = columns * comb(b.levels + 1, k + 1)
+    return maps
+
+
+def install_level_product(monkeypatch) -> None:
+    """Make ``milnor`` jobs eliminate the full level product and compare it with
+    the nerve through the full projection, as before the matching."""
+    monkeypatch.setattr(MilnorComplex, "chain_levels", lambda s: LevelProduct(s).chain_levels())
+    monkeypatch.setattr(cli, "comparison_chain_map", projection_chain_map)
+
+
+def partner(s: MilnorComplex, cell: tuple):
+    """("up" or "down", partner) of a cell under the level-collapse matching,
+    or None for a critical cell, read off labels."""
+    subset, x = cell
+    k = len(subset) - 1
+    g = s.factor.category
+    for j in range(k + 1):
+        if subset[j] > j:
+            return "up", (subset[:j] + (j,) + subset[j:], s.factor.degeneracy(k, j, x))
+        if j < k and g.is_identity(x[j]):
+            return "down", s.face(k, j, cell)
+    return None
+
+
+def incidence(s: MilnorComplex, k: int, cell: tuple, face: tuple) -> int:
+    """The coefficient of ``face`` in the boundary of the k-cell ``cell``."""
+    return sum((-1) ** j for j in range(k + 1) if s.face(k, j, cell) == face)
+
+
+def morse_boundary(s: MilnorComplex, k: int, cell: tuple) -> dict:
+    """The Morse boundary of a critical k-cell, {critical (k-1)-cell: coefficient}.
+
+    Starting from the boundary, each cell matched up with tau is cancelled by
+    subtracting a multiple of the boundary of tau; this ends because the
+    matching is acyclic.  Cells matched down drop out.
+    """
+    chain = {}
+    for j in range(k + 1):
+        face = s.face(k, j, cell)
+        chain[face] = chain.get(face, 0) + (-1) ** j
+    while True:
+        pending = [c for c, v in chain.items() if v and (partner(s, c) or ("",))[0] == "up"]
+        if not pending:
+            return {c: v for c, v in chain.items() if v and partner(s, c) is None}
+        sigma = pending[0]
+        tau = partner(s, sigma)[1]
+        q = chain[sigma] * incidence(s, k, tau, sigma)  # incidence is +-1
+        for j in range(k + 1):
+            face = s.face(k, j, tau)
+            chain[face] = chain.get(face, 0) - q * (-1) ** j

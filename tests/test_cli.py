@@ -238,7 +238,7 @@ def test_milnor_compare(capsys, z2_file):
     assert "[PASS] homology-agreement-degree-1" in out
 
 
-@pytest.mark.parametrize("doc,levels", [("z2_file", 6), ("s3_file", 4)])
+@pytest.mark.parametrize("doc,levels", [("z2_file", 6), ("s3_file", 4), ("s3_file", 6)])
 def test_milnor_compare_reaches_larger_models(capsys, request, doc, levels):
     code, out = run_cli(capsys, ["milnor", "--groupoid", request.getfixturevalue(doc),
                                  "--levels", str(levels), "--space", "B", "--compare-nerve"])

@@ -1,16 +1,21 @@
 from __future__ import annotations
 
+import json
 from math import comb
 
 import pytest
 
 import finstack as fs
+import finstack.jsonio as jio
+from finstack.cli import main
 from finstack.errors import LevelInactive, NotSameOrbit
 import finstack.milnor as milnor
 from finstack.milnor import translate
 from chain_oracle import lookup_levels
-from milnor_oracle import arrows, orbit_quotient
-from support import groupoid_zoo, is_sparse_chain_map, pair2, pt, s3, z2, z3
+from milnor_oracle import (LevelProduct, arrows, incidence, install_level_product,
+                           level_product_chains, morse_boundary, orbit_quotient, partner,
+                           projection_chain_map)
+from support import groupoid_zoo, is_sparse_chain_map, pair2, pt, s3, swap_action, z2, z3
 
 MILNOR_ZOO = groupoid_zoo() + [("z2+pt", fs.disjoint_union(z2(), pt()))]
 
@@ -170,22 +175,24 @@ def test_projection_commutes_with_faces(name, g):
 
 @pytest.mark.parametrize("name,g", groupoid_zoo())
 def test_comparison_map_is_chain_map(name, g):
+    """The projection of all of B onto the nerve is a chain map."""
     levels = 3
     b = fs.milnor_B(g, levels)
     ncx = fs.chain_complex(fs.nerve(g, levels))
-    bcx = fs.chain_complex(b)
-    cmap = fs.comparison_chain_map(b, ncx)
+    bcx = level_product_chains(b)
+    cmap = projection_chain_map(b, ncx)
     assert [len(cmap[k]) for k in range(levels + 1)] == [b.count(k) for k in range(levels + 1)]
     assert is_sparse_chain_map(bcx, ncx, cmap, levels)
 
 
 @pytest.mark.parametrize("name,g", groupoid_zoo())
 def test_comparison_induces_homology_isomorphisms(name, g):
+    """The projection of all of B induces isomorphisms below degree levels - 1."""
     levels = 3
     b = fs.milnor_B(g, levels)
     ncx = fs.chain_complex(fs.nerve(g, levels))
-    bcx = fs.chain_complex(b)
-    cmap = fs.comparison_chain_map(b, ncx)
+    bcx = level_product_chains(b)
+    cmap = projection_chain_map(b, ncx)
     for n in range(levels - 1):
         assert fs.induced_map_is_isomorphism(bcx, ncx, cmap, n)
 
@@ -217,10 +224,11 @@ def test_direct_quotient_matches_orbit_oracle(name, g, levels):
 @pytest.mark.parametrize("name,g", MILNOR_ZOO)
 @pytest.mark.parametrize("levels", [0, 1, 2, 3, 4])
 def test_milnor_chain_levels_match_face_lookup(space, name, g, levels):
-    """Rows by index arithmetic are the rows that face lookups find, and each
-    degree is in level-product order: by level subset, then by factor string."""
+    """The level product's rows by index arithmetic are the rows that face
+    lookups find, and each degree is in level-product order: by level subset,
+    then by factor string."""
     s = space(g, levels)
-    got = [(gens, [list(row) for row in rows]) for gens, rows in s.chain_levels()]
+    got = [(gens, [list(row) for row in rows]) for gens, rows in LevelProduct(s).chain_levels()]
     assert got == [(gens, list(rows)) for gens, rows in lookup_levels(s)]
     assert [gens for gens, _ in got] == [s.simplices[k] for k in range(levels + 1)]
     for k, cells in s.simplices.items():
@@ -247,7 +255,7 @@ def test_comparison_columns_are_the_projection(name, g):
     levels = 3
     b = fs.milnor_B(g, levels)
     ncx = fs.chain_complex(fs.nerve(g, levels))
-    cmap = fs.comparison_chain_map(b, ncx)
+    cmap = projection_chain_map(b, ncx)
     assert sorted(cmap) == list(range(levels + 1))
     for k, cells in b.simplices.items():
         rows = {x: i for i, x in enumerate(ncx.basis[k])}
@@ -255,6 +263,8 @@ def test_comparison_columns_are_the_projection(name, g):
 
 
 def test_milnor_chains_build_no_face(monkeypatch):
+    """Neither the Morse chains nor the level product's full chains build a
+    face, and the Morse chains build no cell of the level product."""
     def forbidden(*args):
         raise AssertionError("a face was built")
 
@@ -263,11 +273,13 @@ def test_milnor_chains_build_no_face(monkeypatch):
     monkeypatch.setattr(milnor, "translate", forbidden)
     for space in (fs.milnor_E, fs.milnor_B):
         s = space(s3(), 4)
-        cx = fs.chain_complex(s)
+        morse = fs.chain_complex(s)
+        cx = level_product_chains(s)
         # neither the cell table nor the factor's string table was built
         assert "simplices" not in vars(s) and "simplices" not in vars(s.factor)
         assert cx.basis == s.simplices
         assert [len(cx.boundary[k]) for k in range(1, 5)] == [s.count(k) for k in range(1, 5)]
+        assert [morse.dim(k) for k in range(5)] == [s.factor.count_nondegenerate(k) for k in range(5)]
 
 
 @pytest.mark.parametrize("name,g", MILNOR_ZOO)
@@ -276,16 +288,17 @@ def test_dd_zero_on_factor_rows_matches_chains(name, g):
     for space, top in ((fs.milnor_E, 4), (fs.milnor_B, 5)):
         for levels in range(top + 1):
             s = space(g, levels)
-            assert (s.check_dd_zero(), fs.chain_complex(s).check_dd_zero()) == (True, True)
+            assert (s.check_dd_zero(), level_product_chains(s).check_dd_zero()) == (True, True)
+
+
+STRING_LEVELS = milnor.string_levels  # unpatched, so corruptions never stack
 
 
 def corrupted_string_levels(degree: int, index: int, j: int, value: int):
     """``string_levels`` with entry j of the face row of string ``index`` in
     ``degree`` set to ``value``; the rows it builds from are untouched."""
-    real = milnor.string_levels
-
     def corrupted(*args):
-        for k, (strings, rows) in enumerate(real(*args)):
+        for k, (strings, rows) in enumerate(STRING_LEVELS(*args)):
             if k == degree:
                 rows = [list(row) for row in rows]
                 rows[index][j] = value
@@ -312,7 +325,7 @@ def test_dd_zero_on_factor_rows_matches_chains_under_corruption(monkeypatch, spa
                                             corrupted_string_levels(k, index, j, value))
                         s = space(g, levels)
                         verdict = s.check_dd_zero()
-                        assert verdict == fs.chain_complex(s).check_dd_zero()
+                        assert verdict == level_product_chains(s).check_dd_zero()
                         verdicts.append(verdict)
     assert False in verdicts
 
@@ -324,4 +337,246 @@ def test_dd_zero_accepts_a_change_between_parallel_arrows(monkeypatch):
     _, rows = list(milnor.string_levels(g, g.morphisms, 2))[2]
     monkeypatch.setattr(milnor, "string_levels", corrupted_string_levels(2, 0, 0, 1 - rows[0][0]))
     s = fs.milnor_B(g, 2)
-    assert (s.check_dd_zero(), fs.chain_complex(s).check_dd_zero()) == (True, True)
+    assert (s.check_dd_zero(), level_product_chains(s).check_dd_zero()) == (True, True)
+
+
+def up_matched(s, k: int) -> dict:
+    """{k-cell matched up: its partner}."""
+    matches = {cell: partner(s, cell) for cell in s.simplices[k]}
+    return {cell: m[1] for cell, m in matches.items() if m and m[0] == "up"}
+
+
+def has_cycle(graph: dict) -> bool:
+    """Whether a directed graph {node: successors} has a cycle, by depth-first search."""
+    state = dict.fromkeys(graph, 0)  # 0 unseen, 1 on the stack, 2 done
+    for root in graph:
+        if state[root]:
+            continue
+        state[root] = 1
+        stack = [(root, iter(graph[root]))]
+        while stack:
+            node, successors = stack[-1]
+            nxt = next(successors, None)
+            if nxt is None:
+                state[node] = 2
+                stack.pop()
+            elif state[nxt] == 1:
+                return True
+            elif not state[nxt]:
+                state[nxt] = 1
+                stack.append((nxt, iter(graph[nxt])))
+    return False
+
+
+@pytest.mark.parametrize("space", [fs.milnor_E, fs.milnor_B], ids=["E", "B"])
+@pytest.mark.parametrize("name,g", MILNOR_ZOO)
+@pytest.mark.parametrize("levels", [0, 1, 2, 3, 4])
+def test_level_collapse_matching_cell_by_cell(space, name, g, levels):
+    """On every cell, by labels: the matching is an involution with incidence
+    +-1 and no closed V-path, every up partner's string is degenerate, the
+    critical cells are the ({0..k}, x) with x identity-free, and following
+    V-paths from them gives the factor's normalized boundary, which is what
+    ``chain_levels`` yields."""
+    s = space(g, levels)
+    assert s.certify() == (True, None)
+    morse = fs.chain_complex(s)
+    for k, cells in s.simplices.items():
+        critical = []
+        for cell in cells:
+            match = partner(s, cell)
+            if match is None:
+                critical.append(cell)
+                continue
+            kind, other = match
+            assert partner(s, other) == ({"up": "down", "down": "up"}[kind], cell)
+            if kind == "up":
+                assert s.factor.is_degenerate(k + 1, other[1])
+                assert incidence(s, k + 1, other, cell) in (1, -1)
+        assert critical == [(tuple(range(k + 1)), x) for x in morse.basis[k]]
+    for k in range(levels):
+        # sigma -> sigma' for every other face sigma' of sigma's up partner that is matched up
+        ups = up_matched(s, k)
+        faces = {sigma: {s.face(k + 1, j, tau) for j in range(k + 2)} for sigma, tau in ups.items()}
+        assert not has_cycle({sigma: [f for f in faces[sigma] - {sigma} if f in ups] for sigma in ups})
+    for k in range(1, levels + 1):
+        index = {x: i for i, x in enumerate(morse.basis[k - 1])}
+        for x, column in zip(morse.basis[k], morse.boundary[k]):
+            flowed = morse_boundary(s, k, (tuple(range(k + 1)), x))
+            assert {index[y]: v for (_, y), v in flowed.items()} == column
+
+
+@pytest.mark.parametrize("space", [fs.milnor_E, fs.milnor_B], ids=["E", "B"])
+@pytest.mark.parametrize("name,g", MILNOR_ZOO + [("S3", s3())])
+def test_degeneracy_tables_match_labels(space, name, g):
+    """The certificate's degeneracy tables, by index arithmetic, point at the
+    strings that inserting an identity builds."""
+    levels = 4
+    factor = space(g, levels).factor
+    c = factor.category
+    strings = [x for x, _ in milnor.string_levels(c, c.morphisms, levels)]
+    degen = ((), ())
+    for k in range(levels):
+        degen = milnor._degeneracies(c, k, strings[k], degen)
+        assert [[strings[k + 1][y] for y in up] for up in degen[0]] == \
+            [[factor.degeneracy(k, m, x) for x in strings[k]] for m in range(k + 1)]
+
+
+@pytest.mark.parametrize("name,g", MILNOR_ZOO)
+def test_morse_chains_are_the_normalized_nerve(name, g):
+    """B's Morse chains are the nerve's normalized chains, zero above the
+    levels; E's are its factor's; and the comparison map is the identity."""
+    levels = 3
+    b = fs.milnor_B(g, levels)
+    ncx = fs.chain_complex(fs.nerve(g, levels))
+    bcx = fs.chain_complex(b)
+    assert (bcx.basis, bcx.boundary, bcx.complete_above, ncx.complete_above) == \
+        (ncx.basis, ncx.boundary, True, False)
+    cmap = fs.comparison_chain_map(b, ncx)
+    assert cmap == {k: [{i: 1} for i in range(ncx.dim(k))] for k in range(levels + 1)}
+    assert is_sparse_chain_map(bcx, ncx, cmap, levels)
+    e = fs.milnor_E(g, levels)
+    assert fs.chain_complex(e).boundary == fs.chain_complex(fs.nerve(e.factor.category, levels)).boundary
+
+
+def milnor_argvs(path: str, space: str, levels: int) -> list:
+    base = ["milnor", "--groupoid", path, "--levels", str(levels), "--space", space]
+    argvs = [base] + [base + ["--homology", str(k)] for k in range(levels + 2)]
+    if space == "B":
+        argvs += [base + ["--compare-nerve"], base + ["--compare-nerve", "--homology", str(levels)]]
+    return argvs
+
+
+def run_all(capsys, argvs) -> list:
+    results = []
+    for argv in argvs:
+        code = main(argv)
+        out, err = capsys.readouterr()
+        results.append((code, out, err))
+    return results
+
+
+@pytest.mark.parametrize("space", ["E", "B"])
+@pytest.mark.parametrize("name,g", MILNOR_ZOO)
+def test_reports_match_level_product_oracle(tmp_path, capsys, monkeypatch, space, name, g):
+    """Through ``main()`` at levels 0..5, with and without ``--homology k`` (k up
+    to levels + 1) and ``--compare-nerve``: the Morse complex gives the bytes
+    and exit codes of eliminating the whole level product."""
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(jio.groupoid_to_json(g)))
+    argvs = [argv for levels in range(6) for argv in milnor_argvs(str(path), space, levels)]
+    fast = run_all(capsys, argvs)
+    with monkeypatch.context() as patched:
+        install_level_product(patched)
+        b = fs.milnor_B(g, 2)
+        assert fs.chain_complex(b).dim(1) == b.count(1)
+        slow = run_all(capsys, argvs)
+    assert fast == slow
+    assert all(code == 0 and not err for code, _, err in fast)
+
+
+def test_s3_compare_matches_level_product_oracle(tmp_path, capsys, monkeypatch):
+    """S3's B at 5 levels, the largest model the level product eliminates in about a second."""
+    path = tmp_path / "s3.json"
+    path.write_text(json.dumps(jio.groupoid_to_json(s3())))
+    argvs = [["milnor", "--groupoid", str(path), "--levels", "5", "--space", "B",
+              "--compare-nerve", "--homology", "4"]]
+    fast = run_all(capsys, argvs)
+    install_level_product(monkeypatch)
+    assert run_all(capsys, argvs) == fast
+    assert fast[0][0] == 0 and "H_4 = 0" in fast[0][1].splitlines()
+
+
+def covered_corruptions(category, levels: int):
+    """(degree, string index, entry, value) for every single-entry change of a
+    face row that the matching certificate reads: every row below the top
+    degree, and the rows of top-degree strings that hold an identity."""
+    clean = list(milnor.string_levels(category, category.morphisms, levels))
+    for k in range(1, levels + 1):
+        strings, rows = clean[k]
+        for index, (x, row) in enumerate(zip(strings, rows)):
+            if k < levels or any(map(category.is_identity, x)):
+                for j, entry in enumerate(row):
+                    for value in range(len(clean[k - 1][0])):
+                        if value != entry:
+                            yield k, index, j, value
+
+
+@pytest.mark.parametrize("space,name,g,levels", [("B", "Z2", z2(), 3), ("B", "pair", pair2(), 2),
+                                                 ("E", "Z2", z2(), 2)])
+def test_corrupted_face_row_leaves_homology_inconclusive(tmp_path, capsys, monkeypatch,
+                                                         space, name, g, levels):
+    """Every change of one face-row entry that the certificate reads makes it
+    fail.  The job then prints no homology group, reads every homology verdict
+    as inconclusive with the witness, and exits 3, or 1 where d^2 = 0 fails
+    too; it never ends in a traceback."""
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(jio.groupoid_to_json(g)))
+    argv = ["milnor", "--groupoid", str(path), "--levels", str(levels), "--space", space, "--homology", "1"]
+    names = ["homology-degree-1"]
+    if space == "B":
+        argv.append("--compare-nerve")
+        names += [f"homology-agreement-degree-{n}" for n in range(levels - 1)]
+    model = fs.milnor_E if space == "E" else fs.milnor_B
+    g = jio.groupoid_from_json(jio.load_json(str(path)))  # with the document's ids, as the job sees them
+    for k, index, j, value in covered_corruptions(model(g, levels).factor.category, levels):
+        monkeypatch.setattr(milnor, "string_levels", corrupted_string_levels(k, index, j, value))
+        dd_zero, witness = model(g, levels).certify()
+        assert witness is not None, (k, index, j, value)
+        code = main(argv)
+        out, err = capsys.readouterr()
+        x, m = witness
+        because = f"level-collapse matching uncertified: a face of s_{m} of {x!r} breaks an identity"
+        lines = out.splitlines()
+        assert [line for line in lines if line.startswith("[")] == \
+            [f"[INCONCLUSIVE] {name}: {because}" for name in names] + \
+            [f"[{'PASS' if dd_zero else 'FAIL'}] boundary-squared-zero"]
+        assert not err and not any(line.startswith("H_") for line in lines)
+        assert code == (3 if dd_zero else 1)
+
+
+def test_corruption_that_keeps_dd_zero_exits_inconclusive(tmp_path, capsys, monkeypatch):
+    """Pointing face 0 of Z/2's top string (0, 0) at B's 2 levels to the
+    other arrow keeps d^2 = 0 (the arrows are parallel) but breaks
+    d_0 s_0 x = x for x = (0,), so every homology verdict is inconclusive and
+    the job exits 3."""
+    path = tmp_path / "z2.json"
+    path.write_text(json.dumps(jio.groupoid_to_json(z2())))
+    g = jio.groupoid_from_json(jio.load_json(str(path)))
+    _, rows = list(milnor.string_levels(g, g.morphisms, 2))[2]
+    monkeypatch.setattr(milnor, "string_levels", corrupted_string_levels(2, 0, 0, 1 - rows[0][0]))
+    assert fs.milnor_B(g, 2).certify() == (True, (("0",), 0))
+    assert main(["milnor", "--groupoid", str(path), "--levels", "2", "--space", "B",
+                 "--homology", "2", "--compare-nerve"]) == 3
+    because = "level-collapse matching uncertified: a face of s_0 of ('0',) breaks an identity"
+    assert capsys.readouterr().out.splitlines()[2:] == [
+        "degree 0: 3 simplices", "degree 1: 6 simplices", "degree 2: 4 simplices",
+        f"[INCONCLUSIVE] homology-degree-2: {because}",
+        f"[INCONCLUSIVE] homology-agreement-degree-0: {because}",
+        "[PASS] boundary-squared-zero"]
+
+
+def test_one_factor_pass_serves_both_certificates(tmp_path, capsys, monkeypatch):
+    """A homology job walks the factor's strings over all arrows once, for
+    d^2 = 0 and the matching together; a count-only job builds no degeneracy
+    table and checks no matching identity."""
+    path = tmp_path / "s3.json"
+    path.write_text(json.dumps(jio.groupoid_to_json(s3())))
+    base = ["milnor", "--groupoid", str(path), "--levels", "4", "--space", "B"]
+    passes = []
+    real = milnor.string_levels
+
+    def counted(*args):
+        passes.append(args[2])
+        return real(*args)
+
+    def forbidden(*args):
+        raise AssertionError("the matching was checked")
+
+    monkeypatch.setattr(milnor, "string_levels", counted)
+    assert main(base + ["--compare-nerve", "--homology", "3"]) == 0
+    assert passes == [4]
+    monkeypatch.setattr(milnor, "_degeneracies", forbidden)
+    monkeypatch.setattr(milnor, "_face_identity_witness", forbidden)
+    assert main(base) == 0
+    assert capsys.readouterr().out.endswith("[PASS] boundary-squared-zero\n")
+    assert passes == [4, 4]
