@@ -21,8 +21,10 @@ viewpoint*, Trans. AMS 2006).  For a cell (L, x), L = (l_0 < ... < l_k),
 scan j = 0, 1, ...: if j > k the cell is critical; if l_j > j it is matched
 up with (L + {j}, s_j x); if j < k and arrow j of x is an identity it is
 matched down with (L - {l_j}, d_j x).  The critical cells are the
-({0..k}, x) with x identity-free.  :meth:`MilnorComplex.certify` checks, on
-the factor's face rows and for every k-string x with k < N and m <= k,
+({0..k}, x) with x identity-free.  :meth:`MilnorComplex.certify` reads off
+the factor's identity pass (:meth:`TruncatedSimplicialSet.identity_witnesses`),
+on its face rows and for every k-string x with k < N and m <= k, the ds
+identities
 
     d_m s_m x = x,  d_{m+1} s_m x = x,
     d_i s_m x = s_{m-1} d_i x for i < m,  d_i s_m x = s_m d_{i-1} x for i > m + 1.
@@ -64,7 +66,7 @@ from .category import FiniteCategory, _poset
 from .errors import LevelInactive, NotSameOrbit
 from .groupoid import FiniteGroupoid
 from .homology import ChainComplex
-from .simplicial import TruncatedSimplicialSet, nerve, string_levels
+from .simplicial import TruncatedSimplicialSet, nerve
 
 
 @dataclass(frozen=True)
@@ -104,84 +106,21 @@ class MilnorComplex:
 
     def certify(self, matching: bool = True) -> tuple:
         """(whether d^2 = 0, the first (x, m) at which a face identity of the
-        level-collapse matching fails, or None), read off one pass over the
-        factor's face rows.  Without ``matching`` only d^2 = 0 is decided.
+        level-collapse matching fails, or None), read off the factor's one
+        identity pass (:meth:`TruncatedSimplicialSet.identity_witnesses`).
+        Without ``matching`` only d^2 = 0 is decided.
 
         In d^2 (L, x) the block of L minus {l_a, l_b}, a < b, gets exactly two
         unit terms of opposite sign, at row a of row b of x and at row b - 1
         of row a of x, and distinct pairs land in distinct blocks.  So d^2 = 0
-        on every cell exactly when those two rows agree for every factor
-        string x of degree 2..levels and every a < b, whatever L is.  The
-        matching's identities (see the module docstring) compare the rows of
-        s_m x with the rows of x, in O(sum |X_k| k^2) whatever the levels.
+        on every cell exactly when the factor's dd identities hold in degrees
+        2..levels, whatever L is.  The matching's identities (see the module
+        docstring) are the factor's ds identities d_i s_m x, in degrees below
+        the levels, in O(sum |X_k| k^2) whatever the levels.
         """
-        g = self.factor.category
-        dd_zero, witness = True, None
-        below = lower = older = ()
-        degen = ((), ())  # degree k - 1's (table, first), see _degeneracies; older: k - 2's table
-        for k, (strings, rows) in enumerate(string_levels(g, g.morphisms, self.levels)):
-            if dd_zero and k > 1:
-                # faces[j]: the face row of d_j x, for every k-string x in order
-                faces = [[lower[row[j]] for row in rows] for j in range(k + 1)]
-                dd_zero = not any([f[a] for f in faces[b]] != [f[b - 1] for f in faces[a]]
-                                  for b in range(k + 1) for a in range(b))
-            if matching and witness is None:
-                if k:
-                    witness = _face_identity_witness(below, lower, rows, degen[0], older)
-                if k < self.levels:
-                    older, degen = degen[0], _degeneracies(g, k, strings, degen)
-            below, lower = strings, rows
-        return dd_zero, witness
-
-
-def _degeneracies(g: FiniteCategory, k: int, strings: tuple, below: tuple) -> tuple:
-    """(table, first) for the k-strings of ``string_levels`` over all arrows:
-    table[m] lists the index of s_m x for every k-string x, and a (k+1)-string
-    x + (a,) has index first[x] + slot[a], a's place among the arrows out of
-    its source.  (A vertex's children are the 1-strings, in arrow order.)
-    So s_k x appends the identity of x's end, and s_m (p + (a,)) =
-    s_m p + (a,) for m < k, read off ``below``, degree k - 1's (table, first).
-    """
-    if not k:
-        position = {a: i for i, a in enumerate(g.morphisms)}
-        return [[position[g.ident[y]] for y in strings]], ()
-    table, before = below
-    slot = {a: i for y in g.objects for i, a in enumerate(g.morphisms_from(y))}
-    ends = [g.tgt[x[-1]] for x in strings]
-    first = list(accumulate((len(g.morphisms_from(y)) for y in ends), initial=0))
-    if k == 1:
-        index = {y: i for i, y in enumerate(g.objects)}
-        parents = [index[g.src[a]] for a, in strings]
-    else:
-        # the children of each (k-1)-string p are contiguous: before[p] up to before[p + 1]
-        parents = [p for p, (start, stop) in enumerate(zip(before, before[1:]))
-                   for _ in range(stop - start)]
-    last = [slot[x[-1]] for x in strings]
-    up = [[first[s[p]] + j for p, j in zip(parents, last)] for s in table]
-    up.append([f + slot[g.ident[y]] for f, y in zip(first, ends)])
-    return up, first
-
-
-def _face_identity_witness(strings: tuple, rows: list, up_rows: list,
-                           table: list, below: list) -> tuple | None:
-    """The first (x, m), x one of ``strings`` (degree k, face rows ``rows``),
-    at which a face of s_m x (rows ``up_rows``) breaks an identity of the
-    module docstring, or None.  ``table`` is degree k's degeneracy table and
-    ``below`` degree k - 1's."""
-    faces = [[row[i] for row in up_rows] for i in range(len(table) + 1)]
-    itself = list(range(len(strings)))
-    for m, up in enumerate(table):
-        for i, face in enumerate(faces):
-            if i in (m, m + 1):
-                want = itself
-            elif i < m:
-                want = [below[m - 1][row[i]] for row in rows]
-            else:
-                want = [below[m][row[i - 1]] for row in rows]
-            got = [face[y] for y in up]
-            if got != want:
-                return next(x for x, a, b in zip(strings, got, want) if a != b), m
-    return None
+        found = {w[0]: w for w in self.factor.identity_witnesses(degeneracies=matching)}
+        ds = found.get("ds")
+        return "dd" not in found, ds and (ds[4], ds[3])
 
 
 def _level_product(g: FiniteGroupoid, levels: int, category: FiniteCategory) -> MilnorComplex:

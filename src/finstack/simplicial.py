@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 
 from .category import FiniteCategory, validate_category
 
@@ -17,7 +18,9 @@ class TruncatedSimplicialSet:
     neighbours, degeneracies insert identities, and a string is degenerate
     exactly when it holds one.  Maps and counts are computed on demand; the
     table ``simplices`` of all strings comes from :func:`string_levels` on
-    first use, never by :meth:`chain_levels`.
+    first use, never by :meth:`chain_levels` or :meth:`identity_witnesses`,
+    the one pass that checks the simplicial identities, for ``nerve`` and for
+    the Milnor factors alike.
     """
 
     category: FiniteCategory
@@ -69,6 +72,51 @@ class TruncatedSimplicialSet:
         g = self.category
         return string_levels(g, tuple(a for a in g.morphisms if not g.is_identity(a)), self.cap)
 
+    def identity_witnesses(self, degeneracies: bool = True) -> list:
+        """The first witness (kind, n, i, j, x) of each kind of simplicial
+        identity (May 1967, §1) that fails on an n-string x, in the order dd,
+        ss, ds; an empty list means all identities hold inside the window:
+
+            dd: d_i d_j x = d_{j-1} d_i x for i < j,
+            ss: s_{j+1} s_i x = s_i s_j x for i <= j,
+            ds: d_i s_j x = x for i = j, j + 1, s_{j-1} d_i x for i < j
+                and s_j d_{i-1} x for i > j + 1.
+
+        One pass of :func:`string_levels` over all arrows decides them all on
+        the face rows, with the degeneracies by index arithmetic (see
+        ``_degeneracies``); witnesses of a kind are found in (n, j, i, x)
+        order.  Without ``degeneracies`` only dd is decided and no degeneracy
+        table is built.
+        """
+        g, tables = self.category, []
+        found = dict.fromkeys(("dd", "ss", "ds"))
+        older = below = lower = ()
+        for n, (strings, rows) in enumerate(string_levels(g, g.morphisms, self.cap)):
+            if n > 1 and not found["dd"]:
+                found["dd"] = next((("dd", n, i, j, x) for j in range(n + 1) for i in range(j)
+                                    for x, row in zip(strings, rows)
+                                    if lower[row[j]][i] != lower[row[i]][j - 1]), None)
+            if degeneracies and n:
+                # degree n - 1's table, s_j y = up[j][y], built only once degree n is out
+                # so that it is not held while string_levels builds degree n
+                tables.append(_degeneracies(g, below, older, tables[-1] if tables else []))
+                up, down = tables[n - 1], tables[n - 2] if n > 1 else ()
+                if not found["ds"]:
+                    found["ds"] = next((("ds", n - 1, i, j, x)
+                                        for j in range(n) for i in range(n + 1)
+                                        for y, x in enumerate(below)
+                                        if rows[up[j][y]][i] != (
+                                            y if i in (j, j + 1) else
+                                            down[j - 1][lower[y][i]] if i < j else
+                                            down[j][lower[y][i - 1]])), None)
+                if n > 1 and not found["ss"]:
+                    found["ss"] = next((("ss", n - 2, i, j, x)
+                                        for j in range(n - 1) for i in range(j + 1)
+                                        for x, a, b in zip(older, down[i], down[j])
+                                        if up[j + 1][a] != up[i][b]), None)
+            older, below, lower = below, strings, rows
+        return [w for w in found.values() if w]
+
 
 def string_levels(g: FiniteCategory, arrows: tuple, cap: int):
     """Yield (strings, face rows) for degrees 0..cap of the composable strings
@@ -107,44 +155,39 @@ def string_levels(g: FiniteCategory, arrows: tuple, cap: int):
                     next_strings.append(x + (a,))
             strings, rows = tuple(next_strings), next_rows
             first, step = next_first, slot
+            del next_strings  # only the tuple lives on while the degree is read
         yield strings, rows
 
 
 def simplicial_identity_violations(s: TruncatedSimplicialSet) -> list:
-    """Exhaustively check the simplicial identities inside the truncation window.
+    """The first witness (kind, n, i, j, x) of each kind of simplicial identity
+    that fails inside the truncation window: see
+    :meth:`TruncatedSimplicialSet.identity_witnesses`."""
+    return s.identity_witnesses()
 
-    Returns witnesses (kind, n, i, j, simplex); an empty list means all
-    identities hold wherever both sides are defined.
+
+def _degeneracies(g: FiniteCategory, strings: tuple, below: tuple, table: list) -> list:
+    """The degeneracy table of the n-strings of ``string_levels`` over all
+    arrows, given degree n - 1's strings ``below`` and table ``table`` (empty
+    for n = 0): entry [m][x] is the index of s_m x among the (n+1)-strings.
+
+    The 1-strings are the arrows in order, so s_0 y = (1_y,) is the position
+    of 1_y.  For n > 0 the children of an n-string x are contiguous, so x +
+    (a,) has index first[x] + slot[a], a's place among the arrows out of its
+    source; s_n x appends the identity of x's end, and s_m (p + (a,)) = s_m p
+    + (a,) for m < n, where p = d_n x is x's prefix, or its source for n = 1.
     """
-    bad = []
-    for n in range(2, s.cap + 1):
-        for x in s.simplices[n]:
-            for j in range(n + 1):
-                for i in range(j):
-                    if s.face(n - 1, i, s.face(n, j, x)) != s.face(n - 1, j - 1, s.face(n, i, x)):
-                        bad.append(("dd", n, i, j, x))
-    for n in range(0, s.cap - 1):
-        for x in s.simplices[n]:
-            for i in range(n + 1):
-                for j in range(i, n + 1):
-                    if s.degeneracy(n + 1, j + 1, s.degeneracy(n, i, x)) != \
-                            s.degeneracy(n + 1, i, s.degeneracy(n, j, x)):
-                        bad.append(("ss", n, i, j, x))
-    for n in range(0, s.cap):
-        for x in s.simplices[n]:
-            for j in range(n + 1):
-                sx = s.degeneracy(n, j, x)
-                for i in range(n + 2):
-                    got = s.face(n + 1, i, sx)
-                    if i == j or i == j + 1:
-                        want = x
-                    elif i < j:
-                        want = s.degeneracy(n - 1, j - 1, s.face(n, i, x))
-                    else:
-                        want = s.degeneracy(n - 1, j, s.face(n, i - 1, x))
-                    if got != want:
-                        bad.append(("ds", n, i, j, x))
-    return bad
+    if not table:
+        position = {a: i for i, a in enumerate(g.morphisms)}
+        return [[position[g.ident[y]] for y in strings]]
+    slot = {a: i for y in g.objects for i, a in enumerate(g.morphisms_from(y))}
+    ends = [g.tgt[x[-1]] for x in strings]
+    first = list(accumulate((len(g.morphisms_from(y)) for y in ends), initial=0))
+    index = {p: i for i, p in enumerate(below)}
+    parents = [index[x[:-1] or g.src[x[0]]] for x in strings]
+    up = [[first[s[p]] + slot[x[-1]] for p, x in zip(parents, strings)] for s in table]
+    up.append([f + slot[g.ident[y]] for f, y in zip(first, ends)])
+    return up
 
 
 def nerve(g: FiniteCategory, cap: int) -> TruncatedSimplicialSet:

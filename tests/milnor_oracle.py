@@ -23,7 +23,7 @@ from math import comb
 from operator import add
 
 import finstack.cli as cli
-import finstack.milnor as milnor
+import finstack.simplicial as simplicial
 from finstack.category import idkey
 from finstack.groupoid import FiniteGroupoid
 from finstack.homology import ChainComplex, chain_complex
@@ -96,7 +96,7 @@ class LevelProduct:
         the subsets of one size."""
         g, levels = self.model.factor.category, range(self.model.levels + 1)
         offsets = {(): 0}
-        for k, (strings, rows) in enumerate(milnor.string_levels(g, g.morphisms, self.model.levels)):
+        for k, (strings, rows) in enumerate(simplicial.string_levels(g, g.morphisms, self.model.levels)):
             subsets = list(combinations(levels, k + 1))
             shifts = ([offsets[s[:j] + s[j + 1:]] for j in range(k + 1)] for s in subsets)
             yield (tuple(product(subsets, strings)),

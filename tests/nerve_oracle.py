@@ -4,6 +4,10 @@ Builds the composable strings of a groupoid together with all (d+1)^2 face
 tables and d(d+1)/2 degeneracy tables, and flags as degenerate exactly the
 simplices in the union of the degeneracy images.  The runtime nerve computes
 faces and degeneracies on demand and tests for identity arrows instead.
+
+``simplicial_identity_violations`` is the tuple scan that checks every
+simplicial identity by building both sides as simplices, the oracle for the
+one pass over the face rows, ``TruncatedSimplicialSet.identity_witnesses``.
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ from dataclasses import dataclass
 
 from finstack.category import idkey
 from finstack.groupoid import FiniteGroupoid
+from finstack.simplicial import TruncatedSimplicialSet
 
 from chain_oracle import lookup_levels
 
@@ -108,3 +113,40 @@ def tabulated_nerve(g: FiniteGroupoid, cap: int) -> TabulatedSimplicialSet:
                     table[x] = x[:i] + (g.ident[vertex],) + x[i:]
             degeneracies[(n, i)] = table
     return make_simplicial_set(cap, simplices, faces, degeneracies)
+
+
+def simplicial_identity_violations(s: TruncatedSimplicialSet) -> list:
+    """Exhaustively check the simplicial identities inside the truncation window.
+
+    Returns witnesses (kind, n, i, j, simplex); an empty list means all
+    identities hold wherever both sides are defined.
+    """
+    bad = []
+    for n in range(2, s.cap + 1):
+        for x in s.simplices[n]:
+            for j in range(n + 1):
+                for i in range(j):
+                    if s.face(n - 1, i, s.face(n, j, x)) != s.face(n - 1, j - 1, s.face(n, i, x)):
+                        bad.append(("dd", n, i, j, x))
+    for n in range(0, s.cap - 1):
+        for x in s.simplices[n]:
+            for i in range(n + 1):
+                for j in range(i, n + 1):
+                    if s.degeneracy(n + 1, j + 1, s.degeneracy(n, i, x)) != \
+                            s.degeneracy(n + 1, i, s.degeneracy(n, j, x)):
+                        bad.append(("ss", n, i, j, x))
+    for n in range(0, s.cap):
+        for x in s.simplices[n]:
+            for j in range(n + 1):
+                sx = s.degeneracy(n, j, x)
+                for i in range(n + 2):
+                    got = s.face(n + 1, i, sx)
+                    if i == j or i == j + 1:
+                        want = x
+                    elif i < j:
+                        want = s.degeneracy(n - 1, j - 1, s.face(n, i, x))
+                    else:
+                        want = s.degeneracy(n - 1, j, s.face(n, i - 1, x))
+                    if got != want:
+                        bad.append(("ds", n, i, j, x))
+    return bad

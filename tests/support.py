@@ -7,6 +7,7 @@ import sys
 from pathlib import Path
 
 import finstack as fs
+import finstack.simplicial as simplicial
 from finstack.category import sorted_ids, validate_category
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -289,3 +290,34 @@ def two_chart_z3_cocycle(n: int):
     gauges = {("A", w): 0 for w in points} | {("B", f"w{k}"): k % 3 for k in range(n)}
     return gauge_cocycle(z3(), {"A": set(points), "B": set(points)}, {w: "*" for w in points},
                          gauges)
+
+
+STRING_LEVELS = simplicial.string_levels  # unpatched, so corruptions never stack
+
+
+def corrupted_string_levels(degree: int, index: int, j: int, value: int):
+    """``string_levels`` with entry j of the face row of string ``index`` in
+    ``degree`` set to ``value``; the rows it builds from are untouched."""
+    def corrupted(*args):
+        for k, (strings, rows) in enumerate(STRING_LEVELS(*args)):
+            if k == degree:
+                rows = [list(row) for row in rows]
+                rows[index][j] = value
+            yield strings, rows
+
+    return corrupted
+
+
+def covered_corruptions(category, levels: int):
+    """(degree, string index, entry, value) for every single-entry change of a
+    face row that the d_i s_j identities read: every row below the top
+    degree, and the rows of top-degree strings that hold an identity."""
+    clean = list(STRING_LEVELS(category, category.morphisms, levels))
+    for k in range(1, levels + 1):
+        strings, rows = clean[k]
+        for index, (x, row) in enumerate(zip(strings, rows)):
+            if k < levels or any(map(category.is_identity, x)):
+                for j, entry in enumerate(row):
+                    for value in range(len(clean[k - 1][0])):
+                        if value != entry:
+                            yield k, index, j, value

@@ -10,12 +10,14 @@ import finstack.jsonio as jio
 from finstack.cli import main
 from finstack.errors import LevelInactive, NotSameOrbit
 import finstack.milnor as milnor
+import finstack.simplicial as simplicial
 from finstack.milnor import translate
 from chain_oracle import lookup_levels
 from milnor_oracle import (LevelProduct, arrows, incidence, install_level_product,
                            level_product_chains, morse_boundary, orbit_quotient, partner,
                            projection_chain_map)
-from support import groupoid_zoo, is_sparse_chain_map, pair2, pt, s3, swap_action, z2, z3
+from support import (corrupted_string_levels, covered_corruptions, groupoid_zoo, is_sparse_chain_map,
+                     pair2, pt, s3, swap_action, z2, z3)
 
 MILNOR_ZOO = groupoid_zoo() + [("z2+pt", fs.disjoint_union(z2(), pt()))]
 
@@ -291,22 +293,6 @@ def test_dd_zero_on_factor_rows_matches_chains(name, g):
             assert (s.check_dd_zero(), level_product_chains(s).check_dd_zero()) == (True, True)
 
 
-STRING_LEVELS = milnor.string_levels  # unpatched, so corruptions never stack
-
-
-def corrupted_string_levels(degree: int, index: int, j: int, value: int):
-    """``string_levels`` with entry j of the face row of string ``index`` in
-    ``degree`` set to ``value``; the rows it builds from are untouched."""
-    def corrupted(*args):
-        for k, (strings, rows) in enumerate(STRING_LEVELS(*args)):
-            if k == degree:
-                rows = [list(row) for row in rows]
-                rows[index][j] = value
-            yield strings, rows
-
-    return corrupted
-
-
 @pytest.mark.parametrize("space,name,g", [(fs.milnor_B, "Z2", z2()), (fs.milnor_B, "pair", pair2()),
                                           (fs.milnor_E, "Z2", z2())])
 def test_dd_zero_on_factor_rows_matches_chains_under_corruption(monkeypatch, space, name, g):
@@ -314,14 +300,14 @@ def test_dd_zero_on_factor_rows_matches_chains_under_corruption(monkeypatch, spa
     same verdict from the factor rows and from the full chains."""
     levels = 3
     category = space(g, levels).factor.category
-    clean = list(milnor.string_levels(category, category.morphisms, levels))
+    clean = list(simplicial.string_levels(category, category.morphisms, levels))
     verdicts = []
     for k in range(1, levels + 1):
         for index, row in enumerate(clean[k][1]):
             for j, entry in enumerate(row):
                 for value in range(len(clean[k - 1][0])):
                     if value != entry:
-                        monkeypatch.setattr(milnor, "string_levels",
+                        monkeypatch.setattr(simplicial, "string_levels",
                                             corrupted_string_levels(k, index, j, value))
                         s = space(g, levels)
                         verdict = s.check_dd_zero()
@@ -334,8 +320,8 @@ def test_dd_zero_accepts_a_change_between_parallel_arrows(monkeypatch):
     """The two arrows of Z/2 have the same faces, so pointing a top-degree face
     of B at 2 levels at the other arrow keeps d^2 = 0, by both checks."""
     g = z2()
-    _, rows = list(milnor.string_levels(g, g.morphisms, 2))[2]
-    monkeypatch.setattr(milnor, "string_levels", corrupted_string_levels(2, 0, 0, 1 - rows[0][0]))
+    _, rows = list(simplicial.string_levels(g, g.morphisms, 2))[2]
+    monkeypatch.setattr(simplicial, "string_levels", corrupted_string_levels(2, 0, 0, 1 - rows[0][0]))
     s = fs.milnor_B(g, 2)
     assert (s.check_dd_zero(), level_product_chains(s).check_dd_zero()) == (True, True)
 
@@ -408,16 +394,16 @@ def test_level_collapse_matching_cell_by_cell(space, name, g, levels):
 @pytest.mark.parametrize("space", [fs.milnor_E, fs.milnor_B], ids=["E", "B"])
 @pytest.mark.parametrize("name,g", MILNOR_ZOO + [("S3", s3())])
 def test_degeneracy_tables_match_labels(space, name, g):
-    """The certificate's degeneracy tables, by index arithmetic, point at the
+    """The identity pass's degeneracy tables, by index arithmetic, point at the
     strings that inserting an identity builds."""
     levels = 4
     factor = space(g, levels).factor
     c = factor.category
-    strings = [x for x, _ in milnor.string_levels(c, c.morphisms, levels)]
-    degen = ((), ())
+    strings = [x for x, _ in simplicial.string_levels(c, c.morphisms, levels)]
+    table = []
     for k in range(levels):
-        degen = milnor._degeneracies(c, k, strings[k], degen)
-        assert [[strings[k + 1][y] for y in up] for up in degen[0]] == \
+        table = simplicial._degeneracies(c, strings[k], strings[k - 1] if k else (), table)
+        assert [[strings[k + 1][y] for y in up] for up in table] == \
             [[factor.degeneracy(k, m, x) for x in strings[k]] for m in range(k + 1)]
 
 
@@ -486,21 +472,6 @@ def test_s3_compare_matches_level_product_oracle(tmp_path, capsys, monkeypatch):
     assert fast[0][0] == 0 and "H_4 = 0" in fast[0][1].splitlines()
 
 
-def covered_corruptions(category, levels: int):
-    """(degree, string index, entry, value) for every single-entry change of a
-    face row that the matching certificate reads: every row below the top
-    degree, and the rows of top-degree strings that hold an identity."""
-    clean = list(milnor.string_levels(category, category.morphisms, levels))
-    for k in range(1, levels + 1):
-        strings, rows = clean[k]
-        for index, (x, row) in enumerate(zip(strings, rows)):
-            if k < levels or any(map(category.is_identity, x)):
-                for j, entry in enumerate(row):
-                    for value in range(len(clean[k - 1][0])):
-                        if value != entry:
-                            yield k, index, j, value
-
-
 @pytest.mark.parametrize("space,name,g,levels", [("B", "Z2", z2(), 3), ("B", "pair", pair2(), 2),
                                                  ("E", "Z2", z2(), 2)])
 def test_corrupted_face_row_leaves_homology_inconclusive(tmp_path, capsys, monkeypatch,
@@ -519,7 +490,7 @@ def test_corrupted_face_row_leaves_homology_inconclusive(tmp_path, capsys, monke
     model = fs.milnor_E if space == "E" else fs.milnor_B
     g = jio.groupoid_from_json(jio.load_json(str(path)))  # with the document's ids, as the job sees them
     for k, index, j, value in covered_corruptions(model(g, levels).factor.category, levels):
-        monkeypatch.setattr(milnor, "string_levels", corrupted_string_levels(k, index, j, value))
+        monkeypatch.setattr(simplicial, "string_levels", corrupted_string_levels(k, index, j, value))
         dd_zero, witness = model(g, levels).certify()
         assert witness is not None, (k, index, j, value)
         code = main(argv)
@@ -542,8 +513,8 @@ def test_corruption_that_keeps_dd_zero_exits_inconclusive(tmp_path, capsys, monk
     path = tmp_path / "z2.json"
     path.write_text(json.dumps(jio.groupoid_to_json(z2())))
     g = jio.groupoid_from_json(jio.load_json(str(path)))
-    _, rows = list(milnor.string_levels(g, g.morphisms, 2))[2]
-    monkeypatch.setattr(milnor, "string_levels", corrupted_string_levels(2, 0, 0, 1 - rows[0][0]))
+    _, rows = list(simplicial.string_levels(g, g.morphisms, 2))[2]
+    monkeypatch.setattr(simplicial, "string_levels", corrupted_string_levels(2, 0, 0, 1 - rows[0][0]))
     assert fs.milnor_B(g, 2).certify() == (True, (("0",), 0))
     assert main(["milnor", "--groupoid", str(path), "--levels", "2", "--space", "B",
                  "--homology", "2", "--compare-nerve"]) == 3
@@ -558,25 +529,25 @@ def test_corruption_that_keeps_dd_zero_exits_inconclusive(tmp_path, capsys, monk
 def test_one_factor_pass_serves_both_certificates(tmp_path, capsys, monkeypatch):
     """A homology job walks the factor's strings over all arrows once, for
     d^2 = 0 and the matching together; a count-only job builds no degeneracy
-    table and checks no matching identity."""
+    table, so it checks no matching identity."""
     path = tmp_path / "s3.json"
     path.write_text(json.dumps(jio.groupoid_to_json(s3())))
     base = ["milnor", "--groupoid", str(path), "--levels", "4", "--space", "B"]
     passes = []
-    real = milnor.string_levels
+    real = simplicial.string_levels
 
-    def counted(*args):
-        passes.append(args[2])
-        return real(*args)
+    def counted(g, arrows, cap):
+        if arrows == g.morphisms:  # a pass over all arrows, not the normalized chains
+            passes.append(cap)
+        return real(g, arrows, cap)
 
     def forbidden(*args):
         raise AssertionError("the matching was checked")
 
-    monkeypatch.setattr(milnor, "string_levels", counted)
+    monkeypatch.setattr(simplicial, "string_levels", counted)
     assert main(base + ["--compare-nerve", "--homology", "3"]) == 0
     assert passes == [4]
-    monkeypatch.setattr(milnor, "_degeneracies", forbidden)
-    monkeypatch.setattr(milnor, "_face_identity_witness", forbidden)
+    monkeypatch.setattr(simplicial, "_degeneracies", forbidden)
     assert main(base) == 0
     assert capsys.readouterr().out.endswith("[PASS] boundary-squared-zero\n")
     assert passes == [4, 4]

@@ -1,13 +1,19 @@
 from __future__ import annotations
 
+import json
+
 import pytest
 
 import finstack as fs
+import finstack.jsonio as jio
+import finstack.simplicial as simplicial
 from finstack.category import chain_category
+from finstack.cli import main
 from finstack.simplicial import simplicial_identity_violations
 from chain_oracle import lookup_levels
-from nerve_oracle import tabulated_nerve
-from support import groupoid_zoo, pair2, pt, s3, z2
+from nerve_oracle import simplicial_identity_violations as tuple_scan, tabulated_nerve
+from support import (corrupted_string_levels, covered_corruptions, groupoid_zoo, pair2, pt, s3,
+                     weak_equivalence_zoo, z2)
 
 
 def test_nerve_of_point():
@@ -49,6 +55,63 @@ def test_simplicial_identities_hold(name, g):
 
 def test_simplicial_identities_hold_for_circle():
     assert simplicial_identity_violations(fs.simplicial_circle()) == []
+
+
+IDENTITY_CASES = (
+    [(name, fs.nerve(g, 4)) for name, g in groupoid_zoo()]
+    + [(f"{name}-target", fs.nerve(f.target, 4)) for name, f in weak_equivalence_zoo()]
+    + [(f"{name}-E-factor", fs.milnor_E(g, 3).factor) for name, g in groupoid_zoo()]
+    + [("circle", fs.simplicial_circle()), ("S3-cap5", fs.nerve(s3(), 5))]
+    + [(f"empty-cap{cap}", fs.nerve(fs.pair_groupoid([]), cap)) for cap in (0, 1)])
+
+
+@pytest.mark.parametrize("name,s", IDENTITY_CASES, ids=[c[0] for c in IDENTITY_CASES])
+def test_identity_pass_matches_tuple_scan(name, s):
+    """The one pass over the face rows and the scan that builds every face and
+    degeneracy as a tuple both find every simplicial identity holding."""
+    assert simplicial_identity_violations(s) == tuple_scan(s) == []
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3])
+def test_swapped_degeneracy_entries_break_ss_and_ds(monkeypatch, degree):
+    """Swapping s_m of the first two strings of one degree in the degeneracy
+    tables breaks the two kinds of identity that read them, and not dd."""
+    real = simplicial._degeneracies
+    for m in range(degree + 1):
+        def swapped(g, strings, below, table, m=m):
+            up = real(g, strings, below, table)
+            if len(table) == degree:
+                up[m][:2] = up[m][1::-1]
+            return up
+
+        monkeypatch.setattr(simplicial, "_degeneracies", swapped)
+        ss, ds = fs.nerve(s3(), 4).identity_witnesses()
+        assert (ss[0], ds[0], ds[1], ds[3]) == ("ss", "ds", degree, m)
+
+
+@pytest.mark.parametrize("name,g,cap", [("Z2", z2(), 3), ("pair", pair2(), 2)])
+def test_corrupted_face_row_fails_the_nerve_verdict(tmp_path, capsys, monkeypatch, name, g, cap):
+    """Through ``main()``, every change of one face-row entry that the d_i s_j
+    identities read fails ``simplicial-identities`` with the pass's first
+    witness and exit 1; the counts, which read no row, are unchanged, and no
+    job ends in a traceback."""
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(jio.groupoid_to_json(g)))
+    argv = ["nerve", "--groupoid", str(path), "--dim", str(cap)]
+    assert main(argv) == 0
+    clean = capsys.readouterr().out.splitlines()
+    assert clean[-1] == "[PASS] simplicial-identities"
+    g = jio.groupoid_from_json(jio.load_json(str(path)))  # with the document's ids, as the job sees them
+    corruptions = list(covered_corruptions(g, cap))
+    assert corruptions
+    for k, index, j, value in corruptions:
+        monkeypatch.setattr(simplicial, "string_levels", corrupted_string_levels(k, index, j, value))
+        witnesses = fs.nerve(g, cap).identity_witnesses()
+        assert witnesses, (k, index, j, value)
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert (code, err) == (1, "")
+        assert out.splitlines() == clean[:-1] + [f"[FAIL] simplicial-identities: {witnesses[0]}"]
 
 
 def test_circle_shape():
