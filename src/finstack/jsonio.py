@@ -181,6 +181,8 @@ def morphism_class_from_json(doc: Mapping, cat: FiniteCategory) -> MorphismClass
             cospan = _ids(_require(entry, "cospan", list), "cospan")
             if len(cospan) != 2:
                 raise SchemaError("cospan must have two morphisms")
+            if (cospan[0], cospan[1]) in oracle:
+                raise SchemaError(f"pullbacks repeats the cospan {cospan!r}")
             oracle[(cospan[0], cospan[1])] = (
                 _require(entry, "apex", str),
                 _require(entry, "proj1", str),

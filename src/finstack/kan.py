@@ -568,7 +568,7 @@ def right_kan(ic: IndexedCategory, f: CatFunctor, p: CatFunctor, p_lift: Lift) -
                           cones=cones, projections=projections)
 
 
-def counit(rf: RightKanResult, p_lift: Lift) -> dict:
+def counit(rf: RightKanResult) -> dict:
     """Component at e: project the limit at F(e) onto the (e, id) coordinate."""
     f = rf.along
     d_cat = f.target
@@ -619,7 +619,7 @@ def adjunction_check(ic: IndexedCategory, f: CatFunctor, p: CatFunctor,
 
     ``rf`` is ``right_kan(ic, f, p, p_lift)``; ``p`` is not read again.
     """
-    eps = counit(rf, p_lift)
+    eps = counit(rf)
     restricted_q = precompose_lift(f, q_lift)
     left = lift_morphisms(q_lift, rf.lift)
     right = lift_morphisms(restricted_q, p_lift)

@@ -58,8 +58,7 @@ identities
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import accumulate, combinations, product
+from itertools import accumulate
 from math import comb
 
 from .category import FiniteCategory, _poset
@@ -74,22 +73,14 @@ class MilnorComplex:
     """The level product of the level simplex on 0..``levels`` with the nerve
     ``factor``, zero above degree ``levels``.  Each degree lists its cells by
     level subset, in ``itertools.combinations`` order, then by factor string.
-    The table ``simplices`` is built on first use, never by :meth:`chain_levels`.
+    No cell is built: homology reads the Morse complex of :meth:`chain_levels`,
+    and :meth:`certify` the factor's face rows.
     """
 
     groupoid: FiniteGroupoid
     levels: int
     factor: TruncatedSimplicialSet
     complete_above = True
-
-    @cached_property
-    def simplices(self) -> dict:
-        return {k: tuple(product(combinations(range(self.levels + 1), k + 1), strings))
-                for k, strings in self.factor.simplices.items()}
-
-    def face(self, k: int, j: int, cell: tuple) -> tuple:
-        subset, x = cell
-        return subset[:j] + subset[j + 1:], self.factor.face(k, j, x)
 
     def count(self, k: int) -> int:
         return comb(self.levels + 1, k + 1) * self.factor.count(k)
@@ -100,9 +91,6 @@ class MilnorComplex:
         by x, and the rows are the factor's normalized rows.  Sound when
         :meth:`certify` finds no witness."""
         return self.factor.chain_levels()
-
-    def check_dd_zero(self) -> bool:
-        return self.certify(matching=False)[0]
 
     def certify(self, matching: bool = True) -> tuple:
         """(whether d^2 = 0, the first (x, m) at which a face identity of the

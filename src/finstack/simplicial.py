@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import accumulate
 
 from .category import FiniteCategory, validate_category
@@ -16,41 +15,16 @@ class TruncatedSimplicialSet:
     in lexicographic order of arrow positions (``idkey`` order), 0-simplices
     the objects.  d_0 drops the first arrow, d_n the last, inner faces compose
     neighbours, degeneracies insert identities, and a string is degenerate
-    exactly when it holds one.  Maps and counts are computed on demand; the
-    table ``simplices`` of all strings comes from :func:`string_levels` on
-    first use, never by :meth:`chain_levels` or :meth:`identity_witnesses`,
-    the one pass that checks the simplicial identities, for ``nerve`` and for
-    the Milnor factors alike.
+    exactly when it holds one.  Counts are computed end by end; the strings
+    themselves are met only as the face rows of :func:`string_levels`, read by
+    :meth:`chain_levels` and by :meth:`identity_witnesses`, the one pass that
+    checks the simplicial identities, for ``nerve`` and for the Milnor factors
+    alike.
     """
 
     category: FiniteCategory
     cap: int
     complete_above = False
-
-    @cached_property
-    def simplices(self) -> dict:
-        levels = string_levels(self.category, self.category.morphisms, self.cap)
-        return {n: strings for n, (strings, _) in enumerate(levels)}
-
-    def face(self, n: int, i: int, x):
-        g = self.category
-        if n == 1:
-            return g.tgt[x[0]] if i == 0 else g.src[x[0]]
-        if i == 0:
-            return x[1:]
-        if i == n:
-            return x[:-1]
-        return x[:i - 1] + (g.comp[(x[i - 1], x[i])],) + x[i + 1:]
-
-    def degeneracy(self, n: int, i: int, x):
-        g = self.category
-        if n == 0:
-            return (g.ident[x],)
-        vertex = g.src[x[0]] if i == 0 else g.tgt[x[i - 1]]
-        return x[:i] + (g.ident[vertex],) + x[i:]
-
-    def is_degenerate(self, n: int, x) -> bool:
-        return n > 0 and any(map(self.category.is_identity, x))
 
     def count(self, n: int, nondegenerate: bool = False) -> int:
         """The number of n-simplices: paths of n arrows, counted end by end."""
@@ -99,7 +73,7 @@ class TruncatedSimplicialSet:
             if degeneracies and n:
                 # degree n - 1's table, s_j y = up[j][y], built only once degree n is out
                 # so that it is not held while string_levels builds degree n
-                tables.append(_degeneracies(g, below, older, tables[-1] if tables else []))
+                tables.append(_degeneracies(g, below, lower, tables[-1] if tables else []))
                 up, down = tables[n - 1], tables[n - 2] if n > 1 else ()
                 if not found["ds"]:
                     found["ds"] = next((("ds", n - 1, i, j, x)
@@ -166,16 +140,18 @@ def simplicial_identity_violations(s: TruncatedSimplicialSet) -> list:
     return s.identity_witnesses()
 
 
-def _degeneracies(g: FiniteCategory, strings: tuple, below: tuple, table: list) -> list:
+def _degeneracies(g: FiniteCategory, strings: tuple, rows: list, table: list) -> list:
     """The degeneracy table of the n-strings of ``string_levels`` over all
-    arrows, given degree n - 1's strings ``below`` and table ``table`` (empty
-    for n = 0): entry [m][x] is the index of s_m x among the (n+1)-strings.
+    arrows, given their face rows ``rows`` and degree n - 1's table ``table``
+    (empty for n = 0): entry [m][x] is the index of s_m x among the
+    (n+1)-strings.
 
     The 1-strings are the arrows in order, so s_0 y = (1_y,) is the position
     of 1_y.  For n > 0 the children of an n-string x are contiguous, so x +
     (a,) has index first[x] + slot[a], a's place among the arrows out of its
     source; s_n x appends the identity of x's end, and s_m (p + (a,)) = s_m p
-    + (a,) for m < n, where p = d_n x is x's prefix, or its source for n = 1.
+    + (a,) for m < n, where p = d_n x, the last entry of x's row, is x's
+    prefix, or its source for n = 1.
     """
     if not table:
         position = {a: i for i, a in enumerate(g.morphisms)}
@@ -183,9 +159,7 @@ def _degeneracies(g: FiniteCategory, strings: tuple, below: tuple, table: list) 
     slot = {a: i for y in g.objects for i, a in enumerate(g.morphisms_from(y))}
     ends = [g.tgt[x[-1]] for x in strings]
     first = list(accumulate((len(g.morphisms_from(y)) for y in ends), initial=0))
-    index = {p: i for i, p in enumerate(below)}
-    parents = [index[x[:-1] or g.src[x[0]]] for x in strings]
-    up = [[first[s[p]] + slot[x[-1]] for p, x in zip(parents, strings)] for s in table]
+    up = [[first[s[row[-1]]] + slot[x[-1]] for row, x in zip(rows, strings)] for s in table]
     up.append([f + slot[g.ident[y]] for f, y in zip(first, ends)])
     return up
 

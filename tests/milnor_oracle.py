@@ -5,8 +5,9 @@
   orbit (by ``idkey``) as its representative; faces are E's faces read
   through the orbit map.  The runtime builds B directly as a level product
   with the nerve instead.
-- The level product's full chains: every cell (L, x), degenerate strings
-  included, with face rows by index arithmetic on the factor's rows, and the
+- The level product's cells (L, x), degenerate strings included, with faces
+  (L, x) -> (L minus l_j, d_j x) read off the tabulated factor; its full
+  chains, with face rows by index arithmetic on the factor's rows; and the
   projection (L, x) -> x onto the nerve's normalized chains.  The runtime
   reads homology and the nerve comparison off the Morse complex of the
   level-collapse matching instead, and ``install_level_product`` puts the full
@@ -18,6 +19,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations, product
 from math import comb
 from operator import add
@@ -30,6 +32,45 @@ from finstack.homology import ChainComplex, chain_complex
 from finstack.milnor import MilnorComplex, milnor_E, translate
 
 from chain_oracle import lookup_levels
+from nerve_oracle import TabulatedSimplicialSet, tabulated_nerve
+
+
+@dataclass(frozen=True)
+class LevelProduct:
+    """Every cell (L, x) of a Milnor model, for ``chain_complex``, by level
+    subset in ``itertools.combinations`` order, then by factor string."""
+
+    model: MilnorComplex
+    complete_above = True
+
+    @cached_property
+    def factor(self) -> TabulatedSimplicialSet:
+        """The model's factor with every face and degeneracy tabulated."""
+        return tabulated_nerve(self.model.factor.category, self.model.levels)
+
+    @cached_property
+    def simplices(self) -> dict:
+        subsets = range(self.model.levels + 1)
+        return {k: tuple(product(combinations(subsets, k + 1), strings))
+                for k, strings in self.factor.simplices.items()}
+
+    def face(self, k: int, j: int, cell: tuple) -> tuple:
+        subset, x = cell
+        return subset[:j] + subset[j + 1:], self.factor.face(k, j, x)
+
+    def chain_levels(self):
+        """Yield (cells, face rows) for degrees 0..levels, in ``simplices``
+        order, by index arithmetic on the rows of ``string_levels``.  Row j of
+        (L, x) is rank(L minus l_j) |X_{k-1}| + row j of x, where X_k holds the
+        factor's k-strings and rank numbers the subsets of one size."""
+        g, levels = self.model.factor.category, range(self.model.levels + 1)
+        offsets = {(): 0}
+        for k, (strings, rows) in enumerate(simplicial.string_levels(g, g.morphisms, self.model.levels)):
+            subsets = list(combinations(levels, k + 1))
+            shifts = ([offsets[s[:j] + s[j + 1:]] for j in range(k + 1)] for s in subsets)
+            yield (tuple(product(subsets, strings)),
+                   (list(map(add, shift, row)) for shift, row in product(shifts, rows)))
+            offsets = {s: i * len(strings) for i, s in enumerate(subsets)}
 
 
 @dataclass(frozen=True)
@@ -40,7 +81,7 @@ class OrbitQuotient:
     levels: int
     simplices: dict
     orbit: dict   # degree -> {simplex of E: its orbit's representative}
-    total: MilnorComplex
+    total: LevelProduct
     complete_above = True
 
     def face(self, k: int, j: int, rep: tuple) -> tuple:
@@ -61,7 +102,7 @@ def arrows(cell: tuple) -> tuple:
 
 def orbit_quotient(g: FiniteGroupoid, levels: int) -> OrbitQuotient:
     """Quotient by the diagonal action, with ``idkey``-least representatives."""
-    total = milnor_E(g, levels)
+    total = LevelProduct(milnor_E(g, levels))
     simplices: dict = {}
     orbit: dict = {}
     for k in range(levels + 1):
@@ -82,28 +123,6 @@ def orbit_quotient(g: FiniteGroupoid, levels: int) -> OrbitQuotient:
     return OrbitQuotient(groupoid=g, levels=levels, simplices=simplices, orbit=orbit, total=total)
 
 
-@dataclass(frozen=True)
-class LevelProduct:
-    """Every cell (L, x) of a Milnor model, for ``chain_complex``."""
-
-    model: MilnorComplex
-    complete_above = True
-
-    def chain_levels(self):
-        """Yield (cells, face rows) for degrees 0..levels, in the model's
-        ``simplices`` order.  Row j of (L, x) is rank(L minus l_j) |X_{k-1}| +
-        row j of x, where X_k holds the factor's k-strings and rank numbers
-        the subsets of one size."""
-        g, levels = self.model.factor.category, range(self.model.levels + 1)
-        offsets = {(): 0}
-        for k, (strings, rows) in enumerate(simplicial.string_levels(g, g.morphisms, self.model.levels)):
-            subsets = list(combinations(levels, k + 1))
-            shifts = ([offsets[s[:j] + s[j + 1:]] for j in range(k + 1)] for s in subsets)
-            yield (tuple(product(subsets, strings)),
-                   (list(map(add, shift, row)) for shift, row in product(shifts, rows)))
-            offsets = {s: i * len(strings) for i, s in enumerate(subsets)}
-
-
 def level_product_chains(s: MilnorComplex) -> ChainComplex:
     """The full chains of the level product, every cell a generator."""
     return chain_complex(LevelProduct(s))
@@ -115,10 +134,10 @@ def projection_chain_map(b: MilnorComplex, nerve_cx: ChainComplex) -> dict:
     Degree k holds one sparse column {nerve row: 1} per cell of B, the zero
     column {} where x is degenerate.  Defined in degrees 0..min(levels, nerve cap).
     """
-    maps = {}
+    maps, factor = {}, tabulated_nerve(b.factor.category, b.levels)
     for k in range(min(b.levels, nerve_cx.top_degree) + 1):
         rows = {x: i for i, x in enumerate(nerve_cx.basis[k])}
-        columns = [{} if row is None else {row: 1} for row in map(rows.get, b.factor.simplices[k])]
+        columns = [{} if row is None else {row: 1} for row in map(rows.get, factor.simplices[k])]
         maps[k] = columns * comb(b.levels + 1, k + 1)
     return maps
 
@@ -130,26 +149,26 @@ def install_level_product(monkeypatch) -> None:
     monkeypatch.setattr(cli, "comparison_chain_map", projection_chain_map)
 
 
-def partner(s: MilnorComplex, cell: tuple):
+def partner(p: LevelProduct, cell: tuple):
     """("up" or "down", partner) of a cell under the level-collapse matching,
     or None for a critical cell, read off labels."""
     subset, x = cell
     k = len(subset) - 1
-    g = s.factor.category
+    g = p.model.factor.category
     for j in range(k + 1):
         if subset[j] > j:
-            return "up", (subset[:j] + (j,) + subset[j:], s.factor.degeneracy(k, j, x))
+            return "up", (subset[:j] + (j,) + subset[j:], p.factor.degeneracy(k, j, x))
         if j < k and g.is_identity(x[j]):
-            return "down", s.face(k, j, cell)
+            return "down", p.face(k, j, cell)
     return None
 
 
-def incidence(s: MilnorComplex, k: int, cell: tuple, face: tuple) -> int:
+def incidence(p: LevelProduct, k: int, cell: tuple, face: tuple) -> int:
     """The coefficient of ``face`` in the boundary of the k-cell ``cell``."""
-    return sum((-1) ** j for j in range(k + 1) if s.face(k, j, cell) == face)
+    return sum((-1) ** j for j in range(k + 1) if p.face(k, j, cell) == face)
 
 
-def morse_boundary(s: MilnorComplex, k: int, cell: tuple) -> dict:
+def morse_boundary(p: LevelProduct, k: int, cell: tuple) -> dict:
     """The Morse boundary of a critical k-cell, {critical (k-1)-cell: coefficient}.
 
     Starting from the boundary, each cell matched up with tau is cancelled by
@@ -158,15 +177,15 @@ def morse_boundary(s: MilnorComplex, k: int, cell: tuple) -> dict:
     """
     chain = {}
     for j in range(k + 1):
-        face = s.face(k, j, cell)
+        face = p.face(k, j, cell)
         chain[face] = chain.get(face, 0) + (-1) ** j
     while True:
-        pending = [c for c, v in chain.items() if v and (partner(s, c) or ("",))[0] == "up"]
+        pending = [c for c, v in chain.items() if v and (partner(p, c) or ("",))[0] == "up"]
         if not pending:
-            return {c: v for c, v in chain.items() if v and partner(s, c) is None}
+            return {c: v for c, v in chain.items() if v and partner(p, c) is None}
         sigma = pending[0]
-        tau = partner(s, sigma)[1]
-        q = chain[sigma] * incidence(s, k, tau, sigma)  # incidence is +-1
+        tau = partner(p, sigma)[1]
+        q = chain[sigma] * incidence(p, k, tau, sigma)  # incidence is +-1
         for j in range(k + 1):
-            face = s.face(k, j, tau)
+            face = p.face(k, j, tau)
             chain[face] = chain.get(face, 0) - q * (-1) ** j

@@ -2,20 +2,21 @@
 
 Builds the composable strings of a groupoid together with all (d+1)^2 face
 tables and d(d+1)/2 degeneracy tables, and flags as degenerate exactly the
-simplices in the union of the degeneracy images.  The runtime nerve computes
-faces and degeneracies on demand and tests for identity arrows instead.
+simplices in the union of the degeneracy images.  The runtime nerve holds
+only face rows of indices, by index arithmetic on prefixes, and drops the
+strings that hold an identity arrow instead.
 
 ``simplicial_identity_violations`` is the tuple scan that checks every
-simplicial identity by building both sides as simplices, the oracle for the
-one pass over the face rows, ``TruncatedSimplicialSet.identity_witnesses``.
+simplicial identity on the tabulated nerve by building both sides as
+simplices, the oracle for the one pass over the face rows,
+``TruncatedSimplicialSet.identity_witnesses``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from finstack.category import idkey
-from finstack.groupoid import FiniteGroupoid
+from finstack.category import FiniteCategory, idkey
 from finstack.simplicial import TruncatedSimplicialSet
 
 from chain_oracle import lookup_levels
@@ -73,8 +74,8 @@ def make_simplicial_set(cap: int, simplices: dict, faces: dict, degeneracies: di
     )
 
 
-def tabulated_nerve(g: FiniteGroupoid, cap: int) -> TabulatedSimplicialSet:
-    """The nerve with every face and degeneracy map tabulated."""
+def tabulated_nerve(g: FiniteCategory, cap: int) -> TabulatedSimplicialSet:
+    """The nerve of a finite category with every face and degeneracy map tabulated."""
     if cap < 0:
         raise ValueError("cap must be nonnegative")
     simplices: dict = {0: tuple(g.objects)}
@@ -115,12 +116,14 @@ def tabulated_nerve(g: FiniteGroupoid, cap: int) -> TabulatedSimplicialSet:
     return make_simplicial_set(cap, simplices, faces, degeneracies)
 
 
-def simplicial_identity_violations(s: TruncatedSimplicialSet) -> list:
-    """Exhaustively check the simplicial identities inside the truncation window.
+def simplicial_identity_violations(nerve: TruncatedSimplicialSet) -> list:
+    """Exhaustively check the simplicial identities of the tabulated copy of
+    ``nerve`` inside the truncation window.
 
     Returns witnesses (kind, n, i, j, simplex); an empty list means all
     identities hold wherever both sides are defined.
     """
+    s = tabulated_nerve(nerve.category, nerve.cap)
     bad = []
     for n in range(2, s.cap + 1):
         for x in s.simplices[n]:

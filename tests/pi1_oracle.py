@@ -1,7 +1,7 @@
 """Oracles for the edge-path presentation and the order of a finitely presented group.
 
-``tabulated_pi1_presentation`` builds the presentation from the nerve's table
-of all 1- and 2-strings, degenerate ones included, computing each face; it was
+``tabulated_pi1_presentation`` builds the presentation from the tabulated
+nerve's 1- and 2-strings, degenerate ones included, and their faces; it was
 ``pi1_presentation`` before the presentation was read off the composition
 table, and is kept here to check that builder exactly.
 
@@ -17,6 +17,8 @@ from finstack.category import idkey
 from finstack.errors import EnumerationBudgetExceeded, InsufficientTruncation, UnknownBasepoint
 from finstack.fundamental import GroupPresentation
 from finstack.simplicial import TruncatedSimplicialSet
+
+from nerve_oracle import tabulated_nerve
 
 COSET_BUDGET = 10_000  # cosets per enumeration
 
@@ -90,16 +92,18 @@ def coset_enumeration(num_generators: int, relations, budget: int | None = None)
     return sum(1 for c in range(len(labels)) if find(c) == c)
 
 
-def tabulated_pi1_presentation(s: TruncatedSimplicialSet, basepoint) -> GroupPresentation:
-    """Edge-path presentation of the fundamental group at a basepoint.
+def tabulated_pi1_presentation(nerve: TruncatedSimplicialSet, basepoint) -> GroupPresentation:
+    """Edge-path presentation of the fundamental group at a basepoint, read
+    off the tabulated copy of ``nerve``.
 
     Generators are the nondegenerate 1-simplices of the basepoint's component;
     a deterministic BFS spanning tree (sorted simplex ids) is killed, and each
     nondegenerate 2-simplex sigma contributes d2(sigma) . d0(sigma) = d1(sigma),
     with degenerate faces read as the empty word.
     """
-    if s.cap < 2:
-        raise InsufficientTruncation(2, s.cap)
+    if nerve.cap < 2:
+        raise InsufficientTruncation(2, nerve.cap)
+    s = tabulated_nerve(nerve.category, nerve.cap)
     if basepoint not in set(s.simplices[0]):
         raise UnknownBasepoint(basepoint)
 

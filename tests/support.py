@@ -10,6 +10,8 @@ import finstack as fs
 import finstack.simplicial as simplicial
 from finstack.category import sorted_ids, validate_category
 
+from nerve_oracle import tabulated_nerve
+
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
@@ -321,3 +323,27 @@ def covered_corruptions(category, levels: int):
                     for value in range(len(clean[k - 1][0])):
                         if value != entry:
                             yield k, index, j, value
+
+
+def assert_levels_match_oracle(category, cap: int) -> None:
+    """``string_levels`` over all arrows agrees with the tabulated nerve: its
+    strings are the oracle's, entry i of each face row is the index one degree
+    down of the oracle's d_i, the degeneracy tables built from the rows point
+    at the oracle's s_m, and their images are the strings that hold an identity."""
+    oracle = tabulated_nerve(category, cap)
+    levels = list(simplicial.string_levels(category, category.morphisms, cap))
+    assert [tuple(strings) for strings, _ in levels] == [oracle.simplices[n] for n in range(cap + 1)]
+    table = []
+    for n, (strings, rows) in enumerate(levels):
+        if n:
+            below = levels[n - 1][0]
+            assert [[below[i] for i in row] for row in rows] == \
+                [[oracle.face(n, i, x) for i in range(n + 1)] for x in strings]
+            images = {y for up in table for y in up}
+            assert [y in images for y in range(len(strings))] == \
+                [any(map(category.is_identity, x)) for x in strings]
+        if n < cap:
+            table = simplicial._degeneracies(category, strings, rows, table)
+            above = levels[n + 1][0]
+            assert [[above[y] for y in up] for up in table] == \
+                [[oracle.degeneracy(n, m, x) for x in strings] for m in range(n + 1)]

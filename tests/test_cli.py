@@ -17,8 +17,8 @@ from hypothesis import strategies as st
 import finstack as fs
 import finstack.jsonio as jio
 from finstack.cli import main
-from support import (cocycle_zoo, dihedral4, gauge_cocycle, groupoid_zoo, pair2, point_inclusion,
-                     s3, s3_on_letters, two_chart_z3_cocycle, weak_equivalence_zoo, z2, z3)
+from support import (cocycle_zoo, dihedral4, gauge_cocycle, groupoid_zoo, load_jobs, pair2,
+                     point_inclusion, s3, s3_on_letters, two_chart_z3_cocycle, weak_equivalence_zoo, z2, z3)
 
 
 @pytest.fixture()
@@ -883,6 +883,26 @@ def test_category_comp_repeated_pair_exit_2(capsys, tmp_path):
     assert capsys.readouterr().err.splitlines() == ["error: comp repeats the pair ['i0', 'i0']"]
     cpath.write_text(json.dumps(dict(cat_doc, comp=[["i0", "i0", "i0"]])))
     assert main(argv) == 0
+
+
+def test_class_pullbacks_repeated_cospan_exit_2(capsys, tmp_path):
+    """A cospan listed twice is bad input, even when the later entry is the
+    valid one: an earlier entry is never checked once a later one replaces it."""
+    cat_doc, cls_doc, _ = load_jobs().subset_poset(2)
+    entry = cls_doc["pullbacks"][0]
+    cpath, rpath = tmp_path / "cat.json", tmp_path / "cls.json"
+    cpath.write_text(json.dumps(cat_doc))
+    rpath.write_text(json.dumps(cls_doc))
+    argv = ["localize", "--cat", str(cpath), "--class", str(rpath), "--from", "s00", "--to", "s11"]
+    assert main(argv) == 0
+    capsys.readouterr()
+    bad = dict(entry, apex="s00<s00")
+    rpath.write_text(json.dumps(dict(cls_doc, pullbacks=[bad] + cls_doc["pullbacks"])))
+    assert main(argv) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: pullbacks repeats the cospan {entry['cospan']!r}"]
+    rpath.write_text(json.dumps(dict(cls_doc, pullbacks=[bad] + cls_doc["pullbacks"][1:])))
+    assert main(argv) == 2
+    assert "pullbacks: undeclared id" in capsys.readouterr().err
 
 
 def test_parser_built_once():

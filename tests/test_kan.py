@@ -216,7 +216,7 @@ def test_right_kan_product_at_span_apex():
 def test_right_kan_counit_triangle():
     ic, f, p, p_lift = product_instance()
     rf = fs.right_kan(ic, f, p, p_lift)
-    eps = counit(rf, p_lift)
+    eps = counit(rf)
     for e in f.source.objects:
         assert eps[e].src == rf.lift.objects[f.obj_map[e]]
         assert eps[e].tgt == p_lift.objects[e]

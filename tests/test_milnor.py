@@ -16,8 +16,9 @@ from chain_oracle import lookup_levels
 from milnor_oracle import (LevelProduct, arrows, incidence, install_level_product,
                            level_product_chains, morse_boundary, orbit_quotient, partner,
                            projection_chain_map)
-from support import (corrupted_string_levels, covered_corruptions, groupoid_zoo, is_sparse_chain_map,
-                     pair2, pt, s3, swap_action, z2, z3)
+from nerve_oracle import tabulated_nerve
+from support import (assert_levels_match_oracle, corrupted_string_levels, covered_corruptions,
+                     groupoid_zoo, is_sparse_chain_map, pair2, pt, s3, swap_action, z2, z3)
 
 MILNOR_ZOO = groupoid_zoo() + [("z2+pt", fs.disjoint_union(z2(), pt()))]
 
@@ -38,7 +39,7 @@ def test_join_pair_groupoid_level_zero():
     e = fs.milnor_E(pair2(), 0)
     assert e.count(0) == 4
     by_source = {}
-    for _, arrow in e.simplices[0]:
+    for _, arrow in LevelProduct(e).simplices[0]:
         by_source.setdefault(pair2().src[arrow], 0)
         by_source[pair2().src[arrow]] += 1
     assert sorted(by_source.values()) == [2, 2]
@@ -104,7 +105,7 @@ def test_section_is_unique_identity_representative():
     g = z3()
     b = fs.milnor_B(g, 2)
     quotient = orbit_quotient(g, 2)
-    for k, cells in b.simplices.items():
+    for k, cells in LevelProduct(b).simplices.items():
         for cell in cells:
             subset = cell[0]
             orbit = quotient.orbit[k][fs.milnor_section(b, cell, subset[0])]
@@ -128,7 +129,7 @@ def test_pairing_composition_law_exhaustive():
     g = z3()
     e = fs.milnor_E(g, 1)
     b = orbit_quotient(g, 1)
-    for k, simplices in e.simplices.items():
+    for k, simplices in LevelProduct(e).simplices.items():
         orbits: dict = {}
         for s in simplices:
             orbits.setdefault(b.orbit[k][s], []).append(s)
@@ -164,8 +165,8 @@ def test_projection_representative_independent(name, g):
 @pytest.mark.parametrize("name,g", groupoid_zoo())
 def test_projection_commutes_with_faces(name, g):
     levels = 2
-    e = fs.milnor_E(g, levels)
-    s = fs.nerve(g, levels)
+    e = LevelProduct(fs.milnor_E(g, levels))
+    s = tabulated_nerve(g, levels)
     for k in range(1, levels + 1):
         for simplex in e.simplices[k]:
             image = fs.milnor_to_nerve(g, simplex)
@@ -203,6 +204,7 @@ def test_comparison_induces_homology_isomorphisms(name, g):
 @pytest.mark.parametrize("levels", [1, 2, 3, 4])
 def test_direct_quotient_matches_orbit_oracle(name, g, levels):
     b = fs.milnor_B(g, levels)
+    p = LevelProduct(b)
     quotient = orbit_quotient(g, levels)
 
     def orbit(k, cell):
@@ -211,11 +213,11 @@ def test_direct_quotient_matches_orbit_oracle(name, g, levels):
     assert [b.count(k) for k in range(levels + 1)] == \
         [quotient.count(k) for k in range(levels + 1)]
     for k in range(levels + 1):
-        assert {orbit(k, cell) for cell in b.simplices[k]} == set(quotient.simplices[k])
+        assert {orbit(k, cell) for cell in p.simplices[k]} == set(quotient.simplices[k])
     for k in range(1, levels + 1):
-        for cell in b.simplices[k]:
+        for cell in p.simplices[k]:
             for j in range(k + 1):
-                assert orbit(k - 1, b.face(k, j, cell)) == quotient.face(k, j, orbit(k, cell))
+                assert orbit(k - 1, p.face(k, j, cell)) == quotient.face(k, j, orbit(k, cell))
     bcx = fs.chain_complex(b)
     ocx = fs.chain_complex(quotient)
     for n in range(levels + 1):
@@ -229,8 +231,8 @@ def test_milnor_chain_levels_match_face_lookup(space, name, g, levels):
     """The level product's rows by index arithmetic are the rows that face
     lookups find, and each degree is in level-product order: by level subset,
     then by factor string."""
-    s = space(g, levels)
-    got = [(gens, [list(row) for row in rows]) for gens, rows in LevelProduct(s).chain_levels()]
+    s = LevelProduct(space(g, levels))
+    got = [(gens, [list(row) for row in rows]) for gens, rows in s.chain_levels()]
     assert got == [(gens, list(rows)) for gens, rows in lookup_levels(s)]
     assert [gens for gens, _ in got] == [s.simplices[k] for k in range(levels + 1)]
     for k, cells in s.simplices.items():
@@ -249,7 +251,7 @@ def test_milnor_counts_are_level_products(space, name, g):
     for k in range(levels + 1):
         strings = sum(len(g.morphisms_from(y)) ** (k + (space == "E")) for y in g.objects)
         assert s.factor.count(k) == strings
-        assert s.count(k) == comb(levels + 1, k + 1) * strings == len(s.simplices[k])
+        assert s.count(k) == comb(levels + 1, k + 1) * strings == len(LevelProduct(s).simplices[k])
 
 
 @pytest.mark.parametrize("name,g", MILNOR_ZOO)
@@ -259,27 +261,25 @@ def test_comparison_columns_are_the_projection(name, g):
     ncx = fs.chain_complex(fs.nerve(g, levels))
     cmap = projection_chain_map(b, ncx)
     assert sorted(cmap) == list(range(levels + 1))
-    for k, cells in b.simplices.items():
+    for k, cells in LevelProduct(b).simplices.items():
         rows = {x: i for i, x in enumerate(ncx.basis[k])}
         assert cmap[k] == [{rows[x]: 1} if x in rows else {} for _, x in cells]
 
 
 def test_milnor_chains_build_no_face(monkeypatch):
     """Neither the Morse chains nor the level product's full chains build a
-    face, and the Morse chains build no cell of the level product."""
+    face or translate a cell, and the Morse chains build no cell of the level
+    product."""
     def forbidden(*args):
         raise AssertionError("a face was built")
 
-    for cls in (milnor.MilnorComplex, fs.TruncatedSimplicialSet):
-        monkeypatch.setattr(cls, "face", forbidden)
     monkeypatch.setattr(milnor, "translate", forbidden)
+    monkeypatch.setattr(LevelProduct, "face", forbidden)
     for space in (fs.milnor_E, fs.milnor_B):
         s = space(s3(), 4)
         morse = fs.chain_complex(s)
         cx = level_product_chains(s)
-        # neither the cell table nor the factor's string table was built
-        assert "simplices" not in vars(s) and "simplices" not in vars(s.factor)
-        assert cx.basis == s.simplices
+        assert cx.basis == LevelProduct(s).simplices
         assert [len(cx.boundary[k]) for k in range(1, 5)] == [s.count(k) for k in range(1, 5)]
         assert [morse.dim(k) for k in range(5)] == [s.factor.count_nondegenerate(k) for k in range(5)]
 
@@ -290,7 +290,7 @@ def test_dd_zero_on_factor_rows_matches_chains(name, g):
     for space, top in ((fs.milnor_E, 4), (fs.milnor_B, 5)):
         for levels in range(top + 1):
             s = space(g, levels)
-            assert (s.check_dd_zero(), level_product_chains(s).check_dd_zero()) == (True, True)
+            assert (s.certify(matching=False)[0], level_product_chains(s).check_dd_zero()) == (True, True)
 
 
 @pytest.mark.parametrize("space,name,g", [(fs.milnor_B, "Z2", z2()), (fs.milnor_B, "pair", pair2()),
@@ -310,7 +310,7 @@ def test_dd_zero_on_factor_rows_matches_chains_under_corruption(monkeypatch, spa
                         monkeypatch.setattr(simplicial, "string_levels",
                                             corrupted_string_levels(k, index, j, value))
                         s = space(g, levels)
-                        verdict = s.check_dd_zero()
+                        verdict = s.certify(matching=False)[0]
                         assert verdict == level_product_chains(s).check_dd_zero()
                         verdicts.append(verdict)
     assert False in verdicts
@@ -323,12 +323,12 @@ def test_dd_zero_accepts_a_change_between_parallel_arrows(monkeypatch):
     _, rows = list(simplicial.string_levels(g, g.morphisms, 2))[2]
     monkeypatch.setattr(simplicial, "string_levels", corrupted_string_levels(2, 0, 0, 1 - rows[0][0]))
     s = fs.milnor_B(g, 2)
-    assert (s.check_dd_zero(), level_product_chains(s).check_dd_zero()) == (True, True)
+    assert (s.certify(matching=False)[0], level_product_chains(s).check_dd_zero()) == (True, True)
 
 
-def up_matched(s, k: int) -> dict:
+def up_matched(p: LevelProduct, k: int) -> dict:
     """{k-cell matched up: its partner}."""
-    matches = {cell: partner(s, cell) for cell in s.simplices[k]}
+    matches = {cell: partner(p, cell) for cell in p.simplices[k]}
     return {cell: m[1] for cell, m in matches.items() if m and m[0] == "up"}
 
 
@@ -365,46 +365,38 @@ def test_level_collapse_matching_cell_by_cell(space, name, g, levels):
     ``chain_levels`` yields."""
     s = space(g, levels)
     assert s.certify() == (True, None)
-    morse = fs.chain_complex(s)
-    for k, cells in s.simplices.items():
+    morse, p = fs.chain_complex(s), LevelProduct(s)
+    for k, cells in p.simplices.items():
         critical = []
         for cell in cells:
-            match = partner(s, cell)
+            match = partner(p, cell)
             if match is None:
                 critical.append(cell)
                 continue
             kind, other = match
-            assert partner(s, other) == ({"up": "down", "down": "up"}[kind], cell)
+            assert partner(p, other) == ({"up": "down", "down": "up"}[kind], cell)
             if kind == "up":
-                assert s.factor.is_degenerate(k + 1, other[1])
-                assert incidence(s, k + 1, other, cell) in (1, -1)
+                assert p.factor.is_degenerate(k + 1, other[1])
+                assert incidence(p, k + 1, other, cell) in (1, -1)
         assert critical == [(tuple(range(k + 1)), x) for x in morse.basis[k]]
     for k in range(levels):
         # sigma -> sigma' for every other face sigma' of sigma's up partner that is matched up
-        ups = up_matched(s, k)
-        faces = {sigma: {s.face(k + 1, j, tau) for j in range(k + 2)} for sigma, tau in ups.items()}
+        ups = up_matched(p, k)
+        faces = {sigma: {p.face(k + 1, j, tau) for j in range(k + 2)} for sigma, tau in ups.items()}
         assert not has_cycle({sigma: [f for f in faces[sigma] - {sigma} if f in ups] for sigma in ups})
     for k in range(1, levels + 1):
         index = {x: i for i, x in enumerate(morse.basis[k - 1])}
         for x, column in zip(morse.basis[k], morse.boundary[k]):
-            flowed = morse_boundary(s, k, (tuple(range(k + 1)), x))
+            flowed = morse_boundary(p, k, (tuple(range(k + 1)), x))
             assert {index[y]: v for (_, y), v in flowed.items()} == column
 
 
 @pytest.mark.parametrize("space", [fs.milnor_E, fs.milnor_B], ids=["E", "B"])
 @pytest.mark.parametrize("name,g", MILNOR_ZOO + [("S3", s3())])
 def test_degeneracy_tables_match_labels(space, name, g):
-    """The identity pass's degeneracy tables, by index arithmetic, point at the
-    strings that inserting an identity builds."""
-    levels = 4
-    factor = space(g, levels).factor
-    c = factor.category
-    strings = [x for x, _ in simplicial.string_levels(c, c.morphisms, levels)]
-    table = []
-    for k in range(levels):
-        table = simplicial._degeneracies(c, strings[k], strings[k - 1] if k else (), table)
-        assert [[strings[k + 1][y] for y in up] for up in table] == \
-            [[factor.degeneracy(k, m, x) for x in strings[k]] for m in range(k + 1)]
+    """The identity pass's degeneracy tables, by index arithmetic on the face
+    rows, point at the strings that the oracle's degeneracies build."""
+    assert_levels_match_oracle(space(g, 4).factor.category, 4)
 
 
 @pytest.mark.parametrize("name,g", MILNOR_ZOO)

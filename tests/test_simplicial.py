@@ -12,8 +12,8 @@ from finstack.cli import main
 from finstack.simplicial import simplicial_identity_violations
 from chain_oracle import lookup_levels
 from nerve_oracle import simplicial_identity_violations as tuple_scan, tabulated_nerve
-from support import (corrupted_string_levels, covered_corruptions, groupoid_zoo, pair2, pt, s3,
-                     weak_equivalence_zoo, z2)
+from support import (assert_levels_match_oracle, corrupted_string_levels, covered_corruptions,
+                     groupoid_zoo, pair2, pt, s3, weak_equivalence_zoo, z2)
 
 
 def test_nerve_of_point():
@@ -41,11 +41,9 @@ def test_nerve_counts_pair_groupoid():
 
 def test_nerve_faces_compose():
     g = z2()
-    s = fs.nerve(g, 2)
-    sigma = (1, 1)  # the string (g, g)
-    assert s.face(2, 0, sigma) == (1,)
-    assert s.face(2, 2, sigma) == (1,)
-    assert s.face(2, 1, sigma) == (0,)  # composite g.g = e
+    _, (ones, _), (twos, rows) = simplicial.string_levels(g, g.morphisms, 2)
+    row = rows[twos.index((1, 1))]  # the string (g, g)
+    assert [ones[i] for i in row] == [(1,), (0,), (1,)]  # d_1 is the composite g.g = e
 
 
 @pytest.mark.parametrize("name,g", groupoid_zoo())
@@ -68,7 +66,8 @@ IDENTITY_CASES = (
 @pytest.mark.parametrize("name,s", IDENTITY_CASES, ids=[c[0] for c in IDENTITY_CASES])
 def test_identity_pass_matches_tuple_scan(name, s):
     """The one pass over the face rows and the scan that builds every face and
-    degeneracy as a tuple both find every simplicial identity holding."""
+    degeneracy of the tabulated nerve as a tuple both find every simplicial
+    identity holding."""
     assert simplicial_identity_violations(s) == tuple_scan(s) == []
 
 
@@ -78,8 +77,8 @@ def test_swapped_degeneracy_entries_break_ss_and_ds(monkeypatch, degree):
     tables breaks the two kinds of identity that read them, and not dd."""
     real = simplicial._degeneracies
     for m in range(degree + 1):
-        def swapped(g, strings, below, table, m=m):
-            up = real(g, strings, below, table)
+        def swapped(g, strings, rows, table, m=m):
+            up = real(g, strings, rows, table)
             if len(table) == degree:
                 up[m][:2] = up[m][1::-1]
             return up
@@ -125,33 +124,19 @@ def test_circle_shape():
 
 
 def test_degenerate_flags_match_identity_strings():
+    """The normalized chains keep exactly the strings outside the images of
+    the oracle's degeneracies, which are the strings that hold an identity."""
     g = pair2()
-    s = fs.nerve(g, 2)
-    for sigma in s.simplices[2]:
-        has_identity = any(g.is_identity(a) for a in sigma)
-        assert s.is_degenerate(2, sigma) == has_identity
-
-
-def degeneracy_images(s, n) -> set:
-    """The union of the images of the degeneracies into degree n."""
-    return {s.degeneracy(n - 1, i, y) for y in s.simplices[n - 1] for i in range(n)}
+    oracle = tabulated_nerve(g, 2)
+    kept = [sigma for sigma in oracle.simplices[2] if not any(g.is_identity(a) for a in sigma)]
+    assert [sigma for sigma in oracle.simplices[2] if not oracle.is_degenerate(2, sigma)] == kept
+    assert list(fs.nerve(g, 2).chain_levels())[2][0] == tuple(kept)
 
 
 def assert_nerve_matches_oracle(g, cap):
     s, oracle = fs.nerve(g, cap), tabulated_nerve(g, cap)
-    assert s.simplices == oracle.simplices
-    for n in range(1, cap + 1):
-        for x in s.simplices[n]:
-            assert [s.face(n, i, x) for i in range(n + 1)] == \
-                [oracle.face(n, i, x) for i in range(n + 1)]
-    for n in range(cap):
-        for x in s.simplices[n]:
-            assert [s.degeneracy(n, i, x) for i in range(n + 1)] == \
-                [oracle.degeneracy(n, i, x) for i in range(n + 1)]
+    assert_levels_match_oracle(g, cap)
     for n in range(cap + 1):
-        images = degeneracy_images(oracle, n) if n else set()
-        assert [s.is_degenerate(n, x) for x in s.simplices[n]] == \
-            [x in images for x in s.simplices[n]]
         assert s.count_nondegenerate(n) == oracle.count_nondegenerate(n)
     cx, ocx = fs.chain_complex(s), fs.chain_complex(oracle)
     assert cx.basis == ocx.basis
@@ -169,11 +154,9 @@ def test_nerve_matches_tabulating_oracle_s3_dim5():
 
 
 def test_circle_degenerate_flags_are_degeneracy_images():
-    s = fs.simplicial_circle()
-    for n in (1, 2):
-        images = degeneracy_images(s, n)
-        assert [s.is_degenerate(n, x) for x in s.simplices[n]] == \
-            [x in images for x in s.simplices[n]]
+    """The circle's face rows and degeneracy tables are the oracle's, and the
+    images of the tables are its strings that hold an identity."""
+    assert_nerve_matches_oracle(fs.simplicial_circle().category, 2)
 
 
 def relabelled_group(names: list):
@@ -200,22 +183,27 @@ ORDER_CASES = [
 @pytest.mark.parametrize("name,g,cap", ORDER_CASES, ids=[c[0] for c in ORDER_CASES])
 def test_nerve_chains_match_oracle_in_order(name, g, cap):
     """Lexicographic arrow-position order is idkey order, and the nerve's
-    face rows by index arithmetic are the rows the generic lookup finds."""
+    face rows by index arithmetic are the rows the generic lookup finds in the
+    tabulated nerve."""
     s, oracle = fs.nerve(g, cap), tabulated_nerve(g, cap)
     cx, ocx = fs.chain_complex(s), fs.chain_complex(oracle)
     assert cx.basis == ocx.basis
     assert cx.boundary == ocx.boundary
     assert [(gens, list(rows)) for gens, rows in s.chain_levels()] == \
-        [(gens, list(rows)) for gens, rows in lookup_levels(s)]
-    assert s.simplices == oracle.simplices
+        [(gens, list(rows)) for gens, rows in lookup_levels(oracle)]
+    assert_levels_match_oracle(g, cap)
 
 
-def test_chains_and_counts_leave_the_string_table_unbuilt():
+def test_chains_and_counts_leave_the_string_table_unbuilt(monkeypatch):
+    """Counts read no string: they hold with ``string_levels`` forbidden."""
+    def forbidden(*args):
+        raise AssertionError("a string was built")
+
     s = fs.nerve(s3(), 5)
     fs.chain_complex(s)
+    monkeypatch.setattr(simplicial, "string_levels", forbidden)
     assert [s.count(n) for n in range(6)] == [6 ** n for n in range(6)]
     assert [s.count_nondegenerate(n) for n in range(6)] == [5 ** n for n in range(6)]
-    assert "simplices" not in vars(s)
     assert s.count(6) == s.count(-1) == 0
 
 
@@ -225,4 +213,3 @@ def test_counts_match_oracle(name, g):
     for n in range(5):
         assert s.count(n) == oracle.count(n)
         assert s.count_nondegenerate(n) == oracle.count_nondegenerate(n)
-    assert "simplices" not in vars(s)
