@@ -11,7 +11,9 @@ arbitrary precision throughout.
 
 ``lattice_insert`` is not a second elimination: it grows a lattice one column
 at a time in echelon form and tells whether a column enlarged it, and it
-computes no invariant factors.
+computes no invariant factors.  It can carry a transform as ``_reduce`` does,
+so the inserts that build a lattice also yield a Z-basis of the relations
+among the inserted columns, the kernel of their matrix.
 """
 
 from __future__ import annotations
@@ -37,13 +39,18 @@ def _add_column(cols: dict, rows: dict, k, j, q: int, v: dict | None) -> None:
     if not ck:
         del cols[k]
     if v is not None:
-        vk = v[k]
-        for r, a in v[j].items():
-            b = vk.get(r, 0) + q * a
-            if b:
-                vk[r] = b
-            else:
-                del vk[r]
+        _add(v[k], v[j], q)
+
+
+def _add(x: dict, y: dict, q: int) -> None:
+    """x += q * y for sparse vectors, dropping the entries that cancel."""
+    get = x.get
+    for r, a in y.items():
+        b = get(r, 0) + q * a
+        if b:
+            x[r] = b
+        else:
+            del x[r]
 
 
 def _eliminate(cols: dict, rows: dict, i, j, v: dict | None) -> int:
@@ -139,7 +146,8 @@ def _reduce(columns, kernel: bool) -> tuple[list, list | None]:
     return [1] * ones + diagonal, None if v is None else list(v.values())
 
 
-def lattice_insert(echelon: dict, z: dict) -> bool:
+def lattice_insert(echelon: dict, z: dict, v: dict | None = None,
+                   transforms: dict | None = None, kernel: list | None = None) -> bool:
     """Insert the sparse column z into a lattice L held in echelon form; True when L grew.
 
     ``echelon`` maps each leading row (a column's largest row index) to the
@@ -150,6 +158,14 @@ def lattice_insert(echelon: dict, z: dict) -> bool:
     that leaves the span unchanged; where no column leads, z joins the lattice.
     The leading rows are distinct, so a member of L reduces to {} by exact
     division at every leading row and leaves L unchanged.
+
+    With a transform v (z's coordinates in the inserted columns, used up too)
+    the same column operations run on v: ``transforms`` keeps each lattice
+    column's transform under its leading row, and when z reduces to {} its
+    transform is appended to ``kernel``.  The operations are unimodular, as
+    ``_reduce``'s V, and the lattice columns have distinct leading rows, so
+    once every column of a matrix has been inserted with its unit vector as
+    v, ``kernel`` is a Z-basis of the matrix's kernel.
     """
     grew = False
     while z:
@@ -157,18 +173,21 @@ def lattice_insert(echelon: dict, z: dict) -> bool:
         col = echelon.get(r)
         if col is None:
             echelon[r] = z
+            if v is not None:
+                transforms[r] = v
             return True
         q = z[r] // col[r]
         if q:
-            for k, a in col.items():
-                b = z.get(k, 0) - q * a
-                if b:
-                    z[k] = b
-                else:
-                    del z[k]
+            _add(z, col, -q)
+            if v is not None:
+                _add(v, transforms[r], -q)
         if r in z:
             echelon[r], z = z, col
+            if v is not None:
+                transforms[r], v = v, transforms[r]
             grew = True
+    if v is not None:
+        kernel.append(v)
     return grew
 
 

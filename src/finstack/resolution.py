@@ -19,10 +19,12 @@ from .groupoid import FiniteGroupoid, pi0
 from .homology import ChainComplex, kernel_columns, lattice_insert
 
 
-def _translates(z: dict, table: list) -> list:
+def _translates(z: dict, table: list):
     """The columns g . z for every group element g, in element order."""
     m = len(table)
-    return [{k - k % m + row[k % m]: c for k, c in z.items()} for row in table]
+    parts = [(k - k % m, k % m, c) for k, c in z.items()]
+    for row in table:
+        yield {i + row[h]: c for i, h, c in parts}
 
 
 def free_resolution(table: list, cap: int) -> list:
@@ -37,20 +39,40 @@ def free_resolution(table: list, cap: int) -> list:
     far, and then adds its translates to L.  L is a ZG-submodule, so a vector
     outside it is exactly one whose translates enlarge it.  Once the whole
     basis has been seen, L is ker d_{n-1}, because the translates by the
-    identity are the basis itself.
+    identity are the basis itself.  L is ker d_{n-1} already once it has full
+    rank with unit pivots, because it is then saturated, and the rest of the
+    basis is skipped.
+
+    Below the top degree each column of d_n, the translate by h of generator
+    k, is inserted once with the unit vector e_{k |G| + h} as its transform,
+    in column order: a basis vector's first translate is its membership test,
+    as L holds z exactly when it holds g . z.  The inserts that reduce to {}
+    then leave a Z-basis of ker d_n, the next degree's basis, so only ker d_0
+    of the augmentation needs ``kernel_columns``.
     """
-    boundary = [{0: 1} for _ in table]
+    m = len(table)
+    basis = kernel_columns([{0: 1} for _ in table])
     images = []
-    for _ in range(cap):
+    for n in range(1, cap + 1):
         echelon: dict = {}
-        chosen = []
-        for z in kernel_columns(boundary):
-            if lattice_insert(echelon, dict(z)):
+        chosen, transforms, kernel = [], {}, []
+        if n < cap:
+            def insert(z, j): return lattice_insert(echelon, z, {j: 1}, transforms, kernel)
+        else:
+            def insert(z, j): return lattice_insert(echelon, z)
+        for z in basis:
+            if len(echelon) == len(basis) and all(c[r] in (1, -1) for r, c in echelon.items()):
+                break
+            k = len(chosen) * m
+            translates = _translates(z, table)
+            if insert(next(translates), k):
                 chosen.append(z)
-                for y in _translates(z, table):
-                    lattice_insert(echelon, y)
+                for h, y in enumerate(translates, k + 1):
+                    insert(y, h)
+            elif n < cap:
+                kernel.pop()  # z is no column of d_n, and its insert changed nothing else
         images.append(chosen)
-        boundary = [y for z in chosen for y in _translates(z, table)]
+        basis = kernel
     return images
 
 

@@ -75,19 +75,23 @@ class TruncatedSimplicialSet:
                 # so that it is not held while string_levels builds degree n
                 tables.append(_degeneracies(g, below, lower, tables[-1] if tables else []))
                 up, down = tables[n - 1], tables[n - 2] if n > 1 else ()
+                # an index past the next degree's strings (see _degeneracies) fails the identity
                 if not found["ds"]:
+                    count = len(rows)
                     found["ds"] = next((("ds", n - 1, i, j, x)
                                         for j in range(n) for i in range(n + 1)
-                                        for y, x in enumerate(below)
-                                        if rows[up[j][y]][i] != (
+                                        for y, (x, s) in enumerate(zip(below, up[j]))
+                                        if s >= count or rows[s][i] != (
                                             y if i in (j, j + 1) else
                                             down[j - 1][lower[y][i]] if i < j else
                                             down[j][lower[y][i - 1]])), None)
                 if n > 1 and not found["ss"]:
+                    count = len(below)
                     found["ss"] = next((("ss", n - 2, i, j, x)
                                         for j in range(n - 1) for i in range(j + 1)
                                         for x, a, b in zip(older, down[i], down[j])
-                                        if up[j + 1][a] != up[i][b]), None)
+                                        if a >= count or b >= count or up[j + 1][a] != up[i][b]),
+                                       None)
             older, below, lower = below, strings, rows
         return [w for w in found.values() if w]
 
@@ -152,6 +156,13 @@ def _degeneracies(g: FiniteCategory, strings: tuple, rows: list, table: list) ->
     source; s_n x appends the identity of x's end, and s_m (p + (a,)) = s_m p
     + (a,) for m < n, where p = d_n x, the last entry of x's row, is x's
     prefix, or its source for n = 1.
+
+    A corrupted row whose d_n points at a prefix with fewer arrows out of its
+    end sends s_m x past the (n+1)-strings, by less than the number of arrows.
+    ``first`` is padded with that many copies of the (n+1)-string count, so
+    such an index, and every index built on it, stays past the strings of its
+    degree, where :meth:`TruncatedSimplicialSet.identity_witnesses` counts
+    the identities that read it as failing.
     """
     if not table:
         position = {a: i for i, a in enumerate(g.morphisms)}
@@ -159,6 +170,7 @@ def _degeneracies(g: FiniteCategory, strings: tuple, rows: list, table: list) ->
     slot = {a: i for y in g.objects for i, a in enumerate(g.morphisms_from(y))}
     ends = [g.tgt[x[-1]] for x in strings]
     first = list(accumulate((len(g.morphisms_from(y)) for y in ends), initial=0))
+    first += [first[-1]] * len(g.morphisms)
     up = [[first[s[row[-1]]] + slot[x[-1]] for row, x in zip(rows, strings)] for s in table]
     up.append([f + slot[g.ident[y]] for f, y in zip(first, ends)])
     return up

@@ -121,8 +121,11 @@ def test_invariant_factors_match_dense_snf(m):
 @settings(max_examples=400, deadline=None)
 @given(st.one_of(sparse_matrices(), sparse_matrices(UNIT_FREE_ENTRIES)))
 def test_kernel_columns_are_a_basis_of_the_kernel(m):
+    assert_kernel_basis(m, kernel_columns(sparse_columns(m)))
+
+
+def assert_kernel_basis(m, basis):
     columns = sparse_columns(m)
-    basis = kernel_columns(columns)
     assert all(not apply_columns(columns, z) for z in basis)
     assert len(basis) == len(columns) - len(invariant_factors(columns))
     # each basis spans the other over the integers, so both span the kernel
@@ -150,6 +153,30 @@ def test_lattice_membership_matches_invariant_factors(m):
         assert not lattice_insert(echelon, dict(z))
         assert echelon == before
         assert invariant_factors(list(echelon.values())) == invariant_factors(columns[:j + 1])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(sparse_matrices(), sparse_matrices(UNIT_FREE_ENTRIES)))
+def test_insert_transforms_are_a_basis_of_the_kernel(m):
+    """Inserting every column once with its unit vector as transform keeps each
+    lattice column equal to its transform applied to the columns, and leaves a
+    Z-basis of the kernel in ``kernel``; the unit-free draws run Euclid swaps."""
+    columns = sparse_columns(m)
+    echelon, transforms, kernel = {}, {}, []
+    for j, z in enumerate(columns):
+        lattice_insert(echelon, dict(z), {j: 1}, transforms, kernel)
+    assert transforms.keys() == echelon.keys()
+    assert all(apply_columns(columns, transforms[r]) == col for r, col in echelon.items())
+    assert_kernel_basis(m, kernel)
+
+
+def test_insert_transform_hand_values():
+    """2 e0 then 3 e0: one Euclid swap leaves e0 = c1 - c0 in the lattice and
+    the relation 3 c0 - 2 c1 in the kernel."""
+    echelon, transforms, kernel = {}, {}, []
+    assert lattice_insert(echelon, {0: 2}, {0: 1}, transforms, kernel)
+    assert lattice_insert(echelon, {0: 3}, {1: 1}, transforms, kernel)
+    assert (echelon, transforms, kernel) == ({0: {0: 1}}, {0: {0: -1, 1: 1}}, [{0: 3, 1: -2}])
 
 
 def test_kernel_columns_hand_values():

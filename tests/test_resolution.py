@@ -4,9 +4,10 @@ import pytest
 
 import finstack as fs
 from finstack.errors import InsufficientTruncation
-from finstack.homology import invariant_factors
+import finstack.resolution
+from finstack.homology import invariant_factors, kernel_columns, lattice_insert
 from finstack.resolution import free_resolution
-from resolution_oracle import free_resolution as oracle_free_resolution
+from resolution_oracle import free_resolution as oracle_free_resolution, kernel_free_resolution
 from support import (
     apply_columns,
     dihedral4,
@@ -89,7 +90,6 @@ def test_free_resolution_stops_at_unit_invariant_factors(monkeypatch):
     translates of z1 have rank 2, the rank of the kernel, but invariant factors
     [1, 3]; only with z2 added do they span it.
     """
-    import finstack.resolution
     basis = [{0: 1, 1: 1, 2: -2}, {0: -1, 2: 1}]
     monkeypatch.setattr(finstack.resolution, "kernel_columns", lambda columns: basis)
     table = multiplication_table(fs.cyclic_groupoid(3))
@@ -107,9 +107,12 @@ def vertex_tables(g):
         yield [[index[g.compose(a, b)] for b in aut] for a in aut]
 
 
+def zoo_tables():
+    return [(f"{name}-{i}", table) for name, g in groupoid_zoo() for i, table in enumerate(vertex_tables(g))]
+
+
 def oracle_groups():
-    cases = [(f"{name}-{i}", table, 6)
-             for name, g in groupoid_zoo() for i, table in enumerate(vertex_tables(g))]
+    cases = [(name, table, 6) for name, table in zoo_tables()]
     cases += [(name, multiplication_table(g), cap) for name, g, cap in [
         ("D4", dihedral4(), 6), ("Q8", quaternion8(), 6), ("Z2^3", elementary_abelian8(), 6),
         ("S3", s3(), 8), ("S4", fs.symmetric_groupoid(4), 5)]]
@@ -120,6 +123,68 @@ def oracle_groups():
 def test_free_resolution_matches_invariant_factor_oracle(table, cap):
     """Lattice membership keeps exactly the generators the invariant-factor greedy keeps."""
     assert free_resolution(table, cap) == oracle_free_resolution(table, cap)
+
+
+@pytest.mark.parametrize("table,cap", [pytest.param(t, cap, id=name) for name, t, cap in
+                                       oracle_groups() + [("S5", multiplication_table(fs.symmetric_groupoid(5)), 3)]])
+def test_free_resolution_matches_per_degree_kernel_oracle(table, cap):
+    """Reading each kernel basis off the inserts keeps exactly the generators
+    that eliminating every boundary afresh keeps."""
+    assert free_resolution(table, cap) == kernel_free_resolution(table, cap)
+
+
+def test_free_resolution_eliminates_only_the_augmentation(monkeypatch):
+    calls = []
+
+    def counted(columns):
+        calls.append(len(columns))
+        return kernel_columns(columns)
+
+    monkeypatch.setattr(finstack.resolution, "kernel_columns", counted)
+    table = multiplication_table(s3())
+    assert free_resolution(table, 6) == kernel_free_resolution(table, 6)
+    assert calls == [6]
+
+
+def recorded_kernels(monkeypatch, table, cap):
+    """``free_resolution``'s images and the kernel lists its inserts filled,
+    one per degree that inserted with transforms."""
+    kernels = []
+
+    def recording(echelon, z, v=None, transforms=None, kernel=None):
+        if kernel is not None and not any(kernel is seen for seen in kernels):
+            kernels.append(kernel)
+        return lattice_insert(echelon, z, v, transforms, kernel)
+
+    monkeypatch.setattr(finstack.resolution, "lattice_insert", recording)
+    return free_resolution(table, cap), kernels
+
+
+def spans_within(lattice: list, members: list) -> bool:
+    """Whether every member lies in the Z-span of the lattice columns."""
+    echelon: dict = {}
+    for z in lattice:
+        lattice_insert(echelon, dict(z))
+    return not any(lattice_insert(echelon, dict(z)) for z in members)
+
+
+KERNEL_CASES = [(name, table, 5) for name, table in zoo_tables()] + [
+    ("D4", multiplication_table(dihedral4()), 6), ("S4", multiplication_table(fs.symmetric_groupoid(4)), 5)]
+
+
+@pytest.mark.parametrize("table,cap", [pytest.param(t, cap, id=name) for name, t, cap in KERNEL_CASES])
+def test_insert_transforms_span_each_kernel(monkeypatch, table, cap):
+    """Below the top degree, the transforms of d_n's zero-reduced inserts lie in
+    ker d_n and span the lattice of ``kernel_columns(d_n)``, and the next
+    degree's generators are among them."""
+    images, kernels = recorded_kernels(monkeypatch, table, cap)
+    assert len(kernels) == (cap - 1 if images[0] else 0)
+    for n, kernel in enumerate(kernels, 1):
+        columns = translated_columns(images[n - 1], table)
+        assert all(apply_columns(columns, z) == {} for z in kernel)
+        theirs = kernel_columns(columns)
+        assert spans_within(kernel, theirs) and spans_within(theirs, kernel)
+        assert all(z in kernel for z in images[n])
 
 
 def test_cyclic_resolutions_have_one_generator_per_degree():

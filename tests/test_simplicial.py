@@ -88,7 +88,19 @@ def test_swapped_degeneracy_entries_break_ss_and_ds(monkeypatch, degree):
         assert (ss[0], ds[0], ds[1], ds[3]) == ("ss", "ds", degree, m)
 
 
-@pytest.mark.parametrize("name,g,cap", [("Z2", z2(), 3), ("pair", pair2(), 2)])
+def z2_and_point():
+    """Z/2 on x and a point y, ids chosen so that Z/2's arrows come first: the
+    1-strings ending at y have fewer arrows out of their end than those before."""
+    arrow = lambda a, x: {"id": a, "src": x, "tgt": x}
+    return jio.groupoid_from_json({
+        "objects": ["x", "y"], "arrows": [arrow("a0", "x"), arrow("a1", "x"), arrow("b", "y")],
+        "comp": [["a0", "a0", "a0"], ["a0", "a1", "a1"], ["a1", "a0", "a1"], ["a1", "a1", "a0"],
+                 ["b", "b", "b"]],
+        "id": {"x": "a0", "y": "b"}, "inv": {"a0": "a0", "a1": "a1", "b": "b"}})
+
+
+@pytest.mark.parametrize("name,g,cap", [("Z2", z2(), 3), ("pair", pair2(), 2),
+                                        ("Z2+pt", z2_and_point(), 3)])
 def test_corrupted_face_row_fails_the_nerve_verdict(tmp_path, capsys, monkeypatch, name, g, cap):
     """Through ``main()``, every change of one face-row entry that the d_i s_j
     identities read fails ``simplicial-identities`` with the pass's first
@@ -111,6 +123,19 @@ def test_corrupted_face_row_fails_the_nerve_verdict(tmp_path, capsys, monkeypatc
         out, err = capsys.readouterr()
         assert (code, err) == (1, "")
         assert out.splitlines() == clean[:-1] + [f"[FAIL] simplicial-identities: {witnesses[0]}"]
+
+
+def test_prefix_with_fewer_arrows_out_fails_an_identity(monkeypatch):
+    """A d_n entry that points at a prefix ending at the point sends a
+    degeneracy past the next degree's strings; each of the 13 single d_n
+    changes in degrees 1-2 still returns a witness, and the verdict through
+    ``main()`` is the test above."""
+    g = z2_and_point()
+    changes = [c for c in covered_corruptions(g, 3) if c[0] == c[2] < 3]
+    assert len(changes) == 13
+    for k, index, j, value in changes:
+        monkeypatch.setattr(simplicial, "string_levels", corrupted_string_levels(k, index, j, value))
+        assert fs.nerve(g, 3).identity_witnesses(), (k, index, j, value)
 
 
 def test_circle_shape():
