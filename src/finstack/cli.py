@@ -151,7 +151,7 @@ def _cmd_milnor(args) -> RunReport:
         raise FinstackError("--compare-nerve needs --space B")
     complex_ = (milnor_E if args.space == "E" else milnor_B)(g, args.levels)
     chains = args.homology is not None or args.compare_nerve
-    # one pass over the factor's face rows decides d^2 = 0 and, for homology,
+    # one pass over the factor's face columns decides d^2 = 0 and, for homology,
     # certifies the level-collapse matching; a count-only job builds no chains
     dd_zero, unmatched = complex_.certify(matching=chains)
     witness = ""

@@ -23,7 +23,7 @@ up with (L + {j}, s_j x); if j < k and arrow j of x is an identity it is
 matched down with (L - {l_j}, d_j x).  The critical cells are the
 ({0..k}, x) with x identity-free.  :meth:`MilnorComplex.certify` reads off
 the factor's identity pass (:meth:`TruncatedSimplicialSet.identity_witnesses`),
-on its face rows and for every k-string x with k < N and m <= k, the ds
+on its face columns and for every k-string x with k < N and m <= k, the ds
 identities
 
     d_m s_m x = x,  d_{m+1} s_m x = x,
@@ -74,7 +74,7 @@ class MilnorComplex:
     ``factor``, zero above degree ``levels``.  Each degree lists its cells by
     level subset, in ``itertools.combinations`` order, then by factor string.
     No cell is built: homology reads the Morse complex of :meth:`chain_levels`,
-    and :meth:`certify` the factor's face rows.
+    and :meth:`certify` the factor's face columns.
     """
 
     groupoid: FiniteGroupoid
@@ -88,25 +88,26 @@ class MilnorComplex:
     def chain_levels(self):
         """Yield (critical cells, face rows) of the level-collapse matching's Morse
         complex for degrees 0..levels: the critical cell ({0..k}, x) is labelled
-        by x, and the rows are the factor's normalized rows.  Sound when
-        :meth:`certify` finds no witness."""
+        by x, and the rows are the factor's normalized rows, read off its face
+        columns.  Sound when :meth:`certify` finds no witness."""
         return self.factor.chain_levels()
 
     def certify(self, matching: bool = True) -> tuple:
         """(whether d^2 = 0, the first (x, m) at which a face identity of the
         level-collapse matching fails, or None), read off the factor's one
-        identity pass (:meth:`TruncatedSimplicialSet.identity_witnesses`).
-        Without ``matching`` only d^2 = 0 is decided.
+        identity pass (:meth:`TruncatedSimplicialSet.identity_witnesses`) over
+        its face columns, which checks its dd and ds identities and not its
+        ss ones.  Without ``matching`` only d^2 = 0 is decided.
 
         In d^2 (L, x) the block of L minus {l_a, l_b}, a < b, gets exactly two
-        unit terms of opposite sign, at row a of row b of x and at row b - 1
-        of row a of x, and distinct pairs land in distinct blocks.  So d^2 = 0
+        unit terms of opposite sign, at d_a d_b x and at d_{b-1} d_a x, and
+        distinct pairs land in distinct blocks.  So d^2 = 0
         on every cell exactly when the factor's dd identities hold in degrees
         2..levels, whatever L is.  The matching's identities (see the module
         docstring) are the factor's ds identities d_i s_m x, in degrees below
         the levels, in O(sum |X_k| k^2) whatever the levels.
         """
-        found = {w[0]: w for w in self.factor.identity_witnesses(degeneracies=matching)}
+        found = {w[0]: w for w in self.factor.identity_witnesses(("dd", "ds") if matching else ("dd",))}
         ds = found.get("ds")
         return "dd" not in found, ds and (ds[4], ds[3])
 

@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import accumulate
+from dataclasses import dataclass, field
+from itertools import accumulate, chain, islice, repeat
+from operator import add, itemgetter
 
 from .category import FiniteCategory, validate_category
 
@@ -15,126 +16,181 @@ class TruncatedSimplicialSet:
     in lexicographic order of arrow positions (``idkey`` order), 0-simplices
     the objects.  d_0 drops the first arrow, d_n the last, inner faces compose
     neighbours, degeneracies insert identities, and a string is degenerate
-    exactly when it holds one.  Counts are computed end by end; the strings
-    themselves are met only as the face rows of :func:`string_levels`, read by
-    :meth:`chain_levels` and by :meth:`identity_witnesses`, the one pass that
-    checks the simplicial identities, for ``nerve`` and for the Milnor factors
-    alike.
+    exactly when it holds one.  Counts are walked end by end, once per kind;
+    the strings themselves are met only with the face columns of
+    :func:`string_levels`, read by :meth:`chain_levels` and by
+    :meth:`identity_witnesses`, the one pass that checks the simplicial
+    identities, for ``nerve`` and for the Milnor factors alike.
     """
 
     category: FiniteCategory
     cap: int
     complete_above = False
 
+    _counts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
     def count(self, n: int, nondegenerate: bool = False) -> int:
-        """The number of n-simplices: paths of n arrows, counted end by end."""
-        g = self.category
-        arrows = [a for a in g.morphisms if not (nondegenerate and g.is_identity(a))]
-        ways = dict.fromkeys(g.objects, 1)
-        for _ in range(n):
-            ways, last = dict.fromkeys(g.objects, 0), ways
-            for a in arrows:
-                ways[g.tgt[a]] += last[g.src[a]]
-        return sum(ways.values()) if 0 <= n <= self.cap else 0
+        """The number of n-simplices: paths of n arrows, identity-free ones
+        with ``nondegenerate``, counted end by end in one walk per kind."""
+        if not 0 <= n <= self.cap:
+            return 0
+        if nondegenerate not in self._counts:
+            g = self.category
+            arrows = [a for a in g.morphisms if not (nondegenerate and g.is_identity(a))]
+            ways, counts = dict.fromkeys(g.objects, 1), [len(g.objects)]
+            for _ in range(self.cap):
+                ways, last = dict.fromkeys(g.objects, 0), ways
+                for a in arrows:
+                    ways[g.tgt[a]] += last[g.src[a]]
+                counts.append(sum(ways.values()))
+            self._counts[nondegenerate] = counts
+        return self._counts[nondegenerate][n]
 
     def count_nondegenerate(self, n: int) -> int:
         return self.count(n, nondegenerate=True)
 
     def chain_levels(self):
         """Yield (identity-free strings, face rows) for degrees 0..cap: the
-        normalized chains (see ``homology.chain_complex``)."""
+        normalized chains (see ``homology.chain_complex``), each degree's face
+        columns read row by row."""
         g = self.category
-        return string_levels(g, tuple(a for a in g.morphisms if not g.is_identity(a)), self.cap)
+        for strings, cols in string_levels(g, tuple(a for a in g.morphisms if not g.is_identity(a)),
+                                           self.cap):
+            yield strings, zip(*cols)
 
-    def identity_witnesses(self, degeneracies: bool = True) -> list:
-        """The first witness (kind, n, i, j, x) of each kind of simplicial
-        identity (May 1967, §1) that fails on an n-string x, in the order dd,
-        ss, ds; an empty list means all identities hold inside the window:
+    def identity_witnesses(self, kinds: tuple = ("dd", "ss", "ds")) -> list:
+        """The first witness (kind, n, i, j, x) of each of ``kinds`` of
+        simplicial identity (May 1967, §1) that fails on an n-string x, in the
+        order dd, ss, ds; an empty list means they all hold inside the window:
 
             dd: d_i d_j x = d_{j-1} d_i x for i < j,
             ss: s_{j+1} s_i x = s_i s_j x for i <= j,
             ds: d_i s_j x = x for i = j, j + 1, s_{j-1} d_i x for i < j
                 and s_j d_{i-1} x for i > j + 1.
 
-        One pass of :func:`string_levels` over all arrows decides them all on
-        the face rows, with the degeneracies by index arithmetic (see
-        ``_degeneracies``); witnesses of a kind are found in (n, j, i, x)
-        order.  Without ``degeneracies`` only dd is decided and no degeneracy
-        table is built.
+        One pass of :func:`string_levels` over all arrows decides them on the
+        face columns, with the degeneracies by index arithmetic (see
+        ``_degeneracies``); no degeneracy table is built for dd alone.  Each
+        (kind, i, j) compares two columns composed in C, one per side, and
+        only a mismatch is scanned string by string, so witnesses of a kind
+        are found in (n, j, i, x) order.
         """
         g, tables = self.category, []
-        found = dict.fromkeys(("dd", "ss", "ds"))
-        older = below = lower = ()
-        for n, (strings, rows) in enumerate(string_levels(g, g.morphisms, self.cap)):
-            if n > 1 and not found["dd"]:
-                found["dd"] = next((("dd", n, i, j, x) for j in range(n + 1) for i in range(j)
-                                    for x, row in zip(strings, rows)
-                                    if lower[row[j]][i] != lower[row[i]][j - 1]), None)
-            if degeneracies and n:
+        found = {kind: None for kind in ("dd", "ss", "ds") if kind in kinds}
+        older = below = lower = lower_pick = lift = ()
+        for n, (strings, cols) in enumerate(string_levels(g, g.morphisms, self.cap)):
+            pick = _getters(cols)
+            if n > 1 and "dd" in found and not found["dd"]:
+                found["dd"] = _first_failure("dd", n, strings, (
+                    (i, j, lower[i], cols[j], pick[j], lower[j - 1], cols[i], pick[i])
+                    for j in range(n + 1) for i in range(j)))
+            if n and ("ds" in found or "ss" in found):
                 # degree n - 1's table, s_j y = up[j][y], built only once degree n is out
                 # so that it is not held while string_levels builds degree n
                 tables.append(_degeneracies(g, below, lower, tables[-1] if tables else []))
                 up, down = tables[n - 1], tables[n - 2] if n > 1 else ()
-                # an index past the next degree's strings (see _degeneracies) fails the identity
-                if not found["ds"]:
-                    count = len(rows)
-                    found["ds"] = next((("ds", n - 1, i, j, x)
-                                        for j in range(n) for i in range(n + 1)
-                                        for y, (x, s) in enumerate(zip(below, up[j]))
-                                        if s >= count or rows[s][i] != (
-                                            y if i in (j, j + 1) else
-                                            down[j - 1][lower[y][i]] if i < j else
-                                            down[j][lower[y][i - 1]])), None)
-                if n > 1 and not found["ss"]:
-                    count = len(below)
-                    found["ss"] = next((("ss", n - 2, i, j, x)
-                                        for j in range(n - 1) for i in range(j + 1)
-                                        for x, a, b in zip(older, down[i], down[j])
-                                        if a >= count or b >= count or up[j + 1][a] != up[i][b]),
-                                       None)
-            older, below, lower = below, strings, rows
+                drop, lift = lift, _getters(up)
+                if "ds" in found and not found["ds"]:
+                    same = tuple(range(len(below)))  # y = same[same[y]]: same gathers to itself
+                    found["ds"] = _first_failure("ds", n - 1, below, (
+                        (i, j, cols[i], up[j], lift[j], same, same, _itself) if i in (j, j + 1) else
+                        (i, j, cols[i], up[j], lift[j], down[j - 1], lower[i], lower_pick[i]) if i < j else
+                        (i, j, cols[i], up[j], lift[j], down[j], lower[i - 1], lower_pick[i - 1])
+                        for j in range(n) for i in range(n + 1)))
+                if n > 1 and "ss" in found and not found["ss"]:
+                    found["ss"] = _first_failure("ss", n - 2, older, (
+                        (i, j, up[j + 1], down[i], drop[i], up[i], down[j], drop[j])
+                        for j in range(n - 1) for i in range(j + 1)))
+            older, below, lower, lower_pick = below, strings, cols, pick
         return [w for w in found.values() if w]
 
 
-def string_levels(g: FiniteCategory, arrows: tuple, cap: int):
-    """Yield (strings, face rows) for degrees 0..cap of the composable strings
-    of ``arrows``, a subsequence of ``g.morphisms``, keeping only the last
-    degree's rows.
+def _getters(index: list) -> list:
+    """One itemgetter per index column, which the checks that read the column
+    share, or None for an empty column, where itemgetter raises.  Of a column
+    of one index it returns the entry bare, and so does the getter on the
+    other side of each check, whose index column is as long; only
+    ``_itself`` returns a tuple there, and the strings are then scanned."""
+    return [itemgetter(*p) if p else None for p in index]
 
-    Degree 0 is the objects and degree n the strings of n arrows, in
-    lexicographic order of arrow positions.  A face row holds the index one
-    degree down of each face, or ``None`` where an inner face composes to an
-    arrow outside ``arrows``.  For x = p + (a,): d_n x = p, d_i x =
-    child(d_i p, a) for i < n - 1 and d_{n-1} x = child(d_{n-1} p, last(p) a),
-    where the children of a string are contiguous, so child(q, a) = first[q]
-    + slot[a].
+
+def _itself(x):
+    """The getter of an identity index column, applied to that column."""
+    return x
+
+
+def _first_failure(kind: str, n: int, strings, checks):
+    """The witness (kind, n, i, j, x) of the first check (i, j, a, p, f, b,
+    q, h), with f and h the getters of p and q, such that a[p[x]] != b[q[x]]
+    for some string x of ``strings``, at the first such x, or None.  An index
+    past its column counts as a difference: only a degeneracy off a corrupted
+    prefix points there (see ``_degeneracies``).
+
+    Each check compares the two sides whole, gathered in C, and scans the
+    strings only when they differ.
+    """
+    for i, j, a, p, f, b, q, h in checks:
+        try:
+            if f and f(a) == h(b):
+                continue
+        except IndexError:
+            pass
+        witness = next(((kind, n, i, j, x) for x, s, t in zip(strings, p, q)
+                        if s >= len(a) or t >= len(b) or a[s] != b[t]), None)
+        if witness:
+            return witness
+    return None
+
+
+def string_levels(g: FiniteCategory, arrows: tuple, cap: int):
+    """Yield (strings, face columns) for degrees 0..cap of the composable
+    strings of ``arrows``, a subsequence of ``g.morphisms``, keeping only the
+    last degree's columns.
+
+    Degree 0 is the objects, with no columns, and degree n the strings of n
+    arrows, in lexicographic order of arrow positions, with n + 1 face
+    columns: column i holds, for every string, the index one degree down of
+    its d_i, or ``None`` where an inner face composes to an arrow outside
+    ``arrows``.  The children p + (a,) of a string p are contiguous, in the
+    order of the slots of a among the arrows out of one object, and so are
+    the children of a vertex, in the order of their arrows.  So for i < n - 1
+    the children's d_i are the children of d_i p, which ends where p does;
+    their d_{n-1} = d_{n-1} p + (last(p) a) is the child of d_{n-1} p at the
+    slot of last(p) a, and their d_n is p.  Each column is built in one pass
+    over the parents' column.
     """
     pos = {a: j for j, a in enumerate(arrows)}
     out = {x: [pos[a] for a in g.morphisms_from(x) if a in pos] for x in g.objects}
-    slot = [out[g.src[a]].index(j) for j, a in enumerate(arrows)]
-    # after[a]: (position k, arrow k, position of a then k or None) for arrows k out of tgt(a)
-    after = {a: [(k, arrows[k], pos.get(g.comp[(a, arrows[k])])) for k in out[g.tgt[a]]]
-             for a in arrows}
-    yield g.objects, ()
-    strings = tuple((a,) for a in arrows)
-    rows = [[g.objects.index(g.tgt[a]), g.objects.index(g.src[a])] for a in arrows]
-    # the children of a vertex are all 1-strings, in arrow position order
-    first, step = [0] * len(g.objects), range(len(arrows))
+    slot = {k: i for ks in out.values() for i, k in enumerate(ks)}
+    # for the arrow at position j: the arrows after it, and the slots of its composites with them
+    after = [out[g.tgt[a]] for a in arrows]
+    width = list(map(len, after))
+    tails = [[(arrows[k],) for k in ks] for ks in after]
+    joins = [[slot.get(pos.get(g.comp[(a, arrows[k])])) for k in ks] for a, ks in zip(arrows, after)]
+    yield g.objects, []
+    index = {x: i for i, x in enumerate(g.objects)}
+    strings, lasts = tuple((a,) for a in arrows), range(len(arrows))
+    cols = [[index[g.tgt[a]] for a in arrows], [index[g.src[a]] for a in arrows]]
+    blocks = [out[x] for x in g.objects]  # the children of each string one degree down
     for n in range(1, cap + 1):
         if n > 1:
-            next_strings, next_rows, next_first = [], [], []
-            for p, (x, row) in enumerate(zip(strings, rows)):
-                next_first.append(len(next_rows))
-                head, top = row[:-1], first[row[-1]]
-                for k, a, c in after[x[-1]]:
-                    face = [None if q is None else first[q] + step[k] for q in head]
-                    face += (None if c is None else top + step[c], p)
-                    next_rows.append(face)
-                    next_strings.append(x + (a,))
-            strings, rows = tuple(next_strings), next_rows
-            first, step = next_first, slot
-            del next_strings  # only the tuple lives on while the degree is read
-        yield strings, rows
+            widths = list(map(width.__getitem__, lasts))
+            # a face outside the arrows has no children, and its children's faces are None
+            inner = [list(chain.from_iterable(
+                map(blocks.__getitem__, col) if None not in col else
+                [repeat(None, w) if q is None else blocks[q] for q, w in zip(col, widths)]))
+                for col in cols[:-1]]
+            composite = [None if c is None else b[c] for b, cs in
+                         zip(map(blocks.__getitem__, cols[-1]), map(joins.__getitem__, lasts)) for c in cs]
+            prefix = list(chain.from_iterable(map(repeat, range(len(widths)), widths)))
+            cols = inner + [composite, prefix]
+            strings = tuple([x + t for x, j in zip(strings, lasts) for t in tails[j]])
+        yield strings, cols
+        if 1 < n < cap:
+            lasts = list(chain.from_iterable(map(after.__getitem__, lasts)))
+            # each index is made once, so the next degree's columns share its ints
+            ids = iter(range(len(strings)))
+            blocks = [list(islice(ids, w)) for w in widths]
 
 
 def simplicial_identity_violations(s: TruncatedSimplicialSet) -> list:
@@ -144,35 +200,38 @@ def simplicial_identity_violations(s: TruncatedSimplicialSet) -> list:
     return s.identity_witnesses()
 
 
-def _degeneracies(g: FiniteCategory, strings: tuple, rows: list, table: list) -> list:
+def _degeneracies(g: FiniteCategory, strings: tuple, cols: list, table: list) -> list:
     """The degeneracy table of the n-strings of ``string_levels`` over all
-    arrows, given their face rows ``rows`` and degree n - 1's table ``table``
-    (empty for n = 0): entry [m][x] is the index of s_m x among the
+    arrows, given their face columns ``cols`` and degree n - 1's table
+    ``table`` (empty for n = 0): entry [m][x] is the index of s_m x among the
     (n+1)-strings.
 
     The 1-strings are the arrows in order, so s_0 y = (1_y,) is the position
     of 1_y.  For n > 0 the children of an n-string x are contiguous, so x +
     (a,) has index first[x] + slot[a], a's place among the arrows out of its
     source; s_n x appends the identity of x's end, and s_m (p + (a,)) = s_m p
-    + (a,) for m < n, where p = d_n x, the last entry of x's row, is x's
+    + (a,) for m < n, where p = d_n x, read off the prefix column, is x's
     prefix, or its source for n = 1.
 
-    A corrupted row whose d_n points at a prefix with fewer arrows out of its
-    end sends s_m x past the (n+1)-strings, by less than the number of arrows.
-    ``first`` is padded with that many copies of the (n+1)-string count, so
-    such an index, and every index built on it, stays past the strings of its
-    degree, where :meth:`TruncatedSimplicialSet.identity_witnesses` counts
-    the identities that read it as failing.
+    A corrupted column whose d_n points at a prefix with fewer arrows out of
+    its end sends s_m x past the (n+1)-strings, by less than the number of
+    arrows.  ``first`` is padded with that many copies of the (n+1)-string
+    count, so such an index, and every index built on it, stays past the
+    strings of its degree, where :meth:`TruncatedSimplicialSet.identity_witnesses`
+    counts the identities that read it as failing.
     """
     if not table:
         position = {a: i for i, a in enumerate(g.morphisms)}
         return [[position[g.ident[y]] for y in strings]]
     slot = {a: i for y in g.objects for i, a in enumerate(g.morphisms_from(y))}
-    ends = [g.tgt[x[-1]] for x in strings]
-    first = list(accumulate((len(g.morphisms_from(y)) for y in ends), initial=0))
+    width = {y: len(g.morphisms_from(y)) for y in g.objects}
+    lasts = [x[-1] for x in strings]
+    ends = list(map(g.tgt.__getitem__, lasts))
+    first = list(accumulate(map(width.__getitem__, ends), initial=0))
     first += [first[-1]] * len(g.morphisms)
-    up = [[first[s[row[-1]]] + slot[x[-1]] for row, x in zip(rows, strings)] for s in table]
-    up.append([f + slot[g.ident[y]] for f, y in zip(first, ends)])
+    tail = list(map(slot.__getitem__, lasts))
+    up = [[first[s[p]] + t for p, t in zip(cols[-1], tail)] for s in table]
+    up.append(list(map(add, first, map(slot.__getitem__, map(g.ident.__getitem__, ends)))))
     return up
 
 

@@ -7,7 +7,7 @@
   with the nerve instead.
 - The level product's cells (L, x), degenerate strings included, with faces
   (L, x) -> (L minus l_j, d_j x) read off the tabulated factor; its full
-  chains, with face rows by index arithmetic on the factor's rows; and the
+  chains, with face rows by index arithmetic on the factor's face columns; and the
   projection (L, x) -> x onto the nerve's normalized chains.  The runtime
   reads homology and the nerve comparison off the Morse complex of the
   level-collapse matching instead, and ``install_level_product`` puts the full
@@ -60,12 +60,14 @@ class LevelProduct:
 
     def chain_levels(self):
         """Yield (cells, face rows) for degrees 0..levels, in ``simplices``
-        order, by index arithmetic on the rows of ``string_levels``.  Row j of
-        (L, x) is rank(L minus l_j) |X_{k-1}| + row j of x, where X_k holds the
-        factor's k-strings and rank numbers the subsets of one size."""
+        order, by index arithmetic on the face columns of ``string_levels``,
+        read row by row.  Row j of (L, x) is rank(L minus l_j) |X_{k-1}| +
+        entry j of x's row, where X_k holds the factor's k-strings and rank
+        numbers the subsets of one size."""
         g, levels = self.model.factor.category, range(self.model.levels + 1)
         offsets = {(): 0}
-        for k, (strings, rows) in enumerate(simplicial.string_levels(g, g.morphisms, self.model.levels)):
+        for k, (strings, cols) in enumerate(simplicial.string_levels(g, g.morphisms, self.model.levels)):
+            rows = list(zip(*cols))
             subsets = list(combinations(levels, k + 1))
             shifts = ([offsets[s[:j] + s[j + 1:]] for j in range(k + 1)] for s in subsets)
             yield (tuple(product(subsets, strings)),

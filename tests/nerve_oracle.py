@@ -3,19 +3,21 @@
 Builds the composable strings of a groupoid together with all (d+1)^2 face
 tables and d(d+1)/2 degeneracy tables, and flags as degenerate exactly the
 simplices in the union of the degeneracy images.  The runtime nerve holds
-only face rows of indices, by index arithmetic on prefixes, and drops the
+only face columns of indices, by index arithmetic on prefixes, and drops the
 strings that hold an identity arrow instead.
 
 ``simplicial_identity_violations`` is the tuple scan that checks every
 simplicial identity on the tabulated nerve by building both sides as
-simplices, the oracle for the one pass over the face rows,
-``TruncatedSimplicialSet.identity_witnesses``.
+simplices, and ``row_identity_witnesses`` the pass that decides each identity
+string by string on face rows: the oracles for the one pass over the face
+columns, ``TruncatedSimplicialSet.identity_witnesses``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import finstack.simplicial as simplicial
 from finstack.category import FiniteCategory, idkey
 from finstack.simplicial import TruncatedSimplicialSet
 
@@ -153,3 +155,41 @@ def simplicial_identity_violations(nerve: TruncatedSimplicialSet) -> list:
                     if got != want:
                         bad.append(("ds", n, i, j, x))
     return bad
+
+
+def row_identity_witnesses(s: TruncatedSimplicialSet, kinds: tuple = ("dd", "ss", "ds")) -> list:
+    """The first witness (kind, n, i, j, x) of each of ``kinds``, as
+    ``TruncatedSimplicialSet.identity_witnesses`` finds it, by a generator per
+    string over the face rows, read off the columns of
+    ``simplicial.string_levels`` and with its degeneracy tables.  An index
+    past the next degree's strings fails the identity that reads it."""
+    g, tables = s.category, []
+    found = {kind: None for kind in ("dd", "ss", "ds") if kind in kinds}
+    older = below = lower = cols_below = ()
+    for n, (strings, cols) in enumerate(simplicial.string_levels(g, g.morphisms, s.cap)):
+        rows = list(zip(*cols))
+        if n > 1 and "dd" in found and not found["dd"]:
+            found["dd"] = next((("dd", n, i, j, x) for j in range(n + 1) for i in range(j)
+                                for x, row in zip(strings, rows)
+                                if lower[row[j]][i] != lower[row[i]][j - 1]), None)
+        if n and ("ds" in found or "ss" in found):
+            tables.append(simplicial._degeneracies(g, below, cols_below, tables[-1] if tables else []))
+            up, down = tables[n - 1], tables[n - 2] if n > 1 else ()
+            if "ds" in found and not found["ds"]:
+                count = len(rows)
+                found["ds"] = next((("ds", n - 1, i, j, x)
+                                    for j in range(n) for i in range(n + 1)
+                                    for y, (x, t) in enumerate(zip(below, up[j]))
+                                    if t >= count or rows[t][i] != (
+                                        y if i in (j, j + 1) else
+                                        down[j - 1][lower[y][i]] if i < j else
+                                        down[j][lower[y][i - 1]])), None)
+            if n > 1 and "ss" in found and not found["ss"]:
+                count = len(below)
+                found["ss"] = next((("ss", n - 2, i, j, x)
+                                    for j in range(n - 1) for i in range(j + 1)
+                                    for x, a, b in zip(older, down[i], down[j])
+                                    if a >= count or b >= count or up[j + 1][a] != up[i][b]),
+                                   None)
+        older, below, lower, cols_below = below, strings, rows, cols
+    return [w for w in found.values() if w]

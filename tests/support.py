@@ -298,26 +298,28 @@ STRING_LEVELS = simplicial.string_levels  # unpatched, so corruptions never stac
 
 
 def corrupted_string_levels(degree: int, index: int, j: int, value: int):
-    """``string_levels`` with entry j of the face row of string ``index`` in
-    ``degree`` set to ``value``; the rows it builds from are untouched."""
+    """``string_levels`` with entry ``index`` of face column j in ``degree``
+    (d_j of string ``index``) set to ``value``; the columns it builds from
+    are untouched."""
     def corrupted(*args):
-        for k, (strings, rows) in enumerate(STRING_LEVELS(*args)):
+        for k, (strings, cols) in enumerate(STRING_LEVELS(*args)):
             if k == degree:
-                rows = [list(row) for row in rows]
-                rows[index][j] = value
-            yield strings, rows
+                cols = list(cols)
+                cols[j] = list(cols[j])
+                cols[j][index] = value
+            yield strings, cols
 
     return corrupted
 
 
 def covered_corruptions(category, levels: int):
     """(degree, string index, entry, value) for every single-entry change of a
-    face row that the d_i s_j identities read: every row below the top
-    degree, and the rows of top-degree strings that hold an identity."""
+    face column that the d_i s_j identities read: every string below the top
+    degree, and the top-degree strings that hold an identity."""
     clean = list(STRING_LEVELS(category, category.morphisms, levels))
     for k in range(1, levels + 1):
-        strings, rows = clean[k]
-        for index, (x, row) in enumerate(zip(strings, rows)):
+        strings, cols = clean[k]
+        for index, (x, row) in enumerate(zip(strings, zip(*cols))):
             if k < levels or any(map(category.is_identity, x)):
                 for j, entry in enumerate(row):
                     for value in range(len(clean[k - 1][0])):
@@ -327,23 +329,25 @@ def covered_corruptions(category, levels: int):
 
 def assert_levels_match_oracle(category, cap: int) -> None:
     """``string_levels`` over all arrows agrees with the tabulated nerve: its
-    strings are the oracle's, entry i of each face row is the index one degree
-    down of the oracle's d_i, the degeneracy tables built from the rows point
-    at the oracle's s_m, and their images are the strings that hold an identity."""
+    strings are the oracle's, each degree has one face column per face and
+    entry x of column i is the index one degree down of the oracle's d_i x,
+    the degeneracy tables built from the columns point at the oracle's s_m,
+    and their images are the strings that hold an identity."""
     oracle = tabulated_nerve(category, cap)
     levels = list(simplicial.string_levels(category, category.morphisms, cap))
     assert [tuple(strings) for strings, _ in levels] == [oracle.simplices[n] for n in range(cap + 1)]
     table = []
-    for n, (strings, rows) in enumerate(levels):
+    for n, (strings, cols) in enumerate(levels):
+        assert len(cols) == (n + 1 if n else 0)
         if n:
             below = levels[n - 1][0]
-            assert [[below[i] for i in row] for row in rows] == \
-                [[oracle.face(n, i, x) for i in range(n + 1)] for x in strings]
+            assert [[below[q] for q in col] for col in cols] == \
+                [[oracle.face(n, i, x) for x in strings] for i in range(n + 1)]
             images = {y for up in table for y in up}
             assert [y in images for y in range(len(strings))] == \
                 [any(map(category.is_identity, x)) for x in strings]
         if n < cap:
-            table = simplicial._degeneracies(category, strings, rows, table)
+            table = simplicial._degeneracies(category, strings, cols, table)
             above = levels[n + 1][0]
             assert [[above[y] for y in up] for up in table] == \
                 [[oracle.degeneracy(n, m, x) for x in strings] for m in range(n + 1)]

@@ -271,7 +271,7 @@ def test_milnor_homology_above_top_degree_is_zero(capsys, z2_file, space):
 
 def test_milnor_count_only_builds_no_chains(capsys, monkeypatch, s3_file):
     """Without --homology or --compare-nerve the d^2 = 0 verdict is read off the
-    factor's face rows, so no chain complex is built and the report is unchanged."""
+    factor's face columns, so no chain complex is built and the report is unchanged."""
     class ChainsBuilt(Exception):
         pass
 

@@ -286,7 +286,7 @@ def test_milnor_chains_build_no_face(monkeypatch):
 
 @pytest.mark.parametrize("name,g", MILNOR_ZOO)
 def test_dd_zero_on_factor_rows_matches_chains(name, g):
-    """The d^2 = 0 verdict read off the factor's face rows is the full chains' verdict."""
+    """The d^2 = 0 verdict read off the factor's face columns is the full chains' verdict."""
     for space, top in ((fs.milnor_E, 4), (fs.milnor_B, 5)):
         for levels in range(top + 1):
             s = space(g, levels)
@@ -296,14 +296,14 @@ def test_dd_zero_on_factor_rows_matches_chains(name, g):
 @pytest.mark.parametrize("space,name,g", [(fs.milnor_B, "Z2", z2()), (fs.milnor_B, "pair", pair2()),
                                           (fs.milnor_E, "Z2", z2())])
 def test_dd_zero_on_factor_rows_matches_chains_under_corruption(monkeypatch, space, name, g):
-    """Every single-entry change of the factor's face rows at 3 levels gets the
-    same verdict from the factor rows and from the full chains."""
+    """Every single-entry change of the factor's face columns at 3 levels gets
+    the same verdict from the factor columns and from the full chains."""
     levels = 3
     category = space(g, levels).factor.category
     clean = list(simplicial.string_levels(category, category.morphisms, levels))
     verdicts = []
     for k in range(1, levels + 1):
-        for index, row in enumerate(clean[k][1]):
+        for index, row in enumerate(zip(*clean[k][1])):
             for j, entry in enumerate(row):
                 for value in range(len(clean[k - 1][0])):
                     if value != entry:
@@ -320,8 +320,8 @@ def test_dd_zero_accepts_a_change_between_parallel_arrows(monkeypatch):
     """The two arrows of Z/2 have the same faces, so pointing a top-degree face
     of B at 2 levels at the other arrow keeps d^2 = 0, by both checks."""
     g = z2()
-    _, rows = list(simplicial.string_levels(g, g.morphisms, 2))[2]
-    monkeypatch.setattr(simplicial, "string_levels", corrupted_string_levels(2, 0, 0, 1 - rows[0][0]))
+    _, cols = list(simplicial.string_levels(g, g.morphisms, 2))[2]
+    monkeypatch.setattr(simplicial, "string_levels", corrupted_string_levels(2, 0, 0, 1 - cols[0][0]))
     s = fs.milnor_B(g, 2)
     assert (s.certify(matching=False)[0], level_product_chains(s).check_dd_zero()) == (True, True)
 
@@ -468,7 +468,7 @@ def test_s3_compare_matches_level_product_oracle(tmp_path, capsys, monkeypatch):
                                                  ("E", "Z2", z2(), 2)])
 def test_corrupted_face_row_leaves_homology_inconclusive(tmp_path, capsys, monkeypatch,
                                                          space, name, g, levels):
-    """Every change of one face-row entry that the certificate reads makes it
+    """Every change of one face-column entry that the certificate reads makes it
     fail.  The job then prints no homology group, reads every homology verdict
     as inconclusive with the witness, and exits 3, or 1 where d^2 = 0 fails
     too; it never ends in a traceback."""
@@ -505,8 +505,8 @@ def test_corruption_that_keeps_dd_zero_exits_inconclusive(tmp_path, capsys, monk
     path = tmp_path / "z2.json"
     path.write_text(json.dumps(jio.groupoid_to_json(z2())))
     g = jio.groupoid_from_json(jio.load_json(str(path)))
-    _, rows = list(simplicial.string_levels(g, g.morphisms, 2))[2]
-    monkeypatch.setattr(simplicial, "string_levels", corrupted_string_levels(2, 0, 0, 1 - rows[0][0]))
+    _, cols = list(simplicial.string_levels(g, g.morphisms, 2))[2]
+    monkeypatch.setattr(simplicial, "string_levels", corrupted_string_levels(2, 0, 0, 1 - cols[0][0]))
     assert fs.milnor_B(g, 2).certify() == (True, (("0",), 0))
     assert main(["milnor", "--groupoid", str(path), "--levels", "2", "--space", "B",
                  "--homology", "2", "--compare-nerve"]) == 3

@@ -3,6 +3,8 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import finstack as fs
 import finstack.jsonio as jio
@@ -11,7 +13,7 @@ from finstack.category import chain_category
 from finstack.cli import main
 from finstack.simplicial import simplicial_identity_violations
 from chain_oracle import lookup_levels
-from nerve_oracle import simplicial_identity_violations as tuple_scan, tabulated_nerve
+from nerve_oracle import row_identity_witnesses, simplicial_identity_violations as tuple_scan, tabulated_nerve
 from support import (assert_levels_match_oracle, corrupted_string_levels, covered_corruptions,
                      groupoid_zoo, pair2, pt, s3, weak_equivalence_zoo, z2)
 
@@ -41,9 +43,9 @@ def test_nerve_counts_pair_groupoid():
 
 def test_nerve_faces_compose():
     g = z2()
-    _, (ones, _), (twos, rows) = simplicial.string_levels(g, g.morphisms, 2)
-    row = rows[twos.index((1, 1))]  # the string (g, g)
-    assert [ones[i] for i in row] == [(1,), (0,), (1,)]  # d_1 is the composite g.g = e
+    _, (ones, _), (twos, cols) = simplicial.string_levels(g, g.morphisms, 2)
+    x = twos.index((1, 1))  # the string (g, g)
+    assert [ones[col[x]] for col in cols] == [(1,), (0,), (1,)]  # d_1 is the composite g.g = e
 
 
 @pytest.mark.parametrize("name,g", groupoid_zoo())
@@ -65,10 +67,44 @@ IDENTITY_CASES = (
 
 @pytest.mark.parametrize("name,s", IDENTITY_CASES, ids=[c[0] for c in IDENTITY_CASES])
 def test_identity_pass_matches_tuple_scan(name, s):
-    """The one pass over the face rows and the scan that builds every face and
-    degeneracy of the tabulated nerve as a tuple both find every simplicial
-    identity holding."""
+    """The one pass over the face columns, the pass string by string over the
+    face rows and the scan that builds every face and degeneracy of the
+    tabulated nerve as a tuple all find every simplicial identity holding."""
     assert simplicial_identity_violations(s) == tuple_scan(s) == []
+    assert assert_passes_agree(s) == []
+
+
+def assert_passes_agree(s) -> list:
+    """The column pass and the row oracle find the same witnesses, of every
+    kind and of the kinds that ``MilnorComplex.certify`` asks for; returns
+    those of every kind."""
+    witnesses = s.identity_witnesses()
+    assert witnesses == row_identity_witnesses(s)
+    for kinds in (("dd", "ds"), ("dd",)):
+        assert s.identity_witnesses(kinds) == row_identity_witnesses(s, kinds)
+    return witnesses
+
+
+EDGE_CASES = [("point-cap4", fs.nerve(pt(), 4)), ("Z2-cap4", fs.nerve(z2(), 4)),
+              ("circle", fs.simplicial_circle())]
+
+
+@pytest.mark.parametrize("name,s", EDGE_CASES, ids=[c[0] for c in EDGE_CASES])
+def test_degrees_of_one_string_and_none(name, s):
+    """``itemgetter`` of one index returns it bare and of none raises: the
+    point has one string in each degree over all arrows and none
+    identity-free above degree 0, Z/2 one identity-free string in each
+    degree, and the circle none in degree 2.  The passes and the tuple scan
+    agree there, and the chains are the tabulated nerve's."""
+    g = s.category
+    sizes = {"point-cap4": [1, 0, 0, 0, 0], "Z2-cap4": [1] * 5, "circle": [2, 2, 0]}[name]
+    chains = fs.chain_complex(s)
+    assert [len(chains.basis[n]) for n in range(s.cap + 1)] == sizes
+    if name == "point-cap4":
+        assert [len(x) for x, _ in simplicial.string_levels(g, g.morphisms, 4)] == [1] * 5
+    assert assert_passes_agree(s) == tuple_scan(s) == []
+    oracle = fs.chain_complex(tabulated_nerve(g, s.cap))
+    assert (chains.basis, chains.boundary) == (oracle.basis, oracle.boundary)
 
 
 @pytest.mark.parametrize("degree", [1, 2, 3])
@@ -77,14 +113,14 @@ def test_swapped_degeneracy_entries_break_ss_and_ds(monkeypatch, degree):
     tables breaks the two kinds of identity that read them, and not dd."""
     real = simplicial._degeneracies
     for m in range(degree + 1):
-        def swapped(g, strings, rows, table, m=m):
-            up = real(g, strings, rows, table)
+        def swapped(g, strings, cols, table, m=m):
+            up = real(g, strings, cols, table)
             if len(table) == degree:
                 up[m][:2] = up[m][1::-1]
             return up
 
         monkeypatch.setattr(simplicial, "_degeneracies", swapped)
-        ss, ds = fs.nerve(s3(), 4).identity_witnesses()
+        ss, ds = assert_passes_agree(fs.nerve(s3(), 4))
         assert (ss[0], ds[0], ds[1], ds[3]) == ("ss", "ds", degree, m)
 
 
@@ -102,7 +138,7 @@ def z2_and_point():
 @pytest.mark.parametrize("name,g,cap", [("Z2", z2(), 3), ("pair", pair2(), 2),
                                         ("Z2+pt", z2_and_point(), 3)])
 def test_corrupted_face_row_fails_the_nerve_verdict(tmp_path, capsys, monkeypatch, name, g, cap):
-    """Through ``main()``, every change of one face-row entry that the d_i s_j
+    """Through ``main()``, every change of one face-column entry that the d_i s_j
     identities read fails ``simplicial-identities`` with the pass's first
     witness and exit 1; the counts, which read no row, are unchanged, and no
     job ends in a traceback."""
@@ -117,7 +153,7 @@ def test_corrupted_face_row_fails_the_nerve_verdict(tmp_path, capsys, monkeypatc
     assert corruptions
     for k, index, j, value in corruptions:
         monkeypatch.setattr(simplicial, "string_levels", corrupted_string_levels(k, index, j, value))
-        witnesses = fs.nerve(g, cap).identity_witnesses()
+        witnesses = assert_passes_agree(fs.nerve(g, cap))
         assert witnesses, (k, index, j, value)
         code = main(argv)
         out, err = capsys.readouterr()
@@ -135,7 +171,36 @@ def test_prefix_with_fewer_arrows_out_fails_an_identity(monkeypatch):
     assert len(changes) == 13
     for k, index, j, value in changes:
         monkeypatch.setattr(simplicial, "string_levels", corrupted_string_levels(k, index, j, value))
-        assert fs.nerve(g, 3).identity_witnesses(), (k, index, j, value)
+        assert assert_passes_agree(fs.nerve(g, 3)), (k, index, j, value)
+
+
+def test_column_pass_matches_row_oracle_on_e_factor(monkeypatch):
+    """Every covered change of E(Z/2)'s factor at 3 levels gets the same
+    witnesses from the column pass and the row oracle, and a witness."""
+    factor = fs.milnor_E(z2(), 3).factor
+    corruptions = list(covered_corruptions(factor.category, 3))
+    assert corruptions
+    for k, index, j, value in corruptions:
+        monkeypatch.setattr(simplicial, "string_levels", corrupted_string_levels(k, index, j, value))
+        assert assert_passes_agree(factor), (k, index, j, value)
+
+
+CORRUPTION_ZOO = [g for _, g in groupoid_zoo()] + [z2_and_point(), fs.milnor_E(z2(), 2).factor.category]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_column_pass_matches_row_oracle_under_a_drawn_corruption(data):
+    """A zoo category, a cap up to 3 and one covered change of its face
+    columns: the column pass and the row oracle find the same witnesses."""
+    g = data.draw(st.sampled_from(CORRUPTION_ZOO))
+    cap = data.draw(st.integers(1, 3))
+    changes = list(covered_corruptions(g, cap))
+    assume(changes)  # Z/2 at cap 1 has a single vertex, so no entry can change
+    change = data.draw(st.sampled_from(changes))
+    with pytest.MonkeyPatch.context() as patched:
+        patched.setattr(simplicial, "string_levels", corrupted_string_levels(*change))
+        assert_passes_agree(fs.nerve(g, cap))
 
 
 def test_circle_shape():
@@ -179,7 +244,7 @@ def test_nerve_matches_tabulating_oracle_s3_dim5():
 
 
 def test_circle_degenerate_flags_are_degeneracy_images():
-    """The circle's face rows and degeneracy tables are the oracle's, and the
+    """The circle's face columns and degeneracy tables are the oracle's, and the
     images of the tables are its strings that hold an identity."""
     assert_nerve_matches_oracle(fs.simplicial_circle().category, 2)
 
@@ -208,13 +273,13 @@ ORDER_CASES = [
 @pytest.mark.parametrize("name,g,cap", ORDER_CASES, ids=[c[0] for c in ORDER_CASES])
 def test_nerve_chains_match_oracle_in_order(name, g, cap):
     """Lexicographic arrow-position order is idkey order, and the nerve's
-    face rows by index arithmetic are the rows the generic lookup finds in the
-    tabulated nerve."""
+    face columns by index arithmetic, read row by row, are the rows the
+    generic lookup finds in the tabulated nerve."""
     s, oracle = fs.nerve(g, cap), tabulated_nerve(g, cap)
     cx, ocx = fs.chain_complex(s), fs.chain_complex(oracle)
     assert cx.basis == ocx.basis
     assert cx.boundary == ocx.boundary
-    assert [(gens, list(rows)) for gens, rows in s.chain_levels()] == \
+    assert [(gens, [list(row) for row in rows]) for gens, rows in s.chain_levels()] == \
         [(gens, list(rows)) for gens, rows in lookup_levels(oracle)]
     assert_levels_match_oracle(g, cap)
 
