@@ -11,19 +11,18 @@ or :func:`validate_groupoid`, which decide every axiom: associativity and
 functoriality on a generating set of arrows (``FiniteCategory.generators``),
 with an exhaustive scan only to name the first witness of a failure, or on
 tables under ``SCAN_BELOW`` entries.  Builders that only
-combine validated values construct the dataclasses directly: their output is
-correct by construction.  Ids are put in order once, when a table is built
-(``FiniteCategory``, ``covered_space``, ``make_fiber``); :func:`partition` and
-the morphism indexes keep that order, so components, span and homotopy
-classes, torsor fibers, fiber names and cone sets come out in id order
-without a sort.
+combine validated values construct the table classes and records directly:
+their output is correct by construction.  Ids are put in order once, when a
+table is built (``FiniteCategory``, ``covered_space``, ``make_fiber``);
+:func:`partition` and the morphism indexes keep that order, so components,
+span and homotopy classes, torsor fibers, fiber names and cone sets come out
+in id order without a sort.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Mapping, NamedTuple
 
 from .errors import AxiomViolation, DanglingId, MismatchedTarget, NoFinalObject
 
@@ -63,40 +62,38 @@ def partition(elements: Iterable, pairs: Iterable) -> list:
     return list(classes.values())
 
 
-@dataclass(frozen=True)
 class FiniteCategory:
     """A category given by finite source/target/composition/identity tables.
 
     Construction sorts the ids and indexes the morphisms by their endpoints;
     it checks no axiom (see :func:`validate_category`).  Values are treated as
-    immutable afterwards; all operations on them are pure.
+    immutable afterwards; all operations on them are pure.  Two categories
+    are equal when their tables are.
     """
 
-    objects: tuple
-    morphisms: tuple
-    src: Mapping
-    tgt: Mapping
-    comp: Mapping
-    ident: Mapping
-    _from: dict = field(init=False, repr=False, compare=False)
-    _into: dict = field(init=False, repr=False, compare=False)
-    _hom: dict = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        objects, morphisms = sorted_ids(self.objects), sorted_ids(self.morphisms)
-        by_src: dict = {x: [] for x in objects}
-        by_tgt: dict = {x: [] for x in objects}
+    def __init__(self, objects, morphisms, src: Mapping, tgt: Mapping, comp: Mapping,
+                 ident: Mapping):
+        self.objects, self.morphisms = sorted_ids(objects), sorted_ids(morphisms)
+        self.src, self.tgt, self.comp, self.ident = src, tgt, comp, ident
+        by_src: dict = {x: [] for x in self.objects}
+        by_tgt: dict = {x: [] for x in self.objects}
         hom: dict = {}
-        for m in morphisms:
-            x, y = self.src[m], self.tgt[m]
+        for m in self.morphisms:
+            x, y = src[m], tgt[m]
             by_src[x].append(m)
             by_tgt[y].append(m)
             hom.setdefault((x, y), []).append(m)
-        for name, value in (("objects", objects), ("morphisms", morphisms),
-                            ("_from", {x: tuple(v) for x, v in by_src.items()}),
-                            ("_into", {x: tuple(v) for x, v in by_tgt.items()}),
-                            ("_hom", {xy: tuple(v) for xy, v in hom.items()})):
-            object.__setattr__(self, name, value)
+        self._from = {x: tuple(v) for x, v in by_src.items()}
+        self._into = {x: tuple(v) for x, v in by_tgt.items()}
+        self._hom = {xy: tuple(v) for xy, v in hom.items()}
+
+    def _compared(self) -> tuple:
+        return self.objects, self.morphisms, self.src, self.tgt, self.comp, self.ident
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._compared() == other._compared()
 
     def compose(self, f, g):
         """Diagrammatic composite "f then g"."""
@@ -277,8 +274,7 @@ def _poset(objects, relation, build: Callable = FiniteCategory) -> FiniteCategor
     )
 
 
-@dataclass(frozen=True)
-class CatFunctor:
+class CatFunctor(NamedTuple):
     """A functor of finite categories or groupoids, stored as object and morphism tables."""
 
     source: FiniteCategory

@@ -7,7 +7,6 @@ import functools
 import hashlib
 import json
 import sys
-from dataclasses import dataclass, field
 
 from . import jsonio
 from .category import functor as groupoid_functor
@@ -23,18 +22,25 @@ from .spans import span_pi0, zigzag_check
 from .torsor import cocycle_to_torsor, find_cocycle_morphism, torsor_isomorphic, torsor_to_cocycle
 
 
-@dataclass
 class RunReport:
     """Deterministic run summary: identical inputs yield byte-identical text.
 
     A verdict passes (True), fails (False) or is inconclusive (None): a check
-    that ran out of budget before it could decide.
+    that ran out of budget before it could decide.  ``verdicts`` holds
+    (name, passed, witness) triples.
     """
 
-    command: str
-    inputs_digest: str
-    outputs: list = field(default_factory=list)
-    verdicts: list = field(default_factory=list)  # (name, passed, witness)
+    def __init__(self, command: str, inputs_digest: str, outputs: list | None = None,
+                 verdicts: list | None = None):
+        self.command, self.inputs_digest = command, inputs_digest
+        self.outputs = [] if outputs is None else outputs
+        self.verdicts = [] if verdicts is None else verdicts
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.command, self.inputs_digest, self.outputs, self.verdicts) == \
+            (other.command, other.inputs_digest, other.outputs, other.verdicts)
 
     def add_output(self, line: str) -> None:
         self.outputs.append(line)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import FinstackError, UnknownBasepoint
 from .category import FiniteCategory
@@ -10,8 +10,7 @@ from .groupoid import FiniteGroupoid
 from .homology import invariant_factors
 
 
-@dataclass(frozen=True)
-class GroupPresentation:
+class GroupPresentation(NamedTuple):
     """Generators and relator words; a word is a tuple of (generator index, +-1)."""
 
     generators: tuple
@@ -92,8 +91,7 @@ def pi1_presentation(g: FiniteCategory, basepoint) -> GroupPresentation:
     )
 
 
-@dataclass(frozen=True)
-class Pi1Report:
+class Pi1Report(NamedTuple):
     """Outcome of comparing the edge-path group with the isotropy group."""
 
     basepoint: object

@@ -9,18 +9,22 @@ result directly, without a second axiom pass.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Callable, Mapping
 
 from .category import CatFunctor, FiniteCategory, partition, sorted_ids, validated
 from .errors import AxiomViolation, DanglingId, MismatchedTarget, NotAnAction, UnknownObject
 
 
-@dataclass(frozen=True)
 class FiniteGroupoid(FiniteCategory):
     """A finite category whose every morphism has the inverse ``inv[a]``."""
 
-    inv: Mapping
+    def __init__(self, objects, morphisms, src: Mapping, tgt: Mapping, comp: Mapping,
+                 ident: Mapping, inv: Mapping):
+        super().__init__(objects, morphisms, src, tgt, comp, ident)
+        self.inv = inv
+
+    def _compared(self) -> tuple:
+        return super()._compared() + (self.inv,)
 
     def __str__(self):
         return f"FiniteGroupoid({len(self.objects)} objects, {len(self.morphisms)} arrows)"

@@ -19,8 +19,8 @@ among the inserted columns, the kernel of their matrix.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
 from math import gcd
+from typing import NamedTuple
 
 from .errors import InsufficientTruncation
 
@@ -214,8 +214,7 @@ def boundary_column(faces) -> dict:
     return {r: v for r, v in col.items() if v}
 
 
-@dataclass(frozen=True)
-class HomologyGroup:
+class HomologyGroup(NamedTuple):
     """An integral homology group: free rank plus torsion in divisibility order."""
 
     degree: int
@@ -236,7 +235,6 @@ class HomologyGroup:
         return (self.free_rank, tuple(self.torsion))
 
 
-@dataclass(frozen=True)
 class ChainComplex:
     """Sparse integer boundaries with basis labels.
 
@@ -248,10 +246,15 @@ class ChainComplex:
     top_degree is the zero map rather than unknown, and H_n = 0 there.
     """
 
-    basis: dict
-    boundary: dict
-    complete_above: bool = False
-    _reductions: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    def __init__(self, basis: dict, boundary: dict, complete_above: bool = False):
+        self.basis, self.boundary, self.complete_above = basis, boundary, complete_above
+        self._reductions: dict = {}
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.basis, self.boundary, self.complete_above) == \
+            (other.basis, other.boundary, other.complete_above)
 
     @property
     def top_degree(self) -> int:

@@ -15,8 +15,7 @@ assembled pointwise from global limits over comma categories.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .category import CatFunctor, FiniteCategory, comma_category, partition, sorted_ids
 from .errors import (
@@ -31,8 +30,7 @@ from .groupoid import fiber_product_2_projections
 SEARCH_BUDGET = 100_000  # search nodes per call of compatible_families
 
 
-@dataclass(frozen=True)
-class FibMor:
+class FibMor(NamedTuple):
     """A function between two named finite sets of one fiber.
 
     ``images[i]`` is the position, in ``tgt``'s elements, of the image of
@@ -115,8 +113,7 @@ def compatible_families(sizes, constraints) -> list:
     return sorted(found) if sizes else [()]
 
 
-@dataclass(frozen=True)
-class FinSetFiber:
+class FinSetFiber(NamedTuple):
     """Named finite sets; the morphisms are all functions between them."""
 
     sets: dict  # name -> tuple of elements; names and elements in id order
@@ -173,8 +170,7 @@ def _has(collection, value) -> bool:
         return False
 
 
-@dataclass(frozen=True)
-class PullbackFunctor:
+class PullbackFunctor(NamedTuple):
     """A functor between fibers, in one of the two forms fibers documents use.
 
     Without ``constant`` it is conjugation by per-object carriers: a morphism
@@ -273,8 +269,7 @@ def relabel_pullback(source: FinSetFiber, target: FinSetFiber, obj_map: Mapping,
     return PullbackFunctor(obj_map=dict(obj_map), carriers=positions, sections=sections)
 
 
-@dataclass(frozen=True)
-class IndexedCategory:
+class IndexedCategory(NamedTuple):
     """Strict contravariant assignment of finite-set fibers to a finite base."""
 
     base: FiniteCategory
@@ -341,8 +336,7 @@ def trivial_indexed_category(base: FiniteCategory, sets: Mapping) -> IndexedCate
     )
 
 
-@dataclass(frozen=True)
-class Lift:
+class Lift(NamedTuple):
     """A strict lift of the anchor functor through the indexed category.
 
     ``objects[d]`` names an object of the fiber over anchor(d);
@@ -398,8 +392,7 @@ def precompose_lift(f: CatFunctor, p_lift: Lift) -> Lift:
                 morphisms={m: p_lift.morphisms[f.mor_map[m]] for m in f.source.morphisms})
 
 
-@dataclass(frozen=True)
-class FiberDiagram:
+class FiberDiagram(NamedTuple):
     """A functor from a finite shape into one fiber, as explicit tables."""
 
     shape: FiniteCategory
@@ -425,8 +418,7 @@ def fiber_diagram(fiber: FinSetFiber, shape: FiniteCategory,
     return FiberDiagram(shape=shape, on_obj=dict(on_obj), on_mor=dict(on_mor))
 
 
-@dataclass(frozen=True)
-class LimitCone:
+class LimitCone(NamedTuple):
     """All cones over a finite-set diagram, as tuples aligned with shape_objects:
     ``positions`` holds the positions of the elements in their sets, in
     lexicographic (so id) order, and ``cones`` the elements themselves."""
@@ -484,8 +476,7 @@ def is_global_limit(ic: IndexedCategory, b, diagram: FiberDiagram, obj) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class RightKanResult:
+class RightKanResult(NamedTuple):
     """The extended lift together with its limit cones and projections."""
 
     lift: Lift
@@ -605,8 +596,7 @@ def lift_morphisms(l1: Lift, l2: Lift) -> tuple:
                  for family in compatible_families(sizes, constraints))
 
 
-@dataclass(frozen=True)
-class AdjunctionReport:
+class AdjunctionReport(NamedTuple):
     left_size: int   # morphisms Q => RF(P) over D
     right_size: int  # morphisms F*(Q) => P over E
     bijective: bool
@@ -636,8 +626,7 @@ def adjunction_check(ic: IndexedCategory, f: CatFunctor, p: CatFunctor,
     return AdjunctionReport(len(left), len(right), True, "")
 
 
-@dataclass(frozen=True)
-class GroupoidDiagram:
+class GroupoidDiagram(NamedTuple):
     """A functor from a finite shape category into finite groupoids."""
 
     shape: FiniteCategory
@@ -667,8 +656,7 @@ def groupoid_diagram(shape: FiniteCategory, nodes: Mapping, arrows: Mapping) -> 
     return GroupoidDiagram(shape=shape, nodes=dict(nodes), arrows=dict(arrows))
 
 
-@dataclass(frozen=True)
-class SpecialDiagram:
+class SpecialDiagram(NamedTuple):
     """Base extension of a cover over the final object across a whole diagram."""
 
     star: object

@@ -57,9 +57,9 @@ identities
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate
 from math import comb
+from typing import NamedTuple
 
 from .category import FiniteCategory, _poset
 from .errors import LevelInactive, NotSameOrbit
@@ -68,8 +68,7 @@ from .homology import ChainComplex
 from .simplicial import TruncatedSimplicialSet, nerve
 
 
-@dataclass(frozen=True)
-class MilnorComplex:
+class MilnorComplex(NamedTuple):
     """The level product of the level simplex on 0..``levels`` with the nerve
     ``factor``, zero above degree ``levels``.  Each degree lists its cells by
     level subset, in ``itertools.combinations`` order, then by factor string.

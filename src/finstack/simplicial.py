@@ -2,14 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import accumulate, chain, islice, repeat
 from operator import add, itemgetter
 
 from .category import FiniteCategory, validate_category
 
 
-@dataclass(frozen=True)
 class TruncatedSimplicialSet:
     """The nerve of a finite category in degrees <= cap, whose chains above cap
     are unknown, not zero.  n-simplices are length-n composable arrow strings
@@ -23,11 +21,16 @@ class TruncatedSimplicialSet:
     identities, for ``nerve`` and for the Milnor factors alike.
     """
 
-    category: FiniteCategory
-    cap: int
     complete_above = False
 
-    _counts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    def __init__(self, category: FiniteCategory, cap: int):
+        self.category, self.cap = category, cap
+        self._counts: dict = {}
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.category, self.cap) == (other.category, other.cap)
 
     def count(self, n: int, nondegenerate: bool = False) -> int:
         """The number of n-simplices: paths of n arrows, identity-free ones
@@ -77,6 +80,7 @@ class TruncatedSimplicialSet:
         """
         g, tables = self.category, []
         found = {kind: None for kind in ("dd", "ss", "ds") if kind in kinds}
+        slots = _slots(g) if "ds" in found or "ss" in found else None
         older = below = lower = lower_pick = lift = ()
         for n, (strings, cols) in enumerate(string_levels(g, g.morphisms, self.cap)):
             pick = _getters(cols)
@@ -87,7 +91,7 @@ class TruncatedSimplicialSet:
             if n and ("ds" in found or "ss" in found):
                 # degree n - 1's table, s_j y = up[j][y], built only once degree n is out
                 # so that it is not held while string_levels builds degree n
-                tables.append(_degeneracies(g, below, lower, tables[-1] if tables else []))
+                tables.append(_degeneracies(g, below, lower, tables[-1] if tables else [], slots))
                 up, down = tables[n - 1], tables[n - 2] if n > 1 else ()
                 drop, lift = lift, _getters(up)
                 if "ds" in found and not found["ds"]:
@@ -200,11 +204,20 @@ def simplicial_identity_violations(s: TruncatedSimplicialSet) -> list:
     return s.identity_witnesses()
 
 
-def _degeneracies(g: FiniteCategory, strings: tuple, cols: list, table: list) -> list:
+def _slots(g: FiniteCategory) -> tuple:
+    """(slot, width): each arrow's place among the arrows out of its source,
+    and each object's number of arrows out, which ``_degeneracies`` reads in
+    every degree of a pass."""
+    slot = {a: i for y in g.objects for i, a in enumerate(g.morphisms_from(y))}
+    return slot, {y: len(g.morphisms_from(y)) for y in g.objects}
+
+
+def _degeneracies(g: FiniteCategory, strings: tuple, cols: list, table: list,
+                  slots: tuple) -> list:
     """The degeneracy table of the n-strings of ``string_levels`` over all
-    arrows, given their face columns ``cols`` and degree n - 1's table
-    ``table`` (empty for n = 0): entry [m][x] is the index of s_m x among the
-    (n+1)-strings.
+    arrows, given their face columns ``cols``, degree n - 1's table ``table``
+    (empty for n = 0) and ``_slots(g)``: entry [m][x] is the index of s_m x
+    among the (n+1)-strings.
 
     The 1-strings are the arrows in order, so s_0 y = (1_y,) is the position
     of 1_y.  For n > 0 the children of an n-string x are contiguous, so x +
@@ -223,8 +236,7 @@ def _degeneracies(g: FiniteCategory, strings: tuple, cols: list, table: list) ->
     if not table:
         position = {a: i for i, a in enumerate(g.morphisms)}
         return [[position[g.ident[y]] for y in strings]]
-    slot = {a: i for y in g.objects for i, a in enumerate(g.morphisms_from(y))}
-    width = {y: len(g.morphisms_from(y)) for y in g.objects}
+    slot, width = slots
     lasts = [x[-1] for x in strings]
     ends = list(map(g.tgt.__getitem__, lasts))
     first = list(accumulate(map(width.__getitem__, ends), initial=0))

@@ -9,15 +9,13 @@ linked by the section sets {t . g} of each r in R and map g out of its source.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .category import FiniteCategory, idkey, partition, sorted_ids
 from .errors import DanglingId, HypothesisFails, InvalidClass, OracleMissing, UnknownObject
 
 
-@dataclass(frozen=True)
-class Span:
+class Span(NamedTuple):
     """Left leg lands in the inverted class; both legs share the apex."""
 
     apex: object
@@ -28,11 +26,17 @@ class Span:
         return (idkey(self.apex), idkey(self.left), idkey(self.right))
 
 
-@dataclass(frozen=True)
 class MorphismClass:
-    category: FiniteCategory
-    members: frozenset
-    oracle: Mapping | None = None  # (f, g) cospan -> (apex, proj to src f, proj to src g)
+    """A class of morphisms of ``category``; ``oracle`` maps a cospan (f, g)
+    to its pullback (apex, proj to src f, proj to src g)."""
+
+    def __init__(self, category: FiniteCategory, members: frozenset, oracle: Mapping | None = None):
+        self.category, self.members, self.oracle = category, members, oracle
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.category, self.members, self.oracle) == (other.category, other.members, other.oracle)
 
     def __contains__(self, m) -> bool:
         return m in self.members
@@ -129,13 +133,26 @@ def all_spans(rcls: MorphismClass, x, y) -> tuple:
                  for g in cat.hom(v, y))
 
 
-@dataclass(frozen=True)
 class SpanClasses:
-    """Connected components of a span category, with canonical representatives."""
+    """Connected components of a span category, with canonical representatives.
 
-    source: object
-    target: object
-    classes: tuple  # tuple of tuples of spans, each in key order; classes ordered by representative
+    ``classes`` is a tuple of tuples of spans, each in key order, the classes
+    ordered by representative.
+    """
+
+    def __init__(self, source, target, classes: tuple):
+        self.source, self.target, self.classes = source, target, classes
+
+    def _compared(self) -> tuple:
+        return self.source, self.target, self.classes
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._compared() == other._compared()
+
+    def __hash__(self):
+        return hash(self._compared())
 
     def representatives(self) -> tuple:
         return tuple(c[0] for c in self.classes)
@@ -208,8 +225,7 @@ def r_homotopy_classes(rcls: MorphismClass, x, y) -> tuple:
     return tuple(map(tuple, partition(homs, linked)))
 
 
-@dataclass(frozen=True)
-class ZigzagReport:
+class ZigzagReport(NamedTuple):
     source: object
     target: object
     homotopy_class_count: int

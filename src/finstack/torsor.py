@@ -6,7 +6,7 @@ compatibility conditions are pointwise equalities between arrows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import (
     AxiomViolation,
@@ -19,14 +19,18 @@ from .category import sorted_ids
 from .groupoid import FiniteGroupoid
 
 
-@dataclass(frozen=True)
 class CoveredSpace:
-    points: tuple  # in id order
-    cover: dict    # index -> frozenset of points
-    _indices: tuple = field(init=False, repr=False, compare=False)
+    """A finite set ``points``, in id order, with the cover ``cover``: index
+    -> frozenset of points."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "_indices", sorted_ids(self.cover))
+    def __init__(self, points: tuple, cover: dict):
+        self.points, self.cover = points, cover
+        self._indices = sorted_ids(cover)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.points, self.cover) == (other.points, other.cover)
 
     def indices(self) -> tuple:
         return self._indices
@@ -56,8 +60,7 @@ def covered_space(points, cover: dict) -> CoveredSpace:
     return CoveredSpace(points=points, cover=fixed)
 
 
-@dataclass(frozen=True)
-class Cocycle:
+class Cocycle(NamedTuple):
     cov: CoveredSpace
     target: FiniteGroupoid
     a: dict      # i -> {w: object}
@@ -100,8 +103,7 @@ def validate_cocycle(cov: CoveredSpace, target: FiniteGroupoid, a: dict, gamma: 
                    gamma={(i, j): dict(gamma.get((i, j), {})) for i in indices for j in indices})
 
 
-@dataclass(frozen=True)
-class Torsor:
+class Torsor(NamedTuple):
     """A total set over W, held as its fibers, with fiberwise pairing and sections."""
 
     cov: CoveredSpace
@@ -152,8 +154,7 @@ def torsor_to_cocycle(t: Torsor) -> Cocycle:
     return Cocycle(cov=t.cov, target=t.target, a=a, gamma=gamma)
 
 
-@dataclass(frozen=True)
-class CocycleMorphism:
+class CocycleMorphism(NamedTuple):
     source: Cocycle
     target_cocycle: Cocycle
     delta: dict  # (i, k) -> {w: arrow} on U_i of source and U'_k of target

@@ -165,6 +165,7 @@ def row_identity_witnesses(s: TruncatedSimplicialSet, kinds: tuple = ("dd", "ss"
     past the next degree's strings fails the identity that reads it."""
     g, tables = s.category, []
     found = {kind: None for kind in ("dd", "ss", "ds") if kind in kinds}
+    slots = simplicial._slots(g)
     older = below = lower = cols_below = ()
     for n, (strings, cols) in enumerate(simplicial.string_levels(g, g.morphisms, s.cap)):
         rows = list(zip(*cols))
@@ -173,7 +174,7 @@ def row_identity_witnesses(s: TruncatedSimplicialSet, kinds: tuple = ("dd", "ss"
                                 for x, row in zip(strings, rows)
                                 if lower[row[j]][i] != lower[row[i]][j - 1]), None)
         if n and ("ds" in found or "ss" in found):
-            tables.append(simplicial._degeneracies(g, below, cols_below, tables[-1] if tables else []))
+            tables.append(simplicial._degeneracies(g, below, cols_below, tables[-1] if tables else [], slots))
             up, down = tables[n - 1], tables[n - 2] if n > 1 else ()
             if "ds" in found and not found["ds"]:
                 count = len(rows)

@@ -335,6 +335,7 @@ def assert_levels_match_oracle(category, cap: int) -> None:
     and their images are the strings that hold an identity."""
     oracle = tabulated_nerve(category, cap)
     levels = list(simplicial.string_levels(category, category.morphisms, cap))
+    slots = simplicial._slots(category)
     assert [tuple(strings) for strings, _ in levels] == [oracle.simplices[n] for n in range(cap + 1)]
     table = []
     for n, (strings, cols) in enumerate(levels):
@@ -347,7 +348,7 @@ def assert_levels_match_oracle(category, cap: int) -> None:
             assert [y in images for y in range(len(strings))] == \
                 [any(map(category.is_identity, x)) for x in strings]
         if n < cap:
-            table = simplicial._degeneracies(category, strings, cols, table)
+            table = simplicial._degeneracies(category, strings, cols, table, slots)
             above = levels[n + 1][0]
             assert [[above[y] for y in up] for up in table] == \
                 [[oracle.degeneracy(n, m, x) for x in strings] for m in range(n + 1)]

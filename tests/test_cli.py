@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import contextlib
-import dataclasses
 import io
 import json
 import os
@@ -190,7 +189,7 @@ def test_pi1_missing_relator_is_inconclusive(capsys, tmp_path, g, monkeypatch):
 
     def drop_last(category, basepoint):
         pres = build(category, basepoint)
-        return dataclasses.replace(pres, relations=pres.relations[:-1])
+        return pres._replace(relations=pres.relations[:-1])
 
     monkeypatch.setattr("finstack.cli.pi1_presentation", drop_last)
     out_json = tmp_path / "report.json"

@@ -8,13 +8,16 @@ and must come back equal; this is the oracle for those builders.
 from __future__ import annotations
 
 import itertools
+import json
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import finstack as fs
+from finstack import jsonio
 from finstack.category import partition
+from finstack.kan import FibMor
 from support import (groupoid_zoo, pair2, point_inclusion, pt, s3, s3_on_letters, self_action,
                      swap_action, z2, z3)
 
@@ -187,3 +190,56 @@ def test_partition_hand_cases():
     assert partition([3, 1, 2], []) == [[3], [1], [2]]
     assert partition([3, 1, 2], [(2, 3)]) == [[3, 2], [1]]
     assert partition("abcd", [("d", "a"), ("b", "c"), ("c", "b")]) == [["a", "d"], ["b", "c"]]
+
+
+def test_table_classes_compare_by_their_tables(tmp_path):
+    """Two loads of one groupoid document are equal, whatever each has cached;
+    a changed document, a changed inverse table or the bare category is not;
+    and a table class stays unhashable, as its dict tables are."""
+    doc = tmp_path / "z3.json"
+    doc.write_text(json.dumps(jsonio.groupoid_to_json(z3())))
+    g, again = (jsonio.groupoid_from_json(jsonio.load_json(str(doc))) for _ in range(2))
+    assert g.generators
+    assert g == again and not g != again
+    doc.write_text(json.dumps(jsonio.groupoid_to_json(fs.cyclic_groupoid(3, name="o"))))
+    assert g != jsonio.groupoid_from_json(jsonio.load_json(str(doc)))
+    tables = (g.objects, g.morphisms, g.src, g.tgt, g.comp, g.ident)
+    assert fs.FiniteGroupoid(*tables, {a: a for a in g.morphisms}) != g
+    assert fs.FiniteCategory(*tables) != g
+    for value in (g, fs.FiniteCategory(*tables)):
+        with pytest.raises(TypeError):
+            hash(value)
+
+
+def test_chains_nerves_and_covers_compare_by_their_fields():
+    """ChainComplex, TruncatedSimplicialSet and CoveredSpace compare by the
+    fields they are built from, not by their caches, and stay unhashable."""
+    s = fs.nerve(z2(), 3)
+    s.count(3, nondegenerate=True)
+    assert s == fs.nerve(z2(), 3) and s != fs.nerve(z2(), 2) and s != fs.nerve(z3(), 3)
+    cx = fs.chain_complex(s)
+    fs.homology(cx, 1)
+    assert cx == fs.chain_complex(fs.nerve(z2(), 3))
+    assert cx != fs.ChainComplex(cx.basis, cx.boundary, complete_above=True)
+    assert cx != fs.chain_complex(fs.nerve(z3(), 3))
+    cov = fs.covered_space(["w", "v"], {0: ["v", "w"], 1: ["w"]})
+    assert cov == fs.covered_space(["v", "w"], {0: {"w", "v"}, 1: {"w"}})
+    assert cov != fs.covered_space(["v", "w"], {0: ["v", "w"], 1: ["v"]})
+    for value in (s, cx, cov):
+        with pytest.raises(TypeError):
+            hash(value)
+
+
+def test_records_hash_and_print_as_their_fields():
+    """A record hashes as the tuple of its fields and prints as Name(field=value, ...)."""
+    g = z2()
+    cx = fs.chain_complex(fs.nerve(g, 3))
+    records = [fs.homology(cx, 1), fs.Span("x", "r", "g"), FibMor("a", "b", (0, 1)),
+               fs.pi1_iso_check(g, "*"), fs.AdjunctionReport(1, 1, True, "")]
+    for r in records:
+        assert hash(r) == hash(tuple(r))
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(r._fields, r))
+        assert repr(r) == f"{type(r).__name__}({fields})"
+    assert repr(records[0]) == "HomologyGroup(degree=1, free_rank=0, torsion=(2,))"
+    with pytest.raises(TypeError):
+        hash(fs.identity_functor(g))

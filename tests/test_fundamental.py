@@ -1,7 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
-
 import pytest
 
 import finstack as fs
@@ -116,7 +114,7 @@ def test_dropping_any_relator_decides_nothing(g, x):
     kinds = set()
     for i, word in enumerate(pres.relations):
         kinds.add(len(word) == 1)
-        dropped = dataclasses.replace(pres, relations=pres.relations[:i] + pres.relations[i + 1:])
+        dropped = pres._replace(relations=pres.relations[:i] + pres.relations[i + 1:])
         report = fs.pi1_iso_check(g, x, pres=dropped)
         assert report.relations_hold and report.surjective
         assert report.presented_order is None

@@ -113,8 +113,8 @@ def test_swapped_degeneracy_entries_break_ss_and_ds(monkeypatch, degree):
     tables breaks the two kinds of identity that read them, and not dd."""
     real = simplicial._degeneracies
     for m in range(degree + 1):
-        def swapped(g, strings, cols, table, m=m):
-            up = real(g, strings, cols, table)
+        def swapped(g, strings, cols, table, slots, m=m):
+            up = real(g, strings, cols, table, slots)
             if len(table) == degree:
                 up[m][:2] = up[m][1::-1]
             return up

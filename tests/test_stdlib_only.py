@@ -1,12 +1,14 @@
-"""The runtime imports nothing outside the standard library, every
-annotation in it names something its module can see, and every name a
-module imports is used there."""
+"""The runtime imports nothing outside the standard library and not
+``dataclasses``, every annotation in it names something its module can see,
+and every name a module imports is used there."""
 
 from __future__ import annotations
 
 import ast
 import importlib
 import inspect
+import os
+import subprocess
 import sys
 import typing
 from pathlib import Path
@@ -27,6 +29,28 @@ def test_absolute_imports_are_standard_library(path):
             imported.append(node.module)
     outside = [name for name in imported if name.split(".")[0] not in sys.stdlib_module_names]
     assert not outside, f"{path.name} imports {outside}"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_no_dataclasses(path):
+    """The records are NamedTuples and the table classes plain classes:
+    ``dataclasses`` costs a CLI launch about 10 ms to import, more to apply."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    imported = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for alias in node.names]
+    imported += [node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    assert "dataclasses" not in imported, f"{path.name} imports dataclasses"
+
+
+def test_cli_import_loads_no_dataclasses():
+    """In a fresh interpreter, ``import finstack.cli`` adds no ``dataclasses``
+    to ``sys.modules``; a module loaded before the import does not count."""
+    code = ("import sys; before = set(sys.modules); import finstack.cli; "
+            "print('dataclasses' in set(sys.modules) - before)")
+    src = str(SOURCES[0].parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert (run.returncode, run.stdout, run.stderr) == (0, "False\n", "")
 
 
 def test_sources_found():

@@ -1,7 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -190,7 +188,7 @@ def test_corrupted_pairing_caught():
     bad_delta = dict(t.delta)
     bad_delta[(u, v)] = t.delta[(u, u)]
     with pytest.raises(TorsorViolation):
-        validate_torsor(dataclasses.replace(t, delta=bad_delta))
+        validate_torsor(t._replace(delta=bad_delta))
 
 
 @pytest.mark.parametrize("law", ["fiber-domain", "fibers-disjoint", "section"])
@@ -202,7 +200,7 @@ def test_corrupted_fibers_caught(law):
               "fibers-disjoint": {"u": fu, "v": fv + fu[:1]},
               "section": {"u": fu[1:], "v": fv}}[law]
     with pytest.raises(TorsorViolation) as err:
-        validate_torsor(dataclasses.replace(t, fibers=fibers))
+        validate_torsor(t._replace(fibers=fibers))
     assert err.value.law == law
 
 
