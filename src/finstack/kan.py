@@ -55,11 +55,12 @@ def _positions(table: Mapping, domain, codomain) -> tuple | None:
 def compatible_families(sizes, constraints) -> list:
     """Every v with v[k] in range(sizes[k]), in lexicographic order, such that
     left[v[i]] == right[v[j]] for each constraint (i, left, j, right), and
-    left[v[i]] == right when j is None.  Backtracking places the variables in
-    a static order, each next one with the most constraints to those placed
-    (then the most in all), and takes its values from an index of one such
-    constraint.  Raises :class:`EnumerationBudgetExceeded` once the values
-    assigned and the values copied into families pass :data:`SEARCH_BUDGET`."""
+    left[v[i]] == right when j is None.  Backtracking places next the unplaced
+    variable k that maximises (links to placed variables, links, -k), each
+    binary constraint between k and another variable being a link, and takes
+    k's values from an index of its first link to a placed one.  Raises
+    :class:`EnumerationBudgetExceeded` once the values assigned and the
+    values copied into families pass :data:`SEARCH_BUDGET`."""
     budget = SEARCH_BUDGET
     values = [range(size) for size in sizes]
     links = [[] for _ in sizes]  # k -> (other variable, k's table, other's table)
@@ -71,21 +72,16 @@ def compatible_families(sizes, constraints) -> list:
             links[j].append((i, right, left))
     # per position: (variable, its values, index for its first link to an
     # earlier variable: value of its table -> values with it, those links)
-    checks, placed, score = [], set(), {}  # score: unplaced variable -> links to placed ones
-    fresh = iter(sorted(range(len(sizes)), key=lambda k: (-len(links[k]), k)))
-    while len(placed) < len(sizes):
-        k = max(score, key=lambda k: (score[k], len(links[k]), -k)) if score else \
-            next(k for k in fresh if k not in placed)
-        score.pop(k, None)
+    checks, placed = [], set()
+    for _ in sizes:
+        k = max((k for k in range(len(sizes)) if k not in placed),
+                key=lambda k: (sum(o in placed for o, _, _ in links[k]), len(links[k]), -k))
         mine = [(o, other, own) for o, own, other in links[k] if o in placed]
         index: dict = {}
         for v in values[k] if mine else ():
             index.setdefault(mine[0][2][v], []).append(v)
         checks.append((k, values[k], index, mine))
         placed.add(k)
-        for o, _, _ in links[k]:
-            if o not in placed:
-                score[o] = score.get(o, 0) + 1
 
     def candidates(p):
         _, out, index, mine = checks[p]
@@ -477,18 +473,17 @@ def is_global_limit(ic: IndexedCategory, b, diagram: FiberDiagram, obj) -> bool:
 
 
 class RightKanResult(NamedTuple):
-    """The extended lift together with its limit cones and projections."""
+    """The extended lift with its comma diagrams, limit cones and projections."""
 
     lift: Lift
     along: CatFunctor
-    commas: dict        # d -> comma category (d down E)
-    diagrams: dict      # d -> FiberDiagram over the fiber at anchor(d)
+    diagrams: dict      # d -> FiberDiagram on the comma (d down F), in the fiber at anchor(d)
     cones: dict         # d -> LimitCone
     projections: dict   # d -> {comma object: FibMor RF(d) -> diagram value}
 
 
 def _comma_fiber_diagram(ic: IndexedCategory, f: CatFunctor, p: CatFunctor,
-                         p_lift: Lift, d) -> tuple[FiniteCategory, FiberDiagram]:
+                         p_lift: Lift, d) -> FiberDiagram:
     """The diagram alpha |-> pull(p(alpha))(P(e)) on (d down F); functorial by
     construction when P is a lift, so it is built without :func:`fiber_diagram`."""
     comma = comma_category(d, f)
@@ -498,7 +493,7 @@ def _comma_fiber_diagram(ic: IndexedCategory, f: CatFunctor, p: CatFunctor,
         on_obj[(e, alpha)] = ic.pull(p.mor_map[alpha]).on_obj(p_lift.objects[e])
     for (alpha, gamma) in comma.morphisms:
         on_mor[(alpha, gamma)] = ic.pull(p.mor_map[alpha]).on_mor(p_lift.morphisms[gamma])
-    return comma, FiberDiagram(shape=comma, on_obj=on_obj, on_mor=on_mor)
+    return FiberDiagram(shape=comma, on_obj=on_obj, on_mor=on_mor)
 
 
 def right_kan(ic: IndexedCategory, f: CatFunctor, p: CatFunctor, p_lift: Lift) -> RightKanResult:
@@ -511,14 +506,13 @@ def right_kan(ic: IndexedCategory, f: CatFunctor, p: CatFunctor, p_lift: Lift) -
     is missing or fails to be global.
     """
     d_cat = f.target
-    commas: dict = {}
     diagrams: dict = {}
     cones: dict = {}
     objects: dict = {}
     projections: dict = {}
 
     for d in d_cat.objects:
-        comma, diagram = _comma_fiber_diagram(ic, f, p, p_lift, d)
+        diagram = _comma_fiber_diagram(ic, f, p, p_lift, d)
         fiber = ic.fiber(p.obj_map[d])
         cone_set = finset_limit(fiber, diagram)
         size = len(cone_set.cones)
@@ -531,7 +525,6 @@ def right_kan(ic: IndexedCategory, f: CatFunctor, p: CatFunctor, p_lift: Lift) -
         projs = {obj: FibMor(chosen, diagram.on_obj[obj],
                              tuple(cone[k] for cone in cone_set.positions))
                  for k, obj in enumerate(cone_set.shape_objects)}
-        commas[d] = comma
         diagrams[d] = diagram
         cones[d] = cone_set
         objects[d] = chosen
@@ -555,8 +548,8 @@ def right_kan(ic: IndexedCategory, f: CatFunctor, p: CatFunctor, p_lift: Lift) -
             element_of[tuple(cone[i] for i in restrict)] for cone in cones[a].positions))
 
     extended = lift(ic, d_cat, p, objects, morphisms)
-    return RightKanResult(lift=extended, along=f, commas=commas, diagrams=diagrams,
-                          cones=cones, projections=projections)
+    return RightKanResult(lift=extended, along=f, diagrams=diagrams, cones=cones,
+                          projections=projections)
 
 
 def counit(rf: RightKanResult) -> dict:

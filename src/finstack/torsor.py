@@ -6,6 +6,7 @@ compatibility conditions are pointwise equalities between arrows.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import NamedTuple
 
 from .errors import (
@@ -21,7 +22,8 @@ from .groupoid import FiniteGroupoid
 
 class CoveredSpace:
     """A finite set ``points``, in id order, with the cover ``cover``: index
-    -> frozenset of points."""
+    -> frozenset of points.  ``charts`` maps each point to the indices of the
+    cover sets that contain it, in id order, and is built on first use."""
 
     def __init__(self, points: tuple, cover: dict):
         self.points, self.cover = points, cover
@@ -34,6 +36,10 @@ class CoveredSpace:
 
     def indices(self) -> tuple:
         return self._indices
+
+    @cached_property
+    def charts(self) -> dict:
+        return {w: [i for i in self._indices if w in self.cover[i]] for w in self.points}
 
     def overlap(self, *labels) -> tuple:
         """The points in every named cover set, in id order."""
@@ -126,11 +132,9 @@ def cocycle_to_torsor(c: Cocycle) -> Torsor:
     law by construction from a valid cocycle, so it is not validated again.
     """
     g = c.target
-    indices = c.cov.indices()
-    sections: dict = {i: {} for i in indices}
+    sections: dict = {i: {} for i in c.cov.indices()}
     fibers, f, delta = {}, {}, {}
-    for w in c.cov.points:
-        charts = [i for i in indices if w in c.cov.cover[i]]
+    for w, charts in c.cov.charts.items():
         i0 = charts[0]
         fiber = fibers[w] = tuple((i0, w, alpha) for alpha in g.morphisms_from(c.a[i0][w]))
         f.update((u, g.tgt[u[2]]) for u in fiber)
@@ -160,39 +164,38 @@ class CocycleMorphism(NamedTuple):
     delta: dict  # (i, k) -> {w: arrow} on U_i of source and U'_k of target
 
 
-def _require_same_base(c: Cocycle, c2: Cocycle) -> None:
+def _require_same_base(c: Cocycle | Torsor, c2: Cocycle | Torsor, noun: str) -> None:
     if c.cov.points != c2.cov.points:
-        raise MismatchedTarget("cocycles live over different base sets")
+        raise MismatchedTarget(f"{noun} live over different base sets")
     if c.target != c2.target:
-        raise MismatchedTarget("cocycles have different target groupoids")
+        raise MismatchedTarget(f"{noun} have different target groupoids")
 
 
 def cocycle_morphism_violations(c: Cocycle, c2: Cocycle, delta: dict) -> list:
-    """Witnesses of M1/M2 failures for candidate morphism data; empty means valid."""
-    _require_same_base(c, c2)
-    g = c.target
-    bad = []
-    for i in c.cov.indices():
-        for k in c2.cov.indices():
-            overlap = c.cov.cover[i] & c2.cov.cover[k]
-            table = delta.get((i, k), {})
-            if set(table) != overlap:
-                bad.append(("domain", i, k))
-                continue
-            for w in overlap:
-                arrow = table[w]
+    """Witnesses of M1/M2 failures for candidate morphism data; empty means
+    valid.  Tables off their overlaps come first, in chart order; M1, then M2,
+    is checked only when all before it holds, point by point in id order."""
+    _require_same_base(c, c2, "cocycles")
+    g, charts, charts2 = c.target, c.cov.charts, c2.cov.charts
+    bad = [("domain", i, k) for i in c.cov.indices() for k in c2.cov.indices()
+           if set(delta.get((i, k), {})) != c.cov.cover[i] & c2.cov.cover[k]]
+    if bad:
+        return bad
+    for w in c.cov.points:
+        for i in charts[w]:
+            for k in charts2[w]:
+                arrow = delta[(i, k)][w]
                 if g.src[arrow] != c.a[i][w] or g.tgt[arrow] != c2.a[k][w]:
                     bad.append(("M1", w, i, k))
     if bad:
         return bad
-    for i in c.cov.indices():
-        for k in c2.cov.indices():
-            for l in c2.cov.indices():
-                for w in c.cov.cover[i] & c2.cov.cover[k] & c2.cov.cover[l]:
+    for w in c.cov.points:
+        for i in charts[w]:
+            for k in charts2[w]:
+                for l in charts2[w]:
                     if g.compose(delta[(i, k)][w], c2.gamma[(k, l)][w]) != delta[(i, l)][w]:
                         bad.append(("M2-right", w, i, k, l))
-            for j in c.cov.indices():
-                for w in c.cov.cover[i] & c.cov.cover[j] & c2.cov.cover[k]:
+                for j in charts[w]:
                     if g.compose(c.gamma[(i, j)][w], delta[(j, k)][w]) != delta[(i, k)][w]:
                         bad.append(("M2-left", w, i, j, k))
     return bad
@@ -209,12 +212,11 @@ def find_cocycle_morphism(c: Cocycle, c2: Cocycle) -> CocycleMorphism | None:
     the first charts containing w and delta0 any arrow a_i0(w) -> a'_k0(w); by C2
     every such choice satisfies M1/M2.  The result is checked before it is returned.
     """
-    _require_same_base(c, c2)
+    _require_same_base(c, c2, "cocycles")
     g = c.target
     delta: dict = {(i, k): {} for i in c.cov.indices() for k in c2.cov.indices()}
-    for w in c.cov.points:
-        charts = [i for i in c.cov.indices() if w in c.cov.cover[i]]
-        charts2 = [k for k in c2.cov.indices() if w in c2.cov.cover[k]]
+    for w, charts in c.cov.charts.items():
+        charts2 = c2.cov.charts[w]
         i0, k0 = charts[0], charts2[0]
         options = g.hom(c.a[i0][w], c2.a[k0][w])
         if not options:
@@ -238,10 +240,7 @@ def torsor_isomorphic(t1: Torsor, t2: Torsor) -> bool:
     the arrows out of f(u0), so matching them gives a bijection that keeps f;
     it keeps the pairing because delta(u, v) = delta(u0, u)^-1 . delta(u0, v).
     """
-    if t1.cov.points != t2.cov.points:
-        raise MismatchedTarget("torsors live over different base sets")
-    if t1.target != t2.target:
-        raise MismatchedTarget("torsors have different target groupoids")
+    _require_same_base(t1, t2, "torsors")
     for w in t1.cov.points:
         fiber1, fiber2 = t1.fibers[w], t2.fibers[w]
         if len(fiber1) != len(fiber2):

@@ -13,15 +13,20 @@ first forms as well, and so are the positional enumerations that
 ``finstack.kan.compatible_families`` replaced: cone sets and fiber hom-sets
 as filtered products.  :func:`is_global_limit` is the enumerating globality
 check that ``finstack.kan.is_global_limit`` decides from set sizes.
+:func:`compatible_families` is that search as it was before its variable
+order became one rule: the same order, kept as a score per variable and a
+pre-sorted list of fresh ones.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
+import finstack.kan as kan
 from finstack.category import idkey
-from finstack.errors import AxiomViolation, DanglingId, NotFComplete
+from finstack.errors import AxiomViolation, DanglingId, EnumerationBudgetExceeded, NotFComplete
 from finstack.kan import FiberDiagram, FibMor, FinSetFiber, LimitCone
 
 
@@ -255,3 +260,68 @@ def factorizations(ic, p, rf) -> dict:
             mapping[x] = matches[0]
         out[m] = elem_mor(objects[a], target_name, mapping)
     return out
+
+
+def _scored_search(sizes, constraints, budget) -> tuple:
+    """(families, placement order, search nodes) of the backtracking search,
+    its next variable the top-scored one, where a score counts the links to
+    placed variables, or, while no score is kept, the next fresh variable by
+    (-links, index)."""
+    values = [range(size) for size in sizes]
+    links = [[] for _ in sizes]  # k -> (other variable, k's table, other's table)
+    for i, left, j, right in constraints:
+        if j is None or i == j:
+            values[i] = [v for v in values[i] if left[v] == (right if j is None else right[v])]
+        else:
+            links[i].append((j, left, right))
+            links[j].append((i, right, left))
+    checks, placed, score = [], set(), {}  # score: unplaced variable -> links to placed ones
+    fresh = iter(sorted(range(len(sizes)), key=lambda k: (-len(links[k]), k)))
+    while len(placed) < len(sizes):
+        k = max(score, key=lambda k: (score[k], len(links[k]), -k)) if score else \
+            next(k for k in fresh if k not in placed)
+        score.pop(k, None)
+        mine = [(o, other, own) for o, own, other in links[k] if o in placed]
+        index: dict = {}
+        for v in values[k] if mine else ():
+            index.setdefault(mine[0][2][v], []).append(v)
+        checks.append((k, values[k], index, mine))
+        placed.add(k)
+        for o, _, _ in links[k]:
+            if o not in placed:
+                score[o] = score.get(o, 0) + 1
+
+    def candidates(p):
+        _, out, index, mine = checks[p]
+        for n, (o, other, own) in enumerate(mine):
+            key = other[assignment[o]]
+            out = index.get(key, ()) if n == 0 else [v for v in out if own[v] == key]
+        return out
+
+    assignment, found, nodes = [0] * len(sizes), [], 0
+    stack = [iter(candidates(0))] if sizes else []
+    while stack:
+        v = next(stack[-1], None)
+        if v is None:
+            stack.pop()
+            continue
+        leaf = len(stack) == len(sizes)
+        nodes += 1 + leaf * len(sizes)
+        if nodes > budget:
+            raise EnumerationBudgetExceeded(budget, "compatible-family search", "search nodes")
+        assignment[checks[len(stack) - 1][0]] = v
+        if leaf:
+            found.append(tuple(assignment))
+        else:
+            stack.append(iter(candidates(len(stack))))
+    return (sorted(found) if sizes else [()]), [k for k, _, _, _ in checks], nodes
+
+
+def compatible_families(sizes, constraints) -> list:
+    """The families, under ``finstack.kan.SEARCH_BUDGET`` as it is at the call."""
+    return _scored_search(sizes, constraints, kan.SEARCH_BUDGET)[0]
+
+
+def search_profile(sizes, constraints) -> tuple:
+    """(families, placement order, search nodes) of the whole search, without a budget."""
+    return _scored_search(sizes, constraints, math.inf)

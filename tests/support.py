@@ -3,13 +3,19 @@
 from __future__ import annotations
 
 import importlib.util
+import math
 import sys
 from pathlib import Path
 
+import pytest
+
 import finstack as fs
+import finstack.kan as kan
 import finstack.simplicial as simplicial
 from finstack.category import sorted_ids, validate_category
+from finstack.errors import EnumerationBudgetExceeded
 
+import kan_oracle
 from nerve_oracle import tabulated_nerve
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -352,3 +358,45 @@ def assert_levels_match_oracle(category, cap: int) -> None:
             above = levels[n + 1][0]
             assert [[above[y] for y in up] for up in table] == \
                 [[oracle.degeneracy(n, m, x) for x in strings] for m in range(n + 1)]
+
+
+def assert_search_matches_oracle(sizes, constraints) -> None:
+    """``kan.compatible_families`` returns the families of the score/fresh
+    oracle, places its variables in the oracle's order (read off the one
+    ``max`` call that picks each), and raises at exactly the budgets at
+    which the oracle raises: those below the oracle's node count."""
+    families, order, nodes = kan_oracle.search_profile(sizes, constraints)
+    picks = []
+
+    def picking_max(*args, **kwargs):
+        picks.append(max(*args, **kwargs))
+        return picks[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kan, "max", picking_max, raising=False)
+        mp.setattr(kan, "SEARCH_BUDGET", math.inf)
+        assert kan.compatible_families(sizes, constraints) == families
+    assert picks == order
+    for budget in sorted({0, nodes // 2, nodes - 1, nodes} - {-1}):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(kan, "SEARCH_BUDGET", budget)
+            for search in (kan.compatible_families, kan_oracle.compatible_families):
+                if budget < nodes:
+                    with pytest.raises(EnumerationBudgetExceeded):
+                        search(sizes, constraints)
+                else:
+                    assert search(sizes, constraints) == families
+
+
+def recorded_searches(monkeypatch, run) -> tuple:
+    """``run()``'s result and the (sizes, constraints) of every
+    ``kan.compatible_families`` call it makes."""
+    calls = []
+    search = kan.compatible_families
+    monkeypatch.setattr(kan, "compatible_families",
+                        lambda sizes, constraints: calls.append((sizes, constraints))
+                        or search(sizes, constraints))
+    try:
+        return run(), calls
+    finally:
+        monkeypatch.undo()

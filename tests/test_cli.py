@@ -16,8 +16,9 @@ from hypothesis import strategies as st
 import finstack as fs
 import finstack.jsonio as jio
 from finstack.cli import main
-from support import (cocycle_zoo, dihedral4, gauge_cocycle, groupoid_zoo, load_jobs, pair2,
-                     point_inclusion, s3, s3_on_letters, two_chart_z3_cocycle, weak_equivalence_zoo, z2, z3)
+from support import (assert_search_matches_oracle, cocycle_zoo, dihedral4, gauge_cocycle, groupoid_zoo,
+                     load_jobs, pair2, point_inclusion, recorded_searches, s3, s3_on_letters,
+                     two_chart_z3_cocycle, weak_equivalence_zoo, z2, z3)
 
 
 @pytest.fixture()
@@ -569,6 +570,21 @@ def test_kan_decides_shift_equalizer_within_budget(capsys, tmp_path, monkeypatch
     assert "RF at s: Q" in out.splitlines()
     assert "hom sizes: 8 vs 8" in out.splitlines()
     assert "[PASS] adjunction-bijection" in out.splitlines()
+
+
+@pytest.mark.parametrize("n", range(4, 11))
+def test_kan_shift_equalizer_searches_match_score_oracle(capsys, tmp_path, monkeypatch, n):
+    """The report at n = 4..10 is the rotation count, and every search it
+    runs agrees with the score/fresh oracle in order, families and budget."""
+    (code, out), calls = recorded_searches(
+        monkeypatch, lambda: run_cli(capsys, kan_argv(tmp_path, kan_shift_docs(n))))
+    assert code == 0
+    assert "RF at s: Q" in out.splitlines()
+    assert f"hom sizes: {n} vs {n}" in out.splitlines()
+    assert "[PASS] adjunction-bijection" in out.splitlines()
+    assert calls
+    for sizes, constraints in calls:
+        assert_search_matches_oracle(sizes, constraints)
 
 
 def test_kan_out_of_budget_is_inconclusive(capsys, tmp_path, monkeypatch):

@@ -29,7 +29,7 @@ from finstack.kan import (
     relabel_pullback,
 )
 import kan_oracle
-from support import pair2, pt, z2
+from support import assert_search_matches_oracle, pair2, pt, recorded_searches, z2
 
 
 def span_category():
@@ -343,7 +343,7 @@ def test_corrupted_extension_breaks_bijection():
          "mv": fib.mor("s1", rf.lift.objects["v"],
                           {"a": fib.elems(rf.lift.objects["v"])[0]})},
     )
-    corrupted = fs.RightKanResult(lift=collapsed, along=rf.along, commas=rf.commas,
+    corrupted = fs.RightKanResult(lift=collapsed, along=rf.along,
                                   diagrams=rf.diagrams, cones=rf.cones,
                                   projections={
                                       "s": {obj: fib.mor("s1", rf.diagrams["s"].on_obj[obj],
@@ -664,6 +664,60 @@ def test_compatible_families_budget_counts_assignments_and_copies(monkeypatch, b
     else:
         with pytest.raises(EnumerationBudgetExceeded):
             compatible_families([2, 2, 2], [])
+
+
+@st.composite
+def wide_constraint_network(draw):
+    """Up to nine variables of at most three values, with unary, self and
+    binary constraints over tables valued in {0, 1, 2}; about half of the
+    constraints after the first repeat an earlier one's variables."""
+    sizes = draw(st.lists(st.integers(0, 3), max_size=9))
+    constraints = []
+    for _ in range(draw(st.integers(0, 12)) if sizes else 0):
+        if constraints and draw(st.booleans()):
+            i, _, j, _ = draw(st.sampled_from(constraints))
+        else:
+            i = draw(st.integers(0, len(sizes) - 1))
+            j = draw(st.none() | st.integers(0, len(sizes) - 1))
+        table = lambda k: draw(st.lists(st.integers(0, 2), min_size=sizes[k], max_size=sizes[k]))  # noqa: E731
+        constraints.append((i, table(i), j, draw(st.integers(0, 2)) if j is None else table(j)))
+    return sizes, constraints
+
+
+@settings(max_examples=200, deadline=None)
+@given(wide_constraint_network())
+def test_compatible_families_search_order_matches_score_oracle(network):
+    """One order rule places the variables as the score/fresh bookkeeping
+    did, so the families and the budgets at which the search raises agree."""
+    assert_search_matches_oracle(*network)
+
+
+@pytest.mark.parametrize("build", KAN_INSTANCES.values(), ids=KAN_INSTANCES.keys())
+def test_kan_searches_match_score_oracle(monkeypatch, build):
+    """Every cone and hom-set search of right_kan and adjunction_check places
+    its variables, finds its families and exhausts its budget as the
+    score/fresh oracle does."""
+    ic, f, p, p_lift = build()
+
+    def run():
+        rf = fs.right_kan(ic, f, p, p_lift)
+        fs.adjunction_check(ic, f, p, p_lift, rf.lift, rf)
+
+    _, calls = recorded_searches(monkeypatch, run)
+    assert len(calls) == len(f.target.objects) + 2
+    for sizes, constraints in calls:
+        assert_search_matches_oracle(sizes, constraints)
+
+
+@pytest.mark.parametrize("build", KAN_INSTANCES.values(), ids=KAN_INSTANCES.keys())
+def test_right_kan_diagram_shapes_are_the_commas(build):
+    """The comma category at d is held once, as the shape of its diagram."""
+    ic, f, p, p_lift = build()
+    rf = fs.right_kan(ic, f, p, p_lift)
+    assert list(rf.diagrams) == list(f.target.objects)
+    for d, diagram in rf.diagrams.items():
+        assert diagram.shape == fs.comma_category(d, f)
+    assert "commas" not in fs.RightKanResult._fields
 
 
 def idempotent_category():

@@ -1,5 +1,10 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -442,3 +447,87 @@ def prefix_arrow_cocycles(draw):
 def test_first_chart_glue_matches_union_find_oracle_on_prefix_arrow_ids(c):
     """Each fiber lists its elements in the order of the arrows out of a_i0(w)."""
     assert fs.cocycle_to_torsor(c) == glue_torsor(c)
+
+
+def per_point_charts(cov) -> dict:
+    """The chart list of each point, as the torsor builders computed it on every call."""
+    return {w: [i for i in cov.indices() if w in cov.cover[i]] for w in cov.points}
+
+
+def test_chart_lists_match_the_per_point_scan_on_zoo():
+    for name, c in cocycle_zoo():
+        assert c.cov.charts == per_point_charts(c.cov), name
+        assert list(c.cov.charts) == list(c.cov.points), name
+
+
+@st.composite
+def random_covers(draw):
+    """A cover of up to six points by up to four charts, ids of mixed types
+    whose reprs may be prefixes of each other's."""
+    ids = ["w", "w1", "w10", 1, 10, -1, (1, 2)]
+    points = draw(st.lists(st.sampled_from(ids), min_size=1, max_size=6, unique=True))
+    charts = draw(st.lists(st.sampled_from(["1", "10", "2", 1, 10, 2]), min_size=1, max_size=4,
+                           unique=True))
+    cover = {i: set(draw(st.lists(st.sampled_from(points), unique=True))) for i in charts}
+    for w in points:
+        cover[draw(st.sampled_from(charts))].add(w)
+    return points, cover
+
+
+@settings(max_examples=200, deadline=None)
+@given(random_covers())
+def test_chart_lists_match_the_per_point_scan_on_random_covers(points_and_cover):
+    points, cover = points_and_cover
+    cov = fs.covered_space(points, cover)
+    assert cov.charts == per_point_charts(cov)
+    assert list(cov.charts) == list(cov.points)
+    # the chart lists are derived, so equality still reads points and cover only
+    assert cov == fs.covered_space(points, cover)
+
+
+def mismatched_pairs():
+    """Cocycles over another base set, and over the same base into another group."""
+    c = twist_cocycle()
+    other_base = gauge_cocycle(z2(), {"0": {"v"}}, {"v": "*"}, {("0", "v"): 0})
+    other_target = gauge_cocycle(z3(), {"0": {"w"}, "1": {"w"}}, {"w": "*"},
+                                 {("0", "w"): 0, ("1", "w"): 1})
+    return [(c, other_base, "live over different base sets"),
+            (c, other_target, "have different target groupoids")]
+
+
+@pytest.mark.parametrize("c, c2, reason", mismatched_pairs(), ids=["base", "target"])
+def test_mismatched_bases_raise_with_their_noun(c, c2, reason):
+    for source, target in ((c, c2), (c2, c)):
+        with pytest.raises(MismatchedTarget) as raised:
+            fs.find_cocycle_morphism(source, target)
+        assert str(raised.value) == f"cocycles {reason}"
+        with pytest.raises(MismatchedTarget) as raised:
+            fs.torsor_isomorphic(fs.cocycle_to_torsor(source), fs.cocycle_to_torsor(target))
+        assert str(raised.value) == f"torsors {reason}"
+
+
+BAD_MORPHISM_WITNESSES = """
+from finstack.torsor import cocycle_morphism_violations
+from support import gauge_cocycle, z2
+points = [f"w{k}" for k in range(8)]
+c = gauge_cocycle(z2(), {"0": set(points), "1": set(points)}, dict.fromkeys(points, "*"),
+                  {(i, w): 0 for i in "01" for w in points})
+delta = {(i, k): dict.fromkeys(points, 1 if (i, k) == ("0", "0") else 0) for i in "01" for k in "01"}
+print(cocycle_morphism_violations(c, c, delta))
+"""
+
+
+def test_cocycle_morphism_witnesses_do_not_depend_on_the_hash_seed():
+    """Witnesses come point by point in id order, not in the order of a set
+    of points, so two hash seeds give one list."""
+    tests = str(Path(__file__).resolve().parent)
+    src = str(Path(tests).parent / "src")
+    lists = []
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, tests, os.environ.get("PYTHONPATH")])))
+        run = subprocess.run([sys.executable, "-c", BAD_MORPHISM_WITNESSES], capture_output=True,
+                             text=True, env=env, check=True)
+        lists.append(run.stdout)
+    assert lists[0] == lists[1]
+    assert lists[0].startswith("[('M2-right', 'w0', '0', '0', '1'), ('M2-left', 'w0', '0', '1', '0'), ")
