@@ -236,11 +236,11 @@ class HomologyGroup(NamedTuple):
 
 
 class ChainComplex:
-    """Sparse integer boundaries with basis labels.
+    """Sparse integer boundaries on free generators.
 
-    ``basis[n]`` labels the free generators of C_n for 0 <= n <= top_degree;
-    ``boundary[n]`` maps C_n -> C_{n-1} for 1 <= n <= top_degree, as one
-    sparse column {row index: nonzero coefficient} per basis element of C_n.
+    ``basis[n]`` lists the generators of C_n, 0 <= n <= top_degree, of which
+    only the number is read; ``boundary[n]`` maps C_n -> C_{n-1} for 1 <= n <=
+    top_degree, as one sparse column {row index: coefficient} per generator.
     When ``complete_above`` is set the complex is genuinely zero above
     ``top_degree`` (a total space, not a truncation), so every boundary above
     top_degree is the zero map rather than unknown, and H_n = 0 there.
@@ -298,8 +298,8 @@ class ChainComplex:
 def chain_complex(s) -> ChainComplex:
     """Normalized chains: free on nondegenerate simplices, degenerate faces dropped.
 
-    ``s.chain_levels()`` yields each degree's basis and face rows (the basis
-    index one degree down of each face, ``None`` where it is degenerate).
+    ``s.chain_levels()`` yields each degree's basis and face rows (the index
+    one degree down of each face, ``None`` where it is degenerate).
     With ``complete_above`` s is zero above its top degree (a Milnor model),
     not truncated there (a nerve).  See May, *Simplicial Objects*, section 22.
     """

@@ -70,7 +70,7 @@ from .simplicial import TruncatedSimplicialSet, nerve
 
 class MilnorComplex(NamedTuple):
     """The level product of the level simplex on 0..``levels`` with the nerve
-    ``factor``, zero above degree ``levels``.  Each degree lists its cells by
+    ``factor``, zero above degree ``levels``.  Each degree orders its cells by
     level subset, in ``itertools.combinations`` order, then by factor string.
     No cell is built: homology reads the Morse complex of :meth:`chain_levels`,
     and :meth:`certify` the factor's face columns.
@@ -86,9 +86,9 @@ class MilnorComplex(NamedTuple):
 
     def chain_levels(self):
         """Yield (critical cells, face rows) of the level-collapse matching's Morse
-        complex for degrees 0..levels: the critical cell ({0..k}, x) is labelled
-        by x, and the rows are the factor's normalized rows, read off its face
-        columns.  Sound when :meth:`certify` finds no witness."""
+        complex for degrees 0..levels: the factor's normalized basis and rows,
+        the critical cell ({0..k}, x) numbered by the index of x.  Sound when
+        :meth:`certify` finds no witness."""
         return self.factor.chain_levels()
 
     def certify(self, matching: bool = True) -> tuple:
@@ -187,9 +187,9 @@ def comparison_chain_map(b: MilnorComplex, nerve_cx: ChainComplex) -> dict:
     """The projection f onto the nerve after the Morse inclusion of :meth:`MilnorComplex.chain_levels`,
     degree by degree, for ``nerve_cx`` the normalized chains of b's factor.
 
-    Up partners have degenerate strings, so the critical cell ({0..k}, x)
-    goes to x: the identity, one column {row: 1} per critical cell.  Defined in
-    degrees 0..min(levels, nerve cap).
+    Up partners have degenerate strings, so the critical cell ({0..k}, x),
+    numbered as x is, goes to x: the identity, one column {row: 1} per
+    critical cell.  Defined in degrees 0..min(levels, nerve cap).
     """
     return {k: [{row: 1} for row in range(nerve_cx.dim(k))]
             for k in range(min(b.levels, nerve_cx.top_degree) + 1)}

@@ -62,12 +62,12 @@ class LevelProduct:
         """Yield (cells, face rows) for degrees 0..levels, in ``simplices``
         order, by index arithmetic on the face columns of ``string_levels``,
         read row by row.  Row j of (L, x) is rank(L minus l_j) |X_{k-1}| +
-        entry j of x's row, where X_k holds the factor's k-strings and rank
-        numbers the subsets of one size."""
+        entry j of x's row, where X_k holds the factor's k-strings, as the
+        tabulated factor lists them, and rank numbers the subsets of one size."""
         g, levels = self.model.factor.category, range(self.model.levels + 1)
         offsets = {(): 0}
-        for k, (strings, cols) in enumerate(simplicial.string_levels(g, g.morphisms, self.model.levels)):
-            rows = list(zip(*cols))
+        for k, (_, cols) in enumerate(simplicial.string_levels(g, g.morphisms, self.model.levels)):
+            strings, rows = self.factor.simplices[k], list(zip(*cols))
             subsets = list(combinations(levels, k + 1))
             shifts = ([offsets[s[:j] + s[j + 1:]] for j in range(k + 1)] for s in subsets)
             yield (tuple(product(subsets, strings)),
@@ -134,11 +134,15 @@ def projection_chain_map(b: MilnorComplex, nerve_cx: ChainComplex) -> dict:
     """The projection (L, x) -> x of all of B into normalized nerve chains.
 
     Degree k holds one sparse column {nerve row: 1} per cell of B, the zero
-    column {} where x is degenerate.  Defined in degrees 0..min(levels, nerve cap).
+    column {} where x is degenerate.  The nerve's rows are its nondegenerate
+    strings in the tabulated factor's order.  Defined in degrees
+    0..min(levels, nerve cap).
     """
     maps, factor = {}, tabulated_nerve(b.factor.category, b.levels)
     for k in range(min(b.levels, nerve_cx.top_degree) + 1):
-        rows = {x: i for i, x in enumerate(nerve_cx.basis[k])}
+        kept = [x for x in factor.simplices[k] if not factor.is_degenerate(k, x)]
+        assert len(kept) == nerve_cx.dim(k)
+        rows = {x: i for i, x in enumerate(kept)}
         columns = [{} if row is None else {row: 1} for row in map(rows.get, factor.simplices[k])]
         maps[k] = columns * comb(b.levels + 1, k + 1)
     return maps

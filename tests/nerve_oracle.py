@@ -2,9 +2,9 @@
 
 Builds the composable strings of a groupoid together with all (d+1)^2 face
 tables and d(d+1)/2 degeneracy tables, and flags as degenerate exactly the
-simplices in the union of the degeneracy images.  The runtime nerve holds
-only face columns of indices, by index arithmetic on prefixes, and drops the
-strings that hold an identity arrow instead.
+simplices in the union of the degeneracy images.  The runtime nerve holds a
+string only as its index, with face columns of indices by index arithmetic
+on prefixes, and drops the strings that hold an identity arrow instead.
 
 ``simplicial_identity_violations`` is the tuple scan that checks every
 simplicial identity on the tabulated nerve by building both sides as
@@ -161,20 +161,22 @@ def row_identity_witnesses(s: TruncatedSimplicialSet, kinds: tuple = ("dd", "ss"
     """The first witness (kind, n, i, j, x) of each of ``kinds``, as
     ``TruncatedSimplicialSet.identity_witnesses`` finds it, by a generator per
     string over the face rows, read off the columns of
-    ``simplicial.string_levels`` and with its degeneracy tables.  An index
-    past the next degree's strings fails the identity that reads it."""
+    ``simplicial.string_levels`` and with its degeneracy tables, and naming
+    each witness's string as the tabulated nerve lists it.  An index past
+    the next degree's strings fails the identity that reads it."""
     g, tables = s.category, []
     found = {kind: None for kind in ("dd", "ss", "ds") if kind in kinds}
-    slots = simplicial._slots(g)
-    older = below = lower = cols_below = ()
-    for n, (strings, cols) in enumerate(simplicial.string_levels(g, g.morphisms, s.cap)):
-        rows = list(zip(*cols))
+    slots, simplices = simplicial._slots(g), tabulated_nerve(g, s.cap).simplices
+    older = below = lower = level_below = cols_below = ()
+    for n, (level, cols) in enumerate(simplicial.string_levels(g, g.morphisms, s.cap)):
+        strings, rows = simplices[n], list(zip(*cols))
         if n > 1 and "dd" in found and not found["dd"]:
             found["dd"] = next((("dd", n, i, j, x) for j in range(n + 1) for i in range(j)
                                 for x, row in zip(strings, rows)
                                 if lower[row[j]][i] != lower[row[i]][j - 1]), None)
         if n and ("ds" in found or "ss" in found):
-            tables.append(simplicial._degeneracies(g, below, cols_below, tables[-1] if tables else [], slots))
+            tables.append(simplicial._degeneracies(g, level_below, cols_below, tables[-1] if tables else [],
+                                                   slots))
             up, down = tables[n - 1], tables[n - 2] if n > 1 else ()
             if "ds" in found and not found["ds"]:
                 count = len(rows)
@@ -192,5 +194,5 @@ def row_identity_witnesses(s: TruncatedSimplicialSet, kinds: tuple = ("dd", "ss"
                                     for x, a, b in zip(older, down[i], down[j])
                                     if a >= count or b >= count or up[j + 1][a] != up[i][b]),
                                    None)
-        older, below, lower, cols_below = below, strings, rows, cols
+        older, below, lower, level_below, cols_below = below, strings, rows, level, cols
     return [w for w in found.values() if w]

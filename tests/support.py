@@ -308,12 +308,12 @@ def corrupted_string_levels(degree: int, index: int, j: int, value: int):
     (d_j of string ``index``) set to ``value``; the columns it builds from
     are untouched."""
     def corrupted(*args):
-        for k, (strings, cols) in enumerate(STRING_LEVELS(*args)):
+        for k, (level, cols) in enumerate(STRING_LEVELS(*args)):
             if k == degree:
                 cols = list(cols)
                 cols[j] = list(cols[j])
                 cols[j][index] = value
-            yield strings, cols
+            yield level, cols
 
     return corrupted
 
@@ -321,11 +321,12 @@ def corrupted_string_levels(degree: int, index: int, j: int, value: int):
 def covered_corruptions(category, levels: int):
     """(degree, string index, entry, value) for every single-entry change of a
     face column that the d_i s_j identities read: every string below the top
-    degree, and the top-degree strings that hold an identity."""
+    degree, and the top-degree strings that hold an identity, as the
+    tabulated nerve lists them."""
     clean = list(STRING_LEVELS(category, category.morphisms, levels))
+    oracle = tabulated_nerve(category, levels)
     for k in range(1, levels + 1):
-        strings, cols = clean[k]
-        for index, (x, row) in enumerate(zip(strings, zip(*cols))):
+        for index, (x, row) in enumerate(zip(oracle.simplices[k], zip(*clean[k][1]))):
             if k < levels or any(map(category.is_identity, x)):
                 for j, entry in enumerate(row):
                     for value in range(len(clean[k - 1][0])):
@@ -333,29 +334,50 @@ def covered_corruptions(category, levels: int):
                             yield k, index, j, value
 
 
+def level_strings(levels: list, arrows: tuple) -> list:
+    """The strings of each degree of ``string_levels(g, arrows, cap)``, read
+    back off its output: string x of degree n >= 1 is the string that its
+    prefix column d_n names (none for n = 1) followed by its last arrow."""
+    strings = [tuple(levels[0][0])]
+    for n, (lasts, cols) in enumerate(levels[1:], 1):
+        strings.append(tuple((strings[-1][p] if n > 1 else ()) + (arrows[j],)
+                             for p, j in zip(cols[-1], lasts)))
+    return strings
+
+
+def basis_strings(g, cx) -> dict:
+    """Each degree's basis of the normalized chains of a nerve of g, as the
+    identity-free strings that its indices name (see ``level_strings``)."""
+    arrows = tuple(a for a in g.morphisms if not g.is_identity(a))
+    strings = level_strings(list(STRING_LEVELS(g, arrows, cx.top_degree)), arrows)
+    return {n: tuple(strings[n][x] for x in basis) for n, basis in cx.basis.items()}
+
+
 def assert_levels_match_oracle(category, cap: int) -> None:
-    """``string_levels`` over all arrows agrees with the tabulated nerve: its
-    strings are the oracle's, each degree has one face column per face and
-    entry x of column i is the index one degree down of the oracle's d_i x,
-    the degeneracy tables built from the columns point at the oracle's s_m,
-    and their images are the strings that hold an identity."""
+    """``string_levels`` over all arrows agrees with the tabulated nerve: the
+    strings read back off its last arrows and prefix columns are the
+    oracle's, each degree has one face column per face and entry x of column
+    i is the index one degree down of the oracle's d_i x, the degeneracy
+    tables built from the columns point at the oracle's s_m, and their images
+    are the strings that hold an identity."""
     oracle = tabulated_nerve(category, cap)
     levels = list(simplicial.string_levels(category, category.morphisms, cap))
     slots = simplicial._slots(category)
-    assert [tuple(strings) for strings, _ in levels] == [oracle.simplices[n] for n in range(cap + 1)]
+    assert level_strings(levels, category.morphisms) == [oracle.simplices[n] for n in range(cap + 1)]
     table = []
-    for n, (strings, cols) in enumerate(levels):
+    for n, (level, cols) in enumerate(levels):
+        strings = oracle.simplices[n]
         assert len(cols) == (n + 1 if n else 0)
         if n:
-            below = levels[n - 1][0]
+            below = oracle.simplices[n - 1]
             assert [[below[q] for q in col] for col in cols] == \
                 [[oracle.face(n, i, x) for x in strings] for i in range(n + 1)]
             images = {y for up in table for y in up}
             assert [y in images for y in range(len(strings))] == \
                 [any(map(category.is_identity, x)) for x in strings]
         if n < cap:
-            table = simplicial._degeneracies(category, strings, cols, table, slots)
-            above = levels[n + 1][0]
+            table = simplicial._degeneracies(category, level, cols, table, slots)
+            above = oracle.simplices[n + 1]
             assert [[above[y] for y in up] for up in table] == \
                 [[oracle.degeneracy(n, m, x) for x in strings] for m in range(n + 1)]
 

@@ -17,8 +17,8 @@ from milnor_oracle import (LevelProduct, arrows, incidence, install_level_produc
                            level_product_chains, morse_boundary, orbit_quotient, partner,
                            projection_chain_map)
 from nerve_oracle import tabulated_nerve
-from support import (assert_levels_match_oracle, corrupted_string_levels, covered_corruptions,
-                     groupoid_zoo, is_sparse_chain_map, pair2, pt, s3, swap_action, z2, z3)
+from support import (assert_levels_match_oracle, basis_strings, corrupted_string_levels,
+                     covered_corruptions, groupoid_zoo, is_sparse_chain_map, pair2, pt, s3, swap_action, z2, z3)
 
 MILNOR_ZOO = groupoid_zoo() + [("z2+pt", fs.disjoint_union(z2(), pt()))]
 
@@ -261,8 +261,9 @@ def test_comparison_columns_are_the_projection(name, g):
     ncx = fs.chain_complex(fs.nerve(g, levels))
     cmap = projection_chain_map(b, ncx)
     assert sorted(cmap) == list(range(levels + 1))
+    labels = basis_strings(g, ncx)
     for k, cells in LevelProduct(b).simplices.items():
-        rows = {x: i for i, x in enumerate(ncx.basis[k])}
+        rows = {x: i for i, x in enumerate(labels[k])}
         assert cmap[k] == [{rows[x]: 1} if x in rows else {} for _, x in cells]
 
 
@@ -366,6 +367,7 @@ def test_level_collapse_matching_cell_by_cell(space, name, g, levels):
     s = space(g, levels)
     assert s.certify() == (True, None)
     morse, p = fs.chain_complex(s), LevelProduct(s)
+    labels = basis_strings(s.factor.category, morse)
     for k, cells in p.simplices.items():
         critical = []
         for cell in cells:
@@ -378,15 +380,15 @@ def test_level_collapse_matching_cell_by_cell(space, name, g, levels):
             if kind == "up":
                 assert p.factor.is_degenerate(k + 1, other[1])
                 assert incidence(p, k + 1, other, cell) in (1, -1)
-        assert critical == [(tuple(range(k + 1)), x) for x in morse.basis[k]]
+        assert critical == [(tuple(range(k + 1)), x) for x in labels[k]]
     for k in range(levels):
         # sigma -> sigma' for every other face sigma' of sigma's up partner that is matched up
         ups = up_matched(p, k)
         faces = {sigma: {p.face(k + 1, j, tau) for j in range(k + 2)} for sigma, tau in ups.items()}
         assert not has_cycle({sigma: [f for f in faces[sigma] - {sigma} if f in ups] for sigma in ups})
     for k in range(1, levels + 1):
-        index = {x: i for i, x in enumerate(morse.basis[k - 1])}
-        for x, column in zip(morse.basis[k], morse.boundary[k]):
+        index = {x: i for i, x in enumerate(labels[k - 1])}
+        for x, column in zip(labels[k], morse.boundary[k]):
             flowed = morse_boundary(p, k, (tuple(range(k + 1)), x))
             assert {index[y]: v for (_, y), v in flowed.items()} == column
 

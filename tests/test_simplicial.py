@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from itertools import islice
 
 import pytest
 from hypothesis import assume, given, settings
@@ -14,8 +15,8 @@ from finstack.cli import main
 from finstack.simplicial import simplicial_identity_violations
 from chain_oracle import lookup_levels
 from nerve_oracle import row_identity_witnesses, simplicial_identity_violations as tuple_scan, tabulated_nerve
-from support import (assert_levels_match_oracle, corrupted_string_levels, covered_corruptions,
-                     groupoid_zoo, pair2, pt, s3, weak_equivalence_zoo, z2)
+from support import (assert_levels_match_oracle, basis_strings, corrupted_string_levels,
+                     covered_corruptions, groupoid_zoo, pair2, pt, s3, weak_equivalence_zoo, z2, z3)
 
 
 def test_nerve_of_point():
@@ -43,7 +44,9 @@ def test_nerve_counts_pair_groupoid():
 
 def test_nerve_faces_compose():
     g = z2()
-    _, (ones, _), (twos, cols) = simplicial.string_levels(g, g.morphisms, 2)
+    _, _, (_, cols) = simplicial.string_levels(g, g.morphisms, 2)
+    simplices = tabulated_nerve(g, 2).simplices
+    ones, twos = simplices[1], simplices[2]
     x = twos.index((1, 1))  # the string (g, g)
     assert [ones[col[x]] for col in cols] == [(1,), (0,), (1,)]  # d_1 is the composite g.g = e
 
@@ -104,7 +107,7 @@ def test_degrees_of_one_string_and_none(name, s):
         assert [len(x) for x, _ in simplicial.string_levels(g, g.morphisms, 4)] == [1] * 5
     assert assert_passes_agree(s) == tuple_scan(s) == []
     oracle = fs.chain_complex(tabulated_nerve(g, s.cap))
-    assert (chains.basis, chains.boundary) == (oracle.basis, oracle.boundary)
+    assert (basis_strings(g, chains), chains.boundary) == (oracle.basis, oracle.boundary)
 
 
 @pytest.mark.parametrize("degree", [1, 2, 3])
@@ -220,7 +223,8 @@ def test_degenerate_flags_match_identity_strings():
     oracle = tabulated_nerve(g, 2)
     kept = [sigma for sigma in oracle.simplices[2] if not any(g.is_identity(a) for a in sigma)]
     assert [sigma for sigma in oracle.simplices[2] if not oracle.is_degenerate(2, sigma)] == kept
-    assert list(fs.nerve(g, 2).chain_levels())[2][0] == tuple(kept)
+    assert list(fs.nerve(g, 2).chain_levels())[2][0] == range(len(kept))
+    assert basis_strings(g, fs.chain_complex(fs.nerve(g, 2)))[2] == tuple(kept)
 
 
 def assert_nerve_matches_oracle(g, cap):
@@ -229,7 +233,7 @@ def assert_nerve_matches_oracle(g, cap):
     for n in range(cap + 1):
         assert s.count_nondegenerate(n) == oracle.count_nondegenerate(n)
     cx, ocx = fs.chain_complex(s), fs.chain_complex(oracle)
-    assert cx.basis == ocx.basis
+    assert basis_strings(g, cx) == ocx.basis
     assert cx.boundary == ocx.boundary
     assert cx.complete_above is ocx.complete_above is False
 
@@ -277,11 +281,63 @@ def test_nerve_chains_match_oracle_in_order(name, g, cap):
     generic lookup finds in the tabulated nerve."""
     s, oracle = fs.nerve(g, cap), tabulated_nerve(g, cap)
     cx, ocx = fs.chain_complex(s), fs.chain_complex(oracle)
-    assert cx.basis == ocx.basis
+    assert basis_strings(g, cx) == ocx.basis
     assert cx.boundary == ocx.boundary
     assert [(gens, [list(row) for row in rows]) for gens, rows in s.chain_levels()] == \
-        [(gens, list(rows)) for gens, rows in lookup_levels(oracle)]
+        [(range(len(gens)), list(rows)) for gens, rows in lookup_levels(oracle)]
     assert_levels_match_oracle(g, cap)
+
+
+REBUILD_CASES = IDENTITY_CASES + [("Z2+pt", fs.nerve(z2_and_point(), 4))]
+
+
+@pytest.mark.parametrize("name,s", REBUILD_CASES, ids=[c[0] for c in REBUILD_CASES])
+def test_string_levels_hold_strings_as_ints(name, s):
+    """Every degree >= 1 of ``string_levels`` holds ints only, over all arrows
+    and over the identity-free ones, where an inner face may be None."""
+    g = s.category
+    for arrows in (g.morphisms, tuple(a for a in g.morphisms if not g.is_identity(a))):
+        for level, cols in islice(simplicial.string_levels(g, arrows, s.cap), 1, None):
+            assert all(type(p) is int for p in level)
+            assert all(type(q) is int or q is None and arrows != g.morphisms for col in cols for q in col)
+
+
+@pytest.mark.parametrize("name,s", REBUILD_CASES, ids=[c[0] for c in REBUILD_CASES])
+def test_witness_string_rebuild_matches_oracle(name, s):
+    """The string that a witness index names, rebuilt by walking the order of
+    ``string_levels`` over all arrows, is the tabulated nerve's, for every
+    index in degrees up to 3: the objects in degree 0."""
+    g = s.category
+    simplices = tabulated_nerve(g, min(s.cap, 3)).simplices
+    for n, strings in simplices.items():
+        assert [simplicial._string(g, n, x) for x in range(len(strings))] == list(strings)
+
+
+def test_valid_input_builds_no_string(tmp_path, capsys, monkeypatch):
+    """Valid input has no witness, so no string is rebuilt: with the rebuild
+    forbidden, S3's nerve and Z/3's Milnor B and E jobs print the bytes and
+    exit codes that they print with it."""
+    paths = {}
+    for name, g in (("s3", s3()), ("z3", z3())):
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(jio.groupoid_to_json(g)))
+    argvs = [["nerve", "--groupoid", str(paths["s3"]), "--dim", "5"],
+             ["milnor", "--groupoid", str(paths["z3"]), "--space", "B", "--levels", "4",
+              "--compare-nerve", "--homology", "3"],
+             ["milnor", "--groupoid", str(paths["z3"]), "--space", "E", "--levels", "4",
+              "--homology", "3"]]
+
+    def run():
+        return [(main(argv), *capsys.readouterr()) for argv in argvs]
+
+    def forbidden(*args):
+        raise AssertionError("a string was built")
+
+    clean = run()
+    monkeypatch.setattr(simplicial, "_string", forbidden)
+    assert run() == clean
+    assert [code for code, _, _ in clean] == [0, 0, 0]
+    assert clean[0][1].endswith("degree 5: 7776 simplices, 3125 nondegenerate\n[PASS] simplicial-identities\n")
 
 
 def test_chains_and_counts_leave_the_string_table_unbuilt(monkeypatch):
