@@ -2,6 +2,9 @@
 
 Documents use string ids throughout.  Schemas are validated before any
 computation; violations raise :class:`SchemaError` with the offending key.
+The loaders of cocycles, morphism classes and Kan inputs live with their
+types, in ``torsor``, ``spans`` and ``kan``; they are reachable here too,
+through stand-ins that import their module on first call.
 """
 
 from __future__ import annotations
@@ -9,23 +12,10 @@ from __future__ import annotations
 import json
 from typing import Mapping
 
+from . import _lazy
 from .category import CatFunctor, FiniteCategory, functor, validate_category
 from .errors import SchemaError
 from .groupoid import FiniteGroupoid, validate_groupoid
-from .kan import (
-    FinSetFiber,
-    IndexedCategory,
-    Lift,
-    PullbackFunctor,
-    constant_pullback,
-    identity_pullback,
-    indexed_category,
-    lift,
-    make_fiber,
-    relabel_pullback,
-)
-from .spans import MorphismClass, morphism_class
-from .torsor import Cocycle, covered_space, validate_cocycle
 
 
 def _require(doc: Mapping, key: str, kind: type):
@@ -129,40 +119,6 @@ def groupoid_functor_from_json(doc: Mapping) -> CatFunctor:
     return functor(source, target, *groupoid_functor_tables(doc))
 
 
-def cocycle_from_json(doc: Mapping, target: FiniteGroupoid) -> Cocycle:
-    points = _ids(_require(doc, "W", list), "W")
-    cover_doc = _require(doc, "cover", dict)
-    cov = covered_space(points, {i: set(_ids(part, f"cover {i!r}")) for i, part in cover_doc.items()})
-    a_doc = _require(doc, "a", dict)
-    for i in a_doc:
-        if i not in cover_doc:
-            raise SchemaError(f"a key {i!r} is not a chart of cover")
-    gamma_doc = _require(doc, "gamma", dict)
-    gamma = {}
-    for key, table in gamma_doc.items():
-        parts = key.split(",")
-        if len(parts) != 2:
-            raise SchemaError(f"gamma key {key!r} must look like 'i,j'")
-        if parts[0] not in cover_doc or parts[1] not in cover_doc:
-            raise SchemaError(f"gamma key {key!r} names a chart outside cover")
-        gamma[(parts[0], parts[1])] = dict(_id_table(table, f"gamma {key!r}"))
-    a = {i: dict(_id_table(t, f"a {i!r}")) for i, t in a_doc.items()}
-    return validate_cocycle(cov, target, a, gamma)
-
-
-def cocycle_to_json(c: Cocycle) -> dict:
-    return {
-        "W": [str(w) for w in c.cov.points],
-        "cover": {str(i): [str(w) for w in sorted(c.cov.cover[i], key=str)]
-                  for i in c.cov.indices()},
-        "a": {str(i): {str(w): str(x) for w, x in sorted(c.a[i].items(), key=lambda kv: str(kv[0]))}
-              for i in c.cov.indices()},
-        "gamma": {f"{i},{j}": {str(w): str(arrow) for w, arrow in
-                               sorted(table.items(), key=lambda kv: str(kv[0]))}
-                  for (i, j), table in sorted(c.gamma.items(), key=lambda kv: str(kv[0]))},
-    }
-
-
 def category_from_json(doc: Mapping) -> FiniteCategory:
     return validate_category(*_category_tables(doc, "morphisms"))
 
@@ -172,86 +128,9 @@ def cat_functor_from_json(doc: Mapping, source: FiniteCategory, target: FiniteCa
                    _id_table(_require(doc, "morphisms", dict), "morphisms"))
 
 
-def morphism_class_from_json(doc: Mapping, cat: FiniteCategory) -> MorphismClass:
-    members = set(_ids(_require(doc, "members", list), "members"))
-    oracle = None
-    if "pullbacks" in doc:
-        oracle = {}
-        for entry in _require(doc, "pullbacks", list):
-            cospan = _ids(_require(entry, "cospan", list), "cospan")
-            if len(cospan) != 2:
-                raise SchemaError("cospan must have two morphisms")
-            if (cospan[0], cospan[1]) in oracle:
-                raise SchemaError(f"pullbacks repeats the cospan {cospan!r}")
-            oracle[(cospan[0], cospan[1])] = (
-                _require(entry, "apex", str),
-                _require(entry, "proj1", str),
-                _require(entry, "proj2", str),
-            )
-    return morphism_class(cat, members, oracle)
-
-
-def fiber_from_json(doc: Mapping) -> FinSetFiber:
-    if not isinstance(doc, dict):
-        raise SchemaError("a fiber must map set names to lists of elements")
-    for name, elems in doc.items():
-        if not isinstance(elems, list):
-            raise SchemaError(f"fiber set {name!r} must be a list")
-        if any(isinstance(x, (list, dict)) for x in elems):
-            raise SchemaError(f"fiber set {name!r} has an unhashable element")
-        seen: set = set()
-        for x in elems:
-            if x in seen:
-                raise SchemaError(f"fiber set {name!r} repeats the element {x!r}")
-            seen.add(x)
-    return make_fiber(doc)
-
-
-def _pullback_from_json(doc: Mapping, source: FinSetFiber, target: FinSetFiber) -> PullbackFunctor:
-    kind = _require(doc, "kind", str)
-    if kind == "identity":
-        return identity_pullback(source)
-    if kind == "constant":
-        return constant_pullback(source, target, _require(doc, "at", str))
-    if kind == "relabel":
-        objects = _require(doc, "objects", dict)
-        carriers = _require(doc, "carriers", dict)
-        for name, table in carriers.items():
-            if not isinstance(table, dict):
-                raise SchemaError(f"carrier {name!r} must map elements to elements")
-        return relabel_pullback(source, target, objects, carriers)
-    raise SchemaError(f"unknown pullback kind {kind!r}")
-
-
-def indexed_category_from_json(doc: Mapping, base: FiniteCategory) -> IndexedCategory:
-    fibers_doc = _require(doc, "fibers", dict)
-    fibers = {b: fiber_from_json(d) for b, d in fibers_doc.items()}
-    for b in base.objects:
-        if b not in fibers:
-            raise SchemaError(f"missing fiber for base object {b!r}")
-    pulls_doc = _require(doc, "pulls", dict)
-    pulls = {}
-    for m in base.morphisms:
-        if m not in pulls_doc:
-            raise SchemaError(f"missing pullback functor for base morphism {m!r}")
-        pulls[m] = _pullback_from_json(pulls_doc[m], fibers[base.tgt[m]], fibers[base.src[m]])
-    return indexed_category(base, fibers, pulls)
-
-
-def lift_from_json(doc: Mapping, ic: IndexedCategory, shape: FiniteCategory,
-                   anchor: CatFunctor) -> Lift:
-    """Lift maps become fiber morphisms in the fiber over the anchor of their
-    source, which checks that each is a total function between its sets."""
-    objects = _require(doc, "objects", dict)
-    shape_objects = set(shape.objects)
-    for d in objects:
-        if d not in shape_objects:
-            raise SchemaError(f"objects key {d!r} is not an object of the shape")
-    morphisms = {}
-    for m, entry in _require(doc, "morphisms", dict).items():
-        if m not in shape.src:
-            raise SchemaError(f"morphisms key {m!r} is not a morphism of the shape")
-        src, tgt = _require(entry, "src", str), _require(entry, "tgt", str)
-        table = _require(entry, "map", dict)
-        morphisms[m] = ic.fiber(anchor.obj_map[shape.src[m]]).mor(src, tgt, table)
-    return lift(ic, shape, anchor, objects, morphisms)
+cocycle_from_json = _lazy("torsor", "cocycle_from_json")
+cocycle_to_json = _lazy("torsor", "cocycle_to_json")
+morphism_class_from_json = _lazy("spans", "morphism_class_from_json")
+fiber_from_json = _lazy("kan", "fiber_from_json")
+indexed_category_from_json = _lazy("kan", "indexed_category_from_json")
+lift_from_json = _lazy("kan", "lift_from_json")

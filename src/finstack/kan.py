@@ -24,8 +24,10 @@ from .errors import (
     EnumerationBudgetExceeded,
     NotFComplete,
     NotFunctorial,
+    SchemaError,
 )
 from .groupoid import fiber_product_2_projections
+from .jsonio import _require
 
 SEARCH_BUDGET = 100_000  # search nodes per call of compatible_families
 
@@ -158,6 +160,22 @@ def make_fiber(sets: Mapping) -> FinSetFiber:
     return FinSetFiber(sets={name: sorted_ids(sets[name]) for name in sorted_ids(sets)})
 
 
+def fiber_from_json(doc: Mapping) -> FinSetFiber:
+    if not isinstance(doc, dict):
+        raise SchemaError("a fiber must map set names to lists of elements")
+    for name, elems in doc.items():
+        if not isinstance(elems, list):
+            raise SchemaError(f"fiber set {name!r} must be a list")
+        if any(isinstance(x, (list, dict)) for x in elems):
+            raise SchemaError(f"fiber set {name!r} has an unhashable element")
+        seen: set = set()
+        for x in elems:
+            if x in seen:
+                raise SchemaError(f"fiber set {name!r} repeats the element {x!r}")
+            seen.add(x)
+    return make_fiber(doc)
+
+
 def _has(collection, value) -> bool:
     """Membership that treats an unhashable value as absent."""
     try:
@@ -265,6 +283,22 @@ def relabel_pullback(source: FinSetFiber, target: FinSetFiber, obj_map: Mapping,
     return PullbackFunctor(obj_map=dict(obj_map), carriers=positions, sections=sections)
 
 
+def _pullback_from_json(doc: Mapping, source: FinSetFiber, target: FinSetFiber) -> PullbackFunctor:
+    kind = _require(doc, "kind", str)
+    if kind == "identity":
+        return identity_pullback(source)
+    if kind == "constant":
+        return constant_pullback(source, target, _require(doc, "at", str))
+    if kind == "relabel":
+        objects = _require(doc, "objects", dict)
+        carriers = _require(doc, "carriers", dict)
+        for name, table in carriers.items():
+            if not isinstance(table, dict):
+                raise SchemaError(f"carrier {name!r} must map elements to elements")
+        return relabel_pullback(source, target, objects, carriers)
+    raise SchemaError(f"unknown pullback kind {kind!r}")
+
+
 class IndexedCategory(NamedTuple):
     """Strict contravariant assignment of finite-set fibers to a finite base."""
 
@@ -319,6 +353,21 @@ def indexed_category(base: FiniteCategory, fibers: Mapping, pulls: Mapping) -> I
                 if pulls[fg].on_mor(m) != pulls[f].on_mor(pulls[g].on_mor(m)):
                     raise AxiomViolation("strict-composition", (f, g, m))
     return IndexedCategory(base=base, fibers=dict(fibers), pulls=dict(pulls))
+
+
+def indexed_category_from_json(doc: Mapping, base: FiniteCategory) -> IndexedCategory:
+    fibers_doc = _require(doc, "fibers", dict)
+    fibers = {b: fiber_from_json(d) for b, d in fibers_doc.items()}
+    for b in base.objects:
+        if b not in fibers:
+            raise SchemaError(f"missing fiber for base object {b!r}")
+    pulls_doc = _require(doc, "pulls", dict)
+    pulls = {}
+    for m in base.morphisms:
+        if m not in pulls_doc:
+            raise SchemaError(f"missing pullback functor for base morphism {m!r}")
+        pulls[m] = _pullback_from_json(pulls_doc[m], fibers[base.tgt[m]], fibers[base.src[m]])
+    return indexed_category(base, fibers, pulls)
 
 
 def trivial_indexed_category(base: FiniteCategory, sets: Mapping) -> IndexedCategory:
@@ -378,6 +427,25 @@ def lift(ic: IndexedCategory, shape: FiniteCategory, anchor: CatFunctor,
             raise AxiomViolation("lift-composition", (f, g))
     return Lift(ic=ic, shape=shape, anchor=anchor,
                 objects=dict(objects), morphisms=dict(morphisms))
+
+
+def lift_from_json(doc: Mapping, ic: IndexedCategory, shape: FiniteCategory,
+                   anchor: CatFunctor) -> Lift:
+    """Lift maps become fiber morphisms in the fiber over the anchor of their
+    source, which checks that each is a total function between its sets."""
+    objects = _require(doc, "objects", dict)
+    shape_objects = set(shape.objects)
+    for d in objects:
+        if d not in shape_objects:
+            raise SchemaError(f"objects key {d!r} is not an object of the shape")
+    morphisms = {}
+    for m, entry in _require(doc, "morphisms", dict).items():
+        if m not in shape.src:
+            raise SchemaError(f"morphisms key {m!r} is not a morphism of the shape")
+        src, tgt = _require(entry, "src", str), _require(entry, "tgt", str)
+        table = _require(entry, "map", dict)
+        morphisms[m] = ic.fiber(anchor.obj_map[shape.src[m]]).mor(src, tgt, table)
+    return lift(ic, shape, anchor, objects, morphisms)
 
 
 def precompose_lift(f: CatFunctor, p_lift: Lift) -> Lift:

@@ -12,7 +12,8 @@ from __future__ import annotations
 from typing import Mapping, NamedTuple
 
 from .category import FiniteCategory, idkey, partition, sorted_ids
-from .errors import DanglingId, HypothesisFails, InvalidClass, OracleMissing, UnknownObject
+from .errors import DanglingId, HypothesisFails, InvalidClass, OracleMissing, SchemaError, UnknownObject
+from .jsonio import _ids, _require
 
 
 class Span(NamedTuple):
@@ -118,6 +119,25 @@ def morphism_class(cat: FiniteCategory, members, oracle: Mapping | None = None) 
             if g in members and pf not in members:
                 raise InvalidClass("not closed under base extension", (g, f, pf))
     return MorphismClass(category=cat, members=members, oracle=oracle)
+
+
+def morphism_class_from_json(doc: Mapping, cat: FiniteCategory) -> MorphismClass:
+    members = set(_ids(_require(doc, "members", list), "members"))
+    oracle = None
+    if "pullbacks" in doc:
+        oracle = {}
+        for entry in _require(doc, "pullbacks", list):
+            cospan = _ids(_require(entry, "cospan", list), "cospan")
+            if len(cospan) != 2:
+                raise SchemaError("cospan must have two morphisms")
+            if (cospan[0], cospan[1]) in oracle:
+                raise SchemaError(f"pullbacks repeats the cospan {cospan!r}")
+            oracle[(cospan[0], cospan[1])] = (
+                _require(entry, "apex", str),
+                _require(entry, "proj1", str),
+                _require(entry, "proj2", str),
+            )
+    return morphism_class(cat, members, oracle)
 
 
 def identities_class(cat: FiniteCategory) -> MorphismClass:

@@ -7,7 +7,7 @@ compatibility conditions are pointwise equalities between arrows.
 from __future__ import annotations
 
 from functools import cached_property
-from typing import NamedTuple
+from typing import Mapping, NamedTuple
 
 from .errors import (
     AxiomViolation,
@@ -15,9 +15,11 @@ from .errors import (
     C2Violation,
     DanglingId,
     MismatchedTarget,
+    SchemaError,
 )
 from .category import sorted_ids
 from .groupoid import FiniteGroupoid
+from .jsonio import _id_table, _ids, _require
 
 
 class CoveredSpace:
@@ -107,6 +109,40 @@ def validate_cocycle(cov: CoveredSpace, target: FiniteGroupoid, a: dict, gamma: 
     return Cocycle(cov=cov, target=target,
                    a={i: dict(a[i]) for i in indices},
                    gamma={(i, j): dict(gamma.get((i, j), {})) for i in indices for j in indices})
+
+
+def cocycle_from_json(doc: Mapping, target: FiniteGroupoid) -> Cocycle:
+    points = _ids(_require(doc, "W", list), "W")
+    cover_doc = _require(doc, "cover", dict)
+    cov = covered_space(points, {i: set(_ids(part, f"cover {i!r}")) for i, part in cover_doc.items()})
+    a_doc = _require(doc, "a", dict)
+    for i in a_doc:
+        if i not in cover_doc:
+            raise SchemaError(f"a key {i!r} is not a chart of cover")
+    gamma_doc = _require(doc, "gamma", dict)
+    gamma = {}
+    for key, table in gamma_doc.items():
+        parts = key.split(",")
+        if len(parts) != 2:
+            raise SchemaError(f"gamma key {key!r} must look like 'i,j'")
+        if parts[0] not in cover_doc or parts[1] not in cover_doc:
+            raise SchemaError(f"gamma key {key!r} names a chart outside cover")
+        gamma[(parts[0], parts[1])] = dict(_id_table(table, f"gamma {key!r}"))
+    a = {i: dict(_id_table(t, f"a {i!r}")) for i, t in a_doc.items()}
+    return validate_cocycle(cov, target, a, gamma)
+
+
+def cocycle_to_json(c: Cocycle) -> dict:
+    return {
+        "W": [str(w) for w in c.cov.points],
+        "cover": {str(i): [str(w) for w in sorted(c.cov.cover[i], key=str)]
+                  for i in c.cov.indices()},
+        "a": {str(i): {str(w): str(x) for w, x in sorted(c.a[i].items(), key=lambda kv: str(kv[0]))}
+              for i in c.cov.indices()},
+        "gamma": {f"{i},{j}": {str(w): str(arrow) for w, arrow in
+                               sorted(table.items(), key=lambda kv: str(kv[0]))}
+                  for (i, j), table in sorted(c.gamma.items(), key=lambda kv: str(kv[0]))},
+    }
 
 
 class Torsor(NamedTuple):

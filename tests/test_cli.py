@@ -799,6 +799,68 @@ def test_module_entry_point_warns_nothing(z2_file):
     assert (run.returncode, run.stderr) == (0, "")
 
 
+# runs in a fresh interpreter: each step prints its exit code and the finstack modules loaded after it
+MODULE_PROBE = """
+import contextlib, io, json, sys
+import finstack.cli
+
+def loaded():
+    return sorted(m for m in sys.modules if m.partition(".")[0] == "finstack")
+
+steps = [("import", 0, loaded())]
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        steps.append((" ".join(argv[:2]), finstack.cli.main(argv), loaded()))
+print(json.dumps(steps))
+"""
+
+
+def test_a_launch_loads_only_what_its_subcommand_runs(tmp_path, z2_file):
+    """``import finstack.cli`` loads neither ``kan`` nor ``resolution``;
+    ``validate`` loads the loader, the table core and ``homology`` (which the
+    package binds eagerly); after it, ``torsor validate`` adds only ``torsor``
+    and ``diagram-special`` only ``kan``."""
+    cpath = tmp_path / "c.json"
+    cpath.write_text(json.dumps(jio.cocycle_to_json(cocycle_zoo()[1][1])))
+    argvs = [["validate", "--groupoid", z2_file],
+             ["torsor", "validate", "--groupoid", z2_file, "--cocycle", str(cpath)],
+             diagram_special_argv(tmp_path, diagram_special_docs())]
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-c", MODULE_PROBE, json.dumps(argvs)],
+                         capture_output=True, text=True, env=env, timeout=60)
+    assert (run.returncode, run.stderr) == (0, "")
+    (_, _, imported), *steps = json.loads(run.stdout)
+    assert {"finstack.kan", "finstack.resolution"}.isdisjoint(imported)
+    names = [step[0] for step in steps]
+    assert [code for _, code, _ in steps] == [0, 0, 0], names
+    validate, torsor, diagram = (set(modules) for _, _, modules in steps)
+    assert validate == {"finstack"} | {f"finstack.{m}" for m in (
+        "cli", "jsonio", "category", "groupoid", "errors", "homology")}
+    assert torsor - validate == {"finstack.torsor"}
+    assert diagram - torsor == {"finstack.kan"}
+
+
+def test_stand_ins_keep_patches_in_place(monkeypatch, capsys, z2_file):
+    """``cli.nerve`` imports its module on its first call and keeps the target
+    in its own closure: the attribute stays one object, and ``main()`` calls
+    whatever replaces it, as the benchmark's layer timers do."""
+    import finstack.cli as cli
+    stand_in = cli.nerve
+    assert stand_in(z2(), 3).count(3) == 8
+    assert cli.nerve is stand_in
+    calls = []
+
+    def recording(g, dim):
+        calls.append(dim)
+        return stand_in(g, dim)
+
+    monkeypatch.setattr(cli, "nerve", recording)
+    code, out = run_cli(capsys, ["nerve", "--groupoid", z2_file, "--dim", "3"])
+    assert (code, calls) == (0, [3])
+    assert "degree 3: 8 simplices, 1 nondegenerate" in out
+
+
 def test_schema_error_exit_2(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"objects": ["x"]}))

@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 import finstack as fs
 from finstack.category import chain_category
 from finstack.errors import FinstackError
-from finstack.jsonio import _pullback_from_json
-from finstack.kan import identity_pullback, relabel_pullback
+from finstack.kan import _pullback_from_json, identity_pullback, relabel_pullback
 from kan_oracle import (
     all_morphisms,
     check_indexed_category,
