@@ -4,13 +4,14 @@ A finite groupoid (:mod:`finstack.groupoid`) is a finite category with an
 inverse table.  Composition is diagrammatic throughout the package:
 ``compose(f, g)`` means "f then g" and is defined exactly when
 ``tgt(f) == src(g)``, so that ``src(compose(f, g)) == src(f)`` and
-``tgt(compose(f, g)) == tgt(g)``.
+``tgt(compose(f, g)) == tgt(g)``.  An arrow is its position in id order,
+and composition a row of positions per arrow; no other module numbers them.
 
 Tables that come from outside the program go through :func:`validate_category`
 or :func:`validate_groupoid`, which decide every axiom: associativity and
 functoriality on a generating set of arrows (``FiniteCategory.generators``),
 with an exhaustive scan only to name the first witness of a failure, or on
-tables under ``SCAN_BELOW`` entries.  Builders that only
+tables under ``SCAN_BELOW`` composites.  Builders that only
 combine validated values construct the table classes and records directly:
 their output is correct by construction.  Ids are put in order once, when a
 table is built (``FiniteCategory``, ``covered_space``, ``make_fiber``);
@@ -22,7 +23,8 @@ in id order without a sort.
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Callable, Iterable, Mapping, NamedTuple
+from itertools import chain, repeat
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 from .errors import AxiomViolation, DanglingId, MismatchedTarget, NoFinalObject
 
@@ -63,32 +65,43 @@ def partition(elements: Iterable, pairs: Iterable) -> list:
 
 
 class FiniteCategory:
-    """A category given by finite source/target/composition/identity tables.
+    """A category given by finite source/target/identity tables and composition rows.
 
-    Construction sorts the ids and indexes the morphisms by their endpoints;
-    it checks no axiom (see :func:`validate_category`).  Values are treated as
-    immutable afterwards; all operations on them are pure.  Two categories
-    are equal when their tables are.
+    Construction sorts the ids, numbers each arrow by its place in ``morphisms``
+    (``position``) and in ``morphisms_from`` its source (``slots``), and sets
+    ``rows[p][s]`` to the position of "f then g" for f at position p and g at
+    slot s, read from the mapping ``comp`` (None where it lacks the pair).  It
+    checks no axiom (see :func:`validate_category`).  Values are treated as
+    immutable afterwards; two categories are equal when their tables are.
     """
 
     def __init__(self, objects, morphisms, src: Mapping, tgt: Mapping, comp: Mapping,
                  ident: Mapping):
         self.objects, self.morphisms = sorted_ids(objects), sorted_ids(morphisms)
-        self.src, self.tgt, self.comp, self.ident = src, tgt, comp, ident
+        self.src, self.tgt, self.ident = src, tgt, ident
+        self.position = at = dict(zip(self.morphisms, range(len(self.morphisms))))
         by_src: dict = {x: [] for x in self.objects}
         by_tgt: dict = {x: [] for x in self.objects}
         hom: dict = {}
+        self.slots = slots = []
         for m in self.morphisms:
             x, y = src[m], tgt[m]
+            slots.append(len(by_src[x]))
             by_src[x].append(m)
             by_tgt[y].append(m)
             hom.setdefault((x, y), []).append(m)
         self._from = {x: tuple(v) for x, v in by_src.items()}
         self._into = {x: tuple(v) for x, v in by_tgt.items()}
         self._hom = {xy: tuple(v) for xy, v in hom.items()}
+        self.rows = rows = [[None] * len(by_src[tgt[m]]) for m in self.morphisms]
+        last = row = None
+        for (f, g), h in comp.items():
+            if f is not last:  # builders list each arrow's composites together
+                last, row = f, rows[at[f]]
+            row[slots[at[g]]] = at[h]
 
     def _compared(self) -> tuple:
-        return self.objects, self.morphisms, self.src, self.tgt, self.comp, self.ident
+        return self.objects, self.morphisms, self.src, self.tgt, self.rows, self.ident
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -97,15 +110,13 @@ class FiniteCategory:
 
     def compose(self, f, g):
         """Diagrammatic composite "f then g"."""
-        return self.comp[(f, g)]
+        return self.morphisms[self.rows[self.position[f]][self.slots[self.position[g]]]]
 
-    def compose_path(self, morphisms: Iterable):
-        """Composite of a composable list of morphisms; empty lists are rejected."""
-        morphisms = list(morphisms)
-        out = morphisms[0]
-        for m in morphisms[1:]:
-            out = self.comp[(out, m)]
-        return out
+    def composites(self) -> Iterator[tuple]:
+        """(f, g, f then g) for every composable pair, in id order: f by position, g by slot."""
+        arrows, out, tgt = self.morphisms, self._from, self.tgt
+        return chain.from_iterable(zip(repeat(f), out[tgt[f]], map(arrows.__getitem__, row))
+                                   for f, row in zip(arrows, self.rows))
 
     def is_identity(self, f) -> bool:
         return self.ident[self.src[f]] == f
@@ -122,30 +133,31 @@ class FiniteCategory:
     @cached_property
     def generators(self) -> tuple:
         """Non-identity arrows whose left-bracketed composites reach every
-        non-identity arrow; needs a total ``comp`` table.
+        non-identity arrow; needs full rows.
 
         Arrows b are taken in order of |into(src b)|·|from(tgt b)|, ties in id
         order, and kept when no composite of the arrows kept so far is b.
         """
-        src, tgt, comp, into, out = self.src, self.tgt, self.comp, self._into, self._from
+        src, tgt, into, out = self.src, self.tgt, self._into, self._from
+        arrows, at, slots, rows = self.morphisms, self.position, self.slots, self.rows
         identities = set(self.ident.values())
-        candidates = sorted((m for m in self.morphisms if m not in identities),
+        candidates = sorted((m for m in arrows if m not in identities),
                             key=lambda b: len(into[src[b]]) * len(out[tgt[b]]))
-        gens: list = []
-        gens_from: dict = {}
-        reached: set = set()
+        # the generators, the slots of those out of each object, and the positions reached
+        gens, gens_from, reached = [], {}, set()
         for b in candidates:
-            if b in reached:
+            p = at[b]
+            if p in reached:
                 continue
             gens.append(b)
-            gens_from.setdefault(src[b], []).append(b)
+            gens_from.setdefault(src[b], []).append(slots[p])
             # close the reached set under right composition, breadth first:
             # the old composites gain the factor b, the new ones every generator
-            queue = [b] + [comp[(r, b)] for r in into[src[b]] if r in reached]
+            queue = [p] + [rows[r][slots[p]] for r in map(at.__getitem__, into[src[b]]) if r in reached]
             for w in queue:
                 if w not in reached:
                     reached.add(w)
-                    queue += [comp[(w, g)] for g in gens_from.get(tgt[w], ())]
+                    queue += [rows[w][s] for s in gens_from.get(tgt[arrows[w]], ())]
         return tuple(gens)
 
     def final_object(self):
@@ -157,20 +169,17 @@ class FiniteCategory:
         raise NoFinalObject("category has no final object")
 
 
-# A comp table with fewer entries than this is scanned whole: on tables this
+# A table with fewer composites than this is scanned whole: on tables this
 # small, choosing generators costs more than the scan.
 SCAN_BELOW = 32
 
 
 def _associative_at(c: FiniteCategory, b) -> bool:
     """Whether (f.b).h = f.(b.h) for every f into src b and h out of tgt b."""
-    comp, after = c.comp, c._from[c.tgt[b]]
-    through_b = [comp[(b, h)] for h in after]
-    for f in c._into[c.src[b]]:
-        fb = comp[(f, b)]
-        if [comp[(fb, h)] for h in after] != [comp[(f, bh)] for bh in through_b]:
-            return False
-    return True
+    rows, slots, p = c.rows, c.slots, c.position[b]
+    through_b = list(map(slots.__getitem__, rows[p]))  # the slots of the b.h
+    return all(rows[row[slots[p]]] == list(map(row.__getitem__, through_b))
+               for row in map(rows.__getitem__, map(c.position.__getitem__, c._into[c.src[b]])))
 
 
 def validated(build: Callable, objects, morphisms, src, tgt, comp, ident):
@@ -179,13 +188,14 @@ def validated(build: Callable, objects, morphisms, src, tgt, comp, ident):
     ``build(objects, morphisms, src, tgt, comp, ident)`` makes the value.
     Raises :class:`DanglingId` when a table mentions an undeclared id and
     :class:`AxiomViolation` with a witness when a law fails.  ``comp`` must be
-    defined on exactly the composable pairs.
+    defined on exactly the composable pairs; its entries are checked in their
+    order, and then the rows (a missing pair is an empty slot) in id order.
 
     Associativity is decided on the triples (f, b, h) with b a generator
     (Light's test, read for categories): the arrows b with (f.b).h = f.(b.h)
     for all f and h hold the identities, by the unit laws, and are closed
     under composition, so they are every arrow once they hold a generating
-    set.  Only a failure, or a table under ``SCAN_BELOW`` entries, runs the
+    set.  Only a failure, or a table under ``SCAN_BELOW`` composites, runs the
     scan over every composable triple, which names the first failing one.
     """
     objects, morphisms = tuple(objects), tuple(morphisms)
@@ -199,9 +209,7 @@ def validated(build: Callable, objects, morphisms, src, tgt, comp, ident):
             raise DanglingId("src", m, src.get(m))
         if tgt.get(m) not in obj_set:
             raise DanglingId("tgt", m, tgt.get(m))
-    c = build(objects, morphisms, dict(src), dict(tgt), dict(comp), dict(ident))
-    src, tgt, comp, ident = c.src, c.tgt, c.comp, c.ident
-    for x in c.objects:
+    for x in sorted_ids(objects):
         e = ident.get(x)
         if e not in mor_set:
             raise DanglingId("id", x, e)
@@ -216,24 +224,22 @@ def validated(build: Callable, objects, morphisms, src, tgt, comp, ident):
             raise AxiomViolation("comp-domain", (f, g))
         if src[h] != src[f] or tgt[h] != tgt[g]:
             raise AxiomViolation("comp-endpoints", (f, g, h))
-    # every key is a composable pair, so comp is total when it has them all
-    if len(comp) != sum(len(c._into[x]) * len(c._from[x]) for x in c.objects):
-        for f in c.morphisms:
-            for g in c.morphisms_from(tgt[f]):
-                if (f, g) not in comp:
-                    raise DanglingId("comp (missing entry)", (f, g))
-    for f in c.morphisms:
-        if comp[(ident[src[f]], f)] != f:
+    c = build(objects, morphisms, dict(src), dict(tgt), comp, dict(ident))
+    arrows, at, slots, rows = c.morphisms, c.position, c.slots, c.rows
+    for f, row in zip(arrows, rows):
+        if None in row:
+            raise DanglingId("comp (missing entry)", (f, c._from[tgt[f]][row.index(None)]))
+    for p, f in enumerate(arrows):
+        if rows[at[ident[src[f]]]][slots[p]] != p:
             raise AxiomViolation("left-unit", f)
-        if comp[(f, ident[tgt[f]])] != f:
+        if rows[p][slots[at[ident[tgt[f]]]]] != p:
             raise AxiomViolation("right-unit", f)
-    if len(comp) < SCAN_BELOW or not all(_associative_at(c, b) for b in c.generators):
-        for f in c.morphisms:
-            for g in c.morphisms_from(tgt[f]):
-                fg = comp[(f, g)]
-                for h in c.morphisms_from(tgt[g]):
-                    if comp[(fg, h)] != comp[(f, comp[(g, h)])]:
-                        raise AxiomViolation("associativity", (f, g, h))
+    if sum(map(len, rows)) < SCAN_BELOW or not all(_associative_at(c, b) for b in c.generators):
+        for f, row in zip(arrows, rows):
+            for g, fg in zip(c._from[tgt[f]], row):
+                for s, gh in enumerate(rows[at[g]]):
+                    if rows[fg][s] != row[slots[gh]]:
+                        raise AxiomViolation("associativity", (f, g, c._from[tgt[g]][s]))
     return c
 
 
@@ -306,8 +312,8 @@ def functor(source: FiniteCategory, target: FiniteCategory, obj_map, mor_map) ->
     on the generators of the source: F(s.b) = F(s).F(b) for every s into
     src b and every generator b gives F(s.w) = F(s).F(w) for every arrow w,
     by induction on the length of w.  Only a failure, or a table under
-    ``SCAN_BELOW`` entries, scans the whole ``comp`` table, which names the
-    first failing pair.  Between groupoids this also
+    ``SCAN_BELOW`` composites, scans every composite in id order, which names
+    the first failing pair.  Between groupoids this also
     preserves inverses: F(a) . F(inv a) = F(id) = id.
     """
     objects, morphisms = set(target.objects), set(target.morphisms)
@@ -323,12 +329,11 @@ def functor(source: FiniteCategory, target: FiniteCategory, obj_map, mor_map) ->
     for x in source.objects:
         if mor_map[source.ident[x]] != target.ident[obj_map[x]]:
             raise AxiomViolation("functor-identity", x)
-    scomp, tcomp = source.comp, target.comp
-    if len(scomp) < SCAN_BELOW or any(
-            tcomp[(mor_map[s], mor_map[b])] != mor_map[scomp[(s, b)]]
+    if sum(map(len, source.rows)) < SCAN_BELOW or any(
+            target.compose(mor_map[s], mor_map[b]) != mor_map[source.compose(s, b)]
             for b in source.generators for s in source._into[source.src[b]]):
-        for (f, g), h in scomp.items():
-            if tcomp[(mor_map[f], mor_map[g])] != mor_map[h]:
+        for f, g, h in source.composites():
+            if target.compose(mor_map[f], mor_map[g]) != mor_map[h]:
                 raise AxiomViolation("functor-composition", (f, g))
     return CatFunctor(source, target, dict(obj_map), dict(mor_map))
 

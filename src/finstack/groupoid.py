@@ -41,9 +41,9 @@ def validate_groupoid(objects, morphisms, src, tgt, comp, ident, inv) -> FiniteG
             raise DanglingId("inv", a, ia)
         if g.src[ia] != g.tgt[a] or g.tgt[ia] != g.src[a]:
             raise AxiomViolation("inverse-endpoints", a)
-        if g.comp[(a, ia)] != g.ident[g.src[a]]:
+        if g.compose(a, ia) != g.ident[g.src[a]]:
             raise AxiomViolation("right-inverse", a)
-        if g.comp[(ia, a)] != g.ident[g.tgt[a]]:
+        if g.compose(ia, a) != g.ident[g.tgt[a]]:
             raise AxiomViolation("left-inverse", a)
     return g
 
@@ -115,7 +115,7 @@ def disjoint_union(g1: FiniteGroupoid, g2: FiniteGroupoid) -> FiniteGroupoid:
         [(t, a) for t, g in tagged for a in g.morphisms],
         {(t, a): (t, g.src[a]) for t, g in tagged for a in g.morphisms},
         {(t, a): (t, g.tgt[a]) for t, g in tagged for a in g.morphisms},
-        {((t, a), (t, b)): (t, c) for t, g in tagged for (a, b), c in g.comp.items()},
+        {((t, a), (t, b)): (t, c) for t, g in tagged for a, b, c in g.composites()},
         {(t, x): (t, g.ident[x]) for t, g in tagged for x in g.objects},
         {(t, a): (t, g.inv[a]) for t, g in tagged for a in g.morphisms},
     )
@@ -168,7 +168,7 @@ def fiber_product_strict(f: CatFunctor, h: CatFunctor) -> FiniteGroupoid:
         arrows,
         {(a, b): (g1.src[a], g2.src[b]) for a, b in arrows},
         {(a, b): (g1.tgt[a], g2.tgt[b]) for a, b in arrows},
-        {((a, b), (c, d)): (g1.comp[(a, c)], g2.comp[(b, d)])
+        {((a, b), (c, d)): (g1.compose(a, c), g2.compose(b, d))
          for a, b in arrows
          for c in g1.morphisms_from(g1.tgt[a]) for d in g2.morphisms_from(g2.tgt[b])
          if f.mor_map[c] == h.mor_map[d]},
@@ -192,19 +192,19 @@ def fiber_product_2(f: CatFunctor, h: CatFunctor) -> FiniteGroupoid:
     objects = [(x, y, k)
                for x in g1.objects for y in g2.objects
                for k in k_grp.hom(f.obj_map[x], h.obj_map[y])]
-    kcomp = k_grp.comp
-    rights = [(b, g2.src[b], g2.tgt[b], g2.inv[b], h.obj_map[g2.src[b]], h.mor_map[b],
-               [(d, g2.comp[(b, d)]) for d in g2.morphisms_from(g2.tgt[b])])
+    k_arrows, k_at, k_slots, k_rows = k_grp.morphisms, k_grp.position, k_grp.slots, k_grp.rows
+    rights = [(b, g2.src[b], g2.tgt[b], g2.inv[b], h.obj_map[g2.src[b]], k_slots[k_at[h.mor_map[b]]],
+               [(d, g2.compose(b, d)) for d in g2.morphisms_from(g2.tgt[b])])
               for b in g2.morphisms]
     src, tgt, comp, inv = {}, {}, {}, {}
     for a in g1.morphisms:
         sa, ta, ia = g1.src[a], g1.tgt[a], g1.inv[a]
-        fsa, back = f.obj_map[sa], k_grp.inv[f.mor_map[a]]
-        lefts = [(c, g1.comp[(a, c)]) for c in g1.morphisms_from(ta)]
-        for b, sb, tb, ib, hsb, hb, downs in rights:
+        fsa, back_row = f.obj_map[sa], k_rows[k_at[k_grp.inv[f.mor_map[a]]]]
+        lefts = [(c, g1.compose(a, c)) for c in g1.morphisms_from(ta)]
+        for b, sb, tb, ib, hsb, hb_slot, downs in rights:
             for k in k_grp.hom(fsa, hsb):
-                # k at the source of (a, b) carried to the target of (a, b)
-                k2 = kcomp[(kcomp[(back, k)], hb)]
+                # k at the source of (a, b) carried to the target: inv(f(a)) . k . h(b)
+                k2 = k_arrows[k_rows[back_row[k_slots[k_at[k]]]][hb_slot]]
                 arrow = (a, b, k)
                 src[arrow] = (sa, sb, k)
                 tgt[arrow] = (ta, tb, k2)
@@ -262,7 +262,7 @@ def full_subgroupoid(g: FiniteGroupoid, objects) -> FiniteGroupoid:
         arrows,
         {a: g.src[a] for a in arrows},
         {a: g.tgt[a] for a in arrows},
-        {(a, b): g.comp[(a, b)] for a in arrows for b in g.morphisms_from(g.tgt[a])
+        {(a, b): g.compose(a, b) for a in arrows for b in g.morphisms_from(g.tgt[a])
          if g.tgt[b] in keep},
         {x: g.ident[x] for x in keep},
         {a: g.inv[a] for a in arrows},
@@ -271,7 +271,8 @@ def full_subgroupoid(g: FiniteGroupoid, objects) -> FiniteGroupoid:
 
 def skeleton(g: FiniteGroupoid) -> FiniteGroupoid:
     """The full subgroupoid on the first object of each component: equivalent to g."""
-    return full_subgroupoid(g, [c[0] for c in pi0(g)])
+    firsts = [c[0] for c in pi0(g)]
+    return g if len(firsts) == len(g.objects) else full_subgroupoid(g, firsts)
 
 
 def vertex_group(g: FiniteGroupoid, x) -> FiniteGroupoid:

@@ -100,8 +100,8 @@ def groupoid_to_json(g: FiniteGroupoid) -> dict:
         "objects": [names[x] for x in g.objects],
         "arrows": [{"id": names[a], "src": names[g.src[a]], "tgt": names[g.tgt[a]]}
                    for a in g.morphisms],
-        "comp": [[names[a], names[b], names[c]] for (a, b), c in sorted(
-            g.comp.items(), key=lambda kv: (str(kv[0][0]), str(kv[0][1])))],
+        "comp": [[names[a], names[b], names[c]] for a, b, c in sorted(
+            g.composites(), key=lambda abc: (str(abc[0]), str(abc[1])))],
         "id": {names[x]: names[g.ident[x]] for x in g.objects},
         "inv": {names[a]: names[g.inv[a]] for a in g.morphisms},
     }

@@ -342,16 +342,14 @@ def indexed_category(base: FiniteCategory, fibers: Mapping, pulls: Mapping) -> I
         for m in probes[b]:
             if pf.on_mor(m) != m:
                 raise AxiomViolation("strict-identity-pullback", (b, m))
-    for f in base.morphisms:
-        for g in base.morphisms_from(base.tgt[f]):
-            fg = base.comp[(f, g)]
-            far = base.tgt[g]
-            for name in fibers[far].names():
-                if pulls[fg].on_obj(name) != pulls[f].on_obj(pulls[g].on_obj(name)):
-                    raise AxiomViolation("strict-composition", (f, g, name))
-            for m in probes[far]:
-                if pulls[fg].on_mor(m) != pulls[f].on_mor(pulls[g].on_mor(m)):
-                    raise AxiomViolation("strict-composition", (f, g, m))
+    for f, g, fg in base.composites():
+        far = base.tgt[g]
+        for name in fibers[far].names():
+            if pulls[fg].on_obj(name) != pulls[f].on_obj(pulls[g].on_obj(name)):
+                raise AxiomViolation("strict-composition", (f, g, name))
+        for m in probes[far]:
+            if pulls[fg].on_mor(m) != pulls[f].on_mor(pulls[g].on_mor(m)):
+                raise AxiomViolation("strict-composition", (f, g, m))
     return IndexedCategory(base=base, fibers=dict(fibers), pulls=dict(pulls))
 
 
@@ -420,7 +418,7 @@ def lift(ic: IndexedCategory, shape: FiniteCategory, anchor: CatFunctor,
         fiber = ic.fiber(anchor.obj_map[d])
         if morphisms[shape.ident[d]] != fiber.identity(objects[d]):
             raise AxiomViolation("lift-identity", d)
-    for (f, g), fg in shape.comp.items():
+    for f, g, fg in shape.composites():
         fiber = ic.fiber(anchor.obj_map[shape.src[f]])
         via = fiber.compose(morphisms[f], ic.pull(anchor.mor_map[f]).on_mor(morphisms[g]))
         if morphisms[fg] != via:
@@ -476,7 +474,7 @@ def fiber_diagram(fiber: FinSetFiber, shape: FiniteCategory,
     for x in shape.objects:
         if on_mor[shape.ident[x]] != fiber.identity(on_obj[x]):
             raise NotFunctorial(("identity", x))
-    for (m1, m2), m12 in shape.comp.items():
+    for m1, m2, m12 in shape.composites():
         if on_mor[m12] != fiber.compose(on_mor[m1], on_mor[m2]):
             raise NotFunctorial(("composition", m1, m2))
     return FiberDiagram(shape=shape, on_obj=dict(on_obj), on_mor=dict(on_mor))
@@ -710,7 +708,7 @@ def groupoid_diagram(shape: FiniteCategory, nodes: Mapping, arrows: Mapping) -> 
         g = nodes[x]
         if gid.obj_map != {o: o for o in g.objects} or gid.mor_map != {a: a for a in g.morphisms}:
             raise NotFunctorial(("identity", x))
-    for (m1, m2), m12 in shape.comp.items():
+    for m1, m2, m12 in shape.composites():
         composed = arrows[m1].then(arrows[m2])
         if composed.obj_map != arrows[m12].obj_map or composed.mor_map != arrows[m12].mor_map:
             raise NotFunctorial(("composition", m1, m2))

@@ -15,7 +15,7 @@ the coefficients times h . e_i over the ZG-generators e_i and group elements h.
 
 from __future__ import annotations
 
-from .groupoid import FiniteGroupoid, pi0
+from .groupoid import FiniteGroupoid, skeleton
 from .homology import ChainComplex, kernel_columns, lattice_insert
 
 
@@ -87,12 +87,11 @@ def resolution_chains(g: FiniteGroupoid, cap: int) -> ChainComplex:
     """
     basis: dict = {n: [] for n in range(cap + 1)}
     boundary: dict = {n: [] for n in range(1, cap + 1)}
-    for component in pi0(g):
-        x = component[0]
-        aut = g.hom(x, x)
-        index = {a: i for i, a in enumerate(aut)}
-        table = [[index[g.comp[(a, b)]] for b in aut] for a in aut]
-        m = len(aut)
+    s = skeleton(g)
+    for x in s.objects:
+        # x is alone in its component, so its arrows are Aut(x), each numbered by its slot
+        table = [list(map(s.slots.__getitem__, s.rows[s.position[a]])) for a in s.morphisms_from(x)]
+        m = len(table)
         offset = [len(basis[n]) for n in range(cap + 1)]
         basis[0].append((x, 0))
         for n, gens in enumerate(free_resolution(table, cap), 1):

@@ -151,13 +151,17 @@ def string_levels(g: FiniteCategory, arrows: tuple, cap: int):
     d_{n-1} = d_{n-1} p + (last(p) a) is the child of d_{n-1} p at the slot
     of last(p) a, and their d_n is p.  Each column is one pass over its parent.
     """
-    pos = {a: j for j, a in enumerate(arrows)}
-    out = {x: [pos[a] for a in g.morphisms_from(x) if a in pos] for x in g.objects}
-    slot = {k: i for ks in out.values() for i, k in enumerate(ks)}
+    at, rows = g.position, g.rows
+    out = {x: [] for x in g.objects}  # the positions in ``arrows`` of those out of x
+    kept = [None] * len(g.morphisms)  # by arrow position: its slot in ``out``, None off ``arrows``
+    for j, a in enumerate(arrows):
+        kept[at[a]] = len(out[g.src[a]])
+        out[g.src[a]].append(j)
     # for the arrow at position j: the arrows after it, and the slots of its composites with them
     after = [out[g.tgt[a]] for a in arrows]
     width = list(map(len, after))
-    joins = [[slot.get(pos.get(g.comp[(a, arrows[k])])) for k in ks] for a, ks in zip(arrows, after)]
+    joins = [[kept[c] for c, b in zip(rows[at[a]], g.morphisms_from(g.tgt[a])) if kept[at[b]] is not None]
+             for a in arrows]
     yield g.objects, []
     index = {x: i for i, x in enumerate(g.objects)}
     lasts = range(len(arrows))
@@ -211,10 +215,8 @@ def _slots(g: FiniteCategory) -> tuple:
     arrows out of its source, the number of arrows out of its end and the
     place of its end's identity among them, which ``_degeneracies`` reads in
     every degree of a pass."""
-    slot = {a: i for y in g.objects for i, a in enumerate(g.morphisms_from(y))}
-    ends = [g.tgt[a] for a in g.morphisms]
-    return ([slot[a] for a in g.morphisms], [len(g.morphisms_from(y)) for y in ends],
-            [slot[g.ident[y]] for y in ends])
+    return (g.slots, list(map(len, g.rows)),
+            [g.slots[g.position[g.ident[g.tgt[a]]]] for a in g.morphisms])
 
 
 def _degeneracies(g: FiniteCategory, level, cols: list, table: list, slots: tuple) -> list:
@@ -236,8 +238,7 @@ def _degeneracies(g: FiniteCategory, level, cols: list, table: list, slots: tupl
     where ``identity_witnesses`` counts the identities that read it as failing.
     """
     if not table:
-        position = {a: i for i, a in enumerate(g.morphisms)}
-        return [[position[g.ident[y]] for y in level]]
+        return [[g.position[g.ident[y]] for y in level]]
     slot, width, unit = slots
     first = list(accumulate(map(width.__getitem__, level), initial=0))
     first += [first[-1]] * len(g.morphisms)

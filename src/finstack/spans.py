@@ -56,39 +56,34 @@ def _maps_into(cat: FiniteCategory, a) -> list:
 def _check_pullback_square(cat: FiniteCategory, f, g, apex, pf, pg, maps_into_a: list) -> None:
     """Every (q1, q2) with q1 . f = q2 . g has exactly one u: x -> apex with
     u . pf = q1 and u . pg = q2; ``maps_into_a`` is ``_maps_into(cat, src f)``."""
-    comp = cat.comp
     if cat.src[pf] != apex or cat.src[pg] != apex:
         raise InvalidClass("oracle projections must leave the apex", (f, g))
     if cat.tgt[pf] != cat.src[f] or cat.tgt[pg] != cat.src[g]:
         raise InvalidClass("oracle projections land wrong", (f, g))
-    if comp[(pf, f)] != comp[(pg, g)]:
+    # composites as positions: u then v is rows[at[u]][the slot of v]
+    at, slots, rows = cat.position, cat.slots, cat.rows
+    f_slot, g_slot, pf_slot, pg_slot = map(slots.__getitem__, map(at.__getitem__, (f, g, pf, pg)))
+    if rows[at[pf]][f_slot] != rows[at[pg]][g_slot]:
         raise InvalidClass("oracle square does not commute", (f, g))
     for x, q1s in maps_into_a:
-        q2s = [(q2, comp[(q2, g)]) for q2 in cat.hom(x, cat.src[g])]
+        q2s = [(q2, rows[at[q2]][g_slot]) for q2 in cat.hom(x, cat.src[g])]
         if not q2s:
             continue
-        images = [(comp[(u, pf)], comp[(u, pg)]) for u in cat.hom(x, apex)]
+        images = [(rows[u][pf_slot], rows[u][pg_slot]) for u in map(at.__getitem__, cat.hom(x, apex))]
         for q1 in q1s:
-            q1f = comp[(q1, f)]
+            q1f = rows[at[q1]][f_slot]
             for q2, q2g in q2s:
-                if q2g == q1f and images.count((q1, q2)) != 1:
+                if q2g == q1f and images.count((at[q1], at[q2])) != 1:
                     raise InvalidClass("oracle output fails the universal property",
                                        (f, g, x, q1, q2))
 
 
 def close_composition(cat: FiniteCategory, members) -> frozenset:
     """Transitive closure of a generating set under composition, with identities."""
-    closed = set(members) | {cat.ident[x] for x in cat.objects}
-    grew = True
-    while grew:
-        grew = False
-        for r1 in list(closed):
-            for r2 in cat.morphisms_from(cat.tgt[r1]):
-                if r2 in closed:
-                    composite = cat.compose(r1, r2)
-                    if composite not in closed:
-                        closed.add(composite)
-                        grew = True
+    closed, size = set(members) | {cat.ident[x] for x in cat.objects}, 0
+    while size < len(closed):
+        size = len(closed)
+        closed.update([h for f, g, h in cat.composites() if f in closed and g in closed])
     return frozenset(closed)
 
 

@@ -4,19 +4,49 @@
 entry of the source's comp table.  They were the runtime's code before the
 laws were decided on a generating set of arrows (``FiniteCategory.generators``),
 and are kept here to check that the verdict, the exception and its witness
-are unchanged.
+are unchanged.  They run on :class:`Table`, the dict-keyed tables that the
+core held before composition became rows of arrow positions, so they never
+read a row, and a table may be corrupt, with dangling ids.
 """
 
 from __future__ import annotations
 
-from typing import Callable
-
-from finstack.category import CatFunctor, FiniteCategory, sorted_ids
+from finstack.category import CatFunctor, sorted_ids
 from finstack.errors import AxiomViolation, DanglingId
 
 
-def validated(build: Callable, objects, morphisms, src, tgt, comp, ident):
-    """Check the category axioms exhaustively and return ``build`` of the tables."""
+def comp_mapping(c) -> dict:
+    """The mapping (f, g) -> "f then g" of a category, in its composites' order."""
+    return {(f, g): h for f, g, h in c.composites()}
+
+
+class Table:
+    """A category as sorted ids, endpoint tables and ``comp``, a dict from
+    each composable pair (f, g) to "f then g"."""
+
+    def __init__(self, objects, morphisms, src, tgt, comp, ident):
+        self.objects, self.morphisms = sorted_ids(objects), sorted_ids(morphisms)
+        self.src, self.tgt, self.comp, self.ident = src, tgt, comp, ident
+        self._from: dict = {}
+        for m in self.morphisms:
+            self._from.setdefault(src[m], []).append(m)
+
+    @classmethod
+    def of(cls, c) -> Table:
+        return cls(c.objects, c.morphisms, c.src, c.tgt, comp_mapping(c), c.ident)
+
+    def compose(self, f, g):
+        return self.comp[(f, g)]
+
+    def composites(self):
+        return ((f, g, h) for (f, g), h in self.comp.items())
+
+    def morphisms_from(self, x) -> list:
+        return self._from.get(x, [])
+
+
+def validated(objects, morphisms, src, tgt, comp, ident) -> Table:
+    """Check the category axioms exhaustively and return the tables."""
     objects, morphisms = tuple(objects), tuple(morphisms)
     obj_set, mor_set = set(objects), set(morphisms)
     if len(obj_set) != len(objects):
@@ -28,7 +58,7 @@ def validated(build: Callable, objects, morphisms, src, tgt, comp, ident):
             raise DanglingId("src", m, src.get(m))
         if tgt.get(m) not in obj_set:
             raise DanglingId("tgt", m, tgt.get(m))
-    c = build(objects, morphisms, dict(src), dict(tgt), dict(comp), dict(ident))
+    c = Table(objects, morphisms, dict(src), dict(tgt), dict(comp), dict(ident))
     src, tgt, comp, ident = c.src, c.tgt, c.comp, c.ident
     for x in c.objects:
         e = ident.get(x)
@@ -63,11 +93,7 @@ def validated(build: Callable, objects, morphisms, src, tgt, comp, ident):
     return c
 
 
-def validate_category(objects, morphisms, src, tgt, comp, ident) -> FiniteCategory:
-    return validated(FiniteCategory, objects, morphisms, src, tgt, comp, ident)
-
-
-def functor(source: FiniteCategory, target: FiniteCategory, obj_map, mor_map) -> CatFunctor:
+def functor(source: Table, target: Table, obj_map, mor_map) -> CatFunctor:
     """Check the tables against src/tgt/id and every comp entry of the source."""
     objects, morphisms = set(target.objects), set(target.morphisms)
     for x in source.objects:

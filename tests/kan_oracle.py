@@ -196,7 +196,7 @@ def check_indexed_category(base, fibers: dict, tables: dict) -> None:
         for g in base.morphisms:
             if base.tgt[f] != base.src[g]:
                 continue
-            fg = base.comp[(f, g)]
+            fg = base.compose(f, g)
             far = fibers[base.tgt[g]]
             for name in far.names():
                 if tables[fg].on_obj(name) != tables[f].on_obj(tables[g].on_obj(name)):

@@ -56,13 +56,13 @@ def fiber_product_2(f: CatFunctor, h: CatFunctor) -> FiniteGroupoid:
         for b in g2.morphisms:
             back = k_grp.inv[f.mor_map[a]]
             for k in k_grp.hom(f.obj_map[g1.src[a]], h.obj_map[g2.src[b]]):
-                k2 = k_grp.compose_path([back, k, h.mor_map[b]])
+                k2 = k_grp.compose(k_grp.compose(back, k), h.mor_map[b])
                 src[(a, b, k)] = (g1.src[a], g2.src[b], k)
                 tgt[(a, b, k)] = (g1.tgt[a], g2.tgt[b], k2)
                 inv[(a, b, k)] = (g1.inv[a], g2.inv[b], k2)
                 for c in g1.morphisms_from(g1.tgt[a]):
                     for d in g2.morphisms_from(g2.tgt[b]):
-                        comp[((a, b, k), (c, d, k2))] = (g1.comp[(a, c)], g2.comp[(b, d)], k)
+                        comp[((a, b, k), (c, d, k2))] = (g1.compose(a, c), g2.compose(b, d), k)
     return FiniteGroupoid(objects, src.keys(), src, tgt, comp,
                           {(x, y, k): (g1.ident[x], g2.ident[y], k) for x, y, k in objects}, inv)
 

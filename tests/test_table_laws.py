@@ -5,12 +5,16 @@ generator, ``category.functor`` decides composition on the generators of the
 source, ``spans._check_pullback_square`` reads the maps into each object and
 the mediator images once, and ``groupoid.fiber_product_2`` hoists its
 per-arrow lookups.  Each must give the same verdict, exception and witness as
-the exhaustive code it replaced (``category_oracle``, ``spans_oracle``).
+the exhaustive code it replaced (``category_oracle``, ``spans_oracle``); the
+category oracles run on dict-keyed tables and never read a composition row.
+``compose`` and ``composites`` read, off the rows, the comp mapping that each
+table was built from.
 """
 
 from __future__ import annotations
 
 import itertools
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -23,9 +27,9 @@ from finstack import category, jsonio
 from finstack.category import FiniteCategory, validated
 from finstack.errors import FinstackError
 from finstack.spans import _check_pullback_square, _maps_into
-from support import (cylinder_category, pair2, point_inclusion, s3, self_action, subset_poset, z2,
-                     z3)
-from test_core import BUILT, LEGS, translation_projection
+from support import (cylinder_category, groupoid_zoo, pair2, point_inclusion, s3, self_action,
+                     subset_poset, z2, z3)
+from test_core import BUILT, LEGS, ZOO, builder_outputs, translation_projection
 from test_spans import load_bench_docs
 
 
@@ -46,13 +50,20 @@ def outcome(fn, *args):
 
 
 def tables(c) -> list:
-    return [c.objects, c.morphisms, dict(c.src), dict(c.tgt), dict(c.comp), dict(c.ident)]
+    """The raw tables of a category or an oracle ``Table``."""
+    return [c.objects, c.morphisms, dict(c.src), dict(c.tgt), category_oracle.comp_mapping(c),
+            dict(c.ident)]
 
 
 def same_verdict(raw) -> tuple:
-    """Validate ``raw`` tables both ways; the two outcomes must agree."""
+    """Validate ``raw`` tables both ways; the two outcomes, a valid table's
+    tables or the error, must agree."""
     got = outcome(validated, FiniteCategory, *raw)
-    assert got == outcome(category_oracle.validated, FiniteCategory, *raw)
+    want = outcome(category_oracle.validated, *raw)
+    if got[0] == "ok":
+        assert want[0] == "ok" and tables(got[1]) == tables(want[1])
+    else:
+        assert got == want
     return got
 
 
@@ -109,13 +120,14 @@ def test_every_single_mor_map_corruption_gets_the_same_witness():
     seen = set()
     for f in small_functors():
         assert outcome(fs.functor, f.source, f.target, f.obj_map, f.mor_map) == ("ok", f)
+        oracle_tables = category_oracle.Table.of(f.source), category_oracle.Table.of(f.target)
         for m, image in f.mor_map.items():
             for other in f.target.morphisms:
                 if other == image:
                     continue
-                args = (f.source, f.target, f.obj_map, {**f.mor_map, m: other})
-                got = outcome(fs.functor, *args)
-                assert got == outcome(category_oracle.functor, *args)
+                maps = (f.obj_map, {**f.mor_map, m: other})
+                got = outcome(fs.functor, f.source, f.target, *maps)
+                assert got == outcome(category_oracle.functor, *oracle_tables, *maps)
                 seen.add(got[1].split(" fails")[0])
     assert "axiom functor-composition" in seen
 
@@ -143,18 +155,23 @@ def generator_spec_holds(c) -> bool:
     return tuple(kept) == c.generators and closure(kept) | identities == set(c.morphisms)
 
 
+def preorder(n_and_pairs):
+    """The thin category on range(n) of the reflexive-transitive closure of ``pairs``."""
+    n, pairs = n_and_pairs
+    le = {(x, x) for x in range(n)} | {(x, y) for x, y in pairs if x < n and y < n}
+    for z, x, y in itertools.product(range(n), repeat=3):
+        if (x, z) in le and (z, y) in le:
+            le.add((x, y))
+    return fs.poset_category(range(n), lambda x, y: (x, y) in le)
+
+
+RELATIONS = st.tuples(st.integers(1, 5),
+                      st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), max_size=8))
+
+
 def preorders():
     """Thin categories on up to five objects: the reflexive-transitive closure of a random relation."""
-    def build(n_and_pairs):
-        n, pairs = n_and_pairs
-        le = {(x, x) for x in range(n)} | {(x, y) for x, y in pairs if x < n and y < n}
-        for z, x, y in itertools.product(range(n), repeat=3):
-            if (x, z) in le and (z, y) in le:
-                le.add((x, y))
-        return fs.poset_category(range(n), lambda x, y: (x, y) in le)
-
-    pairs = st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), max_size=8)
-    return st.tuples(st.integers(1, 5), pairs).map(build)
+    return RELATIONS.map(preorder)
 
 
 POOL = [c for _, c in BUILT] + [fs.cyclic_groupoid(m) for m in (4, 6, 12)] + [
@@ -165,6 +182,59 @@ POOL = [c for _, c in BUILT] + [fs.cyclic_groupoid(m) for m in (4, 6, 12)] + [
 @given(st.one_of(st.sampled_from(POOL), preorders()))
 def test_generators_reach_every_non_identity_arrow(c):
     assert generator_spec_holds(c)
+
+
+def recorded_comp(build) -> tuple:
+    """``build()``, and by ``id`` each table it constructs, the comp mapping
+    that the table was given."""
+    given = {}
+    init = FiniteCategory.__init__
+
+    def recording(self, objects, morphisms, src, tgt, comp, ident):
+        given[id(self)] = dict(comp)
+        init(self, objects, morphisms, src, tgt, comp, ident)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(FiniteCategory, "__init__", recording)
+        built = build()
+    return built, given
+
+
+def assert_rows_hold(c, comp: dict) -> None:
+    """``compose`` agrees with the oracle table of ``comp`` on every
+    composable pair, and ``composites`` lists those pairs in id order."""
+    table = category_oracle.Table(c.objects, c.morphisms, c.src, c.tgt, comp, c.ident)
+    pairs = [(f, g) for f in c.morphisms for g in c.morphisms if c.tgt[f] == c.src[g]]
+    assert len(pairs) == len(comp)
+    assert [c.compose(f, g) for f, g in pairs] == [table.compose(f, g) for f, g in pairs]
+    assert [fg[:2] for fg in c.composites()] == [
+        (f, g) for f in c.morphisms for g in table.morphisms_from(c.tgt[f])]
+    assert category_oracle.comp_mapping(c) == comp
+
+
+def test_compose_reads_the_given_table_on_the_zoo():
+    def zoo():
+        return [c for _, c in groupoid_zoo() + builder_outputs()] + cylinders() + [
+            fs.symmetric_groupoid(4), fs.cyclic_groupoid(12), cylinder_category()[0], subset_poset(3)[0]]
+
+    built, given = recorded_comp(zoo)
+    for c in built:
+        if id(c) in given:
+            assert_rows_hold(c, given[id(c)])
+        else:  # the skeleton of a groupoid built before the recording is that groupoid
+            assert any(c is g for _, g in ZOO)
+
+
+LEG_PAIRS = st.sampled_from(LEGS).flatmap(lambda legs: st.tuples(*[st.sampled_from(legs)] * 2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(RELATIONS.map(lambda r: partial(preorder, r)),
+                 LEG_PAIRS.map(lambda fh: partial(fs.fiber_product_2, *fh))))
+def test_compose_reads_the_given_table_on_draws(build):
+    """On preorders and on iso-comma fiber products of functors into small groupoids."""
+    c, given = recorded_comp(build)
+    assert_rows_hold(c, given[id(c)])
 
 
 def late_factor_category():
@@ -258,5 +328,5 @@ def test_fiber_product_2_tables_match_the_oracle():
     for legs in LEGS:
         for f, h in itertools.product(legs, repeat=2):
             got, want = fs.fiber_product_2(f, h), spans_oracle.fiber_product_2(f, h)
-            for name in ("objects", "morphisms", "src", "tgt", "comp", "ident", "inv"):
+            for name in ("objects", "morphisms", "src", "tgt", "rows", "ident", "inv"):
                 assert getattr(got, name) == getattr(want, name)
