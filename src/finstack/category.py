@@ -11,13 +11,14 @@ Tables that come from outside the program go through :func:`validate_category`
 or :func:`validate_groupoid`, which decide every axiom: associativity and
 functoriality on a generating set of arrows (``FiniteCategory.generators``),
 with an exhaustive scan only to name the first witness of a failure, or on
-tables under ``SCAN_BELOW`` composites.  Builders that only
-combine validated values construct the table classes and records directly:
-their output is correct by construction.  Ids are put in order once, when a
-table is built (``FiniteCategory``, ``covered_space``, ``make_fiber``);
-:func:`partition` and the morphism indexes keep that order, so components,
-span and homotopy classes, torsor fibers, fiber names and cone sets come out
-in id order without a sort.
+tables under ``SCAN_BELOW`` composites.  Builders that only combine
+validated values construct the table classes and records directly: their
+output is correct by construction.  Builders hand the core their composition
+law, and the core alone enumerates composable pairs.  Ids are put in order
+once, when a table is built (``FiniteCategory``, ``covered_space``,
+``make_fiber``); :func:`partition` and the morphism indexes keep that order,
+so components, span and homotopy classes, torsor fibers, fiber names and
+cone sets come out in id order without a sort.
 """
 
 from __future__ import annotations
@@ -69,13 +70,14 @@ class FiniteCategory:
 
     Construction sorts the ids, numbers each arrow by its place in ``morphisms``
     (``position``) and in ``morphisms_from`` its source (``slots``), and sets
-    ``rows[p][s]`` to the position of "f then g" for f at position p and g at
-    slot s, read from the mapping ``comp`` (None where it lacks the pair).  It
-    checks no axiom (see :func:`validate_category`).  Values are treated as
-    immutable afterwards; two categories are equal when their tables are.
+    ``rows[p][s]`` to the position of ``law(f, g)``, "f then g", for f at
+    position p and g at slot s: the law is asked once for each composable
+    pair, in that order, and for no other pair.  It checks no axiom (see
+    :func:`validate_category`).  Values are treated as immutable afterwards;
+    two categories are equal when their tables are.
     """
 
-    def __init__(self, objects, morphisms, src: Mapping, tgt: Mapping, comp: Mapping,
+    def __init__(self, objects, morphisms, src: Mapping, tgt: Mapping, law: Callable,
                  ident: Mapping):
         self.objects, self.morphisms = sorted_ids(objects), sorted_ids(morphisms)
         self.src, self.tgt, self.ident = src, tgt, ident
@@ -90,15 +92,10 @@ class FiniteCategory:
             by_src[x].append(m)
             by_tgt[y].append(m)
             hom.setdefault((x, y), []).append(m)
-        self._from = {x: tuple(v) for x, v in by_src.items()}
+        self._from = out = {x: tuple(v) for x, v in by_src.items()}
         self._into = {x: tuple(v) for x, v in by_tgt.items()}
         self._hom = {xy: tuple(v) for xy, v in hom.items()}
-        self.rows = rows = [[None] * len(by_src[tgt[m]]) for m in self.morphisms]
-        last = row = None
-        for (f, g), h in comp.items():
-            if f is not last:  # builders list each arrow's composites together
-                last, row = f, rows[at[f]]
-            row[slots[at[g]]] = at[h]
+        self.rows = [[at[law(f, g)] for g in out[tgt[f]]] for f in self.morphisms]
 
     def _compared(self) -> tuple:
         return self.objects, self.morphisms, self.src, self.tgt, self.rows, self.ident
@@ -185,11 +182,12 @@ def _associative_at(c: FiniteCategory, b) -> bool:
 def validated(build: Callable, objects, morphisms, src, tgt, comp, ident):
     """Check the category axioms on raw tables and return ``build`` of them.
 
-    ``build(objects, morphisms, src, tgt, comp, ident)`` makes the value.
-    Raises :class:`DanglingId` when a table mentions an undeclared id and
-    :class:`AxiomViolation` with a witness when a law fails.  ``comp`` must be
-    defined on exactly the composable pairs; its entries are checked in their
-    order, and then the rows (a missing pair is an empty slot) in id order.
+    ``comp`` maps each composable pair (f, g) of a table from outside the
+    program to "f then g"; ``build(objects, morphisms, src, tgt, law, ident)``
+    makes the value with the mapping's lookup as its law.  Raises
+    :class:`DanglingId` when a table mentions an undeclared id and
+    :class:`AxiomViolation` with a witness when a law fails.  The entries of
+    ``comp`` are checked in their order; a missing pair is named in id order.
 
     Associativity is decided on the triples (f, b, h) with b a generator
     (Light's test, read for categories): the arrows b with (f.b).h = f.(b.h)
@@ -224,11 +222,11 @@ def validated(build: Callable, objects, morphisms, src, tgt, comp, ident):
             raise AxiomViolation("comp-domain", (f, g))
         if src[h] != src[f] or tgt[h] != tgt[g]:
             raise AxiomViolation("comp-endpoints", (f, g, h))
-    c = build(objects, morphisms, dict(src), dict(tgt), comp, dict(ident))
+    try:
+        c = build(objects, morphisms, dict(src), dict(tgt), lambda f, g: comp[f, g], dict(ident))
+    except KeyError as missing:  # every other id the constructor looks up is checked above
+        raise DanglingId("comp (missing entry)", missing.args[0]) from None
     arrows, at, slots, rows = c.morphisms, c.position, c.slots, c.rows
-    for f, row in zip(arrows, rows):
-        if None in row:
-            raise DanglingId("comp (missing entry)", (f, c._from[tgt[f]][row.index(None)]))
     for p, f in enumerate(arrows):
         if rows[at[ident[src[f]]]][slots[p]] != p:
             raise AxiomViolation("left-unit", f)
@@ -254,7 +252,7 @@ def validate_category(objects, morphisms, src, tgt, comp, ident) -> FiniteCatego
 def discrete_category(objects) -> FiniteCategory:
     ids = {x: ("id", x) for x in objects}
     ends = {m: x for x, m in ids.items()}
-    return FiniteCategory(ids, ids.values(), ends, ends, {(m, m): m for m in ids.values()}, ids)
+    return FiniteCategory(ids, ids.values(), ends, ends, lambda f, g: f, ids)
 
 
 def chain_category(n: int) -> FiniteCategory:
@@ -263,21 +261,21 @@ def chain_category(n: int) -> FiniteCategory:
 
 
 def poset_category(objects, relation) -> FiniteCategory:
-    """Finite poset as a category; ``relation(x, y)`` decides x <= y."""
-    return _poset(objects, relation, validate_category)
-
-
-def _poset(objects, relation, build: Callable = FiniteCategory) -> FiniteCategory:
+    """Finite poset as a category; ``relation(x, y)`` decides x <= y.  The
+    relation is the caller's, so its table goes through the validator."""
     objects = list(objects)
-    morphisms = [(x, y) for x in objects for y in objects if relation(x, y)]
-    return build(
-        objects,
-        morphisms,
-        {m: m[0] for m in morphisms},
-        {m: m[1] for m in morphisms},
-        {((x, y), (y2, z)): (x, z) for x, y in morphisms for y2, z in morphisms if y == y2},
-        {x: (x, x) for x in objects},
-    )
+    arrows = [(x, y) for x in objects for y in objects if relation(x, y)]
+    return validate_category(objects, arrows, {m: m[0] for m in arrows}, {m: m[1] for m in arrows},
+                             {(f, g): (f[0], g[1]) for f in arrows for g in arrows if f[1] == g[0]},
+                             {x: (x, x) for x in objects})
+
+
+def _poset(objects, relation) -> FiniteCategory:
+    """The preorder of a reflexive, transitive ``relation``: one arrow (x, y) per x <= y."""
+    objects = list(objects)
+    arrows = [(x, y) for x in objects for y in objects if relation(x, y)]
+    return FiniteCategory(objects, arrows, {m: m[0] for m in arrows}, {m: m[1] for m in arrows},
+                          lambda f, g: (f[0], g[1]), {x: (x, x) for x in objects})
 
 
 class CatFunctor(NamedTuple):
@@ -358,7 +356,5 @@ def comma_category(d, f: CatFunctor) -> FiniteCategory:
         for alpha in d_cat.hom(d, f.obj_map[e_cat.src[gamma]]):
             src[(alpha, gamma)] = (e_cat.src[gamma], alpha)
             tgt[(alpha, gamma)] = (e_cat.tgt[gamma], d_cat.compose(alpha, f.mor_map[gamma]))
-    comp = {((alpha, gamma), (tgt[(alpha, gamma)][1], gamma2)): (alpha, e_cat.compose(gamma, gamma2))
-            for alpha, gamma in src for gamma2 in e_cat.morphisms_from(e_cat.tgt[gamma])}
-    return FiniteCategory(objects, src.keys(), src, tgt, comp,
+    return FiniteCategory(objects, src.keys(), src, tgt, lambda u, v: (u[0], e_cat.compose(u[1], v[1])),
                           {(e, alpha): (alpha, e_cat.ident[e]) for e, alpha in objects})

@@ -47,11 +47,11 @@ def _certificate(g: FiniteCategory, index: dict, tree_parent: dict):
     for a in arrows:
         if a in tree:
             yield ("tree edge", (a,)), _letter(g, index, a)
-    for a in arrows:
-        for b in g.morphisms_from(g.tgt[a]):
-            if not g.is_identity(b):
-                word = _letter(g, index, a) + _letter(g, index, b)
-                yield ("composable pair", (a, b)), word + _letter(g, index, g.compose(a, b), -1)
+    kept = set(arrows)
+    for a, b, ab in g.composites():
+        if a in kept and not g.is_identity(b):
+            word = _letter(g, index, a) + _letter(g, index, b)
+            yield ("composable pair", (a, b)), word + _letter(g, index, ab, -1)
 
 
 def pi1_presentation(g: FiniteCategory, basepoint) -> GroupPresentation:

@@ -3,7 +3,8 @@
 The tables, the axiom checks and the functors are the category core of
 :mod:`finstack.category`; this module adds inverses and the groupoid
 builders.  Builders that only combine validated groupoids construct their
-result directly, without a second axiom pass.
+result directly, without a second axiom pass: they hand the core their
+composition law, and the core asks it for each composable pair.
 """
 
 from __future__ import annotations
@@ -18,9 +19,9 @@ from .errors import AxiomViolation, DanglingId, MismatchedTarget, NotAnAction, U
 class FiniteGroupoid(FiniteCategory):
     """A finite category whose every morphism has the inverse ``inv[a]``."""
 
-    def __init__(self, objects, morphisms, src: Mapping, tgt: Mapping, comp: Mapping,
+    def __init__(self, objects, morphisms, src: Mapping, tgt: Mapping, law: Callable,
                  ident: Mapping, inv: Mapping):
-        super().__init__(objects, morphisms, src, tgt, comp, ident)
+        super().__init__(objects, morphisms, src, tgt, law, ident)
         self.inv = inv
 
     def _compared(self) -> tuple:
@@ -97,7 +98,7 @@ def pair_groupoid(points) -> FiniteGroupoid:
         arrows,
         {(x, y): x for x, y in arrows},
         {(x, y): y for x, y in arrows},
-        {((x, y), (y, z)): (x, z) for x, y in arrows for z in points},
+        lambda f, g: (f[0], g[1]),
         {x: (x, x) for x in points},
         {(x, y): (y, x) for x, y in arrows},
     )
@@ -115,7 +116,7 @@ def disjoint_union(g1: FiniteGroupoid, g2: FiniteGroupoid) -> FiniteGroupoid:
         [(t, a) for t, g in tagged for a in g.morphisms],
         {(t, a): (t, g.src[a]) for t, g in tagged for a in g.morphisms},
         {(t, a): (t, g.tgt[a]) for t, g in tagged for a in g.morphisms},
-        {((t, a), (t, b)): (t, c) for t, g in tagged for a, b, c in g.composites()},
+        lambda u, v: (u[0], (g1, g2)[u[0]].compose(u[1], v[1])),
         {(t, x): (t, g.ident[x]) for t, g in tagged for x in g.objects},
         {(t, a): (t, g.inv[a]) for t, g in tagged for a in g.morphisms},
     )
@@ -148,8 +149,7 @@ def action_groupoid(points, group: FiniteGroupoid, act: Callable) -> FiniteGroup
         arrows,
         {(x, g): x for x, g in arrows},
         tgt,
-        {((x, g), (tgt[(x, g)], g2)): (x, group.compose(g, g2))
-         for x, g in arrows for g2 in group.morphisms},
+        lambda u, v: (u[0], group.compose(u[1], v[1])),
         {x: (x, unit) for x in points},
         {(x, g): (tgt[(x, g)], group.inv[g]) for x, g in arrows},
     )
@@ -168,10 +168,7 @@ def fiber_product_strict(f: CatFunctor, h: CatFunctor) -> FiniteGroupoid:
         arrows,
         {(a, b): (g1.src[a], g2.src[b]) for a, b in arrows},
         {(a, b): (g1.tgt[a], g2.tgt[b]) for a, b in arrows},
-        {((a, b), (c, d)): (g1.compose(a, c), g2.compose(b, d))
-         for a, b in arrows
-         for c in g1.morphisms_from(g1.tgt[a]) for d in g2.morphisms_from(g2.tgt[b])
-         if f.mor_map[c] == h.mor_map[d]},
+        lambda u, v: (g1.compose(u[0], v[0]), g2.compose(u[1], v[1])),
         {(x, y): (g1.ident[x], g2.ident[y]) for x, y in objects},
         {(a, b): (g1.inv[a], g2.inv[b]) for a, b in arrows},
     )
@@ -193,15 +190,13 @@ def fiber_product_2(f: CatFunctor, h: CatFunctor) -> FiniteGroupoid:
                for x in g1.objects for y in g2.objects
                for k in k_grp.hom(f.obj_map[x], h.obj_map[y])]
     k_arrows, k_at, k_slots, k_rows = k_grp.morphisms, k_grp.position, k_grp.slots, k_grp.rows
-    rights = [(b, g2.src[b], g2.tgt[b], g2.inv[b], h.obj_map[g2.src[b]], k_slots[k_at[h.mor_map[b]]],
-               [(d, g2.compose(b, d)) for d in g2.morphisms_from(g2.tgt[b])])
+    rights = [(b, g2.src[b], g2.tgt[b], g2.inv[b], h.obj_map[g2.src[b]], k_slots[k_at[h.mor_map[b]]])
               for b in g2.morphisms]
-    src, tgt, comp, inv = {}, {}, {}, {}
+    src, tgt, inv = {}, {}, {}
     for a in g1.morphisms:
         sa, ta, ia = g1.src[a], g1.tgt[a], g1.inv[a]
         fsa, back_row = f.obj_map[sa], k_rows[k_at[k_grp.inv[f.mor_map[a]]]]
-        lefts = [(c, g1.compose(a, c)) for c in g1.morphisms_from(ta)]
-        for b, sb, tb, ib, hsb, hb_slot, downs in rights:
+        for b, sb, tb, ib, hsb, hb_slot in rights:
             for k in k_grp.hom(fsa, hsb):
                 # k at the source of (a, b) carried to the target: inv(f(a)) . k . h(b)
                 k2 = k_arrows[k_rows[back_row[k_slots[k_at[k]]]][hb_slot]]
@@ -209,10 +204,8 @@ def fiber_product_2(f: CatFunctor, h: CatFunctor) -> FiniteGroupoid:
                 src[arrow] = (sa, sb, k)
                 tgt[arrow] = (ta, tb, k2)
                 inv[arrow] = (ia, ib, k2)
-                for c, ac in lefts:
-                    for d, bd in downs:
-                        comp[(arrow, (c, d, k2))] = (ac, bd, k)
-    return FiniteGroupoid(objects, src.keys(), src, tgt, comp,
+    return FiniteGroupoid(objects, src.keys(), src, tgt,
+                          lambda u, v: (g1.compose(u[0], v[0]), g2.compose(u[1], v[1]), u[2]),
                           {(x, y, k): (g1.ident[x], g2.ident[y], k) for x, y, k in objects}, inv)
 
 
@@ -256,14 +249,13 @@ def full_subgroupoid(g: FiniteGroupoid, objects) -> FiniteGroupoid:
     unknown = keep - set(g.objects)
     if unknown:
         raise UnknownObject(sorted_ids(unknown)[0])
-    arrows = [a for x in keep for a in g.morphisms_from(x) if g.tgt[a] in keep]
+    arrows = [a for x in keep for a in g.morphisms_into(x) if g.src[a] in keep]
     return FiniteGroupoid(
         keep,
         arrows,
         {a: g.src[a] for a in arrows},
         {a: g.tgt[a] for a in arrows},
-        {(a, b): g.compose(a, b) for a in arrows for b in g.morphisms_from(g.tgt[a])
-         if g.tgt[b] in keep},
+        g.compose,
         {x: g.ident[x] for x in keep},
         {a: g.inv[a] for a in arrows},
     )

@@ -78,9 +78,9 @@ def _category_tables(doc: Mapping, arrows_key: str) -> tuple:
                 and type(entry[1]) is str and type(entry[2]) is str):
             if len(_ids(entry, "comp entries")) != 3:
                 raise SchemaError("comp entries must be triples [a, b, ab]")
-        if (entry[0], entry[1]) in comp:
+        if (pair := (entry[0], entry[1])) in comp:
             raise SchemaError(f"comp repeats the pair {entry[:2]!r}")
-        comp[(entry[0], entry[1])] = entry[2]
+        comp[pair] = entry[2]
     return objects, arrows, src, tgt, comp, _id_table(_require(doc, "id", dict), "id")
 
 

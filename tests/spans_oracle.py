@@ -11,14 +11,15 @@ and are kept here to check those generators exactly on small categories.
 ``check_pullback_square`` refilters hom(x, apex) for every object x and every
 pair of maps into the two legs, and ``fiber_product_2`` composes each carried
 k as a fresh path; they were the runtime's code before the maps into each
-object, the mediator images and the per-arrow lookups were read once.
+object, the mediator images and the per-arrow lookups were read once; it
+builds its own comp mapping, pair by pair, and hands it to the validator.
 """
 
 from __future__ import annotations
 
 from finstack.category import CatFunctor, FiniteCategory, idkey, partition
 from finstack.errors import InvalidClass, MismatchedTarget, UnknownObject
-from finstack.groupoid import FiniteGroupoid
+from finstack.groupoid import FiniteGroupoid, validate_groupoid
 from finstack.spans import MorphismClass, Span, SpanClasses, all_spans
 
 
@@ -63,8 +64,8 @@ def fiber_product_2(f: CatFunctor, h: CatFunctor) -> FiniteGroupoid:
                 for c in g1.morphisms_from(g1.tgt[a]):
                     for d in g2.morphisms_from(g2.tgt[b]):
                         comp[((a, b, k), (c, d, k2))] = (g1.compose(a, c), g2.compose(b, d), k)
-    return FiniteGroupoid(objects, src.keys(), src, tgt, comp,
-                          {(x, y, k): (g1.ident[x], g2.ident[y], k) for x, y, k in objects}, inv)
+    return validate_groupoid(objects, src.keys(), src, tgt, comp,
+                             {(x, y, k): (g1.ident[x], g2.ident[y], k) for x, y, k in objects}, inv)
 
 
 def close_composition(cat: FiniteCategory, members) -> frozenset:

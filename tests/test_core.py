@@ -204,7 +204,7 @@ def test_table_classes_compare_by_their_tables(tmp_path):
     assert g == again and not g != again
     doc.write_text(json.dumps(jsonio.groupoid_to_json(fs.cyclic_groupoid(3, name="o"))))
     assert g != jsonio.groupoid_from_json(jsonio.load_json(str(doc)))
-    tables = (g.objects, g.morphisms, g.src, g.tgt, comp_mapping(g), g.ident)
+    tables = (g.objects, g.morphisms, g.src, g.tgt, g.compose, g.ident)
     assert fs.FiniteGroupoid(*tables, {a: a for a in g.morphisms}) != g
     assert fs.FiniteCategory(*tables) != g
     for value in (g, fs.FiniteCategory(*tables)):

@@ -1,8 +1,14 @@
-"""The package surface: every name ``finstack`` re-exports, loaded on first use."""
+"""The package surface: every name ``finstack`` re-exports, loaded on first use,
+and the README's library quick start, run as it is written."""
 
 from __future__ import annotations
 
 import importlib
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -61,3 +67,22 @@ def test_star_import_binds_every_reexport():
 def test_an_unknown_name_is_an_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         fs.no_such_name
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_readme_quick_start_prints_its_comments():
+    """The README's ``python`` block runs unchanged in a fresh interpreter,
+    and each line it prints is the trailing comment of its ``print`` call."""
+    blocks = re.findall(r"^```python\n(.*?)^```$", (ROOT / "README.md").read_text(encoding="utf-8"),
+                        re.MULTILINE | re.DOTALL)
+    assert len(blocks) == 1
+    want = [line.split("#", 1)[1].strip() for line in blocks[0].splitlines() if line.startswith("print(")]
+    assert want == ["H_3 = Z/2", "H_10 = 0", "H_1 = Z/2", "2"]
+    src = str(ROOT / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-c", blocks[0]], capture_output=True, text=True, env=env,
+                         timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines() == want

@@ -7,8 +7,9 @@ the mediator images once, and ``groupoid.fiber_product_2`` hoists its
 per-arrow lookups.  Each must give the same verdict, exception and witness as
 the exhaustive code it replaced (``category_oracle``, ``spans_oracle``); the
 category oracles run on dict-keyed tables and never read a composition row.
-``compose`` and ``composites`` read, off the rows, the comp mapping that each
-table was built from.
+``compose`` and ``composites`` read, off the rows, the values of the
+composition law that each table was built from, and the core asks that law
+for each composable pair exactly once.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from finstack.category import FiniteCategory, validated
 from finstack.errors import FinstackError
 from finstack.spans import _check_pullback_square, _maps_into
 from support import (cylinder_category, groupoid_zoo, pair2, point_inclusion, s3, self_action,
-                     subset_poset, z2, z3)
+                     subset_poset, swap_action, z2, z3)
 from test_core import BUILT, LEGS, ZOO, builder_outputs, translation_projection
 from test_spans import load_bench_docs
 
@@ -185,19 +186,25 @@ def test_generators_reach_every_non_identity_arrow(c):
 
 
 def recorded_comp(build) -> tuple:
-    """``build()``, and by ``id`` each table it constructs, the comp mapping
-    that the table was given."""
-    given = {}
+    """``build()``, and by ``id`` each table it constructs, the pairs (f, g)
+    that the core asked that table's law for, in the order asked, each with
+    the law's value."""
+    asked = {}
     init = FiniteCategory.__init__
 
-    def recording(self, objects, morphisms, src, tgt, comp, ident):
-        given[id(self)] = dict(comp)
-        init(self, objects, morphisms, src, tgt, comp, ident)
+    def recording(self, objects, morphisms, src, tgt, law, ident):
+        calls = asked[id(self)] = []
+
+        def recorded(f, g):
+            calls.append(((f, g), law(f, g)))
+            return calls[-1][1]
+
+        init(self, objects, morphisms, src, tgt, recorded, ident)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(FiniteCategory, "__init__", recording)
         built = build()
-    return built, given
+    return built, asked
 
 
 def assert_rows_hold(c, comp: dict) -> None:
@@ -212,29 +219,68 @@ def assert_rows_hold(c, comp: dict) -> None:
     assert category_oracle.comp_mapping(c) == comp
 
 
-def test_compose_reads_the_given_table_on_the_zoo():
-    def zoo():
-        return [c for _, c in groupoid_zoo() + builder_outputs()] + cylinders() + [
-            fs.symmetric_groupoid(4), fs.cyclic_groupoid(12), cylinder_category()[0], subset_poset(3)[0]]
+def zoo() -> list:
+    """Every builder's outputs, documents through the validator, and the
+    preorders behind Milnor's E."""
+    return [c for _, c in groupoid_zoo() + builder_outputs()] + cylinders() + [
+        fs.symmetric_groupoid(4), fs.cyclic_groupoid(12), cylinder_category()[0], subset_poset(3)[0]] + [
+        fs.milnor_E(g, 1).factor.category for g in (z3(), s3(), swap_action())]
 
-    built, given = recorded_comp(zoo)
+
+def test_compose_reads_the_given_table_on_the_zoo():
+    built, asked = recorded_comp(zoo)
     for c in built:
-        if id(c) in given:
-            assert_rows_hold(c, given[id(c)])
+        if id(c) in asked:
+            assert_rows_hold(c, dict(asked[id(c)]))
         else:  # the skeleton of a groupoid built before the recording is that groupoid
             assert any(c is g for _, g in ZOO)
 
 
+def test_the_core_asks_the_law_each_composable_pair_once():
+    """A counting law is asked each composable pair exactly once, in id order
+    (f by position, g in id order among the arrows out of tgt f), and no other pair."""
+    built, asked = recorded_comp(zoo)
+    for c in built:
+        if id(c) in asked:
+            pairs = [fg for fg, _ in asked[id(c)]]
+            assert pairs == [(f, g) for f in c.morphisms for g in c.morphisms if c.tgt[f] == c.src[g]]
+
+
 LEG_PAIRS = st.sampled_from(LEGS).flatmap(lambda legs: st.tuples(*[st.sampled_from(legs)] * 2))
+GROUPOIDS = st.sampled_from([g for _, g in ZOO])
 
 
-@settings(max_examples=60, deadline=None)
+def actions():
+    """Z/(n k) acting on n points by translation mod n."""
+    return st.tuples(st.integers(1, 4), st.integers(1, 3)).map(lambda nk: partial(
+        fs.action_groupoid, range(nk[0]), fs.cyclic_groupoid(nk[0] * nk[1]),
+        lambda x, g, n=nk[0]: (x + g) % n))
+
+
+def full_subgroupoids():
+    return GROUPOIDS.flatmap(lambda g: st.sets(st.sampled_from(g.objects)).map(
+        lambda keep: partial(fs.full_subgroupoid, g, keep)))
+
+
+def commas():
+    """Comma categories (d down F) of the small functors and the fiber-product legs."""
+    functors = small_functors() + [f for legs in LEGS for f in legs]
+    return st.sampled_from(functors).flatmap(lambda f: st.sampled_from(f.target.objects).map(
+        lambda d: partial(fs.comma_category, d, f)))
+
+
+@settings(max_examples=100, deadline=None)
 @given(st.one_of(RELATIONS.map(lambda r: partial(preorder, r)),
-                 LEG_PAIRS.map(lambda fh: partial(fs.fiber_product_2, *fh))))
+                 LEG_PAIRS.map(lambda fh: partial(fs.fiber_product_2, *fh)),
+                 actions(),
+                 st.tuples(GROUPOIDS, GROUPOIDS).map(lambda gh: partial(fs.disjoint_union, *gh)),
+                 full_subgroupoids(),
+                 commas()))
 def test_compose_reads_the_given_table_on_draws(build):
-    """On preorders and on iso-comma fiber products of functors into small groupoids."""
-    c, given = recorded_comp(build)
-    assert_rows_hold(c, given[id(c)])
+    """On preorders, iso-comma fiber products of functors into small groupoids,
+    action groupoids, disjoint unions, full subgroupoids and comma categories."""
+    c, asked = recorded_comp(build)
+    assert_rows_hold(c, dict(asked[id(c)]))
 
 
 def late_factor_category():
