@@ -65,23 +65,33 @@ def partition(elements: Iterable, pairs: Iterable) -> list:
     return list(classes.values())
 
 
+class _set_on_first_read(cached_property):
+    """``cached_property`` set by ``setattr``: a ``__dict__`` write slows later reads (CPython 3.11)."""
+
+    def __get__(self, table, owner=None):
+        if table is None:
+            return self
+        setattr(table, self.attrname, value := self.func(table))
+        return value
+
+
 class FiniteCategory:
     """A category given by finite source/target/identity tables and composition rows.
 
-    Construction sorts the ids, numbers each arrow by its place in ``morphisms``
-    (``position``) and in ``morphisms_from`` its source (``slots``), and sets
-    ``rows[p][s]`` to the position of ``law(f, g)``, "f then g", for f at
-    position p and g at slot s: the law is asked once for each composable
-    pair, in that order, and for no other pair.  It checks no axiom (see
-    :func:`validate_category`).  Values are treated as immutable afterwards;
-    two categories are equal when their tables are.
+    Construction sorts the ids and numbers each arrow by its place in
+    ``morphisms`` (``position``) and in ``morphisms_from`` its source (``slots``).
+    The first read of ``rows`` sets ``rows[p][s]`` to the position of ``law(f, g)``,
+    "f then g", for f at position p and g at slot s, and drops the law, asked once
+    for each composable pair in that order and for no other, or never if nothing
+    reads the rows.  It checks no axiom (see :func:`validate_category`).  Values are
+    treated as immutable afterwards; two categories are equal when their tables are.
     """
 
     def __init__(self, objects, morphisms, src: Mapping, tgt: Mapping, law: Callable,
                  ident: Mapping):
         self.objects, self.morphisms = sorted_ids(objects), sorted_ids(morphisms)
         self.src, self.tgt, self.ident = src, tgt, ident
-        self.position = at = dict(zip(self.morphisms, range(len(self.morphisms))))
+        self.position = dict(zip(self.morphisms, range(len(self.morphisms))))
         by_src: dict = {x: [] for x in self.objects}
         by_tgt: dict = {x: [] for x in self.objects}
         hom: dict = {}
@@ -92,10 +102,17 @@ class FiniteCategory:
             by_src[x].append(m)
             by_tgt[y].append(m)
             hom.setdefault((x, y), []).append(m)
-        self._from = out = {x: tuple(v) for x, v in by_src.items()}
+        self._from = {x: tuple(v) for x, v in by_src.items()}
         self._into = {x: tuple(v) for x, v in by_tgt.items()}
         self._hom = {xy: tuple(v) for xy, v in hom.items()}
-        self.rows = [[at[law(f, g)] for g in out[tgt[f]]] for f in self.morphisms]
+        self._law = law
+
+    @_set_on_first_read
+    def rows(self) -> list:
+        at, out, tgt, law = self.position, self._from, self.tgt, self._law
+        rows = [[at[law(f, g)] for g in out[tgt[f]]] for f in self.morphisms]
+        del self._law
+        return rows
 
     def _compared(self) -> tuple:
         return self.objects, self.morphisms, self.src, self.tgt, self.rows, self.ident
@@ -127,7 +144,7 @@ class FiniteCategory:
     def morphisms_into(self, x) -> tuple:
         return self._into.get(x, ())
 
-    @cached_property
+    @_set_on_first_read
     def generators(self) -> tuple:
         """Non-identity arrows whose left-bracketed composites reach every
         non-identity arrow; needs full rows.
@@ -184,10 +201,10 @@ def validated(build: Callable, objects, morphisms, src, tgt, comp, ident):
 
     ``comp`` maps each composable pair (f, g) of a table from outside the
     program to "f then g"; ``build(objects, morphisms, src, tgt, law, ident)``
-    makes the value with the mapping's lookup as its law.  Raises
-    :class:`DanglingId` when a table mentions an undeclared id and
-    :class:`AxiomViolation` with a witness when a law fails.  The entries of
-    ``comp`` are checked in their order; a missing pair is named in id order.
+    makes the value with the mapping's lookup as its law, and its rows are
+    filled here.  Raises :class:`DanglingId` when a table mentions an undeclared
+    id and :class:`AxiomViolation` with a witness when a law fails.  The entries
+    of ``comp`` are checked in their order; a missing pair is named in id order.
 
     Associativity is decided on the triples (f, b, h) with b a generator
     (Light's test, read for categories): the arrows b with (f.b).h = f.(b.h)
@@ -224,9 +241,9 @@ def validated(build: Callable, objects, morphisms, src, tgt, comp, ident):
             raise AxiomViolation("comp-endpoints", (f, g, h))
     try:
         c = build(objects, morphisms, dict(src), dict(tgt), lambda f, g: comp[f, g], dict(ident))
-    except KeyError as missing:  # every other id the constructor looks up is checked above
+        arrows, at, slots, rows = c.morphisms, c.position, c.slots, c.rows
+    except KeyError as missing:  # every other id the constructor or the rows look up is checked above
         raise DanglingId("comp (missing entry)", missing.args[0]) from None
-    arrows, at, slots, rows = c.morphisms, c.position, c.slots, c.rows
     for p, f in enumerate(arrows):
         if rows[at[ident[src[f]]]][slots[p]] != p:
             raise AxiomViolation("left-unit", f)

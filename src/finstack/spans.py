@@ -9,6 +9,7 @@ linked by the section sets {t . g} of each r in R and map g out of its source.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Mapping, NamedTuple
 
 from .category import FiniteCategory, idkey, partition, sorted_ids
@@ -48,14 +49,11 @@ class MorphismClass:
         return self.oracle[(f, g)]
 
 
-def _maps_into(cat: FiniteCategory, a) -> list:
-    """The pairs (x, hom(x, a)) with hom(x, a) not empty, in object order."""
-    return [(x, maps) for x in cat.objects if (maps := cat.hom(x, a))]
-
-
-def _check_pullback_square(cat: FiniteCategory, f, g, apex, pf, pg, maps_into_a: list) -> None:
-    """Every (q1, q2) with q1 . f = q2 . g has exactly one u: x -> apex with
-    u . pf = q1 and u . pg = q2; ``maps_into_a`` is ``_maps_into(cat, src f)``."""
+def _check_pullback_square(cat: FiniteCategory, f, g, apex, pf, pg, over: dict) -> None:
+    """Every (q1, q2) with q1 . f = q2 . g has exactly one u: x -> apex with u . pf = q1
+    and u . pg = q2.  A commuting square of a valid category sends each u to such a pair,
+    so it suffices that the images of into(apex) are distinct and number sum_k N_f N_g,
+    N_f(k) the q with q . f = k (``over`` keeps N per leg).  Only a failure scans."""
     if cat.src[pf] != apex or cat.src[pg] != apex:
         raise InvalidClass("oracle projections must leave the apex", (f, g))
     if cat.tgt[pf] != cat.src[f] or cat.tgt[pg] != cat.src[g]:
@@ -65,15 +63,18 @@ def _check_pullback_square(cat: FiniteCategory, f, g, apex, pf, pg, maps_into_a:
     f_slot, g_slot, pf_slot, pg_slot = map(slots.__getitem__, map(at.__getitem__, (f, g, pf, pg)))
     if rows[at[pf]][f_slot] != rows[at[pg]][g_slot]:
         raise InvalidClass("oracle square does not commute", (f, g))
-    for x, q1s in maps_into_a:
+    for leg, slot in ((f, f_slot), (g, g_slot)):  # N_leg is never empty: 1 . leg = leg
+        over[leg] = over.get(leg) or Counter(rows[at[q]][slot] for q in cat.morphisms_into(cat.src[leg]))
+    into, n_g = cat.morphisms_into(apex), over[g]
+    pairs = {(rows[u][pf_slot], rows[u][pg_slot]) for u in map(at.__getitem__, into)}
+    if len(into) == len(pairs) == sum(n * n_g[k] for k, n in over[f].items()):
+        return
+    for x in cat.objects:  # name the first (x, q1, q2) with no mediator or several
         q2s = [(q2, rows[at[q2]][g_slot]) for q2 in cat.hom(x, cat.src[g])]
-        if not q2s:
-            continue
         images = [(rows[u][pf_slot], rows[u][pg_slot]) for u in map(at.__getitem__, cat.hom(x, apex))]
-        for q1 in q1s:
-            q1f = rows[at[q1]][f_slot]
+        for q1 in cat.hom(x, cat.src[f]):
             for q2, q2g in q2s:
-                if q2g == q1f and images.count((at[q1], at[q2])) != 1:
+                if q2g == rows[at[q1]][f_slot] and images.count((at[q1], at[q2])) != 1:
                     raise InvalidClass("oracle output fails the universal property",
                                        (f, g, x, q1, q2))
 
@@ -96,7 +97,7 @@ def morphism_class(cat: FiniteCategory, members, oracle: Mapping | None = None) 
         raise InvalidClass("members outside the category", sorted_ids(members - set(cat.morphisms)))
     members = close_composition(cat, members)
     if oracle is not None:
-        maps_into: dict = {}  # object a -> _maps_into(cat, a), for each a met as src f
+        over: dict = {}  # leg f -> N_f, shared by the entries
         for (f, g), (apex, pf, pg) in oracle.items():
             for m in (f, g, pf, pg):
                 if m not in cat.src:
@@ -105,10 +106,7 @@ def morphism_class(cat: FiniteCategory, members, oracle: Mapping | None = None) 
                 raise DanglingId("pullbacks", (f, g), apex)
             if cat.tgt[f] != cat.tgt[g]:
                 raise InvalidClass("oracle key is not a cospan", (f, g))
-            a = cat.src[f]
-            if a not in maps_into:
-                maps_into[a] = _maps_into(cat, a)
-            _check_pullback_square(cat, f, g, apex, pf, pg, maps_into[a])
+            _check_pullback_square(cat, f, g, apex, pf, pg, over)
             if f in members and pg not in members:
                 raise InvalidClass("not closed under base extension", (f, g, pg))
             if g in members and pf not in members:

@@ -10,9 +10,10 @@ and are kept here to check those generators exactly on small categories.
 
 ``check_pullback_square`` refilters hom(x, apex) for every object x and every
 pair of maps into the two legs, and ``fiber_product_2`` composes each carried
-k as a fresh path; they were the runtime's code before the maps into each
-object, the mediator images and the per-arrow lookups were read once; it
-builds its own comp mapping, pair by pair, and hands it to the validator.
+k as a fresh path; they were the runtime's code before the universal property
+was decided by counting the arrows into the apex and the per-arrow lookups
+were read once; it builds its own comp mapping, pair by pair, and hands it to
+the validator.
 """
 
 from __future__ import annotations

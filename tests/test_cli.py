@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 import finstack as fs
 import finstack.jsonio as jio
 from finstack.cli import main
+from test_table_laws import recorded_comp
 from support import (assert_search_matches_oracle, cocycle_zoo, dihedral4, gauge_cocycle, groupoid_zoo,
                      load_jobs, pair2, point_inclusion, recorded_searches, s3, s3_on_letters,
                      two_chart_z3_cocycle, weak_equivalence_zoo, z2, z3)
@@ -706,6 +707,32 @@ def test_diagram_special_cli(capsys, tmp_path):
     assert code == 0
     assert "[PASS] transformation-natural" in out
     assert "pulled node 0: 2 objects" in out
+
+
+def test_diagram_special_never_asks_the_iso_comma_law(capsys, tmp_path, monkeypatch):
+    """Z/4 acting on 6 points (the pair groupoid on 6 points times Z/4), pulled
+    along the Z/4 cover: the report's counts are the closed forms of the
+    benchmark's job, the pulled node over n0 has 2304 arrows, and the report
+    never reads a fiber product's rows, so neither law is ever asked."""
+    jobs = load_jobs()
+    z4 = jobs.group_groupoid(jobs.cyclic(4))
+    node0 = jobs.transitive([f"x{i}" for i in range(6)], jobs.cyclic(4))
+    job = jobs.diagram_special_job(
+        "z4-6-z", node0, z4, dict.fromkeys(node0.objects, "*"),
+        {a: "*>*." + a.rsplit(".", 1)[1] for a in node0.src}, z4, {"*": "*"}, jobs.identity_map(z4.src))
+    argv = job.render("", job.write_docs("", tmp_path))
+    products = []
+
+    def recording(f, h, build=fs.fiber_product_2):
+        products.append(build(f, h))
+        return products[-1]
+
+    monkeypatch.setattr("finstack.groupoid.fiber_product_2", recording)
+    (code, out), asked = recorded_comp(lambda: run_cli(capsys, argv))
+    assert code == job.code == 0
+    assert out.splitlines()[2:] == [line.replace(jobs.P, "") for line in job.lines]
+    assert "pulled node n0: 24 objects, 2304 arrows" in out.splitlines()
+    assert len(products) == 2 and all(asked[id(prod)] == [] for prod in products)
 
 
 @pytest.mark.parametrize("edit", [

@@ -2,14 +2,15 @@
 
 ``category.validated`` decides associativity on the triples whose middle is a
 generator, ``category.functor`` decides composition on the generators of the
-source, ``spans._check_pullback_square`` reads the maps into each object and
-the mediator images once, and ``groupoid.fiber_product_2`` hoists its
-per-arrow lookups.  Each must give the same verdict, exception and witness as
-the exhaustive code it replaced (``category_oracle``, ``spans_oracle``); the
-category oracles run on dict-keyed tables and never read a composition row.
-``compose`` and ``composites`` read, off the rows, the values of the
-composition law that each table was built from, and the core asks that law
-for each composable pair exactly once.
+source, ``spans._check_pullback_square`` decides the universal property by
+counting the arrows into the apex against the commuting pairs, and
+``groupoid.fiber_product_2`` hoists its per-arrow lookups.  Each must give the
+same verdict, exception and witness as the exhaustive code it replaced
+(``category_oracle``, ``spans_oracle``); the category oracles run on dict-keyed
+tables and never read a composition row.  ``compose`` and ``composites`` read,
+off the rows, the values of the composition law that each table was built
+from; the core asks that law for each composable pair exactly once, when the
+rows are first read.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import itertools
 from functools import partial
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import category_oracle
@@ -26,8 +27,8 @@ import finstack as fs
 import spans_oracle
 from finstack import category, jsonio
 from finstack.category import FiniteCategory, validated
-from finstack.errors import FinstackError
-from finstack.spans import _check_pullback_square, _maps_into
+from finstack.errors import DanglingId, FinstackError
+from finstack.spans import _check_pullback_square
 from support import (cylinder_category, groupoid_zoo, pair2, point_inclusion, s3, self_action,
                      subset_poset, swap_action, z2, z3)
 from test_core import BUILT, LEGS, ZOO, builder_outputs, translation_projection
@@ -188,7 +189,8 @@ def test_generators_reach_every_non_identity_arrow(c):
 def recorded_comp(build) -> tuple:
     """``build()``, and by ``id`` each table it constructs, the pairs (f, g)
     that the core asked that table's law for, in the order asked, each with
-    the law's value."""
+    the law's value.  The core asks only when the rows are first read, so a
+    list grows until then."""
     asked = {}
     init = FiniteCategory.__init__
 
@@ -230,6 +232,7 @@ def zoo() -> list:
 def test_compose_reads_the_given_table_on_the_zoo():
     built, asked = recorded_comp(zoo)
     for c in built:
+        c.rows  # the core asks the law on this first read
         if id(c) in asked:
             assert_rows_hold(c, dict(asked[id(c)]))
         else:  # the skeleton of a groupoid built before the recording is that groupoid
@@ -241,6 +244,7 @@ def test_the_core_asks_the_law_each_composable_pair_once():
     (f by position, g in id order among the arrows out of tgt f), and no other pair."""
     built, asked = recorded_comp(zoo)
     for c in built:
+        c.rows
         if id(c) in asked:
             pairs = [fg for fg, _ in asked[id(c)]]
             assert pairs == [(f, g) for f in c.morphisms for g in c.morphisms if c.tgt[f] == c.src[g]]
@@ -280,7 +284,55 @@ def test_compose_reads_the_given_table_on_draws(build):
     """On preorders, iso-comma fiber products of functors into small groupoids,
     action groupoids, disjoint unions, full subgroupoids and comma categories."""
     c, asked = recorded_comp(build)
+    c.rows
     assert_rows_hold(c, dict(asked[id(c)]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(LEG_PAIRS.map(lambda fh: partial(fs.fiber_product_2, *fh)), commas()))
+def test_a_derived_table_asks_its_law_on_the_first_read_of_its_rows(build):
+    """An iso-comma fiber product or a comma category asks its law nothing
+    while its ids, endpoints and hom-sets are read; the first read of its
+    rows asks each composable pair once, in id order, and a second read
+    asks nothing more."""
+    c, asked = recorded_comp(build)
+    calls = asked[id(c)]
+    [c.hom(x, y) for x in c.objects for y in c.objects]
+    [(c.morphisms_from(x), c.morphisms_into(x)) for x in c.objects]
+    assert (c.position, c.slots, calls) == (dict(zip(c.morphisms, range(len(c.morphisms)))),
+                                            [c.morphisms_from(c.src[m]).index(m) for m in c.morphisms],
+                                            [])
+    rows = c.rows
+    pairs = [(f, g) for f in c.morphisms for g in c.morphisms if c.tgt[f] == c.src[g]]
+    assert [fg for fg, _ in calls] == pairs
+    assert c.rows is rows and len(calls) == len(pairs) and "_law" not in vars(c)
+
+
+def test_validated_tables_have_their_rows_filled():
+    """``validated`` reads the rows it checks, so an outside table is filled
+    before the value is returned, with or without an inverse table."""
+    cases = [c for _, c in BUILT] + [fs.symmetric_groupoid(4), cylinder_category()[0], subset_poset(3)[0]]
+    for c in cases:
+        assert "rows" in vars(validated(FiniteCategory, *tables(c)))
+        if hasattr(c, "inv"):
+            assert "rows" in vars(fs.validate_groupoid(*tables(c), c.inv))
+    for c in cylinders() + [fs.poset_category(range(3), int.__le__)]:
+        assert "rows" in vars(c)
+
+
+def test_a_missing_pair_is_named_first_in_id_order():
+    """Dropping comp entries gives ``DanglingId("comp (missing entry)", ...)``
+    at the first missing pair, f by position and g by slot, as the oracle
+    names it, whichever entries are dropped and in whatever order."""
+    for c in corruption_cases():
+        raw = tables(c)
+        pairs = [(f, g) for f, g, _ in c.composites()]
+        for dropped in (pairs[-1:], pairs[::3], pairs[::-2], pairs[len(pairs) // 2:]):
+            comp = {fg: h for fg, h in reversed(raw[4].items()) if fg not in dropped}
+            got = outcome(validated, FiniteCategory, *raw[:4], comp, raw[5])
+            first = next(fg for fg in pairs if fg in dropped)
+            assert got == ("DanglingId", str(DanglingId("comp (missing entry)", first)))
+            assert got == outcome(category_oracle.validated, *raw[:4], comp, raw[5])
 
 
 def late_factor_category():
@@ -327,7 +379,7 @@ def pullback_cases():
 
 
 def same_square_verdict(cat, f, g, apex, pf, pg) -> str:
-    got = outcome(_check_pullback_square, cat, f, g, apex, pf, pg, _maps_into(cat, cat.src[f]))
+    got = outcome(_check_pullback_square, cat, f, g, apex, pf, pg, {})
     assert got == outcome(spans_oracle.check_pullback_square, cat, f, g, apex, pf, pg)
     return got[0] if got[0] != "InvalidClass" else got[1].split(": ", 1)[1].split(" at ")[0]
 
@@ -359,6 +411,65 @@ def test_swapped_pullback_entries_get_the_same_witness():
                 seen.add(same_square_verdict(cat, f, g, *swapped))
     assert {"ok", "oracle square does not commute",
             "oracle output fails the universal property"} <= seen
+
+
+def same_class_verdict(cat, f, g, apex, pf, pg) -> str:
+    """The entry, as the one-entry oracle of the class of every arrow, gets the
+    outcome of ``spans_oracle.check_pullback_square``: the same exception class,
+    message and witness.  The count reads no hom-set, so a spy on ``hom`` sees
+    the per-object scan, which must run exactly for the entries that fail the
+    universal property."""
+    scanned = []
+    vars(cat)["hom"] = lambda x, y: scanned.append((x, y)) or FiniteCategory.hom(cat, x, y)
+    try:
+        got = outcome(fs.morphism_class, cat, cat.morphisms, {(f, g): (apex, pf, pg)})
+    finally:
+        del vars(cat)["hom"]
+    want = outcome(spans_oracle.check_pullback_square, cat, f, g, apex, pf, pg)
+    assert got[0] == want[0] and (want[0] == "ok" or got == want)
+    fails = want[0] != "ok" and "universal property" in want[1]
+    assert bool(scanned) == fails
+    return want[0] if want[0] != "InvalidClass" else want[1].split(": ", 1)[1].split(" at ")[0]
+
+
+def test_pullback_entries_through_the_class_match_the_oracle():
+    """Every entry of every case, and each of its swapped entries."""
+    seen = set()
+    for cat, oracle in pullback_cases():
+        for (f, g), entry in oracle.items():
+            for square in (entry, *swapped_entries(cat, f, g, *entry)):
+                seen.add(same_class_verdict(cat, f, g, *square))
+    assert {"ok", "oracle square does not commute",
+            "oracle output fails the universal property"} <= seen
+
+
+@st.composite
+def squares(draw):
+    """A preorder, a groupoid or a category with idempotents, a cospan (f, g),
+    and an apex with arrows to src f and src g as the projections."""
+    cat = draw(st.one_of(preorders(), GROUPOIDS,
+                         st.sampled_from([late_factor_category(), cylinder_category()[0]])))
+    f = draw(st.sampled_from(cat.morphisms))
+    g = draw(st.sampled_from(cat.morphisms_into(cat.tgt[f])))
+    a, b = cat.src[f], cat.src[g]
+    apexes = [x for x in cat.objects if cat.hom(x, a) and cat.hom(x, b)]
+    assume(apexes)
+    apex = draw(st.sampled_from(apexes))
+    return cat, f, g, apex, draw(st.sampled_from(cat.hom(apex, a))), draw(st.sampled_from(cat.hom(apex, b)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(squares())
+def test_drawn_squares_match_the_oracle(square):
+    assert same_class_verdict(*square) == same_square_verdict(*square)
+
+
+def test_a_count_that_matches_with_colliding_images_fails():
+    """On the identity cospan of x in ``late_factor_category``, the square of
+    the idempotent e sends both arrows into x, 1x and e, to (e, e): as many
+    arrows as commuting pairs, yet the pair (1x, 1x) has no mediator."""
+    c = late_factor_category()
+    assert same_class_verdict(c, "1x", "1x", "x", "e", "e") == "oracle output fails the universal property"
 
 
 def test_swapped_entry_is_rejected_through_the_class():
