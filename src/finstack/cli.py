@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
-import argparse
 import functools
 import hashlib
 import json
 import sys
+import types
 
 from . import _lazy, jsonio
 from .category import functor as groupoid_functor
@@ -93,18 +93,23 @@ class RunReport:
         return 0 if self.all_pass() else 3
 
 
-def _digest(paths: list) -> str:
-    h = hashlib.sha256()
+def _start(command: str, paths: list) -> tuple:
+    """The report headed by the digest of the input bytes, one copy per occurrence,
+    and the loader of the inputs: each distinct path is read once, so it may be a pipe."""
+    h, data = hashlib.sha256(), {}
     for path in paths:
-        with open(path, "rb") as fh:
-            h.update(fh.read())
+        if path not in data:
+            with open(path, "rb") as fh:
+                data[path] = fh.read()
+        h.update(data[path])
         h.update(b"\x00")
-    return h.hexdigest()
+    return RunReport(command, h.hexdigest()), lambda path: jsonio.load_json(path, data[path])
 
 
 def nonnegative_int(text: str) -> int:
     value = int(text)
     if value < 0:
+        import argparse  # here and in build_parser only: a plain launch never loads it
         raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
     return value
 
@@ -114,8 +119,8 @@ def _homology_lines(cx, degrees) -> list:
 
 
 def _cmd_validate(args) -> RunReport:
-    report = RunReport("validate", _digest([args.groupoid]))
-    g = jsonio.groupoid_from_json(jsonio.load_json(args.groupoid))
+    report, load = _start("validate", [args.groupoid])
+    g = jsonio.groupoid_from_json(load(args.groupoid))
     report.add_output(f"objects: {len(g.objects)}")
     report.add_output(f"arrows: {len(g.morphisms)}")
     report.add_output(f"components: {len(pi0(g))}")
@@ -124,8 +129,8 @@ def _cmd_validate(args) -> RunReport:
 
 
 def _cmd_nerve(args) -> RunReport:
-    report = RunReport("nerve", _digest([args.groupoid]))
-    g = jsonio.groupoid_from_json(jsonio.load_json(args.groupoid))
+    report, load = _start("nerve", [args.groupoid])
+    g = jsonio.groupoid_from_json(load(args.groupoid))
     s = nerve(g, args.dim)
     for n in range(args.dim + 1):
         report.add_output(f"degree {n}: {s.count(n)} simplices, {s.count_nondegenerate(n)} nondegenerate")
@@ -136,8 +141,8 @@ def _cmd_nerve(args) -> RunReport:
 
 
 def _cmd_homology(args) -> RunReport:
-    report = RunReport("homology", _digest([args.groupoid]))
-    g = jsonio.groupoid_from_json(jsonio.load_json(args.groupoid))
+    report, load = _start("homology", [args.groupoid])
+    g = jsonio.groupoid_from_json(load(args.groupoid))
     # N(g) is homotopy equivalent to the disjoint union of the B Aut(x), one x
     # per component (Segal 1968); a free ZG-resolution of each gives H_*(B G)
     cx = resolution_chains(g, args.dim)
@@ -149,8 +154,8 @@ def _cmd_homology(args) -> RunReport:
 
 
 def _cmd_pi1(args) -> RunReport:
-    report = RunReport("pi1", _digest([args.groupoid]))
-    g = jsonio.groupoid_from_json(jsonio.load_json(args.groupoid))
+    report, load = _start("pi1", [args.groupoid])
+    g = jsonio.groupoid_from_json(load(args.groupoid))
     pres = pi1_presentation(g, args.basepoint)
     rep = pi1_iso_check(g, args.basepoint, pres=pres)
     report.add_output(f"generators: {len(pres.generators)}")
@@ -168,8 +173,8 @@ def _cmd_pi1(args) -> RunReport:
 
 
 def _cmd_milnor(args) -> RunReport:
-    report = RunReport("milnor", _digest([args.groupoid]))
-    g = jsonio.groupoid_from_json(jsonio.load_json(args.groupoid))
+    report, load = _start("milnor", [args.groupoid])
+    g = jsonio.groupoid_from_json(load(args.groupoid))
     if args.compare_nerve and args.space != "B":
         raise FinstackError("--compare-nerve needs --space B")
     complex_ = (milnor_E if args.space == "E" else milnor_B)(g, args.levels)
@@ -206,9 +211,9 @@ def _cmd_milnor(args) -> RunReport:
 
 def _cmd_torsor(args) -> RunReport:
     paths = [args.groupoid, args.cocycle] + ([args.cocycle2] if args.cocycle2 else [])
-    report = RunReport(f"torsor {args.mode}", _digest(paths))
-    g = jsonio.groupoid_from_json(jsonio.load_json(args.groupoid))
-    c = jsonio.cocycle_from_json(jsonio.load_json(args.cocycle), g)
+    report, load = _start(f"torsor {args.mode}", paths)
+    g = jsonio.groupoid_from_json(load(args.groupoid))
+    c = jsonio.cocycle_from_json(load(args.cocycle), g)
     report.add_output(f"base points: {len(c.cov.points)}")
     report.add_output(f"cover sets: {len(c.cov.indices())}")
     report.add_verdict("cocycle-conditions", True)
@@ -231,7 +236,7 @@ def _cmd_torsor(args) -> RunReport:
     if args.mode == "compare":
         if not args.cocycle2:
             raise FinstackError("compare needs --cocycle2")
-        c2 = jsonio.cocycle_from_json(jsonio.load_json(args.cocycle2), g)
+        c2 = jsonio.cocycle_from_json(load(args.cocycle2), g)
         t2 = cocycle_to_torsor(c2)
         morphism = find_cocycle_morphism(c, c2)
         iso = torsor_isomorphic(t, t2)
@@ -243,9 +248,9 @@ def _cmd_torsor(args) -> RunReport:
 
 
 def _cmd_localize(args) -> RunReport:
-    report = RunReport("localize", _digest([args.cat, args.cls]))
-    cat = jsonio.category_from_json(jsonio.load_json(args.cat))
-    rcls = jsonio.morphism_class_from_json(jsonio.load_json(args.cls), cat)
+    report, load = _start("localize", [args.cat, args.cls])
+    cat = jsonio.category_from_json(load(args.cat))
+    rcls = jsonio.morphism_class_from_json(load(args.cls), cat)
     classes = span_pi0(rcls, args.source, args.target)
     report.add_output(f"hom-set size: {len(cat.hom(args.source, args.target))}")
     report.add_output(f"localized classes: {len(classes)}")
@@ -260,10 +265,10 @@ def _cmd_localize(args) -> RunReport:
 
 
 def _cmd_kan(args) -> RunReport:
-    report = RunReport("kan", _digest([args.base, args.fibers, args.along, args.lift]))
-    base = jsonio.category_from_json(jsonio.load_json(args.base))
-    ic = jsonio.indexed_category_from_json(jsonio.load_json(args.fibers), base)
-    along_doc = jsonio.load_json(args.along)
+    report, load = _start("kan", [args.base, args.fibers, args.along, args.lift])
+    base = jsonio.category_from_json(load(args.base))
+    ic = jsonio.indexed_category_from_json(load(args.fibers), base)
+    along_doc = load(args.along)
     for key in ("E", "D", "F", "p"):
         if key not in along_doc:
             raise FinstackError(f"--along document needs key {key!r}")
@@ -272,7 +277,7 @@ def _cmd_kan(args) -> RunReport:
     f = jsonio.cat_functor_from_json(along_doc["F"], e_cat, d_cat)
     p = jsonio.cat_functor_from_json(along_doc["p"], d_cat, base)
     q = f.then(p)
-    p_lift = jsonio.lift_from_json(jsonio.load_json(args.lift), ic, e_cat, q)
+    p_lift = jsonio.lift_from_json(load(args.lift), ic, e_cat, q)
     try:
         rf = right_kan(ic, f, p, p_lift)
         for d in d_cat.objects:
@@ -287,8 +292,8 @@ def _cmd_kan(args) -> RunReport:
 
 
 def _cmd_diagram_special(args) -> RunReport:
-    report = RunReport("diagram-special", _digest([args.diagram, args.cover]))
-    doc = jsonio.load_json(args.diagram)
+    report, load = _start("diagram-special", [args.diagram, args.cover])
+    doc = load(args.diagram)
     shape = jsonio.category_from_json(jsonio._require(doc, "shape", dict))
     nodes = {d: jsonio.groupoid_from_json(node)
              for d, node in jsonio._require(doc, "nodes", dict).items()}
@@ -302,7 +307,7 @@ def _cmd_diagram_special(args) -> RunReport:
         arrows[m] = groupoid_functor(nodes[shape.src[m]], nodes[shape.tgt[m]],
                                      *jsonio.groupoid_functor_tables(entry))
     diagram = groupoid_diagram(shape, nodes, arrows)
-    cover_doc = jsonio.load_json(args.cover)
+    cover_doc = load(args.cover)
     domain = jsonio.groupoid_from_json(jsonio._require(cover_doc, "domain", dict))
     star = shape.final_object()
     cover = groupoid_functor(domain, nodes[star], *jsonio.groupoid_functor_tables(cover_doc))
@@ -325,8 +330,8 @@ def _cmd_diagram_special(args) -> RunReport:
 
 
 def _cmd_morita(args) -> RunReport:
-    report = RunReport("morita-check", _digest([args.functor]))
-    gf = jsonio.groupoid_functor_from_json(jsonio.load_json(args.functor))
+    report, load = _start("morita-check", [args.functor])
+    gf = jsonio.groupoid_functor_from_json(load(args.functor))
     weak = is_weak_equivalence(gf)
     report.add_verdict("weak-equivalence", weak)
     cx1 = chain_complex(nerve(gf.source, args.dim))
@@ -340,91 +345,112 @@ def _cmd_morita(args) -> RunReport:
     return report
 
 
+# The command line, read by both build_parser and _read_argv: per subcommand
+# its help text, handler and arguments, each a flag and its add_argument keywords
+_JSON_OUT = ("--json-out", dict(dest="json_out", default=None))
+_COMMANDS = {
+    "validate": ("validate a groupoid JSON document", _cmd_validate, [
+        ("--groupoid", dict(dest="groupoid", required=True))]),
+    "nerve": ("build the truncated nerve and count simplices", _cmd_nerve, [
+        ("--groupoid", dict(dest="groupoid", required=True)),
+        ("--dim", dict(dest="dim", type=nonnegative_int, required=True))]),
+    "homology": ("integral homology of the nerve", _cmd_homology, [
+        ("--groupoid", dict(dest="groupoid", required=True)),
+        ("--dim", dict(dest="dim", type=nonnegative_int, required=True)),
+        ("--degree", dict(dest="degree", type=nonnegative_int, default=None))]),
+    "pi1": ("edge-path group and isotropy comparison", _cmd_pi1, [
+        ("--groupoid", dict(dest="groupoid", required=True)),
+        ("--basepoint", dict(dest="basepoint", required=True))]),
+    "milnor": ("truncated join model and its quotient", _cmd_milnor, [
+        ("--groupoid", dict(dest="groupoid", required=True)),
+        ("--levels", dict(dest="levels", type=nonnegative_int, required=True)),
+        ("--space", dict(dest="space", choices=["E", "B"], required=True)),
+        ("--homology", dict(dest="homology", type=nonnegative_int, default=None)),
+        ("--compare-nerve", dict(dest="compare_nerve", action="store_true", default=False))]),
+    "torsor": ("descent data operations", _cmd_torsor, [
+        ("mode", dict(choices=["validate", "build", "roundtrip", "compare"])),  # a positional: no dest
+        ("--groupoid", dict(dest="groupoid", required=True)),
+        ("--cocycle", dict(dest="cocycle", required=True)),
+        ("--cocycle2", dict(dest="cocycle2", default=None))]),
+    "localize": ("span-calculus localized hom-sets", _cmd_localize, [
+        ("--cat", dict(dest="cat", required=True)),
+        ("--class", dict(dest="cls", required=True)),
+        ("--from", dict(dest="source", required=True)),
+        ("--to", dict(dest="target", required=True)),
+        ("--zigzag", dict(dest="zigzag", action="store_true", default=False))]),
+    "kan": ("relative right Kan extension with adjunction check", _cmd_kan, [
+        (f"--{name}", dict(dest=name, required=True)) for name in ("base", "fibers", "along", "lift")]),
+    "diagram-special": ("base extend a cover across a diagram", _cmd_diagram_special, [
+        (f"--{name}", dict(dest=name, required=True)) for name in ("diagram", "cover")]),
+    "morita-check": ("weak equivalence and homology agreement", _cmd_morita, [
+        ("--functor", dict(dest="functor", required=True)),
+        ("--dim", dict(dest="dim", type=nonnegative_int, default=3))]),
+}
+
+
+def _read_argv(argv: list):
+    """The namespace argparse returns for a plain command line, else None: a
+    subcommand, its positionals, then exact option strings, each once and,
+    unless a flag, followed by one value; every required option given."""
+    try:
+        _, run, arguments = _COMMANDS[argv[0]]
+        values, options, tokens = {"subcommand": argv[0], "run": run}, {}, iter(argv[1:])
+        for flag, keywords in (_JSON_OUT, *arguments):
+            if flag.startswith("-"):
+                options[flag] = keywords
+                values[keywords["dest"]] = keywords.get("default")
+            else:  # a positional, directly after the name
+                values[flag] = _read_value(keywords, next(tokens))
+        for flag in tokens:
+            keywords = options.pop(flag)  # a KeyError on an unknown or repeated option
+            values[keywords["dest"]] = True if "action" in keywords else _read_value(keywords, next(tokens))
+    except Exception:  # no subcommand, a missing value or a failed check: argparse reports it
+        return None
+    return None if any(k.get("required") for k in options.values()) else types.SimpleNamespace(**values)
+
+
+def _read_value(keywords: dict, text: str):
+    """``text`` through the argument's ``type`` and ``choices``; raises if argparse would refuse it."""
+    if text.startswith("-"):
+        raise ValueError(f"{text!r} reads as an option")
+    value = keywords.get("type", str)(text)
+    if value not in keywords.get("choices", [value]):
+        raise ValueError(f"{value!r} is not a choice")
+    return value
+
+
 @functools.lru_cache(maxsize=None)
-def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser; built once per process and shared."""
+def build_parser():
+    """The parser of the command table, built once per process; it alone
+    prints help, usage and error text, on what ``_read_argv`` declines."""
+    import argparse
     parser = argparse.ArgumentParser(prog="finstack",
                                      description="Finite-model engine for groupoid classifying spaces.")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json-out", default=None)
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    p = sub.add_parser("validate", help="validate a groupoid JSON document", parents=[common])
-    p.add_argument("--groupoid", required=True)
-    p.set_defaults(run=_cmd_validate)
-
-    p = sub.add_parser("nerve", help="build the truncated nerve and count simplices", parents=[common])
-    p.add_argument("--groupoid", required=True)
-    p.add_argument("--dim", type=nonnegative_int, required=True)
-    p.set_defaults(run=_cmd_nerve)
-
-    p = sub.add_parser("homology", help="integral homology of the nerve", parents=[common])
-    p.add_argument("--groupoid", required=True)
-    p.add_argument("--dim", type=nonnegative_int, required=True)
-    p.add_argument("--degree", type=nonnegative_int, default=None)
-    p.set_defaults(run=_cmd_homology)
-
-    p = sub.add_parser("pi1", help="edge-path group and isotropy comparison", parents=[common])
-    p.add_argument("--groupoid", required=True)
-    p.add_argument("--basepoint", required=True)
-    p.set_defaults(run=_cmd_pi1)
-
-    p = sub.add_parser("milnor", help="truncated join model and its quotient", parents=[common])
-    p.add_argument("--groupoid", required=True)
-    p.add_argument("--levels", type=nonnegative_int, required=True)
-    p.add_argument("--space", choices=["E", "B"], required=True)
-    p.add_argument("--homology", type=nonnegative_int, default=None)
-    p.add_argument("--compare-nerve", action="store_true", dest="compare_nerve")
-    p.set_defaults(run=_cmd_milnor)
-
-    p = sub.add_parser("torsor", help="descent data operations", parents=[common])
-    p.add_argument("mode", choices=["validate", "build", "roundtrip", "compare"])
-    p.add_argument("--groupoid", required=True)
-    p.add_argument("--cocycle", required=True)
-    p.add_argument("--cocycle2", default=None)
-    p.set_defaults(run=_cmd_torsor)
-
-    p = sub.add_parser("localize", help="span-calculus localized hom-sets", parents=[common])
-    p.add_argument("--cat", required=True)
-    p.add_argument("--class", dest="cls", required=True)
-    p.add_argument("--from", dest="source", required=True)
-    p.add_argument("--to", dest="target", required=True)
-    p.add_argument("--zigzag", action="store_true")
-    p.set_defaults(run=_cmd_localize)
-
-    p = sub.add_parser("kan", help="relative right Kan extension with adjunction check", parents=[common])
-    p.add_argument("--base", required=True)
-    p.add_argument("--fibers", required=True)
-    p.add_argument("--along", required=True)
-    p.add_argument("--lift", required=True)
-    p.set_defaults(run=_cmd_kan)
-
-    p = sub.add_parser("diagram-special", help="base extend a cover across a diagram", parents=[common])
-    p.add_argument("--diagram", required=True)
-    p.add_argument("--cover", required=True)
-    p.set_defaults(run=_cmd_diagram_special)
-
-    p = sub.add_parser("morita-check", help="weak equivalence and homology agreement", parents=[common])
-    p.add_argument("--functor", required=True)
-    p.add_argument("--dim", type=nonnegative_int, default=3)
-    p.set_defaults(run=_cmd_morita)
-
+    for name, (help_text, run, arguments) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for flag, keywords in (_JSON_OUT, *arguments):
+            p.add_argument(flag, **keywords)
+        p.set_defaults(run=run)
     return parser
 
 
 def dispatch(argv: list) -> RunReport:
-    """Parse and run one subcommand, write its ``--json-out`` file, and return its report.
+    """Read and run one subcommand, write its ``--json-out`` file, and return its report.
 
-    Raises :class:`UsageError` with the usage text on malformed command
-    lines; input errors propagate as the raising module's exception.
+    Only a command line that ``_read_argv`` declines reaches argparse; on a
+    malformed one this raises :class:`UsageError` with the usage text.
+    Input errors propagate as the raising module's exception.
     """
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        if exc.code not in (0, None):
-            raise UsageError(parser.format_usage()) from None
-        raise
+    args = _read_argv(argv)
+    if args is None:
+        parser = build_parser()
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:
+            if exc.code not in (0, None):
+                raise UsageError(parser.format_usage()) from None
+            raise
     report = args.run(args)
     if args.json_out:
         with open(args.json_out, "w", encoding="utf-8") as fh:

@@ -41,7 +41,8 @@ def _id_table(value, what: str) -> dict:
     return value
 
 
-def load_json(path: str) -> dict:
+def load_json(path: str, data: bytes | None = None) -> dict:
+    """The JSON object in ``data``, the bytes of ``path``, read here if not given."""
     def unique_keys(pairs: list) -> dict:
         obj = dict(pairs)
         if len(obj) < len(pairs):
@@ -51,8 +52,10 @@ def load_json(path: str) -> dict:
         return obj
 
     try:
-        with open(path, "rb") as fh:
-            doc = json.load(fh, object_pairs_hook=unique_keys)
+        if data is None:
+            with open(path, "rb") as fh:
+                data = fh.read()
+        doc = json.loads(data, object_pairs_hook=unique_keys)
     except (OSError, ValueError, RecursionError) as exc:  # ValueError covers bad UTF-8
         raise SchemaError(f"cannot read {path}: {exc}") from exc
     if not isinstance(doc, dict):

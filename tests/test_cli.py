@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import json
 import os
 import subprocess
 import sys
 import tempfile
+import threading
 from pathlib import Path
 
 import pytest
@@ -551,6 +553,23 @@ def test_kan_cli(capsys, tmp_path):
     assert "[PASS] adjunction-bijection" in out
 
 
+def test_kan_input_named_twice_keeps_its_digest(capsys, tmp_path):
+    """One file given as both ``--base`` and ``--along`` is read once and
+    hashed once per occurrence, as two files would be."""
+    docs = kan_product_docs()
+    code, out = run_cli(capsys, kan_argv(tmp_path, docs))
+    both = tmp_path / "base-along.json"
+    both.write_text(json.dumps({**docs["base"], **docs["along"]}))
+    argv = kan_argv(tmp_path, docs)
+    argv[2] = argv[6] = str(both)
+    parts = [Path(path).read_bytes() for path in argv[2::2]]
+    digest = hashlib.sha256(b"".join(part + b"\x00" for part in parts)).hexdigest()
+    shared_code, shared_out = run_cli(capsys, argv)
+    assert (shared_code, code) == (0, 0)
+    assert shared_out.splitlines()[1] == f"inputs: sha256:{digest}"
+    assert shared_out.splitlines()[2:] == out.splitlines()[2:]
+
+
 @pytest.mark.parametrize("docs, rf_lines", [
     (kan_relabel_docs, ["RF at s: ms4", "RF at u: r2", "RF at v: r2"]),
     (kan_equalizer_docs, ["RF at d0: N", "RF at d1: K", "RF at s: K"]),
@@ -826,13 +845,45 @@ def test_module_entry_point_warns_nothing(z2_file):
     assert (run.returncode, run.stderr) == (0, "")
 
 
-# runs in a fresh interpreter: each step prints its exit code and the finstack modules loaded after it
+def run_module(argv, input=None, timeout=60):
+    """``python -m finstack.cli`` on ``argv`` in a fresh interpreter."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "finstack.cli", *argv], input=input, capture_output=True,
+                          text=True, env=env, timeout=timeout)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="needs /dev/stdin")
+@pytest.mark.parametrize("argv", [["validate", "--groupoid"], ["nerve", "--dim", "3", "--groupoid"]])
+def test_input_on_a_pipe_is_read_once(z2_file, argv):
+    on_file = run_module(argv + [z2_file])
+    on_pipe = run_module(argv + ["/dev/stdin"], input=Path(z2_file).read_text())
+    assert (on_pipe.returncode, on_pipe.stderr) == (0, "")
+    assert on_pipe.stdout == on_file.stdout
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_input_on_a_fifo_is_read_once(tmp_path, z2_file):
+    """A second open of the FIFO would wait for a writer that has gone."""
+    fifo = tmp_path / "z2.fifo"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_bytes, args=(Path(z2_file).read_bytes(),), daemon=True)
+    writer.start()
+    on_fifo = run_module(["validate", "--groupoid", str(fifo)], timeout=20)
+    writer.join(timeout=20)
+    assert not writer.is_alive()
+    assert (on_fifo.returncode, on_fifo.stderr) == (0, "")
+    assert on_fifo.stdout == run_module(["validate", "--groupoid", z2_file]).stdout
+
+
+# runs in a fresh interpreter: each step prints its exit code and the finstack
+# modules, and argparse and gettext, loaded after it
 MODULE_PROBE = """
 import contextlib, io, json, sys
 import finstack.cli
 
 def loaded():
-    return sorted(m for m in sys.modules if m.partition(".")[0] == "finstack")
+    return sorted(m for m in sys.modules if m.partition(".")[0] in ("finstack", "argparse", "gettext"))
 
 steps = [("import", 0, loaded())]
 for argv in json.loads(sys.argv[1]):
@@ -846,12 +897,13 @@ def test_a_launch_loads_only_what_its_subcommand_runs(tmp_path, z2_file):
     """``import finstack.cli`` loads neither ``kan`` nor ``resolution``;
     ``validate`` loads the loader, the table core and ``homology`` (which the
     package binds eagerly); after it, ``torsor validate`` adds only ``torsor``
-    and ``diagram-special`` only ``kan``."""
+    and ``diagram-special`` only ``kan``.  None of these well-formed command
+    lines loads ``argparse`` or ``gettext``; ``--help`` loads ``argparse``."""
     cpath = tmp_path / "c.json"
     cpath.write_text(json.dumps(jio.cocycle_to_json(cocycle_zoo()[1][1])))
     argvs = [["validate", "--groupoid", z2_file],
              ["torsor", "validate", "--groupoid", z2_file, "--cocycle", str(cpath)],
-             diagram_special_argv(tmp_path, diagram_special_docs())]
+             diagram_special_argv(tmp_path, diagram_special_docs()), ["--help"]]
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     run = subprocess.run([sys.executable, "-c", MODULE_PROBE, json.dumps(argvs)],
@@ -860,12 +912,13 @@ def test_a_launch_loads_only_what_its_subcommand_runs(tmp_path, z2_file):
     (_, _, imported), *steps = json.loads(run.stdout)
     assert {"finstack.kan", "finstack.resolution"}.isdisjoint(imported)
     names = [step[0] for step in steps]
-    assert [code for _, code, _ in steps] == [0, 0, 0], names
-    validate, torsor, diagram = (set(modules) for _, _, modules in steps)
+    assert [code for _, code, _ in steps] == [0, 0, 0, 0], names
+    validate, torsor, diagram, help_ = (set(modules) for _, _, modules in steps)
     assert validate == {"finstack"} | {f"finstack.{m}" for m in (
         "cli", "jsonio", "category", "groupoid", "errors", "homology")}
     assert torsor - validate == {"finstack.torsor"}
     assert diagram - torsor == {"finstack.kan"}
+    assert "argparse" in help_ and help_ - diagram <= {"argparse", "gettext"}
 
 
 def test_stand_ins_keep_patches_in_place(monkeypatch, capsys, z2_file):
