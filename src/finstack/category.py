@@ -205,6 +205,7 @@ def validated(build: Callable, objects, morphisms, src, tgt, comp, ident):
     filled here.  Raises :class:`DanglingId` when a table mentions an undeclared
     id and :class:`AxiomViolation` with a witness when a law fails.  The entries
     of ``comp`` are checked in their order; a missing pair is named in id order.
+    An ``ident`` key that is not an object is named last, after every law holds.
 
     Associativity is decided on the triples (f, b, h) with b a generator
     (Light's test, read for categories): the arrows b with (f.b).h = f.(b.h)
@@ -240,7 +241,8 @@ def validated(build: Callable, objects, morphisms, src, tgt, comp, ident):
         if src[h] != src[f] or tgt[h] != tgt[g]:
             raise AxiomViolation("comp-endpoints", (f, g, h))
     try:
-        c = build(objects, morphisms, dict(src), dict(tgt), lambda f, g: comp[f, g], dict(ident))
+        c = build(objects, morphisms, dict(src), dict(tgt), lambda f, g: comp[f, g],
+                  {x: ident[x] for x in objects})
         arrows, at, slots, rows = c.morphisms, c.position, c.slots, c.rows
     except KeyError as missing:  # every other id the constructor or the rows look up is checked above
         raise DanglingId("comp (missing entry)", missing.args[0]) from None
@@ -255,6 +257,9 @@ def validated(build: Callable, objects, morphisms, src, tgt, comp, ident):
                 for s, gh in enumerate(rows[at[g]]):
                     if rows[fg][s] != row[slots[gh]]:
                         raise AxiomViolation("associativity", (f, g, c._from[tgt[g]][s]))
+    for x in ident:
+        if x not in obj_set:
+            raise DanglingId("id", x)
     return c
 
 

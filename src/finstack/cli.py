@@ -95,15 +95,21 @@ class RunReport:
 
 def _start(command: str, paths: list) -> tuple:
     """The report headed by the digest of the input bytes, one copy per occurrence,
-    and the loader of the inputs: each distinct path is read once, so it may be a pipe."""
-    h, data = hashlib.sha256(), {}
+    and the loader of the inputs: each distinct path is read once, so it may be a
+    pipe, and its bytes are dropped when its last occurrence is loaded."""
+    h, data, left = hashlib.sha256(), {}, {}
     for path in paths:
         if path not in data:
             with open(path, "rb") as fh:
                 data[path] = fh.read()
+        left[path] = left.get(path, 0) + 1
         h.update(data[path])
         h.update(b"\x00")
-    return RunReport(command, h.hexdigest()), lambda path: jsonio.load_json(path, data[path])
+
+    def load(path: str) -> dict:
+        left[path] -= 1
+        return jsonio.load_json(path, data[path] if left[path] else data.pop(path))
+    return RunReport(command, h.hexdigest()), load
 
 
 def nonnegative_int(text: str) -> int:

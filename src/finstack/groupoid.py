@@ -32,7 +32,8 @@ class FiniteGroupoid(FiniteCategory):
 
 
 def validate_groupoid(objects, morphisms, src, tgt, comp, ident, inv) -> FiniteGroupoid:
-    """Check the category axioms, then the inverse laws, and return the validated value."""
+    """Check the category axioms, then the inverse laws, and return the validated
+    value; an ``inv`` key that is not an arrow is named last."""
     g = validated(lambda *tables: FiniteGroupoid(*tables, dict(inv)),
                   objects, morphisms, src, tgt, comp, ident)
     mor_set = set(g.morphisms)
@@ -46,6 +47,9 @@ def validate_groupoid(objects, morphisms, src, tgt, comp, ident, inv) -> FiniteG
             raise AxiomViolation("right-inverse", a)
         if g.compose(ia, a) != g.ident[g.tgt[a]]:
             raise AxiomViolation("left-inverse", a)
+    for a in inv:
+        if a not in mor_set:
+            raise DanglingId("inv", a)
     return g
 
 

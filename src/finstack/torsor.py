@@ -146,14 +146,19 @@ def cocycle_to_json(c: Cocycle) -> dict:
 
 
 class Torsor(NamedTuple):
-    """A total set over W, held as its fibers, with fiberwise pairing and sections."""
+    """A total set over W, held as its fibers and sections.  An element is a chart
+    point (i0, w, alpha), and its anchor and pairing are read off alpha."""
 
     cov: CoveredSpace
     target: FiniteGroupoid
     fibers: dict    # point of W -> the elements over it, in id order
-    f: dict         # element -> object of the target groupoid
-    delta: dict     # (u, v) in one fiber -> arrow
     sections: dict  # i -> {w: element} for w in U_i
+
+    def f(self, u):  # the object that the chart arrow of u reaches
+        return self.target.tgt[u[2]]
+
+    def delta(self, u, v):  # alpha_u^-1 . alpha_v, for u and v in one fiber
+        return self.target.compose(self.target.inv[u[2]], v[2])
 
 
 def cocycle_to_torsor(c: Cocycle) -> Torsor:
@@ -168,27 +173,21 @@ def cocycle_to_torsor(c: Cocycle) -> Torsor:
     law by construction from a valid cocycle, so it is not validated again.
     """
     g = c.target
-    sections: dict = {i: {} for i in c.cov.indices()}
-    fibers, f, delta = {}, {}, {}
+    fibers, sections = {}, {i: {} for i in c.cov.indices()}
     for w, charts in c.cov.charts.items():
         i0 = charts[0]
-        fiber = fibers[w] = tuple((i0, w, alpha) for alpha in g.morphisms_from(c.a[i0][w]))
-        f.update((u, g.tgt[u[2]]) for u in fiber)
-        delta.update(((u, v), g.compose(g.inv[u[2]], v[2])) for u in fiber for v in fiber)
+        fibers[w] = tuple((i0, w, alpha) for alpha in g.morphisms_from(c.a[i0][w]))
         for i in charts:
             sections[i][w] = (i0, w, c.gamma[(i0, i)][w])
-    return Torsor(cov=c.cov, target=g, fibers=fibers, f=f, delta=delta, sections=sections)
+    return Torsor(cov=c.cov, target=g, fibers=fibers, sections=sections)
 
 
 def torsor_to_cocycle(t: Torsor) -> Cocycle:
-    """Read the descent data off the section witnesses.
-
-    The pairing laws of a valid torsor give C1 and C2 directly, so the
-    cocycle is built without validating it again.
-    """
+    """Read the descent data off the sections.  The pairing laws of a valid
+    torsor give C1 and C2 directly, so the cocycle is not validated again."""
     indices = t.cov.indices()
-    a = {i: {w: t.f[t.sections[i][w]] for w in t.cov.cover[i]} for i in indices}
-    gamma = {(i, j): {w: t.delta[(t.sections[i][w], t.sections[j][w])]
+    a = {i: {w: t.f(t.sections[i][w]) for w in t.cov.cover[i]} for i in indices}
+    gamma = {(i, j): {w: t.delta(t.sections[i][w], t.sections[j][w])
                       for w in t.cov.overlap(i, j)}
              for i in indices for j in indices}
     return Cocycle(cov=t.cov, target=t.target, a=a, gamma=gamma)
@@ -281,6 +280,6 @@ def torsor_isomorphic(t1: Torsor, t2: Torsor) -> bool:
         fiber1, fiber2 = t1.fibers[w], t2.fibers[w]
         if len(fiber1) != len(fiber2):
             return False
-        if fiber1 and all(t2.f[v] != t1.f[fiber1[0]] for v in fiber2):
+        if fiber1 and all(t2.f(v) != t1.f(fiber1[0]) for v in fiber2):
             return False
     return True

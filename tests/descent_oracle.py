@@ -9,7 +9,9 @@ fiber and checks the induced bijection against f and the pairing.
 :mod:`finstack.torsor` are glued from validated cocycles and are correct by
 construction, so the check lives here.  ``glue_torsor`` glues the chart
 points with a union-find and names each class by its least member, which
-:func:`finstack.torsor.cocycle_to_torsor` reads off the first chart instead.
+:func:`finstack.torsor.cocycle_to_torsor` reads off the first chart instead;
+it tabulates the anchor and the pairing from the arrows of each class in its
+charts, which :class:`finstack.torsor.Torsor` reads off the element itself.
 """
 
 from __future__ import annotations
@@ -61,33 +63,35 @@ def validate_torsor(t: Torsor) -> Torsor:
         for w, u in table.items():
             if u not in t.fibers[w]:
                 raise TorsorViolation("section", (i, w))
-    expected_pairs = {(u, v) for fiber in t.fibers.values() for u in fiber for v in fiber}
-    if set(t.delta) != expected_pairs:
-        raise TorsorViolation("pairing-domain", set(t.delta) ^ expected_pairs)
-    for (u, v), arrow in t.delta.items():
-        if g.src[arrow] != t.f[u] or g.tgt[arrow] != t.f[v]:
-            raise TorsorViolation("pairing-endpoints", (u, v))
     for fiber in t.fibers.values():
         for u in fiber:
-            if t.delta[(u, u)] != g.ident[t.f[u]]:
+            for v in fiber:
+                arrow = t.delta(u, v)
+                if g.src[arrow] != t.f(u) or g.tgt[arrow] != t.f(v):
+                    raise TorsorViolation("pairing-endpoints", (u, v))
+    for fiber in t.fibers.values():
+        for u in fiber:
+            if t.delta(u, u) != g.ident[t.f(u)]:
                 raise TorsorViolation("pairing-unit", u)
             for v in fiber:
                 for w2 in fiber:
-                    if g.compose(t.delta[(u, v)], t.delta[(v, w2)]) != t.delta[(u, w2)]:
+                    if g.compose(t.delta(u, v), t.delta(v, w2)) != t.delta(u, w2):
                         raise TorsorViolation("pairing-composition", (u, v, w2))
-            for rho in g.morphisms_from(t.f[u]):
-                matches = [v for v in fiber if t.delta[(u, v)] == rho]
+            for rho in g.morphisms_from(t.f(u)):
+                matches = [v for v in fiber if t.delta(u, v) == rho]
                 if len(matches) != 1:
                     raise TorsorViolation("cartesianness", (u, rho, matches))
     return t
 
 
-def glue_torsor(c: Cocycle) -> Torsor:
-    """Glue the chart pieces U_i x_{a_i} R along the transition arrows.
+def glue_torsor(c: Cocycle) -> tuple:
+    """Glue the chart pieces U_i x_{a_i} R along the transition arrows; returns
+    the torsor, its anchor table f and its pairing table delta.
 
     Chart points (i, w, alpha) with src(alpha) = a_i(w) are identified when
-    alpha = gamma_ij(w) . beta; the pairing of two classes compares their
-    arrows inside any common chart.  The result satisfies every torsor law by
+    alpha = gamma_ij(w) . beta; the anchor of a class is the target of its
+    arrow in its own chart, and the pairing of two classes compares their
+    arrows inside a common chart.  The result satisfies every torsor law by
     construction from a valid cocycle, so it is not validated again.
     """
     g = c.target
@@ -120,7 +124,7 @@ def glue_torsor(c: Cocycle) -> Torsor:
                 delta[(u, v)] = g.compose(g.inv[chart_arrow[(u, i)]], chart_arrow[(v, i)])
     sections = {i: {w: rep_of[(i, w, g.ident[c.a[i][w]])] for w in c.cov.cover[i]}
                 for i in indices}
-    return Torsor(cov=c.cov, target=g, fibers=fibers, f=f, delta=delta, sections=sections)
+    return Torsor(cov=c.cov, target=g, fibers=fibers, sections=sections), f, delta
 
 
 def search_cocycle_morphism(c: Cocycle, c2: Cocycle,
@@ -170,19 +174,19 @@ def search_torsor_isomorphism(t1: Torsor, t2: Torsor, budget: int = SEARCH_BUDGE
             tried += 1
             if tried > budget:
                 raise SearchBudgetExceeded(f"isomorphism search exceeded {budget} attempts")
-            if t2.f[v0] != t1.f[u0]:
+            if t2.f(v0) != t1.f(u0):
                 continue
             image = {}
             ok = True
             for u in fiber1:
-                rho = t1.delta[(u0, u)]
-                matches = [v for v in fiber2 if t2.delta[(v0, v)] == rho]
-                if len(matches) != 1 or t2.f[matches[0]] != t1.f[u]:
+                rho = t1.delta(u0, u)
+                matches = [v for v in fiber2 if t2.delta(v0, v) == rho]
+                if len(matches) != 1 or t2.f(matches[0]) != t1.f(u):
                     ok = False
                     break
                 image[u] = matches[0]
             if ok and len(set(image.values())) == len(fiber2):
-                if all(t2.delta[(image[u], image[v])] == t1.delta[(u, v)]
+                if all(t2.delta(image[u], image[v]) == t1.delta(u, v)
                        for u in fiber1 for v in fiber1):
                     found = True
                     break

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tempfile
 import threading
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -851,6 +852,27 @@ def run_module(argv, input=None, timeout=60):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     return subprocess.run([sys.executable, "-m", "finstack.cli", *argv], input=input, capture_output=True,
                           text=True, env=env, timeout=timeout)
+
+
+def test_input_bytes_are_dropped_after_their_last_load(tmp_path):
+    """A 4 MB document is held as bytes until the loader has parsed its last
+    occurrence, and no longer: a path named twice keeps its bytes for the
+    second load."""
+    from finstack.cli import _start
+    size = 4_000_000
+    path = tmp_path / "padded.json"
+    path.write_text(json.dumps(jio.groupoid_to_json(z2())) + " " * size)
+    tracemalloc.start()
+    try:
+        _, load = _start("validate", [str(path), str(path)])
+        held = tracemalloc.get_traced_memory()[0]
+        load(str(path))
+        assert tracemalloc.get_traced_memory()[0] > held - size // 10
+        doc = load(str(path))
+        assert tracemalloc.get_traced_memory()[0] < held - size * 9 // 10
+    finally:
+        tracemalloc.stop()
+    assert len(jio.groupoid_from_json(doc).morphisms) == 2
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="needs /dev/stdin")

@@ -2,9 +2,12 @@
 
 Each case is a malformed document whose comp triples are listed in id order,
 and the test pins its exit code and the exact stderr: the law that fails
-and the first failing pair or triple.  The last test permutes the comp
-triples of a valid source category, which must not move the witness: the
-scans walk composites in id order, not in the order a document lists them.
+and the first failing pair or triple.  The ghost-key cases give
+``id`` or ``inv`` keys that name no declared object or arrow: such a key is
+named after every law holds, and it no longer hides a failing law.  The last
+test permutes the comp triples of a valid source category, which must not
+move the witness: the scans walk composites in id order, not in the order a
+document lists them.
 """
 
 from __future__ import annotations
@@ -43,6 +46,22 @@ MAGMA = {
     "comp": [["e", "e", "e"], ["e", "a", "a"], ["e", "b", "b"], ["a", "e", "a"], ["b", "e", "b"],
              ["a", "a", "a"], ["a", "b", "a"], ["b", "a", "b"], ["b", "b", "a"]],
     "id": {"*": "e"}, "inv": {"e": "e", "a": "a", "b": "b"}}
+
+
+def ghost_ids(doc: dict) -> dict:
+    """``doc`` with the id keys ghost1 ... ghost5, naming no object, sent to
+    the arrows 1 ... 5: once every arrow was an identity's image, the
+    generators of Light's test were none."""
+    return dict(doc, id=dict(doc["id"], **{f"ghost{k}": str(k) for k in range(1, 6)}))
+
+
+def z6_magma() -> dict:
+    """Z/6 with 1.2 = 4 and 1.3 = 3: units and inverses hold, associativity
+    fails, and its 36 composites are at least ``SCAN_BELOW``."""
+    doc = jio.groupoid_to_json(fs.cyclic_groupoid(6))
+    doc["comp"] = [t[:2] + [{"2": "4", "3": "3"}[t[1]]] if t[0] == "1" and t[1] in "23" else t
+                   for t in doc["comp"]]
+    return doc
 
 
 def chain2_doc() -> dict:
@@ -96,6 +115,45 @@ def test_diagram_composition_witness(capsys, tmp_path):
 def test_associativity_witness(capsys, tmp_path):
     argv = ["validate", "--groupoid", write(tmp_path, "magma.json", MAGMA)]
     assert run(capsys, argv) == (2, "", "error: axiom associativity fails at ('b', 'a', 'b')\n")
+
+
+def test_ghost_id_keys_do_not_hide_associativity(capsys, tmp_path):
+    path = write(tmp_path, "magma.json", ghost_ids(z6_magma()))
+    expected = (2, "", "error: axiom associativity fails at ('1', '1', '1')\n")
+    assert run(capsys, ["validate", "--groupoid", path]) == expected
+    assert run(capsys, ["homology", "--groupoid", path, "--dim", "3", "--degree", "1"]) == expected
+    plain = write(tmp_path, "plain.json", z6_magma())
+    assert run(capsys, ["validate", "--groupoid", plain]) == expected
+
+
+def test_ghost_id_key_named_after_the_laws(capsys, tmp_path):
+    doc = ghost_ids(jio.groupoid_to_json(fs.cyclic_groupoid(6)))
+    argv = ["validate", "--groupoid", write(tmp_path, "z6.json", doc)]
+    assert run(capsys, argv) == (2, "", "error: id: undeclared id 'ghost1' (at 'ghost1')\n")
+
+
+def test_ghost_id_keys_do_not_hide_a_non_functor(capsys, tmp_path):
+    """Z/6 to itself, the identity but for 2 sent to 1; its source carries
+    ghost id keys and is rejected before any functor check."""
+    z6 = jio.groupoid_to_json(fs.cyclic_groupoid(6))
+    doc = {"source": z6, "target": z6, "objects": {"*": "*"},
+           "arrows": {str(k): str(k if k != 2 else 1) for k in range(6)}}
+    argv = ["morita-check", "--functor", write(tmp_path, "f.json", doc)]
+    assert run(capsys, argv) == (2, "", "error: axiom functor-composition fails at ('1', '1')\n")
+    doc["source"] = ghost_ids(z6)
+    argv = ["morita-check", "--functor", write(tmp_path, "ghost.json", doc)]
+    assert run(capsys, argv) == (2, "", "error: id: undeclared id 'ghost1' (at 'ghost1')\n")
+
+
+def test_ghost_inv_key_named_after_the_inverse_laws(capsys, tmp_path):
+    """A failing inverse law is still named first, as before the key was checked."""
+    doc = jio.groupoid_to_json(fs.cyclic_groupoid(2))
+    doc["inv"]["ghost"] = "1"
+    argv = ["validate", "--groupoid", write(tmp_path, "z2.json", doc)]
+    assert run(capsys, argv) == (2, "", "error: inv: undeclared id 'ghost' (at 'ghost')\n")
+    doc["inv"]["1"] = "0"
+    assert run(capsys, argv[:2] + [write(tmp_path, "z2-bad.json", doc)]) == (
+        2, "", "error: axiom right-inverse fails at '1'\n")
 
 
 def test_witness_ignores_the_order_of_comp_triples(capsys, tmp_path):
