@@ -45,9 +45,9 @@ _HOMES = {
     ], "spans"),
     **dict.fromkeys([
         "AdjunctionReport", "FiberDiagram", "FinSetFiber", "GroupoidDiagram", "IndexedCategory",
-        "Lift", "LimitCone", "RightKanResult", "SpecialDiagram", "adjunction_check",
-        "diagram_special", "finset_limit", "groupoid_diagram", "indexed_category",
-        "is_global_limit", "lift", "make_fiber", "right_kan", "trivial_indexed_category",
+        "Lift", "RightKanResult", "SpecialDiagram", "adjunction_check", "diagram_special",
+        "finset_limit", "groupoid_diagram", "indexed_category", "is_global_limit", "lift",
+        "make_fiber", "right_kan", "trivial_indexed_category",
     ], "kan"),
     **dict.fromkeys(["RunReport", "dispatch"], "cli"),
 }

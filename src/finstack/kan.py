@@ -480,27 +480,16 @@ def fiber_diagram(fiber: FinSetFiber, shape: FiniteCategory,
     return FiberDiagram(shape=shape, on_obj=dict(on_obj), on_mor=dict(on_mor))
 
 
-class LimitCone(NamedTuple):
-    """All cones over a finite-set diagram, as tuples aligned with shape_objects:
-    ``positions`` holds the positions of the elements in their sets, in
-    lexicographic (so id) order, and ``cones`` the elements themselves."""
-
-    shape_objects: tuple
-    cones: tuple
-    positions: tuple
-
-
-def finset_limit(fiber: FinSetFiber, diagram: FiberDiagram) -> LimitCone:
-    """Every cone, as a compatible family with one variable per shape object."""
+def finset_limit(fiber: FinSetFiber, diagram: FiberDiagram) -> tuple:
+    """Every cone, as a compatible family with one variable per shape object:
+    the positions of its elements in their sets, in shape-object order, the
+    cones in lexicographic (so id) order."""
     shape = diagram.shape
-    shape_objects = tuple(shape.objects)
-    position = {x: i for i, x in enumerate(shape_objects)}
-    pools = [fiber.elems(diagram.on_obj[x]) for x in shape_objects]
+    position = {x: i for i, x in enumerate(shape.objects)}
+    sizes = [len(fiber.elems(diagram.on_obj[x])) for x in shape.objects]
     arrows = [(position[shape.src[m]], diagram.on_mor[m].images, position[shape.tgt[m]],
-               range(len(pools[position[shape.tgt[m]]]))) for m in shape.morphisms]
-    positions = tuple(compatible_families([len(pool) for pool in pools], arrows))
-    cones = tuple(tuple(pool[k] for pool, k in zip(pools, cone)) for cone in positions)
-    return LimitCone(shape_objects=shape_objects, cones=cones, positions=positions)
+               range(sizes[position[shape.tgt[m]]])) for m in shape.morphisms]
+    return tuple(compatible_families(sizes, arrows))
 
 
 def is_global_limit(ic: IndexedCategory, b, diagram: FiberDiagram, obj) -> bool:
@@ -539,13 +528,11 @@ def is_global_limit(ic: IndexedCategory, b, diagram: FiberDiagram, obj) -> bool:
 
 
 class RightKanResult(NamedTuple):
-    """The extended lift with its comma diagrams, limit cones and projections."""
+    """The extended lift with the projections of each limit."""
 
     lift: Lift
     along: CatFunctor
-    diagrams: dict      # d -> FiberDiagram on the comma (d down F), in the fiber at anchor(d)
-    cones: dict         # d -> LimitCone
-    projections: dict   # d -> {comma object: FibMor RF(d) -> diagram value}
+    projections: dict   # d -> {comma object: FibMor RF(d) -> diagram value}, in comma order
 
 
 def _comma_fiber_diagram(ic: IndexedCategory, f: CatFunctor, p: CatFunctor,
@@ -572,50 +559,42 @@ def right_kan(ic: IndexedCategory, f: CatFunctor, p: CatFunctor, p_lift: Lift) -
     is missing or fails to be global.
     """
     d_cat = f.target
-    diagrams: dict = {}
-    cones: dict = {}
     objects: dict = {}
     projections: dict = {}
 
     for d in d_cat.objects:
         diagram = _comma_fiber_diagram(ic, f, p, p_lift, d)
         fiber = ic.fiber(p.obj_map[d])
-        cone_set = finset_limit(fiber, diagram)
-        size = len(cone_set.cones)
-        chosen = next((name for name in fiber.names() if len(fiber.elems(name)) == size), None)
+        cones = finset_limit(fiber, diagram)
+        chosen = next((name for name in fiber.names() if len(fiber.elems(name)) == len(cones)), None)
         if chosen is None:
-            raise NotFComplete(d, f"no fiber object of size {size}")
+            raise NotFComplete(d, f"no fiber object of size {len(cones)}")
         # the i-th element of ``chosen`` stands for the i-th cone
         if not is_global_limit(ic, p.obj_map[d], diagram, chosen):
             raise NotFComplete(d, "fiber limit is not global")
-        projs = {obj: FibMor(chosen, diagram.on_obj[obj],
-                             tuple(cone[k] for cone in cone_set.positions))
-                 for k, obj in enumerate(cone_set.shape_objects)}
-        diagrams[d] = diagram
-        cones[d] = cone_set
         objects[d] = chosen
-        projections[d] = projs
+        projections[d] = {obj: FibMor(chosen, diagram.on_obj[obj], tuple(cone[k] for cone in cones))
+                          for k, obj in enumerate(diagram.shape.objects)}
 
     morphisms: dict = {}
     for m in d_cat.morphisms:
         a, b = d_cat.src[m], d_cat.tgt[m]
         pf = ic.pull(p.mor_map[m])
+        fiber = ic.fiber(p.obj_map[a])
         target_name = pf.on_obj(objects[b])
         # The limit at b is global, so pf carries it to a limit over p(a), and
         # every cone over a restricts to a cone over that pulled diagram: each
         # element of RF(a) goes to the one element whose pulled cone that is.
-        pulled = [pf.on_mor(projections[b][obj]).images for obj in cones[b].shape_objects]
+        pulled = [pf.on_mor(projection).images for projection in projections[b].values()]
         element_of = {tuple(images[y] for images in pulled): y
-                      for y in range(len(ic.fiber(p.obj_map[a]).elems(target_name)))}
-        comma_a_index = {obj: i for i, obj in enumerate(cones[a].shape_objects)}
-        restrict = [comma_a_index[(e, d_cat.compose(m, beta))]
-                    for e, beta in cones[b].shape_objects]
+                      for y in range(len(fiber.elems(target_name)))}
+        restrict = [projections[a][(e, d_cat.compose(m, beta))].images for e, beta in projections[b]]
         morphisms[m] = FibMor(objects[a], target_name, tuple(
-            element_of[tuple(cone[i] for i in restrict)] for cone in cones[a].positions))
+            element_of[tuple(images[x] for images in restrict)]
+            for x in range(len(fiber.elems(objects[a])))))
 
     extended = lift(ic, d_cat, p, objects, morphisms)
-    return RightKanResult(lift=extended, along=f, diagrams=diagrams, cones=cones,
-                          projections=projections)
+    return RightKanResult(lift=extended, along=f, projections=projections)
 
 
 def counit(rf: RightKanResult) -> dict:

@@ -3,7 +3,8 @@ universal factorizations of right Kan extensions.
 
 Functions here are their own type, sorted (element, image) pairs, as fiber
 morphisms were before they became positional image tuples; ``to_elements``
-and ``to_positions`` convert between the two.  Each pullback functor is
+and ``to_positions`` convert between the two, and ``element_cones`` reads
+the cones of a limit, as tuples of elements, off its projections.  Each pullback functor is
 materialised as a table over every function, all Σ|Y|^|X| between the
 fiber's sets, and checked on every identity and every composable pair.
 ``finstack.kan`` validates the same functors structurally; the tests compare
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 import finstack.kan as kan
 from finstack.category import idkey
 from finstack.errors import AxiomViolation, DanglingId, EnumerationBudgetExceeded, NotFComplete
-from finstack.kan import FiberDiagram, FibMor, FinSetFiber, LimitCone
+from finstack.kan import FiberDiagram, FibMor, FinSetFiber
 
 
 @dataclass(frozen=True)
@@ -70,22 +71,26 @@ def positional_morphisms(fiber: FinSetFiber, o1, o2) -> tuple:
         range(len(fiber.elems(o2))), repeat=len(fiber.elems(o1))))
 
 
-def finset_limit(fiber: FinSetFiber, diagram) -> LimitCone:
+def finset_limit(fiber: FinSetFiber, diagram) -> tuple:
     """Every tuple of positions, one per shape object, that every shape
-    morphism respects."""
+    morphism respects, in the id order of the tuples of their elements."""
     shape = diagram.shape
-    shape_objects = tuple(shape.objects)
-    position = {x: i for i, x in enumerate(shape_objects)}
-    pools = [fiber.elems(diagram.on_obj[x]) for x in shape_objects]
+    position = {x: i for i, x in enumerate(shape.objects)}
+    pools = [fiber.elems(diagram.on_obj[x]) for x in shape.objects]
     arrows = [(position[shape.src[m]], position[shape.tgt[m]], diagram.on_mor[m].images)
               for m in shape.morphisms]
-    found = sorted(
-        ((tuple(pool[k] for pool, k in zip(pools, cone)), cone)
-         for cone in itertools.product(*(range(len(pool)) for pool in pools))
-         if all(images[cone[i]] == cone[j] for i, j, images in arrows)),
-        key=lambda pair: idkey(pair[0]))
-    return LimitCone(shape_objects=shape_objects, cones=tuple(c for c, _ in found),
-                     positions=tuple(p for _, p in found))
+    found = [cone for cone in itertools.product(*(range(len(pool)) for pool in pools))
+             if all(images[cone[i]] == cone[j] for i, j, images in arrows)]
+    return tuple(sorted(found, key=lambda cone: idkey(
+        tuple(pool[k] for pool, k in zip(pools, cone)))))
+
+
+def element_cones(fiber: FinSetFiber, obj, projections: dict) -> tuple:
+    """The cone of each element of the limit object ``obj``, read off its
+    ``projections`` (comma object -> FibMor out of ``obj``) as a tuple of
+    elements, one per comma object in the projections' order."""
+    return tuple(tuple(fiber.elems(pr.tgt)[pr.images[x]] for pr in projections.values())
+                 for x in range(len(fiber.elems(obj))))
 
 
 def is_global_limit(ic, b, diagram, obj) -> bool:
@@ -94,8 +99,8 @@ def is_global_limit(ic, b, diagram, obj) -> bool:
     send the elements of the pulled ``obj`` one to one onto the cones of the
     pulled diagram, enumerated as a filtered product."""
     cones = finset_limit(ic.fiber(b), diagram)
-    projections = [FibMor(obj, diagram.on_obj[x], tuple(cone[k] for cone in cones.positions))
-                   for k, x in enumerate(cones.shape_objects)]
+    projections = [FibMor(obj, diagram.on_obj[x], tuple(cone[k] for cone in cones))
+                   for k, x in enumerate(diagram.shape.objects)]
     for f in ic.base.morphisms_into(b):
         pf, fiber = ic.pull(f), ic.fiber(ic.base.src[f])
         pulled = FiberDiagram(shape=diagram.shape,
@@ -104,7 +109,7 @@ def is_global_limit(ic, b, diagram, obj) -> bool:
         images = [pf.on_mor(projection).images for projection in projections]
         size = len(fiber.elems(pf.on_obj(obj)))
         comparison = {tuple(image[i] for image in images) for i in range(size)}
-        if len(comparison) != size or comparison != set(finset_limit(fiber, pulled).positions):
+        if len(comparison) != size or comparison != set(finset_limit(fiber, pulled)):
             return False
     return True
 
@@ -246,15 +251,16 @@ def factorizations(ic, p, rf) -> dict:
         fiber = ic.fiber(p.obj_map[a])
         pf = ic.pull(p.mor_map[m])
         target_name = pf.on_obj(objects[b])
-        comma_a_index = {obj: i for i, obj in enumerate(rf.cones[a].shape_objects)}
-        pulled = {obj: to_elements(fiber, pf.on_mor(rf.projections[b][obj]))
-                  for obj in rf.cones[b].shape_objects}
+        comma_a_index = {obj: i for i, obj in enumerate(rf.projections[a])}
+        pulled = {obj: to_elements(fiber, pf.on_mor(projection))
+                  for obj, projection in rf.projections[b].items()}
+        cones_a = element_cones(fiber, objects[a], rf.projections[a])
         mapping = {}
-        for x, cone_x in zip(fiber.elems(objects[a]), rf.cones[a].cones):
+        for x, cone_x in zip(fiber.elems(objects[a]), cones_a):
             matches = [y for y in fiber.elems(target_name)
                        if all(pulled[(e, beta)].apply(y)
                               == cone_x[comma_a_index[(e, d_cat.compose(m, beta))]]
-                              for (e, beta) in rf.cones[b].shape_objects)]
+                              for (e, beta) in rf.projections[b])]
             if len(matches) != 1:
                 raise NotFComplete(a, f"universal factorization failed along {m!r}")
             mapping[x] = matches[0]

@@ -38,7 +38,7 @@ REEXPORTS = {
               "morphism_class", "r_homotopic", "r_homotopy_classes", "span_pi0", "theta_span",
               "zigzag_check"],
     "kan": ["AdjunctionReport", "FiberDiagram", "FinSetFiber", "GroupoidDiagram",
-            "IndexedCategory", "Lift", "LimitCone", "RightKanResult", "SpecialDiagram",
+            "IndexedCategory", "Lift", "RightKanResult", "SpecialDiagram",
             "adjunction_check", "diagram_special", "finset_limit", "groupoid_diagram",
             "indexed_category", "is_global_limit", "lift", "make_fiber", "right_kan",
             "trivial_indexed_category"],

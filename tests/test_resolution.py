@@ -5,6 +5,7 @@ import pytest
 import finstack as fs
 from finstack.errors import InsufficientTruncation
 import finstack.resolution
+import homology_closed_form as hc
 from finstack.homology import invariant_factors, kernel_columns, lattice_insert
 from finstack.resolution import free_resolution
 from resolution_oracle import free_resolution as oracle_free_resolution, kernel_free_resolution
@@ -199,3 +200,73 @@ def test_resolution_chains_are_truncated_at_cap():
     with pytest.raises(InsufficientTruncation) as info:
         fs.homology(cx, 2)
     assert str(info.value) == "degree 2 needs truncation cap >= 3, have 2"
+
+
+def z(m):
+    return fs.cyclic_groupoid(m)
+
+
+CLOSED_FORMS = [
+    ("Z6", lambda: fs.cyclic_groupoid(6), lambda top: hc.cyclic(6, top)),
+    ("Z2xZ2", lambda: hc.product_group(z(2), z(2)),
+     lambda top: hc.kunneth(hc.cyclic(2, top), hc.cyclic(2, top))),
+    ("Z2xZ4", lambda: hc.product_group(z(2), z(4)),
+     lambda top: hc.kunneth(hc.cyclic(2, top), hc.cyclic(4, top))),
+    ("Z3xZ3", lambda: hc.product_group(z(3), z(3)),
+     lambda top: hc.kunneth(hc.cyclic(3, top), hc.cyclic(3, top))),
+    ("Z4xZ8", lambda: hc.product_group(z(4), z(8)),
+     lambda top: hc.kunneth(hc.cyclic(4, top), hc.cyclic(8, top))),
+    ("Z2^3", lambda: hc.product_group(z(2), z(2), z(2)),
+     lambda top: hc.kunneth(hc.kunneth(hc.cyclic(2, top), hc.cyclic(2, top)), hc.cyclic(2, top))),
+    ("S3", s3, lambda top: hc.dihedral(3, top)),
+    ("D10", lambda: hc.dihedral_group(5), lambda top: hc.dihedral(5, top)),
+    ("D14", lambda: hc.dihedral_group(7), lambda top: hc.dihedral(7, top)),
+    ("Q8", lambda: hc.quaternion_group(2), lambda top: hc.quaternion(2, top)),
+    ("Q16", lambda: hc.quaternion_group(4), lambda top: hc.quaternion(4, top)),
+]
+CLOSED_FORM_TOP = 13
+
+
+def resolution_homology(g, top: int) -> list:
+    """H_0, ..., H_top of ``resolution_chains`` as (free rank, invariant factors)."""
+    cx = fs.resolution_chains(g, top + 1)
+    return [fs.homology(cx, n).pair() for n in range(top + 1)]
+
+
+@pytest.mark.parametrize("orders, factors", [
+    ((), ()), ((1, 1), ()), ((2, 3), (6,)), ((2, 4, 3), (2, 12)), ((4, 2, 2), (2, 2, 4)),
+    ((6, 10, 15), (30, 30)), ((9, 3, 27), (3, 9, 27))])
+def test_closed_form_normalizer_gives_invariant_factors(orders, factors):
+    assert hc.normalize((0, orders)) == (0, factors)
+
+
+@pytest.mark.parametrize("group, form", [pytest.param(g, f, id=name) for name, g, f in CLOSED_FORMS])
+def test_resolution_homology_matches_closed_forms(group, form):
+    """Brown's closed forms (cyclic, Künneth, periodic of period 4) reach
+    degrees no nerve and no bar complex does; they share no code with
+    ``free_resolution`` or ``lattice_insert``."""
+    assert resolution_homology(group(), CLOSED_FORM_TOP) == \
+        [hc.normalize(h) for h in form(CLOSED_FORM_TOP)]
+
+
+def assert_transfer(g, top: int) -> None:
+    """|G| annihilates H_n(G) for n > 0 (Brown, ch. III, §10): no free part,
+    and every invariant factor divides |G|."""
+    for free, factors in resolution_homology(g, top)[1:]:
+        assert free == 0 and all(len(g.morphisms) % d == 0 for d in factors)
+
+
+@pytest.mark.parametrize("group", [pytest.param(g, id=name) for name, g, _ in CLOSED_FORMS])
+def test_group_order_annihilates_homology_on_the_closed_form_zoo(group):
+    assert_transfer(group(), CLOSED_FORM_TOP)
+
+
+@pytest.mark.parametrize("table", [pytest.param(t, id=name) for name, t, _ in oracle_groups()])
+def test_group_order_annihilates_homology_on_the_oracle_groups(table):
+    """Arrows are labelled so that their id order is the table's, which keeps
+    the resolution the one the table's own group gets."""
+    label = [f"g{i:03d}" for i in range(len(table))]
+    unit = table.index(list(range(len(table))))
+    g = fs.groupoid_from_group(label, {(label[a], label[b]): label[c] for a, row in enumerate(table)
+                                       for b, c in enumerate(row)}, label[unit])
+    assert_transfer(g, 7)
