@@ -2,11 +2,18 @@
 
 The base set carries the discrete topology, so every cover is open and all
 compatibility conditions are pointwise equalities between arrows.
+
+Each point's chart list is walked once.  C2 is decided on the triples
+(i0, j, k) with i0 the first chart containing w: they give
+gamma_jk = gamma_{i0 j}^-1 . gamma_{i0 k}, so gamma_ij . gamma_jk =
+gamma_{i0 i}^-1 . gamma_{i0 k} = gamma_ik for every triple, at a cost of
+O(sum_w |I_w|^2) composites.  Only a failure scans every triple, in order,
+to name the first failing one.  The M1/M2 check of morphism data stays
+full and composes arrow positions, ``rows[at[f]][slots[at[g]]]``.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
 from typing import Mapping, NamedTuple
 
 from .errors import (
@@ -25,11 +32,15 @@ from .jsonio import _id_table, _ids, _require
 class CoveredSpace:
     """A finite set ``points``, in id order, with the cover ``cover``: index
     -> frozenset of points.  ``charts`` maps each point to the indices of the
-    cover sets that contain it, in id order, and is built on first use."""
+    cover sets that contain it, in id order."""
 
     def __init__(self, points: tuple, cover: dict):
         self.points, self.cover = points, cover
         self._indices = sorted_ids(cover)
+        self.charts = charts = {w: [] for w in points}
+        for i in self._indices:
+            for w in cover[i]:
+                charts[w].append(i)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -38,10 +49,6 @@ class CoveredSpace:
 
     def indices(self) -> tuple:
         return self._indices
-
-    @cached_property
-    def charts(self) -> dict:
-        return {w: [i for i in self._indices if w in self.cover[i]] for w in self.points}
 
     def overlap(self, *labels) -> tuple:
         """The points in every named cover set, in id order."""
@@ -80,38 +87,62 @@ class Cocycle(NamedTuple):
 
 
 def validate_cocycle(cov: CoveredSpace, target: FiniteGroupoid, a: dict, gamma: dict) -> Cocycle:
-    """Check the source/target condition and the multiplication law pointwise."""
-    indices = cov.indices()
-    objects, arrows = set(target.objects), set(target.morphisms)
+    """Check the source/target condition and the multiplication law pointwise.
+
+    Per chart, the domain of a_i and then its values; per chart pair, the
+    domain of gamma_ij, then its values, then C1; then C2 at the first chart
+    of each point.  Only a failure of C2 scans every triple (i, j, k), each
+    over its points in id order, to name the first failing one.
+    """
+    indices, cover = cov.indices(), cov.cover
+    objects, arrows, src, tgt = target.ident, target.position, target.src, target.tgt
     for i in indices:
         table = a.get(i)
-        if table is None or set(table) != cov.cover[i]:
+        if table is None or table.keys() != cover[i]:
             raise DanglingId("a (domain mismatch)", i)
         for w, x in table.items():
             if x not in objects:
                 raise DanglingId("a", (i, w), x)
     for i in indices:
+        ai = a[i]
         for j in indices:
-            table = gamma.get((i, j), {})
-            if set(table) != cov.cover[i] & cov.cover[j]:
+            aj, table = a[j], gamma.get((i, j), {})
+            if table.keys() != cover[i] & cover[j]:
                 raise DanglingId("gamma (domain mismatch)", (i, j))
             for w, arrow in table.items():
                 if arrow not in arrows:
                     raise DanglingId("gamma", (i, j, w), arrow)
-                if target.src[arrow] != a[i][w] or target.tgt[arrow] != a[j][w]:
+                if src[arrow] != ai[w] or tgt[arrow] != aj[w]:
                     raise C1Violation(w, i, j)
-    for i in indices:
-        for j in indices:
-            for k in indices:
-                for w in cov.overlap(i, j, k):
-                    if target.compose(gamma[(i, j)][w], gamma[(j, k)][w]) != gamma[(i, k)][w]:
-                        raise C2Violation(w, i, j, k)
+    if not _c2_at_first_charts(cov, target, gamma):
+        for i in indices:
+            for j in indices:
+                for k in indices:
+                    for w in cov.overlap(i, j, k):
+                        if target.compose(gamma[(i, j)][w], gamma[(j, k)][w]) != gamma[(i, k)][w]:
+                            raise C2Violation(w, i, j, k)
     return Cocycle(cov=cov, target=target,
                    a={i: dict(a[i]) for i in indices},
                    gamma={(i, j): dict(gamma.get((i, j), {})) for i in indices for j in indices})
 
 
+def _c2_at_first_charts(cov: CoveredSpace, g: FiniteGroupoid, gamma: dict) -> bool:
+    """Whether gamma_{i0 j} . gamma_jk = gamma_{i0 k} at every point w, for i0
+    its first chart and all charts j, k containing it; C1 must hold."""
+    at, slots, rows = g.position, g.slots, g.rows
+    for w, charts in cov.charts.items():
+        i0 = charts[0]
+        for j in charts:
+            row = rows[at[gamma[(i0, j)][w]]]
+            for k in charts:
+                if row[slots[at[gamma[(j, k)][w]]]] != at[gamma[(i0, k)][w]]:
+                    return False
+    return True
+
+
 def cocycle_from_json(doc: Mapping, target: FiniteGroupoid) -> Cocycle:
+    """The validated cocycle of a document; its tables are copied once, by
+    :func:`validate_cocycle`."""
     points = _ids(_require(doc, "W", list), "W")
     cover_doc = _require(doc, "cover", dict)
     cov = covered_space(points, {i: set(_ids(part, f"cover {i!r}")) for i, part in cover_doc.items()})
@@ -127,8 +158,8 @@ def cocycle_from_json(doc: Mapping, target: FiniteGroupoid) -> Cocycle:
             raise SchemaError(f"gamma key {key!r} must look like 'i,j'")
         if parts[0] not in cover_doc or parts[1] not in cover_doc:
             raise SchemaError(f"gamma key {key!r} names a chart outside cover")
-        gamma[(parts[0], parts[1])] = dict(_id_table(table, f"gamma {key!r}"))
-    a = {i: dict(_id_table(t, f"a {i!r}")) for i, t in a_doc.items()}
+        gamma[(parts[0], parts[1])] = _id_table(table, f"gamma {key!r}")
+    a = {i: _id_table(t, f"a {i!r}") for i, t in a_doc.items()}
     return validate_cocycle(cov, target, a, gamma)
 
 
@@ -183,13 +214,18 @@ def cocycle_to_torsor(c: Cocycle) -> Torsor:
 
 
 def torsor_to_cocycle(t: Torsor) -> Cocycle:
-    """Read the descent data off the sections.  The pairing laws of a valid
-    torsor give C1 and C2 directly, so the cocycle is not validated again."""
-    indices = t.cov.indices()
-    a = {i: {w: t.f(t.sections[i][w]) for w in t.cov.cover[i]} for i in indices}
-    gamma = {(i, j): {w: t.delta(t.sections[i][w], t.sections[j][w])
-                      for w in t.cov.overlap(i, j)}
-             for i in indices for j in indices}
+    """Read the descent data off the sections, point by point in id order.
+    The pairing laws of a valid torsor give C1 and C2 directly, so the
+    cocycle is not validated again."""
+    indices, sections = t.cov.indices(), t.sections
+    a: dict = {i: {} for i in indices}
+    gamma: dict = {(i, j): {} for i in indices for j in indices}
+    for w, charts in t.cov.charts.items():
+        for i in charts:
+            u = sections[i][w]
+            a[i][w] = t.f(u)
+            for j in charts:
+                gamma[(i, j)][w] = t.delta(u, sections[j][w])
     return Cocycle(cov=t.cov, target=t.target, a=a, gamma=gamma)
 
 
@@ -209,29 +245,35 @@ def _require_same_base(c: Cocycle | Torsor, c2: Cocycle | Torsor, noun: str) -> 
 def cocycle_morphism_violations(c: Cocycle, c2: Cocycle, delta: dict) -> list:
     """Witnesses of M1/M2 failures for candidate morphism data; empty means
     valid.  Tables off their overlaps come first, in chart order; M1, then M2,
-    is checked only when all before it holds, point by point in id order."""
+    is checked only when all before it holds, point by point in id order.
+    M2 composes arrow positions."""
     _require_same_base(c, c2, "cocycles")
-    g, charts, charts2 = c.target, c.cov.charts, c2.cov.charts
-    bad = [("domain", i, k) for i in c.cov.indices() for k in c2.cov.indices()
-           if set(delta.get((i, k), {})) != c.cov.cover[i] & c2.cov.cover[k]]
+    g, cov, cov2 = c.target, c.cov, c2.cov
+    bad = [("domain", i, k) for i in cov.indices() for k in cov2.indices()
+           if delta.get((i, k), {}).keys() != cov.cover[i] & cov2.cover[k]]
     if bad:
         return bad
-    for w in c.cov.points:
-        for i in charts[w]:
-            for k in charts2[w]:
+    src, tgt, a, a2, gamma, gamma2 = g.src, g.tgt, c.a, c2.a, c.gamma, c2.gamma
+    for w in cov.points:
+        for i in cov.charts[w]:
+            for k in cov2.charts[w]:
                 arrow = delta[(i, k)][w]
-                if g.src[arrow] != c.a[i][w] or g.tgt[arrow] != c2.a[k][w]:
+                if src[arrow] != a[i][w] or tgt[arrow] != a2[k][w]:
                     bad.append(("M1", w, i, k))
     if bad:
         return bad
-    for w in c.cov.points:
-        for i in charts[w]:
-            for k in charts2[w]:
-                for l in charts2[w]:
-                    if g.compose(delta[(i, k)][w], c2.gamma[(k, l)][w]) != delta[(i, l)][w]:
+    at, slots, rows = g.position, g.slots, g.rows
+    for w in cov.points:
+        charts, charts2 = cov.charts[w], cov2.charts[w]
+        for i in charts:
+            for k in charts2:
+                p = at[delta[(i, k)][w]]
+                row = rows[p]
+                for l in charts2:
+                    if row[slots[at[gamma2[(k, l)][w]]]] != at[delta[(i, l)][w]]:
                         bad.append(("M2-right", w, i, k, l))
-                for j in charts[w]:
-                    if g.compose(c.gamma[(i, j)][w], delta[(j, k)][w]) != delta[(i, k)][w]:
+                for j in charts:
+                    if rows[at[gamma[(i, j)][w]]][slots[at[delta[(j, k)][w]]]] != p:
                         bad.append(("M2-left", w, i, j, k))
     return bad
 
@@ -245,21 +287,24 @@ def find_cocycle_morphism(c: Cocycle, c2: Cocycle) -> CocycleMorphism | None:
 
     M2 forces delta_ik(w) = gamma_{i,i0}(w) . delta0 . gamma'_{k0,k}(w), with i0, k0
     the first charts containing w and delta0 any arrow a_i0(w) -> a'_k0(w); by C2
-    every such choice satisfies M1/M2.  The result is checked before it is returned.
+    every such choice satisfies M1/M2.  The composites are taken on arrow
+    positions, and the result is checked before it is returned.
     """
     _require_same_base(c, c2, "cocycles")
-    g = c.target
+    g, a, a2, gamma, gamma2 = c.target, c.a, c2.a, c.gamma, c2.gamma
+    arrows, at, slots, rows = g.morphisms, g.position, g.slots, g.rows
     delta: dict = {(i, k): {} for i in c.cov.indices() for k in c2.cov.indices()}
     for w, charts in c.cov.charts.items():
         charts2 = c2.cov.charts[w]
         i0, k0 = charts[0], charts2[0]
-        options = g.hom(c.a[i0][w], c2.a[k0][w])
+        options = g.hom(a[i0][w], a2[k0][w])
         if not options:
             return None
+        middle = slots[at[options[0]]]
         for i in charts:
-            head = g.compose(c.gamma[(i, i0)][w], options[0])
+            head = rows[rows[at[gamma[(i, i0)][w]]][middle]]
             for k in charts2:
-                delta[(i, k)][w] = g.compose(head, c2.gamma[(k0, k)][w])
+                delta[(i, k)][w] = arrows[head[slots[at[gamma2[(k0, k)][w]]]]]
     bad = cocycle_morphism_violations(c, c2, delta)
     if bad:
         raise AxiomViolation(bad[0][0], bad[0][1:])

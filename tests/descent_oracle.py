@@ -12,6 +12,11 @@ points with a union-find and names each class by its least member, which
 :func:`finstack.torsor.cocycle_to_torsor` reads off the first chart instead;
 it tabulates the anchor and the pairing from the arrows of each class in its
 charts, which :class:`finstack.torsor.Torsor` reads off the element itself.
+``validate_cocycle_by_triples`` decides C2 on every chart triple, where
+:func:`finstack.torsor.validate_cocycle` decides it at the first chart of
+each point, and ``morphism_violations_by_ids`` checks M1/M2 by composing
+ids, where :func:`finstack.torsor.cocycle_morphism_violations` composes
+arrow positions.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ import itertools
 import math
 
 from finstack.category import idkey, partition, sorted_ids
-from finstack.errors import MismatchedTarget
+from finstack.errors import C1Violation, C2Violation, DanglingId, MismatchedTarget
 from finstack.torsor import Cocycle, CocycleMorphism, Torsor, check_cocycle_morphism
 
 SEARCH_BUDGET = 200_000
@@ -45,6 +50,71 @@ def search_space(c: Cocycle, c2: Cocycle) -> int:
     return math.prod(len(g.hom(c.a[i][w], c2.a[k][w]))
                      for i in c.cov.indices() for k in c2.cov.indices()
                      for w in set(c.cov.cover[i]) & set(c2.cov.cover[k]))
+
+
+def validate_cocycle_by_triples(cov, target, a: dict, gamma: dict) -> Cocycle:
+    """Check C1 on every chart pair and C2 on every chart triple (i, j, k),
+    each over the points of its overlap in id order, raising what
+    :func:`finstack.torsor.validate_cocycle` raises."""
+    indices = cov.indices()
+    objects, arrows = set(target.objects), set(target.morphisms)
+    for i in indices:
+        table = a.get(i)
+        if table is None or set(table) != cov.cover[i]:
+            raise DanglingId("a (domain mismatch)", i)
+        for w, x in table.items():
+            if x not in objects:
+                raise DanglingId("a", (i, w), x)
+    for i in indices:
+        for j in indices:
+            table = gamma.get((i, j), {})
+            if set(table) != cov.cover[i] & cov.cover[j]:
+                raise DanglingId("gamma (domain mismatch)", (i, j))
+            for w, arrow in table.items():
+                if arrow not in arrows:
+                    raise DanglingId("gamma", (i, j, w), arrow)
+                if target.src[arrow] != a[i][w] or target.tgt[arrow] != a[j][w]:
+                    raise C1Violation(w, i, j)
+    for i in indices:
+        for j in indices:
+            for k in indices:
+                for w in cov.overlap(i, j, k):
+                    if target.compose(gamma[(i, j)][w], gamma[(j, k)][w]) != gamma[(i, k)][w]:
+                        raise C2Violation(w, i, j, k)
+    return Cocycle(cov=cov, target=target,
+                   a={i: dict(a[i]) for i in indices},
+                   gamma={(i, j): dict(gamma.get((i, j), {})) for i in indices for j in indices})
+
+
+def morphism_violations_by_ids(c: Cocycle, c2: Cocycle, delta: dict) -> list:
+    """The M1/M2 witnesses of :func:`finstack.torsor.cocycle_morphism_violations`,
+    in its order, found by composing ids."""
+    g = c.target
+    points = c.cov.points
+    charts = {w: [i for i in c.cov.indices() if w in c.cov.cover[i]] for w in points}
+    charts2 = {w: [k for k in c2.cov.indices() if w in c2.cov.cover[k]] for w in points}
+    bad = [("domain", i, k) for i in c.cov.indices() for k in c2.cov.indices()
+           if set(delta.get((i, k), {})) != c.cov.cover[i] & c2.cov.cover[k]]
+    if bad:
+        return bad
+    for w in points:
+        for i in charts[w]:
+            for k in charts2[w]:
+                arrow = delta[(i, k)][w]
+                if g.src[arrow] != c.a[i][w] or g.tgt[arrow] != c2.a[k][w]:
+                    bad.append(("M1", w, i, k))
+    if bad:
+        return bad
+    for w in points:
+        for i in charts[w]:
+            for k in charts2[w]:
+                for l in charts2[w]:
+                    if g.compose(delta[(i, k)][w], c2.gamma[(k, l)][w]) != delta[(i, l)][w]:
+                        bad.append(("M2-right", w, i, k, l))
+                for j in charts[w]:
+                    if g.compose(c.gamma[(i, j)][w], delta[(j, k)][w]) != delta[(i, k)][w]:
+                        bad.append(("M2-left", w, i, j, k))
+    return bad
 
 
 def validate_torsor(t: Torsor) -> Torsor:

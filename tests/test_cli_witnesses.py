@@ -163,3 +163,70 @@ def test_witness_ignores_the_order_of_comp_triples(capsys, tmp_path):
     expected = run(capsys, ["morita-check", "--functor", write(tmp_path, "f.json", doc)])
     doc["source"] = dict(doc["source"], comp=doc["source"]["comp"][::-1])
     assert run(capsys, ["morita-check", "--functor", write(tmp_path, "rev.json", doc)]) == expected
+
+
+Z2_CHARTS = ("0", "1", "2")
+
+
+def chart_cocycle(cover: dict, a: dict, gamma: dict) -> dict:
+    """A cocycle document on the charts of ``cover``, each γ table over the
+    overlap of its two charts unless ``gamma`` gives it."""
+    points = sorted({w for part in cover.values() for w in part})
+    overlap = {(i, j): [w for w in points if w in cover[i] and w in cover[j]]
+               for i in cover for j in cover}
+    return {"W": points, "cover": cover,
+            "a": {i: {w: a[i, w] for w in cover[i]} for i in cover},
+            "gamma": {f"{i},{j}": gamma.get((i, j), dict.fromkeys(overlap[i, j], "0"))
+                      for i, j in overlap}}
+
+
+def torsor_argv(tmp_path, groupoid: dict, cocycle: dict) -> list:
+    return ["torsor", "validate", "--groupoid", write(tmp_path, "g.json", groupoid),
+            "--cocycle", write(tmp_path, "c.json", cocycle)]
+
+
+def test_c2_witness_is_the_first_failing_chart_triple(capsys, tmp_path):
+    """Over Z/2, C2 fails at w10 under (1, 2, 1) and at w2 under (0, 1, 2).
+    Triples come first and points second, so w2 is named although w10
+    comes before it in id order; w10 lies outside chart 0."""
+    cover = {"0": ["w2"], "1": ["w10", "w2"], "2": ["w10", "w2"]}
+    a = {(i, w): "*" for i in Z2_CHARTS for w in cover[i]}
+    doc = chart_cocycle(cover, a, {("0", "2"): {"w2": "1"}, ("1", "2"): {"w10": "1", "w2": "0"}})
+    z2 = jio.groupoid_to_json(fs.cyclic_groupoid(2))
+    assert run(capsys, torsor_argv(tmp_path, z2, doc)) == (
+        2, "", "error: C2 fails at w='w2', (i,j,k)=('0','1','2')\n")
+
+
+def test_gamma_domain_mismatch_comes_before_later_failures(capsys, tmp_path):
+    """γ_{1,0} lists a point outside chart 0; γ_{1,2} names no arrow and
+    γ_{0,2} breaks C2, but the pair (1, 0) is checked before both."""
+    cover = {"0": ["u"], "1": ["u", "v"], "2": ["u", "v"]}
+    a = {(i, w): "*" for i in Z2_CHARTS for w in cover[i]}
+    doc = chart_cocycle(cover, a, {("1", "0"): {"u": "0", "v": "0"}, ("1", "2"): {"u": "0", "v": "7"},
+                                   ("0", "2"): {"u": "1"}})
+    z2 = jio.groupoid_to_json(fs.cyclic_groupoid(2))
+    assert run(capsys, torsor_argv(tmp_path, z2, doc)) == (
+        2, "", "error: gamma (domain mismatch): undeclared id ('1', '0') (at ('1', '0'))\n")
+    doc["gamma"]["1,0"] = {"u": "0"}
+    assert run(capsys, torsor_argv(tmp_path, z2, doc)) == (
+        2, "", "error: gamma: undeclared id '7' (at ('1', '2', 'v'))\n")
+
+
+def pair_xy() -> dict:
+    """The pair groupoid on x and y: one arrow st from s to t for each s, t."""
+    arrows = [s + t for s in "xy" for t in "xy"]
+    return {"objects": ["x", "y"], "arrows": [{"id": m, "src": m[0], "tgt": m[1]} for m in arrows],
+            "comp": [[f, g, f[0] + g[1]] for f in arrows for g in arrows if f[1] == g[0]],
+            "id": {"x": "xx", "y": "yy"}, "inv": {m: m[::-1] for m in arrows}}
+
+
+def test_c1_witness_is_the_first_failing_chart_pair(capsys, tmp_path):
+    """Chart 0 anchors w at x, charts 1 and 2 at y; γ_{0,2} and γ_{2,0} both
+    miss their endpoints, and (0, 2) comes first."""
+    cover = dict.fromkeys(Z2_CHARTS, ["w"])
+    a = {("0", "w"): "x", ("1", "w"): "y", ("2", "w"): "y"}
+    gamma = {(i, j): {"w": a[i, "w"] + a[j, "w"]} for i in Z2_CHARTS for j in Z2_CHARTS}
+    gamma["0", "2"] = gamma["2", "0"] = {"w": "yy"}
+    doc = chart_cocycle(cover, a, gamma)
+    assert run(capsys, torsor_argv(tmp_path, pair_xy(), doc)) == (
+        2, "", "error: C1 fails at w='w', (i,j)=('0','2')\n")

@@ -14,9 +14,11 @@ import finstack.jsonio as jio
 from descent_oracle import (
     TorsorViolation,
     glue_torsor,
+    morphism_violations_by_ids,
     search_cocycle_morphism,
     search_space,
     search_torsor_isomorphism,
+    validate_cocycle_by_triples,
     validate_torsor,
 )
 from finstack.category import sorted_ids
@@ -25,8 +27,10 @@ from finstack.errors import (
     C1Violation,
     C2Violation,
     DanglingId,
+    FinstackError,
     MismatchedTarget,
 )
+from finstack.torsor import cocycle_morphism_violations
 from support import (cocycle_zoo, gauge_cocycle, load_jobs, pair2, pt, s3, two_chart_z3_cocycle, z2,
                      z3)
 
@@ -281,6 +285,10 @@ def test_constructed_data_failing_the_check_raises():
     trivial = fs.validate_cocycle(cov, g, a, {ij: {"w": 0} for ij in broken.gamma})
     with pytest.raises(AxiomViolation):
         fs.find_cocycle_morphism(broken, trivial)
+    delta = {ik: {"w": 0} for ik in broken.gamma}
+    bad = cocycle_morphism_violations(broken, trivial, delta)
+    assert bad == morphism_violations_by_ids(broken, trivial, delta)
+    assert bad == [("M2-left", "w", "0", "1", "0"), ("M2-left", "w", "0", "1", "1")]
 
 
 def assert_agrees_with_oracle(c, c2, name):
@@ -547,3 +555,110 @@ def test_cocycle_morphism_witnesses_do_not_depend_on_the_hash_seed():
         lists.append(run.stdout)
     assert lists[0] == lists[1]
     assert lists[0].startswith("[('M2-right', 'w0', '0', '0', '1'), ('M2-left', 'w0', '0', '1', '0'), ")
+
+
+def outcome(validate, *args) -> tuple | None:
+    """The class, message and witness of the error ``validate`` raises, or None."""
+    try:
+        validate(*args)
+    except FinstackError as err:
+        return type(err), str(err), getattr(err, "witness", None)
+    return None
+
+
+def single_changes(table: dict, others):
+    """``table`` with one entry set to each value of ``others(entry)``, and
+    with one entry dropped."""
+    for w, value in table.items():
+        for other in others(value):
+            yield {**table, w: other}
+        yield {v: x for v, x in table.items() if v != w}
+
+
+def corruptions(c):
+    """(a, gamma) with one entry changed: an a value set to another object or
+    to an undeclared id, or dropped; a gamma value set to another arrow with
+    its endpoints, so that C1 still holds, or to an undeclared id, or dropped."""
+    g = c.target
+    for i, table in c.a.items():
+        for changed in single_changes(table, lambda x: [o for o in g.objects if o != x] + ["ghost"]):
+            yield {**c.a, i: changed}, c.gamma
+    for ij, table in c.gamma.items():
+        for changed in single_changes(table, lambda m: [n for n in g.hom(g.src[m], g.tgt[m]) if n != m]
+                                      + ["ghost"]):
+            yield c.a, {**c.gamma, ij: changed}
+
+
+@st.composite
+def small_cocycles(draw):
+    """Valid cocycles on one to four charts over up to three points."""
+    target = draw(st.sampled_from(GROUPS + DISCONNECTED + [pair2()]))
+    points = [f"w{n}" for n in range(draw(st.integers(1, 3)))]
+    charts = st.integers(1, 4).map(lambda n: [str(i) for i in range(n)])
+    return draw(anchored_cocycles(target, points, charts))
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_cocycles())
+def test_every_single_corruption_fails_as_in_the_triple_scan(c):
+    """C2 at the first chart of each point, with the rest of the validator,
+    raises what the scan over every chart triple raises, witness included;
+    a gamma changed within its hom-set breaks C2 but not C1, and the
+    hand-built cocycle it gives breaks M2 as the id-based check says."""
+    assert outcome(fs.validate_cocycle, c.cov, c.target, c.a, c.gamma) is None
+    identity = c.gamma  # the identity morphism of c
+    for a, gamma in corruptions(c):
+        expected = outcome(validate_cocycle_by_triples, c.cov, c.target, a, gamma)
+        assert expected is not None
+        assert outcome(fs.validate_cocycle, c.cov, c.target, a, gamma) == expected
+        if a is c.a and expected[0] is C2Violation:
+            broken = fs.Cocycle(c.cov, c.target, a, gamma)
+            bad = cocycle_morphism_violations(broken, c, identity)
+            assert bad and bad == morphism_violations_by_ids(broken, c, identity)
+
+
+@st.composite
+def transition_tables(draw):
+    """Anchors and gamma tables with the right endpoints but otherwise
+    random, over Z/2, Z/3 or the pair groupoid: C2 holds or fails."""
+    target = draw(st.sampled_from([z2(), z3(), pair2()]))
+    points = [f"w{n}" for n in range(draw(st.integers(1, 2)))]
+    cover = {str(i): set(draw(st.lists(st.sampled_from(points), min_size=1, unique=True)))
+             for i in range(draw(st.integers(1, 3)))}
+    for w in points:
+        cover["0"].add(w)
+    cov = fs.covered_space(points, cover)
+    a = {i: {w: draw(st.sampled_from(target.objects)) for w in sorted(part)} for i, part in cover.items()}
+    gamma = {(i, j): {w: draw(st.sampled_from(target.hom(a[i][w], a[j][w]))) for w in cov.overlap(i, j)}
+             for i in cov.indices() for j in cov.indices()}
+    return cov, target, a, gamma
+
+
+@settings(max_examples=200, deadline=None)
+@given(transition_tables())
+def test_c2_at_the_first_charts_decides_c2(tables):
+    assert outcome(fs.validate_cocycle, *tables) == outcome(validate_cocycle_by_triples, *tables)
+
+
+@st.composite
+def morphism_pairs(draw):
+    """Two valid cocycles over one base and target with morphism data between them."""
+    c = draw(small_cocycles())
+    c2 = draw(anchored_cocycles(c.target, list(c.cov.points)))
+    morphism = fs.find_cocycle_morphism(c, c2)
+    if morphism is None:
+        c2, morphism = c, fs.find_cocycle_morphism(c, c)
+    return c, c2, morphism.delta
+
+
+@settings(max_examples=60, deadline=None)
+@given(morphism_pairs())
+def test_every_single_delta_corruption_has_the_id_based_violations(pair):
+    """Morphism data is not unique, so a changed arrow may still be valid."""
+    c, c2, delta = pair
+    assert cocycle_morphism_violations(c, c2, delta) == [] == morphism_violations_by_ids(c, c2, delta)
+    for ik, table in delta.items():
+        for changed in single_changes(table, lambda m: [n for n in c.target.morphisms if n != m]):
+            corrupted = {**delta, ik: changed}
+            assert cocycle_morphism_violations(c, c2, corrupted) == morphism_violations_by_ids(
+                c, c2, corrupted)
