@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import finstack as fs
 import finstack.jsonio as jio
+import finstack.cli as cli
 from finstack.cli import main
 from finstack.errors import InsufficientTruncation
 from finstack.homology import ChainComplex, invariant_factors, kernel_columns, lattice_insert
@@ -352,6 +353,93 @@ def test_induced_map_onto_but_not_injective():
     assert fs.induced_map_is_isomorphism(point, point, onto, 0)
 
 
+@st.composite
+def chain_complexes(draw):
+    """Sparse complexes C_3 -> ... -> C_0, zero above: d_1 is drawn, and each
+    higher boundary's columns are small combinations of the dense oracle's
+    kernel basis of the boundary below, so d d = 0 and torsion turns up."""
+    dims = [draw(st.integers(1, 5)) for _ in range(4)]
+    below = [[draw(ENTRIES) for _ in range(dims[1])] for _ in range(dims[0])]
+    boundary = {1: sparse_columns(below)}
+    for n in (2, 3):
+        k = kernel_basis(below)
+        rank = len(k[0]) if k else 0
+        coefficients = [[draw(ENTRIES) for _ in range(rank)] for _ in range(dims[n])]
+        below = [[sum(c * x for c, x in zip(coefficients[j], row)) for j in range(dims[n])]
+                 for row in k]
+        boundary[n] = sparse_columns(below)
+    return fs.ChainComplex(basis={n: range(d) for n, d in enumerate(dims)}, boundary=boundary,
+                           complete_above=True)
+
+
+def twin(cx):
+    """An equal complex that shares no column and no cached reduction with cx."""
+    return fs.ChainComplex(basis=dict(cx.basis), complete_above=cx.complete_above,
+                           boundary={n: [dict(c) for c in cols] for n, cols in cx.boundary.items()})
+
+
+def eliminated(cx1, cx2, chain_map, n):
+    """``induced_map_is_isomorphism`` with the identity check bypassed, on fresh twins."""
+    with pytest.MonkeyPatch.context() as patched:
+        patched.setattr(homology_module, "_identity_on_equal_boundaries", lambda *args: False)
+        return fs.induced_map_is_isomorphism(twin(cx1), twin(cx2), chain_map, n)
+
+
+def identity_map(cx):
+    return {n: [{i: 1} for i in range(cx.dim(n))] for n in cx.basis}
+
+
+@settings(max_examples=200, deadline=None)
+@given(chain_complexes())
+def test_identity_on_equal_boundaries_agrees_with_elimination(cx):
+    """The identity between equal complexes is decided without elimination,
+    and elimination and the dense transform oracle also find an isomorphism."""
+    assert cx.check_dd_zero()
+    other, ident = twin(cx), identity_map(cx)
+    for n in range(cx.top_degree + 1):
+        assert homology_module._identity_on_equal_boundaries(cx, other, ident, n)
+        assert fs.induced_map_is_isomorphism(cx, other, ident, n)
+        assert eliminated(cx, other, ident, n)
+        assert transform_induced_is_isomorphism(cx, other, ident, n)
+    assert cx._reductions == other._reductions == {}
+
+
+@settings(max_examples=300, deadline=None)
+@given(chain_complexes(), st.data())
+def test_one_changed_entry_or_map_column_takes_the_elimination_path(cx, data):
+    """Changing one entry of d_n or d_{n+1} in either complex, or one column of
+    the identity map, fails the check, and the answer is elimination's."""
+    n = data.draw(st.integers(0, cx.top_degree), label="n")
+    cx1, cx2, f = cx, twin(cx), identity_map(cx)
+    if data.draw(st.booleans(), label="change the map"):
+        i = data.draw(st.integers(0, cx.dim(n) - 1), label="column")
+        f[n][i] = data.draw(st.dictionaries(st.integers(0, cx.dim(n) - 1), st.integers(-3, 3).filter(bool),
+                                            max_size=3).filter(lambda col: col != {i: 1}), label="new column")
+    else:
+        m = data.draw(st.sampled_from([m for m in (n, n + 1) if 1 <= m <= cx.top_degree]), label="degree")
+        changed = data.draw(st.sampled_from([cx1, cx2]), label="complex")
+        col = changed.boundary[m][data.draw(st.integers(0, cx.dim(m) - 1), label="column")]
+        r = data.draw(st.integers(0, cx.dim(m - 1) - 1), label="row")
+        entry = col.get(r, 0) + data.draw(st.integers(-3, 3).filter(bool), label="added")
+        col.pop(r, None)
+        if entry:
+            col[r] = entry
+    assert not homology_module._identity_on_equal_boundaries(cx1, cx2, f, n)
+    assert fs.induced_map_is_isomorphism(cx1, cx2, f, n) == eliminated(cx1, cx2, f, n)
+
+
+def test_induced_map_raises_as_homology_does_whatever_the_map_holds():
+    """Past a truncation, or below degree 0, the error is ``homology``'s even
+    where the map looks like an identity between equal boundaries."""
+    cx = fs.chain_complex(fs.nerve(z2(), 2))
+    f = {**identity_map(cx), -1: [], 3: []}
+    for n in (-1, 2, 3):
+        with pytest.raises(InsufficientTruncation) as expected:
+            fs.homology(cx, n)
+        with pytest.raises(InsufficientTruncation, match=f"^{expected.value}$"):
+            fs.induced_map_is_isomorphism(cx, twin(cx), f, n)
+
+
 @pytest.fixture()
 def reductions(monkeypatch):
     """Kernel flags of each reduction of a boundary, by (complex id, degree).
@@ -385,14 +473,26 @@ def test_homology_reduces_each_nerve_boundary_once(reductions):
     assert reductions == {(id(cx), n): [False] for n in range(5)}
 
 
-def test_milnor_compare_reduces_each_boundary_once(reductions, tmp_path, capsys):
-    """Each (complex, degree) is reduced once, or once plain and then once
-    with the kernel transform."""
+def test_milnor_compare_reduces_only_the_homology_boundaries(reductions, monkeypatch, tmp_path,
+                                                             capsys):
+    """The comparison map is the identity between equal boundaries, so the
+    nerve comparison reduces no boundary, and ``--homology 1`` reduces B's d_1
+    and d_2 once each."""
+    built = []
+
+    def recorded(s):
+        built.append(fs.chain_complex(s))
+        return built[-1]
+
+    monkeypatch.setattr(cli, "chain_complex", recorded)
     path = tmp_path / "z3.json"
     path.write_text(json.dumps(jio.groupoid_to_json(z3())))
-    assert main(["milnor", "--groupoid", str(path), "--levels", "4", "--space", "B",
-                 "--compare-nerve", "--homology", "1"]) == 0
+    base = ["milnor", "--groupoid", str(path), "--levels", "4", "--space", "B", "--compare-nerve"]
+    assert main(base) == 0
+    assert [line for line in capsys.readouterr().out.splitlines() if "agreement" in line] == \
+        [f"[PASS] homology-agreement-degree-{n}" for n in range(3)]
+    assert len(built) == 2 and reductions == {}
+    built.clear()
+    assert main(base + ["--homology", "1"]) == 0
     assert "H_1 = Z/3" in capsys.readouterr().out.splitlines()
-    # d_0..d_3 of B and of the nerve
-    assert len(reductions) == 8
-    assert all(flags in ([False], [True], [False, True]) for flags in reductions.values())
+    assert reductions == {(id(built[0]), 1): [False], (id(built[0]), 2): [False]}

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import importlib
 import json
 from math import comb
 
@@ -20,6 +21,8 @@ from nerve_oracle import tabulated_nerve
 from support import (assert_levels_match_oracle, basis_strings, corrupted_string_levels,
                      covered_corruptions, groupoid_zoo, is_sparse_chain_map, pair2, pt, s3, swap_action, z2, z3)
 
+# the package's ``homology`` attribute is the function, not the module
+homology_module = importlib.import_module("finstack.homology")
 MILNOR_ZOO = groupoid_zoo() + [("z2+pt", fs.disjoint_union(z2(), pt()))]
 
 
@@ -451,6 +454,32 @@ def test_reports_match_level_product_oracle(tmp_path, capsys, monkeypatch, space
         assert fs.chain_complex(b).dim(1) == b.count(1)
         slow = run_all(capsys, argvs)
     assert fast == slow
+    assert all(code == 0 and not err for code, _, err in fast)
+
+
+@pytest.mark.parametrize("name,g", MILNOR_ZOO)
+def test_compare_reports_match_with_the_identity_check_bypassed(tmp_path, capsys, monkeypatch, name, g):
+    """Through ``main()`` at levels 0..5, ``--compare-nerve`` alone and with each
+    ``--homology k``: deciding the identity between B's Morse complex and the
+    nerve without elimination gives the bytes of eliminating them."""
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(jio.groupoid_to_json(g)))
+    argvs = []
+    for levels in range(6):
+        base = ["milnor", "--groupoid", str(path), "--levels", str(levels), "--space", "B",
+                "--compare-nerve"]
+        argvs += [base] + [base + ["--homology", str(k)] for k in range(levels + 2)]
+    check, decided = homology_module._identity_on_equal_boundaries, []
+
+    def recorded(*args):
+        decided.append(check(*args))
+        return decided[-1]
+
+    monkeypatch.setattr(homology_module, "_identity_on_equal_boundaries", recorded)
+    fast = run_all(capsys, argvs)
+    assert decided and all(decided)
+    monkeypatch.setattr(homology_module, "_identity_on_equal_boundaries", lambda *args: False)
+    assert run_all(capsys, argvs) == fast
     assert all(code == 0 and not err for code, _, err in fast)
 
 
